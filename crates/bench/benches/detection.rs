@@ -9,12 +9,10 @@ use lumen6_detect::multi::{detect_multi, MultiLevelDetector};
 use lumen6_detect::parallel::{detect_multi_sharded, ShardPlan};
 use lumen6_detect::{
     detector::detect, AggLevel, ArtifactFilter, Backend, DetectorBuilder, MawiConfig as FhConfig,
-    MawiDetector, ReorderBuffer, ScanDetectorConfig, Session, SessionConfig, SessionOutcome,
-    SessionReport,
+    MawiDetector, ReorderBuffer, ScanDetectorConfig,
 };
-use lumen6_scanners::{FleetSource, ParallelFleetSource};
 use lumen6_trace::codec::{decode, decode_chunks, encode};
-use lumen6_trace::{MaterializedSource, PacketRecord, RecordBatch, Source};
+use lumen6_trace::{PacketRecord, RecordBatch};
 use std::time::Instant;
 
 /// The multi-level workload both pipeline benches run: the paper's three
@@ -187,60 +185,6 @@ fn streaming_vs_materialized(c: &mut Criterion) {
     g.finish();
 }
 
-/// Runs a sequential detection [`Session`] to completion over `src` and
-/// returns its report — the fused-pipeline unit of work.
-fn run_session(src: &mut dyn Source) -> SessionReport {
-    let det = DetectorBuilder::new(ScanDetectorConfig::default()).levels(&LEVELS);
-    match Session::new(det, Backend::Sequential, SessionConfig::default())
-        .run_source(src)
-        .expect("session runs")
-    {
-        SessionOutcome::Finished(rep) => rep,
-        SessionOutcome::Stopped { .. } => unreachable!("no checkpoint stop configured"),
-    }
-}
-
-/// Tentpole comparison: the fused generator→detector pipeline (a
-/// [`Session`] pulling batches straight from [`FleetSource`], no resident
-/// trace) vs materialize-then-stream (generate the full trace, then stream
-/// it from memory through the same session). Both sides include generation,
-/// so the delta is exactly the cost/benefit of fusing.
-fn fused_pipeline(c: &mut Criterion) {
-    let fx = CdnFixture::new();
-    let mut g = c.benchmark_group("fused_pipeline");
-    g.throughput(Throughput::Elements(fx.trace.len() as u64));
-    g.sample_size(10);
-    g.bench_function("materialize_then_stream", |b| {
-        b.iter(|| {
-            let trace = fx.world.cdn_trace();
-            let mut src = MaterializedSource::new(trace);
-            black_box(run_session(&mut src))
-        });
-    });
-    g.bench_function("fused", |b| {
-        b.iter(|| {
-            let mut src = FleetSource::new(fx.world.clone());
-            black_box(run_session(&mut src))
-        });
-    });
-    // Parallel fused generation: same pipeline, generation spread over N
-    // worker threads feeding a deterministic k-way merge. Output is
-    // byte-identical to `fused`; only the wall clock should move.
-    for gen_threads in [2usize, 4] {
-        g.bench_with_input(
-            BenchmarkId::new("parallel_fused", gen_threads),
-            &gen_threads,
-            |b, &n| {
-                b.iter(|| {
-                    let mut src = ParallelFleetSource::new(fx.world.clone(), n);
-                    black_box(run_session(&mut src))
-                });
-            },
-        );
-    }
-    g.finish();
-}
-
 /// Median wall-clock seconds over `n` runs of `f`.
 fn median_secs(n: usize, mut f: impl FnMut()) -> f64 {
     let mut samples: Vec<f64> = (0..n.max(1))
@@ -317,16 +261,6 @@ fn emit_bench_json(_c: &mut Criterion) {
         });
         sharded.push((shards, secs));
     }
-    let mut fused_records = 0u64;
-    let fused_s = median_secs(RUNS, || {
-        let mut src = FleetSource::new(fx.world.clone());
-        fused_records = run_session(&mut src).records;
-    });
-    const PARFUSED_THREADS: usize = 4;
-    let parfused_s = median_secs(RUNS, || {
-        let mut src = ParallelFleetSource::new(fx.world.clone(), PARFUSED_THREADS);
-        black_box(run_session(&mut src));
-    });
     let materialized_s = median_secs(RUNS, || {
         let recs = decode(&bytes).expect("decode");
         black_box(detect_multi_batched(&recs));
@@ -353,16 +287,13 @@ fn emit_bench_json(_c: &mut Criterion) {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"detection\",\n  \"host_cores\": {cores},\n  \"records\": {records},\n  \"trace_bytes\": {},\n  \"levels\": [\"/128\", \"/64\", \"/48\"],\n  \"batch\": {BATCH},\n  \"sequential\": {{\"seconds\": {sequential_s:.6}, \"records_per_s\": {:.0}}},\n  \"sequential_per_record\": {{\"seconds\": {per_record_s:.6}, \"records_per_s\": {:.0}, \"batched_speedup\": {:.3}}},\n  \"session\": {{\"seconds\": {session_s:.6}, \"records_per_s\": {:.0}, \"overhead_vs_sequential\": {:.4}}},\n  \"fused\": {{\"seconds\": {fused_s:.6}, \"records\": {fused_records}, \"records_per_s\": {:.0}}},\n  \"parallel_fused\": {{\"seconds\": {parfused_s:.6}, \"gen_threads\": {PARFUSED_THREADS}, \"records_per_s\": {:.0}, \"speedup_vs_fused\": {:.3}}},\n  \"sharded\": [\n{}\n  ],\n  \"streaming_vs_materialized\": {{\n    \"materialized_seconds\": {materialized_s:.6},\n    \"streaming_seconds\": {streaming_s:.6},\n    \"mib_per_s_streaming\": {:.3}\n  }},\n  \"note\": \"sequential is the batched columnar path the pipeline runs; sharded routes columnar sub-batches (kernel route_column + column scatter) to shard workers; speedup is bounded by host_cores — on a single-core host expect parity with sequential, not gains; fused is generation+detection end-to-end (FleetSource -> Session, no resident trace), so its record count and throughput are not comparable to the detect-only rows; parallel_fused is the same fused pipeline with generation spread over gen_threads worker threads and a deterministic merge — byte-identical output, speedup bounded by host_cores\"\n}}\n",
+        "{{\n  \"bench\": \"detection\",\n  \"host_cores\": {cores},\n  \"records\": {records},\n  \"trace_bytes\": {},\n  \"levels\": [\"/128\", \"/64\", \"/48\"],\n  \"batch\": {BATCH},\n  \"sequential\": {{\"seconds\": {sequential_s:.6}, \"records_per_s\": {:.0}}},\n  \"sequential_per_record\": {{\"seconds\": {per_record_s:.6}, \"records_per_s\": {:.0}, \"batched_speedup\": {:.3}}},\n  \"session\": {{\"seconds\": {session_s:.6}, \"records_per_s\": {:.0}, \"overhead_vs_sequential\": {:.4}}},\n  \"sharded\": [\n{}\n  ],\n  \"streaming_vs_materialized\": {{\n    \"materialized_seconds\": {materialized_s:.6},\n    \"streaming_seconds\": {streaming_s:.6},\n    \"mib_per_s_streaming\": {:.3}\n  }},\n  \"note\": \"sequential is the batched columnar path the pipeline runs; sharded routes columnar sub-batches (kernel route_column + column scatter) to shard workers; speedup is bounded by host_cores — on a single-core host expect parity with sequential, not gains\"\n}}\n",
         bytes.len(),
         records as f64 / sequential_s,
         records as f64 / per_record_s,
         per_record_s / sequential_s,
         records as f64 / session_s,
         session_s / sequential_s - 1.0,
-        fused_records as f64 / fused_s,
-        fused_records as f64 / parfused_s,
-        fused_s / parfused_s,
         sharded_json.join(",\n"),
         bytes.len() as f64 / streaming_s / (1u64 << 20) as f64,
     );
@@ -387,7 +318,6 @@ criterion_group! {
     mawi_detection,
     sharded_vs_sequential,
     streaming_vs_materialized,
-    fused_pipeline,
     emit_bench_json
 }
 criterion_main!(benches);

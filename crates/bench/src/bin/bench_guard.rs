@@ -19,19 +19,6 @@
 //!   `BENCH_GUARD_SHARDED_SPEEDUP`). This gate only runs on multi-core
 //!   hosts: on a single core the sharded pipeline is sequential work plus
 //!   routing overhead, so the gate is skipped with an explicit log line, or
-//! - the fused generator→detector pipeline (`FleetSource` feeding a
-//!   detection `Session` with no resident trace) falls below the required
-//!   end-to-end throughput (default 10k rec/s — deliberately relaxed so a
-//!   loaded single-core CI host passes; override with
-//!   `BENCH_GUARD_FUSED_MIN_RPS`). Fused throughput includes generation,
-//!   so it is gated on an absolute floor rather than compared against the
-//!   detect-only baseline, or
-//! - the parallel fused pipeline (`ParallelFleetSource` at 4 generator
-//!   threads, byte-identical output) fails to reach the required speedup
-//!   over the single-threaded fused pipeline (default 1.5x, override with
-//!   `BENCH_GUARD_PARFUSED_SPEEDUP`). Like the sharded gate this only runs
-//!   on multi-core hosts — on one core parallel generation is the same
-//!   work plus channel traffic, so the gate is skipped with a log line, or
 //! - a single fused tenant hosted by the `lumen6 serve` daemon (one
 //!   worker, mid-run publication disabled) runs more than the allowed
 //!   overhead slower than the identical `RunConfig` driven raw through
@@ -47,10 +34,8 @@ use lumen6_bench::CdnFixture;
 use lumen6_detect::multi::MultiLevelDetector;
 use lumen6_detect::parallel::{detect_multi_sharded, ShardPlan};
 use lumen6_detect::{
-    AggLevel, Backend, DetectorBuilder, ReorderBuffer, ScanDetectorConfig, Session, SessionConfig,
-    SessionOutcome,
+    AggLevel, Backend, DetectorBuilder, ReorderBuffer, ScanDetectorConfig, SessionOutcome,
 };
-use lumen6_scanners::{FleetSource, ParallelFleetSource};
 use lumen6_serve::{Daemon, RunConfig, ServeConfig, TenantSpec};
 use lumen6_trace::codec::{decode, decode_chunks, encode};
 use lumen6_trace::{PacketRecord, RecordBatch};
@@ -122,8 +107,6 @@ fn main() {
     let max_overhead = env_f64("BENCH_GUARD_SESSION_OVERHEAD", 0.05);
     let stream_tolerance = env_f64("BENCH_GUARD_STREAM_TOLERANCE", 0.10);
     let min_sharded_speedup = env_f64("BENCH_GUARD_SHARDED_SPEEDUP", 1.5);
-    let fused_min_rps = env_f64("BENCH_GUARD_FUSED_MIN_RPS", 10_000.0);
-    let min_parfused_speedup = env_f64("BENCH_GUARD_PARFUSED_SPEEDUP", 1.5);
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 
     let fx = CdnFixture::new();
@@ -166,41 +149,6 @@ fn main() {
             det.observe_batch(&batch);
         }
         std::hint::black_box(det.finish());
-    });
-
-    let mut fused_records = 0u64;
-    let fused_s = median_secs(|| {
-        let mut src = FleetSource::new(fx.world.clone());
-        let det = DetectorBuilder::new(ScanDetectorConfig::default()).levels(&LEVELS);
-        let outcome = Session::new(det, Backend::Sequential, SessionConfig::default())
-            .run_source(&mut src)
-            .expect("fused session runs");
-        match outcome {
-            SessionOutcome::Finished(rep) => fused_records = rep.records,
-            SessionOutcome::Stopped { .. } => unreachable!("no checkpoint stop configured"),
-        }
-    });
-
-    // Parallel fused gate: same fused workload, generation spread over 4
-    // worker threads with the deterministic merge. Only measured where a
-    // speedup is physically possible.
-    let parfused_s = (host_cores > 1).then(|| {
-        median_secs(|| {
-            let mut src = ParallelFleetSource::new(fx.world.clone(), 4);
-            let det = DetectorBuilder::new(ScanDetectorConfig::default()).levels(&LEVELS);
-            let outcome = Session::new(det, Backend::Sequential, SessionConfig::default())
-                .run_source(&mut src)
-                .expect("parallel fused session runs");
-            match outcome {
-                SessionOutcome::Finished(rep) => {
-                    assert_eq!(
-                        rep.records, fused_records,
-                        "parallel fused ingested a different record count than fused"
-                    );
-                }
-                SessionOutcome::Stopped { .. } => unreachable!("no checkpoint stop configured"),
-            }
-        })
     });
 
     // Serve gate: the same fused run, once raw and once as the daemon's
@@ -297,11 +245,6 @@ fn main() {
         stream_tolerance * 100.0
     );
 
-    let fused_rps = fused_records as f64 / fused_s;
-    println!(
-        "bench_guard: fused pipeline {fused_rps:.0} rec/s end-to-end \
-         ({fused_records} records, floor {fused_min_rps:.0})"
-    );
     let serve_overhead = serve_s / raw_s - 1.0;
     println!(
         "bench_guard: serve single-tenant {:.0} rec/s vs raw {:.0} rec/s, \
@@ -338,13 +281,6 @@ fn main() {
         );
         failed = true;
     }
-    if fused_rps < fused_min_rps {
-        eprintln!(
-            "bench_guard: FAIL — fused pipeline {fused_rps:.0} rec/s below the \
-             {fused_min_rps:.0} rec/s floor"
-        );
-        failed = true;
-    }
     if serve_overhead > serve_overhead_limit {
         eprintln!(
             "bench_guard: FAIL — serve daemon overhead {:.1}% over raw run_source \
@@ -353,28 +289,6 @@ fn main() {
             serve_overhead_limit * 100.0
         );
         failed = true;
-    }
-    match parfused_s {
-        None => println!(
-            "bench_guard: parallel-fused gate SKIPPED (host_cores={host_cores}): one core \
-             cannot speed up generation by splitting it across threads"
-        ),
-        Some(s) => {
-            let speedup = fused_s / s;
-            println!(
-                "bench_guard: parallel fused (4 gen-threads) {:.0} rec/s, speedup \
-                 {speedup:.2}x over fused (required {min_parfused_speedup:.2}x, \
-                 host_cores={host_cores})",
-                fused_records as f64 / s
-            );
-            if speedup < min_parfused_speedup {
-                eprintln!(
-                    "bench_guard: FAIL — parallel fused speedup {speedup:.2}x below \
-                     required {min_parfused_speedup:.2}x at 4 gen-threads"
-                );
-                failed = true;
-            }
-        }
     }
     match sharded_s {
         None => println!(

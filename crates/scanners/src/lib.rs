@@ -31,12 +31,10 @@ pub mod actor;
 pub mod fleet;
 pub mod fleet_source;
 pub mod noise;
-pub mod parallel_source;
 pub mod samplers;
 pub mod tga;
 
 pub use actor::{ScannerActor, Schedule, Session};
 pub use fleet::{scale_intensity, Fleet, FleetConfig, World};
-pub use fleet_source::FleetSource;
-pub use parallel_source::ParallelFleetSource;
+pub use fleet_source::{FleetSource, ParallelFleetSource};
 pub use samplers::{IidMode, PortSampler, SourceSampler, TargetSampler};

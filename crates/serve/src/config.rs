@@ -33,7 +33,7 @@ use lumen6_detect::{
     Backend, CheckpointPolicy, DetectorBuilder, ScanDetectorConfig, Session, SessionConfig,
     ShardPlan, SketchConfig,
 };
-use lumen6_scanners::{FleetConfig, FleetSource, ParallelFleetSource, World};
+use lumen6_scanners::{FleetConfig, FleetSource, World};
 use lumen6_trace::{CodecError, FileStreamSource, Source, TailSource};
 use serde::value::{DeError, Value};
 use serde::{Deserialize, Serialize};
@@ -88,10 +88,10 @@ pub struct RunConfig {
     pub small: bool,
     /// Fused generation: packet-volume multiplier.
     pub intensity: f64,
-    /// Fused generation: generator threads. 1 = the single-threaded
-    /// [`FleetSource`]; N > 1 = [`ParallelFleetSource`] with N workers;
-    /// 0 = one worker per hardware thread. Output is byte-identical for
-    /// every value.
+    /// Fused generation: [`FleetSource`] lanes. 1 = generate on the
+    /// ingesting thread (nothing spawned); N > 1 = N generator threads;
+    /// 0 = one per hardware thread. Output is byte-identical for every
+    /// value.
     pub gen_threads: usize,
 }
 
@@ -266,17 +266,16 @@ impl RunConfig {
                 TailSource::open(Path::new(path)).permissive(permissive),
             ));
         }
-        let world = World::build(self.fleet_config());
-        match self.gen_threads {
-            1 => Ok(Box::new(FleetSource::new(world))),
-            0 => {
-                // Auto: one generator per hardware thread. Purely a
-                // throughput knob — the output is thread-count-invariant.
-                let n = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-                Ok(Box::new(ParallelFleetSource::new(world, n)))
-            }
-            n => Ok(Box::new(ParallelFleetSource::new(world, n))),
-        }
+        // Auto (0): one generator per hardware thread. Purely a throughput
+        // knob — the output is thread-count-invariant.
+        let gen_threads = match self.gen_threads {
+            0 => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
+            n => n,
+        };
+        Ok(Box::new(FleetSource::with_gen_threads(
+            World::build(self.fleet_config()),
+            gen_threads,
+        )))
     }
 
     /// Builds the full [`Session`] this configuration describes.

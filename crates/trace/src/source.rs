@@ -10,7 +10,7 @@
 //! source, and each source defines its own resumable position space so
 //! checkpoint/resume keeps working.
 //!
-//! Four implementations exist:
+//! Three finite implementations exist (plus the live [`TailSource`]):
 //!
 //! - [`MaterializedSource`] — an in-memory, already-sorted record vector
 //!   (what the simulators and tests produce). Positions are record indices.
@@ -20,12 +20,10 @@
 //!   pre-existing checkpoints resume unchanged.
 //! - `FleetSource` (in `lumen6-scanners`, which depends on this crate) —
 //!   synthesizes batches directly from the fleet actors in timestamp order,
-//!   never materializing a trace. Positions are record indices.
-//! - `ParallelFleetSource` (also in `lumen6-scanners`) — the same stream,
-//!   generated by N worker threads and reassembled by a deterministic
-//!   merge; byte-identical to `FleetSource` at any thread count, and its
-//!   positions are interchangeable with `FleetSource`'s, so a checkpoint
-//!   written at one `gen_threads` resumes at any other.
+//!   never materializing a trace, on the caller's thread or on N generator
+//!   threads behind a deterministic merge. Positions are record indices
+//!   into a stream that is byte-identical at every thread count, so a
+//!   checkpoint written at one `gen_threads` resumes at any other.
 //!
 //! The [`TracePosition`] type is reused as the position for all sources;
 //! its `offset` field is *source-defined* (bytes for the file stream,
