@@ -4,41 +4,19 @@
 //! results land in `BENCH_detection.json` at the workspace root).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use lumen6_bench::{CdnFixture, MawiFixture};
-use lumen6_detect::multi::{detect_multi, MultiLevelDetector};
-use lumen6_detect::parallel::{detect_multi_sharded, ShardPlan};
+use lumen6_bench::{detect_levels, CdnFixture, MawiFixture, BATCH};
+use lumen6_detect::multi::MultiLevelDetector;
+use lumen6_detect::parallel::ShardPlan;
 use lumen6_detect::{
-    detector::detect, AggLevel, ArtifactFilter, Backend, DetectorBuilder, MawiConfig as FhConfig,
-    MawiDetector, ReorderBuffer, ScanDetectorConfig,
+    detector::detect, AggLevel, ArtifactFilter, Backend, MawiConfig as FhConfig, MawiDetector,
+    ScanDetectorConfig,
 };
 use lumen6_trace::codec::{decode, decode_chunks, encode};
-use lumen6_trace::{PacketRecord, RecordBatch};
+use lumen6_trace::RecordBatch;
 use std::time::Instant;
-
-/// The multi-level workload both pipeline benches run: the paper's three
-/// aggregation levels over the filtered CDN trace.
-const LEVELS: [AggLevel; 3] = [AggLevel::L128, AggLevel::L64, AggLevel::L48];
 
 /// Shard counts the tentpole comparison sweeps.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Records per columnar batch on the batched ingest paths.
-const BATCH: usize = 8_192;
-
-/// Sequential multi-level detection over a resident slice via the batched
-/// columnar hot path — what the detection pipeline now runs.
-fn detect_multi_batched(
-    records: &[PacketRecord],
-) -> std::collections::BTreeMap<AggLevel, lumen6_detect::ScanReport> {
-    let mut det = MultiLevelDetector::new(&LEVELS, ScanDetectorConfig::default());
-    let mut batch = RecordBatch::with_capacity(BATCH);
-    for part in records.chunks(BATCH) {
-        batch.clear();
-        batch.extend(part.iter().copied());
-        det.observe_batch(&batch);
-    }
-    det.finish()
-}
 
 /// Table 1: full scan detection at each aggregation level.
 fn table1_detection(c: &mut Criterion) {
@@ -128,28 +106,13 @@ fn sharded_vs_sequential(c: &mut Criterion) {
     let mut g = c.benchmark_group("sharded_vs_sequential");
     g.throughput(Throughput::Elements(fx.filtered.len() as u64));
     g.sample_size(10);
-    g.bench_function("sequential_per_record", |b| {
-        b.iter(|| {
-            detect_multi(
-                black_box(&fx.filtered),
-                &LEVELS,
-                ScanDetectorConfig::default(),
-            )
-        });
-    });
     g.bench_function("sequential_batched", |b| {
-        b.iter(|| detect_multi_batched(black_box(&fx.filtered)));
+        b.iter(|| detect_levels(Backend::Sequential, black_box(&fx.filtered)));
     });
     for shards in SHARD_COUNTS {
         g.bench_with_input(BenchmarkId::new("sharded", shards), &shards, |b, &s| {
-            b.iter(|| {
-                detect_multi_sharded(
-                    black_box(&fx.filtered),
-                    &LEVELS,
-                    ScanDetectorConfig::default(),
-                    ShardPlan::with_shards(s),
-                )
-            });
+            let backend = Backend::Sharded(ShardPlan::with_shards(s));
+            b.iter(|| detect_levels(backend, black_box(&fx.filtered)));
         });
     }
     g.finish();
@@ -167,13 +130,13 @@ fn streaming_vs_materialized(c: &mut Criterion) {
     g.bench_function("materialized", |b| {
         b.iter(|| {
             let records = decode(black_box(&bytes)).expect("decode");
-            detect_multi_batched(&records)
+            detect_levels(Backend::Sequential, &records)
         });
     });
     g.bench_function("streaming", |b| {
         b.iter(|| {
             let mut chunks = decode_chunks(black_box(&bytes[..]), BATCH).expect("header");
-            let mut det = MultiLevelDetector::new(&LEVELS, ScanDetectorConfig::default());
+            let mut det = MultiLevelDetector::paper();
             let mut batch = RecordBatch::with_capacity(BATCH);
             while let Some(res) = chunks.next_batch(&mut batch) {
                 res.expect("chunk");
@@ -198,39 +161,11 @@ fn median_secs(n: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Drives the fixture through the session-layer ingest surface (the
-/// [`Detect`](lumen6_detect::Detect) trait behind [`DetectorBuilder`], with
-/// a pass-through reorder buffer and staged batches) — what `lumen6
-/// detect` runs.
-fn session_drive(fx: &CdnFixture) {
-    let mut det = DetectorBuilder::new(ScanDetectorConfig::default())
-        .levels(&LEVELS)
-        .build(Backend::Sequential);
-    let mut buf = ReorderBuffer::new(0);
-    let mut ready = Vec::new();
-    let mut staged = RecordBatch::with_capacity(BATCH);
-    for r in &fx.filtered {
-        buf.push(*r, &mut ready);
-        for r in ready.drain(..) {
-            staged.push(r);
-            if staged.len() >= BATCH {
-                det.observe_batch(&staged);
-                staged.clear();
-            }
-        }
-    }
-    if !staged.is_empty() {
-        det.observe_batch(&staged);
-    }
-    black_box(det.finish());
-}
-
 /// Writes `BENCH_detection.json` at the workspace root: throughput of the
-/// sequential and sharded pipelines, the session-layer overhead, the
-/// streaming-vs-materialized decode comparison, and the measured host core
-/// count (shard speedups are bounded by it — a single-core host shows
-/// parity, not gains). `bench_guard` compares a fresh measurement against
-/// this committed baseline.
+/// sequential and sharded pipelines, the streaming-vs-materialized decode
+/// comparison, and the measured host core count (shard speedups are bounded
+/// by it — a single-core host shows parity, not gains). `bench_guard`
+/// compares a fresh measurement against this committed baseline.
 fn emit_bench_json(_c: &mut Criterion) {
     let fx = CdnFixture::new();
     let records = fx.filtered.len();
@@ -239,35 +174,23 @@ fn emit_bench_json(_c: &mut Criterion) {
     const RUNS: usize = 5;
 
     let sequential_s = median_secs(RUNS, || {
-        black_box(detect_multi_batched(&fx.filtered));
+        black_box(detect_levels(Backend::Sequential, &fx.filtered));
     });
-    let per_record_s = median_secs(RUNS, || {
-        black_box(detect_multi(
-            &fx.filtered,
-            &LEVELS,
-            ScanDetectorConfig::default(),
-        ));
-    });
-    let session_s = median_secs(RUNS, || session_drive(&fx));
     let mut sharded = Vec::new();
     for shards in SHARD_COUNTS {
+        let backend = Backend::Sharded(ShardPlan::with_shards(shards));
         let secs = median_secs(RUNS, || {
-            black_box(detect_multi_sharded(
-                &fx.filtered,
-                &LEVELS,
-                ScanDetectorConfig::default(),
-                ShardPlan::with_shards(shards),
-            ));
+            black_box(detect_levels(backend, &fx.filtered));
         });
         sharded.push((shards, secs));
     }
     let materialized_s = median_secs(RUNS, || {
         let recs = decode(&bytes).expect("decode");
-        black_box(detect_multi_batched(&recs));
+        black_box(detect_levels(Backend::Sequential, &recs));
     });
     let streaming_s = median_secs(RUNS, || {
         let mut chunks = decode_chunks(&bytes[..], BATCH).expect("header");
-        let mut det = MultiLevelDetector::new(&LEVELS, ScanDetectorConfig::default());
+        let mut det = MultiLevelDetector::paper();
         let mut batch = RecordBatch::with_capacity(BATCH);
         while let Some(res) = chunks.next_batch(&mut batch) {
             res.expect("chunk");
@@ -287,13 +210,9 @@ fn emit_bench_json(_c: &mut Criterion) {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"detection\",\n  \"host_cores\": {cores},\n  \"records\": {records},\n  \"trace_bytes\": {},\n  \"levels\": [\"/128\", \"/64\", \"/48\"],\n  \"batch\": {BATCH},\n  \"sequential\": {{\"seconds\": {sequential_s:.6}, \"records_per_s\": {:.0}}},\n  \"sequential_per_record\": {{\"seconds\": {per_record_s:.6}, \"records_per_s\": {:.0}, \"batched_speedup\": {:.3}}},\n  \"session\": {{\"seconds\": {session_s:.6}, \"records_per_s\": {:.0}, \"overhead_vs_sequential\": {:.4}}},\n  \"sharded\": [\n{}\n  ],\n  \"streaming_vs_materialized\": {{\n    \"materialized_seconds\": {materialized_s:.6},\n    \"streaming_seconds\": {streaming_s:.6},\n    \"mib_per_s_streaming\": {:.3}\n  }},\n  \"note\": \"sequential is the batched columnar path the pipeline runs; sharded routes columnar sub-batches (kernel route_column + column scatter) to shard workers; speedup is bounded by host_cores — on a single-core host expect parity with sequential, not gains\"\n}}\n",
+        "{{\n  \"bench\": \"detection\",\n  \"host_cores\": {cores},\n  \"records\": {records},\n  \"trace_bytes\": {},\n  \"levels\": [\"/128\", \"/64\", \"/48\"],\n  \"batch\": {BATCH},\n  \"sequential\": {{\"seconds\": {sequential_s:.6}, \"records_per_s\": {:.0}}},\n  \"sharded\": [\n{}\n  ],\n  \"streaming_vs_materialized\": {{\n    \"materialized_seconds\": {materialized_s:.6},\n    \"streaming_seconds\": {streaming_s:.6},\n    \"mib_per_s_streaming\": {:.3}\n  }},\n  \"note\": \"sequential is the batched columnar path the pipeline runs; sharded routes columnar sub-batches (kernel route_column + column scatter) to shard workers; speedup is bounded by host_cores — on a single-core host expect parity with sequential, not gains\"\n}}\n",
         bytes.len(),
         records as f64 / sequential_s,
-        records as f64 / per_record_s,
-        per_record_s / sequential_s,
-        records as f64 / session_s,
-        session_s / sequential_s - 1.0,
         sharded_json.join(",\n"),
         bytes.len() as f64 / streaming_s / (1u64 << 20) as f64,
     );

@@ -6,10 +6,6 @@
 //!
 //! - sequential (batched) throughput regressed more than the tolerance
 //!   (default 10%, override with `BENCH_GUARD_TOLERANCE=0.25`),
-//! - the session-layer ingest (the `Detect`-trait staged-batch drive
-//!   `lumen6 detect` uses) costs more than the allowed overhead over raw
-//!   sequential detection (default 5%, override with
-//!   `BENCH_GUARD_SESSION_OVERHEAD`), or
 //! - streaming chunked decode is slower than materialize-then-detect by
 //!   more than the parity tolerance (default 10%, override with
 //!   `BENCH_GUARD_STREAM_TOLERANCE`) — both sides feed the same batched
@@ -30,22 +26,17 @@
 //! build measures debug-build throughput, which is meaningless against a
 //! release baseline.
 
-use lumen6_bench::CdnFixture;
+use lumen6_bench::{detect_levels, CdnFixture, BATCH};
 use lumen6_detect::multi::MultiLevelDetector;
-use lumen6_detect::parallel::{detect_multi_sharded, ShardPlan};
-use lumen6_detect::{
-    AggLevel, Backend, DetectorBuilder, ReorderBuffer, ScanDetectorConfig, SessionOutcome,
-};
+use lumen6_detect::parallel::ShardPlan;
+use lumen6_detect::{Backend, SessionOutcome};
 use lumen6_serve::{Daemon, RunConfig, ServeConfig, TenantSpec};
 use lumen6_trace::codec::{decode, decode_chunks, encode};
-use lumen6_trace::{PacketRecord, RecordBatch};
+use lumen6_trace::RecordBatch;
 use serde::value::Value;
 use std::time::Instant;
 
-const LEVELS: [AggLevel; 3] = [AggLevel::L128, AggLevel::L64, AggLevel::L48];
 const RUNS: usize = 5;
-/// Records per columnar batch — matches the `detection` bench.
-const BATCH: usize = 8_192;
 
 /// Median wall-clock seconds over `RUNS` runs of `f`.
 fn median_secs(mut f: impl FnMut()) -> f64 {
@@ -58,19 +49,6 @@ fn median_secs(mut f: impl FnMut()) -> f64 {
         .collect();
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
-}
-
-/// Batched sequential multi-level detection over a resident slice — the
-/// same hot path `emit_bench_json` measures for the baseline.
-fn detect_batched(records: &[PacketRecord]) {
-    let mut det = MultiLevelDetector::new(&LEVELS, ScanDetectorConfig::default());
-    let mut batch = RecordBatch::with_capacity(BATCH);
-    for part in records.chunks(BATCH) {
-        batch.clear();
-        batch.extend(part.iter().copied());
-        det.observe_batch(&batch);
-    }
-    std::hint::black_box(det.finish());
 }
 
 fn as_f64(v: &Value) -> Option<f64> {
@@ -104,7 +82,6 @@ fn main() {
         .and_then(as_f64)
         .expect("baseline sequential.records_per_s");
     let tolerance = env_f64("BENCH_GUARD_TOLERANCE", 0.10);
-    let max_overhead = env_f64("BENCH_GUARD_SESSION_OVERHEAD", 0.05);
     let stream_tolerance = env_f64("BENCH_GUARD_STREAM_TOLERANCE", 0.10);
     let min_sharded_speedup = env_f64("BENCH_GUARD_SHARDED_SPEEDUP", 1.5);
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
@@ -113,36 +90,16 @@ fn main() {
     let records = fx.filtered.len() as f64;
     let bytes = encode(&fx.filtered).expect("encode fixture trace");
 
-    let sequential_s = median_secs(|| detect_batched(&fx.filtered));
-    let session_s = median_secs(|| {
-        let mut det = DetectorBuilder::new(ScanDetectorConfig::default())
-            .levels(&LEVELS)
-            .build(Backend::Sequential);
-        let mut buf = ReorderBuffer::new(0);
-        let mut ready = Vec::new();
-        let mut staged = RecordBatch::with_capacity(BATCH);
-        for r in &fx.filtered {
-            buf.push(*r, &mut ready);
-            for r in ready.drain(..) {
-                staged.push(r);
-                if staged.len() >= BATCH {
-                    det.observe_batch(&staged);
-                    staged.clear();
-                }
-            }
-        }
-        if !staged.is_empty() {
-            det.observe_batch(&staged);
-        }
-        std::hint::black_box(det.finish());
+    let sequential_s = median_secs(|| {
+        std::hint::black_box(detect_levels(Backend::Sequential, &fx.filtered));
     });
     let materialized_s = median_secs(|| {
         let recs = decode(&bytes).expect("decode");
-        detect_batched(&recs);
+        std::hint::black_box(detect_levels(Backend::Sequential, &recs));
     });
     let streaming_s = median_secs(|| {
         let mut chunks = decode_chunks(&bytes[..], BATCH).expect("header");
-        let mut det = MultiLevelDetector::new(&LEVELS, ScanDetectorConfig::default());
+        let mut det = MultiLevelDetector::paper();
         let mut batch = RecordBatch::with_capacity(BATCH);
         while let Some(res) = chunks.next_batch(&mut batch) {
             res.expect("chunk");
@@ -214,29 +171,18 @@ fn main() {
     let _ = std::fs::remove_dir_all(&scratch);
 
     let sharded_s = (host_cores > 1).then(|| {
+        let backend = Backend::Sharded(ShardPlan::with_shards(4));
         median_secs(|| {
-            std::hint::black_box(detect_multi_sharded(
-                &fx.filtered,
-                &LEVELS,
-                ScanDetectorConfig::default(),
-                ShardPlan::with_shards(4),
-            ));
+            std::hint::black_box(detect_levels(backend, &fx.filtered));
         })
     });
 
     let current_rps = records / sequential_s;
-    let overhead = session_s / sequential_s - 1.0;
     let stream_ratio = streaming_s / materialized_s - 1.0;
     println!(
         "bench_guard: sequential {current_rps:.0} rec/s (baseline {baseline_rps:.0}, \
          tolerance {:.0}%)",
         tolerance * 100.0
-    );
-    println!(
-        "bench_guard: session drive {:.0} rec/s, overhead {:+.1}% (limit {:.0}%)",
-        records / session_s,
-        overhead * 100.0,
-        max_overhead * 100.0
     );
     println!(
         "bench_guard: streaming decode {streaming_s:.6}s vs materialized \
@@ -261,14 +207,6 @@ fn main() {
             "bench_guard: FAIL — sequential throughput regressed {:.1}% (allowed {:.1}%)",
             (1.0 - current_rps / baseline_rps) * 100.0,
             tolerance * 100.0
-        );
-        failed = true;
-    }
-    if overhead > max_overhead {
-        eprintln!(
-            "bench_guard: FAIL — session-layer overhead {:.1}% exceeds {:.1}%",
-            overhead * 100.0,
-            max_overhead * 100.0
         );
         failed = true;
     }

@@ -5,10 +5,29 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use lumen6_detect::ArtifactFilter;
+use lumen6_detect::{
+    observe_slice, AggLevel, ArtifactFilter, Backend, DetectorBuilder, ScanDetectorConfig,
+    ScanReport,
+};
 use lumen6_mawi::{MawiConfig, MawiWorld};
 use lumen6_scanners::{FleetConfig, World};
 use lumen6_trace::PacketRecord;
+use std::collections::BTreeMap;
+
+/// Records per columnar batch on the batched ingest paths.
+pub const BATCH: usize = 8_192;
+
+/// The multi-level workload the pipeline benches run — the paper's three
+/// aggregation levels over a resident slice on `backend`, through the
+/// detect crate's slice driver: what `detection` measures for the baseline
+/// and `bench_guard` re-measures against it.
+pub fn detect_levels(backend: Backend, records: &[PacketRecord]) -> BTreeMap<AggLevel, ScanReport> {
+    let mut det = DetectorBuilder::new(ScanDetectorConfig::default())
+        .levels(&AggLevel::PAPER_LEVELS)
+        .build(backend);
+    observe_slice(det.as_mut(), records, BATCH);
+    det.finish()
+}
 
 /// A bench-sized CDN fixture: 3 weeks, small telescope.
 pub struct CdnFixture {

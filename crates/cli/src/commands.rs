@@ -15,7 +15,7 @@
 use crate::{Args, CliError};
 use lumen6_detect::adaptive::{AdaptiveConfig, AdaptiveIds};
 use lumen6_detect::{
-    AggLevel, ArtifactFilter, DetectorBuilder, MawiConfig as FhConfig, MawiDetector,
+    observe_slice, AggLevel, ArtifactFilter, DetectorBuilder, MawiConfig as FhConfig, MawiDetector,
     ScanDetectorConfig, Session, SessionOutcome,
 };
 use lumen6_report::{duration_human, pkt_count, Table};
@@ -350,6 +350,7 @@ fn detect<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     // registers; error ≈ 1.04/sqrt(2^P)). Out-of-range values are clamped
     // to the supported 4..=16 at construction.
     let run = run_config(args)?;
+    run.validate().map_err(CliError::Usage)?;
     let config = run.detector_config();
     let agg = config.agg;
     let builder = DetectorBuilder::new(config);
@@ -384,16 +385,8 @@ fn detect<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             filter_report.input_packets,
             filter_report.removed_sources
         )?;
-        // Feed the resident records through the columnar batch path: same
-        // results as per-record observe, one run-state lookup per
-        // (source, batch).
         let mut det = builder.build(backend);
-        let mut batch = lumen6_trace::RecordBatch::with_capacity(session.batch.max(1));
-        for part in kept.chunks(session.batch.max(1)) {
-            batch.clear();
-            batch.extend(part.iter().copied());
-            det.observe_batch(&batch);
-        }
+        observe_slice(det.as_mut(), &kept, session.batch);
         det.finish().remove(&agg).ok_or_else(|| {
             CliError::Internal(format!("level /{} missing from report", agg.len()))
         })?
@@ -404,7 +397,6 @@ fn detect<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         // generators with --fused (the generator→detector pipeline never
         // touches a trace file).
         let announce = session.checkpoint.is_some();
-        run.validate().map_err(CliError::Usage)?;
         let mut src = run.make_source()?;
         let outcome = Session::new(builder, backend, session).run_source(src.as_mut())?;
         match outcome {
@@ -874,6 +866,23 @@ mod tests {
             panic!("expected usage error, got {res:?}");
         };
         assert!(msg.contains("min_dst"), "{msg}");
+
+        // A seconds value that overflows milliseconds is a usage error
+        // naming the key — with or without --prefilter — never a panic.
+        let huge_cfg = dir.join("huge.toml");
+        std::fs::write(
+            &huge_cfg,
+            format!("trace = \"{p}\"\ntimeout_secs = {}\n", u64::MAX),
+        )
+        .unwrap();
+        for extra in [&[][..], &["--prefilter"]] {
+            let (_, res) =
+                run_cli(&[&["detect", "--config", huge_cfg.to_str().unwrap()], extra].concat());
+            let Err(CliError::Usage(msg)) = res else {
+                panic!("expected usage error, got {res:?}");
+            };
+            assert!(msg.contains("timeout_secs"), "{msg}");
+        }
 
         std::fs::remove_dir_all(&dir).ok();
     }

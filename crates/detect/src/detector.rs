@@ -7,12 +7,14 @@
 //! source address *before* detection, so a /48 can qualify while none of its
 //! /64s does.
 //!
-//! The detector is a push-based stream processor: feed it time-ordered
-//! [`PacketRecord`]s via [`ScanDetector::observe`], which returns an event
-//! whenever a source's previous activity run closes (by exceeding the
-//! timeout) and qualified as a scan. Call [`ScanDetector::finish`] at end of
-//! stream to flush all open runs. [`ScanDetector::flush_idle`] lets a
-//! long-running IDS garbage-collect idle state without ending the stream.
+//! The detector is a push-based stream processor. Production paths feed it
+//! columnar batches via [`ScanDetector::observe_batch`], which returns the
+//! events of every activity run a record in the batch closed (by exceeding
+//! the timeout) and that qualified as a scan. [`ScanDetector::observe`] is
+//! the same rule stated one packet at a time — the reference the grouped
+//! path is tested against. Call [`ScanDetector::finish`] at end of stream to
+//! flush all open runs. [`ScanDetector::flush_idle`] lets a long-running IDS
+//! garbage-collect idle state without ending the stream.
 
 use crate::aggregate::AggLevel;
 use crate::event::{ScanEvent, ScanReport};
@@ -136,6 +138,20 @@ impl SourceRun {
             ports: FxHashMap::default(),
         }
     }
+
+    /// Accounts one packet to the run — the single run update both
+    /// [`ScanDetector::observe`] and [`ScanDetector::observe_batch`] apply.
+    #[inline]
+    fn record(&mut self, r: &PacketRecord, spill: usize, precision: u8) {
+        self.last_ms = self.last_ms.max(r.ts_ms);
+        self.packets += 1;
+        self.dsts.insert(r.dst, spill, precision);
+        if let Some(list) = self.dst_list.as_mut() {
+            list.insert(r.dst);
+        }
+        self.srcs.insert(r.src, spill, precision);
+        *self.ports.entry((r.proto, r.dport)).or_default() += 1;
+    }
 }
 
 /// Reusable grouping scratch for [`ScanDetector::observe_batch`]: index
@@ -157,9 +173,6 @@ struct BatchScratch {
     /// Closed events tagged with the batch index of the closing record, so
     /// emission order can be restored to exact arrival order.
     closed: Vec<(u32, ScanEvent)>,
-    /// Columnar staging for the record-slice entry point
-    /// ([`ScanDetector::observe_records`]), reused across calls.
-    rows: RecordBatch,
 }
 
 /// Memory-footprint snapshot of a running detector (what an operator
@@ -198,10 +211,6 @@ pub struct ScanDetector {
     runs: FxHashMap<Ipv6Prefix, SourceRun>,
     observed: u64,
     runs_opened: u64,
-    /// Mid-stream events accumulated when this detector is driven through
-    /// the unified [`Detect`](crate::session::Detect) trait (whose `observe`
-    /// returns nothing); empty when driven via the inherent API.
-    pub(crate) pending: Vec<ScanEvent>,
     scratch: BatchScratch,
     /// Batched-path statistics: records ingested via `observe_batch` and
     /// how many of them hit the last-source memo (consecutive records from
@@ -218,7 +227,6 @@ impl ScanDetector {
             runs: FxHashMap::default(),
             observed: 0,
             runs_opened: 0,
-            pending: Vec::new(),
             scratch: BatchScratch::default(),
             batch_records: 0,
             memo_hits: 0,
@@ -266,28 +274,19 @@ impl ScanDetector {
     /// closed a qualifying previous run of the same source (i.e. the gap to
     /// the source's last packet exceeded the timeout).
     ///
+    /// This is the reference statement of the paper's rule, not an ingest
+    /// route: sessions, the daemon, the CLI and the experiment harness feed
+    /// [`observe_batch`](Self::observe_batch) only, and the proptest
+    /// `observe_batch_matches_observe_under_any_cuts`
+    /// (`crates/detect/tests/proptests.rs`) holds that grouped path to this
+    /// one: same events, same order, same [`state`](Self::state).
+    ///
     /// Records are expected in non-decreasing time order; a timestamp below
     /// a source's last seen time is tolerated and treated as simultaneous
     /// (gap zero), which keeps the detector robust to mildly disordered
     /// input without growing events backwards in time.
     pub fn observe(&mut self, r: &PacketRecord) -> Option<ScanEvent> {
         let source = self.config.agg.source_of(r.src);
-        self.observe_aggregated(source, r)
-    }
-
-    /// [`observe`](Self::observe) with the source aggregation already
-    /// applied. Callers that fan one packet out to several detectors (the
-    /// multi-level and sharded pipelines) compute each aggregation once and
-    /// pass it here instead of having every detector re-mask the address.
-    ///
-    /// `source` must equal `self.config().agg.source_of(r.src)`; passing
-    /// anything else corrupts per-source state attribution.
-    pub fn observe_aggregated(
-        &mut self,
-        source: Ipv6Prefix,
-        r: &PacketRecord,
-    ) -> Option<ScanEvent> {
-        debug_assert_eq!(source, self.config.agg.source_of(r.src));
         self.observed += 1;
         let (spill, precision) = self.config.sketch_params();
 
@@ -310,16 +309,7 @@ impl ScanDetector {
                 vac.insert(SourceRun::new(r.ts_ms, self.config.keep_dsts))
             }
         };
-
-        run.last_ms = run.last_ms.max(r.ts_ms);
-        run.packets += 1;
-        run.dsts.insert(r.dst, spill, precision);
-        if let Some(list) = run.dst_list.as_mut() {
-            list.insert(r.dst);
-        }
-        run.srcs.insert(r.src, spill, precision);
-        *run.ports.entry((r.proto, r.dport)).or_default() += 1;
-
+        run.record(r, spill, precision);
         closed
     }
 
@@ -349,7 +339,6 @@ impl ScanDetector {
             groups,
             pool,
             closed,
-            rows: _,
         } = &mut scratch;
 
         // Phase 1: mask the source column down to the aggregation level in
@@ -403,14 +392,7 @@ impl ScanDetector {
                         closed.push((i, e));
                     }
                 }
-                run.last_ms = run.last_ms.max(r.ts_ms);
-                run.packets += 1;
-                run.dsts.insert(r.dst, spill, precision);
-                if let Some(list) = run.dst_list.as_mut() {
-                    list.insert(r.dst);
-                }
-                run.srcs.insert(r.src, spill, precision);
-                *run.ports.entry((r.proto, r.dport)).or_default() += 1;
+                run.record(&r, spill, precision);
             }
         }
 
@@ -429,20 +411,6 @@ impl ScanDetector {
         self.runs_opened += opened;
         self.batch_records += n as u64;
         self.memo_hits += memo_hits;
-        out
-    }
-
-    /// [`observe_batch`](Self::observe_batch) over a plain record slice:
-    /// stages the rows into a reused columnar scratch batch, then runs the
-    /// same grouped path. Off the hot paths — the sharded pipeline ships
-    /// columnar sub-batches directly — but kept for slice-shaped callers
-    /// and tests.
-    pub fn observe_records(&mut self, records: &[PacketRecord]) -> Vec<ScanEvent> {
-        let mut rows = std::mem::take(&mut self.scratch.rows);
-        rows.clear();
-        rows.extend(records.iter().copied());
-        let out = self.observe_batch(&rows);
-        self.scratch.rows = rows;
         out
     }
 
@@ -520,9 +488,11 @@ impl ScanDetector {
     }
 
     /// Serializable snapshot of the complete detector state: configuration,
-    /// counters, every open run, and any trait-accumulated pending events.
-    /// Order-sensitive collections are sorted, so two detectors in the same
-    /// logical state produce identical snapshots.
+    /// counters and every open run. Closed events are returned to the
+    /// caller as they happen, so `pending` is empty here; the multi-level
+    /// detector that collects them fills it in. Order-sensitive collections
+    /// are sorted, so two detectors in the same logical state produce
+    /// identical snapshots.
     pub fn state(&self) -> LevelState {
         let mut runs: Vec<RunState> = self
             .runs
@@ -553,12 +523,13 @@ impl ScanDetector {
             observed: self.observed,
             runs_opened: self.runs_opened,
             runs,
-            pending: self.pending.clone(),
+            pending: Vec::new(),
         }
     }
 
     /// Rebuilds a detector from a [`state`](Self::state) snapshot. The
-    /// snapshot's embedded configuration is authoritative.
+    /// snapshot's embedded configuration is authoritative; its `pending`
+    /// events belong to whoever collects this detector's output.
     pub fn from_state(state: &LevelState) -> Self {
         let runs = state
             .runs
@@ -583,7 +554,6 @@ impl ScanDetector {
             runs,
             observed: state.observed,
             runs_opened: state.runs_opened,
-            pending: state.pending.clone(),
             scratch: BatchScratch::default(),
             batch_records: 0,
             memo_hits: 0,
@@ -591,8 +561,13 @@ impl ScanDetector {
     }
 }
 
-/// Runs the detector over a complete, time-sorted slice and returns the full
-/// report (mid-stream closures plus end-of-stream flush).
+/// Runs the per-record reference ([`ScanDetector::observe`]) over a
+/// complete, time-sorted slice and returns the full report (mid-stream
+/// closures plus end-of-stream flush). Examples, benches and tests use it as
+/// the oracle; product paths go through
+/// [`DetectorBuilder`](crate::DetectorBuilder) and
+/// [`observe_slice`](crate::observe_slice), and the root `tests/ingest.rs`
+/// holds a [`Session`](crate::Session) to this function level by level.
 pub fn detect(records: &[PacketRecord], config: ScanDetectorConfig) -> ScanReport {
     let mut det = ScanDetector::new(config);
     let mut events = Vec::new();
@@ -679,77 +654,11 @@ mod tests {
         assert_eq!(report.scans(), 2);
     }
 
-    /// A mixed workload: interleaved sources, a timeout split, and
-    /// sub-threshold noise — exercises memo hits, group reuse, and
-    /// mid-batch closures.
-    fn mixed_workload() -> Vec<PacketRecord> {
-        let mut recs = Vec::new();
-        for s in 0..5u64 {
-            recs.extend(burst(0x2001_0000 + u128::from(s), s * 137, 110 + s, 22));
-        }
-        recs.extend(burst(0x2001_0000, 200_000 + HOUR + 1, 120, 443));
-        recs.extend(burst(0x9999, 50_000, 20, 53)); // below min_dsts
-        lumen6_trace::sort_by_time(&mut recs);
-        recs
-    }
-
-    #[test]
-    fn observe_batch_matches_per_record() {
-        for cfg in [
-            ScanDetectorConfig::paper(AggLevel::L128),
-            ScanDetectorConfig::paper(AggLevel::L64),
-            ScanDetectorConfig {
-                keep_dsts: true,
-                ..ScanDetectorConfig::paper(AggLevel::L128)
-            },
-            ScanDetectorConfig {
-                sketch: Some((64, 12).into()),
-                ..ScanDetectorConfig::paper(AggLevel::L128)
-            },
-        ] {
-            let recs = mixed_workload();
-            let mut per_record = ScanDetector::new(cfg.clone());
-            let mut per_events = Vec::new();
-            for r in &recs {
-                per_events.extend(per_record.observe(r));
-            }
-
-            // Awkward batch sizes: mid-run splits, size-1 batches.
-            for chunk in [1usize, 7, 64, recs.len()] {
-                let mut batched = ScanDetector::new(cfg.clone());
-                let mut bat_events = Vec::new();
-                for part in recs.chunks(chunk) {
-                    let batch: RecordBatch = part.iter().copied().collect();
-                    bat_events.extend(batched.observe_batch(&batch));
-                }
-                assert_eq!(bat_events, per_events, "chunk={chunk}: events");
-                assert_eq!(
-                    batched.state(),
-                    per_record.state(),
-                    "chunk={chunk}: snapshot state"
-                );
-                assert_eq!(batched.observed(), per_record.observed());
-                assert_eq!(batched.runs_opened(), per_record.runs_opened());
-            }
-        }
-    }
-
-    #[test]
-    fn observe_records_slice_path_matches_batch_path() {
-        let recs = mixed_workload();
-        let cfg = ScanDetectorConfig::paper(AggLevel::L64);
-        let mut a = ScanDetector::new(cfg.clone());
-        let mut b = ScanDetector::new(cfg);
-        let batch: RecordBatch = recs.iter().copied().collect();
-        assert_eq!(a.observe_batch(&batch), b.observe_records(&recs));
-        assert_eq!(a.state(), b.state());
-    }
-
     #[test]
     fn batch_memo_counts_consecutive_same_source_lookups() {
         let recs = burst(7, 0, 100, 22);
         let mut det = ScanDetector::new(ScanDetectorConfig::paper(AggLevel::L128));
-        det.observe_records(&recs);
+        det.observe_batch(&recs.iter().copied().collect());
         let (records, memo_hits) = det.batch_stats();
         assert_eq!(records, 100);
         assert_eq!(memo_hits, 99, "every record after the first memo-hits");

@@ -64,19 +64,20 @@ pub use fingerprint::Fingerprint;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use ids::{Ids, IdsAction, IdsConfig};
 pub use mawi::{MawiConfig, MawiDetector, MawiScan};
-pub use parallel::{detect_multi_sharded, ShardPlan, ShardedDetector};
+pub use parallel::{ShardPlan, ShardedDetector};
 pub use portclass::{classify_ports, PortClass};
 pub use prefilter::{ArtifactFilter, ArtifactFilterConfig, FilterReport};
 pub use session::{
-    Backend, Checkpoint, CheckpointPolicy, Detect, DetectorBuilder, ReorderBuffer, Session,
-    SessionConfig, SessionError, SessionOutcome, SessionReport, Step, DEFAULT_SESSION_BATCH,
+    observe_slice, Backend, Checkpoint, CheckpointPolicy, Detect, DetectorBuilder, ReorderBuffer,
+    Session, SessionConfig, SessionError, SessionOutcome, SessionReport, Step,
+    DEFAULT_SESSION_BATCH,
 };
 pub use sketch::{HyperLogLog, SketchConfig};
 pub use snapshot::{DetectorSnapshot, LevelState, SnapshotError};
 
 /// One-line import for the unified detection API: the [`Detect`] trait,
-/// the [`DetectorBuilder`], session/checkpoint types, and the configuration
-/// types they take.
+/// the [`DetectorBuilder`], the [`observe_slice`] driver, session/checkpoint
+/// types, and the configuration types they take.
 pub mod prelude {
     pub use crate::aggregate::AggLevel;
     pub use crate::detector::{ScanDetector, ScanDetectorConfig};
@@ -84,8 +85,8 @@ pub mod prelude {
     pub use crate::multi::MultiLevelDetector;
     pub use crate::parallel::{ShardPlan, ShardedDetector};
     pub use crate::session::{
-        Backend, Checkpoint, CheckpointPolicy, Detect, DetectorBuilder, ReorderBuffer, Session,
-        SessionConfig, SessionError, SessionOutcome, SessionReport, Step,
+        observe_slice, Backend, Checkpoint, CheckpointPolicy, Detect, DetectorBuilder,
+        ReorderBuffer, Session, SessionConfig, SessionError, SessionOutcome, SessionReport, Step,
     };
     pub use crate::sketch::SketchConfig;
     pub use crate::snapshot::{DetectorSnapshot, LevelState, SnapshotError};

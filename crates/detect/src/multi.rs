@@ -3,7 +3,7 @@
 //! The paper's Table 1 and Fig. 2 report /128, /64, and /48 results side by
 //! side, and its discussion (§5) suggests IDSes "track simultaneously
 //! various aggregations". Re-reading a multi-month trace once per level is
-//! wasteful; [`MultiLevelDetector`] fans each packet out to one
+//! wasteful; [`MultiLevelDetector`] fans each batch out to one
 //! [`ScanDetector`] per level in a single pass. The ablation bench
 //! `adaptive_vs_fixed` compares this against the naive multi-pass loop.
 
@@ -11,34 +11,33 @@ use crate::aggregate::AggLevel;
 use crate::detector::{ScanDetector, ScanDetectorConfig};
 use crate::event::{ScanEvent, ScanReport};
 use crate::snapshot::LevelState;
-use lumen6_addr::Ipv6Prefix;
-use lumen6_trace::{PacketRecord, RecordBatch};
+use lumen6_trace::RecordBatch;
 use std::collections::BTreeMap;
 
 /// Simultaneous multi-level scan detection.
 #[derive(Debug)]
 pub struct MultiLevelDetector {
-    detectors: Vec<(AggLevel, ScanDetector)>,
-    /// Mid-stream events per level, in arrival order.
-    pending: BTreeMap<AggLevel, Vec<ScanEvent>>,
+    /// One detector per level, each with the events it closed mid-stream
+    /// (in arrival order) — what the trait-level `observe_batch`, which
+    /// returns nothing, holds back for [`finish`](Self::finish).
+    levels: Vec<(ScanDetector, Vec<ScanEvent>)>,
 }
 
 impl MultiLevelDetector {
     /// Creates one detector per level, sharing the base configuration
     /// (whose own `agg` field is overridden per level).
     pub fn new(levels: &[AggLevel], base: ScanDetectorConfig) -> Self {
-        let detectors = levels
+        let levels = levels
             .iter()
-            .map(|&lvl| {
-                let mut cfg = base.clone();
-                cfg.agg = lvl;
-                (lvl, ScanDetector::new(cfg))
+            .map(|&agg| {
+                let cfg = ScanDetectorConfig {
+                    agg,
+                    ..base.clone()
+                };
+                (ScanDetector::new(cfg), Vec::new())
             })
             .collect();
-        MultiLevelDetector {
-            detectors,
-            pending: BTreeMap::new(),
-        }
+        MultiLevelDetector { levels }
     }
 
     /// The paper's three levels with the paper's scan definition.
@@ -48,55 +47,23 @@ impl MultiLevelDetector {
 
     /// The configured aggregation levels, in detection order.
     pub fn levels(&self) -> Vec<AggLevel> {
-        self.detectors.iter().map(|(lvl, _)| *lvl).collect()
+        self.levels
+            .iter()
+            .map(|(det, _)| det.config().agg)
+            .collect()
     }
 
     /// Packets observed so far (every level sees every packet).
     pub fn observed(&self) -> u64 {
-        self.detectors.first().map_or(0, |(_, det)| det.observed())
-    }
-
-    /// Feeds one packet to every level.
-    ///
-    /// The source aggregation is computed once per packet and narrowed from
-    /// the previous level when levels are ordered fine-to-coarse (as
-    /// [`AggLevel::PAPER_LEVELS`] is), instead of every detector re-masking
-    /// the full 128-bit address.
-    pub fn observe(&mut self, r: &PacketRecord) {
-        let mut prev: Option<Ipv6Prefix> = None;
-        for (lvl, det) in &mut self.detectors {
-            let source = match prev {
-                Some(p) if p.len() >= lvl.len() => p.aggregate(lvl.len()),
-                _ => lvl.source_of(r.src),
-            };
-            prev = Some(source);
-            if let Some(e) = det.observe_aggregated(source, r) {
-                self.pending.entry(*lvl).or_default().push(e);
-            }
-        }
+        self.levels.first().map_or(0, |(det, _)| det.observed())
     }
 
     /// Feeds a columnar batch to every level via the grouped batch path
-    /// (see [`ScanDetector::observe_batch`]). Equivalent to calling
-    /// [`observe`](Self::observe) on each record in order; the per-level
-    /// grouping pass amortizes source aggregation and run-state lookups
-    /// across the batch instead of narrowing prefixes per packet.
+    /// (see [`ScanDetector::observe_batch`]); the per-level grouping pass
+    /// amortizes source aggregation and run-state lookups across the batch.
     pub fn observe_batch(&mut self, batch: &RecordBatch) {
-        for (lvl, det) in &mut self.detectors {
-            let events = det.observe_batch(batch);
-            if !events.is_empty() {
-                self.pending.entry(*lvl).or_default().extend(events);
-            }
-        }
-    }
-
-    /// [`observe_batch`](Self::observe_batch) over a plain record slice.
-    pub fn observe_records(&mut self, records: &[PacketRecord]) {
-        for (lvl, det) in &mut self.detectors {
-            let events = det.observe_records(records);
-            if !events.is_empty() {
-                self.pending.entry(*lvl).or_default().extend(events);
-            }
+        for (det, pending) in &mut self.levels {
+            pending.extend(det.observe_batch(batch));
         }
     }
 
@@ -106,25 +73,19 @@ impl MultiLevelDetector {
     /// here is identical to the one `finish` would eventually emit, so
     /// flushing at any cadence never changes the final reports.
     pub fn flush_idle(&mut self, now_ms: u64) {
-        for (lvl, det) in &mut self.detectors {
-            let events = det.flush_idle(now_ms);
-            if !events.is_empty() {
-                self.pending.entry(*lvl).or_default().extend(events);
-            }
+        for (det, pending) in &mut self.levels {
+            pending.extend(det.flush_idle(now_ms));
         }
     }
 
     /// Serializable per-level snapshot of the complete detector state,
     /// including mid-stream pending events.
     pub fn state(&self) -> Vec<LevelState> {
-        self.detectors
+        self.levels
             .iter()
-            .map(|(lvl, det)| {
-                let mut st = det.state();
-                if let Some(p) = self.pending.get(lvl) {
-                    st.pending.extend(p.iter().cloned());
-                }
-                st
+            .map(|(det, pending)| LevelState {
+                pending: pending.clone(),
+                ..det.state()
             })
             .collect()
     }
@@ -133,20 +94,11 @@ impl MultiLevelDetector {
     /// state's embedded configuration, including its level, is
     /// authoritative).
     pub fn from_state(states: &[LevelState]) -> Self {
-        let mut pending = BTreeMap::new();
-        let detectors = states
+        let levels = states
             .iter()
-            .map(|st| {
-                let mut det = ScanDetector::from_state(st);
-                let lvl = det.config().agg;
-                let p = std::mem::take(&mut det.pending);
-                if !p.is_empty() {
-                    pending.insert(lvl, p);
-                }
-                (lvl, det)
-            })
+            .map(|st| (ScanDetector::from_state(st), st.pending.clone()))
             .collect();
-        MultiLevelDetector { detectors, pending }
+        MultiLevelDetector { levels }
     }
 
     /// Ends the stream and returns the per-level reports.
@@ -155,12 +107,11 @@ impl MultiLevelDetector {
     /// `.events_closed`) to the global metrics registry — counts accumulate
     /// as plain integers during the stream, so observation stays free of
     /// atomics.
-    pub fn finish(mut self) -> BTreeMap<AggLevel, ScanReport> {
+    pub fn finish(self) -> BTreeMap<AggLevel, ScanReport> {
         let reg = lumen6_obs::MetricsRegistry::global();
         let mut out = BTreeMap::new();
-        for (lvl, det) in self.detectors {
-            let opened = det.runs_opened();
-            let mut events = self.pending.remove(&lvl).unwrap_or_default();
+        for (det, mut events) in self.levels {
+            let (lvl, opened) = (det.config().agg, det.runs_opened());
             events.extend(det.finish());
             events.sort_by_key(|e| (e.start_ms, e.source));
             reg.counter(&format!("detect.multi.l{}.runs_opened", lvl.len()))
@@ -173,23 +124,22 @@ impl MultiLevelDetector {
     }
 }
 
-/// Convenience: runs multi-level detection over a complete sorted slice.
-pub fn detect_multi(
-    records: &[PacketRecord],
-    levels: &[AggLevel],
-    base: ScanDetectorConfig,
-) -> BTreeMap<AggLevel, ScanReport> {
-    let mut det = MultiLevelDetector::new(levels, base);
-    for r in records {
-        det.observe(r);
-    }
-    det.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::detector::detect;
+    use crate::session::observe_slice;
+    use lumen6_trace::PacketRecord;
+
+    fn detect_levels(
+        records: &[PacketRecord],
+        levels: &[AggLevel],
+        base: ScanDetectorConfig,
+    ) -> BTreeMap<AggLevel, ScanReport> {
+        let mut det = MultiLevelDetector::new(levels, base);
+        observe_slice(&mut det, records, 64);
+        det.finish()
+    }
 
     fn spread_scan() -> Vec<PacketRecord> {
         // 100 /128s across one /64, each one packet to a distinct dst, plus
@@ -209,7 +159,7 @@ mod tests {
     #[test]
     fn single_pass_equals_multi_pass() {
         let recs = spread_scan();
-        let multi = detect_multi(
+        let multi = detect_levels(
             &recs,
             &AggLevel::PAPER_LEVELS,
             ScanDetectorConfig::default(),
@@ -226,7 +176,7 @@ mod tests {
     #[test]
     fn levels_see_different_pictures() {
         let recs = spread_scan();
-        let multi = detect_multi(
+        let multi = detect_levels(
             &recs,
             &AggLevel::PAPER_LEVELS,
             ScanDetectorConfig::default(),
@@ -239,7 +189,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let multi = detect_multi(&[], &AggLevel::PAPER_LEVELS, ScanDetectorConfig::default());
+        let multi = detect_levels(&[], &AggLevel::PAPER_LEVELS, ScanDetectorConfig::default());
         assert!(multi.values().all(|r| r.scans() == 0));
     }
 
@@ -254,7 +204,7 @@ mod tests {
             (0..100u64)
                 .map(|i| PacketRecord::tcp(8_000_000 + i * 1000, 1, 0xa000 + i as u128, 1, 22, 60)),
         );
-        let multi = detect_multi(&recs, &[AggLevel::L128], ScanDetectorConfig::default());
+        let multi = detect_levels(&recs, &[AggLevel::L128], ScanDetectorConfig::default());
         assert_eq!(multi[&AggLevel::L128].scans(), 2);
     }
 }

@@ -28,24 +28,22 @@
 //! one source's runs have distinct start times and distinct sources are
 //! distinct keys — so sorting the concatenated shard outputs by that key is
 //! a total order, independent of shard count and thread scheduling. The
-//! result is byte-identical to [`detect_multi`](crate::multi::detect_multi)
-//! (a property-tested invariant, see `crates/detect/tests/`).
+//! result is byte-identical to the sequential
+//! [`MultiLevelDetector`] (the property-tested backend grid, see
+//! `crates/detect/tests/proptests.rs`).
 //!
 //! ```
-//! use lumen6_detect::parallel::{detect_multi_sharded, ShardPlan};
-//! use lumen6_detect::{AggLevel, ScanDetectorConfig};
+//! use lumen6_detect::prelude::*;
 //! use lumen6_trace::PacketRecord;
 //!
 //! let recs: Vec<PacketRecord> = (0..200u64)
 //!     .map(|i| PacketRecord::tcp(i * 1000, 7, 0xd000 + i as u128, 1, 22, 60))
 //!     .collect();
-//! let reports = detect_multi_sharded(
-//!     &recs,
-//!     &AggLevel::PAPER_LEVELS,
-//!     ScanDetectorConfig::default(),
-//!     ShardPlan::with_shards(4),
-//! );
-//! assert_eq!(reports[&AggLevel::L128].scans(), 1);
+//! let mut det = DetectorBuilder::new(ScanDetectorConfig::default())
+//!     .levels(&AggLevel::PAPER_LEVELS)
+//!     .build(Backend::Sharded(ShardPlan::with_shards(4)));
+//! observe_slice(det.as_mut(), &recs, 4096);
+//! assert_eq!(det.finish()[&AggLevel::L128].scans(), 1);
 //! ```
 
 use crate::aggregate::AggLevel;
@@ -55,7 +53,7 @@ use crate::kernels::{route, route_column};
 use crate::multi::MultiLevelDetector;
 use crate::snapshot::{LevelState, SnapshotError};
 use lumen6_obs::{Gauge, Histogram, MetricsRegistry};
-use lumen6_trace::{PacketRecord, RecordBatch};
+use lumen6_trace::RecordBatch;
 use std::collections::BTreeMap;
 use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TrySendError};
 use std::thread::JoinHandle;
@@ -111,8 +109,7 @@ impl ShardPlan {
 }
 
 /// Sharded multi-level detector with the same push interface as
-/// [`MultiLevelDetector`]: feed time-ordered packets via
-/// [`observe`](Self::observe) or columnar batches via
+/// [`MultiLevelDetector`]: feed time-ordered columnar batches via
 /// [`observe_batch`](Self::observe_batch), then [`finish`](Self::finish).
 ///
 /// Worker threads are spawned on construction and joined by `finish`;
@@ -310,26 +307,6 @@ impl ShardedDetector {
         self.observed
     }
 
-    /// The shard owning all state for `src` (and every source sharing its
-    /// coarsest-level prefix).
-    #[inline]
-    fn shard_of(&self, src: u128) -> usize {
-        route(self.coarsest, self.senders.len(), src)
-    }
-
-    /// Routes one packet to its owning shard. Packets must arrive in
-    /// non-decreasing time order, as for the sequential detectors.
-    pub fn observe(&mut self, r: &PacketRecord) {
-        self.observed += 1;
-        let shard = self.shard_of(r.src);
-        self.routed[shard] += 1;
-        self.window_routed[shard] += 1;
-        self.buffers[shard].push(*r);
-        if self.buffers[shard].len() >= self.batch {
-            self.flush_shard(shard);
-        }
-    }
-
     /// Routes a columnar batch to the owning shards: one
     /// [`route_column`] pass over the `src` column (memoized for
     /// consecutive same-source rows), a per-shard row-index build, then a
@@ -337,10 +314,10 @@ impl ShardedDetector {
     /// ([`RecordBatch::extend_from_indices`]) — writes stay contiguous per
     /// column and no `PacketRecord` is materialized on the way. When the
     /// whole batch routes to one shard (run-clustered traffic), the
-    /// scatter degenerates to seven contiguous column copies. Results are
-    /// identical to calling [`observe`](Self::observe) per record; staged
-    /// sub-batches may briefly exceed `ShardPlan::batch` by up to one
-    /// input batch before they flush.
+    /// scatter degenerates to seven contiguous column copies. Packets must
+    /// arrive in non-decreasing time order, as for the sequential
+    /// detectors; staged sub-batches may briefly exceed `ShardPlan::batch`
+    /// by up to one input batch before they flush.
     pub fn observe_batch(&mut self, batch: &RecordBatch) {
         let mut routes = std::mem::take(&mut self.routes);
         route_column(batch.src(), self.coarsest, self.senders.len(), &mut routes);
@@ -443,25 +420,26 @@ impl ShardedDetector {
                 self.flush_shard(shard);
             }
         }
-        self.publish_imbalance();
+        let _ = self.publish_imbalance();
     }
 
     /// Publishes `detect.shard.imbalance` — max/mean packets routed per
     /// shard over the window since the last publish, in permille (1000 =
-    /// perfectly balanced) — and starts a new window. Windows with no
-    /// traffic leave the gauge untouched.
-    fn publish_imbalance(&mut self) {
+    /// perfectly balanced) — and starts a new window. Returns the value
+    /// published; windows with no traffic leave the gauge untouched.
+    fn publish_imbalance(&mut self) -> Option<i64> {
         let total: u64 = self.window_routed.iter().sum();
         if total == 0 {
-            return;
+            return None;
         }
         let max = self.window_routed.iter().copied().fold(0, u64::max);
         let mean = total as f64 / self.window_routed.len() as f64;
-        self.imbalance
-            .set((max as f64 / mean * 1000.0).round() as i64);
+        let permille = (max as f64 / mean * 1000.0).round() as i64;
+        self.imbalance.set(permille);
         for w in &mut self.window_routed {
             *w = 0;
         }
+        Some(permille)
     }
 
     /// Closes runs idle since before `now - timeout` on every shard.
@@ -563,50 +541,32 @@ impl ShardedDetector {
     }
 }
 
-/// Runs sharded multi-level detection over a complete time-sorted slice.
-/// Row-major input is routed per record — one fused transpose straight
-/// into the per-shard columnar staging buffers, with no intermediate
-/// batch. (Already-columnar input, e.g. decoded `RecordBatch` chunks,
-/// should go through [`ShardedDetector::observe_batch`] instead, whose
-/// vectorized route-and-scatter is the only copy on that path.) Workers
-/// consume columnar sub-batches either way.
-///
-/// Produces output identical to
-/// [`detect_multi`](crate::multi::detect_multi) for any shard count.
-pub fn detect_multi_sharded(
-    records: &[PacketRecord],
-    levels: &[AggLevel],
-    base: ScanDetectorConfig,
-    plan: ShardPlan,
-) -> BTreeMap<AggLevel, ScanReport> {
-    let mut det = ShardedDetector::new(levels, base, plan);
-    for r in records {
-        det.observe(r);
-    }
-    det.finish()
-}
-
-/// Runs sharded detection over a packet stream without materializing it —
-/// pair with [`lumen6_trace::codec::decode_chunks`] to keep peak memory
-/// independent of trace size. Row-major input routes per record straight
-/// into the columnar staging buffers (see [`detect_multi_sharded`]).
-pub fn detect_multi_sharded_stream(
-    records: impl IntoIterator<Item = PacketRecord>,
-    levels: &[AggLevel],
-    base: ScanDetectorConfig,
-    plan: ShardPlan,
-) -> BTreeMap<AggLevel, ScanReport> {
-    let mut det = ShardedDetector::new(levels, base, plan);
-    for r in records {
-        det.observe(&r);
-    }
-    det.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multi::detect_multi;
+    use crate::session::observe_slice;
+    use lumen6_trace::PacketRecord;
+
+    fn sequential(
+        records: &[PacketRecord],
+        levels: &[AggLevel],
+        base: ScanDetectorConfig,
+    ) -> BTreeMap<AggLevel, ScanReport> {
+        let mut det = MultiLevelDetector::new(levels, base);
+        observe_slice(&mut det, records, 4096);
+        det.finish()
+    }
+
+    fn sharded(
+        records: &[PacketRecord],
+        levels: &[AggLevel],
+        base: ScanDetectorConfig,
+        plan: ShardPlan,
+    ) -> BTreeMap<AggLevel, ScanReport> {
+        let mut det = ShardedDetector::new(levels, base, plan);
+        observe_slice(&mut det, records, 37);
+        det.finish()
+    }
 
     fn workload() -> Vec<PacketRecord> {
         // Several sources across distinct /48s and /64s, one spread /64,
@@ -666,13 +626,13 @@ mod tests {
     #[test]
     fn identical_to_sequential_for_all_shard_counts() {
         let recs = workload();
-        let seq = detect_multi(
+        let seq = sequential(
             &recs,
             &AggLevel::PAPER_LEVELS,
             ScanDetectorConfig::default(),
         );
         for shards in [1, 2, 3, 4, 8, 17] {
-            let par = detect_multi_sharded(
+            let par = sharded(
                 &recs,
                 &AggLevel::PAPER_LEVELS,
                 ScanDetectorConfig::default(),
@@ -693,8 +653,8 @@ mod tests {
             keep_dsts: true,
             ..Default::default()
         };
-        let seq = detect_multi(&recs, &AggLevel::PAPER_LEVELS, cfg.clone());
-        let par = detect_multi_sharded(
+        let seq = sequential(&recs, &AggLevel::PAPER_LEVELS, cfg.clone());
+        let par = sharded(
             &recs,
             &AggLevel::PAPER_LEVELS,
             cfg,
@@ -706,61 +666,9 @@ mod tests {
             sketch: Some((64, 12).into()),
             ..Default::default()
         };
-        let seq = detect_multi(&recs, &[AggLevel::L64], sk.clone());
-        let par = detect_multi_sharded(&recs, &[AggLevel::L64], sk, ShardPlan::with_shards(3));
+        let seq = sequential(&recs, &[AggLevel::L64], sk.clone());
+        let par = sharded(&recs, &[AggLevel::L64], sk, ShardPlan::with_shards(3));
         assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn streaming_entry_point_matches() {
-        let recs = workload();
-        let seq = detect_multi(
-            &recs,
-            &AggLevel::PAPER_LEVELS,
-            ScanDetectorConfig::default(),
-        );
-        let par = detect_multi_sharded_stream(
-            recs.iter().copied(),
-            &AggLevel::PAPER_LEVELS,
-            ScanDetectorConfig::default(),
-            ShardPlan::with_shards(2),
-        );
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn row_and_batch_ingest_mix_matches_sequential() {
-        // Interleaving per-record observe with columnar observe_batch must
-        // land every row in the same staging buffers in stream order.
-        let recs = workload();
-        let seq = detect_multi(
-            &recs,
-            &AggLevel::PAPER_LEVELS,
-            ScanDetectorConfig::default(),
-        );
-        let mut det = ShardedDetector::new(
-            &AggLevel::PAPER_LEVELS,
-            ScanDetectorConfig::default(),
-            ShardPlan {
-                shards: 3,
-                batch: 50,
-                depth: 2,
-            },
-        );
-        let mut staged = RecordBatch::new();
-        for (i, part) in recs.chunks(37).enumerate() {
-            if i % 2 == 0 {
-                for r in part {
-                    det.observe(r);
-                }
-            } else {
-                staged.clear();
-                staged.extend(part.iter().copied());
-                det.observe_batch(&staged);
-            }
-        }
-        assert_eq!(det.observed(), recs.len() as u64);
-        assert_eq!(det.finish(), seq);
     }
 
     #[test]
@@ -803,7 +711,7 @@ mod tests {
 
     #[test]
     fn empty_stream() {
-        let out = detect_multi_sharded(
+        let out = sharded(
             &[],
             &AggLevel::PAPER_LEVELS,
             ScanDetectorConfig::default(),
@@ -837,49 +745,30 @@ mod tests {
             ScanDetectorConfig::default(),
             ShardPlan::with_shards(2),
         );
-        for r in &recs {
-            det.observe(r);
-        }
+        observe_slice(&mut det, &recs, 100);
         assert_eq!(det.observed(), recs.len() as u64);
         det.finish();
     }
 
     #[test]
-    fn routing_is_deterministic_and_level_consistent() {
-        // All packets whose /48s are equal must land on the same shard when
-        // /48 is the coarsest level.
-        let det = ShardedDetector::new(
-            &AggLevel::PAPER_LEVELS,
-            ScanDetectorConfig::default(),
-            ShardPlan::with_shards(7),
-        );
-        let base: u128 = 0x2001_0db8_0001_0000_0000_0000_0000_0000;
-        let first = det.shard_of(base);
-        for host in 1..2_000u128 {
-            assert_eq!(det.shard_of(base | host), first);
-            assert_eq!(det.shard_of(base | (host << 64)), first);
-        }
-        det.finish();
-    }
-
-    #[test]
     fn imbalance_gauge_is_published_in_permille() {
-        use lumen6_obs::MetricsRegistry;
+        // The gauge itself is process-global and every sharded test in this
+        // binary writes it, so assert on what this detector published.
         let recs = workload();
         let mut det = ShardedDetector::new(
             &AggLevel::PAPER_LEVELS,
             ScanDetectorConfig::default(),
             ShardPlan::with_shards(4),
         );
-        let mut staged = RecordBatch::new();
-        staged.extend(recs.iter().copied());
-        det.observe_batch(&staged);
-        det.finish();
-        let g = MetricsRegistry::global()
-            .gauge("detect.shard.imbalance")
-            .get();
+        observe_slice(&mut det, &recs, recs.len());
+        let max = det.routed.iter().copied().fold(0, u64::max);
+        let expect = (max as f64 * 4.0 / recs.len() as f64 * 1000.0).round() as i64;
+        let g = det.publish_imbalance().expect("a window with traffic");
+        assert_eq!(g, expect);
         // max/mean >= 1 by definition; a wildly skewed 4-shard split of
         // this workload would read 4000.
         assert!((1000..=4000).contains(&g), "imbalance {g}");
+        assert_eq!(det.publish_imbalance(), None, "the window was reset");
+        det.finish();
     }
 }

@@ -15,22 +15,29 @@
 //!    invariant.
 //! 2. **Reordering** — real multi-machine logs are never globally
 //!    time-ordered. A bounded [`ReorderBuffer`] with a configurable
-//!    watermark re-sorts slightly-late packets before `observe`; packets
-//!    later than the watermark are counted and dropped, never silently
-//!    mis-eventized.
+//!    watermark re-sorts slightly-late packets before the detector sees
+//!    them; packets later than the watermark are counted and dropped,
+//!    never silently mis-eventized.
 //! 3. **Corrupt records** — recoverable decode errors (field overflows)
 //!    quarantine-and-skip with per-kind `lumen6-obs` counters instead of
 //!    aborting (framing errors still abort: stream alignment is lost).
 //!
-//! The three detector backends — [`ScanDetector`], [`MultiLevelDetector`],
-//! and the sharded pipeline — all implement [`Detect`], so the CLI and the
+//! There is one ingest route: the source fills a columnar
+//! [`RecordBatch`], the reorder buffer (when a watermark is set) releases
+//! into another, an idle flush cuts that batch where it falls due, and
+//! [`Detect::observe_batch`] — the only way a detector takes input — sees
+//! the pieces. Nothing is held between steps, so a checkpoint or report
+//! taken after any step covers every record pulled so far.
+//!
+//! The two detector backends — [`MultiLevelDetector`] and the sharded
+//! pipeline — implement [`Detect`], so the CLI, the daemon and the
 //! experiment harness dispatch through one code path chosen by
 //! [`DetectorBuilder`]. Snapshots use one uniform per-level format: a
 //! checkpoint written by a sharded run restores into a sequential run and
 //! vice versa, and the shard count may change across a resume.
 
 use crate::aggregate::AggLevel;
-use crate::detector::{ScanDetector, ScanDetectorConfig};
+use crate::detector::ScanDetectorConfig;
 use crate::event::ScanReport;
 use crate::multi::MultiLevelDetector;
 use crate::parallel::{ShardPlan, ShardedDetector};
@@ -53,26 +60,18 @@ use std::path::{Path, PathBuf};
 
 /// The unified push interface over all detector backends.
 ///
-/// Unlike [`ScanDetector::observe`], the trait's `observe` returns nothing:
-/// the sharded backend processes packets on worker threads and cannot
-/// return closed events synchronously, so every implementation accumulates
-/// mid-stream events internally and reports them from [`finish`].
+/// `observe_batch` returns nothing: the sharded backend processes packets
+/// on worker threads and cannot return closed events synchronously, so every
+/// implementation accumulates mid-stream events internally and reports them
+/// from [`finish`].
 ///
 /// [`finish`]: Detect::finish
 pub trait Detect: Send {
-    /// Feeds one packet. Records must arrive in non-decreasing time order
-    /// (wrap the detector in a [`Session`] with a watermark if they don't).
-    fn observe(&mut self, r: &PacketRecord);
-
-    /// Feeds a columnar batch, equivalent to observing each record in
-    /// order. The default loops over [`observe`](Detect::observe); every
-    /// backend overrides it with a grouped path that looks up per-source
-    /// run state once per (source, batch).
-    fn observe_batch(&mut self, batch: &RecordBatch) {
-        for i in 0..batch.len() {
-            self.observe(&batch.get(i));
-        }
-    }
+    /// Feeds a columnar batch — the only way a detector ingests. Records
+    /// must arrive in non-decreasing time order (wrap the detector in a
+    /// [`Session`] with a watermark if they don't). How a stream is cut
+    /// into batches never changes a report or a snapshot.
+    fn observe_batch(&mut self, batch: &RecordBatch);
 
     /// Closes runs idle since before `now_ms - timeout`, bounding state
     /// size in a long-running deployment. Report-neutral: events closed
@@ -100,50 +99,7 @@ pub trait Detect: Send {
     fn finish(self: Box<Self>) -> BTreeMap<AggLevel, ScanReport>;
 }
 
-impl Detect for ScanDetector {
-    fn observe(&mut self, r: &PacketRecord) {
-        if let Some(e) = ScanDetector::observe(self, r) {
-            self.pending.push(e);
-        }
-    }
-
-    fn observe_batch(&mut self, batch: &RecordBatch) {
-        let events = ScanDetector::observe_batch(self, batch);
-        self.pending.extend(events);
-    }
-
-    fn flush_idle(&mut self, now_ms: u64) {
-        let events = ScanDetector::flush_idle(self, now_ms);
-        self.pending.extend(events);
-    }
-
-    fn observed(&self) -> u64 {
-        ScanDetector::observed(self)
-    }
-
-    fn levels(&self) -> Vec<AggLevel> {
-        vec![self.config().agg]
-    }
-
-    fn state(&mut self) -> Vec<LevelState> {
-        vec![ScanDetector::state(self)]
-    }
-
-    fn finish(self: Box<Self>) -> BTreeMap<AggLevel, ScanReport> {
-        let mut this = *self;
-        let lvl = this.config().agg;
-        let mut events = std::mem::take(&mut this.pending);
-        events.extend(ScanDetector::finish(this));
-        events.sort_by_key(|e| (e.start_ms, e.source));
-        BTreeMap::from([(lvl, ScanReport::new(events))])
-    }
-}
-
 impl Detect for MultiLevelDetector {
-    fn observe(&mut self, r: &PacketRecord) {
-        MultiLevelDetector::observe(self, r);
-    }
-
     fn observe_batch(&mut self, batch: &RecordBatch) {
         MultiLevelDetector::observe_batch(self, batch);
     }
@@ -170,10 +126,6 @@ impl Detect for MultiLevelDetector {
 }
 
 impl Detect for ShardedDetector {
-    fn observe(&mut self, r: &PacketRecord) {
-        ShardedDetector::observe(self, r);
-    }
-
     fn observe_batch(&mut self, batch: &RecordBatch) {
         ShardedDetector::observe_batch(self, batch);
     }
@@ -214,7 +166,7 @@ impl Detect for ShardedDetector {
 /// where the checkpoint may have been written by the other backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The single-threaded reference pipeline.
+    /// The single-threaded pipeline: one [`MultiLevelDetector`].
     Sequential,
     /// The sharded parallel pipeline (identical output, see
     /// [`crate::parallel`]).
@@ -260,12 +212,13 @@ impl Backend {
 /// use lumen6_detect::prelude::*;
 /// use lumen6_trace::PacketRecord;
 ///
+/// let recs: Vec<PacketRecord> = (0..150u64)
+///     .map(|i| PacketRecord::tcp(i * 1_000, 7, 0xd000 + u128::from(i), 1, 22, 60))
+///     .collect();
 /// let mut det = DetectorBuilder::new(ScanDetectorConfig::default())
 ///     .levels(&AggLevel::PAPER_LEVELS)
 ///     .build(Backend::Sequential);
-/// for i in 0..150u64 {
-///     det.observe(&PacketRecord::tcp(i * 1_000, 7, 0xd000 + u128::from(i), 1, 22, 60));
-/// }
+/// observe_slice(det.as_mut(), &recs, 4096);
 /// let reports = det.finish();
 /// assert_eq!(reports[&AggLevel::L64].scans(), 1);
 /// ```
@@ -290,21 +243,15 @@ impl DetectorBuilder {
     }
 
     /// Constructs a fresh detector on the given backend: the sharded
-    /// pipeline when `backend` carries a plan, a plain [`ScanDetector`]
-    /// for a single sequential level, and a [`MultiLevelDetector`]
-    /// otherwise.
+    /// pipeline when `backend` carries a plan, a [`MultiLevelDetector`]
+    /// (over however many levels, one included) otherwise.
     pub fn build(&self, backend: Backend) -> Box<dyn Detect> {
-        match (backend, self.levels.as_slice()) {
-            (Backend::Sharded(plan), levels) => {
-                Box::new(ShardedDetector::new(levels, self.base.clone(), plan))
+        match backend {
+            Backend::Sharded(plan) => {
+                Box::new(ShardedDetector::new(&self.levels, self.base.clone(), plan))
             }
-            (Backend::Sequential, [lvl]) => {
-                let mut cfg = self.base.clone();
-                cfg.agg = *lvl;
-                Box::new(ScanDetector::new(cfg))
-            }
-            (Backend::Sequential, levels) => {
-                Box::new(MultiLevelDetector::new(levels, self.base.clone()))
+            Backend::Sequential => {
+                Box::new(MultiLevelDetector::new(&self.levels, self.base.clone()))
             }
         }
     }
@@ -323,13 +270,27 @@ impl DetectorBuilder {
         if snapshot.levels.is_empty() {
             return Err(SnapshotError("snapshot has no levels".into()));
         }
-        Ok(match (backend, snapshot.levels.as_slice()) {
-            (Backend::Sharded(plan), states) => {
-                Box::new(ShardedDetector::from_state(states, plan)?)
+        Ok(match backend {
+            Backend::Sharded(plan) => {
+                Box::new(ShardedDetector::from_state(&snapshot.levels, plan)?)
             }
-            (Backend::Sequential, [state]) => Box::new(ScanDetector::from_state(state)),
-            (Backend::Sequential, states) => Box::new(MultiLevelDetector::from_state(states)),
+            Backend::Sequential => Box::new(MultiLevelDetector::from_state(&snapshot.levels)),
         })
+    }
+}
+
+/// Feeds a resident, time-sorted slice to a detector: chunks `records`
+/// into one reused columnar batch of up to `batch` rows and hands each to
+/// [`Detect::observe_batch`]. The one slice driver — experiments, `detect
+/// --prefilter`, benches and tests all reach a detector through it; streams
+/// go through a [`Session`].
+pub fn observe_slice(det: &mut dyn Detect, records: &[PacketRecord], batch: usize) {
+    let batch = batch.max(1);
+    let mut rows = RecordBatch::with_capacity(batch.min(records.len()));
+    for part in records.chunks(batch) {
+        rows.clear();
+        rows.extend(part.iter().copied());
+        det.observe_batch(&rows);
     }
 }
 
@@ -375,7 +336,8 @@ impl Ord for Entry {
 ///
 /// A watermark of 0 disables the buffer entirely (pure passthrough, nothing
 /// dropped), preserving the detectors' native mild-disorder tolerance for
-/// sorted simulator output.
+/// sorted simulator output; a [`Session`] then skips the buffer and hands
+/// the source's batch to the detector as it is.
 #[derive(Debug)]
 pub struct ReorderBuffer {
     watermark_ms: u64,
@@ -414,7 +376,7 @@ impl ReorderBuffer {
 
     /// Feeds one packet; appends every packet whose release horizon passed
     /// to `out`, in timestamp order.
-    pub fn push(&mut self, rec: PacketRecord, out: &mut Vec<PacketRecord>) {
+    pub fn push(&mut self, rec: PacketRecord, out: &mut RecordBatch) {
         if self.watermark_ms == 0 {
             out.push(rec);
             return;
@@ -434,14 +396,14 @@ impl ReorderBuffer {
         let horizon = self.max_ts.saturating_sub(self.watermark_ms);
         while self.heap.peek().is_some_and(|Reverse(e)| e.ts <= horizon) {
             if let Some(Reverse(e)) = self.heap.pop() {
-                // lumen6: allow(L009, out is a flow-through buffer the caller drains every step; volume per call is bounded by the heap, which the watermark caps)
+                // lumen6: allow(L009, out is the step's release batch, cleared before every step; volume per call is bounded by the heap, which the watermark caps)
                 out.push(e.rec);
             }
         }
     }
 
     /// End of stream: releases everything still buffered, in order.
-    pub fn drain(&mut self, out: &mut Vec<PacketRecord>) {
+    pub fn drain(&mut self, out: &mut RecordBatch) {
         while let Some(Reverse(e)) = self.heap.pop() {
             // lumen6: allow(L009, end-of-stream flush of the remaining heap; bounded by the watermark and runs once)
             out.push(e.rec);
@@ -670,10 +632,10 @@ pub struct SessionConfig {
     pub flush_idle_every_ms: u64,
     /// Abort on recoverable decode errors instead of quarantine-and-skip.
     pub strict: bool,
-    /// Records staged per [`Detect::observe_batch`] call on the hot path.
-    /// Values ≤ 1 feed single-record batches. Any value produces reports
-    /// and checkpoints byte-identical to per-record ingest; this only
-    /// trades latency of mid-stream event collection against lookup
+    /// Records pulled from the source per [`Session::step`] (fewer when a
+    /// checkpoint boundary or the source cuts the pull short); values ≤ 1
+    /// pull one. Any value produces byte-identical reports and
+    /// checkpoints; this only trades step latency against lookup
     /// amortization.
     pub batch: usize,
 }
@@ -691,8 +653,7 @@ impl Default for SessionConfig {
 }
 
 /// Default [`SessionConfig::batch`]: large enough to amortize per-source
-/// lookups on bursty scan traffic, small enough that mid-stream events
-/// surface promptly.
+/// lookups on bursty scan traffic, small enough that a step stays short.
 pub const DEFAULT_SESSION_BATCH: usize = 4096;
 
 /// Outcome of [`Session::run`]: the stream finished, or the session stopped
@@ -798,23 +759,65 @@ impl From<CodecError> for SessionError {
     }
 }
 
-/// Flushes the staged columnar batch to the detector's grouped path.
-///
-/// Staging never crosses an ordering point: the stage is flushed before
-/// every `flush_idle` and before every checkpoint snapshot, so the
-/// detector state at those points — and therefore every checkpoint byte —
-/// is identical to per-record ingest.
-fn flush_staged(reg: &MetricsRegistry, det: &mut Box<dyn Detect>, staged: &mut RecordBatch) {
-    if !staged.is_empty() {
-        reg.histogram("detect.session.batch_size")
-            .record(staged.len() as u64);
-        det.observe_batch(staged);
-        staged.clear();
+/// Hands rows `rows` of `batch` to the detector (nothing, if there are
+/// none), recording the size: the batch itself when that is all of it, a
+/// copy of the rows when an idle flush cut it.
+fn feed(det: &mut dyn Detect, batch: &RecordBatch, rows: std::ops::Range<usize>) {
+    if rows.is_empty() {
+        return;
+    }
+    MetricsRegistry::global()
+        .histogram("detect.session.batch_size")
+        .record(rows.len() as u64);
+    if rows.len() == batch.len() {
+        det.observe_batch(batch);
+    } else {
+        det.observe_batch(&rows.map(|i| batch.get(i)).collect());
     }
 }
 
+/// Hands `batch` to the detector, cut wherever an idle flush falls due: a
+/// row whose timestamp is `every_ms` or more past the last flush has the
+/// rows before it observed first, then `flush_idle` runs and the row opens
+/// the next piece. Each row is tested once against the flush time current
+/// when it is reached — the points a one-record-per-step session flushes
+/// at — so detector state at every checkpoint, and `last_flush`, do not
+/// depend on how the stream was cut into batches. A batch no flush falls in
+/// (any batch, when `every_ms` is 0) is observed as it is.
+fn observe_cut_at_idle_flushes(
+    det: &mut dyn Detect,
+    batch: &RecordBatch,
+    every_ms: u64,
+    watermark_ms: u64,
+    last_flush: &mut u64,
+) {
+    let mut start = 0;
+    if every_ms > 0 {
+        for (i, &ts) in batch.ts_ms().iter().enumerate() {
+            // `ts >= last_flush + every_ms` without the sum: timestamps
+            // come from the trace, and one near `u64::MAX` must not wrap.
+            if ts.saturating_sub(*last_flush) < every_ms {
+                continue;
+            }
+            feed(det, batch, start..i);
+            start = i;
+            // Flush at the watermark horizon: every future detector input
+            // is ≥ `ts - watermark`, so closures here match what
+            // end-of-stream finish would emit.
+            det.flush_idle(ts.saturating_sub(watermark_ms));
+            *last_flush = ts;
+            MetricsRegistry::global()
+                .counter("detect.session.idle_flushes")
+                .add(1);
+        }
+    }
+    feed(det, batch, start..batch.len());
+}
+
 /// The live in-flight state of a started [`Session`]: detector, reorder
-/// buffer, counters, and the reusable ingest scratch buffers.
+/// buffer, counters, and the two reused ingest buffers. Neither buffer
+/// carries records from one step to the next: whatever a step pulls has
+/// reached the reorder heap or the detector by the time the step returns.
 struct RunState {
     det: Box<dyn Detect>,
     reorder: ReorderBuffer,
@@ -829,11 +832,49 @@ struct RunState {
     /// [`Session::report_now`] can account skips without the source.
     src_skipped: u64,
     last_flush: u64,
-    staged: RecordBatch,
+    /// What the source filled this step.
     incoming: RecordBatch,
-    ready: Vec<PacketRecord>,
+    /// What the reorder buffer released this step (unused at watermark 0).
+    released: RecordBatch,
     /// Checkpointed position to [`Source::resume`] at on the first step.
     resume_at: Option<TracePosition>,
+}
+
+impl RunState {
+    fn new(det: Box<dyn Detect>, reorder: ReorderBuffer, batch_cap: usize) -> Self {
+        RunState {
+            det,
+            reorder,
+            records_done: 0,
+            ckpts: 0,
+            skipped_before: 0,
+            src_skipped: 0,
+            last_flush: 0,
+            incoming: RecordBatch::with_capacity(batch_cap),
+            released: RecordBatch::new(),
+            resume_at: None,
+        }
+    }
+
+    /// Writes the checkpoint of the current stream position to `path`.
+    fn save_checkpoint(&mut self, src: &mut dyn Source, path: &Path) -> Result<(), SessionError> {
+        self.src_skipped = src.skipped();
+        self.ckpts += 1;
+        let ck = Checkpoint {
+            position: src.position(),
+            records_done: self.records_done,
+            decode_skipped: self.skipped_before + self.src_skipped,
+            detector: self.det.snapshot(),
+            reorder: self.reorder.state(),
+            checkpoints_written: self.ckpts,
+            last_flush_ms: self.last_flush,
+        };
+        ck.save(path)?;
+        MetricsRegistry::global()
+            .counter("detect.session.checkpoints_written")
+            .add(1);
+        Ok(())
+    }
 }
 
 /// Fault-tolerant streaming ingest over any [`Detect`] backend.
@@ -937,42 +978,33 @@ impl Session {
         let batch_cap = self.config.batch.max(1);
         let st = match resume {
             Some(ck) => RunState {
-                det: self
-                    .builder
-                    .restore(self.backend, &ck.detector)
-                    .map_err(SessionError::Snapshot)?,
-                reorder: ReorderBuffer::from_state(&ck.reorder),
                 records_done: ck.records_done,
                 ckpts: ck.checkpoints_written,
                 skipped_before: ck.decode_skipped,
-                src_skipped: 0,
                 last_flush: ck.last_flush_ms,
-                staged: RecordBatch::with_capacity(batch_cap),
-                incoming: RecordBatch::with_capacity(batch_cap),
-                ready: Vec::new(),
                 resume_at: Some(ck.position),
+                ..RunState::new(
+                    self.builder
+                        .restore(self.backend, &ck.detector)
+                        .map_err(SessionError::Snapshot)?,
+                    ReorderBuffer::from_state(&ck.reorder),
+                    batch_cap,
+                )
             },
-            None => RunState {
-                det: self.builder.build(self.backend),
-                reorder: ReorderBuffer::new(self.config.watermark_ms),
-                records_done: 0,
-                ckpts: 0,
-                skipped_before: 0,
-                src_skipped: 0,
-                last_flush: 0,
-                staged: RecordBatch::with_capacity(batch_cap),
-                incoming: RecordBatch::with_capacity(batch_cap),
-                ready: Vec::new(),
-                resume_at: None,
-            },
+            None => RunState::new(
+                self.builder.build(self.backend),
+                ReorderBuffer::new(self.config.watermark_ms),
+                batch_cap,
+            ),
         };
         self.state = Some(st);
         Ok(())
     }
 
     /// Performs one bounded unit of ingest: pull at most one batch from
-    /// `src`, feed it through the reorder buffer into the detector, and
-    /// checkpoint if a boundary was crossed.
+    /// `src`, hand it to the detector — as filled at watermark 0, else as
+    /// the reorder buffer releases it — and checkpoint if a boundary was
+    /// reached.
     ///
     /// The first step lazily initializes: if the checkpoint file exists
     /// the session restores from it and `src` is
@@ -983,7 +1015,7 @@ impl Session {
     /// Pulls are capped at [`SessionConfig::batch`] records and never
     /// cross a checkpoint boundary, so checkpoints are taken at exactly
     /// the same record counts and stream positions — and with the same
-    /// bytes — as per-record or `run_source`-driven ingest.
+    /// bytes — whatever the pull size.
     pub fn step(&mut self, src: &mut dyn Source) -> Result<Step, SessionError> {
         let reg = MetricsRegistry::global();
         self.ensure_state()?;
@@ -996,25 +1028,21 @@ impl Session {
         }
 
         let batch_cap = self.config.batch.max(1);
-        let every = self
+        let periodic = self
             .config
             .checkpoint
             .as_ref()
-            .map_or(0, |p| p.every_records);
+            .filter(|p| p.every_records > 0);
         // Never pull past the next checkpoint boundary: `position()`
-        // right after the fill is then exactly the post-boundary-record
-        // position a per-record loop would checkpoint at.
-        let want = if every > 0 {
-            let until = every - (st.records_done % every);
+        // right after the fill is then exactly the position after the
+        // boundary record, whatever the pull size.
+        let want = periodic.map_or(batch_cap, |p| {
+            let until = p.every_records - st.records_done % p.every_records;
             batch_cap.min(usize::try_from(until).unwrap_or(usize::MAX))
-        } else {
-            batch_cap
-        };
+        });
         let outcome = {
-            let t = lumen6_obs::StageTimer::new(reg.histogram("detect.session.source_fill_us"));
-            let outcome = src.poll_fill(&mut st.incoming, want)?;
-            t.stop();
-            outcome
+            let _fill = reg.stage("detect.session.source_fill_us");
+            src.poll_fill(&mut st.incoming, want)?
         };
         st.src_skipped = src.skipped();
         let n = match outcome {
@@ -1024,53 +1052,33 @@ impl Session {
         };
 
         reg.counter("source.records").add(n as u64);
-        for i in 0..n {
-            let rec = st.incoming.get(i);
-            st.records_done += 1;
-            st.reorder.push(rec, &mut st.ready);
-            for r in st.ready.drain(..) {
-                if self.config.flush_idle_every_ms > 0
-                    && r.ts_ms >= st.last_flush + self.config.flush_idle_every_ms
-                {
-                    // Flush at the watermark horizon: every future
-                    // detector input is ≥ `r.ts_ms - watermark`, so
-                    // closures here match what end-of-stream finish
-                    // would emit.
-                    flush_staged(reg, &mut st.det, &mut st.staged);
-                    st.det
-                        .flush_idle(r.ts_ms.saturating_sub(st.reorder.watermark_ms()));
-                    st.last_flush = r.ts_ms;
-                    reg.counter("detect.session.idle_flushes").add(1);
-                }
-                st.staged.push(r);
-                if st.staged.len() >= batch_cap {
-                    flush_staged(reg, &mut st.det, &mut st.staged);
-                }
+        st.records_done += n as u64;
+        let watermark_ms = st.reorder.watermark_ms();
+        let batch = if watermark_ms == 0 {
+            &st.incoming
+        } else {
+            st.released.clear();
+            for rec in st.incoming.iter() {
+                st.reorder.push(rec, &mut st.released);
             }
-        }
+            &st.released
+        };
+        observe_cut_at_idle_flushes(
+            st.det.as_mut(),
+            batch,
+            self.config.flush_idle_every_ms,
+            watermark_ms,
+            &mut st.last_flush,
+        );
 
-        if let Some(policy) = &self.config.checkpoint {
-            if policy.every_records > 0 && st.records_done % policy.every_records == 0 {
-                flush_staged(reg, &mut st.det, &mut st.staged);
-                st.ckpts += 1;
-                let ck = Checkpoint {
-                    position: src.position(),
-                    records_done: st.records_done,
-                    decode_skipped: st.skipped_before + st.src_skipped,
-                    detector: st.det.snapshot(),
-                    reorder: st.reorder.state(),
+        if let Some(policy) = periodic.filter(|p| st.records_done % p.every_records == 0) {
+            st.save_checkpoint(src, &policy.path)?;
+            if policy.stop_after.is_some_and(|n| st.ckpts >= n) {
+                reg.counter("detect.session.stops").add(1);
+                return Ok(Step::Stopped {
                     checkpoints_written: st.ckpts,
-                    last_flush_ms: st.last_flush,
-                };
-                ck.save(&policy.path)?;
-                reg.counter("detect.session.checkpoints_written").add(1);
-                if policy.stop_after.is_some_and(|n| st.ckpts >= n) {
-                    reg.counter("detect.session.stops").add(1);
-                    return Ok(Step::Stopped {
-                        checkpoints_written: st.ckpts,
-                        records_done: st.records_done,
-                    });
-                }
+                    records_done: st.records_done,
+                });
             }
         }
         Ok(Step::Ingested(n))
@@ -1084,39 +1092,21 @@ impl Session {
     /// resumed from an off-grid checkpoint still reproduces every later
     /// on-grid checkpoint byte for byte.
     pub fn checkpoint_now(&mut self, src: &mut dyn Source) -> Result<bool, SessionError> {
-        let reg = MetricsRegistry::global();
-        let Some(policy) = self.config.checkpoint.clone() else {
+        let (Some(policy), Some(st), false) =
+            (&self.config.checkpoint, self.state.as_mut(), self.finished)
+        else {
             return Ok(false);
         };
-        if self.finished {
-            return Ok(false);
-        }
-        let Some(st) = self.state.as_mut() else {
-            return Ok(false);
-        };
-        flush_staged(reg, &mut st.det, &mut st.staged);
-        st.src_skipped = src.skipped();
-        st.ckpts += 1;
-        let ck = Checkpoint {
-            position: src.position(),
-            records_done: st.records_done,
-            decode_skipped: st.skipped_before + st.src_skipped,
-            detector: st.det.snapshot(),
-            reorder: st.reorder.state(),
-            checkpoints_written: st.ckpts,
-            last_flush_ms: st.last_flush,
-        };
-        ck.save(&policy.path)?;
-        reg.counter("detect.session.checkpoints_written").add(1);
+        st.save_checkpoint(src, &policy.path)?;
         Ok(true)
     }
 
-    /// Ends the stream now: drains the reorder buffer, flushes staged
-    /// records, and returns the final report. Called by [`step`] on end
-    /// of stream, and directly by the daemon's graceful-shutdown drain
-    /// (where the tailed source may never reach EOF). The session is
-    /// finished afterwards; a session that never started finishes over an
-    /// empty (or checkpoint-restored) stream.
+    /// Ends the stream now: drains the reorder buffer into the detector
+    /// and returns the final report. Called by [`step`] on end of stream,
+    /// and directly by the daemon's graceful-shutdown drain (where the
+    /// tailed source may never reach EOF). The session is finished
+    /// afterwards; a session that never started finishes over an empty (or
+    /// checkpoint-restored) stream.
     ///
     /// [`step`]: Self::step
     pub fn finish_now(&mut self) -> Result<SessionReport, SessionError> {
@@ -1126,9 +1116,9 @@ impl Session {
             return Err(SessionError::Done);
         };
         self.finished = true;
-        st.reorder.drain(&mut st.ready);
-        st.staged.extend(st.ready.drain(..));
-        flush_staged(reg, &mut st.det, &mut st.staged);
+        st.released.clear();
+        st.reorder.drain(&mut st.released);
+        feed(st.det.as_mut(), &st.released, 0..st.released.len());
         let late = st.reorder.late_dropped();
         let skipped = st.skipped_before + st.src_skipped;
         reg.counter("detect.session.late_dropped").add(late);
@@ -1145,7 +1135,7 @@ impl Session {
     /// A point-in-time [`SessionReport`] *without* ending the session —
     /// the daemon's periodic per-tenant publication. Implemented by
     /// snapshotting the live detector, restoring the snapshot into a
-    /// throwaway clone, feeding it the staged and still-buffered records,
+    /// throwaway clone, feeding it the records still in the reorder heap,
     /// and finishing the clone; the live pipeline is untouched, so the
     /// next checkpoint stays byte-identical to an unpublished run.
     pub fn report_now(&mut self) -> Result<SessionReport, SessionError> {
@@ -1158,12 +1148,7 @@ impl Session {
             .builder
             .restore(self.backend, &snap)
             .map_err(SessionError::Snapshot)?;
-        if !st.staged.is_empty() {
-            clone.observe_batch(&st.staged);
-        }
-        for rec in st.reorder.state().entries {
-            clone.observe(&rec);
-        }
+        clone.observe_batch(&st.reorder.state().entries.into_iter().collect());
         let reports = clone.finish();
         Ok(SessionReport {
             reports,

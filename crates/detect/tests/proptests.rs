@@ -1,5 +1,8 @@
 //! Property tests for detector invariants: conservation, event separation,
-//! and monotonicity in the scan-definition parameters.
+//! and monotonicity in the scan-definition parameters — plus the two
+//! identities the ingest design rests on: the grouped batch path equals the
+//! per-record reference under any cuts, and every backend, batch size and
+//! session geometry yields the same reports, states and checkpoint bytes.
 
 use lumen6_detect::detector::detect;
 use lumen6_detect::{AggLevel, ScanDetectorConfig};
@@ -90,6 +93,24 @@ fn apply_ordering(recs: &[PacketRecord], ordering: usize) -> Vec<PacketRecord> {
             v
         }
     }
+}
+
+/// A within-watermark shuffle of a sorted workload. Arrival order is a
+/// jitter-sort: each record's sort key is its timestamp plus a jitter below
+/// half the watermark, so two records only ever swap when their true
+/// timestamps are within the watermark of each other.
+fn jittered_arrival(recs: &[PacketRecord], seed: u64, watermark: u64) -> Vec<PacketRecord> {
+    let mut arrival: Vec<(u64, usize)> = recs
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            // Cheap deterministic per-record jitter in [0, watermark/2).
+            let h = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ seed;
+            (r.ts_ms + h % (watermark / 2).max(1), i)
+        })
+        .collect();
+    arrival.sort_unstable();
+    arrival.into_iter().map(|(_, i)| recs[i]).collect()
 }
 
 proptest! {
@@ -195,38 +216,6 @@ proptest! {
         prop_assert_eq!(report2.removed_packets, 0);
     }
 
-    /// The sharded parallel pipeline is exactly equivalent to the
-    /// sequential multi-level detector — same events, same order, same
-    /// reports — for any workload, shard count, and batch geometry.
-    #[test]
-    fn sharded_equals_sequential(
-        recs in arb_workload(),
-        shards in 1usize..9,
-        batch in 1usize..600,
-        depth in 1usize..5,
-    ) {
-        use lumen6_detect::multi::detect_multi;
-        use lumen6_detect::{detect_multi_sharded, ShardPlan};
-        let levels = [AggLevel::L128, AggLevel::L64, AggLevel::L48];
-        let base = cfg(5, 20_000);
-        let seq = detect_multi(&recs, &levels, base.clone());
-        let par = detect_multi_sharded(&recs, &levels, base, ShardPlan { shards, batch, depth });
-        prop_assert_eq!(par, seq);
-    }
-
-    /// Sharded single-level detection with destination retention and
-    /// sketched counters also matches the sequential run exactly.
-    #[test]
-    fn sharded_equals_sequential_with_sketch(recs in arb_workload(), shards in 1usize..6) {
-        use lumen6_detect::multi::detect_multi;
-        use lumen6_detect::{detect_multi_sharded, ShardPlan};
-        let base = ScanDetectorConfig { sketch: Some((16, 12).into()), ..cfg(3, 30_000) };
-        let levels = [AggLevel::L64];
-        let seq = detect_multi(&recs, &levels, base.clone());
-        let par = detect_multi_sharded(&recs, &levels, base, ShardPlan { shards, batch: 17, depth: 2 });
-        prop_assert_eq!(par, seq);
-    }
-
     /// The streaming detector with flush_idle produces the same qualifying
     /// events as the batch run (GC must never change results).
     #[test]
@@ -252,52 +241,54 @@ proptest! {
         prop_assert_eq!(events, batch_events);
     }
 
-    /// The columnar batch path is exactly equivalent to per-record observe
-    /// across all three backends — single-level, multi-level, and sharded:
-    /// same snapshots, same reports (events in the same order), for any
-    /// workload and batch geometry.
+    /// The one place two implementations of the rule remain: the grouped
+    /// [`ScanDetector::observe_batch`] equals the per-record reference
+    /// [`ScanDetector::observe`] — same events in the same order, same
+    /// `state()`, same counters — however the stream is cut into batches
+    /// (single-record batches included), with destination retention and
+    /// with sketched counters.
     #[test]
-    fn batched_equals_per_record_all_backends(
+    fn observe_batch_matches_observe_under_any_cuts(
         recs in arb_workload(),
-        chunk in 1usize..400,
+        cuts in proptest::collection::vec(1usize..40, 1..12),
     ) {
-        use lumen6_detect::{Backend, DetectorBuilder, ShardPlan};
+        use lumen6_detect::ScanDetector;
         use lumen6_trace::RecordBatch;
-        let base = cfg(5, 20_000);
-        let levels = [AggLevel::L128, AggLevel::L64, AggLevel::L48];
-        let builders = [
-            (DetectorBuilder::new(base.clone()), Backend::Sequential),
-            (
-                DetectorBuilder::new(base.clone()).levels(&levels),
-                Backend::Sequential,
-            ),
-            (
-                DetectorBuilder::new(base).levels(&levels),
-                Backend::Sharded(ShardPlan {
-                    shards: 3,
-                    batch: 64,
-                    depth: 2,
-                }),
-            ),
-        ];
-        for (builder, backend) in builders {
-            let mut per = builder.build(backend);
+        for config in [
+            ScanDetectorConfig { agg: AggLevel::L128, ..cfg(5, 20_000) },
+            cfg(5, 20_000),
+            ScanDetectorConfig { keep_dsts: false, ..cfg(5, 20_000) },
+            ScanDetectorConfig { sketch: Some((16, 12).into()), ..cfg(3, 30_000) },
+        ] {
+            let mut reference = ScanDetector::new(config.clone());
+            let mut expect = Vec::new();
             for r in &recs {
-                per.observe(r);
+                expect.extend(reference.observe(r));
             }
-            let mut bat = builder.build(backend);
-            for part in recs.chunks(chunk) {
-                let b: RecordBatch = part.iter().copied().collect();
-                bat.observe_batch(&b);
+
+            // Cycle through the drawn cut lengths; the first is forced to 1.
+            let mut grouped = ScanDetector::new(config);
+            let mut events = Vec::new();
+            let (mut at, mut k) = (0, 0);
+            while at < recs.len() {
+                let len = if k == 0 { 1 } else { cuts[k % cuts.len()] };
+                let end = recs.len().min(at + len);
+                let batch: RecordBatch = recs[at..end].iter().copied().collect();
+                events.extend(grouped.observe_batch(&batch));
+                (at, k) = (end, k + 1);
             }
-            prop_assert_eq!(per.state(), bat.state());
-            prop_assert_eq!(per.finish(), bat.finish());
+            prop_assert_eq!(&events, &expect);
+            prop_assert_eq!(grouped.state(), reference.state());
+            prop_assert_eq!(grouped.observed(), reference.observed());
+            prop_assert_eq!(grouped.runs_opened(), reference.runs_opened());
+            prop_assert_eq!(grouped.finish(), reference.finish());
         }
     }
 
-    /// A checkpoint written mid-batch is byte-identical to one written by
-    /// per-record ingest at the same stream position, and resuming from it
-    /// reproduces the uninterrupted per-record report exactly.
+    /// A checkpoint written by a session pulling `batch` records a step is
+    /// byte-identical to one written by a one-record-per-step session at
+    /// the same stream position, and resuming from it reproduces the
+    /// uninterrupted report exactly.
     #[test]
     fn checkpoint_resume_byte_identical_across_batch_sizes(
         recs in arb_workload(),
@@ -331,7 +322,7 @@ proptest! {
         let levels = [AggLevel::L128, AggLevel::L64];
         let builder = DetectorBuilder::new(cfg(5, 20_000)).levels(&levels);
 
-        // Uninterrupted per-record reference.
+        // Uninterrupted one-record-per-step reference.
         let reference = match Session::new(
             builder.clone(),
             Backend::Sequential,
@@ -390,7 +381,7 @@ proptest! {
             prop_assert_eq!(
                 &first_checkpoints[0],
                 &first_checkpoints[1],
-                "mid-batch checkpoint differs from per-record checkpoint"
+                "checkpoint differs from the one-record-per-step checkpoint"
             );
         }
         prop_assert_eq!(&reports[0], &reports[1]);
@@ -399,124 +390,167 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Out-of-order tolerance: feeding any within-watermark shuffle of a
-    /// workload through the reorder buffer yields exactly the sorted-stream
-    /// report, with nothing dropped. Arrival order is a jitter-sort: each
-    /// record's sort key is its timestamp plus a jitter below half the
-    /// watermark, so two records only ever swap when their true timestamps
-    /// are within the watermark of each other.
+    /// Out-of-order tolerance: a session with a watermark, fed any
+    /// within-watermark shuffle of a workload, yields exactly the
+    /// sorted-stream report, with nothing dropped.
     #[test]
     fn reorder_buffer_recovers_sorted_report(
         recs in arb_workload(),
         jitter_seed in 0u64..1_000_000,
         watermark in 1_000u64..50_000,
     ) {
-        use lumen6_detect::{Backend, DetectorBuilder, ReorderBuffer};
+        use lumen6_detect::{Backend, DetectorBuilder, Session, SessionConfig, SessionOutcome};
+        use lumen6_trace::MaterializedSource;
         let config = cfg(5, 20_000);
         let sorted_report = detect(&recs, config.clone());
 
-        let mut arrival: Vec<(u64, usize)> = recs
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                // Cheap deterministic per-record jitter in [0, watermark/2).
-                let h = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ jitter_seed;
-                (r.ts_ms + h % (watermark / 2).max(1), i)
-            })
-            .collect();
-        arrival.sort_unstable();
-
-        let mut buf = ReorderBuffer::new(watermark);
-        let mut det = DetectorBuilder::new(config).build(Backend::Sequential);
-        let mut ready = Vec::new();
-        for &(_, i) in &arrival {
-            buf.push(recs[i], &mut ready);
-            for r in ready.drain(..) {
-                det.observe(&r);
-            }
-        }
-        buf.drain(&mut ready);
-        for r in ready.drain(..) {
-            det.observe(&r);
-        }
-        prop_assert_eq!(buf.late_dropped(), 0);
-        let reports = det.finish();
-        let got = &reports[&AggLevel::L64];
-        prop_assert_eq!(&got.events, &sorted_report.events);
+        let mut src = MaterializedSource::new(jittered_arrival(&recs, jitter_seed, watermark));
+        let outcome = Session::new(
+            DetectorBuilder::new(config),
+            Backend::Sequential,
+            SessionConfig { watermark_ms: watermark, batch: 64, ..Default::default() },
+        )
+        .run_source(&mut src)
+        .unwrap();
+        let SessionOutcome::Finished(rep) = outcome else {
+            unreachable!("no checkpoint policy")
+        };
+        prop_assert_eq!(rep.late_dropped, 0);
+        prop_assert_eq!(&rep.reports[&AggLevel::L64].events, &sorted_report.events);
     }
 }
 
-// The grid tests below sweep 12 shard×batch combinations (and a
+// The grid tests below sweep 16 shard×batch combinations (and a
 // three-session checkpoint round-trip) *inside* each case, so each case
 // covers far more executions than a single property run suggests.
 proptest! {
-    /// The batch-routed columnar sharded pipeline is differentially equal
-    /// to the sequential multi-level detector — same mid-stream state, same
-    /// final state, same reports — over the full shards {1,2,4,8} × batch
-    /// {1,7,8192} grid under all three adversarial arrival orders.
+    /// Backend identity, as a grid over the one slice driver: sequential
+    /// and sharded {1,2,4,8} × batch {1,7,4096,8192}, under all three
+    /// adversarial arrival orders, agree on the mid-stream state, the
+    /// final state and the reports — three levels with destination
+    /// retention, and one level with sketched counters. The sequential
+    /// reports are in turn held to the per-record reference, level by level.
+    ///
+    /// States are compared with each level's `pending` events sorted: the
+    /// sequential detector keeps them in closing order, the sharded merge in
+    /// shard order, and the two differ as soon as two shards each hold one.
+    /// (Reports are sorted at `finish`, so they never show it; raw
+    /// checkpoint bytes are `sharded_checkpoint_bytes_match_sequential`'s.)
     #[test]
-    fn batch_routed_sharded_grid_matches_sequential(
+    fn backend_grid_matches_sequential(
         recs in arb_workload(),
         ordering in 0usize..3,
     ) {
-        use lumen6_detect::{Backend, DetectorBuilder, ShardPlan};
-        use lumen6_trace::RecordBatch;
+        use lumen6_detect::{observe_slice, Backend, DetectorBuilder, LevelState, ShardPlan};
 
+        let canonical = |mut state: Vec<LevelState>| {
+            for level in &mut state {
+                level.pending.sort_by_key(|e| (e.start_ms, e.source));
+            }
+            state
+        };
         let recs = apply_ordering(&recs, ordering);
-        let levels = [AggLevel::L128, AggLevel::L64, AggLevel::L48];
-        let base = cfg(3, 20_000);
         let half = recs.len() / 2;
-
-        let mut seq = DetectorBuilder::new(base.clone())
-            .levels(&levels)
-            .build(Backend::Sequential);
-        let mut staged = RecordBatch::with_capacity(recs.len());
-        staged.extend(recs[..half].iter().copied());
-        seq.observe_batch(&staged);
-        let seq_mid = seq.state();
-        staged.clear();
-        staged.extend(recs[half..].iter().copied());
-        seq.observe_batch(&staged);
-        let seq_end = seq.state();
-        let seq_report = seq.finish();
-
-        for shards in [1usize, 2, 4, 8] {
-            for batch in [1usize, 7, 8192] {
-                let plan = ShardPlan { shards, batch, depth: 2 };
-                let mut par = DetectorBuilder::new(base.clone())
-                    .levels(&levels)
-                    .build(Backend::Sharded(plan));
-                let mut b = RecordBatch::with_capacity(batch.min(recs.len()));
-                for part in recs[..half].chunks(batch) {
-                    b.clear();
-                    b.extend(part.iter().copied());
-                    par.observe_batch(&b);
+        let paper = [AggLevel::L128, AggLevel::L64, AggLevel::L48];
+        let sketched = ScanDetectorConfig { sketch: Some((16, 12).into()), ..cfg(3, 30_000) };
+        for (base, levels) in [(cfg(3, 20_000), &paper[..]), (sketched, &[AggLevel::L64][..])] {
+            let builder = DetectorBuilder::new(base.clone()).levels(levels);
+            let mut expect = None;
+            let backends = std::iter::once(Backend::Sequential).chain(
+                [1usize, 2, 4, 8].map(|shards| {
+                    Backend::Sharded(ShardPlan { shards, batch: 7, depth: 2 })
+                }),
+            );
+            for backend in backends {
+                for batch in [1usize, 7, 4096, 8192] {
+                    let mut det = builder.build(backend);
+                    observe_slice(det.as_mut(), &recs[..half], batch);
+                    let mid = canonical(det.state());
+                    observe_slice(det.as_mut(), &recs[half..], batch);
+                    let got = (mid, canonical(det.state()), det.finish());
+                    let expect = expect.get_or_insert_with(|| got.clone());
+                    prop_assert_eq!(
+                        &got, expect,
+                        "diverged: {:?} batch={} ordering={}", backend, batch, ordering
+                    );
                 }
-                let par_mid = par.state();
-                prop_assert_eq!(
-                    &par_mid, &seq_mid,
-                    "mid-stream state diverged: shards={} batch={} ordering={}",
-                    shards, batch, ordering
-                );
-                for part in recs[half..].chunks(batch) {
-                    b.clear();
-                    b.extend(part.iter().copied());
-                    par.observe_batch(&b);
-                }
-                let par_end = par.state();
-                prop_assert_eq!(
-                    &par_end, &seq_end,
-                    "final state diverged: shards={} batch={} ordering={}",
-                    shards, batch, ordering
-                );
-                let par_report = par.finish();
-                prop_assert_eq!(
-                    &par_report, &seq_report,
-                    "report diverged: shards={} batch={} ordering={}",
-                    shards, batch, ordering
-                );
+            }
+            let (.., reports) = expect.expect("the grid ran");
+            for &lvl in levels {
+                let reference = detect(&recs, ScanDetectorConfig { agg: lvl, ..base.clone() });
+                prop_assert_eq!(&reports[&lvl], &reference, "level {}", lvl);
             }
         }
+    }
+
+    /// What a session writes does not depend on how it cuts the stream:
+    /// pulling `batch` records a step — with or without a watermark (and
+    /// arrival disorder within it) and an idle-flush cadence, on either
+    /// backend — yields the report and every checkpoint file, byte for
+    /// byte, of a one-record-per-step session.
+    #[test]
+    fn session_batch_geometry_is_invisible(
+        recs in arb_workload(),
+        batch in 2usize..300,
+        every in 10u64..120,
+        flush_idle_every_ms in prop_oneof![Just(0u64), 1_000u64..400_000],
+        watermark_ms in prop_oneof![Just(0u64), 1_000u64..50_000],
+        shards in 0usize..4,
+    ) {
+        use lumen6_detect::{
+            Backend, CheckpointPolicy, DetectorBuilder, Session, SessionConfig, ShardPlan, Step,
+        };
+        use lumen6_trace::MaterializedSource;
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        static CASE: AtomicU64 = AtomicU64::new(0);
+        let id = CASE.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "lumen6-geom-prop-{}-{id}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let builder = DetectorBuilder::new(cfg(5, 20_000)).levels(&[AggLevel::L128, AggLevel::L64]);
+        let recs = match watermark_ms {
+            0 => recs,
+            w => jittered_arrival(&recs, every, w),
+        };
+        let backend = match shards {
+            0 => Backend::Sequential,
+            n => Backend::Sharded(ShardPlan { shards: n, batch: 17, depth: 2 }),
+        };
+
+        let mut runs = Vec::new();
+        for b in [1usize, batch] {
+            let path = dir.join(format!("ck-{b}"));
+            let mut session = Session::new(builder.clone(), backend, SessionConfig {
+                watermark_ms,
+                checkpoint: Some(CheckpointPolicy {
+                    path: path.clone(),
+                    every_records: every,
+                    stop_after: None,
+                }),
+                flush_idle_every_ms,
+                batch: b,
+                ..Default::default()
+            });
+            let mut src = MaterializedSource::new(recs.clone());
+            let mut files = Vec::new();
+            let report = loop {
+                match session.step(&mut src).unwrap() {
+                    Step::Ingested(_) if session.records_done().is_multiple_of(every) => {
+                        files.push(std::fs::read(&path).unwrap());
+                    }
+                    Step::Ingested(_) | Step::Pending => {}
+                    Step::Finished(report) => break report,
+                    Step::Stopped { .. } => unreachable!("no stop_after"),
+                }
+            };
+            runs.push((report, files));
+        }
+        prop_assert_eq!(runs[1].1.len() as u64, recs.len() as u64 / every);
+        prop_assert_eq!(&runs[1], &runs[0]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A checkpoint written by a sharded session is byte-identical to one
@@ -528,7 +562,7 @@ proptest! {
     fn sharded_checkpoint_bytes_match_sequential(
         recs in arb_workload(),
         shards in 1usize..9,
-        batch_ix in 0usize..3,
+        batch_ix in 0usize..4,
         ordering in 0usize..3,
         every in 10u64..120,
     ) {
@@ -547,7 +581,7 @@ proptest! {
             std::process::id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        let batch = [1usize, 7, 8192][batch_ix];
+        let batch = [1usize, 7, 4096, 8192][batch_ix];
         // The trace codec delta-encodes timestamps, so a session's input is
         // necessarily time-sorted: keep the adversarial *source* arrival
         // order but reassign the workload's own timestamps in sorted order.

@@ -1,10 +1,12 @@
 //! Integration tests for the fault-tolerant streaming session layer:
-//! snapshot/restore across all three backends, out-of-order tolerance,
-//! checkpoint durability, and kill-resume determinism.
+//! snapshot/restore across the backends, out-of-order tolerance,
+//! checkpoint durability, kill-resume determinism, and the independence of
+//! every report and checkpoint byte from how the stream is cut into batches.
 
+use lumen6_detect::detector::detect;
 use lumen6_detect::prelude::*;
 use lumen6_detect::DEFAULT_SESSION_BATCH;
-use lumen6_trace::{PacketRecord, TraceWriter};
+use lumen6_trace::{CodecError, PacketRecord, RecordBatch, TracePosition, TraceWriter};
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
@@ -120,49 +122,23 @@ fn builders() -> Vec<(&'static str, DetectorBuilder, Backend)> {
 }
 
 #[test]
-fn all_backends_agree_through_the_trait() {
-    let recs = workload();
-    let levels = [AggLevel::L128, AggLevel::L64, AggLevel::L48];
-    let mut outputs = Vec::new();
-    for backend in [
-        Backend::Sequential,
-        Backend::Sharded(ShardPlan::with_shards(3)),
-    ] {
-        let mut det = DetectorBuilder::new(base_config())
-            .levels(&levels)
-            .build(backend);
-        for r in &recs {
-            det.observe(r);
-        }
-        outputs.push(report_json(&det.finish()));
-    }
-    assert_eq!(outputs[0], outputs[1], "sequential vs sharded");
-}
-
-#[test]
 fn snapshot_roundtrip_every_backend() {
     let recs = workload();
     for (name, builder, backend) in builders() {
         // Uninterrupted reference.
         let mut reference = builder.build(backend);
-        for r in &recs {
-            reference.observe(r);
-        }
+        observe_slice(reference.as_mut(), &recs, 64);
         let expect = report_json(&reference.finish());
 
         // Snapshot mid-stream, restore, continue.
         let mid = recs.len() / 2;
         let mut first = builder.build(backend);
-        for r in &recs[..mid] {
-            first.observe(r);
-        }
+        observe_slice(first.as_mut(), &recs[..mid], 64);
         let snap = first.snapshot();
         drop(first);
         let mut resumed = builder.restore(backend, &snap).unwrap();
         assert_eq!(resumed.observed(), mid as u64, "{name}: observed count");
-        for r in &recs[mid..] {
-            resumed.observe(r);
-        }
+        observe_slice(resumed.as_mut(), &recs[mid..], 64);
         assert_eq!(report_json(&resumed.finish()), expect, "{name}");
     }
 }
@@ -190,21 +166,15 @@ fn snapshot_roundtrip_with_sketch_and_kept_dsts() {
     ] {
         let builder = DetectorBuilder::new(cfg);
         let mut reference = builder.build(Backend::Sequential);
-        for r in &recs {
-            reference.observe(r);
-        }
+        observe_slice(reference.as_mut(), &recs, 64);
         let expect = report_json(&reference.finish());
 
         let mid = recs.len() / 3;
         let mut first = builder.build(Backend::Sequential);
-        for r in &recs[..mid] {
-            first.observe(r);
-        }
+        observe_slice(first.as_mut(), &recs[..mid], 64);
         let snap = first.snapshot();
         let mut resumed = builder.restore(Backend::Sequential, &snap).unwrap();
-        for r in &recs[mid..] {
-            resumed.observe(r);
-        }
+        observe_slice(resumed.as_mut(), &recs[mid..], 64);
         assert_eq!(report_json(&resumed.finish()), expect, "{tag}");
     }
 }
@@ -216,17 +186,13 @@ fn snapshots_are_portable_across_backends_and_shard_counts() {
     let builder = DetectorBuilder::new(base_config()).levels(&levels);
 
     let mut reference = builder.build(Backend::Sequential);
-    for r in &recs {
-        reference.observe(r);
-    }
+    observe_slice(reference.as_mut(), &recs, 64);
     let expect = report_json(&reference.finish());
 
     let mid = recs.len() / 2;
     // Snapshot taken by a sharded run...
     let mut first = builder.build(Backend::Sharded(ShardPlan::with_shards(2)));
-    for r in &recs[..mid] {
-        first.observe(r);
-    }
+    observe_slice(first.as_mut(), &recs[..mid], 64);
     let snap = first.snapshot();
     // ...restores into a sequential run, and into a different shard count.
     for (name, backend) in [
@@ -234,9 +200,7 @@ fn snapshots_are_portable_across_backends_and_shard_counts() {
         ("sharded-5", Backend::Sharded(ShardPlan::with_shards(5))),
     ] {
         let mut resumed = builder.restore(backend, &snap).unwrap();
-        for r in &recs[mid..] {
-            resumed.observe(r);
-        }
+        observe_slice(resumed.as_mut(), &recs[mid..], 64);
         assert_eq!(
             report_json(&resumed.finish()),
             expect,
@@ -250,16 +214,14 @@ fn flush_idle_is_report_neutral() {
     let recs = workload();
     for (name, builder, backend) in builders() {
         let mut plain = builder.build(backend);
-        for r in &recs {
-            plain.observe(r);
-        }
+        observe_slice(plain.as_mut(), &recs, 64);
         let expect = report_json(&plain.finish());
 
         // Aggressive flushing at every packet must not change the report.
         let mut flushed = builder.build(backend);
         for r in &recs {
             flushed.flush_idle(r.ts_ms);
-            flushed.observe(r);
+            observe_slice(flushed.as_mut(), std::slice::from_ref(r), 1);
         }
         assert_eq!(report_json(&flushed.finish()), expect, "{name}");
     }
@@ -273,16 +235,10 @@ fn flush_idle_closes_idle_runs() {
     let timeout = cfg.timeout_ms;
     let mut det = DetectorBuilder::new(cfg).build(Backend::Sequential);
     let heavy: u128 = 0x2001_0db9_0000_0000_0000_0000_0000_0001;
-    for i in 0..150u64 {
-        det.observe(&PacketRecord::tcp(
-            i * 900,
-            heavy,
-            u128::from(i),
-            1,
-            443,
-            60,
-        ));
-    }
+    let burst: Vec<PacketRecord> = (0..150u64)
+        .map(|i| PacketRecord::tcp(i * 900, heavy, u128::from(i), 1, 443, 60))
+        .collect();
+    observe_slice(det.as_mut(), &burst, 64);
     let last_ts = 149 * 900;
     det.flush_idle(last_ts + timeout + 1);
     let state = &det.state()[0];
@@ -303,12 +259,12 @@ fn rec_at(ts: u64, tag: u128) -> PacketRecord {
 #[test]
 fn reorder_releases_in_timestamp_order() {
     let mut buf = ReorderBuffer::new(1_000);
-    let mut out = Vec::new();
+    let mut out = RecordBatch::new();
     for &ts in &[5_000u64, 4_500, 4_200, 6_000, 5_500, 7_500] {
         buf.push(rec_at(ts, u128::from(ts)), &mut out);
     }
     buf.drain(&mut out);
-    let times: Vec<u64> = out.iter().map(|r| r.ts_ms).collect();
+    let times = out.ts_ms().to_vec();
     assert_eq!(times, vec![4_200, 4_500, 5_000, 5_500, 6_000, 7_500]);
     assert_eq!(buf.late_dropped(), 0);
 }
@@ -317,55 +273,55 @@ fn reorder_releases_in_timestamp_order() {
 fn reorder_at_watermark_is_kept() {
     // Lateness exactly equal to the watermark is still admissible.
     let mut buf = ReorderBuffer::new(1_000);
-    let mut out = Vec::new();
+    let mut out = RecordBatch::new();
     buf.push(rec_at(10_000, 1), &mut out);
     buf.push(rec_at(9_000, 2), &mut out); // exactly max_ts - watermark
     buf.drain(&mut out);
     assert_eq!(buf.late_dropped(), 0);
-    let times: Vec<u64> = out.iter().map(|r| r.ts_ms).collect();
+    let times = out.ts_ms().to_vec();
     assert_eq!(times, vec![9_000, 10_000]);
 }
 
 #[test]
 fn reorder_beyond_watermark_is_dropped_and_counted() {
     let mut buf = ReorderBuffer::new(1_000);
-    let mut out = Vec::new();
+    let mut out = RecordBatch::new();
     buf.push(rec_at(10_000, 1), &mut out);
     buf.push(rec_at(8_999, 2), &mut out); // 1 ms beyond the watermark
     buf.push(rec_at(5_000, 3), &mut out); // far beyond
     buf.drain(&mut out);
     assert_eq!(buf.late_dropped(), 2);
-    let times: Vec<u64> = out.iter().map(|r| r.ts_ms).collect();
+    let times = out.ts_ms().to_vec();
     assert_eq!(times, vec![10_000]);
 }
 
 #[test]
 fn zero_watermark_is_pure_passthrough() {
     let mut buf = ReorderBuffer::new(0);
-    let mut out = Vec::new();
+    let mut out = RecordBatch::new();
     for &ts in &[5_000u64, 1_000, 9_000, 3] {
         buf.push(rec_at(ts, u128::from(ts)), &mut out);
     }
     assert_eq!(out.len(), 4, "nothing buffered");
     assert_eq!(buf.late_dropped(), 0, "nothing dropped");
-    let times: Vec<u64> = out.iter().map(|r| r.ts_ms).collect();
+    let times = out.ts_ms().to_vec();
     assert_eq!(times, vec![5_000, 1_000, 9_000, 3], "original order kept");
 }
 
 #[test]
 fn reorder_state_roundtrip_preserves_release_order() {
     let mut buf = ReorderBuffer::new(10_000);
-    let mut out = Vec::new();
+    let mut out = RecordBatch::new();
     for &ts in &[5_000u64, 4_000, 4_000, 6_000, 5_500] {
         buf.push(rec_at(ts, u128::from(out.len() as u64)), &mut out);
     }
     assert!(out.is_empty(), "all within watermark, all buffered");
-    let mut direct = Vec::new();
+    let mut direct = RecordBatch::new();
     let restored_state = buf.state();
     buf.drain(&mut direct);
 
     let mut restored = ReorderBuffer::from_state(&restored_state);
-    let mut via_snapshot = Vec::new();
+    let mut via_snapshot = RecordBatch::new();
     restored.drain(&mut via_snapshot);
     assert_eq!(direct, via_snapshot);
 }
@@ -381,9 +337,7 @@ fn within_watermark_shuffle_yields_sorted_report() {
     let sorted = workload();
 
     let mut reference = DetectorBuilder::new(base_config()).build(Backend::Sequential);
-    for r in &sorted {
-        reference.observe(r);
-    }
+    observe_slice(reference.as_mut(), &sorted, 64);
     let expect = report_json(&reference.finish());
 
     for seed in 0..8u64 {
@@ -401,17 +355,12 @@ fn within_watermark_shuffle_yields_sorted_report() {
 
         let mut buf = ReorderBuffer::new(watermark);
         let mut det = DetectorBuilder::new(base_config()).build(Backend::Sequential);
-        let mut ready = Vec::new();
+        let mut released = RecordBatch::new();
         for &(_, i) in &arrival {
-            buf.push(sorted[i], &mut ready);
-            for r in ready.drain(..) {
-                det.observe(&r);
-            }
+            buf.push(sorted[i], &mut released);
         }
-        buf.drain(&mut ready);
-        for r in ready.drain(..) {
-            det.observe(&r);
-        }
+        buf.drain(&mut released);
+        det.observe_batch(&released);
         assert_eq!(buf.late_dropped(), 0, "seed {seed}: nothing may drop");
         assert_eq!(report_json(&det.finish()), expect, "seed {seed}");
     }
@@ -423,9 +372,7 @@ fn within_watermark_shuffle_yields_sorted_report() {
 
 fn sample_checkpoint() -> Checkpoint {
     let mut det = DetectorBuilder::new(base_config()).build(Backend::Sequential);
-    for r in workload().iter().take(100) {
-        det.observe(r);
-    }
+    observe_slice(det.as_mut(), &workload()[..100], 64);
     Checkpoint {
         position: lumen6_trace::TracePosition {
             offset: 1_234,
@@ -518,9 +465,7 @@ fn session_finishes_without_checkpointing() {
     assert_eq!(rep.checkpoints_written, 0);
 
     let mut direct = builder.build(Backend::Sequential);
-    for r in &recs {
-        direct.observe(r);
-    }
+    observe_slice(direct.as_mut(), &recs, 64);
     assert_eq!(report_json(&rep.reports), report_json(&direct.finish()));
 }
 
@@ -1001,4 +946,255 @@ fn load_newest_prefers_main_and_falls_back_to_prev() {
         Checkpoint::load_newest(&path),
         Err(SessionError::Corrupt(_))
     ));
+}
+
+// ---------------------------------------------------------------------------
+// Batch geometry never shows: cuts, short fills, the reorder heap
+// ---------------------------------------------------------------------------
+
+/// Steps a checkpointing session to the end, keeping the bytes of every
+/// checkpoint file it wrote on the way.
+fn run_keeping_checkpoints(
+    mut session: Session,
+    src: &mut dyn Source,
+) -> (SessionReport, Vec<Vec<u8>>) {
+    let policy = session.config().checkpoint.clone().expect("checkpointing");
+    let mut files = Vec::new();
+    loop {
+        match session.step(src).unwrap() {
+            Step::Ingested(_) if session.records_done().is_multiple_of(policy.every_records) => {
+                files.push(std::fs::read(&policy.path).unwrap());
+            }
+            Step::Ingested(_) | Step::Pending => {}
+            Step::Finished(rep) => return (rep, files),
+            Step::Stopped { .. } => panic!("unexpected Stopped without stop_after"),
+        }
+    }
+}
+
+/// 96 records one second apart, three /64 sources in rotating bursts of
+/// four, every destination distinct.
+fn ticking_workload() -> Vec<PacketRecord> {
+    (0..96u64)
+        .map(|i| {
+            let src = (0x2001_0db8_0000_0000u128 + u128::from(i / 4 % 3)) << 64 | 1;
+            PacketRecord::tcp(i * 1_000, src, 0xa000 + u128::from(i), 1, 22, 60)
+        })
+        .collect()
+}
+
+/// An idle flush falling on the first row, the last row or the middle of a
+/// pulled batch — with and without a watermark, on either backend — leaves
+/// the reports, every checkpoint file and `last_flush_ms` exactly as a
+/// one-record-per-step session writes them.
+#[test]
+fn idle_flush_cuts_match_one_record_per_step() {
+    let dir = TempDir::new("flush-cuts");
+    let recs = ticking_workload();
+    let builder = DetectorBuilder::new(ScanDetectorConfig {
+        min_dsts: 3,
+        timeout_ms: 5_000,
+        ..Default::default()
+    })
+    .levels(&[AggLevel::L128, AggLevel::L64]);
+    const PULL: usize = 8;
+    let mut rows_cut = std::collections::BTreeSet::new();
+
+    for flush_every in [7_000u64, 8_000] {
+        // Where the rule puts the flushes at watermark 0: row i % PULL of
+        // its batch (checkpoints every 24 records keep pulls aligned).
+        let mut last = 0;
+        for (i, r) in recs.iter().enumerate() {
+            if r.ts_ms - last >= flush_every {
+                rows_cut.insert(i % PULL);
+                last = r.ts_ms;
+            }
+        }
+        for watermark_ms in [0u64, 3_000] {
+            for backend in [
+                Backend::Sequential,
+                Backend::Sharded(ShardPlan::with_shards(2)),
+            ] {
+                let run = |batch: usize| {
+                    let path = dir.path(&format!("{flush_every}-{watermark_ms}-{batch}.l6ck"));
+                    std::fs::remove_file(&path).ok();
+                    let config = SessionConfig {
+                        watermark_ms,
+                        checkpoint: Some(CheckpointPolicy {
+                            path,
+                            every_records: 24,
+                            stop_after: None,
+                        }),
+                        flush_idle_every_ms: flush_every,
+                        batch,
+                        ..Default::default()
+                    };
+                    let mut src = MaterializedSource::new(recs.clone());
+                    run_keeping_checkpoints(
+                        Session::new(builder.clone(), backend, config),
+                        &mut src,
+                    )
+                };
+                let (expect, expect_files) = run(1);
+                assert_eq!(expect_files.len(), 4);
+                for batch in [PULL, 5, 4096] {
+                    let what = format!(
+                        "flush every {flush_every}, watermark {watermark_ms}, {backend:?}, batch {batch}"
+                    );
+                    let (rep, files) = run(batch);
+                    assert_eq!(
+                        session_report_json(&rep),
+                        session_report_json(&expect),
+                        "{what}"
+                    );
+                    assert_eq!(files, expect_files, "{what}: checkpoint bytes");
+                }
+                let ck = Checkpoint::load(
+                    &dir.path(&format!("{flush_every}-{watermark_ms}-{PULL}.l6ck")),
+                )
+                .unwrap();
+                assert!(ck.last_flush_ms > 0, "no flush reached a checkpoint");
+            }
+        }
+    }
+    assert!(
+        rows_cut.contains(&0),
+        "no flush on a first row: {rows_cut:?}"
+    );
+    assert!(
+        rows_cut.contains(&(PULL - 1)),
+        "no flush on a last row: {rows_cut:?}"
+    );
+    assert!(
+        rows_cut.iter().any(|r| (1..PULL - 1).contains(r)),
+        "{rows_cut:?}"
+    );
+}
+
+/// A source that hands over one to three records per call, whatever was
+/// asked for — a tailed file between writes, a slow socket.
+struct ShortFill {
+    inner: MaterializedSource,
+    calls: usize,
+}
+
+impl Source for ShortFill {
+    fn fill(&mut self, out: &mut RecordBatch, max: usize) -> Result<usize, CodecError> {
+        self.calls += 1;
+        self.inner.fill(out, max.min(1 + self.calls % 3))
+    }
+    fn position(&self) -> TracePosition {
+        self.inner.position()
+    }
+    fn resume(&mut self, at: TracePosition) -> Result<(), CodecError> {
+        self.inner.resume(at)
+    }
+}
+
+#[test]
+fn short_filling_source_matches_full_filling() {
+    let dir = TempDir::new("short-fill");
+    let recs = workload();
+    for (name, builder, backend) in builders() {
+        let run = |tag: &str, src: &mut dyn Source| {
+            let config = SessionConfig {
+                watermark_ms: 2_000,
+                checkpoint: Some(CheckpointPolicy {
+                    path: dir.path(&format!("{name}-{tag}.l6ck")),
+                    every_records: 100,
+                    stop_after: None,
+                }),
+                flush_idle_every_ms: 60_000,
+                ..Default::default()
+            };
+            run_keeping_checkpoints(Session::new(builder.clone(), backend, config), src)
+        };
+        let (full, full_files) = run("full", &mut MaterializedSource::new(recs.clone()));
+        let mut short = ShortFill {
+            inner: MaterializedSource::new(recs.clone()),
+            calls: 0,
+        };
+        let (rep, files) = run("short", &mut short);
+        assert!(short.calls > recs.len() / 3, "{name}: fills were not short");
+        assert_eq!(
+            session_report_json(&rep),
+            session_report_json(&full),
+            "{name}"
+        );
+        assert_eq!(files, full_files, "{name}: checkpoint bytes");
+    }
+}
+
+/// `report_now` while the reorder heap still holds records: the published
+/// report covers them (it equals the reference over everything pulled so
+/// far), and the session goes on to the same final report.
+#[test]
+fn report_now_covers_the_reorder_heap() {
+    let recs = workload();
+    let config = SessionConfig {
+        // Wider than the 200 records pulled below span: nothing is released.
+        watermark_ms: 3_600_000,
+        batch: 50,
+        ..Default::default()
+    };
+    let builder = DetectorBuilder::new(base_config());
+    let mut src = MaterializedSource::new(recs.clone());
+    let outcome = Session::new(builder.clone(), Backend::Sequential, config.clone())
+        .run_source(&mut src)
+        .unwrap();
+    let SessionOutcome::Finished(expect) = outcome else {
+        panic!("reference must finish");
+    };
+
+    let mut session = Session::new(builder, Backend::Sequential, config);
+    let mut src = MaterializedSource::new(recs.clone());
+    for _ in 0..4 {
+        session.step(&mut src).unwrap();
+    }
+    let pulled = &recs[..200];
+    assert!(
+        pulled[199].ts_ms < 3_600_000,
+        "the heap must still hold every record"
+    );
+    let published = session.report_now().unwrap();
+    assert_eq!(published.records, 200);
+    assert_eq!(
+        published.reports[&AggLevel::L64],
+        detect(pulled, base_config()),
+        "published report misses the reorder heap"
+    );
+    assert!(published.reports[&AggLevel::L64].scans() > 0);
+    let rep = step_to_finish(&mut session, &mut src);
+    assert_eq!(session_report_json(&rep), session_report_json(&expect));
+}
+
+/// A trace-supplied timestamp at `u64::MAX` must neither wrap the idle-flush
+/// trigger nor stop the run.
+#[test]
+fn timestamp_at_u64_max_finishes_with_a_report() {
+    for n in [2usize, 3] {
+        for watermark_ms in [0u64, 60_000] {
+            let mut recs = vec![rec_at(0, 1)];
+            recs.resize(n, rec_at(u64::MAX, 2));
+            let config = SessionConfig {
+                watermark_ms,
+                flush_idle_every_ms: 3_600_000,
+                batch: 1,
+                ..Default::default()
+            };
+            let mut src = MaterializedSource::new(recs);
+            let outcome = Session::new(
+                DetectorBuilder::new(base_config()),
+                Backend::Sequential,
+                config,
+            )
+            .run_source(&mut src)
+            .unwrap();
+            let SessionOutcome::Finished(rep) = outcome else {
+                panic!("must finish");
+            };
+            assert_eq!(rep.records, n as u64);
+            assert_eq!(rep.late_dropped, 0);
+        }
+    }
 }

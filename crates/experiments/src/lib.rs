@@ -15,8 +15,9 @@ pub mod ext;
 pub mod mawi_exp;
 
 use lumen6_detect::{
-    AggLevel, ArtifactFilter, ArtifactFilterConfig, DetectorBuilder, FilterReport,
+    observe_slice, AggLevel, ArtifactFilter, ArtifactFilterConfig, DetectorBuilder, FilterReport,
     ScanDetectorConfig, ScanReport, Session, SessionConfig, SessionError, SessionOutcome,
+    DEFAULT_SESSION_BATCH,
 };
 use lumen6_mawi::{MawiConfig, MawiWorld};
 use lumen6_scanners::{scale_intensity, FleetConfig, World};
@@ -39,9 +40,7 @@ fn run_mode(
     base: ScanDetectorConfig,
 ) -> BTreeMap<AggLevel, ScanReport> {
     let mut det = DetectorBuilder::new(base).levels(levels).build(mode);
-    for r in records {
-        det.observe(r);
-    }
+    observe_slice(det.as_mut(), records, DEFAULT_SESSION_BATCH);
     det.finish()
 }
 

@@ -65,7 +65,7 @@ pub struct RunConfig {
     pub sequential: bool,
     /// Reorder-buffer watermark, seconds; 0 = sorted input.
     pub watermark_secs: u64,
-    /// Records staged per columnar detector batch.
+    /// Records pulled from the source per session step.
     pub batch: usize,
     /// Abort on recoverable decode errors instead of quarantine-and-skip.
     pub strict: bool,
@@ -173,8 +173,22 @@ impl RunConfig {
     }
 
     /// Checks cross-field consistency: exactly one ingest source, positive
-    /// finite intensity, `stop_after` only with a checkpoint path.
+    /// finite intensity, `stop_after` only with a checkpoint path, and
+    /// every seconds value representable in the milliseconds the detector
+    /// and session count in.
     pub fn validate(&self) -> Result<(), String> {
+        for (key, secs) in [
+            ("timeout_secs", self.timeout_secs),
+            ("watermark_secs", self.watermark_secs),
+            ("flush_idle_secs", self.flush_idle_secs),
+        ] {
+            if secs.checked_mul(1000).is_none() {
+                return Err(format!(
+                    "{key} = {secs} does not fit in milliseconds (at most {})",
+                    u64::MAX / 1000
+                ));
+            }
+        }
         let sources = usize::from(self.trace.is_some())
             + usize::from(self.tail.is_some())
             + usize::from(self.fused);
@@ -199,12 +213,13 @@ impl RunConfig {
         Ok(())
     }
 
-    /// The detector-layer configuration.
+    /// The detector-layer configuration. Seconds become milliseconds,
+    /// saturating: [`validate`](Self::validate) rejects a value that would.
     pub fn detector_config(&self) -> ScanDetectorConfig {
         ScanDetectorConfig {
             agg: lumen6_detect::AggLevel::new(self.agg),
             min_dsts: self.min_dsts,
-            timeout_ms: self.timeout_secs * 1000,
+            timeout_ms: self.timeout_secs.saturating_mul(1000),
             sketch: self.sketch_precision.map(|precision| SketchConfig {
                 spill_threshold: 4_096,
                 precision,
@@ -228,13 +243,13 @@ impl RunConfig {
     /// The session-layer configuration.
     pub fn session_config(&self) -> SessionConfig {
         SessionConfig {
-            watermark_ms: self.watermark_secs * 1000,
+            watermark_ms: self.watermark_secs.saturating_mul(1000),
             checkpoint: self.checkpoint.as_ref().map(|path| CheckpointPolicy {
                 path: path.into(),
                 every_records: self.checkpoint_every,
                 stop_after: self.stop_after,
             }),
-            flush_idle_every_ms: self.flush_idle_secs * 1000,
+            flush_idle_every_ms: self.flush_idle_secs.saturating_mul(1000),
             strict: self.strict,
             batch: self.batch,
         }
@@ -492,6 +507,29 @@ mod tests {
         assert_eq!(p.path, std::path::PathBuf::from("/tmp/x.l6ck"));
         assert_eq!(p.every_records, 7);
         assert_eq!(p.stop_after, None);
+    }
+
+    #[test]
+    fn seconds_that_overflow_milliseconds_are_rejected_by_key() {
+        for key in ["timeout_secs", "watermark_secs", "flush_idle_secs"] {
+            let text = format!("trace = \"t.l6tr\"\n{key} = {}\n", u64::MAX);
+            let cfg = RunConfig::from_toml_str(&text).unwrap();
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains(key), "{key}: {err}");
+            // The conversions themselves never wrap or panic.
+            let _ = (cfg.detector_config(), cfg.session_config());
+
+            // The largest value that fits is accepted.
+            let fits = format!("trace = \"t.l6tr\"\n{key} = {}\n", u64::MAX / 1000);
+            assert!(RunConfig::from_toml_str(&fits).unwrap().validate().is_ok());
+            // Under `serve` the rejection names the tenant too.
+            let manifest = format!("spool = \"s\"\n[tenants.bad]\n{text}");
+            let err = ServeConfig::from_toml_str(&manifest)
+                .unwrap()
+                .validate()
+                .unwrap_err();
+            assert!(err.contains("bad") && err.contains(key), "{err}");
+        }
     }
 
     #[test]

@@ -1,0 +1,66 @@
+//! Tier-1 check of the one ingest route: a `Session` that hands the source's
+//! batches to the detector — as filled, through the reorder buffer, cut by
+//! idle flushes, on either backend — reports exactly what the per-record
+//! reference `detector::detect` reports, level by level, on fleet traffic.
+
+use lumen6::detect::detector::detect;
+use lumen6::detect::prelude::*;
+use lumen6::detect::ArtifactFilter;
+use lumen6::scanners::{FleetConfig, World};
+
+#[test]
+fn session_reports_equal_the_per_record_reference_at_paper_levels() {
+    let world = World::build(FleetConfig {
+        end_day: 7,
+        ..FleetConfig::small()
+    });
+    let (clean, _) = ArtifactFilter::default().filter(&world.cdn_trace());
+    assert!(clean.len() > 10_000, "trace too small to be meaningful");
+    let base = ScanDetectorConfig {
+        min_dsts: 50,
+        ..Default::default()
+    };
+    let reference: Vec<_> = AggLevel::PAPER_LEVELS
+        .iter()
+        .map(|&agg| {
+            let report = detect(
+                &clean,
+                ScanDetectorConfig {
+                    agg,
+                    ..base.clone()
+                },
+            );
+            assert!(report.scans() > 0, "{agg}: nothing to compare");
+            (agg, report)
+        })
+        .collect();
+
+    let builder = DetectorBuilder::new(base).levels(&AggLevel::PAPER_LEVELS);
+    for backend in [
+        Backend::Sequential,
+        Backend::Sharded(ShardPlan::with_shards(2)),
+    ] {
+        for watermark_ms in [0, 60_000] {
+            for flush_idle_every_ms in [0, 3_600_000] {
+                let config = SessionConfig {
+                    watermark_ms,
+                    flush_idle_every_ms,
+                    ..Default::default()
+                };
+                let what = format!("{backend:?}, {config:?}");
+                let mut src = MaterializedSource::new(clean.clone());
+                let outcome = Session::new(builder.clone(), backend, config)
+                    .run_source(&mut src)
+                    .unwrap();
+                let SessionOutcome::Finished(rep) = outcome else {
+                    panic!("{what}: stopped without a checkpoint policy");
+                };
+                assert_eq!(rep.records, clean.len() as u64, "{what}");
+                assert_eq!(rep.late_dropped, 0, "{what}");
+                for (agg, expect) in &reference {
+                    assert_eq!(&rep.reports[agg], expect, "{what}: level {agg}");
+                }
+            }
+        }
+    }
+}

@@ -74,11 +74,9 @@ fn multi_level_single_pass_matches_per_level_passes_on_fleet_traffic() {
     let trace = world.cdn_trace();
     let (clean, _) = ArtifactFilter::default().filter(&trace);
 
-    let multi = lumen6::detect::multi::detect_multi(
-        &clean,
-        &AggLevel::PAPER_LEVELS,
-        ScanDetectorConfig::default(),
-    );
+    let mut det = lumen6::detect::multi::MultiLevelDetector::paper();
+    lumen6::detect::observe_slice(&mut det, &clean, 4096);
+    let multi = det.finish();
     for lvl in AggLevel::PAPER_LEVELS {
         let single = detect(&clean, ScanDetectorConfig::paper(lvl));
         assert_eq!(multi[&lvl].scans(), single.scans(), "{lvl}");
