@@ -1,18 +1,16 @@
 //! Detection-pipeline benchmarks: Table 1 (per-level detection), the §2.2
 //! sensitivity sweep, the artifact prefilter, the MAWI detector, and the
-//! sharded-parallel / streaming-decode comparisons (machine-readable
-//! results land in `BENCH_detection.json` at the workspace root).
+//! sharded-parallel comparison (machine-readable results land in
+//! `BENCH_detection.json` at the workspace root).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lumen6_bench::{detect_levels, CdnFixture, MawiFixture, BATCH};
-use lumen6_detect::multi::MultiLevelDetector;
 use lumen6_detect::parallel::ShardPlan;
 use lumen6_detect::{
     detector::detect, AggLevel, ArtifactFilter, Backend, MawiConfig as FhConfig, MawiDetector,
     ScanDetectorConfig,
 };
-use lumen6_trace::codec::{decode, decode_chunks, encode};
-use lumen6_trace::RecordBatch;
+use lumen6_trace::codec::encode;
 use std::time::Instant;
 
 /// Shard counts the tentpole comparison sweeps.
@@ -118,36 +116,6 @@ fn sharded_vs_sequential(c: &mut Criterion) {
     g.finish();
 }
 
-/// Streaming chunked decode into a reused [`RecordBatch`] vs materializing
-/// the whole trace up front, both feeding the same batched sequential
-/// detector — the two sides differ only in decode strategy.
-fn streaming_vs_materialized(c: &mut Criterion) {
-    let fx = CdnFixture::new();
-    let bytes = encode(&fx.filtered).expect("encode fixture trace");
-    let mut g = c.benchmark_group("streaming_vs_materialized");
-    g.throughput(Throughput::Bytes(bytes.len() as u64));
-    g.sample_size(10);
-    g.bench_function("materialized", |b| {
-        b.iter(|| {
-            let records = decode(black_box(&bytes)).expect("decode");
-            detect_levels(Backend::Sequential, &records)
-        });
-    });
-    g.bench_function("streaming", |b| {
-        b.iter(|| {
-            let mut chunks = decode_chunks(black_box(&bytes[..]), BATCH).expect("header");
-            let mut det = MultiLevelDetector::paper();
-            let mut batch = RecordBatch::with_capacity(BATCH);
-            while let Some(res) = chunks.next_batch(&mut batch) {
-                res.expect("chunk");
-                det.observe_batch(&batch);
-            }
-            det.finish()
-        });
-    });
-    g.finish();
-}
-
 /// Median wall-clock seconds over `n` runs of `f`.
 fn median_secs(n: usize, mut f: impl FnMut()) -> f64 {
     let mut samples: Vec<f64> = (0..n.max(1))
@@ -162,9 +130,9 @@ fn median_secs(n: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// Writes `BENCH_detection.json` at the workspace root: throughput of the
-/// sequential and sharded pipelines, the streaming-vs-materialized decode
-/// comparison, and the measured host core count (shard speedups are bounded
-/// by it — a single-core host shows parity, not gains). `bench_guard`
+/// sequential and sharded pipelines and the measured host core count (shard
+/// speedups are bounded by it — a single-core host shows parity, not gains).
+/// `bench_guard`
 /// compares a fresh measurement against this committed baseline.
 fn emit_bench_json(_c: &mut Criterion) {
     let fx = CdnFixture::new();
@@ -184,20 +152,6 @@ fn emit_bench_json(_c: &mut Criterion) {
         });
         sharded.push((shards, secs));
     }
-    let materialized_s = median_secs(RUNS, || {
-        let recs = decode(&bytes).expect("decode");
-        black_box(detect_levels(Backend::Sequential, &recs));
-    });
-    let streaming_s = median_secs(RUNS, || {
-        let mut chunks = decode_chunks(&bytes[..], BATCH).expect("header");
-        let mut det = MultiLevelDetector::paper();
-        let mut batch = RecordBatch::with_capacity(BATCH);
-        while let Some(res) = chunks.next_batch(&mut batch) {
-            res.expect("chunk");
-            det.observe_batch(&batch);
-        }
-        black_box(det.finish());
-    });
 
     let sharded_json: Vec<String> = sharded
         .iter()
@@ -210,11 +164,10 @@ fn emit_bench_json(_c: &mut Criterion) {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"detection\",\n  \"host_cores\": {cores},\n  \"records\": {records},\n  \"trace_bytes\": {},\n  \"levels\": [\"/128\", \"/64\", \"/48\"],\n  \"batch\": {BATCH},\n  \"sequential\": {{\"seconds\": {sequential_s:.6}, \"records_per_s\": {:.0}}},\n  \"sharded\": [\n{}\n  ],\n  \"streaming_vs_materialized\": {{\n    \"materialized_seconds\": {materialized_s:.6},\n    \"streaming_seconds\": {streaming_s:.6},\n    \"mib_per_s_streaming\": {:.3}\n  }},\n  \"note\": \"sequential is the batched columnar path the pipeline runs; sharded routes columnar sub-batches (kernel route_column + column scatter) to shard workers; speedup is bounded by host_cores — on a single-core host expect parity with sequential, not gains\"\n}}\n",
+        "{{\n  \"bench\": \"detection\",\n  \"host_cores\": {cores},\n  \"records\": {records},\n  \"trace_bytes\": {},\n  \"levels\": [\"/128\", \"/64\", \"/48\"],\n  \"batch\": {BATCH},\n  \"sequential\": {{\"seconds\": {sequential_s:.6}, \"records_per_s\": {:.0}}},\n  \"sharded\": [\n{}\n  ],\n  \"note\": \"sequential is the batched columnar path the pipeline runs; sharded routes columnar sub-batches (kernel route_column + column scatter) to shard workers; speedup is bounded by host_cores — on a single-core host expect parity with sequential, not gains\"\n}}\n",
         bytes.len(),
         records as f64 / sequential_s,
         sharded_json.join(",\n"),
-        bytes.len() as f64 / streaming_s / (1u64 << 20) as f64,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_detection.json");
     match std::fs::write(path, &json) {
@@ -236,7 +189,6 @@ criterion_group! {
     a1_prefilter,
     mawi_detection,
     sharded_vs_sequential,
-    streaming_vs_materialized,
     emit_bench_json
 }
 criterion_main!(benches);

@@ -6,10 +6,6 @@
 //!
 //! - sequential (batched) throughput regressed more than the tolerance
 //!   (default 10%, override with `BENCH_GUARD_TOLERANCE=0.25`),
-//! - streaming chunked decode is slower than materialize-then-detect by
-//!   more than the parity tolerance (default 10%, override with
-//!   `BENCH_GUARD_STREAM_TOLERANCE`) — both sides feed the same batched
-//!   detector, so the comparison isolates decode strategy, or
 //! - the batch-routed sharded pipeline at 4 shards fails to reach the
 //!   required speedup over sequential (default 1.5x, override with
 //!   `BENCH_GUARD_SHARDED_SPEEDUP`). This gate only runs on multi-core
@@ -26,13 +22,10 @@
 //! build measures debug-build throughput, which is meaningless against a
 //! release baseline.
 
-use lumen6_bench::{detect_levels, CdnFixture, BATCH};
-use lumen6_detect::multi::MultiLevelDetector;
+use lumen6_bench::{detect_levels, CdnFixture};
 use lumen6_detect::parallel::ShardPlan;
 use lumen6_detect::{Backend, SessionOutcome};
 use lumen6_serve::{Daemon, RunConfig, ServeConfig, TenantSpec};
-use lumen6_trace::codec::{decode, decode_chunks, encode};
-use lumen6_trace::RecordBatch;
 use serde::value::Value;
 use std::time::Instant;
 
@@ -82,30 +75,14 @@ fn main() {
         .and_then(as_f64)
         .expect("baseline sequential.records_per_s");
     let tolerance = env_f64("BENCH_GUARD_TOLERANCE", 0.10);
-    let stream_tolerance = env_f64("BENCH_GUARD_STREAM_TOLERANCE", 0.10);
     let min_sharded_speedup = env_f64("BENCH_GUARD_SHARDED_SPEEDUP", 1.5);
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 
     let fx = CdnFixture::new();
     let records = fx.filtered.len() as f64;
-    let bytes = encode(&fx.filtered).expect("encode fixture trace");
 
     let sequential_s = median_secs(|| {
         std::hint::black_box(detect_levels(Backend::Sequential, &fx.filtered));
-    });
-    let materialized_s = median_secs(|| {
-        let recs = decode(&bytes).expect("decode");
-        std::hint::black_box(detect_levels(Backend::Sequential, &recs));
-    });
-    let streaming_s = median_secs(|| {
-        let mut chunks = decode_chunks(&bytes[..], BATCH).expect("header");
-        let mut det = MultiLevelDetector::paper();
-        let mut batch = RecordBatch::with_capacity(BATCH);
-        while let Some(res) = chunks.next_batch(&mut batch) {
-            res.expect("chunk");
-            det.observe_batch(&batch);
-        }
-        std::hint::black_box(det.finish());
     });
 
     // Serve gate: the same fused run, once raw and once as the daemon's
@@ -178,17 +155,10 @@ fn main() {
     });
 
     let current_rps = records / sequential_s;
-    let stream_ratio = streaming_s / materialized_s - 1.0;
     println!(
         "bench_guard: sequential {current_rps:.0} rec/s (baseline {baseline_rps:.0}, \
          tolerance {:.0}%)",
         tolerance * 100.0
-    );
-    println!(
-        "bench_guard: streaming decode {streaming_s:.6}s vs materialized \
-         {materialized_s:.6}s, {:+.1}% (limit {:.0}%)",
-        stream_ratio * 100.0,
-        stream_tolerance * 100.0
     );
 
     let serve_overhead = serve_s / raw_s - 1.0;
@@ -207,15 +177,6 @@ fn main() {
             "bench_guard: FAIL — sequential throughput regressed {:.1}% (allowed {:.1}%)",
             (1.0 - current_rps / baseline_rps) * 100.0,
             tolerance * 100.0
-        );
-        failed = true;
-    }
-    if stream_ratio > stream_tolerance {
-        eprintln!(
-            "bench_guard: FAIL — streaming decode {:.1}% slower than materialized \
-             (allowed {:.1}%)",
-            stream_ratio * 100.0,
-            stream_tolerance * 100.0
         );
         failed = true;
     }

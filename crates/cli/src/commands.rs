@@ -21,7 +21,7 @@ use lumen6_detect::{
 use lumen6_report::{duration_human, pkt_count, Table};
 use lumen6_scanners::{FleetConfig, World};
 use lumen6_serve::{Daemon, RunConfig, ServeConfig, ServeError};
-use lumen6_trace::{PacketRecord, TraceReader, TraceWriter};
+use lumen6_trace::{PacketRecord, StreamingTraceReader, TraceWriter};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write as _};
 
@@ -141,8 +141,7 @@ fn load_trace(args: &Args) -> Result<Vec<PacketRecord>, CliError> {
 }
 
 fn load_trace_file(path: &str) -> Result<Vec<PacketRecord>, CliError> {
-    let reader = TraceReader::from_reader(BufReader::new(File::open(path)?))?;
-    let records: Result<Vec<_>, _> = reader.collect();
+    let records: Result<Vec<_>, _> = StreamingTraceReader::new(File::open(path)?)?.collect();
     Ok(records?)
 }
 

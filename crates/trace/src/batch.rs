@@ -1,13 +1,14 @@
 //! Reusable struct-of-arrays record batches for the columnar ingest path.
 //!
-//! [`decode_chunks`](crate::codec::decode_chunks) materializes a fresh
-//! `Vec<PacketRecord>` per chunk; at telescope ingest rates that is one
-//! 56-byte-per-record allocation churned per chunk, and the array-of-structs
+//! A `Vec<PacketRecord>` per chunk is one 56-byte-per-record allocation
+//! churned per chunk at telescope ingest rates, and the array-of-structs
 //! layout wastes cache on stages that touch only a column or two (the
 //! detector's grouping pass reads sources; the reorder buffer reads
 //! timestamps). A [`RecordBatch`] holds the same records as seven parallel
 //! column vectors and is designed to be **reused**: `clear()` keeps the
-//! capacity, so a steady-state decode loop allocates nothing.
+//! capacity, so a steady-state decode loop
+//! ([`StreamingTraceReader::fill`](crate::codec::StreamingTraceReader::fill))
+//! allocates nothing.
 //!
 //! The columns are kept private behind push/get accessors to preserve the
 //! equal-length invariant; read-only column slices are exposed for stages

@@ -18,11 +18,13 @@
 //! Timestamps must be non-decreasing (delta encoding); the writer enforces
 //! this. Varints are LEB128 (7 bits per byte). The format is intentionally
 //! simple: a 439-day scaled trace (a few million records) encodes in tens of
-//! MB and reads back at memory bandwidth.
+//! MB. Decode is windowed and bounded: [`StreamingTraceReader`] holds one
+//! 64 KiB refill window whatever the size of the file, and
+//! `decode_record_at` is the only code that turns bytes into a record.
 
 use crate::batch::RecordBatch;
 use crate::record::{PacketRecord, Transport};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use lumen6_obs::MetricsRegistry;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -88,6 +90,8 @@ pub enum CodecError {
     Truncated,
     /// A varint exceeded 64 bits.
     VarintOverflow,
+    /// A timestamp delta carried the running timestamp past `u64::MAX`.
+    TimestampOverflow,
     /// A varint-decoded port or length exceeded its field width.
     FieldOverflow(&'static str, u64),
     /// Underlying I/O error.
@@ -101,6 +105,7 @@ impl fmt::Display for CodecError {
             CodecError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
             CodecError::Truncated => write!(f, "trace stream truncated mid-record"),
             CodecError::VarintOverflow => write!(f, "varint exceeds 64 bits"),
+            CodecError::TimestampOverflow => write!(f, "timestamp delta overflows 64 bits"),
             CodecError::FieldOverflow(name, v) => write!(f, "field {name} out of range: {v}"),
             CodecError::Io(e) => write!(f, "I/O error: {e}"),
         }
@@ -116,6 +121,7 @@ impl CodecError {
             CodecError::BadVersion(_) => "bad_version",
             CodecError::Truncated => "truncated",
             CodecError::VarintOverflow => "varint_overflow",
+            CodecError::TimestampOverflow => "timestamp_overflow",
             CodecError::FieldOverflow(..) => "field_overflow",
             CodecError::Io(_) => "io",
         }
@@ -125,7 +131,8 @@ impl CodecError {
     /// [`CodecError::FieldOverflow`] is record-local: every field of the
     /// offending record was consumed before validation failed, so the next
     /// record starts at a known offset. Framing errors (truncation, varint
-    /// overflow, I/O) leave the stream position unknowable.
+    /// overflow, I/O) leave the stream position unknowable, and a timestamp
+    /// overflow loses the base every later delta is decoded against.
     pub fn is_recoverable(&self) -> bool {
         matches!(self, CodecError::FieldOverflow(..))
     }
@@ -155,25 +162,6 @@ fn put_varint(buf: &mut BytesMut, mut v: u64) {
             return;
         }
         buf.put_u8(byte | 0x80);
-    }
-}
-
-fn get_varint(buf: &mut Bytes) -> Result<u64, CodecError> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        if !buf.has_remaining() {
-            return Err(CodecError::Truncated);
-        }
-        let byte = buf.get_u8();
-        if shift >= 64 || (shift == 63 && byte > 1) {
-            return Err(CodecError::VarintOverflow);
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
     }
 }
 
@@ -247,128 +235,32 @@ pub fn encode(records: &[PacketRecord]) -> Result<Vec<u8>, CodecError> {
     w.finish()
 }
 
-/// Streaming reader: an iterator of `Result<PacketRecord, CodecError>`.
-///
-/// Reads the whole source eagerly into memory (traces are modest) then
-/// decodes incrementally; decode errors surface on the failing record.
-#[derive(Debug)]
-pub struct TraceReader {
-    buf: Bytes,
-    prev_ts: u64,
-    failed: bool,
-    stats: DecodeStats,
-}
-
-impl TraceReader {
-    /// Creates a reader over an in-memory buffer, validating the header.
-    pub fn from_bytes(data: impl Into<Bytes>) -> Result<Self, CodecError> {
-        let mut buf: Bytes = data.into();
-        let total_bytes = buf.remaining() as u64;
-        if buf.remaining() < 5 {
-            let e = CodecError::Truncated;
-            note_decode_error(&e);
-            return Err(e);
-        }
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            let e = CodecError::BadMagic(magic);
-            note_decode_error(&e);
-            return Err(e);
-        }
-        let version = buf.get_u8();
-        if version != VERSION {
-            let e = CodecError::BadVersion(version);
-            note_decode_error(&e);
-            return Err(e);
-        }
-        Ok(TraceReader {
-            buf,
-            prev_ts: 0,
-            failed: false,
-            stats: DecodeStats {
-                bytes: total_bytes,
-                ..DecodeStats::default()
-            },
-        })
-    }
-
-    /// Creates a reader from any `Read` source (e.g. a file).
-    pub fn from_reader<R: Read>(mut src: R) -> Result<Self, CodecError> {
-        let mut data = Vec::new();
-        src.read_to_end(&mut data)?;
-        Self::from_bytes(data)
-    }
-
-    fn next_record(&mut self) -> Result<Option<PacketRecord>, CodecError> {
-        if !self.buf.has_remaining() {
-            return Ok(None);
-        }
-        let delta = get_varint(&mut self.buf)?;
-        if self.buf.remaining() < 33 {
-            return Err(CodecError::Truncated);
-        }
-        let src = self.buf.get_u128();
-        let dst = self.buf.get_u128();
-        let proto = Transport::from_byte(self.buf.get_u8());
-        let sport = get_varint(&mut self.buf)?;
-        let dport = get_varint(&mut self.buf)?;
-        let len = get_varint(&mut self.buf)?;
-        if sport > u64::from(u16::MAX) {
-            return Err(CodecError::FieldOverflow("sport", sport));
-        }
-        if dport > u64::from(u16::MAX) {
-            return Err(CodecError::FieldOverflow("dport", dport));
-        }
-        if len > u64::from(u16::MAX) {
-            return Err(CodecError::FieldOverflow("len", len));
-        }
-        self.prev_ts += delta;
-        Ok(Some(PacketRecord {
-            ts_ms: self.prev_ts,
-            src,
-            dst,
-            proto,
-            sport: sport as u16,
-            dport: dport as u16,
-            len: len as u16,
-        }))
-    }
-}
-
-impl Iterator for TraceReader {
-    type Item = Result<PacketRecord, CodecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        match self.next_record() {
-            Ok(Some(r)) => {
-                self.stats.records += 1;
-                Some(Ok(r))
-            }
-            Ok(None) => None,
-            Err(e) => {
-                self.failed = true;
-                note_decode_error(&e);
-                Some(Err(e))
-            }
-        }
-    }
-}
-
 /// Decodes a whole buffer, failing on the first malformed record.
 pub fn decode(data: &[u8]) -> Result<Vec<PacketRecord>, CodecError> {
-    TraceReader::from_bytes(data.to_vec())?.collect()
+    StreamingTraceReader::new(data)?.collect()
 }
 
-/// Upper bound on one encoded record: 10-byte timestamp varint, two 16-byte
-/// addresses, protocol byte, and three ≤3-byte port/length varints.
-pub(crate) const MAX_RECORD_LEN: usize = 10 + 16 + 16 + 1 + 3 * 3;
+/// Upper bound on the bytes [`decode_record_at`] consumes for one record,
+/// well-formed or not: four varints that each end or overflow within 10
+/// bytes, two 16-byte addresses and the protocol byte. (A record the writer
+/// produced is at most 52: its port and length varints fit 3 bytes.)
+pub(crate) const MAX_RECORD_LEN: usize = 10 + 16 + 16 + 1 + 3 * 10;
 
 /// Refill granularity of the streaming reader.
 const STREAM_BUF_LEN: usize = 64 * 1024;
+
+/// Validates the stream header: magic, then version.
+pub(crate) fn check_header(header: &[u8; 5]) -> Result<(), CodecError> {
+    let [m0, m1, m2, m3, version] = *header;
+    let magic = [m0, m1, m2, m3];
+    if &magic != MAGIC {
+        return Err(CodecError::BadMagic(magic));
+    }
+    if version != VERSION {
+        return Err(CodecError::BadVersion(version));
+    }
+    Ok(())
+}
 
 fn slice_varint(data: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     let mut v: u64 = 0;
@@ -400,14 +292,15 @@ fn slice_u128(data: &[u8], pos: &mut usize) -> Result<u128, CodecError> {
 }
 
 /// Decodes one record from `data` at `*pos`, delta-decoding its timestamp
-/// against `*prev_ts`. On success the cursor and the timestamp base both
-/// advance past the record. [`CodecError::FieldOverflow`] also advances
-/// them (every field of the offending record was consumed before range
-/// validation failed), so permissive callers can skip the record and stay
-/// aligned — the same contract [`StreamingTraceReader`] relies on. Framing
-/// errors (`Truncated`, `VarintOverflow`) leave both untouched, so a
-/// tailing caller can retry the same boundary once more bytes arrive.
-pub(crate) fn decode_record_at(
+/// against `*prev_ts` — the only code that parses a record. On success the
+/// cursor and the timestamp base both advance past the record.
+/// [`CodecError::FieldOverflow`] also advances them (every field of the
+/// offending record was consumed before range validation failed), so
+/// permissive callers can skip the record and stay aligned. Framing errors
+/// (`Truncated`, `VarintOverflow`, `TimestampOverflow`) leave both
+/// untouched, so a caller whose window merely ran out can retry the same
+/// boundary once more bytes arrive.
+fn decode_record_at(
     data: &[u8],
     pos: &mut usize,
     prev_ts: &mut u64,
@@ -421,8 +314,11 @@ pub(crate) fn decode_record_at(
     let sport = slice_varint(data, &mut p)?;
     let dport = slice_varint(data, &mut p)?;
     let len = slice_varint(data, &mut p)?;
+    let ts_ms = prev_ts
+        .checked_add(delta)
+        .ok_or(CodecError::TimestampOverflow)?;
     *pos = p;
-    *prev_ts += delta;
+    *prev_ts = ts_ms;
     if sport > u64::from(u16::MAX) {
         return Err(CodecError::FieldOverflow("sport", sport));
     }
@@ -433,7 +329,7 @@ pub(crate) fn decode_record_at(
         return Err(CodecError::FieldOverflow("len", len));
     }
     Ok(PacketRecord {
-        ts_ms: *prev_ts,
+        ts_ms,
         src,
         dst,
         proto,
@@ -441,6 +337,66 @@ pub(crate) fn decode_record_at(
         dport: dport as u16,
         len: len as u16,
     })
+}
+
+/// The slice-level decode loop and the state it carries from one window to
+/// the next: the delta-decode time base and the permissive-skip policy.
+/// [`StreamingTraceReader`] runs it over its refill window and `TailSource`
+/// over its re-read window; what a record cut short by the end of the
+/// window means (refill, genuine truncation, or the writer's partial tail)
+/// is for them to decide.
+#[derive(Debug)]
+pub(crate) struct WindowDecoder {
+    /// Timestamp of the last record decoded or skipped (delta-decode base).
+    pub(crate) prev_ts: u64,
+    /// Skip recoverable per-record errors instead of returning them.
+    pub(crate) permissive: bool,
+    /// Records skipped so far in permissive mode.
+    pub(crate) skipped: u64,
+    /// Counter family a skip is reported under, as `<skip_metric>.<kind>`.
+    skip_metric: &'static str,
+}
+
+impl WindowDecoder {
+    pub(crate) fn new(skip_metric: &'static str) -> Self {
+        WindowDecoder {
+            prev_ts: 0,
+            permissive: false,
+            skipped: 0,
+            skip_metric,
+        }
+    }
+
+    /// Decodes whole records from `data[*pos..]` into `sink` until `want`
+    /// are delivered, the window is used up, or a record fails; returns how
+    /// many were delivered and the failure, if any. `Err(Truncated)` means
+    /// the bytes left at `*pos` stop short of a whole record; as with every
+    /// framing error the cursor stays on that record's boundary.
+    pub(crate) fn decode_window(
+        &mut self,
+        data: &[u8],
+        pos: &mut usize,
+        want: usize,
+        mut sink: impl FnMut(PacketRecord),
+    ) -> (usize, Result<(), CodecError>) {
+        let mut n = 0;
+        while n < want && *pos < data.len() {
+            match decode_record_at(data, pos, &mut self.prev_ts) {
+                Ok(r) => {
+                    sink(r);
+                    n += 1;
+                }
+                Err(e) if self.permissive && e.is_recoverable() => {
+                    self.skipped += 1;
+                    MetricsRegistry::global()
+                        .counter(&format!("{}.{}", self.skip_metric, e.kind()))
+                        .inc();
+                }
+                Err(e) => return (n, Err(e)),
+            }
+        }
+        (n, Ok(()))
+    }
 }
 
 /// A resumable decode position inside an `L6TR` stream: the byte offset of
@@ -458,28 +414,30 @@ pub struct TracePosition {
 
 /// Streaming `L6TR` reader over any [`Read`] source in bounded memory.
 ///
-/// Unlike [`TraceReader::from_reader`], which materializes the whole file,
-/// this keeps only a refill window of [`STREAM_BUF_LEN`] bytes plus at most
-/// one partial record, so decoding a multi-gigabyte trace costs the same
-/// memory as decoding a kilobyte one. Yields
-/// `Result<PacketRecord, CodecError>` and fuses after the first error —
-/// unless [`permissive`](Self::permissive) mode is on, in which case
-/// record-local errors ([`CodecError::is_recoverable`]) are skipped and
-/// counted instead of ending the stream.
+/// Keeps only a refill window of [`STREAM_BUF_LEN`] bytes plus at most one
+/// partial record, so decoding a multi-gigabyte trace costs the same memory
+/// as decoding a kilobyte one. [`fill`](Self::fill) decodes straight into a
+/// [`RecordBatch`]; the [`Iterator`] impl yields
+/// `Result<PacketRecord, CodecError>` one record at a time. Either way the
+/// reader fuses after the first error — unless
+/// [`permissive`](Self::permissive) mode is on, in which case record-local
+/// errors ([`CodecError::is_recoverable`]) are skipped and counted instead
+/// of ending the stream.
 #[derive(Debug)]
 pub struct StreamingTraceReader<R: Read> {
     src: R,
+    /// The refill window: `buf[pos..end]` is read but not yet decoded.
     buf: Vec<u8>,
     pos: usize,
+    end: usize,
     eof: bool,
-    prev_ts: u64,
+    dec: WindowDecoder,
+    /// An error met after records of the same call were already delivered;
+    /// the next call returns it.
+    pending_err: Option<CodecError>,
     failed: bool,
     /// Total bytes pulled from `src`, header included.
     fed: u64,
-    /// Skip recoverable per-record errors instead of fusing.
-    permissive: bool,
-    /// Records skipped in permissive mode.
-    skipped: u64,
     stats: DecodeStats,
 }
 
@@ -487,19 +445,10 @@ impl<R: Read> StreamingTraceReader<R> {
     /// Validates the header and prepares for streaming decode.
     pub fn new(mut src: R) -> Result<Self, CodecError> {
         let mut header = [0u8; 5];
-        read_exactly(&mut src, &mut header).inspect_err(note_decode_error)?;
-        let magic = [header[0], header[1], header[2], header[3]];
-        if &magic != MAGIC {
-            let e = CodecError::BadMagic(magic);
-            note_decode_error(&e);
-            return Err(e);
-        }
-        if header[4] != VERSION {
-            let e = CodecError::BadVersion(header[4]);
-            note_decode_error(&e);
-            return Err(e);
-        }
-        Ok(Self::raw(src, header.len() as u64, 0))
+        read_exactly(&mut src, &mut header)
+            .and_then(|()| check_header(&header))
+            .inspect_err(note_decode_error)?;
+        Ok(Self::raw(src, 5, 0))
     }
 
     /// Resumes decoding mid-stream at a [`TracePosition`] previously taken
@@ -518,14 +467,17 @@ impl<R: Read> StreamingTraceReader<R> {
     fn raw(src: R, fed: u64, prev_ts: u64) -> Self {
         StreamingTraceReader {
             src,
-            buf: Vec::with_capacity(STREAM_BUF_LEN + MAX_RECORD_LEN),
+            buf: vec![0; STREAM_BUF_LEN + MAX_RECORD_LEN],
             pos: 0,
+            end: 0,
             eof: false,
-            prev_ts,
+            dec: WindowDecoder {
+                prev_ts,
+                ..WindowDecoder::new("trace.codec.skipped")
+            },
+            pending_err: None,
             failed: false,
             fed,
-            permissive: false,
-            skipped: 0,
             stats: DecodeStats {
                 bytes: fed,
                 ..DecodeStats::default()
@@ -536,15 +488,15 @@ impl<R: Read> StreamingTraceReader<R> {
     /// Enables or disables permissive mode: recoverable per-record errors
     /// (field overflows) are skipped — counted in [`skipped`](Self::skipped)
     /// and under `trace.codec.skipped.<kind>` — instead of fusing the
-    /// iterator. Framing errors still end the stream.
+    /// reader. Framing errors still end the stream.
     pub fn permissive(mut self, yes: bool) -> Self {
-        self.permissive = yes;
+        self.dec.permissive = yes;
         self
     }
 
     /// Records skipped so far in permissive mode.
     pub fn skipped(&self) -> u64 {
-        self.skipped
+        self.dec.skipped
     }
 
     /// The current decode position: byte offset of the next un-decoded
@@ -553,86 +505,84 @@ impl<R: Read> StreamingTraceReader<R> {
     /// same stream.
     pub fn position(&self) -> TracePosition {
         TracePosition {
-            offset: self.fed - (self.buf.len() - self.pos) as u64,
-            prev_ts: self.prev_ts,
+            offset: self.fed - (self.end - self.pos) as u64,
+            prev_ts: self.dec.prev_ts,
         }
     }
 
-    /// Ensures a whole record's worth of bytes is buffered unless the source
-    /// is exhausted, sliding the unconsumed tail to the front first. Reads
-    /// land directly in the reused window buffer — no intermediate stack
-    /// array, no per-refill allocation.
+    /// Clears `out` and decodes up to `max` records into it; `Ok(0)` is end
+    /// of stream. Records decoded before an error are delivered first, as a
+    /// short batch; the error is returned by the next call, and every call
+    /// after that returns `Ok(0)`.
+    pub fn fill(&mut self, out: &mut RecordBatch, max: usize) -> Result<usize, CodecError> {
+        out.clear();
+        self.pull(max, |r| out.push(r))
+    }
+
+    /// Slides the undecoded tail of the window (less than one record) to
+    /// the front and reads once more from the source behind it, straight
+    /// into the window. Every call either adds bytes or finds the end of
+    /// input.
     fn refill(&mut self) -> Result<(), CodecError> {
-        let tail = self.buf.len() - self.pos;
-        self.buf.copy_within(self.pos.., 0);
-        self.buf.truncate(tail);
+        self.buf.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
         self.pos = 0;
         self.stats.refills += 1;
-        while !self.eof && self.buf.len() < MAX_RECORD_LEN {
-            let old = self.buf.len();
-            self.buf.resize(old + STREAM_BUF_LEN, 0);
-            let n = match self.src.read(&mut self.buf[old..]) {
-                Ok(n) => n,
-                Err(e) => {
-                    // Keep `position()` consistent: drop the zeroed tail
-                    // before surfacing the error.
-                    self.buf.truncate(old);
-                    return Err(e.into());
-                }
-            };
-            self.buf.truncate(old + n);
-            if n == 0 {
-                self.eof = true;
-            } else {
-                self.stats.bytes += n as u64;
-                self.fed += n as u64;
-            }
-        }
+        let n = self
+            .src
+            .read(&mut self.buf[self.end..self.end + STREAM_BUF_LEN])?;
+        self.end += n;
+        self.eof = n == 0;
+        self.stats.bytes += n as u64;
+        self.fed += n as u64;
         Ok(())
     }
 
-    fn next_record(&mut self) -> Result<Option<PacketRecord>, CodecError> {
-        if self.buf.len() - self.pos < MAX_RECORD_LEN && !self.eof {
-            self.refill()?;
+    /// Delivers up to `want` records to `sink`, refilling the window as it
+    /// empties, and carries the error protocol [`fill`](Self::fill)
+    /// documents. A record cut short by the end of the window is a reason to
+    /// refill; only at end of input is it a truncated stream.
+    fn pull(
+        &mut self,
+        want: usize,
+        mut sink: impl FnMut(PacketRecord),
+    ) -> Result<usize, CodecError> {
+        if let Some(e) = self.pending_err.take() {
+            return Err(e);
         }
-        if self.pos == self.buf.len() {
-            return Ok(None);
+        if self.failed {
+            return Ok(0);
         }
-        // At least MAX_RECORD_LEN bytes remain, or the source hit EOF: any
-        // out-of-bytes condition below is genuine truncation.
-        let data = &self.buf[..];
-        let mut pos = self.pos;
-        let delta = slice_varint(data, &mut pos)?;
-        let src = slice_u128(data, &mut pos)?;
-        let dst = slice_u128(data, &mut pos)?;
-        let proto = Transport::from_byte(*data.get(pos).ok_or(CodecError::Truncated)?);
-        pos += 1;
-        let sport = slice_varint(data, &mut pos)?;
-        let dport = slice_varint(data, &mut pos)?;
-        let len = slice_varint(data, &mut pos)?;
-        // All fields are consumed: commit the position and timestamp base
-        // before validation, so a field-overflow error leaves the reader
-        // aligned on the next record (what permissive skip relies on).
-        self.pos = pos;
-        self.prev_ts += delta;
-        if sport > u64::from(u16::MAX) {
-            return Err(CodecError::FieldOverflow("sport", sport));
+        let mut got = 0;
+        let err = loop {
+            let (n, end) =
+                self.dec
+                    .decode_window(&self.buf[..self.end], &mut self.pos, want - got, &mut sink);
+            got += n;
+            match end {
+                Ok(()) if got == want || self.eof => break None,
+                Err(e) if self.eof || !matches!(e, CodecError::Truncated) => break Some(e),
+                // The window holds no further whole record; the source may.
+                _ => {
+                    if let Err(e) = self.refill() {
+                        break Some(e);
+                    }
+                }
+            }
+        };
+        self.stats.records += got as u64;
+        match err {
+            None => Ok(got),
+            Some(e) => {
+                self.failed = true;
+                note_decode_error(&e);
+                if got == 0 {
+                    return Err(e);
+                }
+                self.pending_err = Some(e);
+                Ok(got)
+            }
         }
-        if dport > u64::from(u16::MAX) {
-            return Err(CodecError::FieldOverflow("dport", dport));
-        }
-        if len > u64::from(u16::MAX) {
-            return Err(CodecError::FieldOverflow("len", len));
-        }
-        Ok(Some(PacketRecord {
-            ts_ms: self.prev_ts,
-            src,
-            dst,
-            proto,
-            sport: sport as u16,
-            dport: dport as u16,
-            len: len as u16,
-        }))
     }
 }
 
@@ -648,153 +598,11 @@ impl<R: Read> Iterator for StreamingTraceReader<R> {
     type Item = Result<PacketRecord, CodecError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
+        let mut record = None;
+        match self.pull(1, |r| record = Some(r)) {
+            Ok(_) => record.map(Ok),
+            Err(e) => Some(Err(e)),
         }
-        loop {
-            match self.next_record() {
-                Ok(Some(r)) => {
-                    self.stats.records += 1;
-                    return Some(Ok(r));
-                }
-                Ok(None) => return None,
-                Err(e) if self.permissive && e.is_recoverable() => {
-                    self.skipped += 1;
-                    MetricsRegistry::global()
-                        .counter(&format!("trace.codec.skipped.{}", e.kind()))
-                        .inc();
-                    continue;
-                }
-                Err(e) => {
-                    self.failed = true;
-                    note_decode_error(&e);
-                    return Some(Err(e));
-                }
-            }
-        }
-    }
-}
-
-/// Streams a trace as chunks of at most `chunk_len` records, decoding from
-/// `src` incrementally so peak memory is `O(chunk_len)`, not trace size.
-///
-/// Each item is one chunk; a decode error surfaces as the final item after
-/// the records that preceded it (possibly as a partial chunk), and the
-/// iterator fuses.
-pub fn decode_chunks<R: Read>(src: R, chunk_len: usize) -> Result<TraceChunks<R>, CodecError> {
-    Ok(TraceChunks {
-        inner: StreamingTraceReader::new(src)?,
-        chunk_len: chunk_len.max(1),
-        pending_err: None,
-        done: false,
-    })
-}
-
-/// Iterator returned by [`decode_chunks`].
-#[derive(Debug)]
-pub struct TraceChunks<R: Read> {
-    inner: StreamingTraceReader<R>,
-    chunk_len: usize,
-    pending_err: Option<CodecError>,
-    done: bool,
-}
-
-impl<R: Read> TraceChunks<R> {
-    /// The decode position after the most recently yielded chunk: the byte
-    /// offset and timestamp base of the first record of the *next* chunk.
-    /// Checkpointing at a chunk boundary records this so decode can
-    /// [`resume`](StreamingTraceReader::resume) mid-file.
-    pub fn position(&self) -> TracePosition {
-        self.inner.position()
-    }
-
-    /// Permissive-mode passthrough (see
-    /// [`StreamingTraceReader::permissive`]).
-    pub fn permissive(mut self, yes: bool) -> Self {
-        self.inner = self.inner.permissive(yes);
-        self
-    }
-
-    /// Records skipped by the underlying reader in permissive mode.
-    pub fn skipped(&self) -> u64 {
-        self.inner.skipped()
-    }
-
-    /// Zero-copy variant of the chunk iterator: decodes the next chunk of
-    /// at most `chunk_len` records into `out` (cleared first), reusing its
-    /// column capacity so a steady-state decode loop allocates nothing.
-    ///
-    /// Returns `None` at clean end of stream, `Some(Ok(()))` when `out`
-    /// holds at least one record, and `Some(Err(_))` for a decode error —
-    /// with the same error placement as the allocating iterator: records
-    /// decoded before the error are yielded first as a final partial batch,
-    /// then the error, then the stream fuses.
-    pub fn next_batch(&mut self, out: &mut RecordBatch) -> Option<Result<(), CodecError>> {
-        out.clear();
-        if self.done {
-            return None;
-        }
-        if let Some(e) = self.pending_err.take() {
-            self.done = true;
-            return Some(Err(e));
-        }
-        while out.len() < self.chunk_len {
-            match self.inner.next() {
-                Some(Ok(r)) => out.push(r),
-                Some(Err(e)) => {
-                    if out.is_empty() {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
-                    self.pending_err = Some(e);
-                    return Some(Ok(()));
-                }
-                None => {
-                    self.done = true;
-                    if out.is_empty() {
-                        return None;
-                    }
-                    return Some(Ok(()));
-                }
-            }
-        }
-        Some(Ok(()))
-    }
-}
-
-impl<R: Read> Iterator for TraceChunks<R> {
-    type Item = Result<Vec<PacketRecord>, CodecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        if let Some(e) = self.pending_err.take() {
-            self.done = true;
-            return Some(Err(e));
-        }
-        let mut chunk = Vec::with_capacity(self.chunk_len);
-        while chunk.len() < self.chunk_len {
-            match self.inner.next() {
-                Some(Ok(r)) => chunk.push(r),
-                Some(Err(e)) => {
-                    if chunk.is_empty() {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
-                    self.pending_err = Some(e);
-                    return Some(Ok(chunk));
-                }
-                None => {
-                    self.done = true;
-                    if chunk.is_empty() {
-                        return None;
-                    }
-                    return Some(Ok(chunk));
-                }
-            }
-        }
-        Some(Ok(chunk))
     }
 }
 
@@ -834,14 +642,9 @@ pub(crate) mod tests_support {
             .collect();
         (out, expected)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::tests_support::bytes_with_bad_dport;
-    use super::*;
-
-    fn sample() -> Vec<PacketRecord> {
+    /// A small trace exercising every field width.
+    pub(crate) fn sample() -> Vec<PacketRecord> {
         vec![
             PacketRecord::tcp(0, 10, 20, 40000, 22, 60),
             PacketRecord::tcp(5, u128::MAX, 0, 65535, 65535, 65535),
@@ -849,6 +652,42 @@ mod tests {
             PacketRecord::icmpv6_echo(1_000_000, 3, 4, 96),
         ]
     }
+
+    /// Batch sizes the corruption corpora are decoded at.
+    pub(crate) const FILL_SIZES: [usize; 4] = [1, 2, 7, 4096];
+
+    /// The truncation corpus: [`sample`] and every proper prefix of its
+    /// encoding, indexed by cut length.
+    pub(crate) fn every_cut() -> (Vec<PacketRecord>, Vec<Vec<u8>>) {
+        let bytes = encode(&sample()).unwrap();
+        let cuts = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+        (sample(), cuts)
+    }
+
+    /// The bit-flip corpus: a twenty-record trace with each bit of each
+    /// byte flipped in turn. Returns the record count and the streams.
+    pub(crate) fn every_bit_flip() -> (usize, Vec<Vec<u8>>) {
+        let recs: Vec<PacketRecord> = (0..20u64)
+            .map(|i| PacketRecord::tcp(i * 50, 3, 0xb0 + i as u128, 1, 443, 60))
+            .collect();
+        let clean = encode(&recs).unwrap();
+        let flips = (0..clean.len() * 8)
+            .map(|i| {
+                let mut bad = clean.clone();
+                bad[i / 8] ^= 1 << (i % 8);
+                bad
+            })
+            .collect();
+        (recs.len(), flips)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::tests_support::{
+        bytes_with_bad_dport, every_bit_flip, every_cut, sample, FILL_SIZES,
+    };
+    use super::*;
 
     #[test]
     fn roundtrip() {
@@ -862,44 +701,6 @@ mod tests {
         let bytes = encode(&[]).unwrap();
         assert_eq!(bytes.len(), 5);
         assert!(decode(&bytes).unwrap().is_empty());
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let err = TraceReader::from_bytes(b"NOPE\x01".to_vec()).unwrap_err();
-        assert!(matches!(err, CodecError::BadMagic(_)));
-    }
-
-    #[test]
-    fn bad_version_rejected() {
-        let err = TraceReader::from_bytes(b"L6TR\x63".to_vec()).unwrap_err();
-        assert!(matches!(err, CodecError::BadVersion(0x63)));
-    }
-
-    #[test]
-    fn truncated_header_rejected() {
-        assert!(matches!(
-            TraceReader::from_bytes(b"L6T".to_vec()).unwrap_err(),
-            CodecError::Truncated
-        ));
-    }
-
-    #[test]
-    fn truncated_record_surfaces_error_once() {
-        let bytes = encode(&sample()).unwrap();
-        let cut = &bytes[..bytes.len() - 3];
-        let mut reader = TraceReader::from_bytes(cut.to_vec()).unwrap();
-        let mut errs = 0;
-        let mut oks = 0;
-        for item in reader.by_ref() {
-            match item {
-                Ok(_) => oks += 1,
-                Err(_) => errs += 1,
-            }
-        }
-        assert_eq!(errs, 1, "exactly one error then stop");
-        assert_eq!(oks, 3, "records before the cut decode fine");
-        assert!(reader.next().is_none(), "iterator is fused after error");
     }
 
     #[test]
@@ -926,18 +727,10 @@ mod tests {
     fn garbage_after_header_is_an_error_not_a_panic() {
         let mut bytes = b"L6TR\x01".to_vec();
         bytes.extend_from_slice(&[0xff; 7]); // endless varint + truncation
-        let reader = TraceReader::from_bytes(bytes).unwrap();
+        let reader = StreamingTraceReader::new(&bytes[..]).unwrap();
         let items: Vec<_> = reader.collect();
         assert_eq!(items.len(), 1);
         assert!(items[0].is_err());
-    }
-
-    #[test]
-    fn from_reader_reads_files() {
-        let bytes = encode(&sample()).unwrap();
-        let reader = TraceReader::from_reader(&bytes[..]).unwrap();
-        let recs: Result<Vec<_>, _> = reader.collect();
-        assert_eq!(recs.unwrap(), sample());
     }
 
     #[test]
@@ -1017,39 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_chunks_partitions_exactly() {
-        let recs: Vec<PacketRecord> = (0..1_000u64)
-            .map(|i| PacketRecord::udp(i, i as u128, 9, 1, 53, 80))
-            .collect();
-        let bytes = encode(&recs).unwrap();
-        let chunks: Vec<Vec<PacketRecord>> = decode_chunks(&bytes[..], 300)
-            .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(
-            chunks.iter().map(Vec::len).collect::<Vec<_>>(),
-            vec![300, 300, 300, 100]
-        );
-        assert_eq!(chunks.concat(), recs);
-    }
-
-    #[test]
-    fn decode_chunks_error_after_partial_chunk() {
-        let bytes = encode(&sample()).unwrap();
-        let cut = &bytes[..bytes.len() - 3];
-        let items: Vec<_> = decode_chunks(cut, 100).unwrap().collect();
-        assert_eq!(items.len(), 2);
-        assert_eq!(items[0].as_ref().unwrap().len(), 3);
-        assert!(items[1].is_err());
-    }
-
-    #[test]
-    fn decode_chunks_empty_trace() {
-        let bytes = encode(&[]).unwrap();
-        assert_eq!(decode_chunks(&bytes[..], 10).unwrap().count(), 0);
-    }
-
-    #[test]
     fn position_resume_matches_full_decode() {
         let recs: Vec<PacketRecord> = (0..5_000u64)
             .map(|i| PacketRecord::tcp(i * 11, i as u128, (i * 3) as u128, 1, 22, 60))
@@ -1078,25 +838,6 @@ mod tests {
         let mut r = StreamingTraceReader::new(&bytes[..]).unwrap();
         while r.next().is_some() {}
         assert_eq!(r.position().offset, bytes.len() as u64);
-    }
-
-    #[test]
-    fn chunks_position_resumes_at_chunk_boundary() {
-        let recs: Vec<PacketRecord> = (0..900u64)
-            .map(|i| PacketRecord::udp(i * 2, i as u128, 5, 1, 53, 80))
-            .collect();
-        let bytes = encode(&recs).unwrap();
-        let mut chunks = decode_chunks(io::Cursor::new(bytes.clone()), 400).unwrap();
-        let first = chunks.next().unwrap().unwrap();
-        assert_eq!(first.len(), 400);
-        let pos = chunks.position();
-        drop(chunks);
-        let rest: Result<Vec<_>, _> = StreamingTraceReader::resume(io::Cursor::new(bytes), pos)
-            .unwrap()
-            .collect();
-        let mut all = first;
-        all.extend(rest.unwrap());
-        assert_eq!(all, recs);
     }
 
     #[test]
@@ -1140,114 +881,194 @@ mod tests {
         assert_eq!(r.skipped(), 0);
     }
 
+    /// Drains `r` through `fill(max)`: the records delivered and the kind of
+    /// the error that ended the stream, if one did. Checks the batch-size
+    /// bound, that the stream ends within `limit` calls, and that the
+    /// reader is fused afterwards.
+    fn drain_fill<R: Read>(
+        r: &mut StreamingTraceReader<R>,
+        max: usize,
+        limit: usize,
+    ) -> (Vec<PacketRecord>, Option<&'static str>) {
+        let mut batch = RecordBatch::new();
+        let mut got = Vec::new();
+        let mut err = None;
+        for step in 0.. {
+            assert!(step <= limit, "max={max}: runaway");
+            match r.fill(&mut batch, max) {
+                Ok(0) => break,
+                Ok(n) => {
+                    assert!(n <= max && n == batch.len());
+                    got.extend(batch.iter());
+                }
+                Err(e) => {
+                    err = Some(e.kind());
+                    break;
+                }
+            }
+        }
+        assert_eq!(r.fill(&mut batch, max).unwrap(), 0, "fused at the end");
+        assert!(batch.is_empty(), "a fused fill still clears the batch");
+        (got, err)
+    }
+
     #[test]
-    fn next_batch_matches_iterator_and_reuses_capacity() {
+    fn fill_equals_iterator_at_every_batch_size() {
+        let clean = encode(
+            &(0..2_000u64)
+                .map(|i| PacketRecord::udp(i * 2, i as u128, 9, 1, 53, 80))
+                .collect::<Vec<_>>(),
+        )
+        .unwrap();
+        let (bad, _) = bytes_with_bad_dport();
+        for (bytes, permissive) in [(&clean, false), (&bad, false), (&bad, true)] {
+            let open = || {
+                StreamingTraceReader::new(io::Cursor::new(&bytes[..]))
+                    .unwrap()
+                    .permissive(permissive)
+            };
+            // The reference: one record at a time, with the position after
+            // each record.
+            let mut it = open();
+            let mut want = Vec::new();
+            let mut want_err = None;
+            let mut want_pos = vec![it.position()];
+            while let Some(item) = it.next() {
+                match item {
+                    Ok(r) => {
+                        want.push(r);
+                        want_pos.push(it.position());
+                    }
+                    Err(e) => want_err = Some(e.kind()),
+                }
+            }
+            for max in FILL_SIZES {
+                let mut r = open();
+                let mut batch = RecordBatch::new();
+                let mut got = Vec::new();
+                let err = loop {
+                    match r.fill(&mut batch, max) {
+                        Ok(0) => break None,
+                        Ok(n) => {
+                            got.extend(batch.iter());
+                            // A short batch ahead of an error has already
+                            // consumed the failing record; every other
+                            // boundary is a position the iterator passes.
+                            if n == max {
+                                assert_eq!(r.position(), want_pos[got.len()], "max={max}");
+                                let rest: Result<Vec<_>, _> = StreamingTraceReader::resume(
+                                    io::Cursor::new(&bytes[..]),
+                                    r.position(),
+                                )
+                                .unwrap()
+                                .permissive(permissive)
+                                .collect();
+                                match rest {
+                                    Ok(rest) => assert_eq!(rest, want[got.len()..], "max={max}"),
+                                    Err(e) => assert_eq!(Some(e.kind()), want_err, "max={max}"),
+                                }
+                            }
+                        }
+                        Err(e) => break Some(e.kind()),
+                    }
+                };
+                assert_eq!(got, want, "max={max} permissive={permissive}");
+                assert_eq!(err, want_err, "max={max} permissive={permissive}");
+                assert_eq!(r.skipped(), it.skipped(), "max={max}");
+                assert_eq!(r.position(), it.position(), "max={max}");
+            }
+            if !permissive {
+                assert_eq!(
+                    decode(bytes).map_err(|e| e.kind()),
+                    want_err.map_or(Ok(want), Err),
+                    "decode is the strict reader, collected"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fill_delivers_short_batch_then_error_then_fuses() {
+        let bytes = encode(&sample()).unwrap();
+        let mut r = StreamingTraceReader::new(&bytes[..bytes.len() - 3]).unwrap();
+        let mut batch = RecordBatch::new();
+        assert_eq!(r.fill(&mut batch, 100).unwrap(), 3);
+        assert_eq!(batch.iter().collect::<Vec<_>>(), sample()[..3]);
+        assert!(matches!(
+            r.fill(&mut batch, 100),
+            Err(CodecError::Truncated)
+        ));
+        assert!(batch.is_empty(), "an erroring fill leaves no stale records");
+        assert_eq!(r.fill(&mut batch, 100).unwrap(), 0, "fused after error");
+        assert!(r.next().is_none(), "the iterator shares the fuse");
+
+        // An empty trace is end of stream at once, not an error.
+        let empty = encode(&[]).unwrap();
+        let mut r = StreamingTraceReader::new(&empty[..]).unwrap();
+        assert_eq!(r.fill(&mut batch, 10).unwrap(), 0);
+    }
+
+    #[test]
+    fn fill_reuses_batch_capacity() {
         let recs: Vec<PacketRecord> = (0..1_000u64)
             .map(|i| PacketRecord::udp(i, i as u128, 9, 1, 53, 80))
             .collect();
         let bytes = encode(&recs).unwrap();
-        let mut chunks = decode_chunks(&bytes[..], 300).unwrap();
-        let mut batch = RecordBatch::new();
-        let mut all: Vec<PacketRecord> = Vec::new();
+        let mut r = StreamingTraceReader::new(&bytes[..]).unwrap();
+        let mut batch = RecordBatch::with_capacity(300);
+        let ts_column = batch.ts_ms().as_ptr();
         let mut sizes = Vec::new();
-        while let Some(item) = chunks.next_batch(&mut batch) {
-            item.unwrap();
+        while r.fill(&mut batch, 300).unwrap() > 0 {
             sizes.push(batch.len());
-            all.extend(batch.iter());
+            assert_eq!(batch.ts_ms().as_ptr(), ts_column, "no reallocation");
         }
         assert_eq!(sizes, vec![300, 300, 300, 100]);
-        assert_eq!(all, recs);
-        // The stream is fused: further calls keep returning None and leave
-        // the reused batch cleared.
-        assert!(chunks.next_batch(&mut batch).is_none());
-        assert!(batch.is_empty());
-    }
-
-    #[test]
-    fn next_batch_error_after_partial_batch() {
-        let bytes = encode(&sample()).unwrap();
-        let cut = &bytes[..bytes.len() - 3];
-        let mut chunks = decode_chunks(cut, 100).unwrap();
-        let mut batch = RecordBatch::new();
-        assert!(chunks.next_batch(&mut batch).unwrap().is_ok());
-        assert_eq!(batch.len(), 3, "records before the cut arrive first");
-        assert!(matches!(
-            chunks.next_batch(&mut batch),
-            Some(Err(CodecError::Truncated))
-        ));
-        assert!(chunks.next_batch(&mut batch).is_none(), "fused after error");
-    }
-
-    #[test]
-    fn next_batch_permissive_skips_field_overflow() {
-        let (bytes, expected) = bytes_with_bad_dport();
-        let mut chunks = decode_chunks(&bytes[..], 4).unwrap().permissive(true);
-        let mut batch = RecordBatch::new();
-        let mut all: Vec<PacketRecord> = Vec::new();
-        while let Some(item) = chunks.next_batch(&mut batch) {
-            item.unwrap();
-            all.extend(batch.iter());
-        }
-        assert_eq!(all, expected);
-        assert_eq!(chunks.skipped(), 1);
     }
 
     #[test]
     fn truncation_at_every_cut_is_a_typed_error_never_a_panic() {
-        let bytes = encode(&sample()).unwrap();
-        for cut in 0..bytes.len() {
-            let head = &bytes[..cut];
-            match decode_chunks(head, 2) {
-                Ok(mut chunks) => {
-                    let mut batch = RecordBatch::new();
-                    while let Some(item) = chunks.next_batch(&mut batch) {
-                        if let Err(e) = item {
-                            assert!(
-                                matches!(e, CodecError::Truncated | CodecError::VarintOverflow),
-                                "cut={cut}: unexpected {e}"
-                            );
-                            break;
+        let (recs, cuts) = every_cut();
+        for (cut, head) in cuts.iter().enumerate() {
+            for max in FILL_SIZES {
+                match StreamingTraceReader::new(&head[..]) {
+                    Ok(mut r) => {
+                        let (got, err) = drain_fill(&mut r, max, recs.len() + 1);
+                        assert_eq!(got, recs[..got.len()], "cut={cut} max={max}");
+                        match err {
+                            Some(kind) => assert_eq!(kind, "truncated", "cut={cut} max={max}"),
+                            None => assert_eq!(encode(&got).unwrap(), *head, "cut={cut}"),
                         }
                     }
+                    Err(e) => assert!(
+                        matches!(e, CodecError::Truncated),
+                        "cut={cut}: header error should be Truncated, got {e}"
+                    ),
                 }
-                Err(e) => assert!(
-                    matches!(e, CodecError::Truncated),
-                    "cut={cut}: header error should be Truncated, got {e}"
-                ),
             }
         }
     }
 
     #[test]
     fn bit_flips_are_typed_errors_never_panics() {
-        let recs: Vec<PacketRecord> = (0..20u64)
-            .map(|i| PacketRecord::tcp(i * 50, 3, 0xb0 + i as u128, 1, 443, 60))
-            .collect();
-        let clean = encode(&recs).unwrap();
-        // Flip every bit of every byte in turn; each corrupted stream must
-        // decode to records and/or typed errors — never panic, never loop.
-        for byte in 0..clean.len() {
-            for bit in 0..8 {
-                let mut bad = clean.clone();
-                bad[byte] ^= 1 << bit;
-                match decode_chunks(&bad[..], 7) {
-                    Ok(mut chunks) => {
-                        let mut batch = RecordBatch::new();
-                        let mut steps = 0;
-                        while let Some(item) = chunks.next_batch(&mut batch) {
-                            steps += 1;
-                            assert!(steps <= recs.len() + 2, "byte={byte} bit={bit}: runaway");
-                            if item.is_err() {
-                                break;
-                            }
-                        }
+        let (n_recs, flips) = every_bit_flip();
+        // Each corrupted stream must decode to records and/or a typed
+        // error — never panic, never loop — and to the same ones at every
+        // batch size.
+        for (i, bad) in flips.iter().enumerate() {
+            let outcomes: Vec<_> = FILL_SIZES
+                .iter()
+                .map(|&max| match StreamingTraceReader::new(&bad[..]) {
+                    Ok(mut r) => drain_fill(&mut r, max, n_recs + 1),
+                    Err(e) => {
+                        assert!(
+                            matches!(e, CodecError::BadMagic(_) | CodecError::BadVersion(_)),
+                            "flip {i}: header flip should be magic/version, got {e}"
+                        );
+                        (Vec::new(), Some(e.kind()))
                     }
-                    Err(e) => assert!(
-                        matches!(e, CodecError::BadMagic(_) | CodecError::BadVersion(_)),
-                        "byte={byte} bit={bit}: header flip should be magic/version, got {e}"
-                    ),
-                }
-            }
+                })
+                .collect();
+            assert!(outcomes.windows(2).all(|w| w[0] == w[1]), "flip {i}");
         }
     }
 

@@ -20,10 +20,7 @@ pub mod source;
 pub mod time;
 
 pub use batch::RecordBatch;
-pub use codec::{
-    decode_chunks, CodecError, StreamingTraceReader, TraceChunks, TracePosition, TraceReader,
-    TraceWriter,
-};
+pub use codec::{CodecError, StreamingTraceReader, TracePosition, TraceWriter};
 pub use record::{PacketRecord, Transport};
 pub use source::{FileStreamSource, FillOutcome, MaterializedSource, Source, TailSource};
 pub use time::{SimTime, DAY_MS, HOUR_MS, MINUTE_MS, WEEK_MS};

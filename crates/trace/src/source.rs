@@ -1,23 +1,17 @@
 //! The [`Source`] abstraction: anything that can feed time-ordered
 //! [`PacketRecord`]s to the detection pipeline in batches.
 //!
-//! Historically the ingest loop was hard-wired to an `L6TR` trace file,
-//! which forces every workload through a materialize-then-scan cycle: the
-//! fleet simulator must write the whole trace to disk (or RAM) before the
-//! first packet reaches a detector. At paper scale — 2.14 B packets — that
-//! trace is ~100 GB and the materialization dominates the run. `Source`
-//! decouples the pipeline from the file: a session pulls batches from *any*
-//! source, and each source defines its own resumable position space so
-//! checkpoint/resume keeps working.
+//! A session pulls batches from *any* source, and each source defines its
+//! own resumable position space so checkpoint/resume keeps working.
 //!
 //! Three finite implementations exist (plus the live [`TailSource`]):
 //!
 //! - [`MaterializedSource`] — an in-memory, already-sorted record vector
 //!   (what the simulators and tests produce). Positions are record indices.
 //! - [`FileStreamSource`] — a bounded-memory streaming decoder over an
-//!   `L6TR` file (wrapping [`StreamingTraceReader`]). Positions are byte
-//!   offsets, exactly as session checkpoints always recorded them, so
-//!   pre-existing checkpoints resume unchanged.
+//!   `L6TR` file. Positions are byte offsets, exactly as session
+//!   checkpoints always recorded them, so pre-existing checkpoints resume
+//!   unchanged.
 //! - `FleetSource` (in `lumen6-scanners`, which depends on this crate) —
 //!   synthesizes batches directly from the fleet actors in timestamp order,
 //!   never materializing a trace, on the caller's thread or on N generator
@@ -32,13 +26,12 @@
 
 use crate::batch::RecordBatch;
 use crate::codec::{
-    decode_record_at, CodecError, StreamingTraceReader, TracePosition, MAGIC, MAX_RECORD_LEN,
-    VERSION,
+    check_header, CodecError, StreamingTraceReader, TracePosition, WindowDecoder, MAX_RECORD_LEN,
 };
 use crate::record::PacketRecord;
 use lumen6_obs::MetricsRegistry;
 use std::fs::{self, File};
-use std::io::{self, BufReader, Read as _, Seek as _};
+use std::io::{self, Read as _, Seek as _};
 use std::path::{Path, PathBuf};
 
 /// Result of one non-blocking [`Source::poll_fill`] pull.
@@ -191,22 +184,17 @@ impl Source for MaterializedSource {
 #[derive(Debug)]
 pub struct FileStreamSource {
     path: PathBuf,
-    reader: StreamingTraceReader<BufReader<File>>,
+    reader: StreamingTraceReader<File>,
     permissive: bool,
-    pending_err: Option<CodecError>,
-    done: bool,
 }
 
 impl FileStreamSource {
     /// Opens `path` and validates the `L6TR` header.
     pub fn open(path: &Path) -> Result<Self, CodecError> {
-        let reader = StreamingTraceReader::new(BufReader::new(File::open(path)?))?;
         Ok(FileStreamSource {
             path: path.to_path_buf(),
-            reader,
+            reader: StreamingTraceReader::new(File::open(path)?)?,
             permissive: false,
-            pending_err: None,
-            done: false,
         })
     }
 
@@ -221,32 +209,7 @@ impl FileStreamSource {
 
 impl Source for FileStreamSource {
     fn fill(&mut self, out: &mut RecordBatch, max: usize) -> Result<usize, CodecError> {
-        out.clear();
-        if self.done {
-            return Ok(0);
-        }
-        if let Some(e) = self.pending_err.take() {
-            self.done = true;
-            return Err(e);
-        }
-        while out.len() < max {
-            match self.reader.next() {
-                Some(Ok(r)) => out.push(r),
-                Some(Err(e)) => {
-                    if out.is_empty() {
-                        self.done = true;
-                        return Err(e);
-                    }
-                    self.pending_err = Some(e);
-                    break;
-                }
-                None => {
-                    self.done = true;
-                    break;
-                }
-            }
-        }
-        Ok(out.len())
+        self.reader.fill(out, max)
     }
 
     fn position(&self) -> TracePosition {
@@ -254,10 +217,8 @@ impl Source for FileStreamSource {
     }
 
     fn resume(&mut self, at: TracePosition) -> Result<(), CodecError> {
-        let file = BufReader::new(File::open(&self.path)?);
+        let file = File::open(&self.path)?;
         self.reader = StreamingTraceReader::resume(file, at)?.permissive(self.permissive);
-        self.pending_err = None;
-        self.done = false;
         Ok(())
     }
 
@@ -318,12 +279,10 @@ pub struct TailSource {
     file: Option<File>,
     /// Byte offset of the next un-decoded byte in the current incarnation.
     offset: u64,
-    prev_ts: u64,
+    dec: WindowDecoder,
     header_done: bool,
-    permissive: bool,
     done: bool,
     pending_err: Option<CodecError>,
-    skipped: u64,
     rotations: u64,
     truncations: u64,
     window: Vec<u8>,
@@ -337,12 +296,10 @@ impl TailSource {
             path: path.to_path_buf(),
             file: None,
             offset: 0,
-            prev_ts: 0,
+            dec: WindowDecoder::new("trace.tail.skipped"),
             header_done: false,
-            permissive: false,
             done: false,
             pending_err: None,
-            skipped: 0,
             rotations: 0,
             truncations: 0,
             window: Vec::new(),
@@ -352,7 +309,7 @@ impl TailSource {
     /// Enables or disables permissive decoding (recoverable per-record
     /// errors are skipped and counted instead of ending the stream).
     pub fn permissive(mut self, yes: bool) -> Self {
-        self.permissive = yes;
+        self.dec.permissive = yes;
         self
     }
 
@@ -377,7 +334,7 @@ impl TailSource {
     fn restart_incarnation(&mut self) {
         self.file = None;
         self.offset = 0;
-        self.prev_ts = 0;
+        self.dec.prev_ts = 0;
         self.header_done = false;
     }
 
@@ -401,67 +358,56 @@ impl TailSource {
             let mut header = [0u8; 5];
             file.seek(io::SeekFrom::Start(0))?;
             file.read_exact(&mut header)?;
-            let magic = [header[0], header[1], header[2], header[3]];
-            if &magic != MAGIC {
-                return Err(CodecError::BadMagic(magic));
-            }
-            if header[4] != VERSION {
-                return Err(CodecError::BadVersion(header[4]));
-            }
+            check_header(&header)?;
             self.header_done = true;
             self.offset = 5;
         }
-        let avail = flen.saturating_sub(self.offset);
-        if avail == 0 || out.len() >= max {
-            return Ok(false);
-        }
-        // One window holds everything this poll can deliver: `max` records
-        // at the worst-case encoded length. The read may come up short if
-        // the file shrinks mid-poll; decode only what actually arrived.
-        let want = usize::try_from(avail)
-            .unwrap_or(usize::MAX)
-            .min((max - out.len()).saturating_mul(MAX_RECORD_LEN));
-        self.window.resize(want, 0);
-        file.seek(io::SeekFrom::Start(self.offset))?;
-        let mut got = 0;
-        while got < want {
-            let n = file.read(&mut self.window[got..])?;
-            if n == 0 {
-                break;
+        loop {
+            let avail = flen.saturating_sub(self.offset);
+            if avail == 0 || out.len() >= max {
+                return Ok(false);
             }
-            got += n;
-        }
-        let data = &self.window[..got];
-        let mut pos = 0usize;
-        let mut partial = false;
-        while out.len() < max {
-            match decode_record_at(data, &mut pos, &mut self.prev_ts) {
-                Ok(r) => out.push(r),
-                Err(CodecError::Truncated) => {
-                    // A record runs past the window: the writer's partial
-                    // tail if the window reached end-of-file, otherwise a
-                    // complete record the next (re-read) window will cover.
-                    // Never consumed either way.
-                    partial = pos < data.len() && self.offset + got as u64 >= flen;
+            // One window holds everything this poll can deliver: `max`
+            // records at the worst-case encoded length. The read may come up
+            // short if the file shrinks mid-poll; decode only what actually
+            // arrived.
+            let want = usize::try_from(avail)
+                .unwrap_or(usize::MAX)
+                .min((max - out.len()).saturating_mul(MAX_RECORD_LEN));
+            self.window.resize(want, 0);
+            file.seek(io::SeekFrom::Start(self.offset))?;
+            let mut got = 0;
+            while got < want {
+                let n = file.read(&mut self.window[got..])?;
+                if n == 0 {
                     break;
                 }
-                Err(e) if self.permissive && e.is_recoverable() => {
-                    self.skipped += 1;
-                    MetricsRegistry::global()
-                        .counter(&format!("trace.tail.skipped.{}", e.kind()))
-                        .inc();
-                }
+                got += n;
+            }
+            let data = &self.window[..got];
+            let window_end = self.offset + got as u64;
+            let mut pos = 0usize;
+            let (_, end) = self
+                .dec
+                .decode_window(data, &mut pos, max - out.len(), |r| out.push(r));
+            self.offset += pos as u64;
+            match end {
+                // Every record of the window was skipped: the next window
+                // may hold one to deliver.
+                Ok(()) | Err(CodecError::Truncated) if out.is_empty() && pos > 0 => {}
+                Ok(()) => return Ok(false),
+                // A record runs past the window: the writer's partial tail
+                // if the window reached end-of-file, otherwise a complete
+                // record the next (re-read) window will cover. Never
+                // consumed either way.
+                Err(CodecError::Truncated) => return Ok(window_end >= flen),
+                Err(e) if out.is_empty() => return Err(e),
                 Err(e) => {
-                    if out.is_empty() {
-                        return Err(e);
-                    }
                     self.pending_err = Some(e);
-                    break;
+                    return Ok(false);
                 }
             }
         }
-        self.offset += pos as u64;
-        Ok(partial)
     }
 }
 
@@ -575,7 +521,7 @@ impl Source for TailSource {
     fn position(&self) -> TracePosition {
         TracePosition {
             offset: self.offset,
-            prev_ts: self.prev_ts,
+            prev_ts: self.dec.prev_ts,
         }
     }
 
@@ -585,18 +531,18 @@ impl Source for TailSource {
         self.pending_err = None;
         if at.offset < 5 {
             self.offset = 0;
-            self.prev_ts = 0;
+            self.dec.prev_ts = 0;
             self.header_done = false;
         } else {
             self.offset = at.offset;
-            self.prev_ts = at.prev_ts;
+            self.dec.prev_ts = at.prev_ts;
             self.header_done = true;
         }
         Ok(())
     }
 
     fn skipped(&self) -> u64 {
-        self.skipped
+        self.dec.skipped
     }
 }
 
@@ -604,6 +550,7 @@ impl Source for TailSource {
 mod tests {
     use super::*;
     use crate::codec::encode;
+    use crate::codec::tests_support::FILL_SIZES;
 
     fn recs(n: u64) -> Vec<PacketRecord> {
         (0..n)
@@ -948,6 +895,118 @@ mod tests {
         assert!(matches!(err, CodecError::FieldOverflow("dport", _)));
         // Fused after the error.
         assert_eq!(strict.poll_fill(&mut batch, 4).unwrap(), FillOutcome::Eof);
+    }
+
+    /// Drives a tail over a finished file (its `.eof` marker present) to the
+    /// end: the records delivered and the error that ended the stream, if
+    /// one did. A finished file never reports `Pending`.
+    fn drain_finished_tail(
+        src: &mut TailSource,
+        max: usize,
+        limit: usize,
+    ) -> (Vec<PacketRecord>, Option<CodecError>) {
+        let mut out = Vec::new();
+        let mut batch = RecordBatch::new();
+        for _ in 0..=limit {
+            match src.poll_fill(&mut batch, max) {
+                Ok(FillOutcome::Filled(n)) => {
+                    assert!(n <= max && n == batch.len());
+                    out.extend(batch.iter());
+                }
+                Ok(FillOutcome::Eof) => return (out, None),
+                Ok(FillOutcome::Pending) => panic!("finished file reported Pending"),
+                Err(e) => {
+                    assert_eq!(
+                        src.poll_fill(&mut batch, max).unwrap(),
+                        FillOutcome::Eof,
+                        "fused after the error"
+                    );
+                    return (out, Some(e));
+                }
+            }
+        }
+        panic!("max={max}: runaway");
+    }
+
+    #[test]
+    fn tail_source_truncation_at_every_cut_is_truncated_never_pending() {
+        let (recs, cuts) = crate::codec::tests_support::every_cut();
+        let dir = ScopedDir::new("cuts");
+        let path = dir.file("t.l6tr");
+        std::fs::write(TailSource::eof_marker(&path), b"").unwrap();
+        for (cut, head) in cuts.iter().enumerate() {
+            std::fs::write(&path, head).unwrap();
+            for max in FILL_SIZES {
+                let mut src = TailSource::open(&path);
+                let (got, err) = drain_finished_tail(&mut src, max, recs.len() + 1);
+                assert_eq!(got, recs[..got.len()], "cut={cut} max={max}");
+                match err {
+                    Some(e) => assert!(
+                        matches!(e, CodecError::Truncated),
+                        "cut={cut} max={max}: {e}"
+                    ),
+                    // Only a cut on a record boundary (or the empty file no
+                    // writer has started) ends cleanly.
+                    None => assert!(
+                        cut == 0 || encode(&got).unwrap() == *head,
+                        "cut={cut} max={max}"
+                    ),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tail_source_bit_flips_decode_as_the_file_stream_does() {
+        let (n_recs, flips) = crate::codec::tests_support::every_bit_flip();
+        let dir = ScopedDir::new("flips");
+        let path = dir.file("t.l6tr");
+        std::fs::write(TailSource::eof_marker(&path), b"").unwrap();
+        let mut batch = RecordBatch::new();
+        for (i, bad) in flips.iter().enumerate() {
+            std::fs::write(&path, bad).unwrap();
+            // The reference: the same bytes through the file stream.
+            let mut want = Vec::new();
+            let want_err = match FileStreamSource::open(&path) {
+                Err(e) => Some(e.kind()),
+                Ok(mut file) => loop {
+                    match file.fill(&mut batch, 7) {
+                        Ok(0) => break None,
+                        Ok(_) => want.extend(batch.iter()),
+                        Err(e) => break Some(e.kind()),
+                    }
+                },
+            };
+            for max in FILL_SIZES {
+                let mut src = TailSource::open(&path);
+                let (got, err) = drain_finished_tail(&mut src, max, n_recs + 1);
+                assert_eq!(got, want, "flip {i} max={max}");
+                assert_eq!(err.map(|e| e.kind()), want_err, "flip {i} max={max}");
+            }
+        }
+    }
+
+    #[test]
+    fn tail_source_over_a_finished_file_equals_file_stream_source() {
+        let (bad, _) = crate::codec::tests_support::bytes_with_bad_dport();
+        let clean = encode(&recs(3_000)).expect("encode");
+        let dir = ScopedDir::new("equal");
+        let path = dir.file("t.l6tr");
+        std::fs::write(TailSource::eof_marker(&path), b"").unwrap();
+        for (bytes, n) in [(&clean, 3_000), (&bad, 9)] {
+            std::fs::write(&path, bytes).unwrap();
+            for max in FILL_SIZES {
+                let mut file = FileStreamSource::open(&path).unwrap().permissive(true);
+                let want = drain(&mut file, max);
+                assert_eq!(want.len(), n);
+                let mut tail = TailSource::open(&path).permissive(true);
+                let (got, err) = drain_finished_tail(&mut tail, max, n);
+                assert!(err.is_none(), "max={max}");
+                assert_eq!(got, want, "max={max}");
+                assert_eq!(tail.skipped(), file.skipped(), "max={max}");
+                assert_eq!(tail.position(), file.position(), "max={max}");
+            }
+        }
     }
 
     #[test]

@@ -75,7 +75,7 @@ proptest! {
         let cut = cut.min(bytes.len());
         // Either a header error or a per-record error; never a panic, and
         // successfully decoded prefix records must match the originals.
-        match lumen6_trace::TraceReader::from_bytes(bytes[..cut].to_vec()) {
+        match lumen6_trace::StreamingTraceReader::new(&bytes[..cut]) {
             Err(_) => {}
             Ok(reader) => {
                 for (i, item) in reader.enumerate() {

@@ -70,5 +70,5 @@ pub mod prelude {
     pub use lumen6_netmodel::{AsType, InternetRegistry};
     pub use lumen6_scanners::{FleetConfig, ScannerActor, World};
     pub use lumen6_telescope::{CdnDeployment, DeploymentConfig, FirewallCapture};
-    pub use lumen6_trace::{PacketRecord, SimTime, TraceReader, TraceWriter, Transport};
+    pub use lumen6_trace::{PacketRecord, SimTime, StreamingTraceReader, TraceWriter, Transport};
 }

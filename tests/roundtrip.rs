@@ -1,8 +1,10 @@
 //! Cross-crate round trips: a generated world trace survives the binary
 //! codec byte-for-byte, and detection over the decoded trace is identical.
 
+use lumen6::detect::{Backend, DetectorBuilder, Session, SessionConfig, SessionError};
 use lumen6::prelude::*;
 use lumen6::trace::codec::{decode, encode};
+use lumen6::trace::{CodecError, FileStreamSource, FillOutcome, RecordBatch, Source, TailSource};
 
 #[test]
 fn world_trace_codec_roundtrip_and_detection_equality() {
@@ -37,9 +39,96 @@ fn trace_writer_reader_file_path() {
     }
     w.finish().unwrap();
 
-    let reader = TraceReader::from_reader(std::fs::File::open(&path).unwrap()).unwrap();
+    let reader = StreamingTraceReader::new(std::fs::File::open(&path).unwrap()).unwrap();
     let back: Result<Vec<_>, _> = reader.collect();
     assert_eq!(back.unwrap(), trace);
+
+    // The same file in batches, straight into columns.
+    let mut src = FileStreamSource::open(&path).unwrap();
+    let mut batch = RecordBatch::new();
+    let mut batched = Vec::new();
+    while src.fill(&mut batch, 4096).unwrap() > 0 {
+        batched.extend(batch.iter());
+    }
+    assert_eq!(batched, trace);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Two records whose timestamp deltas are each `u64::MAX - 5`: the second
+/// carries the running timestamp past `u64::MAX`. Every route into the one
+/// parser delivers the first record, then `TimestampOverflow`, then nothing
+/// — no panic in a debug build, no wrapped (decreasing) timestamp in release.
+#[test]
+fn timestamp_overflow_is_a_typed_error_on_every_decode_route() {
+    let mut bytes = b"L6TR\x01".to_vec();
+    for _ in 0..2 {
+        // LEB128 of u64::MAX - 5: 0xfa, eight 0xff, 0x01.
+        bytes.push(0xfa);
+        bytes.extend_from_slice(&[0xff; 8]);
+        bytes.push(0x01);
+        bytes.extend_from_slice(&7u128.to_be_bytes()); // src
+        bytes.extend_from_slice(&9u128.to_be_bytes()); // dst
+        bytes.extend_from_slice(&[6, 1, 22, 60]); // TCP, sport, dport, len
+    }
+    let first = PacketRecord::tcp(u64::MAX - 5, 7, 9, 1, 22, 60);
+
+    let dir = std::env::temp_dir().join(format!("lumen6-overflow-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("trace.l6tr");
+    std::fs::write(&path, &bytes).unwrap();
+    std::fs::write(TailSource::eof_marker(&path), b"").unwrap();
+
+    assert!(matches!(decode(&bytes), Err(CodecError::TimestampOverflow)));
+    for permissive in [false, true] {
+        let mut items = StreamingTraceReader::new(&bytes[..])
+            .unwrap()
+            .permissive(permissive);
+        assert_eq!(items.next().unwrap().unwrap(), first);
+        let err = items.next().unwrap().unwrap_err();
+        assert!(matches!(err, CodecError::TimestampOverflow));
+        assert_eq!(err.kind(), "timestamp_overflow");
+        assert!(!err.is_recoverable());
+        assert!(items.next().is_none());
+
+        let mut batch = RecordBatch::new();
+        let mut file = FileStreamSource::open(&path)
+            .unwrap()
+            .permissive(permissive);
+        assert_eq!(file.fill(&mut batch, 4096).unwrap(), 1);
+        assert_eq!(batch.get(0), first);
+        assert!(matches!(
+            file.fill(&mut batch, 4096),
+            Err(CodecError::TimestampOverflow)
+        ));
+        assert_eq!(file.fill(&mut batch, 4096).unwrap(), 0);
+        assert_eq!(file.skipped(), 0);
+
+        let mut tail = TailSource::open(&path).permissive(permissive);
+        assert_eq!(
+            tail.poll_fill(&mut batch, 4096).unwrap(),
+            FillOutcome::Filled(1)
+        );
+        assert_eq!(batch.get(0), first);
+        assert!(matches!(
+            tail.poll_fill(&mut batch, 4096),
+            Err(CodecError::TimestampOverflow)
+        ));
+        assert_eq!(tail.poll_fill(&mut batch, 4096).unwrap(), FillOutcome::Eof);
+        assert_eq!(tail.skipped(), 0);
+
+        let session = Session::new(
+            DetectorBuilder::new(ScanDetectorConfig::paper(AggLevel::L64)),
+            Backend::Sequential,
+            SessionConfig {
+                strict: !permissive,
+                ..Default::default()
+            },
+        );
+        assert!(matches!(
+            session.run(&path),
+            Err(SessionError::Codec(CodecError::TimestampOverflow))
+        ));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
