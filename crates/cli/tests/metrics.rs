@@ -128,3 +128,65 @@ fn sharded_output_is_byte_identical_to_sequential() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn batch_beyond_u32_rows_is_a_usage_error_not_an_abort() {
+    // Both used to reach `RecordBatch::with_capacity(batch)`: the first
+    // aborted on a 32 GiB allocation, the second panicked on capacity
+    // overflow.
+    let detect = |batch: &str| {
+        lumen6(&[
+            "detect", "--fused", "--small", "--days", "2", "--batch", batch,
+        ])
+    };
+    for batch in ["4294967296", "18446744073709551615"] {
+        let out = detect(batch);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--batch {batch}: {stderr}");
+        assert!(
+            stderr.contains("batch = ") && stderr.contains("4294967295"),
+            "--batch {batch}: message must name the key and the bound: {stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked") && !stderr.contains("RUST_BACKTRACE"),
+            "--batch {batch}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "--batch {batch} printed a report");
+    }
+    // The largest accepted value sizes nothing from configuration: the
+    // whole two-day stream arrives as one batch the source's size.
+    assert_eq!(stdout_of(&detect("4294967295")), stdout_of(&detect("4096")));
+}
+
+#[test]
+fn batch_runs_counts_distinct_rows_beside_records() {
+    // At 10x nine rows in ten repeat their predecessor; the detector
+    // accounts each run once and says so next to the record count.
+    let dir = std::env::temp_dir().join(format!("lumen6-metrics-runs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let metrics = dir.join("m.json");
+    let detect_out = stdout_of(&lumen6(&[
+        "detect",
+        "--fused",
+        "--small",
+        "--days",
+        "2",
+        "--intensity",
+        "10",
+        "--sequential",
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]));
+    assert!(detect_out.contains("detect.batch.runs"), "{detect_out}");
+    let json = std::fs::read_to_string(&metrics).unwrap();
+    let snap: MetricsSnapshot = serde_json::from_str(&json).expect("metrics JSON parses");
+    let records = snap.counter_sum("detect.batch.records", "");
+    let runs = snap.counter_sum("detect.batch.runs", "");
+    assert_eq!(records, snap.counter_sum("source.records", ""));
+    let ratio = runs as f64 / records as f64;
+    assert!(
+        (ratio - 0.10).abs() <= 0.01,
+        "{runs} runs over {records} records = {ratio}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

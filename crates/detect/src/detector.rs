@@ -139,18 +139,23 @@ impl SourceRun {
         }
     }
 
-    /// Accounts one packet to the run — the single run update both
-    /// [`ScanDetector::observe`] and [`ScanDetector::observe_batch`] apply.
+    /// Accounts `n` adjacent copies of one packet to the run — the single
+    /// run update both [`ScanDetector::observe`] and
+    /// [`ScanDetector::observe_batch`] apply. Equal to `n` calls at
+    /// `n = 1`: only the two packet counts add up; the timestamp maximum
+    /// and the set inserts are idempotent, and whether a counter spills to
+    /// a sketch is decided by the first copy (the rest find the set, or the
+    /// registers, unchanged).
     #[inline]
-    fn record(&mut self, r: &PacketRecord, spill: usize, precision: u8) {
+    fn record(&mut self, r: &PacketRecord, n: u64, spill: usize, precision: u8) {
         self.last_ms = self.last_ms.max(r.ts_ms);
-        self.packets += 1;
+        self.packets += n;
         self.dsts.insert(r.dst, spill, precision);
         if let Some(list) = self.dst_list.as_mut() {
             list.insert(r.dst);
         }
         self.srcs.insert(r.src, spill, precision);
-        *self.ports.entry((r.proto, r.dport)).or_default() += 1;
+        *self.ports.entry((r.proto, r.dport)).or_default() += n;
     }
 }
 
@@ -166,10 +171,12 @@ struct BatchScratch {
     keys: Vec<u128>,
     /// Masked source → position in `groups` for the batch being processed.
     index: FxHashMap<u128, usize>,
-    /// Per-source record indices (into the batch), in arrival order.
-    groups: Vec<(u128, Vec<u32>)>,
+    /// Per-source runs in arrival order: (batch index of the first row,
+    /// number of adjacent rows equal to it in every column the run state
+    /// reads).
+    groups: Vec<(u128, Vec<(u32, u32)>)>,
     /// Recycled index vectors.
-    pool: Vec<Vec<u32>>,
+    pool: Vec<Vec<(u32, u32)>>,
     /// Closed events tagged with the batch index of the closing record, so
     /// emission order can be restored to exact arrival order.
     closed: Vec<(u32, ScanEvent)>,
@@ -212,11 +219,13 @@ pub struct ScanDetector {
     observed: u64,
     runs_opened: u64,
     scratch: BatchScratch,
-    /// Batched-path statistics: records ingested via `observe_batch` and
-    /// how many of them hit the last-source memo (consecutive records from
-    /// the same aggregated source, the common shape of scan traffic).
+    /// Batched-path statistics: records ingested via `observe_batch`, how
+    /// many of them hit the last-source memo (consecutive records from
+    /// the same aggregated source, the common shape of scan traffic), and
+    /// how many runs — distinct adjacent rows — they were accounted as.
     batch_records: u64,
     memo_hits: u64,
+    batch_runs: u64,
 }
 
 impl ScanDetector {
@@ -230,6 +239,7 @@ impl ScanDetector {
             scratch: BatchScratch::default(),
             batch_records: 0,
             memo_hits: 0,
+            batch_runs: 0,
         }
     }
 
@@ -309,7 +319,7 @@ impl ScanDetector {
                 vac.insert(SourceRun::new(r.ts_ms, self.config.keep_dsts))
             }
         };
-        run.record(r, spill, precision);
+        run.record(r, 1, spill, precision);
         closed
     }
 
@@ -345,14 +355,32 @@ impl ScanDetector {
         // one columnar pass, then group record indices by masked source,
         // preserving arrival order within each group. Consecutive
         // same-source records (the dominant pattern under scan traffic)
-        // skip the map entirely.
+        // skip the map entirely, and one that repeats its predecessor in
+        // the five columns the run state reads — `sport` and `len` never
+        // are — extends the predecessor's run instead of opening one.
         crate::kernels::aggregate_column(batch.src(), agg, keys);
+        let (ts, src, dst) = (batch.ts_ms(), batch.src(), batch.dst());
+        let (proto, dport) = (batch.proto(), batch.dport());
         let mut last: Option<(u128, usize)> = None;
         let mut memo_hits = 0u64;
         for (i, &key) in keys.iter().enumerate() {
             let gi = match last {
                 Some((k, g)) if k == key => {
                     memo_hits += 1;
+                    let p = i - 1;
+                    // Destination first: it is what a scanner varies.
+                    if dst[i] == dst[p]
+                        && ts[i] == ts[p]
+                        && src[i] == src[p]
+                        && dport[i] == dport[p]
+                        && proto[i] == proto[p]
+                    {
+                        // A memo hit's predecessor is its group's last run.
+                        if let Some(run) = groups[g].1.last_mut() {
+                            run.1 += 1;
+                        }
+                        continue;
+                    }
                     g
                 }
                 _ => *index.entry(key).or_insert_with(|| {
@@ -361,27 +389,30 @@ impl ScanDetector {
                     g
                 }),
             };
-            groups[gi].1.push(i as u32);
+            groups[gi].1.push((i as u32, 1));
             last = Some((key, gi));
         }
 
         // Phase 2: one runs-map lookup per (source, batch), then replay the
-        // group's records against the held run. Per-source state depends
+        // group's runs against the held run state — one timeout test per
+        // run: its later copies arrive at gap zero. Per-source state depends
         // only on that source's subsequence, so processing groups out of
         // arrival order cannot change any run or counter.
         let mut opened = 0u64;
+        let mut batch_runs = 0u64;
         for (key, idxs) in groups.iter_mut() {
+            batch_runs += idxs.len() as u64;
             // The key bits are already masked, so this re-mask is identity.
             let source = Ipv6Prefix::new(*key, agg.len());
             let run = match self.runs.entry(source) {
                 std::collections::hash_map::Entry::Occupied(occ) => occ.into_mut(),
                 std::collections::hash_map::Entry::Vacant(vac) => {
                     opened += 1;
-                    let first_ts = batch.ts_ms()[idxs[0] as usize];
+                    let first_ts = batch.ts_ms()[idxs[0].0 as usize];
                     vac.insert(SourceRun::new(first_ts, keep))
                 }
             };
-            for &i in idxs.iter() {
+            for &(i, count) in idxs.iter() {
                 let r = batch.get(i as usize);
                 debug_assert_eq!(source, agg.source_of(r.src));
                 let gap = r.ts_ms.saturating_sub(run.last_ms);
@@ -392,7 +423,7 @@ impl ScanDetector {
                         closed.push((i, e));
                     }
                 }
-                run.record(&r, spill, precision);
+                run.record(&r, u64::from(count), spill, precision);
             }
         }
 
@@ -411,6 +442,7 @@ impl ScanDetector {
         self.runs_opened += opened;
         self.batch_records += n as u64;
         self.memo_hits += memo_hits;
+        self.batch_runs += batch_runs;
         out
     }
 
@@ -445,14 +477,16 @@ impl ScanDetector {
     /// events, sorted by (start time, source) for determinism.
     ///
     /// If the batch path was used, flushes its telemetry
-    /// (`detect.batch.records` / `detect.batch.memo_hits`) to the global
-    /// metrics registry — accumulated as plain integers during the stream
-    /// so the hot path stays free of atomics.
+    /// (`detect.batch.records` / `detect.batch.memo_hits` /
+    /// `detect.batch.runs`) to the global metrics registry — accumulated
+    /// as plain integers during the stream so the hot path stays free of
+    /// atomics.
     pub fn finish(mut self) -> Vec<ScanEvent> {
         if self.batch_records > 0 {
             let reg = lumen6_obs::MetricsRegistry::global();
             reg.counter("detect.batch.records").add(self.batch_records);
             reg.counter("detect.batch.memo_hits").add(self.memo_hits);
+            reg.counter("detect.batch.runs").add(self.batch_runs);
         }
         let mut out: Vec<ScanEvent> = self
             .runs
@@ -557,6 +591,7 @@ impl ScanDetector {
             scratch: BatchScratch::default(),
             batch_records: 0,
             memo_hits: 0,
+            batch_runs: 0,
         }
     }
 }
@@ -662,6 +697,51 @@ mod tests {
         let (records, memo_hits) = det.batch_stats();
         assert_eq!(records, 100);
         assert_eq!(memo_hits, 99, "every record after the first memo-hits");
+    }
+
+    #[test]
+    fn a_run_is_accounted_once_and_equals_its_copies() {
+        // Twenty destinations, five adjacent copies of each, then seven
+        // near-duplicates of the last row, each differing from its
+        // predecessor in one column. The five columns the run state reads
+        // break the run; `sport` and `len` extend it. With spill at 16 the
+        // first copy of the 17th destination's run crosses the threshold
+        // and its other four find the sketch.
+        let row = |i: u64| PacketRecord::tcp(i * 1000, 1, 0xdd00 + u128::from(i), 40000, 22, 60);
+        let mut recs: Vec<PacketRecord> = (0..20)
+            .flat_map(|i| std::iter::repeat_n(row(i), 5))
+            .collect();
+        let edits: [fn(&mut PacketRecord); 7] = [
+            |r| r.ts_ms += 1,
+            |r| r.src += 1,
+            |r| r.dst += 1,
+            |r| r.proto = Transport::Udp,
+            |r| r.dport += 1,
+            |r| r.sport += 1,
+            |r| r.len += 1,
+        ];
+        for edit in edits {
+            let mut next = recs[recs.len() - 1];
+            edit(&mut next);
+            recs.push(next);
+        }
+        for sketch in [None, Some(SketchConfig::spill_at(16))] {
+            let cfg = ScanDetectorConfig {
+                sketch,
+                ..ScanDetectorConfig::paper(AggLevel::L64)
+            };
+            let mut reference = ScanDetector::new(cfg.clone());
+            for r in &recs {
+                assert!(reference.observe(r).is_none());
+            }
+            let mut grouped = ScanDetector::new(cfg);
+            assert!(grouped
+                .observe_batch(&recs.iter().copied().collect())
+                .is_empty());
+            assert_eq!(grouped.state(), reference.state());
+            assert_eq!(grouped.batch_stats(), (107, 106));
+            assert_eq!(grouped.batch_runs, 20 + 5, "sport and len must not cut");
+        }
     }
 
     #[test]

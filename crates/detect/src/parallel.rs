@@ -16,8 +16,9 @@
 //! router computes the routing key over the `src` column in one pass
 //! ([`kernels::route_column`](crate::kernels::route_column)), scatters rows
 //! column-to-column into per-shard staging batches
-//! ([`RecordBatch::push_from`]), and each worker feeds the sub-batch
-//! straight into its backend's grouped
+//! ([`RecordBatch::extend_from_indices`], or [`RecordBatch::extend_from_batch`]
+//! when the whole batch routes to one shard), and each worker feeds the
+//! sub-batch straight into its backend's grouped
 //! [`observe_batch`](MultiLevelDetector::observe_batch) — so the columnar
 //! decode layout survives end to end and the per-shard FxHash run state
 //! stays hot. Drained sub-batches are returned through a recycle channel

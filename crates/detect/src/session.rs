@@ -761,8 +761,14 @@ impl From<CodecError> for SessionError {
 
 /// Hands rows `rows` of `batch` to the detector (nothing, if there are
 /// none), recording the size: the batch itself when that is all of it, a
-/// copy of the rows when an idle flush cut it.
-fn feed(det: &mut dyn Detect, batch: &RecordBatch, rows: std::ops::Range<usize>) {
+/// column copy of the rows into the reused `piece` when an idle flush cut
+/// it.
+fn feed(
+    det: &mut dyn Detect,
+    batch: &RecordBatch,
+    rows: std::ops::Range<usize>,
+    piece: &mut RecordBatch,
+) {
     if rows.is_empty() {
         return;
     }
@@ -772,7 +778,9 @@ fn feed(det: &mut dyn Detect, batch: &RecordBatch, rows: std::ops::Range<usize>)
     if rows.len() == batch.len() {
         det.observe_batch(batch);
     } else {
-        det.observe_batch(&rows.map(|i| batch.get(i)).collect());
+        piece.clear();
+        piece.extend_from_range(batch, rows);
+        det.observe_batch(piece);
     }
 }
 
@@ -790,6 +798,7 @@ fn observe_cut_at_idle_flushes(
     every_ms: u64,
     watermark_ms: u64,
     last_flush: &mut u64,
+    piece: &mut RecordBatch,
 ) {
     let mut start = 0;
     if every_ms > 0 {
@@ -799,7 +808,7 @@ fn observe_cut_at_idle_flushes(
             if ts.saturating_sub(*last_flush) < every_ms {
                 continue;
             }
-            feed(det, batch, start..i);
+            feed(det, batch, start..i, piece);
             start = i;
             // Flush at the watermark horizon: every future detector input
             // is ≥ `ts - watermark`, so closures here match what
@@ -811,13 +820,15 @@ fn observe_cut_at_idle_flushes(
                 .add(1);
         }
     }
-    feed(det, batch, start..batch.len());
+    feed(det, batch, start..batch.len(), piece);
 }
 
 /// The live in-flight state of a started [`Session`]: detector, reorder
-/// buffer, counters, and the two reused ingest buffers. Neither buffer
+/// buffer, counters, and the three reused ingest buffers. No buffer
 /// carries records from one step to the next: whatever a step pulls has
 /// reached the reorder heap or the detector by the time the step returns.
+/// None is sized from configuration — each grows, once, to what the source
+/// actually fills.
 struct RunState {
     det: Box<dyn Detect>,
     reorder: ReorderBuffer,
@@ -836,12 +847,14 @@ struct RunState {
     incoming: RecordBatch,
     /// What the reorder buffer released this step (unused at watermark 0).
     released: RecordBatch,
+    /// The rows of one idle-flush cut piece (unused without idle flushes).
+    piece: RecordBatch,
     /// Checkpointed position to [`Source::resume`] at on the first step.
     resume_at: Option<TracePosition>,
 }
 
 impl RunState {
-    fn new(det: Box<dyn Detect>, reorder: ReorderBuffer, batch_cap: usize) -> Self {
+    fn new(det: Box<dyn Detect>, reorder: ReorderBuffer) -> Self {
         RunState {
             det,
             reorder,
@@ -850,8 +863,9 @@ impl RunState {
             skipped_before: 0,
             src_skipped: 0,
             last_flush: 0,
-            incoming: RecordBatch::with_capacity(batch_cap),
+            incoming: RecordBatch::new(),
             released: RecordBatch::new(),
+            piece: RecordBatch::new(),
             resume_at: None,
         }
     }
@@ -975,7 +989,6 @@ impl Session {
             Some(p) if p.path.exists() => Some(Checkpoint::load_newest(&p.path)?),
             _ => None,
         };
-        let batch_cap = self.config.batch.max(1);
         let st = match resume {
             Some(ck) => RunState {
                 records_done: ck.records_done,
@@ -988,13 +1001,11 @@ impl Session {
                         .restore(self.backend, &ck.detector)
                         .map_err(SessionError::Snapshot)?,
                     ReorderBuffer::from_state(&ck.reorder),
-                    batch_cap,
                 )
             },
             None => RunState::new(
                 self.builder.build(self.backend),
                 ReorderBuffer::new(self.config.watermark_ms),
-                batch_cap,
             ),
         };
         self.state = Some(st);
@@ -1069,6 +1080,7 @@ impl Session {
             self.config.flush_idle_every_ms,
             watermark_ms,
             &mut st.last_flush,
+            &mut st.piece,
         );
 
         if let Some(policy) = periodic.filter(|p| st.records_done % p.every_records == 0) {
@@ -1118,7 +1130,12 @@ impl Session {
         self.finished = true;
         st.released.clear();
         st.reorder.drain(&mut st.released);
-        feed(st.det.as_mut(), &st.released, 0..st.released.len());
+        feed(
+            st.det.as_mut(),
+            &st.released,
+            0..st.released.len(),
+            &mut st.piece,
+        );
         let late = st.reorder.late_dropped();
         let skipped = st.skipped_before + st.src_skipped;
         reg.counter("detect.session.late_dropped").add(late);

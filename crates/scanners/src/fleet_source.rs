@@ -85,28 +85,46 @@
 //! (and its pinned test) covers all three tiers: release-heap entries,
 //! records in flight in the channels, and the consumer-held lane heads.
 //!
+//! # Runs
+//!
+//! `--intensity` repeats a probe as adjacent identical rows, and a *run* —
+//! `count` copies of one row — is the unit every loop here steps by: a
+//! release-heap entry and a fixed-stream cursor hold their copies
+//! run-length-encoded and hand out `min(copies, room)` per step
+//! (`pop_run`), [`Generator::fill`] does one merge pop/push and one capture
+//! test per entry, and the consumer takes from the winning lane every head
+//! row below the runner-up's key at once. Rows exist only in the final
+//! column append. A run is cut in three places — a lane run filling up
+//! ([`RUN_RECORDS`]), the caller's `max`, the runner-up key — and each cut
+//! leaves the rest of the copies where they were, under the same merge
+//! key, so the next step resumes with them: the record sequence does not
+//! depend on where the cuts fall.
+//!
 //! # Positions
 //!
 //! [`Source::position`] offsets are *delivered* (post-filter) record
 //! indices — a property of the record sequence, so a position taken at one
-//! `gen_threads` resumes at any other. [`Source::resume`] seeks forward by
-//! generating and discarding; only a position behind the current one
-//! rebuilds the generators from the world's seed and replays from the
-//! start — generation is cheap relative to detection, and a checkpoint
-//! resume happens at most once per run. Replayed packets are re-counted by
-//! the `scanners.fleet.packets_emitted.*` telemetry, which counts
-//! generation work actually performed in this process.
+//! `gen_threads` resumes at any other, and one inside a run names a copy
+//! of it. [`Source::resume`] seeks forward by generating and discarding,
+//! one step per run; only a position behind the current one rebuilds the
+//! generators from the world's seed and replays from the start —
+//! generation is cheap relative to detection, and a checkpoint resume
+//! happens at most once per run. Replayed packets are re-counted by the
+//! `scanners.fleet.packets_emitted.*` telemetry, which counts generation
+//! work actually performed in this process.
 //!
 //! # Telemetry
 //!
-//! Per-record accounting stays allocation- and atomic-free; counters are
-//! flushed at run boundaries (`scanners.fleet.packets_emitted.*`, totals
-//! are partition-invariant). The `scanners.parallel.*` metrics describe
-//! threaded lanes and are not registered at `gen_threads = 1`:
-//! `merge_stalls` (consumer blocked on an empty lane — generation is the
-//! bottleneck; a worker blocked for a free buffer shows up as zero stalls
-//! and full channels), `runs_merged`, `channel_depth` (runs in flight),
-//! `buffered_records` (total buffered across all tiers) and `gen_threads`.
+//! Accounting is per run and allocation- and atomic-free; counters are
+//! flushed at fill boundaries (`scanners.fleet.packets_emitted.*` count
+//! packets, not runs; totals are partition-invariant). The
+//! `scanners.parallel.*` metrics describe threaded lanes and are not
+//! registered at `gen_threads = 1`: `merge_stalls` (consumer blocked on an
+//! empty lane — generation is the bottleneck; a worker blocked for a free
+//! buffer shows up as zero stalls and full channels), `runs_merged` (lane
+//! runs, the [`RUN_RECORDS`]-sized buffers), `channel_depth` (lane runs in
+//! flight), `buffered_records` (total buffered across all tiers) and
+//! `gen_threads`.
 
 use crate::actor::ScannerActor;
 use crate::fleet::World;
@@ -289,20 +307,23 @@ impl ActorStream {
         }
     }
 
-    /// Pops this actor's next packet (after confirming it, as
-    /// [`peek_ts`](ActorStream::peek_ts) does). Delivers one copy of the
-    /// top entry, dequeuing it only once its repeats are exhausted; the
-    /// heap key is unchanged while copies remain, so the entry stays on
-    /// top for the adjacent duplicates a stable sort would produce.
-    fn pop(&mut self, actor: &ScannerActor) -> Option<PacketRecord> {
+    /// Pops this actor's next run (after confirming it, as
+    /// [`peek_ts`](ActorStream::peek_ts) does): the top entry's record and
+    /// how many of its remaining copies — at most `room` — are handed out.
+    /// The entry is dequeued only once its repeats are exhausted; the heap
+    /// key is unchanged while copies remain, so a run cut by `room` resumes
+    /// from the same entry with the adjacent duplicates a stable sort
+    /// would produce.
+    fn pop_run(&mut self, actor: &ScannerActor, room: u64) -> Option<(PacketRecord, u64)> {
         self.peek_ts(actor)?;
         let mut top = self.heap.peek_mut()?;
-        if top.0.reps > 1 {
-            top.0.reps -= 1;
-            Some(top.0.rec)
+        let (rec, k) = (top.0.rec, top.0.reps.min(room));
+        if k < top.0.reps {
+            top.0.reps -= k;
         } else {
-            Some(std::collections::binary_heap::PeekMut::pop(top).0.rec)
+            std::collections::binary_heap::PeekMut::pop(top);
         }
+        Some((rec, k))
     }
 }
 
@@ -310,8 +331,9 @@ impl ActorStream {
 /// is materialized at its base (1×) size and intensity repeats are applied
 /// at delivery time, mirroring the per-record repetition `cdn_trace` bakes
 /// into the materialized trace — so memory stays intensity-invariant.
-/// Invariant outside of delivery: either `pos` is past the end, or
-/// `rem > 0` copies of `records[pos]` remain due.
+/// Invariant outside of [`pop_run`](FixedStream::pop_run): either `pos` is
+/// past the end, or `rem > 0` copies of `records[pos]` remain due — a run
+/// cut short by the caller's room stays under the cursor.
 #[derive(Debug)]
 struct FixedStream {
     records: Vec<PacketRecord>,
@@ -384,21 +406,23 @@ impl FixedStream {
         self.records.get(self.pos).map(|r| r.ts_ms)
     }
 
-    /// Delivers one copy of the record under the cursor, which
-    /// [`peek_ts`](FixedStream::peek_ts) has confirmed.
-    fn pop(&mut self) -> PacketRecord {
+    /// Delivers the record under the cursor, which
+    /// [`peek_ts`](FixedStream::peek_ts) has confirmed, and how many of its
+    /// due copies — at most `room` — are handed out.
+    fn pop_run(&mut self, room: u64) -> (PacketRecord, u64) {
         let rec = self.records[self.pos];
-        self.pending += 1;
-        self.rem -= 1;
+        let k = self.rem.min(room);
+        self.pending += k;
+        self.rem -= k;
         if self.rem == 0 {
             self.pos += 1;
             self.normalize();
         }
-        rec
+        (rec, k)
     }
 
     /// Adds the local emission count to the registry counter — once per
-    /// fill, so per-record accounting stays atomic-free.
+    /// fill, so per-run accounting stays atomic-free.
     fn flush_count(&mut self) {
         if self.pending > 0 {
             self.counter.add(std::mem::take(&mut self.pending));
@@ -435,7 +459,7 @@ struct Generator {
     /// position). The global index orders; the position locates.
     merge: BinaryHeap<Reverse<(u64, usize, usize)>>,
     /// Packets popped per stream since its `emitted` counter was last
-    /// added to — dense and apart from the streams, so the per-record
+    /// added to — dense and apart from the streams, so the per-run
     /// increment stays in cache.
     unflushed: Vec<u64>,
 }
@@ -481,19 +505,22 @@ impl Generator {
                 break;
             };
             let actor = &world.fleet.actors[ai];
-            let Some(rec) = self.streams[pos].pop(actor) else {
+            // One step per heap entry: its copies share the merge key, so
+            // they leave back to back — as many as the run has room for.
+            let room = (max - run.recs.len()) as u64;
+            let Some((rec, k)) = self.streams[pos].pop_run(actor, room) else {
                 continue; // unreachable: frontier entries are confirmed
             };
             if let Some(ts) = self.streams[pos].peek_ts(actor) {
                 self.merge.push(Reverse((ts, ai, pos)));
             }
-            self.unflushed[pos] += 1;
+            self.unflushed[pos] += k;
             if filter.logs(&rec) {
-                run.recs.push(rec);
-                run.si.push(ai);
+                run.recs.push_n(rec, k as usize);
+                run.si.resize(run.recs.len(), ai);
             }
         }
-        // Run boundary: per-record accounting stays atomic-free.
+        // Fill boundary: per-run accounting stays atomic-free.
         run.held = 0;
         for (s, n) in self.streams.iter().zip(&mut self.unflushed) {
             run.held += s.heap.len() as u64;
@@ -793,44 +820,63 @@ impl FleetSource {
         let mut produced = 0usize;
         while produced < max {
             // The candidate with the smallest (timestamp, stream index)
-            // key is next — exactly the `merge_sorted` order. Slots number
-            // the lanes first, then artifacts, then noise.
+            // key is next — exactly the `merge_sorted` order — and it stays
+            // next until its key passes the runner-up's. Slots number the
+            // lanes first, then artifacts, then noise; stream indices are
+            // disjoint across slots, so keys never tie between them.
             let n = lanes.len();
             let mut best: Option<((u64, usize), usize)> = None;
+            let mut runner_up = (u64::MAX, usize::MAX);
+            let mut offer = |key: (u64, usize), slot: usize| match best {
+                Some((k, _)) if k <= key => runner_up = runner_up.min(key),
+                _ => {
+                    runner_up = best.map_or(runner_up, |(k, _)| k);
+                    best = Some((key, slot));
+                }
+            };
             for (slot, lane) in lanes.iter_mut().enumerate() {
                 if let Some(key) = lane.head_key() {
-                    if best.is_none_or(|(k, _)| key < k) {
-                        best = Some((key, slot));
-                    }
+                    offer(key, slot);
                 }
             }
             for (fi, stream) in fixed.iter().enumerate() {
                 if let Some(ts) = stream.peek_ts() {
-                    let key = (ts, actors + fi);
-                    if best.is_none_or(|(k, _)| key < k) {
-                        best = Some((key, n + fi));
-                    }
+                    offer((ts, actors + fi), n + fi);
                 }
             }
             let Some((_, slot)) = best else {
                 break; // all lanes and fixed streams exhausted
             };
-            let rec = if let Some(lane) = lanes.get_mut(slot) {
-                lane.cursor += 1;
-                lane.head.recs.get(lane.cursor - 1)
+            let room = max - produced;
+            let k = if let Some(lane) = lanes.get_mut(slot) {
+                // Every head row below the runner-up key, as one range.
+                let (ts, si) = (lane.head.recs.ts_ms(), &lane.head.si);
+                let limit = ts.len().min(lane.cursor.saturating_add(room));
+                let mut end = lane.cursor + 1;
+                while end < limit && (ts[end], si[end]) < runner_up {
+                    end += 1;
+                }
+                let rows = lane.cursor..end;
+                lane.cursor = end;
+                *prev_ts = ts[end - 1];
+                if let Some(batch) = out.as_deref_mut() {
+                    batch.extend_from_range(&lane.head.recs, rows.clone());
+                }
+                rows.len()
             } else {
-                let rec = fixed[slot - n].pop();
+                // The copies due of one fixed record, after one filter test.
+                let (rec, k) = fixed[slot - n].pop_run(room as u64);
                 if !filter.logs(&rec) {
                     continue;
                 }
-                rec
+                *prev_ts = rec.ts_ms;
+                if let Some(batch) = out.as_deref_mut() {
+                    batch.push_n(rec, k as usize);
+                }
+                k as usize
             };
-            produced += 1;
-            *delivered += 1;
-            *prev_ts = rec.ts_ms;
-            if let Some(batch) = out.as_deref_mut() {
-                batch.push(rec);
-            }
+            produced += k;
+            *delivered += k as u64;
         }
         for stream in &mut self.fixed {
             stream.flush_count();
@@ -981,5 +1027,49 @@ mod tests {
             peak_25x <= peak_1x + 1,
             "heap entries must not scale with intensity: {peak_1x} → {peak_25x}"
         );
+    }
+
+    #[test]
+    fn fill_size_cuts_runs_without_changing_the_stream() {
+        // A heap entry's copies leave `min(reps, room)` at a time, so `max`
+        // decides where runs are cut — never what is delivered. Intensity
+        // 0.3 has probes whose repeat count is zero, 25 has long runs.
+        // The stream's first records suffice (single-record fills pay the
+        // run-boundary accounting per record).
+        const PREFIX: usize = 5_000;
+        fn stream(intensity: f64, max: usize) -> (Vec<PacketRecord>, Vec<usize>) {
+            let world = Arc::new(World::build(FleetConfig {
+                seed: 42,
+                intensity,
+                end_day: 3,
+                ..FleetConfig::small()
+            }));
+            let actors = world.fleet.actors.len();
+            let mut gen = Generator::new(world, 0..actors);
+            let mut run = Run::default();
+            let (mut recs, mut si) = (Vec::new(), Vec::new());
+            loop {
+                gen.fill(&mut run, max);
+                assert_eq!(run.recs.len(), run.si.len());
+                assert!(run.recs.len() <= max, "fill overran max={max}");
+                recs.extend(run.recs.iter());
+                si.extend(&run.si);
+                if run.recs.is_empty() || recs.len() >= PREFIX {
+                    recs.truncate(PREFIX);
+                    si.truncate(PREFIX);
+                    return (recs, si);
+                }
+            }
+        }
+        for intensity in [0.3, 25.0] {
+            let one_by_one = stream(intensity, 1);
+            assert_eq!(one_by_one.0.len(), PREFIX, "stream too small");
+            for max in [2, 3, 4_096] {
+                assert!(
+                    stream(intensity, max) == one_by_one,
+                    "intensity={intensity} max={max}"
+                );
+            }
+        }
     }
 }

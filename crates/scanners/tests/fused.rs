@@ -181,6 +181,63 @@ fn resume_seeks_forward_in_place_and_regenerates_to_go_back() {
     }
 }
 
+/// The two tests above run at intensity 1, where no position falls inside
+/// a run. At 25x a run is 25 adjacent copies of one row and most positions
+/// do: every offset of a 300-record window — inside a run, at its first and
+/// at its last copy — is taken from a source walked one record at a time at
+/// one lane count and resumed at the other (forwards once, then by
+/// regeneration), and the fills that follow, whatever their size, continue
+/// the oracle's sequence from exactly that copy.
+#[test]
+fn position_at_every_offset_of_a_25x_window_resumes_exactly() {
+    let cfg = tiny_config(42, 25.0, 3);
+    let full = World::build(cfg.clone()).cdn_trace();
+    let window = 500..800usize;
+    assert!(full.len() > window.end + 8_192);
+    let (mut inside, mut first, mut last) = (0, 0, 0);
+    for i in window.clone() {
+        match (full[i - 1] == full[i], full[i] == full[i + 1]) {
+            (true, true) => inside += 1,
+            (false, true) => first += 1,
+            (true, false) => last += 1,
+            (false, false) => {}
+        }
+    }
+    assert!(
+        inside > 100 && first > 3 && last > 3,
+        "window holds no runs to cut: {inside} inside, {first} first, {last} last copies"
+    );
+    let mut batch = RecordBatch::new();
+    for (wrote, resumes) in [(1, 2), (2, 1)] {
+        let mut walker = source(&cfg, wrote);
+        walker
+            .resume(TracePosition {
+                offset: window.start as u64,
+                prev_ts: full[window.start - 1].ts_ms,
+            })
+            .expect("seek to the window");
+        let mut reader = source(&cfg, resumes);
+        for offset in window.clone() {
+            let pos = walker.position();
+            assert_eq!(pos.offset, offset as u64);
+            assert_eq!(pos.prev_ts, full[offset - 1].ts_ms);
+            for max in [1, 7, 4_096] {
+                reader.resume(pos).expect("resume inside a run");
+                assert_eq!(reader.position(), pos);
+                for want in full[offset..offset + 2 * max].chunks(max) {
+                    reader.fill(&mut batch, max).expect("fill");
+                    assert_eq!(
+                        batch.iter().collect::<Vec<_>>(),
+                        want,
+                        "offset {offset} max={max}: gen_threads {wrote} → {resumes}"
+                    );
+                }
+            }
+            assert_eq!(walker.fill(&mut batch, 1).expect("fill"), 1);
+        }
+    }
+}
+
 #[test]
 fn resume_rejects_foreign_positions() {
     let cfg = tiny_config(42, 1.0, 7);

@@ -173,10 +173,18 @@ impl RunConfig {
     }
 
     /// Checks cross-field consistency: exactly one ingest source, positive
-    /// finite intensity, `stop_after` only with a checkpoint path, and
-    /// every seconds value representable in the milliseconds the detector
-    /// and session count in.
+    /// finite intensity, `stop_after` only with a checkpoint path, every
+    /// seconds value representable in the milliseconds the detector and
+    /// session count in, and a `batch` whose rows the detectors' `u32` row
+    /// indices can address.
     pub fn validate(&self) -> Result<(), String> {
+        if u32::try_from(self.batch).is_err() {
+            return Err(format!(
+                "batch = {} is more rows than a batch can index (at most {})",
+                self.batch,
+                u32::MAX
+            ));
+        }
         for (key, secs) in [
             ("timeout_secs", self.timeout_secs),
             ("watermark_secs", self.watermark_secs),
@@ -530,6 +538,26 @@ mod tests {
                 .unwrap_err();
             assert!(err.contains("bad") && err.contains(key), "{err}");
         }
+    }
+
+    #[test]
+    fn batch_beyond_u32_row_indices_is_rejected_by_key() {
+        for batch in [u64::from(u32::MAX) + 1, u64::MAX] {
+            let text = format!("trace = \"t.l6tr\"\nbatch = {batch}\n");
+            let err = RunConfig::from_toml_str(&text)
+                .unwrap()
+                .validate()
+                .unwrap_err();
+            assert!(err.contains("batch"), "{err}");
+            let manifest = format!("spool = \"s\"\n[tenants.bad]\n{text}");
+            let err = ServeConfig::from_toml_str(&manifest)
+                .unwrap()
+                .validate()
+                .unwrap_err();
+            assert!(err.contains("bad") && err.contains("batch"), "{err}");
+        }
+        let fits = format!("trace = \"t.l6tr\"\nbatch = {}\n", u32::MAX);
+        assert!(RunConfig::from_toml_str(&fits).unwrap().validate().is_ok());
     }
 
     #[test]

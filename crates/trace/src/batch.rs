@@ -79,17 +79,36 @@ impl RecordBatch {
         self.len.push(r.len);
     }
 
-    /// Appends every record of `other` — seven contiguous column copies,
-    /// the fast path of the sharded router when an entire input batch
-    /// routes to one shard (run-clustered traffic).
+    /// Appends `n` copies of one record — a run of adjacent identical rows
+    /// (intensity repeats of one probe) expanded in one fill per column.
+    pub fn push_n(&mut self, r: PacketRecord, n: usize) {
+        let to = self.len() + n;
+        self.ts_ms.resize(to, r.ts_ms);
+        self.src.resize(to, r.src);
+        self.dst.resize(to, r.dst);
+        self.proto.resize(to, r.proto);
+        self.sport.resize(to, r.sport);
+        self.dport.resize(to, r.dport);
+        self.len.resize(to, r.len);
+    }
+
+    /// Appends every record of `other` — the fast path of the sharded
+    /// router when an entire input batch routes to one shard
+    /// (run-clustered traffic).
     pub fn extend_from_batch(&mut self, other: &RecordBatch) {
-        self.ts_ms.extend_from_slice(&other.ts_ms);
-        self.src.extend_from_slice(&other.src);
-        self.dst.extend_from_slice(&other.dst);
-        self.proto.extend_from_slice(&other.proto);
-        self.sport.extend_from_slice(&other.sport);
-        self.dport.extend_from_slice(&other.dport);
-        self.len.extend_from_slice(&other.len);
+        self.extend_from_range(other, 0..other.len());
+    }
+
+    /// Appends rows `rows` of `other` — seven contiguous column copies.
+    /// Panics if the range reaches past `other.len()`, like slice indexing.
+    pub fn extend_from_range(&mut self, other: &RecordBatch, rows: std::ops::Range<usize>) {
+        self.ts_ms.extend_from_slice(&other.ts_ms[rows.clone()]);
+        self.src.extend_from_slice(&other.src[rows.clone()]);
+        self.dst.extend_from_slice(&other.dst[rows.clone()]);
+        self.proto.extend_from_slice(&other.proto[rows.clone()]);
+        self.sport.extend_from_slice(&other.sport[rows.clone()]);
+        self.dport.extend_from_slice(&other.dport[rows.clone()]);
+        self.len.extend_from_slice(&other.len[rows]);
     }
 
     /// Appends the rows of `other` selected by `idxs`, one column at a
@@ -146,6 +165,16 @@ impl RecordBatch {
     /// The destination-address column.
     pub fn dst(&self) -> &[u128] {
         &self.dst
+    }
+
+    /// The transport-protocol column.
+    pub fn proto(&self) -> &[Transport] {
+        &self.proto
+    }
+
+    /// The destination-port column.
+    pub fn dport(&self) -> &[u16] {
+        &self.dport
     }
 }
 
@@ -246,11 +275,29 @@ mod tests {
     }
 
     #[test]
+    fn push_n_and_extend_from_range_equal_row_by_row_pushes() {
+        let src: RecordBatch = (0..9).map(rec).collect();
+        let mut out = RecordBatch::new();
+        let mut want = Vec::new();
+        for (i, n) in [(0usize, 0usize), (3, 1), (5, 4)] {
+            out.push_n(src.get(i), n);
+            want.extend(std::iter::repeat_n(src.get(i), n));
+        }
+        for rows in [0..0, 2..3, 4..9] {
+            out.extend_from_range(&src, rows.clone());
+            want.extend(rows.map(|i| src.get(i)));
+        }
+        assert_eq!(out.iter().collect::<Vec<_>>(), want);
+    }
+
+    #[test]
     fn columns_expose_soa_view() {
         let mut b = RecordBatch::new();
         b.extend((0..5).map(rec));
         assert_eq!(b.ts_ms(), &[0, 1, 2, 3, 4]);
         assert_eq!(b.src()[3], 0x2001 + 3);
         assert_eq!(b.dst()[4], 0xdd00 + 4);
+        assert_eq!(b.proto()[1], Transport::Tcp);
+        assert_eq!(b.dport(), &[22; 5]);
     }
 }

@@ -1,7 +1,9 @@
 //! Tier-1 smoke of fused generation (the full battery lives in
 //! `crates/scanners/tests/fused.rs`): the source's inline lane and its
-//! threaded lanes both deliver the materialized `cdn_trace()`, and a
-//! position taken under one resumes under the other.
+//! threaded lanes both deliver the materialized `cdn_trace()` — at 10x,
+//! where nine rows in ten are adjacent repeats, through fills small enough
+//! to cut every run — and a position taken under one resumes under the
+//! other.
 
 use lumen6::scanners::{FleetConfig, FleetSource, World};
 use lumen6::trace::{PacketRecord, RecordBatch, Source};
@@ -13,10 +15,11 @@ fn config() -> FleetConfig {
     }
 }
 
-fn drain(src: &mut FleetSource) -> Vec<PacketRecord> {
+fn drain(src: &mut FleetSource, max: usize) -> Vec<PacketRecord> {
     let mut out = Vec::new();
     let mut batch = RecordBatch::new();
-    while src.fill(&mut batch, 4_096).expect("infallible") > 0 {
+    while src.fill(&mut batch, max).expect("infallible") > 0 {
+        assert!(batch.len() <= max, "fill overran max={max}");
         out.extend(batch.iter());
     }
     out
@@ -28,7 +31,34 @@ fn inline_and_threaded_generation_equal_cdn_trace() {
     assert!(expected.len() > 10_000, "trace too small to be meaningful");
     for gen_threads in [1, 2] {
         let mut src = FleetSource::with_gen_threads(World::build(config()), gen_threads);
-        assert_eq!(drain(&mut src), expected, "gen_threads={gen_threads}");
+        assert_eq!(
+            drain(&mut src, 4_096),
+            expected,
+            "gen_threads={gen_threads}"
+        );
+    }
+}
+
+#[test]
+fn runs_cut_by_three_record_fills_equal_cdn_trace_at_10x() {
+    let config = FleetConfig {
+        intensity: 10.0,
+        end_day: 2,
+        ..FleetConfig::small()
+    };
+    let expected = World::build(config.clone()).cdn_trace();
+    let repeats = expected.windows(2).filter(|w| w[0] == w[1]).count();
+    assert!(
+        repeats * 10 > expected.len() * 8,
+        "10x trace is not mostly adjacent repeats: {repeats} of {}",
+        expected.len()
+    );
+    for gen_threads in [1, 2] {
+        let mut src = FleetSource::with_gen_threads(World::build(config.clone()), gen_threads);
+        assert!(
+            drain(&mut src, 3) == expected,
+            "gen_threads={gen_threads}: stream differs from cdn_trace()"
+        );
     }
 }
 
@@ -40,5 +70,5 @@ fn position_taken_threaded_resumes_inline() {
     assert_eq!(threaded.fill(&mut batch, 5_000).expect("fill"), 5_000);
     let mut inline = FleetSource::new(World::build(config()));
     inline.resume(threaded.position()).expect("resume");
-    assert_eq!(drain(&mut inline), expected[5_000..]);
+    assert_eq!(drain(&mut inline, 4_096), expected[5_000..]);
 }

@@ -1,12 +1,36 @@
 //! Tier-1 check of the one ingest route: a `Session` that hands the source's
 //! batches to the detector — as filled, through the reorder buffer, cut by
 //! idle flushes, on either backend — reports exactly what the per-record
-//! reference `detector::detect` reports, level by level, on fleet traffic.
+//! reference `detector::detect` reports, level by level, on fleet traffic —
+//! and so does a fused 10x run, where the source emits and the detector
+//! accounts nine rows in ten as the repeats of a run.
 
 use lumen6::detect::detector::detect;
 use lumen6::detect::prelude::*;
 use lumen6::detect::ArtifactFilter;
-use lumen6::scanners::{FleetConfig, World};
+use lumen6::scanners::{FleetConfig, FleetSource, World};
+use lumen6::trace::PacketRecord;
+
+/// What the per-record reference reports on `records` at each paper level.
+fn reference_reports(
+    records: &[PacketRecord],
+    base: &ScanDetectorConfig,
+) -> Vec<(AggLevel, ScanReport)> {
+    AggLevel::PAPER_LEVELS
+        .iter()
+        .map(|&agg| {
+            let report = detect(
+                records,
+                ScanDetectorConfig {
+                    agg,
+                    ..base.clone()
+                },
+            );
+            assert!(report.scans() > 0, "{agg}: nothing to compare");
+            (agg, report)
+        })
+        .collect()
+}
 
 #[test]
 fn session_reports_equal_the_per_record_reference_at_paper_levels() {
@@ -20,20 +44,7 @@ fn session_reports_equal_the_per_record_reference_at_paper_levels() {
         min_dsts: 50,
         ..Default::default()
     };
-    let reference: Vec<_> = AggLevel::PAPER_LEVELS
-        .iter()
-        .map(|&agg| {
-            let report = detect(
-                &clean,
-                ScanDetectorConfig {
-                    agg,
-                    ..base.clone()
-                },
-            );
-            assert!(report.scans() > 0, "{agg}: nothing to compare");
-            (agg, report)
-        })
-        .collect();
+    let reference = reference_reports(&clean, &base);
 
     let builder = DetectorBuilder::new(base).levels(&AggLevel::PAPER_LEVELS);
     for backend in [
@@ -60,6 +71,45 @@ fn session_reports_equal_the_per_record_reference_at_paper_levels() {
                 for (agg, expect) in &reference {
                     assert_eq!(&rep.reports[agg], expect, "{what}: level {agg}");
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_10x_session_reports_equal_the_per_record_reference_at_paper_levels() {
+    let fleet = FleetConfig {
+        intensity: 10.0,
+        end_day: 7,
+        ..FleetConfig::small()
+    };
+    let trace = World::build(fleet.clone()).cdn_trace();
+    assert!(trace.len() > 100_000, "trace too small to be meaningful");
+    let base = ScanDetectorConfig::default();
+    let reference = reference_reports(&trace, &base);
+
+    let builder = DetectorBuilder::new(base).levels(&AggLevel::PAPER_LEVELS);
+    for backend in [
+        Backend::Sequential,
+        Backend::Sharded(ShardPlan::with_shards(2)),
+    ] {
+        // 4096 carries whole runs; 3 cuts every one of them.
+        for batch in [4_096, 3] {
+            let config = SessionConfig {
+                batch,
+                ..Default::default()
+            };
+            let what = format!("{backend:?}, batch {batch}");
+            let mut src = FleetSource::new(World::build(fleet.clone()));
+            let outcome = Session::new(builder.clone(), backend, config)
+                .run_source(&mut src)
+                .unwrap();
+            let SessionOutcome::Finished(rep) = outcome else {
+                panic!("{what}: stopped without a checkpoint policy");
+            };
+            assert_eq!(rep.records, trace.len() as u64, "{what}");
+            for (agg, expect) in &reference {
+                assert_eq!(&rep.reports[agg], expect, "{what}: level {agg}");
             }
         }
     }
