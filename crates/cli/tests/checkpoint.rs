@@ -131,6 +131,127 @@ fn corrupt_checkpoint_is_a_clean_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// FNV-1a 64, as the `L6CK` header carries it — anyone can compute it, so
+/// a correct checksum vouches for nothing under it.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn committed(name: &str) -> String {
+    format!("{}/../../tests/data/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Runs `detect` over the committed compat trace from `checkpoint` and
+/// holds it to a clean refusal: exit 2, a `corrupt checkpoint` message
+/// naming `why`, no panic, no report.
+fn assert_refused(checkpoint: &Path, why: &str) {
+    let out = lumen6(&[
+        "detect",
+        "--trace",
+        &committed("compat.l6tr"),
+        "--min-dsts",
+        "20",
+        "--timeout-secs",
+        "60",
+        "--checkpoint",
+        checkpoint.to_str().unwrap(),
+        "--checkpoint-every",
+        "400",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("corrupt checkpoint") && stderr.contains(why),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "a refused checkpoint printed a report"
+    );
+}
+
+/// A checkpoint whose sketch cannot be inserted into used to load — the
+/// checksum is anyone's to compute — restore, and kill the process at the
+/// source's next packet (`index out of bounds` in `HyperLogLog::insert`,
+/// exit 101). Both framings now refuse it at load.
+#[test]
+fn misshapen_sketch_under_a_correct_checksum_is_a_clean_error() {
+    let dir = std::env::temp_dir().join(format!("lumen6-ckpt-sketch-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    // v1: the committed parent-written checkpoint with its first sketch's
+    // register array emptied, under a recomputed header.
+    let v1 = std::fs::read_to_string(committed("compat_sketch.v1.l6ck")).unwrap();
+    let (_, json) = v1.split_once('\n').unwrap();
+    let key = "\"registers\":[";
+    let from = json.find(key).expect("fixture holds a sketch") + key.len();
+    let to = from + json[from..].find(']').unwrap();
+    let json = format!("{}{}", &json[..from], &json[to..]);
+    assert!(json.contains("{\"Sketch\":{\"precision\":10,\"registers\":[]}}"));
+    let bad_v1 = dir.join("v1.l6ck");
+    std::fs::write(
+        &bad_v1,
+        format!(
+            "L6CK v1 {:016x} {}\n{json}",
+            fnv1a(json.as_bytes()),
+            json.len()
+        ),
+    )
+    .unwrap();
+    assert_refused(&bad_v1, "registers");
+
+    // Its v2 twin: one level, one run, whose `dsts` counter is a sketch of
+    // precision 200.
+    let mut body = vec![2u8]; // snapshot version
+    body.extend_from_slice(&[0; 9]); // position, counters, reorder scalars
+    body.extend_from_slice(&[0, 1]); // no reorder entries; one level
+    body.extend_from_slice(&[64, 20, 60, 0, 0, 0, 0, 1]); // config, counters, one run
+    body.extend_from_slice(&[0; 16]); // ::/64
+    body.extend_from_slice(&[64, 0, 0, 1]); // start, last, packets
+    body.extend_from_slice(&[1, 200]); // Sketch, precision 200
+    body.extend_from_slice(&[0; 64]);
+    let mut bad_v2 = format!("L6CK v2 {:016x} {:020}\n", fnv1a(&body), body.len()).into_bytes();
+    bad_v2.extend_from_slice(&body);
+    let path = dir.join("v2.l6ck");
+    std::fs::write(&path, bad_v2).unwrap();
+    assert_refused(&path, "sketch precision 200");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--checkpoint state.tmp`: the temp file is `state.tmp.tmp`, so the live
+/// checkpoint is replaced by rename, not written in place, and `.prev` is
+/// the generation before it rather than a copy of it.
+#[test]
+fn a_checkpoint_named_dot_tmp_is_still_written_beside() {
+    let dir = std::env::temp_dir().join(format!("lumen6-ckpt-tmpname-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ck = dir.join("state.tmp");
+    let out = lumen6(&[
+        "detect",
+        "--fused",
+        "--small",
+        "--days",
+        "5",
+        "--checkpoint",
+        ck.to_str().unwrap(),
+        "--checkpoint-every",
+        "20000",
+        "--stop-after",
+        "2",
+    ]);
+    assert_eq!(out.status.code(), Some(3));
+    let prev = dir.join("state.tmp.prev");
+    let (main, prev) = (std::fs::read(&ck).unwrap(), std::fs::read(&prev).unwrap());
+    assert!(main.starts_with(b"L6CK v2 ") && prev.starts_with(b"L6CK v2 "));
+    assert_ne!(main, prev, ".prev must be the previous generation");
+    assert!(!dir.join("state.tmp.tmp").exists(), "temp file left behind");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn stop_after_without_checkpoint_is_usage_error() {
     let out = lumen6(&["detect", "--trace", "x.l6tr", "--stop-after", "1"]);

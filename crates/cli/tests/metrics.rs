@@ -190,3 +190,65 @@ fn batch_runs_counts_distinct_rows_beside_records() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A checkpointed run says what its checkpoints cost — time to snapshot,
+/// time to save, bytes written — and a run without checkpoints says nothing.
+#[test]
+fn checkpoint_cost_is_reported_per_checkpoint_and_only_then() {
+    let dir = std::env::temp_dir().join(format!("lumen6-metrics-ckpt-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("t.l6tr");
+    let t = trace.to_str().unwrap();
+    stdout_of(&lumen6(&[
+        "generate", "cdn", "--out", t, "--days", "4", "--seed", "5", "--small",
+    ]));
+    let records: u64 = stdout_of(&lumen6(&["info", "--trace", t]))
+        .lines()
+        .find_map(|l| l.strip_prefix("records:"))
+        .expect("info prints record count")
+        .trim()
+        .parse()
+        .unwrap();
+    // Exactly two checkpoints: both files are still there to be measured,
+    // the second as `ck`, the first as `ck.prev`.
+    let every = (records / 2).to_string();
+    let names = [
+        "detect.session.snapshot_us",
+        "detect.session.checkpoint_save_us",
+    ];
+
+    let run = |checkpointed: bool| -> MetricsSnapshot {
+        let metrics = dir.join(format!("m-{checkpointed}.json"));
+        let ck = dir.join("state.l6ck");
+        let mut args = vec!["detect", "--trace", t, "--min-dsts", "50", "--sequential"];
+        if checkpointed {
+            args.extend(["--checkpoint", ck.to_str().unwrap()]);
+            args.extend(["--checkpoint-every", &every]);
+        }
+        args.extend(["--metrics-out", metrics.to_str().unwrap()]);
+        stdout_of(&lumen6(&args));
+        serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap()
+    };
+
+    let snap = run(true);
+    assert_eq!(snap.counters["detect.session.checkpoints_written"], 2);
+    let on_disk: u64 = ["state.l6ck", "state.l6ck.prev"]
+        .iter()
+        .map(|f| std::fs::metadata(dir.join(f)).unwrap().len())
+        .sum();
+    assert_eq!(snap.counters["detect.session.checkpoint_bytes"], on_disk);
+    for name in names {
+        let timer = &snap.histograms[name];
+        assert_eq!(timer.count, 2, "{name}");
+        assert!(timer.sum > 0, "{name} recorded no time");
+    }
+
+    let bare = run(false);
+    assert!(!bare
+        .counters
+        .contains_key("detect.session.checkpoint_bytes"));
+    for name in names {
+        assert!(!bare.histograms.contains_key(name), "{name}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -41,6 +41,7 @@
 pub mod adaptive;
 pub mod aggregate;
 pub mod blocklist;
+pub mod checkpoint_codec;
 pub mod detector;
 pub mod event;
 pub mod fingerprint;

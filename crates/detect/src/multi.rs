@@ -79,15 +79,18 @@ impl MultiLevelDetector {
     }
 
     /// Serializable per-level snapshot of the complete detector state,
-    /// including mid-stream pending events.
+    /// including mid-stream pending events, in canonical order.
     pub fn state(&self) -> Vec<LevelState> {
-        self.levels
+        let mut levels: Vec<LevelState> = self
+            .levels
             .iter()
             .map(|(det, pending)| LevelState {
                 pending: pending.clone(),
                 ..det.state()
             })
-            .collect()
+            .collect();
+        levels.iter_mut().for_each(LevelState::normalize);
+        levels
     }
 
     /// Rebuilds a multi-level detector from per-level snapshots (each

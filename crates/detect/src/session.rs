@@ -12,7 +12,9 @@
 //!    offset) with an integrity checksum, written atomically (temp file +
 //!    rename). A killed run resumed from its last checkpoint produces a
 //!    report *byte-identical* to an uninterrupted run — a subprocess-tested
-//!    invariant.
+//!    invariant. The file is `L6CK v2`: a header line, then the binary body
+//!    of [`crate::checkpoint_codec`], streamed to disk through the checksum.
+//!    `L6CK v1` files (a JSON body) still load; none is written.
 //! 2. **Reordering** — real multi-machine logs are never globally
 //!    time-ordered. A bounded [`ReorderBuffer`] with a configurable
 //!    watermark re-sorts slightly-late packets before the detector sees
@@ -32,11 +34,13 @@
 //! The two detector backends — [`MultiLevelDetector`] and the sharded
 //! pipeline — implement [`Detect`], so the CLI, the daemon and the
 //! experiment harness dispatch through one code path chosen by
-//! [`DetectorBuilder`]. Snapshots use one uniform per-level format: a
-//! checkpoint written by a sharded run restores into a sequential run and
-//! vice versa, and the shard count may change across a resume.
+//! [`DetectorBuilder`]. Snapshots use one uniform, canonically ordered
+//! per-level format: a sharded and a sequential run at the same stream
+//! position write the same checkpoint bytes, a checkpoint written by either
+//! restores into the other, and the shard count may change across a resume.
 
 use crate::aggregate::AggLevel;
+use crate::checkpoint_codec;
 use crate::detector::ScanDetectorConfig;
 use crate::event::ScanReport;
 use crate::multi::MultiLevelDetector;
@@ -51,7 +55,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 // ---------------------------------------------------------------------------
@@ -466,17 +470,54 @@ pub struct ReorderState {
 
 /// Header magic for checkpoint files.
 const CHECKPOINT_MAGIC: &str = "L6CK";
-/// Checkpoint framing version.
-const CHECKPOINT_FRAME_VERSION: u32 = 1;
+/// Framing versions: `v2` (the binary body of [`crate::checkpoint_codec`])
+/// is what `save` writes; `v1` (a JSON body) is read, never written.
+const FRAME_V2: &str = "v2";
+const FRAME_V1: &str = "v1";
 
-/// FNV-1a 64-bit over a byte string — the checkpoint integrity checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit, the checkpoint integrity checksum: folds `bytes` into `h`
+/// (start from [`FNV_OFFSET`]), so a stream can be summed as it passes.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Passes a checkpoint body through to `inner`, checksumming and counting
+/// the bytes on the way, so the body is never held whole to learn either.
+struct BodyWriter<W: Write> {
+    inner: W,
+    sum: u64,
+    len: u64,
+}
+
+impl<W: Write> Write for BodyWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.inner.write_all(buf)?;
+        self.sum = fnv1a(self.sum, buf);
+        self.len += buf.len() as u64;
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// The header line of a version-2 file: fixed width, so `save` can write it
+/// before the body and patch checksum and length in once the body has passed.
+fn frame_header(sum: u64, len: u64) -> String {
+    format!("{CHECKPOINT_MAGIC} {FRAME_V2} {sum:016x} {len:020}\n")
+}
+
+/// `path` with `suffix` appended (extension kept, not replaced).
+fn sibling(path: &Path, suffix: &str) -> PathBuf {
+    let mut os = path.as_os_str().to_os_string();
+    os.push(suffix);
+    PathBuf::from(os)
 }
 
 /// The complete durable state of a [`Session`] at one stream position:
@@ -501,47 +542,53 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Writes the checkpoint atomically: serialize, checksum, write to
-    /// `<path>.tmp`, fsync, rename over `path`. A crash mid-write leaves
-    /// the previous checkpoint intact. Before the rename, any existing
-    /// checkpoint is *copied* (not renamed — a crash between the two
-    /// operations must leave `path` valid) to
-    /// [`prev_path`](Self::prev_path), so one generation of history
-    /// survives even a corruption of the main file that slips past the
-    /// atomic rename (torn disk writes, operator accidents);
-    /// [`load_newest`](Self::load_newest) falls back to it.
+    /// Writes the checkpoint atomically as `L6CK v2 <fnv1a64> <len>\n` and
+    /// the binary body: the body streams into `<path>.tmp` (suffix appended,
+    /// like [`prev_path`](Self::prev_path)) behind a placeholder header,
+    /// checksummed and counted as it passes; the header is then patched, the
+    /// file fsynced and renamed over `path`. A crash mid-write leaves the
+    /// previous checkpoint intact. Before the rename, any existing checkpoint
+    /// is *copied* (not renamed — a crash between the two operations must
+    /// leave `path` valid) to `prev_path`, so one generation survives even a
+    /// corruption of the main file that slips past the atomic rename (torn
+    /// disk writes); [`load_newest`](Self::load_newest) falls back to it.
     pub fn save(&self, path: &Path) -> Result<(), SessionError> {
-        let body = serde_json::to_string(self).map_err(|e| SessionError::Corrupt(e.to_string()))?;
-        let header = format!(
-            "{CHECKPOINT_MAGIC} v{CHECKPOINT_FRAME_VERSION} {:016x} {}\n",
-            fnv1a(body.as_bytes()),
-            body.len()
-        );
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(header.as_bytes())?;
-            f.write_all(body.as_bytes())?;
-            f.sync_all()?;
-        }
+        self.save_sized(path).map(|_| ())
+    }
+
+    fn save_sized(&self, path: &Path) -> Result<u64, SessionError> {
+        let tmp = sibling(path, ".tmp");
+        let placeholder = frame_header(0, 0);
+        let mut file = File::create(&tmp)?;
+        file.write_all(placeholder.as_bytes())?;
+        let mut body = BodyWriter {
+            inner: BufWriter::new(file),
+            sum: FNV_OFFSET,
+            len: 0,
+        };
+        checkpoint_codec::encode(self, &mut body)?;
+        let BodyWriter { inner, sum, len } = body;
+        let mut file = inner.into_inner().map_err(io::IntoInnerError::into_error)?;
+        file.seek(SeekFrom::Start(0))?;
+        file.write_all(frame_header(sum, len).as_bytes())?;
+        file.sync_all()?;
+        drop(file);
         if path.exists() {
             fs::copy(path, Self::prev_path(path))?;
         }
         fs::rename(&tmp, path)?;
-        Ok(())
+        Ok(placeholder.len() as u64 + len)
     }
 
     /// Where [`save`](Self::save) keeps the previous checkpoint
     /// generation: `<path>.prev` (extension appended, not replaced).
     pub fn prev_path(path: &Path) -> PathBuf {
-        let mut os = path.as_os_str().to_os_string();
-        os.push(".prev");
-        PathBuf::from(os)
+        sibling(path, ".prev")
     }
 
     /// Loads the newest *valid* checkpoint at `path`: the main file when
     /// it verifies, else the `.prev` generation when the main file is
-    /// corrupt (bad framing, checksum, or deserialization). A missing main
+    /// corrupt (bad framing, checksum, or body). A missing main
     /// file is still an error — callers probe existence first, and a clean
     /// start must not silently resume from stale history.
     pub fn load_newest(path: &Path) -> Result<Self, SessionError> {
@@ -558,44 +605,63 @@ impl Checkpoint {
         }
     }
 
-    /// Loads and verifies a checkpoint written by [`save`](Self::save).
+    /// Loads and verifies a checkpoint of either framing: the `v2` files
+    /// [`save`](Self::save) writes, and the `v1` (JSON body) files earlier
+    /// builds wrote, which come back upgraded — current snapshot version,
+    /// canonical `pending` order — so the next save is an ordinary `v2`.
     pub fn load(path: &Path) -> Result<Self, SessionError> {
-        let data = fs::read_to_string(path)?;
-        let (header, body) = data
-            .split_once('\n')
-            .ok_or_else(|| SessionError::Corrupt("missing checkpoint header".into()))?;
+        let corrupt = SessionError::Corrupt;
+        let data = fs::read(path)?;
+        let newline = data.iter().position(|&b| b == b'\n');
+        let newline = newline.ok_or_else(|| corrupt("missing checkpoint header".into()))?;
+        let (header, body) = (&data[..newline], &data[newline + 1..]);
+        // A header that is not text fails the field checks below.
+        let header = String::from_utf8_lossy(header);
         let mut parts = header.split(' ');
-        let magic = parts.next().unwrap_or_default();
-        let version = parts.next().unwrap_or_default();
-        let checksum = parts.next().unwrap_or_default();
-        let len = parts.next().unwrap_or_default();
+        let mut field = || parts.next().unwrap_or_default();
+        let (magic, version, checksum, len) = (field(), field(), field(), field());
         if magic != CHECKPOINT_MAGIC {
-            return Err(SessionError::Corrupt(format!(
-                "bad checkpoint magic {magic:?}"
-            )));
+            return Err(corrupt(format!("bad checkpoint magic {magic:?}")));
         }
-        if version != format!("v{CHECKPOINT_FRAME_VERSION}") {
-            return Err(SessionError::Corrupt(format!(
+        if (version != FRAME_V1 && version != FRAME_V2) || parts.next().is_some() {
+            return Err(corrupt(format!(
                 "unsupported checkpoint framing {version:?}"
             )));
         }
-        if len.parse::<usize>().ok() != Some(body.len()) {
-            return Err(SessionError::Corrupt(format!(
+        // Exactly the characters `save` prints: `parse` alone would also
+        // take `+7` or `AB`, and a header with a flipped bit must not verify.
+        let only = |s: &str, alphabet: &str| s.bytes().all(|b| alphabet.as_bytes().contains(&b));
+        if !only(len, "0123456789") || len.parse::<usize>().ok() != Some(body.len()) {
+            return Err(corrupt(format!(
                 "checkpoint length mismatch: header says {len}, body is {}",
                 body.len()
             )));
         }
-        let expect = u64::from_str_radix(checksum, 16).map_err(|_| {
-            SessionError::Corrupt(format!("bad checkpoint checksum field {checksum:?}"))
-        })?;
-        let actual = fnv1a(body.as_bytes());
+        let expect = u64::from_str_radix(checksum, 16)
+            .ok()
+            .filter(|_| checksum.len() == 16 && only(checksum, "0123456789abcdef"))
+            .ok_or_else(|| corrupt(format!("bad checkpoint checksum field {checksum:?}")))?;
+        let actual = fnv1a(FNV_OFFSET, body);
         if actual != expect {
-            return Err(SessionError::Corrupt(format!(
+            return Err(corrupt(format!(
                 "checkpoint checksum mismatch: header {expect:016x}, body {actual:016x}"
             )));
         }
-        let ck: Checkpoint =
-            serde_json::from_str(body).map_err(|e| SessionError::Corrupt(e.to_string()))?;
+        let ck = if version == FRAME_V1 {
+            let json = std::str::from_utf8(body).map_err(|e| corrupt(e.to_string()))?;
+            let ck: Checkpoint = serde_json::from_str(json).map_err(|e| corrupt(e.to_string()))?;
+            // A v1 frame carries snapshot version 1 and no other.
+            if ck.detector.version != 1 {
+                let v = ck.detector.version;
+                return Err(corrupt(format!("snapshot version {v} in a v1 checkpoint")));
+            }
+            Checkpoint {
+                detector: DetectorSnapshot::new(ck.detector.levels),
+                ..ck
+            }
+        } else {
+            checkpoint_codec::decode(body).map_err(corrupt)?
+        };
         ck.detector
             .check_version()
             .map_err(SessionError::Snapshot)?;
@@ -870,23 +936,30 @@ impl RunState {
         }
     }
 
-    /// Writes the checkpoint of the current stream position to `path`.
+    /// Writes the checkpoint of the current stream position to `path`,
+    /// and what it cost — snapshot time, save time, file bytes — to the
+    /// metrics registry: once per checkpoint, nothing per record.
     fn save_checkpoint(&mut self, src: &mut dyn Source, path: &Path) -> Result<(), SessionError> {
+        let reg = MetricsRegistry::global();
         self.src_skipped = src.skipped();
         self.ckpts += 1;
+        let snapshot_timer = reg.stage("detect.session.snapshot_us");
+        let detector = self.det.snapshot();
+        drop(snapshot_timer);
         let ck = Checkpoint {
             position: src.position(),
             records_done: self.records_done,
             decode_skipped: self.skipped_before + self.src_skipped,
-            detector: self.det.snapshot(),
+            detector,
             reorder: self.reorder.state(),
             checkpoints_written: self.ckpts,
             last_flush_ms: self.last_flush,
         };
-        ck.save(path)?;
-        MetricsRegistry::global()
-            .counter("detect.session.checkpoints_written")
-            .add(1);
+        let save_timer = reg.stage("detect.session.checkpoint_save_us");
+        let bytes = ck.save_sized(path)?;
+        drop(save_timer);
+        reg.counter("detect.session.checkpoints_written").add(1);
+        reg.counter("detect.session.checkpoint_bytes").add(bytes);
         Ok(())
     }
 }

@@ -80,6 +80,12 @@ impl From<(usize, u8)> for SketchConfig {
     }
 }
 
+/// The named field of a JSON object, for the hand-written decoders below.
+fn field<'a>(v: &'a Value, name: &str) -> Result<&'a Value, DeError> {
+    v.get(name)
+        .ok_or_else(|| DeError::msg(format!("missing field `{name}`")))
+}
+
 impl Deserialize for SketchConfig {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         match v {
@@ -89,17 +95,11 @@ impl Deserialize for SketchConfig {
                 precision: u8::from_value(&items[1])?,
             }
             .clamped()),
-            Value::Object(_) => {
-                let get = |name: &str| {
-                    v.get(name)
-                        .ok_or_else(|| DeError::msg(format!("missing field `{name}`")))
-                };
-                Ok(SketchConfig {
-                    spill_threshold: usize::from_value(get("spill_threshold")?)?,
-                    precision: u8::from_value(get("precision")?)?,
-                }
-                .clamped())
+            Value::Object(_) => Ok(SketchConfig {
+                spill_threshold: usize::from_value(field(v, "spill_threshold")?)?,
+                precision: u8::from_value(field(v, "precision")?)?,
             }
+            .clamped()),
             other => Err(DeError::expected(
                 "SketchConfig object or [spill, precision]",
                 other,
@@ -127,7 +127,7 @@ fn mix128(x: u128) -> u64 {
 /// let est = h.estimate();
 /// assert!((est as f64 - 10_000.0).abs() / 10_000.0 < 0.05);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct HyperLogLog {
     precision: u8,
     registers: Vec<u8>,
@@ -137,16 +137,47 @@ impl HyperLogLog {
     /// Creates a sketch with `2^precision` registers. Precision is clamped
     /// to 4..=16.
     pub fn new(precision: u8) -> Self {
-        let p = precision.clamp(4, 16);
+        let p = precision.clamp(MIN_PRECISION, MAX_PRECISION);
         HyperLogLog {
             precision: p,
             registers: vec![0; 1 << p],
         }
     }
 
+    /// Rebuilds a sketch from stored parts — the one way a checkpoint of
+    /// either format becomes a sketch. [`insert`](Self::insert) indexes by
+    /// the top `precision` hash bits and shifts by `64 - precision`, so the
+    /// precision must be in range, with exactly `2^precision` registers, none
+    /// above the highest rank `insert` produces (`64 - precision + 1`).
+    pub fn from_registers(precision: u8, registers: Vec<u8>) -> Result<Self, String> {
+        if !(MIN_PRECISION..=MAX_PRECISION).contains(&precision) {
+            return Err(format!("sketch precision {precision} out of range"));
+        }
+        let (want, max_rank) = (1usize << precision, 64 - precision + 1);
+        if registers.len() != want || registers.iter().any(|&r| r > max_rank) {
+            let (has, top) = (
+                registers.len(),
+                registers.iter().max().copied().unwrap_or(0),
+            );
+            return Err(format!(
+                "sketch of precision {precision} needs {want} registers of rank <= {max_rank}, \
+                 has {has} reaching rank {top}"
+            ));
+        }
+        Ok(HyperLogLog {
+            precision,
+            registers,
+        })
+    }
+
     /// The precision (log2 of register count).
     pub fn precision(&self) -> u8 {
         self.precision
+    }
+
+    /// The register array, `2^precision` ranks.
+    pub fn registers(&self) -> &[u8] {
+        &self.registers
     }
 
     /// Inserts an item.
@@ -209,6 +240,18 @@ impl HyperLogLog {
     /// Memory used by the register array, in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.registers.len()
+    }
+}
+
+/// Hand-written so a stored sketch passes [`HyperLogLog::from_registers`]: a
+/// derived impl takes any `precision`/`registers` pair and panics on insert.
+impl Deserialize for HyperLogLog {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        HyperLogLog::from_registers(
+            u8::from_value(field(v, "precision")?)?,
+            Vec::from_value(field(v, "registers")?)?,
+        )
+        .map_err(DeError::msg)
     }
 }
 

@@ -14,9 +14,13 @@
 //! restore time.
 //!
 //! Determinism: everything order-sensitive is sorted before serialization
-//! (run lists by source, destination sets ascending), so two snapshots of
-//! equal logical state serialize identically even though the live detectors
-//! use hash maps internally.
+//! (run lists by source, destination sets ascending, `pending` events by
+//! `(start_ms, source)`), so two snapshots of equal logical state serialize
+//! identically even though the live detectors use hash maps internally,
+//! close events in arrival order and, sharded, hold them per shard: a
+//! sequential and a sharded run at one stream position write the same
+//! checkpoint bytes ([`crate::checkpoint_codec`]; the serde derives here
+//! remain for version-1 JSON checkpoints and the analyzer's L004).
 
 use crate::aggregate::AggLevel;
 use crate::detector::ScanDetectorConfig;
@@ -28,7 +32,9 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Snapshot format version; bumped on any incompatible layout change.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Version 2 made `pending` order canonical and the checkpoint body binary;
+/// [`Checkpoint::load`](crate::Checkpoint::load) upgrades version 1.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Complete detector state: one [`LevelState`] per aggregation level, in
 /// ascending level order.
@@ -41,9 +47,11 @@ pub struct DetectorSnapshot {
 }
 
 impl DetectorSnapshot {
-    /// Wraps per-level states, normalizing order and stamping the version.
+    /// Wraps per-level states, normalizing order (levels ascending, each
+    /// level [`normalize`](LevelState::normalize)d) and stamping the version.
     pub fn new(mut levels: Vec<LevelState>) -> Self {
         levels.sort_by_key(|l| l.config.agg);
+        levels.iter_mut().for_each(LevelState::normalize);
         DetectorSnapshot {
             version: SNAPSHOT_VERSION,
             levels,
@@ -80,7 +88,8 @@ pub struct LevelState {
     pub runs_opened: u64,
     /// Open per-source runs, sorted by source prefix.
     pub runs: Vec<RunState>,
-    /// Mid-stream events closed before the snapshot, in arrival order.
+    /// Mid-stream events closed before the snapshot, sorted by
+    /// `(start_ms, source)`.
     pub pending: Vec<ScanEvent>,
 }
 
@@ -102,10 +111,12 @@ impl LevelState {
         Ok(())
     }
 
-    /// Sorts runs by source — call once after all merges so the serialized
-    /// form is deterministic regardless of shard scheduling.
+    /// Sorts runs by source and pending events by `(start_ms, source)` —
+    /// the key `finish` sorts reports by, so reports cannot move — making
+    /// the serialized form independent of shard scheduling and backend.
     pub fn normalize(&mut self) {
         self.runs.sort_by_key(|r| r.source);
+        self.pending.sort_by_key(|e| (e.start_ms, e.source));
     }
 }
 

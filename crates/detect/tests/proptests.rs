@@ -146,6 +146,41 @@ fn apply_ordering(recs: &[PacketRecord], ordering: usize) -> Vec<PacketRecord> {
     }
 }
 
+/// Six sources in six /64s each scan six destinations, fall silent for
+/// longer than the 20 s timeout the checkpoint tests run under, and then
+/// send one more packet — in the *reverse* of the order they started in. By
+/// the last record every level has closed six scans mid-stream: a sequential
+/// detector in closing order (5 … 0), a sharded one shard by shard, and the
+/// canonical `(start_ms, source)` order is neither.
+fn closed_scans_preamble() -> Vec<PacketRecord> {
+    let src = |k: u64| (u128::from(100 + k) << 64) | 1;
+    let mut recs = Vec::new();
+    for i in 0..6u64 {
+        for k in 0..6u64 {
+            let dst = 1_000 + u128::from(i);
+            recs.push(PacketRecord::tcp(
+                i * 100 + k * 10,
+                src(k),
+                dst,
+                40_000,
+                7,
+                60,
+            ));
+        }
+    }
+    for k in (0..6u64).rev() {
+        recs.push(PacketRecord::tcp(
+            30_000 + (5 - k),
+            src(k),
+            2_000,
+            40_000,
+            7,
+            60,
+        ));
+    }
+    recs
+}
+
 /// A within-watermark shuffle of a sorted workload. Arrival order is a
 /// jitter-sort: each record's sort key is its timestamp plus a jitter below
 /// half the watermark, so two records only ever swap when their true
@@ -491,24 +526,16 @@ proptest! {
     /// keep adjacent, collapse into exact repeats or scatter. The sequential
     /// reports are in turn held to the per-record reference, level by level.
     ///
-    /// States are compared with each level's `pending` events sorted: the
-    /// sequential detector keeps them in closing order, the sharded merge in
-    /// shard order, and the two differ as soon as two shards each hold one.
-    /// (Reports are sorted at `finish`, so they never show it; raw
-    /// checkpoint bytes are `sharded_checkpoint_bytes_match_sequential`'s.)
+    /// States are compared raw: `state()` is canonical on every backend —
+    /// `pending` events included, which the sequential detector closes in
+    /// arrival order and the sharded one holds per shard.
     #[test]
     fn backend_grid_matches_sequential(
         recs in arb_workload_with_runs(),
         ordering in 0usize..3,
     ) {
-        use lumen6_detect::{observe_slice, Backend, DetectorBuilder, LevelState, ShardPlan};
+        use lumen6_detect::{observe_slice, Backend, DetectorBuilder, ShardPlan};
 
-        let canonical = |mut state: Vec<LevelState>| {
-            for level in &mut state {
-                level.pending.sort_by_key(|e| (e.start_ms, e.source));
-            }
-            state
-        };
         let recs = apply_ordering(&recs, ordering);
         let half = recs.len() / 2;
         let paper = [AggLevel::L128, AggLevel::L64, AggLevel::L48];
@@ -525,9 +552,9 @@ proptest! {
                 for batch in [1usize, 7, 4096, 8192] {
                     let mut det = builder.build(backend);
                     observe_slice(det.as_mut(), &recs[..half], batch);
-                    let mid = canonical(det.state());
+                    let mid = det.state();
                     observe_slice(det.as_mut(), &recs[half..], batch);
-                    let got = (mid, canonical(det.state()), det.finish());
+                    let got = (mid, det.state(), det.finish());
                     let expect = expect.get_or_insert_with(|| got.clone());
                     prop_assert_eq!(
                         &got, expect,
@@ -618,6 +645,12 @@ proptest! {
     /// any shard count, sub-batch size, and adversarial arrival order —
     /// and resuming the sharded session reproduces the uninterrupted
     /// sequential report exactly.
+    ///
+    /// Every workload opens with [`closed_scans_preamble`], so at the cut
+    /// each level holds six closed, unreported events spread over whatever
+    /// shards there are, closed in the reverse of their canonical order:
+    /// the case the byte equality used to fail on, which a random workload
+    /// almost never draws.
     #[test]
     fn sharded_checkpoint_bytes_match_sequential(
         recs in arb_workload(),
@@ -651,6 +684,15 @@ proptest! {
         for (r, t) in recs.iter_mut().zip(ts) {
             r.ts_ms = t;
         }
+        let preamble = closed_scans_preamble();
+        let tail_from = preamble.last().map_or(0, |r| r.ts_ms);
+        let recs: Vec<PacketRecord> = preamble
+            .iter()
+            .copied()
+            .chain(recs.into_iter().map(|r| PacketRecord { ts_ms: tail_from + r.ts_ms, ..r }))
+            .collect();
+        // The first checkpoint boundary at or past the end of the preamble.
+        let cut_after = (preamble.len() as u64).div_ceil(every);
         let trace = dir.join("t.l6tr");
         let mut w = TraceWriter::new(std::io::BufWriter::new(
             std::fs::File::create(&trace).unwrap(),
@@ -689,7 +731,7 @@ proptest! {
                 checkpoint: Some(CheckpointPolicy {
                     path: ck.clone(),
                     every_records: every,
-                    stop_after: Some(1),
+                    stop_after: Some(cut_after),
                 }),
                 batch: b,
                 ..Default::default()
@@ -699,6 +741,10 @@ proptest! {
                 .unwrap()
             {
                 SessionOutcome::Stopped { .. } => {
+                    let cut = lumen6_detect::Checkpoint::load(&ck).unwrap();
+                    for level in &cut.detector.levels {
+                        prop_assert!(level.pending.len() >= 6, "the preamble's events are pending");
+                    }
                     checkpoints.push(std::fs::read(&ck).unwrap());
                     let resume_cfg = SessionConfig {
                         checkpoint: Some(CheckpointPolicy {

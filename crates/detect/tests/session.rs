@@ -425,11 +425,228 @@ fn checkpoint_rejects_bad_magic_and_truncation() {
     let saved = {
         let p = dir.path("ok.l6ck");
         sample_checkpoint().save(&p).unwrap();
-        std::fs::read_to_string(&p).unwrap()
+        std::fs::read(&p).unwrap()
     };
     std::fs::write(&path, &saved[..saved.len() - 7]).unwrap();
     assert!(matches!(
         Checkpoint::load(&path),
+        Err(SessionError::Corrupt(_))
+    ));
+}
+
+/// A checkpoint of a few hundred bytes that still holds one of everything
+/// the body can: an open run with a sketched and an exact counter and a
+/// retained destination list, a pending event, a reorder entry, and a
+/// non-TCP service.
+fn tiny_checkpoint() -> Checkpoint {
+    let base = ScanDetectorConfig {
+        min_dsts: 3,
+        timeout_ms: 1_000,
+        keep_dsts: true,
+        sketch: Some(SketchConfig {
+            spill_threshold: 4,
+            precision: 4,
+        }),
+        ..Default::default()
+    };
+    let mut det = DetectorBuilder::new(base).build(Backend::Sequential);
+    let mut recs: Vec<PacketRecord> = (0..4u64)
+        .map(|i| PacketRecord::udp(i * 10, 7, 0xa0 + u128::from(i), 1, 53, 60))
+        .collect();
+    // The same source after its timeout closes the first run as an event,
+    // and six destinations spill the new run's counter to a sketch.
+    recs.extend(
+        (0..6u64).map(|i| PacketRecord::tcp(5_000 + i, 7, 0xb0 + u128::from(i), 1, 22, 60)),
+    );
+    observe_slice(det.as_mut(), &recs, 64);
+    let mut reorder = ReorderBuffer::new(5_000);
+    reorder.push(
+        PacketRecord::icmpv6_echo(6_000, 9, 10, 64),
+        &mut RecordBatch::new(),
+    );
+    let ck = Checkpoint {
+        position: TracePosition {
+            offset: 300,
+            prev_ts: 5_005,
+        },
+        records_done: 10,
+        decode_skipped: 0,
+        detector: det.snapshot(),
+        reorder: reorder.state(),
+        checkpoints_written: 1,
+        last_flush_ms: 0,
+    };
+    use lumen6_detect::snapshot::CounterState;
+    let level = &ck.detector.levels[0];
+    assert_eq!((level.pending.len(), level.runs.len()), (1, 1));
+    assert!(matches!(level.runs[0].dsts, CounterState::Sketch(_)));
+    assert!(matches!(level.runs[0].srcs, CounterState::Exact(_)));
+    assert!(level.runs[0].dst_list.is_some());
+    assert_eq!(ck.reorder.entries.len(), 1);
+    ck
+}
+
+/// PR 5 / PR 15's corpus for `L6CK`: a v2 file cut at every length, and
+/// with every single bit flipped — header line included — never loads and
+/// never panics; it is `Corrupt`, which is what lets `load_newest` fall
+/// back to the previous generation.
+#[test]
+fn every_truncation_and_every_bit_flip_of_a_v2_file_is_corrupt() {
+    let dir = TempDir::new("ck-hostile");
+    let path = dir.path("state.l6ck");
+    let ck = tiny_checkpoint();
+    ck.save(&path).unwrap();
+    assert_eq!(Checkpoint::load(&path).unwrap(), ck);
+    let good = std::fs::read(&path).unwrap();
+    assert!(good.starts_with(b"L6CK v2 "));
+    assert!(good.len() < 1_000, "keep the corpus small: {}", good.len());
+
+    let damaged = dir.path("damaged.l6ck");
+    let assert_corrupt = |bytes: &[u8], what: String| {
+        std::fs::write(&damaged, bytes).unwrap();
+        match Checkpoint::load(&damaged) {
+            Err(SessionError::Corrupt(_)) => {}
+            other => panic!("{what}: expected Corrupt, got {other:?}"),
+        }
+    };
+    for cut in 0..good.len() {
+        assert_corrupt(&good[..cut], format!("cut at {cut}"));
+    }
+    for bit in 0..good.len() * 8 {
+        let mut bytes = good.clone();
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        assert_corrupt(&bytes, format!("bit {} of byte {}", bit % 8, bit / 8));
+    }
+    let mut longer = good.clone();
+    longer.push(0);
+    assert_corrupt(&longer, "one trailing byte".into());
+}
+
+/// FNV-1a 64, as the header carries it: anyone can compute it, so a correct
+/// checksum says nothing about the body under it.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `body` under the header `Checkpoint::save` would give it.
+fn framed_v2(body: &[u8]) -> Vec<u8> {
+    let mut file = format!("L6CK v2 {:016x} {:020}\n", fnv1a(body), body.len()).into_bytes();
+    file.extend_from_slice(body);
+    file
+}
+
+/// A hostile body under a *correct* checksum: its first element count
+/// claims 2^60 reorder entries. The decoder holds every count to what the
+/// remaining bytes could encode before sizing anything from it, so this is
+/// an error naming that cap — not an allocation.
+#[test]
+fn a_count_the_body_cannot_hold_is_corrupt_before_any_allocation() {
+    let dir = TempDir::new("ck-count");
+    let path = dir.path("state.l6ck");
+    // snapshot version 2, then nine zero varints: position, counters and the
+    // reorder buffer's three scalars.
+    let mut body = vec![2u8, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+    body.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10]);
+    body.extend_from_slice(&[0; 82]);
+    std::fs::write(&path, framed_v2(&body)).unwrap();
+    match Checkpoint::load(&path) {
+        Err(SessionError::Corrupt(msg)) => {
+            let claimed = (1u64 << 60).to_string();
+            assert!(
+                msg.contains(&claimed) && msg.contains("the body has room for 2"),
+                "{msg}"
+            );
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+
+    // The framing helper is the real one: an honest body loads through it.
+    let ck = tiny_checkpoint();
+    ck.save(&path).unwrap();
+    let saved = std::fs::read(&path).unwrap();
+    let body_start = saved.iter().position(|&b| b == b'\n').unwrap() + 1;
+    assert_eq!(framed_v2(&saved[body_start..]), saved);
+}
+
+/// The temp file is `<path>.tmp` — suffix appended, as for `.prev` — so a
+/// checkpoint that is itself called `*.tmp` is still written beside, never
+/// in place, and two checkpoints sharing a stem do not share a temp file.
+#[test]
+fn temp_file_is_the_path_with_tmp_appended() {
+    let dir = TempDir::new("ck-tmp");
+    let path = dir.path("state.tmp");
+    let mut ck = tiny_checkpoint();
+    ck.save(&path).unwrap();
+    ck.checkpoints_written = 2;
+    ck.save(&path).unwrap();
+    let prev = Checkpoint::prev_path(&path);
+    assert_ne!(
+        std::fs::read(&prev).unwrap(),
+        std::fs::read(&path).unwrap(),
+        "the previous generation was overwritten before it was copied"
+    );
+    assert_eq!(Checkpoint::load(&prev).unwrap().checkpoints_written, 1);
+    assert_eq!(Checkpoint::load(&path).unwrap().checkpoints_written, 2);
+
+    // `a.l6ck` and `a.json`: with the extension *replaced* both would write
+    // through `a.tmp`, clobbering whatever is there.
+    let bystander = dir.path("a.tmp");
+    std::fs::write(&bystander, "not a temp file").unwrap();
+    for name in ["a.l6ck", "a.json"] {
+        ck.save(&dir.path(name)).unwrap();
+        assert_eq!(Checkpoint::load(&dir.path(name)).unwrap(), ck);
+    }
+    assert_eq!(std::fs::read(&bystander).unwrap(), b"not a temp file");
+    let left: Vec<_> = std::fs::read_dir(&dir.0)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.ends_with(".tmp") && n != "state.tmp" && n != "a.tmp")
+        .collect();
+    assert!(left.is_empty(), "a completed save left {left:?}");
+}
+
+/// Two saves of one state are the same bytes, and a version-1 frame may
+/// only carry snapshot version 1, a version-2 frame only 2.
+#[test]
+fn saves_are_deterministic_and_frames_carry_their_own_snapshot_version() {
+    let dir = TempDir::new("ck-version");
+    let (a, b) = (dir.path("a.l6ck"), dir.path("b.l6ck"));
+    let ck = tiny_checkpoint();
+    ck.save(&a).unwrap();
+    ck.save(&b).unwrap();
+    assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+
+    let mut stale = ck.clone();
+    stale.detector.version = 1;
+    stale.save(&a).unwrap();
+    assert!(matches!(
+        Checkpoint::load(&a),
+        Err(SessionError::Snapshot(_))
+    ));
+    // The same state as an earlier build would have framed it loads, and
+    // comes back as the current version.
+    let json = serde_json::to_string(&stale).unwrap();
+    let v1 = format!(
+        "L6CK v1 {:016x} {}\n{json}",
+        fnv1a(json.as_bytes()),
+        json.len()
+    );
+    std::fs::write(&a, &v1).unwrap();
+    assert_eq!(Checkpoint::load(&a).unwrap(), ck);
+    let v1_carrying_2 = serde_json::to_string(&ck).unwrap();
+    std::fs::write(
+        &a,
+        format!(
+            "L6CK v1 {:016x} {}\n{v1_carrying_2}",
+            fnv1a(v1_carrying_2.as_bytes()),
+            v1_carrying_2.len()
+        ),
+    )
+    .unwrap();
+    assert!(matches!(
+        Checkpoint::load(&a),
         Err(SessionError::Corrupt(_))
     ));
 }

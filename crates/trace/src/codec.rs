@@ -24,7 +24,9 @@
 
 use crate::batch::RecordBatch;
 use crate::record::{PacketRecord, Transport};
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
+/// The growable buffer [`put_varint`] appends to.
+pub use bytes::BytesMut;
 use lumen6_obs::MetricsRegistry;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -153,7 +155,8 @@ impl From<io::Error> for CodecError {
     }
 }
 
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
+/// Appends `v` as an LEB128 varint — the only varint writer (`L6CK` reuses it).
+pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -262,7 +265,9 @@ pub(crate) fn check_header(header: &[u8; 5]) -> Result<(), CodecError> {
     Ok(())
 }
 
-fn slice_varint(data: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
+/// Reads one LEB128 varint from `data` at `*pos`, advancing the cursor — the
+/// only varint reader. `Truncated` or `VarintOverflow` when it cannot.
+pub fn slice_varint(data: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
