@@ -428,9 +428,11 @@ fn detect<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         }
     };
     if args.has("json") {
-        let json = serde_json::to_string_pretty(&report.events)
-            .map_err(|e| CliError::Internal(format!("serialize scan events: {e}")))?;
-        writeln!(out, "{json}")?;
+        // Streamed: the event list is never resident as text. Rendering
+        // cannot fail, so an error here is `out`'s.
+        serde_json::to_writer_pretty(&mut *out, &report.events)
+            .map_err(|e| CliError::Io(std::io::Error::other(e)))?;
+        writeln!(out)?;
         // Metrics go to their own file, so they compose with --json.
         emit_metrics(args, &metrics_baseline, out, true)?;
         return Ok(());

@@ -159,6 +159,32 @@ fn batch_beyond_u32_rows_is_a_usage_error_not_an_abort() {
 }
 
 #[test]
+fn fleet_json_nested_past_the_parser_limit_is_a_usage_error_not_an_abort() {
+    // The JSON parser used to recurse once per `[` with no bound: this file
+    // overflowed the stack (SIGABRT, exit 134).
+    let dir = std::env::temp_dir().join(format!("lumen6-deep-json-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fleet = dir.join("deep.json");
+    std::fs::write(&fleet, "[".repeat(200_000)).unwrap();
+    let out = lumen6(&[
+        "generate",
+        "custom",
+        "--fleet",
+        fleet.to_str().unwrap(),
+        "--out",
+        dir.join("x.l6tr").to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("invalid fleet JSON") && stderr.contains("limit of 128"),
+        "message must name the nesting limit: {stderr}"
+    );
+    assert!(!dir.join("x.l6tr").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn batch_runs_counts_distinct_rows_beside_records() {
     // At 10x nine rows in ten repeat their predecessor; the detector
     // accounts each run once and says so next to the record count.

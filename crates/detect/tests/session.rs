@@ -570,6 +570,26 @@ fn a_count_the_body_cannot_hold_is_corrupt_before_any_allocation() {
     assert_eq!(framed_v2(&saved[body_start..]), saved);
 }
 
+/// The same for a version-1 frame, whose body is JSON: 10 000 `[` under a
+/// correct checksum used to recurse the parser off the end of the stack
+/// (SIGABRT, not an error). Nesting is capped, so it is `Corrupt`.
+#[test]
+fn a_v1_body_nested_past_the_parser_limit_is_corrupt_not_an_abort() {
+    let dir = TempDir::new("ck-deep");
+    let path = dir.path("state.l6ck");
+    let body = "[".repeat(10_000);
+    let frame = format!(
+        "L6CK v1 {:016x} {}\n{body}",
+        fnv1a(body.as_bytes()),
+        body.len()
+    );
+    std::fs::write(&path, frame).unwrap();
+    match Checkpoint::load(&path) {
+        Err(SessionError::Corrupt(msg)) => assert!(msg.contains("limit of 128"), "{msg}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
 /// The temp file is `<path>.tmp` — suffix appended, as for `.prev` — so a
 /// checkpoint that is itself called `*.tmp` is still written beside, never
 /// in place, and two checkpoints sharing a stem do not share a temp file.

@@ -643,7 +643,7 @@ mod tests {
             checkpoint: Some("c.l6ck".into()),
             ..Default::default()
         };
-        let back = RunConfig::from_value(&cfg.to_value()).unwrap();
+        let back: RunConfig = serde_json::from_str(&serde_json::to_string(&cfg).unwrap()).unwrap();
         assert_eq!(back, cfg);
     }
 }

@@ -49,6 +49,8 @@ use lumen6_trace::{CodecError, Source};
 use serde::Serialize;
 use std::collections::VecDeque;
 use std::fmt;
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -199,30 +201,45 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Atomically writes `text` to `path` via a sibling tmp file + rename.
-fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
+/// Streams `value` as pretty JSON into a sibling tmp file of `path` and
+/// renames it over `path`; returns the bytes written. On any failure the
+/// tmp file is removed and `path` keeps its previous content. `wrap` is the
+/// fault-injection point: production passes the file through unchanged.
+fn write_atomic<W: Write>(
+    path: &Path,
+    value: &impl Serialize,
+    wrap: impl FnOnce(File) -> W,
+) -> std::io::Result<u64> {
     let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
+    let result = File::create(&tmp)
+        .and_then(|f| serde_json::to_writer_pretty(wrap(f), value).map_err(std::io::Error::other))
+        .and_then(|bytes| std::fs::rename(&tmp, path).map(|()| bytes));
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
 }
 
 /// Publishes a tenant's `report.json` + `metrics.json` + `status.json`.
 /// IO failures are recorded on the tenant rather than tearing the daemon
 /// down — the session itself is unharmed and keeps checkpointing.
 fn publish(rt: &mut TenantRt, report: Option<&SessionReport>) {
-    let mut result = Ok(());
+    let mut result = Ok(0);
     if let Some(report) = report {
-        let json = serde_json::to_string_pretty(report).map_err(std::io::Error::other);
-        result = json.and_then(|j| write_atomic(&rt.dir.join("report.json"), &j));
+        // Stopped before the snapshot below, so `metrics.json` carries the
+        // publication it accompanies.
+        let timer = rt.registry.stage("serve.tenant.publish_us");
+        result = write_atomic(&rt.dir.join("report.json"), report, |f| f);
+        timer.stop();
+        if let Ok(bytes) = result {
+            let bytes = i64::try_from(bytes).unwrap_or(i64::MAX);
+            rt.registry.gauge("serve.tenant.report_bytes").set(bytes);
+        }
         rt.registry.counter("serve.tenant.publishes").add(1);
     }
     let snap = rt.registry.snapshot();
-    let metrics = serde_json::to_string_pretty(&snap)
-        .map_err(std::io::Error::other)
-        .and_then(|j| write_atomic(&rt.dir.join("metrics.json"), &j));
-    let status = serde_json::to_string_pretty(&rt.status())
-        .map_err(std::io::Error::other)
-        .and_then(|j| write_atomic(&rt.dir.join("status.json"), &j));
+    let metrics = write_atomic(&rt.dir.join("metrics.json"), &snap, |f| f);
+    let status = write_atomic(&rt.dir.join("status.json"), &rt.status(), |f| f);
     if let Err(e) = result.and(metrics).and(status) {
         rt.error = Some(format!("publish: {e}"));
     }
@@ -512,6 +529,7 @@ fn worker(shared: &Shared, steps: u32, publish_every: u64) {
 mod tests {
     use super::*;
     use crate::config::{RunConfig, TenantSpec};
+    use lumen6_detect::SessionOutcome;
     use lumen6_trace::TraceWriter;
 
     struct TempDir(PathBuf);
@@ -585,7 +603,110 @@ mod tests {
                 assert!(dir.join(f).exists(), "{} missing {f}", t.name);
             }
             assert!(dir.join("checkpoint.l6ck").exists());
+            // The emitter's byte count is the file's size, and every
+            // publication was timed — the final one included.
+            let metrics = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
+            let snap: lumen6_obs::MetricsSnapshot = serde_json::from_str(&metrics).unwrap();
+            assert!(lumen6_obs::validate(&snap).is_empty());
+            let on_disk = std::fs::metadata(dir.join("report.json")).unwrap().len();
+            assert_eq!(snap.gauges["serve.tenant.report_bytes"], on_disk as i64);
+            assert_eq!(
+                snap.histograms["serve.tenant.publish_us"].count,
+                snap.counters["serve.tenant.publishes"]
+            );
         }
+    }
+
+    /// Passes `left` bytes through, then fails every write.
+    struct FailAfter {
+        file: File,
+        left: usize,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.left == 0 {
+                return Err(std::io::Error::other("injected: disk full"));
+            }
+            let n = self.file.write(&buf[..buf.len().min(self.left)])?;
+            self.left -= n;
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.file.flush()
+        }
+    }
+
+    /// A publication that fails after any number of bytes is an error, never
+    /// a panic or a rename: the tmp file is gone and the previously
+    /// published document is byte-for-byte what it was.
+    #[test]
+    fn failed_write_leaves_the_previous_publication_and_no_tmp_file() {
+        let tmp = TempDir::new("failing-writer");
+        let path = tmp.path("report.json");
+        let previous = b"{\"previous\": true}";
+        std::fs::write(&path, previous).unwrap();
+        let run = fused_run(2);
+        let outcome = run
+            .make_session()
+            .run_source(run.make_source().unwrap().as_mut())
+            .unwrap();
+        let SessionOutcome::Finished(full) = outcome else {
+            panic!("fused run did not finish")
+        };
+        let len = serde_json::to_string_pretty(&full).unwrap().len();
+        assert!(len > 64 * 1024, "must cross the emitter's drain threshold");
+        let mut small = full.clone();
+        for level in small.reports.values_mut() {
+            level.events.truncate(1);
+        }
+        let small_len = serde_json::to_string_pretty(&small).unwrap().len();
+
+        let check = |report: &SessionReport, left: usize| {
+            let result = write_atomic(&path, report, |file| FailAfter { file, left });
+            assert!(result.is_err(), "failing after {left} bytes: {result:?}");
+            assert_eq!(std::fs::read(&path).unwrap(), previous, "after {left}");
+            assert!(!tmp.path("report.json.tmp").exists(), "after {left}");
+        };
+        for left in 0..small_len {
+            check(&small, left);
+        }
+        for left in [64 * 1024 - 1, 64 * 1024, 64 * 1024 + 1, len / 2, len - 1] {
+            check(&full, left);
+        }
+        // Once the fault clears the same call publishes.
+        let bytes = write_atomic(&path, &full, |file| FailAfter { file, left: len }).unwrap();
+        assert_eq!(bytes, len as u64);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), bytes);
+    }
+
+    /// A tenant whose report cannot be published records that and keeps
+    /// stepping to the end of its stream; the earlier report stays.
+    #[test]
+    fn tenant_with_unwritable_report_records_it_and_finishes() {
+        let tmp = TempDir::new("unwritable");
+        let dir = tmp.path("spool").join("alpha");
+        // A directory where the tmp file goes: creating it fails every time.
+        std::fs::create_dir_all(dir.join("report.json.tmp")).unwrap();
+        std::fs::write(dir.join("report.json"), b"previous").unwrap();
+        let cfg = ServeConfig {
+            publish_every_slices: 1,
+            ..manifest(
+                &tmp.path("spool"),
+                vec![TenantSpec {
+                    name: "alpha".into(),
+                    run: fused_run(1),
+                }],
+            )
+        };
+        let summary = Daemon::new(cfg).unwrap().run().unwrap();
+        let t = &summary.tenants[0];
+        assert_eq!(t.state, "finished", "{t:?}");
+        assert!(t.slices > 1 && t.records > 0, "{t:?}");
+        let error = t.error.as_deref().unwrap_or_default();
+        assert!(error.starts_with("publish: "), "{t:?}");
+        assert_eq!(std::fs::read(dir.join("report.json")).unwrap(), b"previous");
+        assert!(dir.join("status.json").exists() && dir.join("metrics.json").exists());
     }
 
     fn write_trace(path: &Path, records: &[lumen6_trace::PacketRecord]) {
