@@ -70,6 +70,19 @@ USAGE:
   lumen6 backscatter --trace FILE [--agg N] [--min-queriers N]
 ";
 
+/// The entries of [`USAGE`] for one subcommand: its `lumen6 <cmd> ...`
+/// lines, each with the indented lines under it (none: no such command).
+fn usage_of(cmd: &str) -> String {
+    let mut on = false;
+    let entries = USAGE.lines().filter(|line| {
+        if let Some(rest) = line.strip_prefix("  lumen6 ") {
+            on = rest.split_whitespace().next() == Some(cmd);
+        }
+        on
+    });
+    entries.fold(String::new(), |text, line| text + line + "\n")
+}
+
 /// Runs a command line (without the program name); writes human output
 /// to the given sink (stdout in the binary, a buffer in tests).
 pub fn run<W: std::io::Write>(argv: Vec<String>, out: &mut W) -> Result<(), CliError> {
@@ -115,6 +128,11 @@ pub fn run<W: std::io::Write>(argv: Vec<String>, out: &mut W) -> Result<(), CliE
         .first()
         .ok_or_else(|| CliError::Usage(USAGE.to_string()))?
         .clone();
+    let usage = usage_of(&cmd);
+    if !usage.is_empty() && (args.has("help") || args.positional().iter().any(|a| a == "-h")) {
+        write!(out, "USAGE:\n{usage}")?;
+        return Ok(());
+    }
     match cmd.as_str() {
         "generate" => generate(&args, out),
         "info" => info(&args, out),
@@ -804,6 +822,26 @@ mod tests {
     fn unknown_command_is_usage() {
         let (_, res) = run_cli(&["frobnicate"]);
         assert!(matches!(res, Err(CliError::Usage(_))));
+    }
+
+    #[test]
+    fn help_prints_the_subcommands_usage_and_succeeds() {
+        for cmd in ["detect", "serve", "soak"] {
+            for flag in ["-h", "--help"] {
+                let (text, res) = run_cli(&[cmd, flag]);
+                assert!(res.is_ok(), "{cmd} {flag}: {res:?}");
+                let entries: Vec<&str> = text.lines().filter(|l| l.contains("lumen6 ")).collect();
+                assert!(!entries.is_empty(), "{cmd} {flag}: {text}");
+                for line in entries {
+                    assert!(line.starts_with(&format!("  lumen6 {cmd} ")), "{line}");
+                }
+            }
+        }
+        let (text, _) = run_cli(&["detect", "--help"]);
+        assert!(
+            text.contains("--fused") && text.contains("--batch N"),
+            "{text}"
+        );
     }
 
     #[test]

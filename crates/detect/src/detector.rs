@@ -165,15 +165,9 @@ impl SourceRun {
 /// detector state between batches.
 #[derive(Debug, Default)]
 struct BatchScratch {
-    /// Masked (aggregated) source bits per row, one
-    /// [`kernels::aggregate_column`](crate::kernels::aggregate_column) pass
-    /// per batch.
-    keys: Vec<u128>,
     /// Masked source → position in `groups` for the batch being processed.
     index: FxHashMap<u128, usize>,
-    /// Per-source runs in arrival order: (batch index of the first row,
-    /// number of adjacent rows equal to it in every column the run state
-    /// reads).
+    /// Per-source runs in arrival order: (first row, records).
     groups: Vec<(u128, Vec<(u32, u32)>)>,
     /// Recycled index vectors.
     pool: Vec<Vec<(u32, u32)>>,
@@ -329,14 +323,26 @@ impl ScanDetector {
     /// and ordering as feeding each record through
     /// [`observe`](Self::observe) individually.
     ///
-    /// The batch is grouped by aggregated source prefix first, so the
-    /// per-source run state is looked up in the runs map once per
-    /// (source, batch) instead of once per packet. The grouping key is the
-    /// masked source column produced by one
-    /// [`kernels::aggregate_column`](crate::kernels::aggregate_column) pass
-    /// — a single AND per row — and a last-source memo makes the grouping
-    /// itself O(1) per record for bursty scan traffic.
+    /// The batch is cut into runs of identical records
+    /// ([`kernels::run_index`](crate::kernels::run_index)) and grouped by
+    /// aggregated source prefix first, so the per-source run state is
+    /// looked up in the runs map once per (source, batch) and updated once
+    /// per run instead of once per packet; a last-source memo makes the
+    /// grouping itself O(1) per run for bursty scan traffic.
     pub fn observe_batch(&mut self, batch: &RecordBatch) -> Vec<ScanEvent> {
+        let mut runs = Vec::new();
+        crate::kernels::run_index(batch, &mut runs);
+        self.observe_runs(batch, &runs)
+    }
+
+    /// [`observe_batch`](Self::observe_batch) given the batch's run index:
+    /// [`MultiLevelDetector`](crate::multi::MultiLevelDetector), the product
+    /// route, derives it once for all its levels.
+    pub(crate) fn observe_runs(
+        &mut self,
+        batch: &RecordBatch,
+        runs: &[(u32, u32)],
+    ) -> Vec<ScanEvent> {
         let n = batch.len();
         let (spill, precision) = self.config.sketch_params();
         let keep = self.config.keep_dsts;
@@ -344,52 +350,33 @@ impl ScanDetector {
         let agg = self.config.agg;
         let mut scratch = std::mem::take(&mut self.scratch);
         let BatchScratch {
-            keys,
             index,
             groups,
             pool,
             closed,
         } = &mut scratch;
 
-        // Phase 1: mask the source column down to the aggregation level in
-        // one columnar pass, then group record indices by masked source,
-        // preserving arrival order within each group. Consecutive
-        // same-source records (the dominant pattern under scan traffic)
-        // skip the map entirely, and one that repeats its predecessor in
-        // the five columns the run state reads — `sport` and `len` never
-        // are — extends the predecessor's run instead of opening one.
-        crate::kernels::aggregate_column(batch.src(), agg, keys);
-        let (ts, src, dst) = (batch.ts_ms(), batch.src(), batch.dst());
-        let (proto, dport) = (batch.proto(), batch.dport());
+        // Phase 1: group the runs by source masked down to the aggregation
+        // level, preserving arrival order within each group. Consecutive
+        // same-source runs (the dominant pattern under scan traffic) skip
+        // the map entirely; every other record counts as a memo hit.
+        let (src, mask) = (batch.src(), crate::kernels::level_mask(agg.len()));
         let mut last: Option<(u128, usize)> = None;
-        let mut memo_hits = 0u64;
-        for (i, &key) in keys.iter().enumerate() {
+        let mut memo_hits = n as u64;
+        for &(i, count) in runs {
+            let key = src[i as usize] & mask;
             let gi = match last {
-                Some((k, g)) if k == key => {
-                    memo_hits += 1;
-                    let p = i - 1;
-                    // Destination first: it is what a scanner varies.
-                    if dst[i] == dst[p]
-                        && ts[i] == ts[p]
-                        && src[i] == src[p]
-                        && dport[i] == dport[p]
-                        && proto[i] == proto[p]
-                    {
-                        // A memo hit's predecessor is its group's last run.
-                        if let Some(run) = groups[g].1.last_mut() {
-                            run.1 += 1;
-                        }
-                        continue;
-                    }
-                    g
+                Some((k, g)) if k == key => g,
+                _ => {
+                    memo_hits -= 1;
+                    *index.entry(key).or_insert_with(|| {
+                        let g = groups.len();
+                        groups.push((key, pool.pop().unwrap_or_default()));
+                        g
+                    })
                 }
-                _ => *index.entry(key).or_insert_with(|| {
-                    let g = groups.len();
-                    groups.push((key, pool.pop().unwrap_or_default()));
-                    g
-                }),
             };
-            groups[gi].1.push((i as u32, 1));
+            groups[gi].1.push((i, count));
             last = Some((key, gi));
         }
 
@@ -399,9 +386,7 @@ impl ScanDetector {
         // only on that source's subsequence, so processing groups out of
         // arrival order cannot change any run or counter.
         let mut opened = 0u64;
-        let mut batch_runs = 0u64;
         for (key, idxs) in groups.iter_mut() {
-            batch_runs += idxs.len() as u64;
             // The key bits are already masked, so this re-mask is identity.
             let source = Ipv6Prefix::new(*key, agg.len());
             let run = match self.runs.entry(source) {
@@ -442,14 +427,15 @@ impl ScanDetector {
         self.runs_opened += opened;
         self.batch_records += n as u64;
         self.memo_hits += memo_hits;
-        self.batch_runs += batch_runs;
+        self.batch_runs += runs.len() as u64;
         out
     }
 
-    /// Records ingested through the batched path and how many hit the
-    /// last-source memo, for the obs hit-rate counters.
-    pub fn batch_stats(&self) -> (u64, u64) {
-        (self.batch_records, self.memo_hits)
+    /// Records ingested through the batched path, how many hit the
+    /// last-source memo, and how many runs they were accounted as — the
+    /// `detect.batch.*` counters.
+    pub fn batch_stats(&self) -> (u64, u64, u64) {
+        (self.batch_records, self.memo_hits, self.batch_runs)
     }
 
     /// Closes and returns qualifying runs idle since before
@@ -694,7 +680,7 @@ mod tests {
         let recs = burst(7, 0, 100, 22);
         let mut det = ScanDetector::new(ScanDetectorConfig::paper(AggLevel::L128));
         det.observe_batch(&recs.iter().copied().collect());
-        let (records, memo_hits) = det.batch_stats();
+        let (records, memo_hits, _) = det.batch_stats();
         assert_eq!(records, 100);
         assert_eq!(memo_hits, 99, "every record after the first memo-hits");
     }
@@ -739,8 +725,8 @@ mod tests {
                 .observe_batch(&recs.iter().copied().collect())
                 .is_empty());
             assert_eq!(grouped.state(), reference.state());
-            assert_eq!(grouped.batch_stats(), (107, 106));
-            assert_eq!(grouped.batch_runs, 20 + 5, "sport and len must not cut");
+            // 20 + 5 runs: `sport` and `len` must not cut.
+            assert_eq!(grouped.batch_stats(), (107, 106, 20 + 5));
         }
     }
 

@@ -1,23 +1,20 @@
 //! Shared column kernels for the batched detection paths.
 //!
-//! Both hot ingest paths — the sequential grouped batch path
-//! ([`ScanDetector::observe_batch`](crate::ScanDetector::observe_batch)) and
-//! the sharded router
+//! Every level of the sequential grouped path
+//! ([`MultiLevelDetector::observe_batch`](crate::multi::MultiLevelDetector::observe_batch))
+//! and the sharded router
 //! ([`ShardedDetector::observe_batch`](crate::ShardedDetector::observe_batch))
-//! — start from the same question about the `src` column of a
-//! [`RecordBatch`](lumen6_trace::RecordBatch): *which aggregated source does
-//! each row belong to?* This module hoists the u128 prefix-mask and routing
-//! math into plain column-in/column-out kernels so the answer is computed in
-//! one tight pass per batch (a single AND against a precomputed mask, or one
-//! memoized hash per source change) instead of being re-derived row by row
-//! behind a `PacketRecord` gather.
-//!
-//! The kernels write into caller-owned scratch vectors that are cleared and
-//! refilled, never reallocated in steady state — the same reuse discipline
-//! as [`RecordBatch`](lumen6_trace::RecordBatch) itself.
+//! start from questions about whole columns of a
+//! [`RecordBatch`] — *which records repeat their
+//! predecessor?* ([`run_index`], once per batch) and *which shard owns each
+//! row's source?* ([`route_column`]) — answered here in one tight pass per
+//! batch, not row by row behind a `PacketRecord` gather. The kernels write
+//! into caller-owned scratch vectors that are cleared and refilled, never
+//! reallocated in steady state.
 
 use crate::aggregate::AggLevel;
 use lumen6_addr::cast::{high64, low64};
+use lumen6_trace::RecordBatch;
 
 /// The network mask for a prefix length: the top `len` bits set.
 /// Semantics match `Ipv6Prefix::new` (len 0 masks everything away, lengths
@@ -34,14 +31,34 @@ pub fn level_mask(len: u8) -> u128 {
     }
 }
 
-/// Masks a source column down to `level` in one vectorizable pass:
-/// `out[i] = src[i] & mask(level)`. The result bits equal
-/// `level.source_of(src[i]).bits()` for every row. `out` is cleared first
-/// and reused across batches.
-pub fn aggregate_column(src: &[u128], level: AggLevel, out: &mut Vec<u128>) {
-    let m = level_mask(level.len());
+/// Cuts a batch into *runs* — maximal stretches of adjacent records equal
+/// in the five columns the run state reads (`sport` and `len` never are) —
+/// as `(first row, records)`, the unit every level's grouping pass steps by.
+/// A counted row is a run by construction, so the compare is paid per row,
+/// never per copy; a row that repeats its predecessor (a count-less batch of
+/// duplicates, a run a lane cut in two) folds into its run while the sum
+/// fits. The whole source address is compared, so one pass serves every
+/// level. `out` is cleared first.
+pub fn run_index(batch: &RecordBatch, out: &mut Vec<(u32, u32)>) {
+    let (ts, src, dst) = (batch.ts_ms(), batch.src(), batch.dst());
+    let (proto, dport) = (batch.proto(), batch.dport());
     out.clear();
-    out.extend(src.iter().map(|&s| s & m));
+    for i in 0..batch.rows() {
+        let count = batch.count(i);
+        if let (Some(p), Some(run)) = (i.checked_sub(1), out.last_mut()) {
+            // Destination first: it is what a scanner varies.
+            let repeats = dst[i] == dst[p]
+                && ts[i] == ts[p]
+                && src[i] == src[p]
+                && dport[i] == dport[p]
+                && proto[i] == proto[p];
+            if let (true, Some(sum)) = (repeats, run.1.checked_add(count)) {
+                run.1 = sum;
+                continue;
+            }
+        }
+        out.push((i as u32, count));
+    }
 }
 
 /// Seed-free 64-bit mixer (SplitMix64 finalizer). Shard routing must be
@@ -107,30 +124,44 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_column_matches_source_of() {
-        let srcs: Vec<u128> = (0..64u128)
-            .map(|i| (0x2001_0db8_0000_0000u128 + i) << 64 | (i * 7))
-            .collect();
-        let mut out = Vec::new();
-        for lvl in [AggLevel::L128, AggLevel::L64, AggLevel::L48, AggLevel::L32] {
-            aggregate_column(&srcs, lvl, &mut out);
-            assert_eq!(out.len(), srcs.len());
-            for (i, &s) in srcs.iter().enumerate() {
-                assert_eq!(out[i], lvl.source_of(s).bits(), "{lvl} row {i}");
-            }
+    fn run_index_folds_repeats_and_carries_counts() {
+        use lumen6_trace::{PacketRecord, Transport};
+        let row = |i: u64| PacketRecord::tcp(i, 1, 0xdd00 + u128::from(i), 40000, 22, 60);
+        // 3 x row 0, 1 x row 1, 4 x row 2 (cut 1 + 3), then seven rows each
+        // differing from its predecessor in one column: the five the run
+        // state reads cut, `sport` and `len` do not.
+        let edits: [fn(&mut PacketRecord); 7] = [
+            |r| r.ts_ms += 1,
+            |r| r.src += 1,
+            |r| r.dst += 1,
+            |r| r.proto = Transport::Udp,
+            |r| r.dport += 1,
+            |r| r.sport += 1,
+            |r| r.len += 1,
+        ];
+        let mut counted = RecordBatch::new();
+        for (i, n) in [(0, 3), (1, 1), (2, 1), (2, 3)] {
+            counted.push_n(row(i), n);
         }
-    }
-
-    #[test]
-    fn aggregating_a_masked_column_narrows() {
-        // Coarsening an already-masked column equals masking the raw one:
-        // the kernels compose, so multi-level passes can narrow columns.
-        let srcs: Vec<u128> = (0..32u128).map(|i| i << 60 | 0xabc).collect();
-        let (mut l64, mut l48a, mut l48b) = (Vec::new(), Vec::new(), Vec::new());
-        aggregate_column(&srcs, AggLevel::L64, &mut l64);
-        aggregate_column(&l64, AggLevel::L48, &mut l48a);
-        aggregate_column(&srcs, AggLevel::L48, &mut l48b);
-        assert_eq!(l48a, l48b);
+        let mut next = row(2);
+        for edit in edits {
+            edit(&mut next);
+            counted.push(next);
+        }
+        let expanded: RecordBatch = counted.iter().collect();
+        assert_eq!((counted.rows(), expanded.rows()), (11, 15));
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        run_index(&counted, &mut a);
+        run_index(&expanded, &mut b);
+        let counts = |runs: &[(u32, u32)]| runs.iter().map(|r| r.1).collect::<Vec<_>>();
+        assert_eq!(counts(&a), [3, 1, 4, 1, 1, 1, 1, 3]);
+        assert_eq!(counts(&a), counts(&b));
+        assert_eq!(a[2].0, 2, "a run is named by its first row");
+        // Counts that would overflow stay apart.
+        let mut huge = RecordBatch::new();
+        huge.push_n(row(0), u32::MAX as usize + 7);
+        run_index(&huge, &mut a);
+        assert_eq!(a, [(0, u32::MAX), (1, 7)]);
     }
 
     #[test]

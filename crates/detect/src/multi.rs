@@ -21,6 +21,8 @@ pub struct MultiLevelDetector {
     /// (in arrival order) — what the trait-level `observe_batch`, which
     /// returns nothing, holds back for [`finish`](Self::finish).
     levels: Vec<(ScanDetector, Vec<ScanEvent>)>,
+    /// The current batch's run index, derived once for every level; scratch.
+    runs: Vec<(u32, u32)>,
 }
 
 impl MultiLevelDetector {
@@ -37,7 +39,8 @@ impl MultiLevelDetector {
                 (ScanDetector::new(cfg), Vec::new())
             })
             .collect();
-        MultiLevelDetector { levels }
+        let runs = Vec::new();
+        MultiLevelDetector { levels, runs }
     }
 
     /// The paper's three levels with the paper's scan definition.
@@ -59,11 +62,14 @@ impl MultiLevelDetector {
     }
 
     /// Feeds a columnar batch to every level via the grouped batch path
-    /// (see [`ScanDetector::observe_batch`]); the per-level grouping pass
-    /// amortizes source aggregation and run-state lookups across the batch.
+    /// (see [`ScanDetector::observe_batch`]): the batch is cut into runs of
+    /// identical records once ([`kernels::run_index`](crate::kernels::run_index)
+    /// — which records repeat does not depend on the level), and each
+    /// level's grouping pass amortizes run-state lookups across them.
     pub fn observe_batch(&mut self, batch: &RecordBatch) {
+        crate::kernels::run_index(batch, &mut self.runs);
         for (det, pending) in &mut self.levels {
-            pending.extend(det.observe_batch(batch));
+            pending.extend(det.observe_runs(batch, &self.runs));
         }
     }
 
@@ -101,7 +107,8 @@ impl MultiLevelDetector {
             .iter()
             .map(|st| (ScanDetector::from_state(st), st.pending.clone()))
             .collect();
-        MultiLevelDetector { levels }
+        let runs = Vec::new();
+        MultiLevelDetector { levels, runs }
     }
 
     /// Ends the stream and returns the per-level reports.

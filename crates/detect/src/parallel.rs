@@ -315,10 +315,11 @@ impl ShardedDetector {
     /// ([`RecordBatch::extend_from_indices`]) — writes stay contiguous per
     /// column and no `PacketRecord` is materialized on the way. When the
     /// whole batch routes to one shard (run-clustered traffic), the
-    /// scatter degenerates to seven contiguous column copies. Packets must
-    /// arrive in non-decreasing time order, as for the sequential
-    /// detectors; staged sub-batches may briefly exceed `ShardPlan::batch`
-    /// by up to one input batch before they flush.
+    /// scatter degenerates to seven contiguous column copies. Rows move
+    /// whole, counts included; what is counted per shard is records.
+    /// Packets must arrive in non-decreasing time order, as for the
+    /// sequential detectors; staged sub-batches may briefly exceed
+    /// `ShardPlan::batch` by up to one input batch before they flush.
     pub fn observe_batch(&mut self, batch: &RecordBatch) {
         let mut routes = std::mem::take(&mut self.routes);
         route_column(batch.src(), self.coarsest, self.senders.len(), &mut routes);
@@ -342,11 +343,12 @@ impl ShardedDetector {
                 if rows.is_empty() {
                     continue;
                 }
-                let n = rows.len() as u64;
-                self.routed[shard] += n;
-                self.window_routed[shard] += n;
+                let staged = self.buffers[shard].len();
                 self.buffers[shard].extend_from_indices(batch, rows);
                 rows.clear();
+                let n = (self.buffers[shard].len() - staged) as u64;
+                self.routed[shard] += n;
+                self.window_routed[shard] += n;
                 if self.buffers[shard].len() >= self.batch {
                     self.flush_shard(shard);
                 }

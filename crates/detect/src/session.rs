@@ -46,7 +46,7 @@ use crate::event::ScanReport;
 use crate::multi::MultiLevelDetector;
 use crate::parallel::{ShardPlan, ShardedDetector};
 use crate::snapshot::{DetectorSnapshot, LevelState, SnapshotError};
-use lumen6_obs::MetricsRegistry;
+use lumen6_obs::{Counter, Histogram, MetricsRegistry, StageTimer};
 use lumen6_trace::{
     CodecError, FileStreamSource, FillOutcome, PacketRecord, RecordBatch, Source, TracePosition,
 };
@@ -826,28 +826,28 @@ impl From<CodecError> for SessionError {
 }
 
 /// Hands rows `rows` of `batch` to the detector (nothing, if there are
-/// none), recording the size: the batch itself when that is all of it, a
-/// column copy of the rows into the reused `piece` when an idle flush cut
-/// it.
+/// none), recording the size in records: the batch itself when that is all
+/// of it, a column copy of the rows into the reused `piece` when an idle
+/// flush cut it.
 fn feed(
     det: &mut dyn Detect,
     batch: &RecordBatch,
     rows: std::ops::Range<usize>,
     piece: &mut RecordBatch,
+    batch_size: &Histogram,
 ) {
     if rows.is_empty() {
         return;
     }
-    MetricsRegistry::global()
-        .histogram("detect.session.batch_size")
-        .record(rows.len() as u64);
-    if rows.len() == batch.len() {
-        det.observe_batch(batch);
+    let batch = if rows.len() == batch.rows() {
+        batch
     } else {
         piece.clear();
         piece.extend_from_range(batch, rows);
-        det.observe_batch(piece);
-    }
+        piece
+    };
+    batch_size.record(batch.len() as u64);
+    det.observe_batch(batch);
 }
 
 /// Hands `batch` to the detector, cut wherever an idle flush falls due: a
@@ -855,7 +855,8 @@ fn feed(
 /// rows before it observed first, then `flush_idle` runs and the row opens
 /// the next piece. Each row is tested once against the flush time current
 /// when it is reached — the points a one-record-per-step session flushes
-/// at — so detector state at every checkpoint, and `last_flush`, do not
+/// at: a counted row's copies share its timestamp, so the first answers for
+/// all — so detector state at every checkpoint, and `last_flush`, do not
 /// depend on how the stream was cut into batches. A batch no flush falls in
 /// (any batch, when `every_ms` is 0) is observed as it is.
 fn observe_cut_at_idle_flushes(
@@ -865,6 +866,7 @@ fn observe_cut_at_idle_flushes(
     watermark_ms: u64,
     last_flush: &mut u64,
     piece: &mut RecordBatch,
+    batch_size: &Histogram,
 ) {
     let mut start = 0;
     if every_ms > 0 {
@@ -874,7 +876,7 @@ fn observe_cut_at_idle_flushes(
             if ts.saturating_sub(*last_flush) < every_ms {
                 continue;
             }
-            feed(det, batch, start..i, piece);
+            feed(det, batch, start..i, piece, batch_size);
             start = i;
             // Flush at the watermark horizon: every future detector input
             // is ≥ `ts - watermark`, so closures here match what
@@ -886,7 +888,7 @@ fn observe_cut_at_idle_flushes(
                 .add(1);
         }
     }
-    feed(det, batch, start..batch.len(), piece);
+    feed(det, batch, start..batch.rows(), piece, batch_size);
 }
 
 /// The live in-flight state of a started [`Session`]: detector, reorder
@@ -917,10 +919,16 @@ struct RunState {
     piece: RecordBatch,
     /// Checkpointed position to [`Source::resume`] at on the first step.
     resume_at: Option<TracePosition>,
+    /// `detect.session.source_fill_us`, `source.records`,
+    /// `detect.session.batch_size`: looked up once, not once per step.
+    fill_us: Histogram,
+    source_records: Counter,
+    batch_size: Histogram,
 }
 
 impl RunState {
     fn new(det: Box<dyn Detect>, reorder: ReorderBuffer) -> Self {
+        let reg = MetricsRegistry::global();
         RunState {
             det,
             reorder,
@@ -933,6 +941,9 @@ impl RunState {
             released: RecordBatch::new(),
             piece: RecordBatch::new(),
             resume_at: None,
+            fill_us: reg.histogram("detect.session.source_fill_us"),
+            source_records: reg.counter("source.records"),
+            batch_size: reg.histogram("detect.session.batch_size"),
         }
     }
 
@@ -1125,7 +1136,7 @@ impl Session {
             batch_cap.min(usize::try_from(until).unwrap_or(usize::MAX))
         });
         let outcome = {
-            let _fill = reg.stage("detect.session.source_fill_us");
+            let _fill = StageTimer::new(st.fill_us.clone());
             src.poll_fill(&mut st.incoming, want)?
         };
         st.src_skipped = src.skipped();
@@ -1135,7 +1146,7 @@ impl Session {
             FillOutcome::Filled(n) => n,
         };
 
-        reg.counter("source.records").add(n as u64);
+        st.source_records.add(n as u64);
         st.records_done += n as u64;
         let watermark_ms = st.reorder.watermark_ms();
         let batch = if watermark_ms == 0 {
@@ -1154,6 +1165,7 @@ impl Session {
             watermark_ms,
             &mut st.last_flush,
             &mut st.piece,
+            &st.batch_size,
         );
 
         if let Some(policy) = periodic.filter(|p| st.records_done % p.every_records == 0) {
@@ -1206,8 +1218,9 @@ impl Session {
         feed(
             st.det.as_mut(),
             &st.released,
-            0..st.released.len(),
+            0..st.released.rows(),
             &mut st.piece,
+            &st.batch_size,
         );
         let late = st.reorder.late_dropped();
         let skipped = st.skipped_before + st.src_skipped;

@@ -85,6 +85,16 @@ fn arb_workload_with_runs() -> impl Strategy<Value = Vec<PacketRecord>> {
     })
 }
 
+/// `recs` as a counted batch: each stretch of adjacent identical records is
+/// one row with its length as the count — how a fused source fills.
+fn counted(recs: &[PacketRecord]) -> lumen6_trace::RecordBatch {
+    let mut batch = lumen6_trace::RecordBatch::new();
+    for run in recs.chunk_by(|a, b| a == b) {
+        batch.push_n(run[0], run.len());
+    }
+    batch
+}
+
 fn cfg(min_dsts: u64, timeout_ms: u64) -> ScanDetectorConfig {
     ScanDetectorConfig {
         agg: AggLevel::L64,
@@ -334,7 +344,9 @@ proptest! {
     /// (single-record batches included, and cuts inside runs of repeated
     /// rows), with destination retention and with sketched counters whose
     /// spill threshold any copy of a run may be the one to cross. `sport`
-    /// and `len` are no part of any state.
+    /// and `len` are no part of any state. And a batch says the same
+    /// whether its repeats arrive as rows or as one row's count: the
+    /// counted spelling of every cut equals the expanded one, counters too.
     #[test]
     fn observe_batch_matches_observe_under_any_cuts(
         recs in arb_workload_with_runs(),
@@ -360,17 +372,22 @@ proptest! {
             prop_assert_eq!(blanked.state(), reference.state());
 
             // Cycle through the drawn cut lengths; the first is forced to 1.
-            let mut grouped = ScanDetector::new(config);
-            let mut events = Vec::new();
+            let mut grouped = ScanDetector::new(config.clone());
+            let mut by_count = ScanDetector::new(config);
+            let (mut events, mut events_by_count) = (Vec::new(), Vec::new());
             let (mut at, mut k) = (0, 0);
             while at < recs.len() {
                 let len = if k == 0 { 1 } else { cuts[k % cuts.len()] };
                 let end = recs.len().min(at + len);
                 let batch: RecordBatch = recs[at..end].iter().copied().collect();
                 events.extend(grouped.observe_batch(&batch));
+                events_by_count.extend(by_count.observe_batch(&counted(&recs[at..end])));
                 (at, k) = (end, k + 1);
             }
             prop_assert_eq!(&events, &expect);
+            prop_assert_eq!(&events_by_count, &expect);
+            prop_assert_eq!(by_count.state(), reference.state());
+            prop_assert_eq!(by_count.batch_stats(), grouped.batch_stats());
             prop_assert_eq!(grouped.state(), reference.state());
             prop_assert_eq!(grouped.observed(), reference.observed());
             prop_assert_eq!(grouped.runs_opened(), reference.runs_opened());
@@ -523,7 +540,8 @@ proptest! {
     /// final state and the reports — three levels with destination
     /// retention, and one level with sketched counters — on rows that
     /// arrive as runs of repeats and near-duplicates, which the orderings
-    /// keep adjacent, collapse into exact repeats or scatter. The sequential
+    /// keep adjacent, collapse into exact repeats or scatter — each batch
+    /// fed once as rows and once with its repeats as counts. The sequential
     /// reports are in turn held to the per-record reference, level by level.
     ///
     /// States are compared raw: `state()` is canonical on every backend —
@@ -534,8 +552,12 @@ proptest! {
         recs in arb_workload_with_runs(),
         ordering in 0usize..3,
     ) {
-        use lumen6_detect::{observe_slice, Backend, DetectorBuilder, ShardPlan};
+        use lumen6_detect::{observe_slice, Backend, DetectorBuilder, Detect, ShardPlan};
 
+        // `observe_slice` with each batch's repeats folded into counts.
+        fn observe_counted(det: &mut dyn Detect, recs: &[PacketRecord], batch: usize) {
+            recs.chunks(batch).for_each(|part| det.observe_batch(&counted(part)));
+        }
         let recs = apply_ordering(&recs, ordering);
         let half = recs.len() / 2;
         let paper = [AggLevel::L128, AggLevel::L64, AggLevel::L48];
@@ -549,11 +571,16 @@ proptest! {
                 }),
             );
             for backend in backends {
-                for batch in [1usize, 7, 4096, 8192] {
+                type Feed = fn(&mut dyn Detect, &[PacketRecord], usize);
+                let feeds: [Feed; 2] = [observe_slice, observe_counted];
+                for (batch, observe) in [1usize, 7, 4096, 8192]
+                    .into_iter()
+                    .flat_map(|b| feeds.map(|f| (b, f)))
+                {
                     let mut det = builder.build(backend);
-                    observe_slice(det.as_mut(), &recs[..half], batch);
+                    observe(det.as_mut(), &recs[..half], batch);
                     let mid = det.state();
-                    observe_slice(det.as_mut(), &recs[half..], batch);
+                    observe(det.as_mut(), &recs[half..], batch);
                     let got = (mid, det.state(), det.finish());
                     let expect = expect.get_or_insert_with(|| got.clone());
                     prop_assert_eq!(

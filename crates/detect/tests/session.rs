@@ -1362,6 +1362,96 @@ fn short_filling_source_matches_full_filling() {
     }
 }
 
+/// A source of one probe's copies, handed out `min(left, max)` per fill as
+/// one counted row: paper volume without a record generated.
+struct Copies {
+    rec: PacketRecord,
+    left: u64,
+    delivered: u64,
+}
+
+impl Source for Copies {
+    fn fill(&mut self, out: &mut RecordBatch, max: usize) -> Result<usize, CodecError> {
+        out.clear();
+        let n = usize::try_from(self.left).map_or(max, |left| left.min(max));
+        out.push_n(self.rec, n);
+        self.left -= n as u64;
+        self.delivered += n as u64;
+        Ok(n)
+    }
+    fn position(&self) -> TracePosition {
+        TracePosition {
+            offset: self.delivered,
+            prev_ts: self.rec.ts_ms,
+        }
+    }
+    fn resume(&mut self, _: TracePosition) -> Result<(), CodecError> {
+        unreachable!("no checkpoint exists when the session starts")
+    }
+}
+
+/// ROADMAP 8(d): the record counts of a paper-volume run (6.7 B, past
+/// `u32`) are `u64` sums wherever they add up. The largest batch
+/// `RunConfig::validate` admits — `u32::MAX` records, here one row — three
+/// times over reads 12 884 901 885 in the session's count, the source's
+/// position, the checkpoint, the event and the detector's counters.
+#[test]
+fn record_counts_past_u32_add_up_as_u64() {
+    const BATCH: u64 = u32::MAX as u64;
+    let dir = TempDir::new("past-u32");
+    let rec = PacketRecord::tcp(5, 0x2001, 0xd000, 1, 22, 60);
+    let builder = DetectorBuilder::new(ScanDetectorConfig {
+        min_dsts: 1,
+        ..Default::default()
+    });
+    for backend in [
+        Backend::Sequential,
+        Backend::Sharded(ShardPlan::with_shards(2)),
+    ] {
+        let path = dir.path(&format!("{backend:?}.l6ck"));
+        let config = SessionConfig {
+            batch: BATCH as usize,
+            checkpoint: Some(CheckpointPolicy {
+                path: path.clone(),
+                every_records: 2 * BATCH,
+                stop_after: None,
+            }),
+            ..Default::default()
+        };
+        let mut src = Copies {
+            rec,
+            left: 3 * BATCH,
+            delivered: 0,
+        };
+        let outcome = Session::new(builder.clone(), backend, config)
+            .run_source(&mut src)
+            .unwrap();
+        let SessionOutcome::Finished(rep) = outcome else {
+            panic!("{backend:?}: stopped");
+        };
+        assert_eq!(rep.records, 12_884_901_885, "{backend:?}");
+        assert_eq!(src.position().offset, 12_884_901_885, "{backend:?}");
+        let events = &rep.reports[&AggLevel::L64].events;
+        assert_eq!(events.len(), 1, "{backend:?}");
+        assert_eq!(events[0].packets, 12_884_901_885, "{backend:?}");
+        let ck = Checkpoint::load(&path).unwrap();
+        assert_eq!(ck.records_done, 2 * BATCH, "{backend:?}");
+        assert_eq!(ck.position.offset, 2 * BATCH, "{backend:?}");
+        assert_eq!(ck.detector.levels[0].observed, 2 * BATCH, "{backend:?}");
+    }
+
+    let mut row = RecordBatch::new();
+    row.push_n(rec, BATCH as usize);
+    let mut det = ScanDetector::new(ScanDetectorConfig::default());
+    for _ in 0..3 {
+        det.observe_batch(&row);
+    }
+    // `detect.batch.{records, memo_hits, runs}`: every copy but a batch's
+    // first is a memo hit.
+    assert_eq!(det.batch_stats(), (12_884_901_885, 12_884_901_882, 3));
+    assert_eq!(det.observed(), 12_884_901_885);
+}
+
 /// `report_now` while the reorder heap still holds records: the published
 /// report covers them (it equals the reference over everything pulled so
 /// far), and the session goes on to the same final report.

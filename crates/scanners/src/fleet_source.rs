@@ -87,18 +87,19 @@
 //!
 //! # Runs
 //!
-//! `--intensity` repeats a probe as adjacent identical rows, and a *run* —
-//! `count` copies of one row — is the unit every loop here steps by: a
-//! release-heap entry and a fixed-stream cursor hold their copies
-//! run-length-encoded and hand out `min(copies, room)` per step
-//! (`pop_run`), [`Generator::fill`] does one merge pop/push and one capture
-//! test per entry, and the consumer takes from the winning lane every head
-//! row below the runner-up's key at once. Rows exist only in the final
-//! column append. A run is cut in three places — a lane run filling up
-//! ([`RUN_RECORDS`]), the caller's `max`, the runner-up key — and each cut
-//! leaves the rest of the copies where they were, under the same merge
-//! key, so the next step resumes with them: the record sequence does not
-//! depend on where the cuts fall.
+//! `--intensity` repeats a probe as adjacent identical records, and a *run*
+//! — `count` copies of one record — is the unit every loop here steps by
+//! and what it emits: a release-heap entry and a fixed-stream cursor hold
+//! their copies run-length-encoded and hand out `min(copies, room)` per
+//! step (`pop_run`), [`Generator::fill`] does one merge pop/push and one
+//! capture test per entry and pushes one row with the copies as its count
+//! ([`RecordBatch::push_n`]), and the consumer takes from the winning lane
+//! every head row below the runner-up's key at once, counts included. No
+//! copy is ever expanded. A run is cut in three places — a lane run filling
+//! up ([`RUN_RECORDS`] records), the caller's `max`, the runner-up key —
+//! and each cut leaves the rest of the copies where they were, under the
+//! same merge key, so the next step resumes with them: the record sequence
+//! does not depend on where the cuts fall.
 //!
 //! # Positions
 //!
@@ -436,8 +437,9 @@ fn capture_filter(world: &World) -> FirewallCapture<'_> {
     FirewallCapture::new(&world.deployment, CaptureConfig::default())
 }
 
-/// One sorted run from a generator: filtered records plus the per-record
-/// global stream index (the merge tie-break key).
+/// One sorted run from a generator: filtered records, one row per heap
+/// entry with its copies as the row's count, plus the per-row global stream
+/// index (the merge tie-break key).
 #[derive(Debug, Default)]
 struct Run {
     recs: RecordBatch,
@@ -460,8 +462,13 @@ struct Generator {
     merge: BinaryHeap<Reverse<(u64, usize, usize)>>,
     /// Packets popped per stream since its `emitted` counter was last
     /// added to — dense and apart from the streams, so the per-run
-    /// increment stays in cache.
+    /// increment stays in cache — and which streams have any: at 1250x a
+    /// lane run is three or four entries, so a fill boundary must not cost
+    /// a pass over every actor.
     unflushed: Vec<u64>,
+    dirty: Vec<usize>,
+    /// Release-heap entries held across all streams, kept as they change.
+    held: u64,
 }
 
 impl Generator {
@@ -472,6 +479,7 @@ impl Generator {
         let mut streams = Vec::new();
         let mut merge = BinaryHeap::new();
         let mut counters = std::collections::BTreeMap::new();
+        let mut held = 0;
         for (pos, ai) in actor_ids.enumerate() {
             let actor = &world.fleet.actors[ai];
             let kind = actor.targets.kind();
@@ -483,10 +491,13 @@ impl Generator {
             if let Some(ts) = stream.peek_ts(actor) {
                 merge.push(Reverse((ts, ai, pos)));
             }
+            held += stream.heap.len() as u64;
             streams.push(stream);
         }
         Generator {
             unflushed: vec![0; streams.len()],
+            dirty: Vec::with_capacity(streams.len()),
+            held,
             world,
             streams,
             merge,
@@ -508,25 +519,31 @@ impl Generator {
             // One step per heap entry: its copies share the merge key, so
             // they leave back to back — as many as the run has room for.
             let room = (max - run.recs.len()) as u64;
-            let Some((rec, k)) = self.streams[pos].pop_run(actor, room) else {
+            let stream = &mut self.streams[pos];
+            self.held -= stream.heap.len() as u64;
+            let popped = stream.pop_run(actor, room);
+            if let Some(ts) = stream.peek_ts(actor) {
+                self.merge.push(Reverse((ts, ai, pos)));
+            }
+            self.held += stream.heap.len() as u64;
+            let Some((rec, k)) = popped else {
                 continue; // unreachable: frontier entries are confirmed
             };
-            if let Some(ts) = self.streams[pos].peek_ts(actor) {
-                self.merge.push(Reverse((ts, ai, pos)));
+            if self.unflushed[pos] == 0 {
+                self.dirty.push(pos);
             }
             self.unflushed[pos] += k;
             if filter.logs(&rec) {
                 run.recs.push_n(rec, k as usize);
-                run.si.resize(run.recs.len(), ai);
+                run.si.resize(run.recs.rows(), ai);
             }
         }
         // Fill boundary: per-run accounting stays atomic-free.
-        run.held = 0;
-        for (s, n) in self.streams.iter().zip(&mut self.unflushed) {
-            run.held += s.heap.len() as u64;
-            if *n > 0 {
-                s.emitted.add(std::mem::take(n));
-            }
+        run.held = self.held;
+        for pos in self.dirty.drain(..) {
+            self.streams[pos]
+                .emitted
+                .add(std::mem::take(&mut self.unflushed[pos]));
         }
     }
 }
@@ -584,7 +601,11 @@ struct Lane {
     /// `None` once the lane is exhausted.
     feed: Option<Feed>,
     head: Run,
+    /// The head row being merged, how many of its copies have gone, and how
+    /// many records the head still holds.
     cursor: usize,
+    used: usize,
+    left: usize,
 }
 
 impl Lane {
@@ -592,7 +613,7 @@ impl Lane {
     /// fetching the next run when the current one is drained. `None` once
     /// the lane is exhausted.
     fn head_key(&mut self) -> Option<(u64, usize)> {
-        if self.cursor == self.head.recs.len() && !self.next_run() {
+        if self.left == 0 && !self.next_run() {
             return None;
         }
         Some((
@@ -606,7 +627,7 @@ impl Lane {
     /// it if need be (threaded). Returns `false` once the lane is
     /// exhausted.
     fn next_run(&mut self) -> bool {
-        self.cursor = 0;
+        (self.cursor, self.used) = (0, 0);
         match &mut self.feed {
             None => return false,
             Some(Feed::Inline(gen)) => gen.fill(&mut self.head, RUN_RECORDS),
@@ -639,7 +660,8 @@ impl Lane {
                 }
             }
         }
-        if !self.head.recs.is_empty() {
+        self.left = self.head.recs.len();
+        if self.left > 0 {
             return true;
         }
         // Generators never emit an empty run before exhaustion.
@@ -759,6 +781,8 @@ impl FleetSource {
                     feed: Some(feed),
                     head: Run::default(),
                     cursor: 0,
+                    used: 0,
+                    left: 0,
                 }
             })
             .collect()
@@ -787,7 +811,7 @@ impl FleetSource {
         let mut runs = 0u64;
         let mut buffered = 0u64;
         for lane in &self.lanes {
-            buffered += lane.head.held + (lane.head.recs.len() - lane.cursor) as u64;
+            buffered += lane.head.held + lane.left as u64;
             if let Some(Feed::Threaded { in_flight, .. }) = &lane.feed {
                 let records = in_flight.load(Relaxed);
                 runs += records.div_ceil(RUN_RECORDS as u64);
@@ -849,20 +873,42 @@ impl FleetSource {
             };
             let room = max - produced;
             let k = if let Some(lane) = lanes.get_mut(slot) {
-                // Every head row below the runner-up key, as one range.
-                let (ts, si) = (lane.head.recs.ts_ms(), &lane.head.si);
-                let limit = ts.len().min(lane.cursor.saturating_add(room));
-                let mut end = lane.cursor + 1;
-                while end < limit && (ts[end], si[end]) < runner_up {
-                    end += 1;
-                }
-                let rows = lane.cursor..end;
-                lane.cursor = end;
-                *prev_ts = ts[end - 1];
-                if let Some(batch) = out.as_deref_mut() {
-                    batch.extend_from_range(&lane.head.recs, rows.clone());
-                }
-                rows.len()
+                let (recs, si) = (&lane.head.recs, &lane.head.si);
+                let (ts, first) = (recs.ts_ms(), lane.cursor);
+                let due = recs.count(first) as usize - lane.used;
+                *prev_ts = ts[first];
+                let k = if lane.used > 0 || due > room {
+                    // The head row is cut as `pop_run` cuts: `min(copies,
+                    // room)` now, the rest stays under the same key.
+                    let k = due.min(room);
+                    (lane.cursor, lane.used) = if k == due {
+                        (first + 1, 0)
+                    } else {
+                        (first, lane.used + k)
+                    };
+                    if let Some(batch) = out.as_deref_mut() {
+                        batch.push_n(recs.get(first), k);
+                    }
+                    k
+                } else {
+                    // Every whole head row below the runner-up key that the
+                    // room holds, as one range.
+                    let (mut end, mut k) = (first + 1, due);
+                    while end < ts.len() && (ts[end], si[end]) < runner_up {
+                        let copies = recs.count(end) as usize;
+                        if k + copies > room {
+                            break;
+                        }
+                        (end, k) = (end + 1, k + copies);
+                    }
+                    (lane.cursor, *prev_ts) = (end, ts[end - 1]);
+                    if let Some(batch) = out.as_deref_mut() {
+                        batch.extend_from_range(recs, first..end);
+                    }
+                    k
+                };
+                lane.left -= k;
+                k
             } else {
                 // The copies due of one fixed record, after one filter test.
                 let (rec, k) = fixed[slot - n].pop_run(room as u64);
@@ -1050,10 +1096,12 @@ mod tests {
             let (mut recs, mut si) = (Vec::new(), Vec::new());
             loop {
                 gen.fill(&mut run, max);
-                assert_eq!(run.recs.len(), run.si.len());
+                assert_eq!(run.recs.rows(), run.si.len());
                 assert!(run.recs.len() <= max, "fill overran max={max}");
                 recs.extend(run.recs.iter());
-                si.extend(&run.si);
+                for (row, &ai) in run.si.iter().enumerate() {
+                    si.extend(std::iter::repeat_n(ai, run.recs.count(row) as usize));
+                }
                 if run.recs.is_empty() || recs.len() >= PREFIX {
                     recs.truncate(PREFIX);
                     si.truncate(PREFIX);

@@ -10,6 +10,27 @@
 //! ([`StreamingTraceReader::fill`](crate::codec::StreamingTraceReader::fill))
 //! allocates nothing.
 //!
+//! # Rows and records
+//!
+//! An eighth column, `counts`, run-length-encodes adjacent identical
+//! records (the copies `--intensity` makes of one probe): a physical *row*
+//! stands for `count` logical *records*. The column stays empty, at no
+//! cost, while every row stands for one record — every batch a file, pcap,
+//! tail or in-memory source or the reorder buffer fills; only
+//! [`push_n`](RecordBatch::push_n) creates it.
+//!
+//! | logical records | physical rows |
+//! |---|---|
+//! | `len`, `is_empty`, `iter` | `rows`, `get(i)`, `count(i)` |
+//! | `push`, `push_n(r, n)` (adds `n`), `Extend`, `FromIterator` | the column slices `ts_ms` … `dport`, `counts` |
+//! | [`Source::fill`](crate::Source::fill)'s `max` and return | ranges and indices of `extend_from_range` / `extend_from_indices` (counts ride along) |
+//!
+//! So batch sizes, checkpoint cadences, stream positions and record
+//! counters mean what they always meant; only code that indexes rows knows
+//! the column. `==` is physical (same rows, same `counts` column: a counted
+//! batch never equals a count-less one); compare [`iter`](RecordBatch::iter)
+//! for logical equality.
+//!
 //! The columns are kept private behind push/get accessors to preserve the
 //! equal-length invariant; read-only column slices are exposed for stages
 //! that genuinely want columnar access.
@@ -26,6 +47,10 @@ pub struct RecordBatch {
     sport: Vec<u16>,
     dport: Vec<u16>,
     len: Vec<u16>,
+    /// Copies per row, each ≥ 1; empty while every row stands for one.
+    counts: Vec<u32>,
+    /// Logical records: the sum of `counts`, the row count without them.
+    records: usize,
 }
 
 impl RecordBatch {
@@ -34,7 +59,7 @@ impl RecordBatch {
         RecordBatch::default()
     }
 
-    /// An empty batch with every column pre-sized for `n` records.
+    /// An empty batch with every column pre-sized for `n` rows.
     pub fn with_capacity(n: usize) -> Self {
         RecordBatch {
             ts_ms: Vec::with_capacity(n),
@@ -44,17 +69,23 @@ impl RecordBatch {
             sport: Vec::with_capacity(n),
             dport: Vec::with_capacity(n),
             len: Vec::with_capacity(n),
+            ..RecordBatch::default()
         }
     }
 
-    /// Number of records in the batch.
+    /// Number of records in the batch (every copy counted).
     pub fn len(&self) -> usize {
-        self.ts_ms.len()
+        self.records
     }
 
     /// Whether the batch holds no records.
     pub fn is_empty(&self) -> bool {
-        self.ts_ms.is_empty()
+        self.records == 0
+    }
+
+    /// Number of physical rows: `len()` unless rows carry counts.
+    pub fn rows(&self) -> usize {
+        self.ts_ms.len()
     }
 
     /// Drops all records but keeps the column capacity (the reuse point).
@@ -66,10 +97,20 @@ impl RecordBatch {
         self.sport.clear();
         self.dport.clear();
         self.len.clear();
+        self.counts.clear();
+        self.records = 0;
     }
 
     /// Appends one record.
     pub fn push(&mut self, r: PacketRecord) {
+        self.push_row(r);
+        if !self.counts.is_empty() {
+            self.counts.push(1);
+        }
+        self.records += 1;
+    }
+
+    fn push_row(&mut self, r: PacketRecord) {
         self.ts_ms.push(r.ts_ms);
         self.src.push(r.src);
         self.dst.push(r.dst);
@@ -79,29 +120,57 @@ impl RecordBatch {
         self.len.push(r.len);
     }
 
-    /// Appends `n` copies of one record — a run of adjacent identical rows
-    /// (intensity repeats of one probe) expanded in one fill per column.
-    pub fn push_n(&mut self, r: PacketRecord, n: usize) {
-        let to = self.len() + n;
-        self.ts_ms.resize(to, r.ts_ms);
-        self.src.resize(to, r.src);
-        self.dst.resize(to, r.dst);
-        self.proto.resize(to, r.proto);
-        self.sport.resize(to, r.sport);
-        self.dport.resize(to, r.dport);
-        self.len.resize(to, r.len);
+    /// Gives every row so far its count of one, ahead of a row that needs
+    /// the column.
+    fn count_rows(&mut self) {
+        if self.counts.is_empty() {
+            self.counts.resize(self.rows(), 1);
+        }
     }
 
-    /// Appends every record of `other` — the fast path of the sharded
+    /// Appends `n` copies of one record — a run of adjacent identical
+    /// records (intensity repeats of one probe) — as one row of count `n`
+    /// (several, past `u32::MAX` copies).
+    pub fn push_n(&mut self, r: PacketRecord, n: usize) {
+        if n == 1 {
+            return self.push(r);
+        }
+        let mut left = n;
+        while left > 0 {
+            let count = u32::try_from(left).unwrap_or(u32::MAX);
+            self.count_rows();
+            self.push_row(r);
+            self.counts.push(count);
+            left -= count as usize;
+        }
+        self.records += n;
+    }
+
+    /// Accounts the counts of rows about to be appended from `other`: rides
+    /// on the row count alone while neither side has a `counts` column.
+    fn extend_counts(&mut self, other: &RecordBatch, rows: impl ExactSizeIterator<Item = usize>) {
+        if self.counts.is_empty() && other.counts.is_empty() {
+            self.records += rows.len();
+            return;
+        }
+        self.count_rows();
+        let at = self.counts.len();
+        self.counts.extend(rows.map(|i| other.count(i)));
+        self.records += self.counts[at..].iter().map(|&c| c as usize).sum::<usize>();
+    }
+
+    /// Appends every row of `other` — the fast path of the sharded
     /// router when an entire input batch routes to one shard
     /// (run-clustered traffic).
     pub fn extend_from_batch(&mut self, other: &RecordBatch) {
-        self.extend_from_range(other, 0..other.len());
+        self.extend_from_range(other, 0..other.rows());
     }
 
-    /// Appends rows `rows` of `other` — seven contiguous column copies.
-    /// Panics if the range reaches past `other.len()`, like slice indexing.
+    /// Appends rows `rows` of `other`, counts included — contiguous column
+    /// copies. Panics if the range reaches past `other.rows()`, like slice
+    /// indexing.
     pub fn extend_from_range(&mut self, other: &RecordBatch, rows: std::ops::Range<usize>) {
+        self.extend_counts(other, rows.clone());
         self.ts_ms.extend_from_slice(&other.ts_ms[rows.clone()]);
         self.src.extend_from_slice(&other.src[rows.clone()]);
         self.dst.extend_from_slice(&other.dst[rows.clone()]);
@@ -111,13 +180,14 @@ impl RecordBatch {
         self.len.extend_from_slice(&other.len[rows]);
     }
 
-    /// Appends the rows of `other` selected by `idxs`, one column at a
-    /// time — the scatter primitive of the sharded router, which partitions
-    /// one decoded batch into per-shard sub-batches. Gathering per column
-    /// keeps every write contiguous (and no `PacketRecord` is materialized
-    /// in between). Panics if any index is `>= other.len()`, like slice
-    /// indexing.
+    /// Appends the rows of `other` selected by `idxs`, counts included, one
+    /// column at a time — the scatter primitive of the sharded router, which
+    /// partitions one decoded batch into per-shard sub-batches. Gathering
+    /// per column keeps every write contiguous (and no `PacketRecord` is
+    /// materialized in between). Panics if any index is `>= other.rows()`,
+    /// like slice indexing.
     pub fn extend_from_indices(&mut self, other: &RecordBatch, idxs: &[u32]) {
+        self.extend_counts(other, idxs.iter().map(|&i| i as usize));
         self.ts_ms
             .extend(idxs.iter().map(|&i| other.ts_ms[i as usize]));
         self.src.extend(idxs.iter().map(|&i| other.src[i as usize]));
@@ -131,8 +201,8 @@ impl RecordBatch {
         self.len.extend(idxs.iter().map(|&i| other.len[i as usize]));
     }
 
-    /// Reassembles record `i`. Columns are `Copy`, so this is a gather of
-    /// seven loads, not an allocation. Panics if `i >= len()`, like slice
+    /// Reassembles row `i`. Columns are `Copy`, so this is a gather of
+    /// seven loads, not an allocation. Panics if `i >= rows()`, like slice
     /// indexing.
     #[inline]
     pub fn get(&self, i: usize) -> PacketRecord {
@@ -147,9 +217,16 @@ impl RecordBatch {
         }
     }
 
-    /// Iterates the records in order (reassembled on the fly).
+    /// How many records row `i` stands for.
+    #[inline]
+    pub fn count(&self, i: usize) -> u32 {
+        self.counts.get(i).copied().unwrap_or(1)
+    }
+
+    /// Iterates the records in order (reassembled on the fly), every copy
+    /// of a counted row in turn.
     pub fn iter(&self) -> impl Iterator<Item = PacketRecord> + '_ {
-        (0..self.len()).map(|i| self.get(i))
+        (0..self.rows()).flat_map(|i| std::iter::repeat_n(self.get(i), self.count(i) as usize))
     }
 
     /// The timestamp column.
@@ -175,6 +252,12 @@ impl RecordBatch {
     /// The destination-port column.
     pub fn dport(&self) -> &[u16] {
         &self.dport
+    }
+
+    /// The copies column: one count per row, or empty when every row
+    /// stands for one record.
+    pub fn counts(&self) -> &[u32] {
+        &self.counts
     }
 }
 
@@ -288,6 +371,84 @@ mod tests {
             want.extend(rows.map(|i| src.get(i)));
         }
         assert_eq!(out.iter().collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn len_and_iter_count_records_rows_and_get_count_rows() {
+        let mut b = RecordBatch::new();
+        b.push(rec(0));
+        b.push_n(rec(1), 5);
+        b.push(rec(2));
+        assert_eq!((b.len(), b.rows(), b.is_empty()), (7, 3, false));
+        assert_eq!(b.counts(), &[1, 5, 1]);
+        assert_eq!((b.get(1), b.count(1)), (rec(1), 5));
+        let mut want = vec![rec(0)];
+        want.extend([rec(1); 5]);
+        want.push(rec(2));
+        assert_eq!(b.iter().collect::<Vec<_>>(), want);
+        assert_eq!(b.ts_ms(), &[0, 1, 2], "column slices are per row");
+        b.clear();
+        assert_eq!((b.len(), b.rows(), b.counts().len()), (0, 0, 0));
+    }
+
+    #[test]
+    fn a_run_past_u32_max_splits_into_rows_that_sum_back() {
+        let n = u32::MAX as usize + 7;
+        let mut b = RecordBatch::new();
+        b.push_n(rec(3), n);
+        assert_eq!((b.len(), b.rows()), (n, 2));
+        assert_eq!(b.counts(), &[u32::MAX, 7]);
+        assert_eq!((b.get(0), b.get(1)), (rec(3), rec(3)));
+        let mut twice = RecordBatch::new();
+        twice.extend_from_batch(&b);
+        twice.extend_from_indices(&b, &[1, 0]);
+        assert_eq!(twice.len() as u64, 2 * (u64::from(u32::MAX) + 7));
+    }
+
+    #[test]
+    fn extend_from_range_and_indices_carry_counts() {
+        let mut src = RecordBatch::new();
+        for (i, n) in [(0, 3), (1, 1), (2, 4)] {
+            src.push_n(rec(i), n);
+        }
+        // Into a batch that had no counts yet: its rows get their ones.
+        let mut out: RecordBatch = [rec(8), rec(9)].into_iter().collect();
+        out.extend_from_range(&src, 1..3);
+        out.extend_from_indices(&src, &[2, 0]);
+        out.push(rec(7));
+        assert_eq!(out.counts(), &[1, 1, 1, 4, 4, 3, 1]);
+        assert_eq!((out.len(), out.rows()), (15, 7));
+        assert_eq!(out.get(5), rec(0));
+        // And from a count-less batch into a counted one.
+        let plain: RecordBatch = (0..3).map(rec).collect();
+        src.extend_from_range(&plain, 0..2);
+        assert_eq!(src.counts(), &[3, 1, 4, 1, 1]);
+        assert_eq!(src.len(), 10);
+    }
+
+    #[test]
+    fn batches_of_single_records_never_grow_a_counts_column() {
+        let recs: Vec<PacketRecord> = (0..6).map(rec).collect();
+        let collected: RecordBatch = recs.iter().copied().collect();
+        let mut built = RecordBatch::new();
+        built.push(recs[0]);
+        built.push_n(recs[1], 1);
+        built.push_n(recs[1], 0);
+        built.extend_from_range(&collected, 2..4);
+        built.extend_from_indices(&collected, &[4, 5]);
+        assert!(built.counts().is_empty());
+        assert_eq!((built.len(), built.rows()), (6, 6));
+        assert_eq!(built, collected);
+    }
+
+    #[test]
+    fn equality_is_physical_iter_is_logical() {
+        let mut counted = RecordBatch::new();
+        counted.push_n(rec(0), 2);
+        let expanded: RecordBatch = [rec(0), rec(0)].into_iter().collect();
+        assert_ne!(counted, expanded);
+        assert!(counted.iter().eq(expanded.iter()));
+        assert_eq!(counted, counted.clone());
     }
 
     #[test]

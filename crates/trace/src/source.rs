@@ -60,7 +60,9 @@ pub enum FillOutcome {
 ///   non-decreasing timestamp order (continuing from the previous call),
 ///   and returns how many it appended. Returning `0` means end of stream;
 ///   callers must treat `max == 0` as unsupported (implementations may
-///   still produce one record).
+///   still produce one record). `max` and the count are records, however
+///   few rows carry them: a source may append adjacent identical records
+///   as one counted row ([`RecordBatch::push_n`]).
 /// - [`position`](Source::position) identifies the boundary after the last
 ///   record returned, in the source's own offset space; feeding it to
 ///   [`resume`](Source::resume) on a source of the same kind over the same
