@@ -40,6 +40,11 @@ USAGE:
                 [--checkpoint FILE] [--checkpoint-every N] [--stop-after N]
                 [--watermark-secs N] [--strict] [--batch N]
                 [--sketch-precision P] [--flush-idle-secs N]
+                (--flush-idle-secs N retires runs idle past the timeout every
+                 N s of stream time, so memory and checkpoints hold what is
+                 live: default --timeout-secs, 0 = never. Report-neutral for
+                 input time-ordered at the detector — sorted, or disordered
+                 within --watermark-secs)
   lumen6 detect --fused [--days N] [--seed N] [--small] [--intensity F]
                 [--gen-threads N]
                 (synthesize the CDN fleet stream in-process instead of
@@ -325,7 +330,9 @@ fn run_config(args: &Args) -> Result<RunConfig, CliError> {
     if args.get("stop-after").is_some() {
         run.stop_after = Some(args.get_parsed("stop-after", 0)?);
     }
-    run.flush_idle_secs = args.get_parsed("flush-idle-secs", run.flush_idle_secs)?;
+    if args.get("flush-idle-secs").is_some() {
+        run.flush_idle_secs = Some(args.get_parsed("flush-idle-secs", 0)?);
+    }
     if args.get("days").is_some() {
         run.days = Some(args.get_parsed("days", 0)?);
     }
@@ -842,6 +849,50 @@ mod tests {
             text.contains("--fused") && text.contains("--batch N"),
             "{text}"
         );
+    }
+
+    /// `--flush-idle-secs` absent is the run's timeout, also after
+    /// `--timeout-secs` or a config file moved it; given, it wins, 0 included
+    /// — over a file's key too.
+    #[test]
+    fn flush_idle_secs_flag_absent_is_the_timeout() {
+        let dir = std::env::temp_dir().join(format!("lumen6-cli-flush-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let cfg = dir.join("run.toml");
+        std::fs::write(
+            &cfg,
+            "fused = true\ntimeout_secs = 120\nflush_idle_secs = 0\n",
+        )
+        .unwrap();
+        let flush_ms = |flags: &[&str]| {
+            let argv = flags.iter().map(std::string::ToString::to_string);
+            let args = Args::parse(argv, &["timeout-secs", "flush-idle-secs", "config"]).unwrap();
+            let run = run_config(&args).unwrap();
+            run.validate().unwrap();
+            run.session_config().flush_idle_every_ms
+        };
+        assert_eq!(flush_ms(&["--fused"]), 3_600_000);
+        assert_eq!(flush_ms(&["--fused", "--timeout-secs", "900"]), 900_000);
+        assert_eq!(flush_ms(&["--fused", "--flush-idle-secs", "0"]), 0);
+        assert_eq!(
+            flush_ms(&[
+                "--fused",
+                "--flush-idle-secs",
+                "30",
+                "--timeout-secs",
+                "900"
+            ]),
+            30_000
+        );
+        let c = cfg.to_str().unwrap();
+        assert_eq!(flush_ms(&["--config", c]), 0);
+        assert_eq!(flush_ms(&["--config", c, "--flush-idle-secs", "7"]), 7_000);
+        let (text, _) = run_cli(&["detect", "--help"]);
+        assert!(
+            text.contains("default --timeout-secs") && text.contains("--watermark-secs)"),
+            "{text}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

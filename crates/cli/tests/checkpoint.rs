@@ -110,6 +110,54 @@ fn kill_and_resume_is_byte_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A checkpoint cut by a build without default retirement — `L6CK v2`, no
+/// flush ever run (`last_flush_ms` 0), every source seen so far still open;
+/// `--flush-idle-secs 0` writes that file byte for byte — resumes under the
+/// default to the uninterrupted default run's stdout: the first row after
+/// the resume flushes, and the next checkpoint holds what is live.
+#[test]
+fn a_checkpoint_cut_without_retirement_resumes_under_the_default() {
+    use lumen6_detect::Checkpoint;
+    let dir = std::env::temp_dir().join(format!("lumen6-ckpt-upgrade-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |ck: &Path, extra: &[&str]| {
+        let mut args = vec![
+            "detect", "--fused", "--small", "--days", "60", "--seed", "7",
+        ];
+        args.extend(["--threads", "2", "--checkpoint", ck.to_str().unwrap()]);
+        args.extend(["--checkpoint-every", "150000"]);
+        args.extend_from_slice(extra);
+        lumen6(&args)
+    };
+    let reference = stdout_of(&run(&dir.join("ref.l6ck"), &[]));
+    assert!(reference.contains(" 2 checkpoints"), "{reference}");
+
+    let ck = dir.join("old.l6ck");
+    let cut = run(&ck, &["--flush-idle-secs", "0", "--stop-after", "1"]);
+    assert_eq!(cut.status.code(), Some(3));
+    let old = Checkpoint::load(&ck).unwrap();
+    let open_runs = |ck: &Checkpoint| ck.detector.levels[0].runs.len();
+    assert_eq!(old.last_flush_ms, 0);
+    assert!(open_runs(&old) > 1_000, "{} open runs", open_runs(&old));
+
+    let metrics = dir.join("m.json");
+    let resumed = run(&ck, &["--metrics-out", metrics.to_str().unwrap()]);
+    let resumed = stdout_of(&resumed);
+    let report = resumed.find("session:").expect("a session line");
+    assert_eq!(resumed[report..], reference, "resumed stdout differs");
+    let snap: lumen6_obs::MetricsSnapshot =
+        serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    assert_eq!(snap.counters["detect.session.resumes"], 1);
+    assert!(snap.counters["detect.session.idle_flushes"] >= 1);
+    let next = Checkpoint::load(&ck).unwrap();
+    assert_eq!(next.checkpoints_written, 2);
+    assert!(next.last_flush_ms > 0);
+    assert!(open_runs(&next) <= 32, "{} open runs", open_runs(&next));
+    let live = snap.gauges["detect.multi.l64.open_runs"];
+    assert!((0..=32).contains(&live), "{live} open runs at finish");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn corrupt_checkpoint_is_a_clean_error() {
     let dir = std::env::temp_dir().join(format!("lumen6-ckpt-corrupt-{}", std::process::id()));

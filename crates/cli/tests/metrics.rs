@@ -129,6 +129,43 @@ fn sharded_output_is_byte_identical_to_sequential() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Where the detector's memory is, per level, as gauges: what the last
+/// checkpoint held while the run goes, what was still open when it ended —
+/// the same on either backend, and a small number under the default
+/// cadence where `--flush-idle-secs 0` keeps every source.
+#[test]
+fn detector_memory_is_published_per_level() {
+    let dir = std::env::temp_dir().join(format!("lumen6-metrics-mem-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let gauges = |extra: &[&str]| {
+        let metrics = dir.join("m.json");
+        let mut args = vec![
+            "detect", "--fused", "--small", "--days", "20", "--agg", "48",
+        ];
+        args.extend(["--metrics-out", metrics.to_str().unwrap()]);
+        args.extend_from_slice(extra);
+        stdout_of(&lumen6(&args));
+        let snap: MetricsSnapshot =
+            serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        assert!(lumen6_obs::validate(&snap).is_empty());
+        [
+            "open_runs",
+            "exact_dst_entries",
+            "port_entries",
+            "pending_events",
+        ]
+        .map(|name| snap.gauges[&format!("detect.multi.l48.{name}")])
+    };
+    let seq = gauges(&["--sequential"]);
+    assert_eq!(gauges(&["--threads", "2"]), seq);
+    let [open_runs, dsts, ports, pending] = seq;
+    assert!((1..=32).contains(&open_runs), "{open_runs} open runs");
+    assert!(dsts >= open_runs && ports >= open_runs && pending > 0);
+    let [kept, ..] = gauges(&["--sequential", "--flush-idle-secs", "0"]);
+    assert!(kept > 10 * open_runs, "{kept} open runs without retirement");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn batch_beyond_u32_rows_is_a_usage_error_not_an_abort() {
     // Both used to reach `RecordBatch::with_capacity(batch)`: the first

@@ -176,8 +176,9 @@ struct BatchScratch {
     closed: Vec<(u32, ScanEvent)>,
 }
 
-/// Memory-footprint snapshot of a running detector (what an operator
-/// dashboards: per-source state is the thing that grows under attack).
+/// Memory footprint of one detection level (what an operator dashboards:
+/// per-source state is the thing that grows under attack), read off a
+/// [`LevelState`] by [`LevelState::memory`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DetectorMemory {
     /// Sources with an open activity run.
@@ -188,6 +189,23 @@ pub struct DetectorMemory {
     pub sketched_runs: usize,
     /// Distinct (service → count) histogram entries across all runs.
     pub port_entries: usize,
+    /// Events closed mid-stream and held for the final report.
+    pub pending_events: usize,
+}
+
+impl DetectorMemory {
+    /// Sets the `detect.multi.l<len>.*` gauges of `level` in `reg`.
+    pub fn publish(&self, reg: &lumen6_obs::MetricsRegistry, level: AggLevel) {
+        for (name, n) in [
+            ("open_runs", self.open_runs),
+            ("exact_dst_entries", self.exact_dst_entries),
+            ("port_entries", self.port_entries),
+            ("pending_events", self.pending_events),
+        ] {
+            reg.gauge(&format!("detect.multi.l{}.{name}", level.len()))
+                .set(i64::try_from(n).unwrap_or(i64::MAX));
+        }
+    }
 }
 
 /// Streaming large-scale scan detector. See the module docs for usage.
@@ -256,22 +274,6 @@ impl ScanDetector {
     /// the first packet after a timeout split).
     pub fn runs_opened(&self) -> u64 {
         self.runs_opened
-    }
-
-    /// Detailed memory snapshot (see [`DetectorMemory`]).
-    pub fn memory(&self) -> DetectorMemory {
-        let mut m = DetectorMemory {
-            open_runs: self.runs.len(),
-            ..Default::default()
-        };
-        for run in self.runs.values() {
-            match &run.dsts {
-                crate::sketch::DistinctCounter::Exact(set) => m.exact_dst_entries += set.len(),
-                crate::sketch::DistinctCounter::Sketch(_) => m.sketched_runs += 1,
-            }
-            m.port_entries += run.ports.len();
-        }
-        m
     }
 
     /// Feeds one packet. Returns a scan event if this packet's arrival
@@ -439,23 +441,20 @@ impl ScanDetector {
     }
 
     /// Closes and returns qualifying runs idle since before
-    /// `now - timeout`. Lets a long-running deployment bound state size.
+    /// `now - timeout`. Lets a long-running deployment bound state size. One
+    /// pass over the run map: a session calls this once per timeout of
+    /// stream time.
     pub fn flush_idle(&mut self, now_ms: u64) -> Vec<ScanEvent> {
         let deadline = now_ms.saturating_sub(self.config.timeout_ms);
-        let idle: Vec<Ipv6Prefix> = self
-            .runs
-            .iter()
-            .filter(|(_, run)| run.last_ms < deadline)
-            .map(|(s, _)| *s)
-            .collect();
-        let mut out = Vec::new();
-        for s in idle {
-            if let Some(run) = self.runs.remove(&s) {
-                if let Some(e) = Self::emit(&self.config, s, run) {
-                    out.push(e);
-                }
+        let (config, mut out) = (&self.config, Vec::new());
+        self.runs.retain(|&source, run| {
+            let live = run.last_ms >= deadline;
+            if !live {
+                let run = std::mem::replace(run, SourceRun::new(0, false));
+                out.extend(Self::emit(config, source, run));
             }
-        }
+            live
+        });
         out
     }
 
@@ -876,7 +875,7 @@ mod tests {
         for r in burst(2, 0, 10, 23) {
             det.observe(&r);
         }
-        let m = det.memory();
+        let m = det.state().memory();
         assert_eq!(m.open_runs, 2);
         assert_eq!(m.sketched_runs, 1);
         assert_eq!(m.exact_dst_entries, 10);
@@ -884,7 +883,7 @@ mod tests {
         // Sketch caps the per-source footprint: the spilled run no longer
         // contributes destination entries.
         let empty = ScanDetector::new(ScanDetectorConfig::default());
-        assert_eq!(empty.memory(), DetectorMemory::default());
+        assert_eq!(empty.state().memory(), DetectorMemory::default());
     }
 
     #[test]

@@ -52,6 +52,7 @@ use crate::detector::ScanDetectorConfig;
 use crate::event::{ScanEvent, ScanReport};
 use crate::kernels::{route, route_column};
 use crate::multi::MultiLevelDetector;
+use crate::session::observe_cut_at;
 use crate::snapshot::{LevelState, SnapshotError};
 use lumen6_obs::{Gauge, Histogram, MetricsRegistry};
 use lumen6_trace::RecordBatch;
@@ -60,17 +61,18 @@ use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TrySendError}
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Control-plane message to a shard worker. Besides packet sub-batches, the
-/// router can ask workers to garbage-collect idle runs or to report their
-/// serializable state mid-stream (for checkpointing) without tearing the
-/// pipeline down.
+/// Message to a shard worker: packet sub-batches, and a request to report
+/// its serializable state mid-stream (for checkpointing) without tearing
+/// the pipeline down.
+// Nearly every message is the large variant; boxing it would buy nothing.
+#[allow(clippy::large_enum_variant)]
 enum ShardMsg {
-    /// A columnar sub-batch of packets to observe, in stream order. The
-    /// worker returns the emptied batch through the recycle channel.
-    Batch(RecordBatch),
-    /// Close runs idle since before `now - timeout` (see
-    /// [`MultiLevelDetector::flush_idle`]).
-    FlushIdle(u64),
+    /// A columnar sub-batch of packets to observe, in stream order, and the
+    /// idle flushes that fell due inside it: each `(rows_before, now_ms)`
+    /// closes runs idle since before `now_ms - timeout` once that many of
+    /// the rows are observed (see [`observe_cut_at`]). The worker returns
+    /// the emptied batch through the recycle channel.
+    Batch(RecordBatch, Vec<(u32, u64)>),
     /// Send the worker's per-level state back through the provided channel.
     Snapshot(SyncSender<Vec<LevelState>>),
 }
@@ -122,6 +124,9 @@ pub struct ShardedDetector {
     /// Per-shard columnar staging buffers; swapped against a spare (never
     /// reallocated) when full.
     buffers: Vec<RecordBatch>,
+    /// Per-shard idle flushes due inside the staged rows; they ship with
+    /// them, so a flush costs no send and cuts no sub-batch short.
+    marks: Vec<Vec<(u32, u64)>>,
     /// Free list of empty sub-batches. Workers return drained batches
     /// through `recycle`; the router refills this list from it before ever
     /// allocating a fresh batch.
@@ -239,6 +244,7 @@ impl ShardedDetector {
                     Some(states) => MultiLevelDetector::from_state(&states),
                     None => MultiLevelDetector::new(&levels, base),
                 };
+                let mut piece = RecordBatch::new();
                 while let Ok(msg) = rx.recv() {
                     match msg {
                         // The columnar batch path: the sub-batch feeds the
@@ -246,12 +252,11 @@ impl ShardedDetector {
                         // goes back to the router for reuse (send fails
                         // only after the router is gone — nothing to
                         // recycle to, so the batch is simply dropped).
-                        ShardMsg::Batch(mut batch) => {
-                            det.observe_batch(&batch);
+                        ShardMsg::Batch(mut batch, marks) => {
+                            observe_cut_at(&mut det, &batch, marks, &mut piece, None);
                             batch.clear();
                             let _ = recycle_tx.send(batch);
                         }
-                        ShardMsg::FlushIdle(now_ms) => det.flush_idle(now_ms),
                         ShardMsg::Snapshot(reply) => {
                             let _ = reply.send(det.state());
                         }
@@ -276,6 +281,7 @@ impl ShardedDetector {
             buffers: (0..shards)
                 .map(|_| RecordBatch::with_capacity(batch))
                 .collect(),
+            marks: vec![Vec::new(); shards],
             spares: Vec::new(),
             recycle,
             routes: Vec::new(),
@@ -387,20 +393,21 @@ impl ShardedDetector {
             .unwrap_or_else(|| RecordBatch::with_capacity(self.batch))
     }
 
-    /// Ships shard `shard`'s staged sub-batch, swapping in a recycled spare
-    /// so staging never reallocates.
+    /// Ships shard `shard`'s staged sub-batch and flush marks, swapping in a
+    /// recycled spare so staging never reallocates.
     fn flush_shard(&mut self, shard: usize) {
         let spare = self.take_spare();
         let full = std::mem::replace(&mut self.buffers[shard], spare);
         self.batch_rows.record(full.len() as u64);
-        self.send_batch(shard, full);
+        let marks = std::mem::take(&mut self.marks[shard]);
+        self.send_batch(shard, full, marks);
     }
 
     /// Sends one sub-batch to a shard, counting a stall when the bounded
     /// channel is full and the router has to block on the worker.
-    fn send_batch(&mut self, shard: usize, batch: RecordBatch) {
+    fn send_batch(&mut self, shard: usize, batch: RecordBatch, marks: Vec<(u32, u64)>) {
         self.batches_sent += 1;
-        match self.senders[shard].try_send(ShardMsg::Batch(batch)) {
+        match self.senders[shard].try_send(ShardMsg::Batch(batch, marks)) {
             Ok(()) => {}
             Err(TrySendError::Full(msg)) => {
                 self.stalls += 1;
@@ -412,14 +419,13 @@ impl ShardedDetector {
         }
     }
 
-    /// Flushes buffered sub-batches so every worker has seen the stream up
-    /// to the current position. Must precede any control message whose
-    /// effect depends on stream position (flush-idle, snapshot). Ends a
-    /// flush window: publishes the routing-skew gauge for the window just
-    /// closed.
+    /// Flushes buffered sub-batches and flush marks so every worker has
+    /// seen the stream up to the current position. Must precede a snapshot
+    /// request, whose reply depends on stream position. Ends a window:
+    /// publishes the routing-skew gauge for the window just closed.
     fn drain_buffers(&mut self) {
         for shard in 0..self.buffers.len() {
-            if !self.buffers[shard].is_empty() {
+            if !self.buffers[shard].is_empty() || !self.marks[shard].is_empty() {
                 self.flush_shard(shard);
             }
         }
@@ -446,15 +452,18 @@ impl ShardedDetector {
     }
 
     /// Closes runs idle since before `now - timeout` on every shard.
-    /// Report-neutral, like [`MultiLevelDetector::flush_idle`].
+    /// Report-neutral, like [`MultiLevelDetector::flush_idle`]. Nothing is
+    /// sent: every shard's staged rows are marked at their current end, and
+    /// its worker flushes — at this same `now_ms`, whatever its own rows'
+    /// times — on reaching the mark, so per shard the order is what a drain
+    /// and a control message would give and sub-batches stay full.
     pub fn flush_idle(&mut self, now_ms: u64) {
-        self.drain_buffers();
-        for shard in 0..self.senders.len() {
-            if self.senders[shard]
-                .send(ShardMsg::FlushIdle(now_ms))
-                .is_err()
-            {
-                self.propagate_worker_panic(shard);
+        for (staged, marks) in self.buffers.iter().zip(&mut self.marks) {
+            let rows = staged.rows() as u32;
+            match marks.last_mut() {
+                // No row between two flushes: the later closes both sets.
+                Some(last) if last.0 == rows => last.1 = last.1.max(now_ms),
+                _ => marks.push((rows, now_ms)),
             }
         }
     }
@@ -710,6 +719,50 @@ mod tests {
             "recycle channel returned no batches to the free list"
         );
         det.finish();
+    }
+
+    /// A flush sends nothing and ships nothing early: it marks every
+    /// shard's staged rows — also a shard with none, which must still flush
+    /// at the caller's clock — and two flushes with no row between them are
+    /// one mark. The workers, cutting at the marks, end up where a sequential
+    /// detector flushed at the same points does.
+    #[test]
+    fn idle_flush_rides_with_the_staged_rows() {
+        let recs = workload();
+        let plan = ShardPlan {
+            shards: 3,
+            batch: 64,
+            depth: 2,
+        };
+        let cfg = ScanDetectorConfig::default();
+        let mut seq = MultiLevelDetector::new(&AggLevel::PAPER_LEVELS, cfg.clone());
+        let mut par = ShardedDetector::new(&AggLevel::PAPER_LEVELS, cfg, plan);
+        let mut staged = RecordBatch::new();
+        let mut closed_mid_stream = false;
+        for part in recs.chunks(50) {
+            staged.clear();
+            staged.extend(part.iter().copied());
+            seq.observe_batch(&staged);
+            par.observe_batch(&staged);
+            let (now, sent) = (part[part.len() - 1].ts_ms, par.batches_sent);
+            for now in [now, now + 1] {
+                seq.flush_idle(now);
+                par.flush_idle(now);
+            }
+            assert_eq!(par.batches_sent, sent, "a flush sent a sub-batch");
+            for (buffer, marks) in par.buffers.iter().zip(&par.marks) {
+                assert_eq!(marks.last(), Some(&(buffer.rows() as u32, now + 1)));
+                assert!(marks.windows(2).all(|w| w[0].0 < w[1].0), "{marks:?}");
+            }
+            closed_mid_stream |= seq.state().iter().any(|l| !l.pending.is_empty());
+        }
+        assert!(closed_mid_stream, "no flush closed a scan");
+        assert_eq!(par.state(), seq.state());
+        assert!(
+            par.marks.iter().all(Vec::is_empty),
+            "state() ships the marks"
+        );
+        assert_eq!(par.finish(), seq.finish());
     }
 
     #[test]

@@ -41,7 +41,7 @@
 
 use crate::aggregate::AggLevel;
 use crate::checkpoint_codec;
-use crate::detector::ScanDetectorConfig;
+use crate::detector::{DetectorMemory, ScanDetectorConfig};
 use crate::event::ScanReport;
 use crate::multi::MultiLevelDetector;
 use crate::parallel::{ShardPlan, ShardedDetector};
@@ -826,15 +826,15 @@ impl From<CodecError> for SessionError {
 }
 
 /// Hands rows `rows` of `batch` to the detector (nothing, if there are
-/// none), recording the size in records: the batch itself when that is all
-/// of it, a column copy of the rows into the reused `piece` when an idle
-/// flush cut it.
-fn feed(
-    det: &mut dyn Detect,
+/// none), recording the size in records where a histogram is given: the
+/// batch itself when that is all of it, a column copy of the rows into the
+/// reused `piece` when an idle flush cut it.
+fn feed<D: Detect + ?Sized>(
+    det: &mut D,
     batch: &RecordBatch,
     rows: std::ops::Range<usize>,
     piece: &mut RecordBatch,
-    batch_size: &Histogram,
+    batch_size: Option<&Histogram>,
 ) {
     if rows.is_empty() {
         return;
@@ -846,49 +846,72 @@ fn feed(
         piece.extend_from_range(batch, rows);
         piece
     };
-    batch_size.record(batch.len() as u64);
+    if let Some(sizes) = batch_size {
+        sizes.record(batch.len() as u64);
+    }
     det.observe_batch(batch);
 }
 
-/// Hands `batch` to the detector, cut wherever an idle flush falls due: a
-/// row whose timestamp is `every_ms` or more past the last flush has the
-/// rows before it observed first, then `flush_idle` runs and the row opens
-/// the next piece. Each row is tested once against the flush time current
-/// when it is reached — the points a one-record-per-step session flushes
-/// at: a counted row's copies share its timestamp, so the first answers for
-/// all — so detector state at every checkpoint, and `last_flush`, do not
-/// depend on how the stream was cut into batches. A batch no flush falls in
-/// (any batch, when `every_ms` is 0) is observed as it is.
-fn observe_cut_at_idle_flushes(
-    det: &mut dyn Detect,
+/// Hands `batch` to the detector cut at `marks`, the idle flushes due inside
+/// it in row order: for each `(row, now_ms)` the rows before `row` are
+/// observed first, then `flush_idle(now_ms)` runs and the row opens the next
+/// piece. The one statement of the cut: a session applies it to what it
+/// pulled ([`idle_flushes_due`]), a shard worker to the sub-batch the marks
+/// rode in with. A batch without marks is observed as it is.
+pub(crate) fn observe_cut_at<D: Detect + ?Sized>(
+    det: &mut D,
     batch: &RecordBatch,
-    every_ms: u64,
-    watermark_ms: u64,
-    last_flush: &mut u64,
+    marks: impl IntoIterator<Item = (u32, u64)>,
     piece: &mut RecordBatch,
-    batch_size: &Histogram,
+    batch_size: Option<&Histogram>,
 ) {
     let mut start = 0;
-    if every_ms > 0 {
-        for (i, &ts) in batch.ts_ms().iter().enumerate() {
-            // `ts >= last_flush + every_ms` without the sum: timestamps
-            // come from the trace, and one near `u64::MAX` must not wrap.
-            if ts.saturating_sub(*last_flush) < every_ms {
-                continue;
-            }
-            feed(det, batch, start..i, piece, batch_size);
-            start = i;
-            // Flush at the watermark horizon: every future detector input
-            // is ≥ `ts - watermark`, so closures here match what
-            // end-of-stream finish would emit.
-            det.flush_idle(ts.saturating_sub(watermark_ms));
-            *last_flush = ts;
-            MetricsRegistry::global()
-                .counter("detect.session.idle_flushes")
-                .add(1);
-        }
+    for (row, now_ms) in marks {
+        feed(det, batch, start..row as usize, piece, batch_size);
+        start = row as usize;
+        det.flush_idle(now_ms);
     }
     feed(det, batch, start..batch.rows(), piece, batch_size);
+}
+
+/// Where idle flushes fall due among rows with timestamps `ts`, as
+/// `(row, now_ms)` marks: a row `every_ms` or more past the last flush is
+/// one, and becomes the last flush. Each row is tested once against the
+/// flush time current when it is reached — the points a
+/// one-record-per-step session flushes at: a counted row's copies share its
+/// timestamp, so the first answers for all — so detector state at every
+/// checkpoint, and `last_flush`, do not depend on how the stream was cut
+/// into batches. None when `every_ms` is 0.
+fn idle_flushes_due<'a>(
+    ts: &'a [u64],
+    every_ms: u64,
+    watermark_ms: u64,
+    last_flush: &'a mut u64,
+) -> impl Iterator<Item = (u32, u64)> + 'a {
+    let rows = if every_ms == 0 { &[] } else { ts };
+    rows.iter().enumerate().filter_map(move |(row, &ts)| {
+        // `ts >= last_flush + every_ms` without the sum: timestamps come
+        // from the trace, and one near `u64::MAX` must not wrap.
+        if ts.saturating_sub(*last_flush) < every_ms {
+            return None;
+        }
+        *last_flush = ts;
+        // Flush at the watermark horizon: every future detector input is
+        // ≥ `ts - watermark`, so closures here match what end-of-stream
+        // finish would emit.
+        Some((row as u32, ts.saturating_sub(watermark_ms)))
+    })
+}
+
+/// Reads each level's footprint off `levels` and sets its
+/// `detect.multi.l<len>.*` gauges.
+fn publish_memory(levels: &[LevelState]) -> Vec<(AggLevel, DetectorMemory)> {
+    let footprint = |l: &LevelState| {
+        let memory = l.memory();
+        memory.publish(MetricsRegistry::global(), l.config.agg);
+        (l.config.agg, memory)
+    };
+    levels.iter().map(footprint).collect()
 }
 
 /// The live in-flight state of a started [`Session`]: detector, reorder
@@ -947,16 +970,22 @@ impl RunState {
         }
     }
 
-    /// Writes the checkpoint of the current stream position to `path`,
-    /// and what it cost — snapshot time, save time, file bytes — to the
+    /// Writes the checkpoint of the current stream position to `path`, and
+    /// what it cost — snapshot time, save time, file bytes — and holds (the
+    /// per-level footprint returned, read off the snapshot in hand) to the
     /// metrics registry: once per checkpoint, nothing per record.
-    fn save_checkpoint(&mut self, src: &mut dyn Source, path: &Path) -> Result<(), SessionError> {
+    fn save_checkpoint(
+        &mut self,
+        src: &mut dyn Source,
+        path: &Path,
+    ) -> Result<Vec<(AggLevel, DetectorMemory)>, SessionError> {
         let reg = MetricsRegistry::global();
         self.src_skipped = src.skipped();
         self.ckpts += 1;
         let snapshot_timer = reg.stage("detect.session.snapshot_us");
         let detector = self.det.snapshot();
         drop(snapshot_timer);
+        let memory = publish_memory(&detector.levels);
         let ck = Checkpoint {
             position: src.position(),
             records_done: self.records_done,
@@ -971,7 +1000,7 @@ impl RunState {
         drop(save_timer);
         reg.counter("detect.session.checkpoints_written").add(1);
         reg.counter("detect.session.checkpoint_bytes").add(bytes);
-        Ok(())
+        Ok(memory)
     }
 }
 
@@ -994,6 +1023,7 @@ pub struct Session {
     config: SessionConfig,
     state: Option<RunState>,
     finished: bool,
+    memory: Vec<(AggLevel, DetectorMemory)>,
 }
 
 impl Session {
@@ -1006,6 +1036,7 @@ impl Session {
             config,
             state: None,
             finished: false,
+            memory: Vec::new(),
         }
     }
 
@@ -1023,6 +1054,12 @@ impl Session {
     /// Whether the session delivered its final report.
     pub fn is_finished(&self) -> bool {
         self.finished
+    }
+
+    /// What each level held at the last checkpoint — or, finished, at the
+    /// end of the stream: the values of the `detect.multi.l<len>.*` gauges.
+    pub fn memory(&self) -> &[(AggLevel, DetectorMemory)] {
+        &self.memory
     }
 
     /// Runs the session over `trace` (an L6TR file). If the checkpoint
@@ -1158,18 +1195,18 @@ impl Session {
             }
             &st.released
         };
-        observe_cut_at_idle_flushes(
-            st.det.as_mut(),
-            batch,
-            self.config.flush_idle_every_ms,
-            watermark_ms,
-            &mut st.last_flush,
-            &mut st.piece,
-            &st.batch_size,
-        );
+        let every_ms = self.config.flush_idle_every_ms;
+        let mut flushes = 0;
+        let due = idle_flushes_due(batch.ts_ms(), every_ms, watermark_ms, &mut st.last_flush)
+            .inspect(|_| flushes += 1);
+        let sizes = Some(&st.batch_size);
+        observe_cut_at(st.det.as_mut(), batch, due, &mut st.piece, sizes);
+        if flushes > 0 {
+            reg.counter("detect.session.idle_flushes").add(flushes);
+        }
 
         if let Some(policy) = periodic.filter(|p| st.records_done % p.every_records == 0) {
-            st.save_checkpoint(src, &policy.path)?;
+            self.memory = st.save_checkpoint(src, &policy.path)?;
             if policy.stop_after.is_some_and(|n| st.ckpts >= n) {
                 reg.counter("detect.session.stops").add(1);
                 return Ok(Step::Stopped {
@@ -1194,7 +1231,7 @@ impl Session {
         else {
             return Ok(false);
         };
-        st.save_checkpoint(src, &policy.path)?;
+        self.memory = st.save_checkpoint(src, &policy.path)?;
         Ok(true)
     }
 
@@ -1220,11 +1257,12 @@ impl Session {
             &st.released,
             0..st.released.rows(),
             &mut st.piece,
-            &st.batch_size,
+            Some(&st.batch_size),
         );
         let late = st.reorder.late_dropped();
         let skipped = st.skipped_before + st.src_skipped;
         reg.counter("detect.session.late_dropped").add(late);
+        self.memory = publish_memory(&st.det.state());
         let reports = st.det.finish();
         Ok(SessionReport {
             reports,

@@ -23,7 +23,7 @@
 //! remain for version-1 JSON checkpoints and the analyzer's L004).
 
 use crate::aggregate::AggLevel;
-use crate::detector::ScanDetectorConfig;
+use crate::detector::{DetectorMemory, ScanDetectorConfig};
 use crate::event::ScanEvent;
 use crate::sketch::HyperLogLog;
 use lumen6_addr::Ipv6Prefix;
@@ -117,6 +117,24 @@ impl LevelState {
     pub fn normalize(&mut self) {
         self.runs.sort_by_key(|r| r.source);
         self.pending.sort_by_key(|e| (e.start_ms, e.source));
+    }
+
+    /// What the level holds: open runs, their set and histogram entries,
+    /// events pending.
+    pub fn memory(&self) -> DetectorMemory {
+        let mut m = DetectorMemory {
+            open_runs: self.runs.len(),
+            pending_events: self.pending.len(),
+            ..Default::default()
+        };
+        for run in &self.runs {
+            match &run.dsts {
+                CounterState::Exact(set) => m.exact_dst_entries += set.len(),
+                CounterState::Sketch(_) => m.sketched_runs += 1,
+            }
+            m.port_entries += run.ports.len();
+        }
+        m
     }
 }
 

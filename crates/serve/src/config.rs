@@ -78,8 +78,9 @@ pub struct RunConfig {
     /// rejected for daemon tenants.
     pub stop_after: Option<u64>,
     /// Close idle detector runs whenever stream time advances this far,
-    /// seconds; 0 disables.
-    pub flush_idle_secs: u64,
+    /// seconds; `None` = `timeout_secs` (a run cannot go idle sooner), 0
+    /// never. Report-neutral for input time-ordered at the detector.
+    pub flush_idle_secs: Option<u64>,
     /// Fused generation: days to simulate (`None` = generator default).
     pub days: Option<u64>,
     /// Fused generation: master seed.
@@ -113,7 +114,7 @@ impl Default for RunConfig {
             checkpoint: None,
             checkpoint_every: 100_000,
             stop_after: None,
-            flush_idle_secs: 0,
+            flush_idle_secs: None,
             days: None,
             seed: 42,
             small: false,
@@ -150,7 +151,7 @@ impl Deserialize for RunConfig {
                 "checkpoint" => cfg.checkpoint = Some(String::from_value(val)?),
                 "checkpoint_every" => cfg.checkpoint_every = u64::from_value(val)?,
                 "stop_after" => cfg.stop_after = Some(u64::from_value(val)?),
-                "flush_idle_secs" => cfg.flush_idle_secs = u64::from_value(val)?,
+                "flush_idle_secs" => cfg.flush_idle_secs = Some(u64::from_value(val)?),
                 "days" => cfg.days = Some(u64::from_value(val)?),
                 "seed" => cfg.seed = u64::from_value(val)?,
                 "small" => cfg.small = bool::from_value(val)?,
@@ -188,7 +189,7 @@ impl RunConfig {
         for (key, secs) in [
             ("timeout_secs", self.timeout_secs),
             ("watermark_secs", self.watermark_secs),
-            ("flush_idle_secs", self.flush_idle_secs),
+            ("flush_idle_secs", self.flush_idle_secs.unwrap_or(0)),
         ] {
             if secs.checked_mul(1000).is_none() {
                 return Err(format!(
@@ -248,8 +249,10 @@ impl RunConfig {
         }
     }
 
-    /// The session-layer configuration.
+    /// The session-layer configuration — and the one place an unset
+    /// `flush_idle_secs` becomes the run's own timeout.
     pub fn session_config(&self) -> SessionConfig {
+        let flush_idle_secs = self.flush_idle_secs.unwrap_or(self.timeout_secs);
         SessionConfig {
             watermark_ms: self.watermark_secs.saturating_mul(1000),
             checkpoint: self.checkpoint.as_ref().map(|path| CheckpointPolicy {
@@ -257,7 +260,7 @@ impl RunConfig {
                 every_records: self.checkpoint_every,
                 stop_after: self.stop_after,
             }),
-            flush_idle_every_ms: self.flush_idle_secs.saturating_mul(1000),
+            flush_idle_every_ms: flush_idle_secs.saturating_mul(1000),
             strict: self.strict,
             batch: self.batch,
         }
@@ -501,7 +504,7 @@ mod tests {
             watermark_secs: 5,
             checkpoint: Some("/tmp/x.l6ck".into()),
             checkpoint_every: 7,
-            flush_idle_secs: 2,
+            flush_idle_secs: Some(2),
             strict: true,
             batch: 9,
             ..Default::default()
@@ -515,6 +518,43 @@ mod tests {
         assert_eq!(p.path, std::path::PathBuf::from("/tmp/x.l6ck"));
         assert_eq!(p.every_records, 7);
         assert_eq!(p.stop_after, None);
+    }
+
+    /// An unset `flush_idle_secs` is the run's own timeout, resolved in
+    /// `session_config` and nowhere else; 0 still means never, and a
+    /// manifest that spells either survives a round trip.
+    #[test]
+    fn unset_flush_idle_secs_is_the_timeout() {
+        let flush_ms = |text: &str| {
+            let cfg = RunConfig::from_toml_str(&format!("trace = \"t\"\n{text}")).unwrap();
+            let back: RunConfig =
+                serde_json::from_str(&serde_json::to_string(&cfg).unwrap()).unwrap();
+            assert_eq!(back, cfg, "{text:?} round trip");
+            (
+                cfg.flush_idle_secs,
+                cfg.session_config().flush_idle_every_ms,
+            )
+        };
+        assert_eq!(flush_ms(""), (None, 3_600_000));
+        assert_eq!(flush_ms("timeout_secs = 900\n"), (None, 900_000));
+        assert_eq!(flush_ms("flush_idle_secs = 0\n"), (Some(0), 0));
+        assert_eq!(
+            flush_ms("flush_idle_secs = 30\ntimeout_secs = 900\n"),
+            (Some(30), 30_000)
+        );
+        assert_eq!(
+            SessionConfig::default().flush_idle_every_ms,
+            0,
+            "the library primitive stays off"
+        );
+
+        let manifest = "spool = \"s\"\n[tenants.never]\nfused = true\nflush_idle_secs = 0\n\
+                        [tenants.unset]\nfused = true\n";
+        let serve = ServeConfig::from_toml_str(manifest).unwrap();
+        assert_eq!(serve.tenants[0].run.flush_idle_secs, Some(0));
+        assert_eq!(serve.tenants[1].run.flush_idle_secs, None);
+        let json = serde_json::to_string(&serve.tenants[0].run).unwrap();
+        assert!(json.contains("\"flush_idle_secs\":0"), "{json}");
     }
 
     #[test]

@@ -237,6 +237,9 @@ fn publish(rt: &mut TenantRt, report: Option<&SessionReport>) {
         }
         rt.registry.counter("serve.tenant.publishes").add(1);
     }
+    for (level, memory) in rt.session.memory() {
+        memory.publish(&rt.registry, *level);
+    }
     let snap = rt.registry.snapshot();
     let metrics = write_atomic(&rt.dir.join("metrics.json"), &snap, |f| f);
     let status = write_atomic(&rt.dir.join("status.json"), &rt.status(), |f| f);
@@ -614,6 +617,11 @@ mod tests {
                 snap.histograms["serve.tenant.publish_us"].count,
                 snap.counters["serve.tenant.publishes"]
             );
+            // The tenant's own detector footprint, from its session.
+            let held = |name: &str| snap.gauges[&format!("detect.multi.l64.{name}")];
+            assert!((1..100).contains(&held("open_runs")), "{}", t.name);
+            assert!(held("exact_dst_entries") > 0 && held("port_entries") > 0);
+            assert!(held("pending_events") >= 0);
         }
     }
 

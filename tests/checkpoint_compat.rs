@@ -157,6 +157,49 @@ fn v1_checkpoint_with_sketches_and_kept_destinations_resumes() {
     v1_resumes_like_an_uninterrupted_run("compat_sketch.v1.l6ck", session_sketch);
 }
 
+/// The same two files resumed at another idle-flush cadence — one timeout,
+/// what `RunConfig::session_config` now resolves an unset `flush_idle_secs`
+/// to; the sketch file was cut with no flush ever run (`last_flush_ms` 0) —
+/// still finish with the uninterrupted report. Only the report: the flush
+/// grid restarts at the first row after the resume, so checkpoint bytes from
+/// there on need not be a fresh run's.
+#[test]
+fn v1_checkpoints_resume_under_the_timeout_cadence() {
+    let at_timeout = |fixture: &str, session: fn(&Path) -> Session| {
+        let dir = TempDir::new(&format!("cadence-{fixture}"));
+        let cut = session(&dir.0.join("fresh.l6ck"));
+        let config = cut.config().clone();
+        let reference = finished(cut);
+
+        let ck = dir.0.join("resumed.l6ck");
+        std::fs::copy(data(fixture), &ck).unwrap();
+        let policy = config.checkpoint.map(|p| CheckpointPolicy {
+            path: ck.clone(),
+            ..p
+        });
+        // The file's own level configurations are authoritative on a
+        // restore, and either backend restores either file.
+        let resumed = finished(Session::new(
+            DetectorBuilder::new(ScanDetectorConfig::default()),
+            Backend::Sequential,
+            SessionConfig {
+                flush_idle_every_ms: 60_000,
+                checkpoint: policy,
+                ..config
+            },
+        ));
+        assert_eq!(resumed, reference, "{fixture}");
+        let last = Checkpoint::load(&ck).unwrap();
+        assert_eq!(last.checkpoints_written, 3);
+        assert!(
+            last.last_flush_ms > 0,
+            "{fixture}: no flush after the resume"
+        );
+    };
+    at_timeout("compat_pending.v1.l6ck", session_pending);
+    at_timeout("compat_sketch.v1.l6ck", session_sketch);
+}
+
 /// A torn or damaged v2 main file falls back to the `.prev` generation even
 /// when that generation is a v1 file — the state of a spool directory right
 /// after an upgrade.
