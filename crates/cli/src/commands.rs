@@ -19,9 +19,8 @@ use lumen6_detect::{
     ScanDetectorConfig, Session, SessionOutcome,
 };
 use lumen6_report::{duration_human, pkt_count, Table};
-use lumen6_scanners::{FleetConfig, World};
 use lumen6_serve::{Daemon, RunConfig, ServeConfig, ServeError};
-use lumen6_trace::{PacketRecord, StreamingTraceReader, TraceWriter};
+use lumen6_trace::{MaterializedSource, PacketRecord, Source, StreamingTraceReader, TraceWriter};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write as _};
 
@@ -30,8 +29,8 @@ pub const USAGE: &str = "\
 lumen6 — IPv6 scan detection toolkit
 
 USAGE:
-  lumen6 generate <cdn|mawi> --out FILE [--days N] [--seed N] [--small]
-                [--intensity F]
+  lumen6 generate cdn --out FILE [--days N] [--seed N] [--small] [--intensity F]
+  lumen6 generate mawi --out FILE [--days N] [--seed N] [--small]
   lumen6 generate custom --fleet ACTORS.json --out FILE [--seed N]
   lumen6 info --trace FILE
   lumen6 detect --trace FILE [--agg 128|64|48|32] [--min-dsts N]
@@ -172,47 +171,40 @@ fn agg_of(args: &Args) -> Result<AggLevel, CliError> {
     Ok(AggLevel::new(args.get_parsed::<u8>("agg", 64)?))
 }
 
-/// Builds the fleet configuration shared by `generate cdn` and
-/// `detect --fused`: `--small`, `--seed`, `--days`, and `--intensity`
-/// (a multiplier on every actor's per-session packet budget; 1.0 is the
-/// calibrated default, 100.0 approaches the paper's packet volumes).
-fn fleet_config(args: &Args, seed: u64, days: Option<u64>) -> Result<FleetConfig, CliError> {
-    let mut cfg = if args.has("small") {
-        FleetConfig::small()
-    } else {
-        FleetConfig::default()
-    };
-    cfg.seed = seed;
-    cfg.end_day = days.unwrap_or(cfg.end_day);
-    cfg.intensity = args.get_parsed::<f64>("intensity", cfg.intensity)?;
-    if !cfg.intensity.is_finite() || cfg.intensity <= 0.0 {
-        return Err(CliError::Usage(format!(
-            "--intensity must be a positive finite number, got {}",
-            cfg.intensity
-        )));
-    }
-    Ok(cfg)
-}
-
-/// `generate <cdn|mawi>`: build a synthetic vantage trace file.
+/// `generate <cdn|mawi|custom>`: build a synthetic vantage trace file.
 fn generate<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let kind = args
         .positional()
         .get(1)
         .map(String::as_str)
-        .ok_or_else(|| CliError::Usage("generate needs <cdn|mawi>".into()))?;
+        .ok_or_else(|| CliError::Usage("generate needs <cdn|mawi|custom>".into()))?;
+    // A vantage reads the flags USAGE lists for it and rejects the others'.
+    let reject = |flags: &[&str]| match flags.iter().find(|f| args.has(f)) {
+        Some(f) => Err(CliError::Usage(format!("generate {kind} takes no --{f}"))),
+        None => Ok(()),
+    };
     let seed = args.get_parsed::<u64>("seed", 42)?;
     let days = args.get_parsed::<u64>("days", 439)?;
     let path = args
         .get("out")
         .ok_or_else(|| CliError::Usage("--out FILE is required".into()))?;
 
-    let records = match kind {
+    let mut source: Box<dyn Source> = match kind {
         "cdn" => {
-            let cfg = fleet_config(args, seed, Some(days))?;
-            World::build(cfg).cdn_trace()
+            // `detect --fused`'s source, written out instead: never resident.
+            let run = RunConfig {
+                fused: true,
+                days: Some(days),
+                seed,
+                small: args.has("small"),
+                intensity: args.get_parsed("intensity", 1.0)?,
+                ..RunConfig::default()
+            };
+            run.validate().map_err(CliError::Usage)?;
+            run.make_source()?
         }
         "mawi" => {
+            reject(&["intensity"])?;
             let mut cfg = if args.has("small") {
                 lumen6_mawi::MawiConfig::small()
             } else {
@@ -220,10 +212,12 @@ fn generate<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError>
             };
             cfg.seed = seed;
             cfg.end_day = days;
-            lumen6_mawi::MawiWorld::build(cfg, None).trace()
+            let trace = lumen6_mawi::MawiWorld::build(cfg, None).trace();
+            Box::new(MaterializedSource::new(trace))
         }
         "custom" => {
             // A user-defined actor list (JSON array of ScannerActor).
+            reject(&["intensity", "days", "small"])?;
             let fleet_path = args
                 .get("fleet")
                 .ok_or_else(|| CliError::Usage("generate custom needs --fleet FILE".into()))?;
@@ -233,26 +227,31 @@ fn generate<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError>
             if actors.is_empty() {
                 return Err(CliError::Usage("fleet file defines no actors".into()));
             }
+            if let Some(e) = actors.iter().find_map(|a| a.validate().err()) {
+                return Err(CliError::Usage(format!("{fleet_path}: {e}")));
+            }
             let streams: Vec<_> = actors.iter().map(|a| a.generate(seed)).collect();
-            lumen6_trace::merge_sorted(streams)
+            Box::new(MaterializedSource::new(lumen6_trace::merge_sorted(streams)))
         }
         other => {
             return Err(CliError::Usage(format!(
-                "unknown vantage {other:?}; expected cdn or mawi"
+                "unknown vantage {other:?}; expected cdn, mawi or custom"
             )))
         }
     };
 
     // Write-temp-then-rename so a concurrent `--tail` reader of the same
-    // path never sees a partial trace.
+    // path never sees a partial trace; a counted row writes all its copies.
     let tmp = format!("{path}.tmp");
     let mut writer = TraceWriter::new(BufWriter::new(File::create(&tmp)?))?;
-    for r in &records {
-        writer.append(r)?;
+    let mut batch = lumen6_trace::RecordBatch::new();
+    while source.fill(&mut batch, lumen6_detect::DEFAULT_SESSION_BATCH)? > 0 {
+        batch.iter().try_for_each(|r| writer.append(&r))?;
     }
+    let records = writer.count();
     writer.finish()?.flush()?;
     std::fs::rename(&tmp, path)?;
-    writeln!(out, "wrote {} records to {path}", records.len())?;
+    writeln!(out, "wrote {records} records to {path}")?;
     Ok(())
 }
 

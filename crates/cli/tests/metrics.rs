@@ -222,6 +222,177 @@ fn fleet_json_nested_past_the_parser_limit_is_a_usage_error_not_an_abort() {
 }
 
 #[test]
+fn hostile_fleet_definitions_are_usage_errors_that_leave_no_file() {
+    use lumen6_scanners::{PortSampler, ScannerActor, Schedule, SourceSampler, TargetSampler};
+    // Each used to panic inside generation (`gen_bool: p=-0.142… out of
+    // [0,1]`, `gen_range: empty range`), write a 0-record file (1e30
+    // sessions wrap to none), abort on allocation (1e15 sessions), or wrap
+    // a timestamp past `u64`.
+    let sound = || ScannerActor {
+        name: "mallory".into(),
+        asn: 65_001,
+        sources: SourceSampler::Single(0x2001_0db8 << 96 | 1),
+        targets: TargetSampler::Hitlist((1..=300u128).map(|i| i << 8).collect()),
+        ports: PortSampler::Single(lumen6_trace::Transport::Tcp, 22),
+        schedule: Schedule::continuous(0, 3, 400),
+        probe_len: 60,
+    };
+    type Spoil = fn(&mut ScannerActor);
+    let table: [(&str, Spoil, &str); 11] = [
+        (
+            "negative-rate",
+            |a| a.schedule.sessions_per_week = -1.0,
+            "sessions_per_week",
+        ),
+        (
+            "uncountable-rate",
+            |a| a.schedule.sessions_per_week = 1e30,
+            "sessions_per_week",
+        ),
+        (
+            "empty-hitlist",
+            |a| a.targets = TargetSampler::Hitlist(Vec::new()),
+            "targets",
+        ),
+        (
+            "empty-pool",
+            |a| {
+                a.targets = TargetSampler::PairMix {
+                    exposed: Vec::new(),
+                    hidden: vec![1],
+                    hidden_frac: 0.5,
+                }
+            },
+            "targets",
+        ),
+        (
+            "improbable",
+            |a| {
+                a.targets = TargetSampler::PairExplore {
+                    pairs: vec![(1, 2)],
+                    explore_prob: 2.0,
+                }
+            },
+            "targets",
+        ),
+        (
+            "unaffordable-rate",
+            |a| a.schedule.sessions_per_week = 1e15,
+            "sessions_per_week",
+        ),
+        (
+            "empty-source-pool",
+            |a| a.sources = SourceSampler::Pool(Vec::new()),
+            "sources",
+        ),
+        (
+            "empty-port-range",
+            |a| a.ports = PortSampler::UniformRange(lumen6_trace::Transport::Tcp, 0),
+            "ports",
+        ),
+        (
+            "end-day-overflows-ms",
+            |a| a.schedule.end_day = u64::MAX / lumen6_trace::DAY_MS + 1,
+            "end_day",
+        ),
+        (
+            "window-overflows-ms",
+            |a| (a.schedule.start_day, a.schedule.end_day) = (u64::MAX - 1, u64::MAX),
+            "end_day",
+        ),
+        (
+            "endless-session",
+            |a| a.schedule.session_hours = 1e300,
+            "session_hours",
+        ),
+    ];
+    let dir = std::env::temp_dir().join(format!("lumen6-hostile-fleet-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fleet = dir.join("fleet.json");
+    let trace = dir.join("x.l6tr");
+    let generate = |actors: &[ScannerActor]| {
+        let json = serde_json::to_string_pretty(actors).unwrap();
+        std::fs::write(&fleet, json).unwrap();
+        lumen6(&[
+            "generate",
+            "custom",
+            "--fleet",
+            fleet.to_str().unwrap(),
+            "--out",
+            trace.to_str().unwrap(),
+        ])
+    };
+    for (case, spoil, field) in table {
+        // The hostile actor is the second of two: every actor is checked
+        // before anything is written.
+        let mut actors = [sound(), sound()];
+        spoil(&mut actors[1]);
+        let out = generate(&actors);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{case}: {stderr}");
+        assert!(
+            stderr.contains("mallory") && stderr.contains(field),
+            "{case}: message must name the actor and {field}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+        assert!(
+            !trace.exists() && !dir.join("x.l6tr.tmp").exists(),
+            "{case}: left an output file behind"
+        );
+    }
+    // And the same fleet unspoiled generates.
+    let out = generate(&[sound(), sound()]);
+    assert!(stdout_of(&out).contains("wrote 2400 records"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn generate_rejects_the_flags_a_vantage_does_not_read() {
+    // `--intensity` was silently ignored by `generate mawi`, and
+    // `--intensity`/`--days`/`--small` by `generate custom`, although USAGE
+    // advertised the first for `<cdn|mawi>`.
+    let dir = std::env::temp_dir().join(format!("lumen6-unread-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("x.l6tr");
+    let cases: [(&str, &[&str]); 4] = [
+        ("mawi", &["--intensity", "2"]),
+        ("custom", &["--intensity", "2"]),
+        ("custom", &["--days", "3"]),
+        ("custom", &["--small"]),
+    ];
+    for (vantage, flag) in cases {
+        let mut args = vec!["generate", vantage, "--out", trace.to_str().unwrap()];
+        if vantage == "custom" {
+            // Which it must not get as far as opening.
+            args.extend(["--fleet", "/nonexistent/fleet.json"]);
+        }
+        args.extend(flag);
+        let out = lumen6(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{vantage} {flag:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("generate {vantage}")) && stderr.contains(flag[0]),
+            "{vantage} {flag:?}: message must name the flag: {stderr}"
+        );
+        assert!(!trace.exists(), "{vantage} {flag:?}: wrote a trace");
+    }
+    let usage = String::from_utf8(lumen6(&["generate", "--help"]).stdout).unwrap();
+    let line_of = |vantage: &str| {
+        let start = usage
+            .find(&format!("generate {vantage}"))
+            .expect("usage entry");
+        let rest = &usage[start..];
+        &rest[..rest[1..]
+            .find("lumen6 generate")
+            .map_or(rest.len(), |i| i + 1)]
+    };
+    assert!(line_of("cdn").contains("--intensity"), "{usage}");
+    assert!(!line_of("mawi").contains("--intensity"), "{usage}");
+    assert!(!line_of("custom").contains("--days"), "{usage}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn batch_runs_counts_distinct_rows_beside_records() {
     // At 10x nine rows in ten repeat their predecessor; the detector
     // accounts each run once and says so next to the record count.

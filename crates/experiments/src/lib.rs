@@ -213,7 +213,7 @@ impl MawiLab {
 
     /// Builds the MAWI lab with an explicit detection backend.
     pub fn build_with(config: MawiConfig, cdn: Option<&World>, mode: DetectMode) -> MawiLab {
-        let world = MawiWorld::build(config, cdn.map(|w| &w.fleet));
+        let world = MawiWorld::build(config, cdn.map(|w| &*w.fleet));
         let trace = world.trace();
         MawiLab { world, trace, mode }
     }

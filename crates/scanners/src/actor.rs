@@ -150,65 +150,118 @@ impl ScannerActor {
     /// packet counts scale exactly. (Scaling the draw count instead would
     /// push deliberately sub-threshold actors over the 100-destination
     /// bar and let variable-source actors express more addresses,
-    /// distorting Table 1 / Fig. 2 shapes.) At intensity 1.0 the output
-    /// is bit-identical to the pre-scaling generator. Fractional
-    /// intensities emit an evenly-spaced subset of the base footprint.
+    /// distorting Table 1 / Fig. 2 shapes.) Fractional intensities emit an
+    /// evenly-spaced subset of the base footprint.
     pub fn generate_scaled(&self, seed: u64, intensity: f64) -> Vec<PacketRecord> {
-        // Mix the actor's name into the seed: actors of the same AS (e.g.
-        // the per-/128 mini-actors of a cloud) must have independent
-        // streams, or they would scan the same days and probe the same
-        // target sequences in lockstep.
+        let mut rng = self.rng(seed);
+        let mut out = Vec::new();
+        let mut targets_buf = Vec::with_capacity(2);
+        for s in &self.schedule.sessions(&mut rng) {
+            self.draw_session(&mut rng, s, intensity, &mut targets_buf, |rec, reps| {
+                out.extend(std::iter::repeat_n(rec, reps as usize));
+            });
+        }
+        lumen6_trace::sort_by_time(&mut out);
+        out
+    }
+
+    /// Checks a definition from outside the program (a `generate custom`
+    /// fleet file) for what generation would panic on, wrap, silently
+    /// misread or never finish. The message names the actor and the field.
+    pub fn validate(&self) -> Result<(), String> {
+        let s = &self.schedule;
+        // A day holds at most `rate / 7 + 1` sessions, and the stream is
+        // materialized: every session, then every packet, is held at once.
+        let days = s.end_day.saturating_sub(s.start_day) as f64;
+        let packets = (s.sessions_per_week / 7.0 + 1.0) * days * s.packets_per_session as f64;
+        // The last session may start at the window's last millisecond and
+        // run its full span; a day of slack covers follow-up probe offsets.
+        let span = s.session_hours * HOUR_MS as f64;
+        let end_ms = s.end_day.checked_add(1).and_then(|d| d.checked_mul(DAY_MS));
+        let fits = span >= 0.0 && end_ms.is_some_and(|ms| ms.checked_add(span as u64).is_some());
+        let why = if !fits {
+            "schedule.end_day and session_hours must keep timestamps within u64 ms"
+        } else if !(s.sessions_per_week >= 0.0 && packets <= u32::MAX as f64) {
+            "schedule.sessions_per_week must be a non-negative rate that, times \
+             packets_per_session, schedules at most 2^32 packets"
+        } else if !self.sources.is_drawable() {
+            "sources must draw from non-empty pools"
+        } else if !self.targets.is_drawable() {
+            "targets must draw from non-empty pools, with probabilities within [0, 1]"
+        } else if !self.ports.is_drawable() {
+            "ports must draw from a non-empty set or range"
+        } else {
+            return Ok(());
+        };
+        Err(format!("actor {:?}: {why}", self.name))
+    }
+
+    /// The actor's generator state for `seed`, before the schedule draws.
+    ///
+    /// The actor's name is mixed into the seed: actors of the same AS (e.g.
+    /// the per-/128 mini-actors of a cloud) must have independent streams,
+    /// or they would scan the same days and probe the same target sequences
+    /// in lockstep.
+    pub(crate) fn rng(&self, seed: u64) -> SmallRng {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a
         for b in self.name.bytes() {
             h = (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
         }
-        let mut rng = SmallRng::seed_from_u64(seed ^ (u64::from(self.asn) << 32) ^ h);
-        let sessions = self.schedule.sessions(&mut rng);
-        let mut out = Vec::new();
-        let mut targets_buf = Vec::with_capacity(2);
-        for s in &sessions {
-            let scaled = scale_intensity(s.packets, intensity);
-            let mut drawn = 0u64;
-            let mut emitted = 0u64;
-            while drawn < s.packets {
-                targets_buf.clear();
-                self.targets.sample(&mut rng, &mut targets_buf);
-                // Offset within the session; follow-up (nearby) probes get
-                // strictly later timestamps than their seed probe.
-                let base = s.start_ms + rng.gen_range(0..s.duration_ms);
-                for (k, &dst) in targets_buf.iter().enumerate() {
-                    if drawn >= s.packets {
-                        break;
-                    }
-                    let ts = base + (k as u64) * rng.gen_range(50u64..2_000);
-                    let (proto, dport) = self.ports.sample(&mut rng, ts);
-                    let rec = PacketRecord {
-                        ts_ms: ts,
-                        src: self.sources.sample(&mut rng, ts),
-                        dst,
-                        proto,
-                        sport: if proto == lumen6_trace::Transport::Icmpv6 {
-                            128
-                        } else {
-                            rng.gen_range(32_768..61_000)
-                        },
-                        dport,
-                        len: self.probe_len,
-                    };
-                    drawn += 1;
-                    // Cumulative emission due after `drawn` of `s.packets`
-                    // base probes: rounds so the session total is exactly
-                    // `scaled`, spreading repeats (or drops) evenly.
-                    let due = emission_due(scaled, s.packets, drawn);
-                    for _ in emitted..due {
-                        out.push(rec);
-                    }
-                    emitted = due;
+        SmallRng::seed_from_u64(seed ^ (u64::from(self.asn) << 32) ^ h)
+    }
+
+    /// Draws one session's probes in emission order, handing each probe
+    /// that is due at least once to `emit(record, copies)`. This is the only
+    /// definition of the per-probe draw sequence; callers differ in what
+    /// they do with the copies (`generate_scaled` pushes and sorts them, the
+    /// fused source queues one run-length-encoded heap entry).
+    pub(crate) fn draw_session(
+        &self,
+        rng: &mut SmallRng,
+        s: &Session,
+        intensity: f64,
+        targets_buf: &mut Vec<u128>,
+        mut emit: impl FnMut(PacketRecord, u64),
+    ) {
+        let scaled = scale_intensity(s.packets, intensity);
+        let mut drawn = 0u64;
+        let mut emitted = 0u64;
+        while drawn < s.packets {
+            targets_buf.clear();
+            self.targets.sample(rng, targets_buf);
+            // Offset within the session; follow-up (nearby) probes get
+            // strictly later timestamps than their seed probe.
+            let base = s.start_ms + rng.gen_range(0..s.duration_ms);
+            for (k, &dst) in targets_buf.iter().enumerate() {
+                if drawn >= s.packets {
+                    break;
                 }
+                let ts = base + (k as u64) * rng.gen_range(50u64..2_000);
+                let (proto, dport) = self.ports.sample(rng, ts);
+                let rec = PacketRecord {
+                    ts_ms: ts,
+                    src: self.sources.sample(rng, ts),
+                    dst,
+                    proto,
+                    sport: if proto == lumen6_trace::Transport::Icmpv6 {
+                        128
+                    } else {
+                        rng.gen_range(32_768..61_000)
+                    },
+                    dport,
+                    len: self.probe_len,
+                };
+                drawn += 1;
+                // Cumulative emission due after `drawn` of `s.packets`
+                // base probes: rounds so the session total is exactly
+                // `scaled`, spreading repeats (or drops) evenly.
+                let due = emission_due(scaled, s.packets, drawn);
+                if due > emitted {
+                    emit(rec, due - emitted);
+                }
+                emitted = due;
             }
         }
-        lumen6_trace::sort_by_time(&mut out);
-        out
     }
 }
 
@@ -343,5 +396,83 @@ mod tests {
         assert!(recs
             .iter()
             .all(|r| r.proto == Transport::Icmpv6 && r.sport == 128));
+    }
+
+    #[test]
+    fn validate_passes_the_built_fleet_and_names_what_sampling_would_panic_on() {
+        let world = crate::World::build(crate::FleetConfig::small());
+        for a in world.fleet.actors.iter().chain([&actor()]) {
+            assert_eq!(a.validate(), Ok(()), "{}", a.name);
+        }
+        type Spoil = fn(&mut ScannerActor);
+        let cases: [(Spoil, &str); 10] = [
+            (|a| a.sources = SourceSampler::Pool(Vec::new()), "sources"),
+            (
+                |a| {
+                    a.sources = SourceSampler::TimeSliced {
+                        pool: Vec::new(),
+                        slice_ms: 1,
+                    }
+                },
+                "sources",
+            ),
+            (
+                |a| {
+                    a.sources = SourceSampler::SpreadSubnets {
+                        subnets: vec![Ipv6Prefix::DEFAULT],
+                        hosts_per_subnet: 0,
+                    }
+                },
+                "sources",
+            ),
+            (
+                |a| a.targets = TargetSampler::Hitlist(Vec::new()),
+                "targets",
+            ),
+            (
+                |a| a.ports = PortSampler::UniformRange(Transport::Udp, 0),
+                "ports",
+            ),
+            (
+                |a| {
+                    a.ports = PortSampler::DailyRotate {
+                        proto: Transport::Tcp,
+                        pool: Vec::new(),
+                        per_day: 4,
+                    }
+                },
+                "ports",
+            ),
+            (
+                // The empty set hides behind a switch that has not happened.
+                |a| {
+                    a.ports = PortSampler::SwitchAt {
+                        at_ms: u64::MAX,
+                        before: Box::new(PortSampler::Icmpv6Echo),
+                        after: Box::new(PortSampler::Set(Transport::Tcp, Vec::new())),
+                    }
+                },
+                "ports",
+            ),
+            (
+                |a| a.schedule.sessions_per_week = f64::NAN,
+                "sessions_per_week",
+            ),
+            // Countable, and more sessions than memory: 1e15 a week.
+            (|a| a.schedule.sessions_per_week = 1e15, "sessions_per_week"),
+            (
+                |a| a.schedule.packets_per_session = u64::MAX,
+                "packets_per_session",
+            ),
+        ];
+        for (i, (spoil, field)) in cases.into_iter().enumerate() {
+            let mut a = actor();
+            spoil(&mut a);
+            let err = a.validate().expect_err("spoiled");
+            assert!(
+                err.contains("\"test\"") && err.contains(field),
+                "case {i}: {err}"
+            );
+        }
     }
 }

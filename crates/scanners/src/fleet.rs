@@ -34,16 +34,16 @@
 //! records the resulting distortions.
 
 use crate::actor::{ScannerActor, Schedule};
-use crate::noise;
 use crate::samplers::{PortSampler, SourceSampler, TargetSampler};
 use lumen6_addr::Ipv6Prefix;
 use lumen6_netmodel::{AsType, InternetRegistry};
-use lumen6_telescope::artifacts::{self, ArtifactConfig};
-use lumen6_telescope::{CaptureConfig, CdnDeployment, DeploymentConfig, FirewallCapture};
+use lumen6_telescope::artifacts::ArtifactConfig;
+use lumen6_telescope::{CdnDeployment, DeploymentConfig};
 use lumen6_trace::{PacketRecord, SimTime, Transport};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Fleet scale and window.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -107,14 +107,11 @@ impl FleetConfig {
 /// value as an IEEE-754 double (mantissa × 2^exponent), the product is
 /// formed in 128 bits, and rounding is explicit (half away from zero).
 ///
-/// The previous implementation went through `(base as f64 * factor).round()
-/// as u64`, which is lossy twice over: above 2^53 the `u64 → f64` conversion
-/// silently drops low bits (a paper-scale packet budget scaled at intensity
-/// 1.0 would not round-trip), and the `.max(1)` floor it carried inflated
-/// totals at fractional intensities by promoting every zero-packet session
-/// to one packet. This version is exact for every `base` at intensity 1.0
-/// (identity), monotone in both arguments, and saturates at `u64::MAX`
-/// instead of wrapping. Non-finite or non-positive factors scale to 0.
+/// Exact for every `base` at intensity 1.0 (the identity; going through
+/// `base as f64` would drop low bits above 2^53), with no floor at one
+/// packet (a session that scales below half a packet emits none), monotone
+/// in both arguments, and saturating at `u64::MAX` instead of wrapping.
+/// Non-finite or non-positive factors scale to 0.
 pub fn scale_intensity(base: u64, factor: f64) -> u64 {
     if base == 0 || !factor.is_finite() || factor <= 0.0 {
         return 0;
@@ -147,39 +144,15 @@ pub fn scale_intensity(base: u64, factor: f64) -> u64 {
 }
 
 /// Cumulative emission due after the first `drawn` of `base` probes when a
-/// stream scales to `scaled` total packets: the Bresenham repeat schedule
-/// shared by [`ScannerActor::generate_scaled`], the fixed-stream scaling in
-/// [`World::cdn_trace`], and the fused [`crate::FleetSource`]. Monotone in
-/// `drawn`, exactly `scaled` at `drawn == base`, and the identity when
-/// `scaled == base`. Callers guarantee `base > 0`.
+/// stream scales to `scaled` total packets — the Bresenham repeat schedule
+/// of every stream `--intensity` scales: a session's probes
+/// ([`ScannerActor::draw_session`]) and the artifact and noise records
+/// ([`crate::FleetSource`]'s fixed streams). Record `i` is emitted
+/// `due(i + 1) - due(i)` times, adjacent, so order and timestamps are kept.
+/// Monotone in `drawn`, exactly `scaled` at `drawn == base`, and the
+/// identity when `scaled == base`. Callers guarantee `base > 0`.
 pub(crate) fn emission_due(scaled: u64, base: u64, drawn: u64) -> u64 {
     ((u128::from(scaled) * u128::from(drawn)) / u128::from(base)) as u64
-}
-
-/// Scales a materialized stream by per-record repetition: record `i` is
-/// emitted `due(i+1) - due(i)` times in place, so the output length is
-/// exactly `scale_intensity(len, intensity)`, order and timestamps are
-/// preserved, and repeats are adjacent (as a stable time-sort would leave
-/// them).
-fn repeat_stream(stream: Vec<PacketRecord>, intensity: f64) -> Vec<PacketRecord> {
-    let base = stream.len() as u64;
-    if base == 0 {
-        return stream;
-    }
-    let scaled = scale_intensity(base, intensity);
-    if scaled == base {
-        return stream;
-    }
-    let mut out = Vec::with_capacity(usize::try_from(scaled).unwrap_or(0));
-    let mut emitted = 0u64;
-    for (i, r) in stream.iter().enumerate() {
-        let due = emission_due(scaled, base, i as u64 + 1);
-        for _ in emitted..due {
-            out.push(*r);
-        }
-        emitted = due;
-    }
-    out
 }
 
 /// Ground truth for one Table 2 row.
@@ -210,15 +183,16 @@ pub struct Fleet {
     pub truth: Vec<GroundTruth>,
 }
 
-/// The full simulated world: registry, telescope, fleet.
+/// The full simulated world: registry, telescope, fleet. Nothing mutates it
+/// after [`World::build`], so clones (each generator lane's) share the parts.
 #[derive(Debug, Clone)]
 pub struct World {
     /// AS registry and routing table (attribution substrate).
-    pub registry: InternetRegistry,
+    pub registry: Arc<InternetRegistry>,
     /// The CDN telescope.
-    pub deployment: CdnDeployment,
+    pub deployment: Arc<CdnDeployment>,
     /// The scanner fleet.
-    pub fleet: Fleet,
+    pub fleet: Arc<Fleet>,
     config: FleetConfig,
 }
 
@@ -253,9 +227,9 @@ impl World {
         };
         let fleet = Fleet::paper(&config, &mut registry, &pools);
         World {
-            registry,
-            deployment,
-            fleet,
+            registry: Arc::new(registry),
+            deployment: Arc::new(deployment),
+            fleet: Arc::new(fleet),
             config,
         }
     }
@@ -268,71 +242,16 @@ impl World {
     /// Generates the complete *firewall-logged* CDN trace: scanner traffic
     /// plus artifacts plus noise, passed through the capture filter,
     /// time-sorted. This is the input to the paper's pipeline (prefilter →
-    /// aggregate → detect).
+    /// aggregate → detect), collected from the one code that defines it:
+    /// an inline-lane [`crate::FleetSource`] over this world.
     pub fn cdn_trace(&self) -> Vec<PacketRecord> {
-        use rayon::prelude::*;
-        // Actor generation dominates build time (thousands of mini-actors
-        // over 439 days); each actor's stream is an independent pure
-        // function of (actor, seed), so generate them in parallel.
-        let mut streams: Vec<Vec<PacketRecord>> = self
-            .fleet
-            .actors
-            .par_iter()
-            .map(|actor| actor.generate_scaled(self.config.seed, self.config.intensity))
-            .collect();
-        // Per-strategy emission telemetry, aggregated once per build (not
-        // per packet): `scanners.fleet.packets_emitted.<strategy>` counts
-        // pre-capture-filter packets.
-        {
-            let mut per_kind: std::collections::BTreeMap<&'static str, u64> = Default::default();
-            for (actor, stream) in self.fleet.actors.iter().zip(&streams) {
-                *per_kind.entry(actor.targets.kind()).or_default() += stream.len() as u64;
-            }
-            let reg = lumen6_obs::MetricsRegistry::global();
-            for (kind, n) in per_kind {
-                reg.counter(&format!("scanners.fleet.packets_emitted.{kind}"))
-                    .add(n);
-            }
+        let mut source = crate::FleetSource::new(self.clone());
+        let (mut out, mut batch) = (Vec::new(), lumen6_trace::RecordBatch::new());
+        while source.produce(Some(&mut batch), 65_536) > 0 {
+            out.extend(batch.iter());
+            batch.clear();
         }
-        // Artifacts and noise scale with intensity by per-record repetition
-        // too: the A.1 duplicate prefilter compares packet *counts* against
-        // its threshold, so background streams must scale in lockstep with
-        // the scanners (and with a threshold scaled the same way) for its
-        // removal decisions — and hence the detected shape — to be
-        // intensity-invariant.
-        streams.push(repeat_stream(
-            artifacts::generate(
-                &self.deployment,
-                &self.config.artifacts,
-                self.config.start_day,
-                self.config.end_day,
-                self.config.seed,
-            ),
-            self.config.intensity,
-        ));
-        streams.push(repeat_stream(
-            noise::generate(
-                &self.deployment.all_addrs(),
-                self.config.noise_sources_per_day,
-                self.config.start_day,
-                self.config.end_day,
-                self.config.seed,
-            ),
-            self.config.intensity,
-        ));
-        {
-            let reg = lumen6_obs::MetricsRegistry::global();
-            let noise_len = streams.last().map_or(0, Vec::len) as u64;
-            let artifacts_len = streams[streams.len() - 2].len() as u64;
-            reg.counter("scanners.fleet.packets_emitted.artifacts")
-                .add(artifacts_len);
-            reg.counter("scanners.fleet.packets_emitted.noise")
-                .add(noise_len);
-        }
-        let merged = lumen6_trace::merge_sorted(streams);
-        let capture = FirewallCapture::new(&self.deployment, CaptureConfig::default());
-        let (logged, _) = capture.capture(&merged);
-        logged
+        out
     }
 }
 
@@ -480,17 +399,6 @@ impl Builder<'_> {
             actors: self.actors,
             truth: self.truth,
         }
-    }
-
-    /// Window length in days/weeks.
-    #[allow(dead_code)]
-    fn days(&self) -> u64 {
-        self.config.end_day - self.config.start_day
-    }
-
-    #[allow(dead_code)]
-    fn weeks(&self) -> f64 {
-        self.days() as f64 / 7.0
     }
 
     /// The paper's full measurement window in weeks (439 days). Session

@@ -1,15 +1,13 @@
-//! Fused generation: a [`Source`] that synthesizes the firewall-logged CDN
-//! trace directly from the fleet actors, in timestamp order, without ever
-//! materializing the trace.
+//! Fused generation: the [`Source`] that *defines* the firewall-logged CDN
+//! trace — scanner traffic plus artifacts plus noise, capture-filtered, in
+//! timestamp order — synthesized straight from the fleet actors without
+//! ever materializing it. [`World::cdn_trace`] is a collect of this source.
 //!
-//! [`World::cdn_trace`] expands every actor's full packet stream in memory,
-//! merges, and filters — at paper scale (intensity ≥ 100×) that intermediate
-//! trace runs to tens of gigabytes before the first record reaches a
-//! detector. [`FleetSource`] produces the *identical* record sequence
-//! incrementally: each actor holds only its not-yet-releasable packets
-//! (roughly the one or two scanning sessions overlapping the merge
-//! frontier), so peak memory is bounded by per-session packet budgets, not
-//! by the trace length.
+//! At paper scale (intensity ≥ 100×) the trace runs to tens of gigabytes.
+//! The source produces it incrementally: each actor holds only its
+//! not-yet-releasable packets (roughly the one or two scanning sessions
+//! overlapping the merge frontier), so peak memory is bounded by
+//! per-session packet budgets, not by the trace length.
 //!
 //! # One engine, inline or threaded lanes
 //!
@@ -17,9 +15,9 @@
 //! lane's [`Generator`] runs its actors' [`ActorStream`]s under a local
 //! merge and emits sorted, capture-filtered runs of at most
 //! [`RUN_RECORDS`] records, each record tagged with its global stream
-//! index; the consumer k-way-merges the lane heads with the materialized
-//! artifact/noise streams. The only thing `gen_threads` changes is *where*
-//! a lane's generator runs:
+//! index; the consumer k-way-merges the lane heads with the artifact and
+//! noise streams. The only thing `gen_threads` changes is *where* a lane's
+//! generator runs:
 //!
 //! - `gen_threads = 1`: the single lane owns its generator and refills its
 //!   run on the consumer's thread — no thread, no channel, no cross-thread
@@ -29,50 +27,46 @@
 //!   detector backends can absorb, so each lane hands its generator to a
 //!   spawned thread behind a pair of bounded channels.
 //!
-//! # Equivalence and determinism
+//! # The sequence and its determinism
 //!
-//! The output is byte-identical to
-//! `FirewallCapture::capture(merge_sorted(actor streams ++ artifacts ++
-//! noise))` for the same [`FleetConfig`](crate::FleetConfig), regardless of
-//! lane count or thread scheduling:
+//! The trace is the merge, by (timestamp, stream index), of one stream per
+//! actor at its fleet index, then the artifact stream, then the noise
+//! stream, minus the records [`FirewallCapture::logs`] rejects. It is a
+//! pure function of the [`FleetConfig`](crate::FleetConfig) — not of the
+//! lane count, the fill sizes or thread scheduling:
 //!
-//! - Each actor's stream replays [`ScannerActor::generate_scaled`]
-//!   draw-for-draw (same RNG seeding, same session expansion, same
-//!   per-probe sampling order, same per-probe intensity repeats), and
-//!   reproduces its stable time-sort with a (timestamp, emission index)
-//!   heap — repeats of one probe are run-length-encoded in a single heap
-//!   entry, so actor-side buffering does not grow with intensity. A packet
-//!   is releasable once every not-yet-expanded session starts at or after
-//!   its timestamp: later sessions can only contribute equal-or-later
-//!   timestamps with larger emission indices, which a stable sort orders
-//!   after it anyway.
-//! - [`lumen6_trace::merge_sorted`] orders by (timestamp, stream index),
-//!   with actors at their fleet indices followed by the artifact and noise
-//!   streams — the exact order `cdn_trace` pushes them. That key is a
-//!   total order over the *record sequence itself*, not over any runtime
-//!   state.
-//! - Every lane emits its own actors already sorted by that key (its local
-//!   merge uses the same key restricted to its actors), so each lane is a
-//!   sorted run of a disjoint subset. The consumer pops the smallest key
-//!   among the lane heads and the fixed-stream cursors, and merging
+//! - An actor's stream is its probes ([`ScannerActor::draw_session`], the
+//!   loop [`ScannerActor::generate_scaled`] collects and stable-sorts) in
+//!   (timestamp, emission index) order, kept by a release heap instead of
+//!   a sort: an entry is releasable once every not-yet-expanded session
+//!   starts at or after its timestamp, since later sessions can only
+//!   contribute equal-or-later timestamps with larger emission indices.
+//! - The merge key is a total order over the *record sequence itself*, not
+//!   over any runtime state. Each lane is a sorted run of a disjoint subset
+//!   of the streams (its local merge uses the same key), and merging
 //!   disjoint sorted subsequences of one totally ordered sequence
-//!   reconstructs that sequence exactly — no scheduling order can change
-//!   which key is smallest.
-//! - The capture filter ([`FirewallCapture::logs`]) is a pure per-record
-//!   predicate, so applying it lane-side before the merge deletes the same
-//!   records it would delete after, and cuts channel volume.
+//!   reconstructs it exactly — no scheduling order can change which key is
+//!   smallest.
+//! - The capture filter is a pure per-record predicate, so applying it
+//!   lane-side, before the merge, deletes the same records and cuts
+//!   channel volume.
 //!
-//! The alternative design — routing each actor partition straight into a
-//! shard of the sharded detector, skipping the merge — was rejected:
-//! `ShardedDetector` shards by *aggregated source prefix*, which does not
-//! align with actor identity (one actor's sources can span shards, and a
-//! shard's sources span actors), so partition-aligned routing would change
-//! observation order per shard and break byte-identity with the sequential
-//! backends.
+//! The check is independent of all of the above: a test-side oracle
+//! (`tests/oracle/mod.rs` — whole `generate_scaled` streams and repeated
+//! fixed streams, one `merge_sorted`, one `capture`) must equal the source
+//! at every lane count, fill size and intensity; the table1/fig2/fig5
+//! goldens pin the draw sequence itself.
 //!
-//! The artifact and noise streams *are* materialized up front: their
-//! generators are opaque to this module and their size is independent of
-//! `intensity`, so they do not affect the bounded-memory claim.
+//! Routing each actor partition straight into a shard of the sharded
+//! detector, skipping the merge, was rejected: `ShardedDetector` shards by
+//! *aggregated source prefix*, which does not align with actor identity,
+//! so it would change observation order per shard and break byte-identity
+//! with the sequential backends.
+//!
+//! The artifact and noise streams *are* held whole, at their base (1×)
+//! size ([`artifacts::generate`] and [`noise::generate`] return a day window
+//! as one `Vec`), and scaled at delivery by [`FixedStream`]'s run-length
+//! cursor: independent of `intensity`, outside the bounded-memory claim.
 //!
 //! # Bounded memory
 //!
@@ -128,12 +122,11 @@
 //! `gen_threads`.
 
 use crate::actor::ScannerActor;
-use crate::fleet::World;
+use crate::fleet::{emission_due, scale_intensity, World};
 use crate::noise;
 use lumen6_telescope::{artifacts, CaptureConfig, FirewallCapture};
-use lumen6_trace::{CodecError, PacketRecord, RecordBatch, Source, TracePosition, Transport};
+use lumen6_trace::{CodecError, PacketRecord, RecordBatch, Source, TracePosition};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::io;
@@ -160,7 +153,6 @@ const LANE_DEPTH: usize = 4;
 /// memory intensity-invariant.
 #[derive(Debug, Clone, Copy)]
 struct Pending {
-    ts: u64,
     idx: u64,
     /// Remaining copies to deliver (≥ 1 while queued).
     reps: u64,
@@ -169,7 +161,7 @@ struct Pending {
 
 impl PartialEq for Pending {
     fn eq(&self, other: &Self) -> bool {
-        self.ts == other.ts && self.idx == other.idx
+        self.rec.ts_ms == other.rec.ts_ms && self.idx == other.idx
     }
 }
 
@@ -183,7 +175,7 @@ impl PartialOrd for Pending {
 
 impl Ord for Pending {
     fn cmp(&self, other: &Self) -> Ordering {
-        (self.ts, self.idx).cmp(&(other.ts, other.idx))
+        (self.rec.ts_ms, self.idx).cmp(&(other.rec.ts_ms, other.idx))
     }
 }
 
@@ -195,8 +187,7 @@ impl Ord for Pending {
 #[derive(Debug, Clone)]
 struct ActorStream {
     rng: SmallRng,
-    /// Volume multiplier, applied per session at expansion time exactly as
-    /// [`ScannerActor::generate_scaled`] applies it.
+    /// Volume multiplier, applied per session at expansion time.
     intensity: f64,
     sessions: Vec<crate::actor::Session>,
     /// `suffix_min_start[i]` = earliest `start_ms` among `sessions[i..]`
@@ -207,25 +198,12 @@ struct ActorStream {
     emit_idx: u64,
     heap: BinaryHeap<Reverse<Pending>>,
     targets_buf: Vec<u128>,
-    /// Pre-filter emission counter of this actor's target-strategy kind
-    /// (`scanners.fleet.packets_emitted.<kind>`).
-    emitted: lumen6_obs::Counter,
 }
 
 impl ActorStream {
-    /// Seeds the RNG and draws the session list exactly as
-    /// [`ScannerActor::generate`] does.
-    fn new(
-        actor: &ScannerActor,
-        seed: u64,
-        intensity: f64,
-        emitted: lumen6_obs::Counter,
-    ) -> ActorStream {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a, as in generate()
-        for b in actor.name.bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
-        }
-        let mut rng = SmallRng::seed_from_u64(seed ^ (u64::from(actor.asn) << 32) ^ h);
+    /// Seeds the RNG and draws the session list.
+    fn new(actor: &ScannerActor, seed: u64, intensity: f64) -> ActorStream {
+        let mut rng = actor.rng(seed);
         let sessions = actor.schedule.sessions(&mut rng);
         let mut suffix_min_start = vec![u64::MAX; sessions.len() + 1];
         for i in (0..sessions.len()).rev() {
@@ -240,59 +218,30 @@ impl ActorStream {
             emit_idx: 0,
             heap: BinaryHeap::new(),
             targets_buf: Vec::with_capacity(2),
-            emitted,
         }
     }
 
-    /// Expands the next session's packets into the release heap, consuming
-    /// RNG draws in exactly the order [`ScannerActor::generate_scaled`]
-    /// does: the probe footprint is drawn at the base rate, and intensity
-    /// repeats are distributed per probe (Bresenham) so the session total
-    /// is exactly `scale_intensity(packets, intensity)`.
+    /// Expands the next session's probes into the release heap, one
+    /// run-length-encoded entry per probe that is due at all.
     fn expand_next_session(&mut self, actor: &ScannerActor) {
         let s = self.sessions[self.next_session];
         self.next_session += 1;
-        let scaled = crate::fleet::scale_intensity(s.packets, self.intensity);
-        let mut drawn = 0u64;
-        let mut emitted = 0u64;
-        while drawn < s.packets {
-            self.targets_buf.clear();
-            actor.targets.sample(&mut self.rng, &mut self.targets_buf);
-            let base = s.start_ms + self.rng.gen_range(0..s.duration_ms);
-            for (k, &dst) in self.targets_buf.iter().enumerate() {
-                if drawn >= s.packets {
-                    break;
-                }
-                let ts = base + (k as u64) * self.rng.gen_range(50u64..2_000);
-                let (proto, dport) = actor.ports.sample(&mut self.rng, ts);
-                let rec = PacketRecord {
-                    ts_ms: ts,
-                    src: actor.sources.sample(&mut self.rng, ts),
-                    dst,
-                    proto,
-                    sport: if proto == Transport::Icmpv6 {
-                        128
-                    } else {
-                        self.rng.gen_range(32_768..61_000)
-                    },
-                    dport,
-                    len: actor.probe_len,
-                };
-                drawn += 1;
-                let due = crate::fleet::emission_due(scaled, s.packets, drawn);
-                let reps = due - emitted;
-                if reps > 0 {
-                    self.heap.push(Reverse(Pending {
-                        ts,
-                        idx: self.emit_idx,
-                        reps,
-                        rec,
-                    }));
-                    self.emit_idx += reps;
-                }
-                emitted = due;
-            }
-        }
+        let (heap, emit_idx) = (&mut self.heap, &mut self.emit_idx);
+        let queue = |rec: PacketRecord, reps| {
+            heap.push(Reverse(Pending {
+                idx: *emit_idx,
+                reps,
+                rec,
+            }));
+            *emit_idx += reps;
+        };
+        actor.draw_session(
+            &mut self.rng,
+            &s,
+            self.intensity,
+            &mut self.targets_buf,
+            queue,
+        );
     }
 
     /// Timestamp of this actor's next packet, expanding sessions until the
@@ -301,7 +250,7 @@ impl ActorStream {
         loop {
             let horizon = self.suffix_min_start[self.next_session];
             match self.heap.peek() {
-                Some(Reverse(p)) if p.ts <= horizon => return Some(p.ts),
+                Some(Reverse(p)) if p.rec.ts_ms <= horizon => return Some(p.rec.ts_ms),
                 _ if self.next_session == self.sessions.len() => return None,
                 _ => self.expand_next_session(actor),
             }
@@ -329,9 +278,10 @@ impl ActorStream {
 }
 
 /// A fixed (artifact or noise) stream and its delivery cursor: the stream
-/// is materialized at its base (1×) size and intensity repeats are applied
-/// at delivery time, mirroring the per-record repetition `cdn_trace` bakes
-/// into the materialized trace — so memory stays intensity-invariant.
+/// is held at its base (1×) size and scaled at delivery time
+/// ([`emission_due`]), so memory stays intensity-invariant. It scales with
+/// the scanners because the A.1 duplicate prefilter compares packet
+/// *counts*: only then is the detected shape intensity-invariant.
 /// Invariant outside of [`pop_run`](FixedStream::pop_run): either `pos` is
 /// past the end, or `rem > 0` copies of `records[pos]` remain due — a run
 /// cut short by the caller's room stays under the cursor.
@@ -349,13 +299,13 @@ struct FixedStream {
 }
 
 impl FixedStream {
-    /// Materializes the artifact and noise streams of a world, in the
-    /// order `cdn_trace` merges them after the actors.
+    /// Generates the artifact and noise streams of a world, in the order
+    /// they merge after the actors.
     fn pair(world: &World) -> [FixedStream; 2] {
         let cfg = world.config();
         let reg = lumen6_obs::MetricsRegistry::global();
         let stream = |records: Vec<PacketRecord>, name: &str| FixedStream {
-            scaled: crate::fleet::scale_intensity(records.len() as u64, cfg.intensity),
+            scaled: scale_intensity(records.len() as u64, cfg.intensity),
             records,
             pos: 0,
             rem: 0,
@@ -394,8 +344,7 @@ impl FixedStream {
         let base = self.records.len() as u64;
         while self.rem == 0 && (self.pos as u64) < base {
             let i = self.pos as u64;
-            self.rem = crate::fleet::emission_due(self.scaled, base, i + 1)
-                - crate::fleet::emission_due(self.scaled, base, i);
+            self.rem = emission_due(self.scaled, base, i + 1) - emission_due(self.scaled, base, i);
             if self.rem == 0 {
                 self.pos += 1;
             }
@@ -431,8 +380,7 @@ impl FixedStream {
     }
 }
 
-/// The capture filter every fused record passes: the same default
-/// [`CaptureConfig`] [`World::cdn_trace`] applies.
+/// The capture filter every record passes: the default [`CaptureConfig`].
 fn capture_filter(world: &World) -> FirewallCapture<'_> {
     FirewallCapture::new(&world.deployment, CaptureConfig::default())
 }
@@ -454,13 +402,16 @@ struct Run {
 /// consumer's thread or hand it to a worker.
 #[derive(Debug)]
 struct Generator {
-    world: Arc<World>,
-    /// One stream per actor of this lane, ascending by fleet index.
+    world: World,
+    /// One stream per actor of this lane, ascending by fleet index, and the
+    /// pre-filter emission counter of its target-strategy kind
+    /// (`scanners.fleet.packets_emitted.<kind>`).
     streams: Vec<ActorStream>,
+    emitted: Vec<lumen6_obs::Counter>,
     /// Local merge frontier: (timestamp, global stream index, local
     /// position). The global index orders; the position locates.
     merge: BinaryHeap<Reverse<(u64, usize, usize)>>,
-    /// Packets popped per stream since its `emitted` counter was last
+    /// Packets popped per stream since its counter was last
     /// added to — dense and apart from the streams, so the per-run
     /// increment stays in cache — and which streams have any: at 1250x a
     /// lane run is three or four entries, so a fill boundary must not cost
@@ -473,21 +424,17 @@ struct Generator {
 
 impl Generator {
     /// Draws every actor's schedule and primes the local merge.
-    fn new(world: Arc<World>, actor_ids: impl Iterator<Item = usize>) -> Generator {
+    fn new(world: World, actor_ids: impl Iterator<Item = usize>) -> Generator {
         let cfg = world.config();
         let reg = lumen6_obs::MetricsRegistry::global();
-        let mut streams = Vec::new();
+        let (mut streams, mut emitted) = (Vec::new(), Vec::new());
         let mut merge = BinaryHeap::new();
-        let mut counters = std::collections::BTreeMap::new();
         let mut held = 0;
         for (pos, ai) in actor_ids.enumerate() {
             let actor = &world.fleet.actors[ai];
             let kind = actor.targets.kind();
-            let emitted = counters
-                .entry(kind)
-                .or_insert_with(|| reg.counter(&format!("scanners.fleet.packets_emitted.{kind}")))
-                .clone();
-            let mut stream = ActorStream::new(actor, cfg.seed, cfg.intensity, emitted);
+            emitted.push(reg.counter(&format!("scanners.fleet.packets_emitted.{kind}")));
+            let mut stream = ActorStream::new(actor, cfg.seed, cfg.intensity);
             if let Some(ts) = stream.peek_ts(actor) {
                 merge.push(Reverse((ts, ai, pos)));
             }
@@ -500,6 +447,7 @@ impl Generator {
             held,
             world,
             streams,
+            emitted,
             merge,
         }
     }
@@ -541,9 +489,7 @@ impl Generator {
         // Fill boundary: per-run accounting stays atomic-free.
         run.held = self.held;
         for pos in self.dirty.drain(..) {
-            self.streams[pos]
-                .emitted
-                .add(std::mem::take(&mut self.unflushed[pos]));
+            self.emitted[pos].add(std::mem::take(&mut self.unflushed[pos]));
         }
     }
 }
@@ -681,7 +627,7 @@ impl Lane {
 /// for the engine, the equivalence argument and the position semantics.
 #[derive(Debug)]
 pub struct FleetSource {
-    world: Arc<World>,
+    world: World,
     /// One lane per generator thread; a single lane runs inline.
     lanes: Vec<Lane>,
     /// The artifact and noise streams, merged after the actors.
@@ -704,7 +650,6 @@ impl FleetSource {
     /// Builds a fused source whose generation runs on `gen_threads` worker
     /// threads (clamped to `1..=actor count`; 1 spawns none).
     pub fn with_gen_threads(world: World, gen_threads: usize) -> FleetSource {
-        let world = Arc::new(world);
         let n = gen_threads.clamp(1, world.fleet.actors.len().max(1));
         let reg = lumen6_obs::MetricsRegistry::global();
         FleetSource {
@@ -735,7 +680,7 @@ impl FleetSource {
     }
 
     /// Builds `n` lanes over `world`, spawning their workers when `n > 1`.
-    fn spawn_lanes(world: &Arc<World>, n: usize) -> Vec<Lane> {
+    fn spawn_lanes(world: &World, n: usize) -> Vec<Lane> {
         let actors = world.fleet.actors.len();
         let reg = lumen6_obs::MetricsRegistry::global();
         (0..n)
@@ -745,7 +690,7 @@ impl FleetSource {
                 // lane's id list ascending (so its runs are sorted runs
                 // of a disjoint subset).
                 let ids = (k..actors).step_by(n);
-                let world = Arc::clone(world);
+                let world = world.clone();
                 let feed = if n == 1 {
                     Feed::Inline(Box::new(Generator::new(world, ids)))
                 } else {
@@ -828,7 +773,7 @@ impl FleetSource {
     /// Produces up to `max` *logged* records, appending to `out` when
     /// given (resume-skip passes `None` and discards). Returns how many
     /// logged records were produced; fewer than `max` means end of stream.
-    fn produce(&mut self, mut out: Option<&mut RecordBatch>, max: usize) -> usize {
+    pub(crate) fn produce(&mut self, mut out: Option<&mut RecordBatch>, max: usize) -> usize {
         let FleetSource {
             world,
             lanes,
@@ -1033,6 +978,37 @@ mod tests {
     use crate::fleet::FleetConfig;
 
     #[test]
+    fn drained_actor_stream_is_generate_scaled_per_actor() {
+        // Both callers of `draw_session`: one pushes the copies and
+        // stable-sorts, the other queues runs in a (timestamp, emission
+        // index) heap. Drained, the heap yields the sorted stream — the same
+        // multiset, and in the same order. 2.5 gives probes two and three
+        // copies, 0.4 drops some.
+        for intensity in [0.4, 1.0, 2.5] {
+            let world = World::build(FleetConfig {
+                intensity,
+                end_day: 5,
+                ..FleetConfig::small()
+            });
+            let mut records = 0;
+            for actor in &world.fleet.actors {
+                let mut stream = ActorStream::new(actor, 42, intensity);
+                let mut drained = Vec::new();
+                while let Some((rec, copies)) = stream.pop_run(actor, u64::MAX) {
+                    drained.extend(std::iter::repeat_n(rec, copies as usize));
+                }
+                assert!(
+                    drained == actor.generate_scaled(42, intensity),
+                    "{} at {intensity}x",
+                    actor.name
+                );
+                records += drained.len();
+            }
+            assert!(records > 10_000, "fleet too quiet: {records}");
+        }
+    }
+
+    #[test]
     fn release_heap_entries_are_intensity_invariant() {
         // Intensity repeats are run-length-encoded in the release heaps:
         // driving the volume 25x must not change the number of buffered
@@ -1042,12 +1018,12 @@ mod tests {
         // then an exact property of the entry sequence, not of where run
         // boundaries happen to fall.
         fn run(intensity: f64) -> (u64, u64) {
-            let world = Arc::new(World::build(FleetConfig {
+            let world = World::build(FleetConfig {
                 seed: 42,
                 intensity,
                 end_day: 7,
                 ..FleetConfig::small()
-            }));
+            });
             let actors = world.fleet.actors.len();
             let mut gen = Generator::new(world, 0..actors);
             let mut run = Run::default();
@@ -1084,12 +1060,12 @@ mod tests {
         // run-boundary accounting per record).
         const PREFIX: usize = 5_000;
         fn stream(intensity: f64, max: usize) -> (Vec<PacketRecord>, Vec<usize>) {
-            let world = Arc::new(World::build(FleetConfig {
+            let world = World::build(FleetConfig {
                 seed: 42,
                 intensity,
                 end_day: 3,
                 ..FleetConfig::small()
-            }));
+            });
             let actors = world.fleet.actors.len();
             let mut gen = Generator::new(world, 0..actors);
             let mut run = Run::default();

@@ -51,6 +51,18 @@ pub enum SourceSampler {
 }
 
 impl SourceSampler {
+    /// Whether [`sample`](Self::sample) can draw: an empty pool panics it.
+    pub fn is_drawable(&self) -> bool {
+        match self {
+            Self::Pool(pool) | Self::TimeSliced { pool, .. } => !pool.is_empty(),
+            Self::SpreadSubnets {
+                subnets,
+                hosts_per_subnet,
+            } => !subnets.is_empty() && *hosts_per_subnet > 0,
+            Self::Single(_) | Self::VaryLowBits { .. } | Self::RandomInPrefix(_) => true,
+        }
+    }
+
     /// Draws one source address for a probe sent at `ts_ms`.
     pub fn sample(&self, rng: &mut SmallRng, ts_ms: u64) -> u128 {
         match self {
@@ -165,6 +177,35 @@ impl TargetSampler {
         }
     }
 
+    /// Whether [`sample`](Self::sample) can draw: it panics on an empty
+    /// pool and on a probability outside [0, 1] (NaN included). Checked for
+    /// definitions from outside the program ([`crate::ScannerActor::validate`]).
+    pub fn is_drawable(&self) -> bool {
+        let prob = |p: &f64| (0.0..=1.0).contains(p);
+        match self {
+            TargetSampler::Hitlist(list) => !list.is_empty(),
+            TargetSampler::HitlistNearby {
+                hitlist,
+                explore_prob,
+                ..
+            } => !hitlist.is_empty() && prob(explore_prob),
+            TargetSampler::PairMix {
+                exposed,
+                hidden,
+                hidden_frac,
+            } => prob(hidden_frac) && !exposed.is_empty() && !hidden.is_empty(),
+            TargetSampler::PairExplore {
+                pairs,
+                explore_prob,
+            } => !pairs.is_empty() && prob(explore_prob),
+            TargetSampler::PrefixSweep {
+                prefixes,
+                subnets_per_prefix,
+                ..
+            } => !prefixes.is_empty() && *subnets_per_prefix > 0,
+        }
+    }
+
     /// Draws the next target(s): usually one, sometimes two (a hit followed
     /// by a nearby exploration probe, which must come *after* the hit).
     pub fn sample(&self, rng: &mut SmallRng, out: &mut Vec<u128>) {
@@ -262,6 +303,17 @@ pub enum PortSampler {
 }
 
 impl PortSampler {
+    /// Whether [`sample`](Self::sample) can draw: an empty port set or
+    /// range panics it, on either side of a switch.
+    pub fn is_drawable(&self) -> bool {
+        match self {
+            Self::Set(_, ports) | Self::DailyRotate { pool: ports, .. } => !ports.is_empty(),
+            Self::UniformRange(_, max) => *max > 0,
+            Self::SwitchAt { before, after, .. } => before.is_drawable() && after.is_drawable(),
+            Self::Single(..) | Self::Icmpv6Echo => true,
+        }
+    }
+
     /// Draws (protocol, source-port-irrelevant destination port) for a probe
     /// at time `ts_ms`.
     pub fn sample(&self, rng: &mut SmallRng, ts_ms: u64) -> (Transport, u16) {

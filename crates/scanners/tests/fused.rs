@@ -1,10 +1,11 @@
 //! The fused-generation battery: one grid, with `gen_threads` as one more
-//! dimension, against the materialized [`World::cdn_trace`] oracle.
+//! dimension, against the materialized [`oracle::cdn_trace`].
 //!
-//! Stream level: [`FleetSource`] delivers the oracle's exact record
-//! sequence at every lane count, batch size and intensity; positions are
-//! interchangeable across lane counts; foreign positions are rejected;
-//! buffering does not scale with trace length.
+//! Stream level: [`FleetSource`] — and [`World::cdn_trace`], its drain —
+//! delivers the oracle's exact record sequence at every lane count, batch
+//! size and intensity; positions are interchangeable across lane counts;
+//! foreign positions are rejected; buffering does not scale with trace
+//! length.
 //!
 //! Session level: a detection [`Session`] pulling from the source yields
 //! the same report as the materialize-to-`L6TR`-then-stream path and the
@@ -24,6 +25,8 @@ use proptest::prelude::*;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::PathBuf;
+
+mod oracle;
 
 const GEN_THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -90,10 +93,12 @@ fn drain(src: &mut FleetSource, max: usize) -> Vec<PacketRecord> {
 
 #[test]
 fn stream_equals_cdn_trace_across_threads_batch_and_intensity() {
-    for (intensity, end_day) in [(0.3, 7), (1.0, 14), (10.0, 7)] {
+    for (intensity, end_day) in [(0.3, 7), (0.5, 7), (1.0, 14), (2.5, 7), (10.0, 7)] {
         let cfg = tiny_config(42, intensity, end_day);
-        let expected = World::build(cfg.clone()).cdn_trace();
+        let world = World::build(cfg.clone());
+        let expected = oracle::cdn_trace(&world);
         assert!(expected.len() > 1_000, "trace too small to be meaningful");
+        assert_eq!(world.cdn_trace(), expected, "intensity={intensity}");
         for n in GEN_THREADS {
             for max in [1, 97, 4096] {
                 assert_eq!(
@@ -109,7 +114,7 @@ fn stream_equals_cdn_trace_across_threads_batch_and_intensity() {
 proptest! {
     /// Differential: for arbitrary seeds, lane counts, intensities and
     /// batch sizes, the fused stream is byte-identical to the materialized
-    /// `cdn_trace()` of the same configuration.
+    /// oracle of the same configuration.
     #[test]
     fn stream_equals_cdn_trace_for_arbitrary_configs(
         seed in 0u64..1_000,
@@ -120,7 +125,7 @@ proptest! {
         max in prop_oneof![Just(1usize), Just(64), Just(8_192)],
     ) {
         let cfg = grid_config(seed, intensity_milli as f64 / 1_000.0);
-        let expected = World::build(cfg.clone()).cdn_trace();
+        let expected = oracle::cdn_trace(&World::build(cfg.clone()));
         prop_assert_eq!(drain(&mut source(&cfg, gen_threads), max), expected);
     }
 }
@@ -128,7 +133,7 @@ proptest! {
 #[test]
 fn position_taken_at_one_thread_count_resumes_at_any_other() {
     let cfg = tiny_config(42, 1.0, 10);
-    let full = World::build(cfg.clone()).cdn_trace();
+    let full = oracle::cdn_trace(&World::build(cfg.clone()));
     assert!(full.len() > 1_000);
     for (wrote, resumes) in [(1, 1), (1, 2), (2, 1), (2, 4)] {
         let mut src = source(&cfg, wrote);
@@ -155,7 +160,7 @@ fn position_taken_at_one_thread_count_resumes_at_any_other() {
 #[test]
 fn resume_seeks_forward_in_place_and_regenerates_to_go_back() {
     let cfg = tiny_config(42, 1.0, 10);
-    let full = World::build(cfg.clone()).cdn_trace();
+    let full = oracle::cdn_trace(&World::build(cfg.clone()));
     let at = |i: usize| TracePosition {
         offset: i as u64,
         prev_ts: full[i - 1].ts_ms,
@@ -191,7 +196,7 @@ fn resume_seeks_forward_in_place_and_regenerates_to_go_back() {
 #[test]
 fn position_at_every_offset_of_a_25x_window_resumes_exactly() {
     let cfg = tiny_config(42, 25.0, 3);
-    let full = World::build(cfg.clone()).cdn_trace();
+    let full = oracle::cdn_trace(&World::build(cfg.clone()));
     let window = 500..800usize;
     assert!(full.len() > window.end + 8_192);
     let (mut inside, mut first, mut last) = (0, 0, 0);
@@ -241,7 +246,7 @@ fn position_at_every_offset_of_a_25x_window_resumes_exactly() {
 #[test]
 fn resume_rejects_foreign_positions() {
     let cfg = tiny_config(42, 1.0, 7);
-    let n_records = World::build(cfg.clone()).cdn_trace().len() as u64;
+    let n_records = oracle::cdn_trace(&World::build(cfg.clone())).len() as u64;
     for n in [1, 2] {
         // Beyond the end of the stream.
         let beyond = TracePosition {
@@ -332,7 +337,7 @@ fn session_report_equals_materialized_trace_file_run() {
     let dir = TempDir::new("battery");
     for intensity in [0.1, 1.0, 25.0] {
         let cfg = grid_config(77, intensity);
-        let recs = World::build(cfg.clone()).cdn_trace();
+        let recs = oracle::cdn_trace(&World::build(cfg.clone()));
         assert!(
             recs.len() > 500,
             "grid corner too small at intensity {intensity}: {}",
@@ -399,8 +404,8 @@ fn first_stop_checkpoint_bytes_equal_materialized_trace_run() {
         assert_eq!(records_done, every, "{name}");
         std::fs::read(&ck).unwrap()
     };
-    let mut oracle = MaterializedSource::new(World::build(cfg.clone()).cdn_trace());
-    let expect = stop_at_first("oracle.l6ck", &mut oracle);
+    let mut materialized = MaterializedSource::new(oracle::cdn_trace(&World::build(cfg.clone())));
+    let expect = stop_at_first("oracle.l6ck", &mut materialized);
     for n in GEN_THREADS {
         assert_eq!(
             stop_at_first(&format!("fused{n}.l6ck"), &mut source(&cfg, n)),
