@@ -1,17 +1,15 @@
 //! Detection-pipeline benchmarks: Table 1 (per-level detection), the §2.2
 //! sensitivity sweep, the artifact prefilter, the MAWI detector, and the
-//! sharded-parallel comparison (machine-readable results land in
-//! `BENCH_detection.json` at the workspace root).
+//! sharded-parallel comparison. Kernel-level and comparative only: pipeline
+//! throughput is measured end to end by `pipebench/` (BENCHMARK.json).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use lumen6_bench::{detect_levels, CdnFixture, MawiFixture, BATCH};
+use lumen6_bench::{detect_levels, CdnFixture, MawiFixture};
 use lumen6_detect::parallel::ShardPlan;
 use lumen6_detect::{
     detector::detect, AggLevel, ArtifactFilter, Backend, MawiConfig as FhConfig, MawiDetector,
     ScanDetectorConfig,
 };
-use lumen6_trace::codec::encode;
-use std::time::Instant;
 
 /// Shard counts the tentpole comparison sweeps.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -116,66 +114,6 @@ fn sharded_vs_sequential(c: &mut Criterion) {
     g.finish();
 }
 
-/// Median wall-clock seconds over `n` runs of `f`.
-fn median_secs(n: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..n.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-/// Writes `BENCH_detection.json` at the workspace root: throughput of the
-/// sequential and sharded pipelines and the measured host core count (shard
-/// speedups are bounded by it — a single-core host shows parity, not gains).
-/// `bench_guard`
-/// compares a fresh measurement against this committed baseline.
-fn emit_bench_json(_c: &mut Criterion) {
-    let fx = CdnFixture::new();
-    let records = fx.filtered.len();
-    let bytes = encode(&fx.filtered).expect("encode fixture trace");
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    const RUNS: usize = 5;
-
-    let sequential_s = median_secs(RUNS, || {
-        black_box(detect_levels(Backend::Sequential, &fx.filtered));
-    });
-    let mut sharded = Vec::new();
-    for shards in SHARD_COUNTS {
-        let backend = Backend::Sharded(ShardPlan::with_shards(shards));
-        let secs = median_secs(RUNS, || {
-            black_box(detect_levels(backend, &fx.filtered));
-        });
-        sharded.push((shards, secs));
-    }
-
-    let sharded_json: Vec<String> = sharded
-        .iter()
-        .map(|&(n, s)| {
-            format!(
-                "    {{\"shards\": {n}, \"seconds\": {s:.6}, \"records_per_s\": {:.0}, \"speedup\": {:.3}}}",
-                records as f64 / s,
-                sequential_s / s
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"detection\",\n  \"host_cores\": {cores},\n  \"records\": {records},\n  \"trace_bytes\": {},\n  \"levels\": [\"/128\", \"/64\", \"/48\"],\n  \"batch\": {BATCH},\n  \"sequential\": {{\"seconds\": {sequential_s:.6}, \"records_per_s\": {:.0}}},\n  \"sharded\": [\n{}\n  ],\n  \"note\": \"sequential is the batched columnar path the pipeline runs; sharded routes columnar sub-batches (kernel route_column + column scatter) to shard workers; speedup is bounded by host_cores — on a single-core host expect parity with sequential, not gains\"\n}}\n",
-        bytes.len(),
-        records as f64 / sequential_s,
-        sharded_json.join(",\n"),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_detection.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
 criterion_group! {
     name = benches;
     // Short windows keep the full suite to a few minutes; these are
@@ -188,7 +126,6 @@ criterion_group! {
     sensitivity_sweep,
     a1_prefilter,
     mawi_detection,
-    sharded_vs_sequential,
-    emit_bench_json
+    sharded_vs_sequential
 }
 criterion_main!(benches);

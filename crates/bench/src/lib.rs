@@ -19,8 +19,7 @@ pub const BATCH: usize = 8_192;
 
 /// The multi-level workload the pipeline benches run — the paper's three
 /// aggregation levels over a resident slice on `backend`, through the
-/// detect crate's slice driver: what `detection` measures for the baseline
-/// and `bench_guard` re-measures against it.
+/// detect crate's slice driver.
 pub fn detect_levels(backend: Backend, records: &[PacketRecord]) -> BTreeMap<AggLevel, ScanReport> {
     let mut det = DetectorBuilder::new(ScanDetectorConfig::default())
         .levels(&AggLevel::PAPER_LEVELS)

@@ -16,13 +16,14 @@ use crate::{Args, CliError};
 use lumen6_detect::adaptive::{AdaptiveConfig, AdaptiveIds};
 use lumen6_detect::{
     observe_slice, AggLevel, ArtifactFilter, DetectorBuilder, MawiConfig as FhConfig, MawiDetector,
-    ScanDetectorConfig, Session, SessionOutcome,
+    ScanDetectorConfig, ScanReport, SessionOutcome,
 };
 use lumen6_report::{duration_human, pkt_count, Table};
-use lumen6_serve::{Daemon, RunConfig, ServeConfig, ServeError};
+use lumen6_serve::{write_atomic, Daemon, RunConfig, ServeConfig, ServeError};
 use lumen6_trace::{MaterializedSource, PacketRecord, Source, StreamingTraceReader, TraceWriter};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write as _};
+use std::io::BufReader;
+use std::path::Path;
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -58,75 +59,70 @@ USAGE:
                  [tenants.<name>] table; touch the stop file — default
                  <spool>/shutdown — for a graceful drain-and-exit)
   lumen6 soak   --out DIR [--intensity F] [--days N] [--seed N] [--small]
-                [--gen-threads N] [--min-dsts N] [--checkpoint-every N]
-                [--kills N] [--kill-after-checkpoints N] [--sample-ms N]
-                [--max-rss-mb N] [--json]
+                [--gen-threads N] [--kills N] [--kill-after-checkpoints N]
+                [--sample-ms N] [--max-rss-mb N] [--json]
+                [--agg 128|64|48|32] [--min-dsts N] [--timeout-secs N]
+                [--threads N] [--sequential] [--checkpoint-every N]
+                [--watermark-secs N] [--strict] [--batch N]
+                [--sketch-precision P] [--flush-idle-secs N]
                 (full-volume fused endurance run: a clean reference pass,
                  then a kill -9/resume chain with RSS and throughput
                  sampling into DIR/SOAK.json; fails unless the final
                  report and checkpoint are byte-identical to the
-                 uninterrupted run)
+                 uninterrupted run. The second block goes to every child:
+                 the same detection flags as `detect --fused`)
   lumen6 mawi-detect --trace FILE [--agg N] [--min-dsts N] [--json]
   lumen6 adaptive --trace FILE [--min-dsts N]
-  lumen6 fingerprint --trace FILE [--agg N] [--threshold F]
+  lumen6 fingerprint --trace FILE [--agg N] [--min-dsts N] [--threshold F]
   lumen6 import --pcap FILE --out FILE       (pcap -> .l6tr)
   lumen6 export-pcap --trace FILE --out FILE (.l6tr -> pcap)
   lumen6 backscatter --trace FILE [--agg N] [--min-queriers N]
 ";
 
-/// The entries of [`USAGE`] for one subcommand: its `lumen6 <cmd> ...`
-/// lines, each with the indented lines under it (none: no such command).
+/// The entries of [`USAGE`] for one subcommand — or, given `generate cdn`,
+/// one vantage: its `lumen6 <cmd> ...` lines, each with the indented lines
+/// under it (none: no such command).
 fn usage_of(cmd: &str) -> String {
     let mut on = false;
     let entries = USAGE.lines().filter(|line| {
         if let Some(rest) = line.strip_prefix("  lumen6 ") {
-            on = rest.split_whitespace().next() == Some(cmd);
+            on = rest.strip_prefix(cmd).is_some_and(|r| r.starts_with(' '));
         }
         on
     });
     entries.fold(String::new(), |text, line| text + line + "\n")
 }
 
+/// What follows each mention of `--flag` in a usage text; a longer flag
+/// that starts with it is no mention.
+fn after<'u>(usage: &'u str, flag: &str) -> Vec<&'u str> {
+    let flag = format!("--{flag}");
+    let longer = |rest: &&str| rest.starts_with(|c: char| c == '-' || c.is_ascii_alphanumeric());
+    usage
+        .split(&flag)
+        .skip(1)
+        .filter(|rest| !longer(rest))
+        .collect()
+}
+
+/// Whether [`USAGE`] writes a value after `--flag` — `--days N`, `--out
+/// FILE`, `--agg 128|64|48|32` — so the flag takes the next argument.
+pub(crate) fn takes_value(flag: &str) -> bool {
+    let placeholder = |c: char| c.is_ascii_uppercase() || c.is_ascii_digit();
+    let rests = after(USAGE, flag);
+    let mut values = rests.iter().filter_map(|rest| rest.strip_prefix(' '));
+    values.any(|value| value.starts_with(placeholder))
+}
+
+/// Whether a usage text names `--flag`.
+fn lists(usage: &str, flag: &str) -> bool {
+    !after(usage, flag).is_empty()
+}
+
 /// Runs a command line (without the program name); writes human output
 /// to the given sink (stdout in the binary, a buffer in tests).
 pub fn run<W: std::io::Write>(argv: Vec<String>, out: &mut W) -> Result<(), CliError> {
-    let args = Args::parse(
-        argv,
-        &[
-            "out",
-            "days",
-            "seed",
-            "agg",
-            "min-dsts",
-            "timeout-secs",
-            "trace",
-            "top",
-            "threshold",
-            "pcap",
-            "min-queriers",
-            "fleet",
-            "threads",
-            "metrics-out",
-            "checkpoint",
-            "checkpoint-every",
-            "stop-after",
-            "watermark-secs",
-            "batch",
-            "intensity",
-            "sketch-precision",
-            "flush-idle-secs",
-            "config",
-            "tail",
-            "spool",
-            "workers",
-            "stop-file",
-            "gen-threads",
-            "kills",
-            "kill-after-checkpoints",
-            "sample-ms",
-            "max-rss-mb",
-        ],
-    )?;
+    let args = Args::parse(argv)?;
     let cmd = args
         .positional()
         .first()
@@ -136,6 +132,17 @@ pub fn run<W: std::io::Write>(argv: Vec<String>, out: &mut W) -> Result<(), CliE
     if !usage.is_empty() && (args.has("help") || args.positional().iter().any(|a| a == "-h")) {
         write!(out, "USAGE:\n{usage}")?;
         return Ok(());
+    }
+    // A subcommand takes the flags its USAGE entry lists — `generate`, its
+    // vantage's — and no other: a typo is not a default.
+    let scope = match args.positional().get(1) {
+        Some(vantage) if cmd == "generate" => format!("{cmd} {vantage}"),
+        _ => cmd.clone(),
+    };
+    let listed = usage_of(&scope);
+    let stray = |(flag, _): &&(String, _)| !listed.is_empty() && !lists(&listed, flag);
+    if let Some((flag, _)) = args.flags().iter().find(stray) {
+        return Err(CliError::Usage(format!("{scope} takes no --{flag}")));
     }
     match cmd.as_str() {
         "generate" => generate(&args, out),
@@ -155,20 +162,65 @@ pub fn run<W: std::io::Write>(argv: Vec<String>, out: &mut W) -> Result<(), CliE
     }
 }
 
-fn load_trace(args: &Args) -> Result<Vec<PacketRecord>, CliError> {
-    let path = args
-        .get("trace")
-        .ok_or_else(|| CliError::Usage("--trace FILE is required".into()))?;
-    load_trace_file(path)
+/// The [`RunConfig`] a command line describes: the TOML file named by
+/// `--config` (if any) supplies the base, and every flag that names a key
+/// overrides it — through the key table in `lumen6_serve::config`, the one
+/// the file reader goes through. Every subcommand reads its keys here.
+pub(crate) fn run_config(args: &Args) -> Result<RunConfig, CliError> {
+    let mut run = match args.get("config") {
+        Some(path) => {
+            let text = std::fs::read_to_string(path)?;
+            RunConfig::from_toml_str(&text)
+                .map_err(|e| CliError::Usage(format!("--config {path}: {e}")))?
+        }
+        None => RunConfig::default(),
+    };
+    run.apply_flags(args.flags()).map_err(CliError::Usage)?;
+    Ok(run)
 }
 
-fn load_trace_file(path: &str) -> Result<Vec<PacketRecord>, CliError> {
+fn load_trace(run: &RunConfig) -> Result<Vec<PacketRecord>, CliError> {
+    let path = run
+        .trace
+        .as_ref()
+        .ok_or_else(|| CliError::Usage("--trace FILE is required".into()))?;
     let records: Result<Vec<_>, _> = StreamingTraceReader::new(File::open(path)?)?.collect();
     Ok(records?)
 }
 
-fn agg_of(args: &Args) -> Result<AggLevel, CliError> {
-    Ok(AggLevel::new(args.get_parsed::<u8>("agg", 64)?))
+/// Drains `source` into an L6TR file at `path`, published by rename so a
+/// concurrent `--tail` reader of the same path never sees a partial trace
+/// (a counted row writes all its copies); returns the records written.
+fn write_trace(path: &str, source: &mut dyn Source) -> Result<u64, CliError> {
+    write_atomic(Path::new(path), |file| {
+        let mut writer = TraceWriter::new(file)?;
+        let mut batch = lumen6_trace::RecordBatch::new();
+        while source.fill(&mut batch, lumen6_detect::DEFAULT_SESSION_BATCH)? > 0 {
+            batch.iter().try_for_each(|r| writer.append(&r))?;
+        }
+        let records = writer.count();
+        writer.finish()?;
+        Ok(records)
+    })
+}
+
+/// `run`'s report over a resident trace, by the batch route every product
+/// path takes.
+fn detect_resident(
+    run: &RunConfig,
+    keep_dsts: bool,
+    records: &[PacketRecord],
+) -> Result<ScanReport, CliError> {
+    let config = ScanDetectorConfig {
+        keep_dsts,
+        ..run.detector_config()
+    };
+    let agg = config.agg;
+    let mut det = DetectorBuilder::new(config).build(run.backend());
+    observe_slice(det.as_mut(), records, run.batch);
+    det.finish()
+        .remove(&agg)
+        .ok_or_else(|| CliError::Internal(format!("level /{} missing from report", agg.len())))
 }
 
 /// `generate <cdn|mawi|custom>`: build a synthetic vantage trace file.
@@ -178,13 +230,8 @@ fn generate<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError>
         .get(1)
         .map(String::as_str)
         .ok_or_else(|| CliError::Usage("generate needs <cdn|mawi|custom>".into()))?;
-    // A vantage reads the flags USAGE lists for it and rejects the others'.
-    let reject = |flags: &[&str]| match flags.iter().find(|f| args.has(f)) {
-        Some(f) => Err(CliError::Usage(format!("generate {kind} takes no --{f}"))),
-        None => Ok(()),
-    };
-    let seed = args.get_parsed::<u64>("seed", 42)?;
-    let days = args.get_parsed::<u64>("days", 439)?;
+    let mut run = run_config(args)?;
+    let days = run.days.unwrap_or(439);
     let path = args
         .get("out")
         .ok_or_else(|| CliError::Usage("--out FILE is required".into()))?;
@@ -192,32 +239,24 @@ fn generate<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError>
     let mut source: Box<dyn Source> = match kind {
         "cdn" => {
             // `detect --fused`'s source, written out instead: never resident.
-            let run = RunConfig {
-                fused: true,
-                days: Some(days),
-                seed,
-                small: args.has("small"),
-                intensity: args.get_parsed("intensity", 1.0)?,
-                ..RunConfig::default()
-            };
+            run.fused = true;
+            run.days = Some(days);
             run.validate().map_err(CliError::Usage)?;
             run.make_source()?
         }
         "mawi" => {
-            reject(&["intensity"])?;
-            let mut cfg = if args.has("small") {
+            let mut cfg = if run.small {
                 lumen6_mawi::MawiConfig::small()
             } else {
                 lumen6_mawi::MawiConfig::default()
             };
-            cfg.seed = seed;
+            cfg.seed = run.seed;
             cfg.end_day = days;
             let trace = lumen6_mawi::MawiWorld::build(cfg, None).trace();
             Box::new(MaterializedSource::new(trace))
         }
         "custom" => {
             // A user-defined actor list (JSON array of ScannerActor).
-            reject(&["intensity", "days", "small"])?;
             let fleet_path = args
                 .get("fleet")
                 .ok_or_else(|| CliError::Usage("generate custom needs --fleet FILE".into()))?;
@@ -230,7 +269,7 @@ fn generate<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError>
             if let Some(e) = actors.iter().find_map(|a| a.validate().err()) {
                 return Err(CliError::Usage(format!("{fleet_path}: {e}")));
             }
-            let streams: Vec<_> = actors.iter().map(|a| a.generate(seed)).collect();
+            let streams: Vec<_> = actors.iter().map(|a| a.generate(run.seed)).collect();
             Box::new(MaterializedSource::new(lumen6_trace::merge_sorted(streams)))
         }
         other => {
@@ -240,24 +279,14 @@ fn generate<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError>
         }
     };
 
-    // Write-temp-then-rename so a concurrent `--tail` reader of the same
-    // path never sees a partial trace; a counted row writes all its copies.
-    let tmp = format!("{path}.tmp");
-    let mut writer = TraceWriter::new(BufWriter::new(File::create(&tmp)?))?;
-    let mut batch = lumen6_trace::RecordBatch::new();
-    while source.fill(&mut batch, lumen6_detect::DEFAULT_SESSION_BATCH)? > 0 {
-        batch.iter().try_for_each(|r| writer.append(&r))?;
-    }
-    let records = writer.count();
-    writer.finish()?.flush()?;
-    std::fs::rename(&tmp, path)?;
+    let records = write_trace(path, source.as_mut())?;
     writeln!(out, "wrote {records} records to {path}")?;
     Ok(())
 }
 
 /// `info`: summary statistics of a trace file.
 fn info<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    let records = load_trace(args)?;
+    let records = load_trace(&run_config(args)?)?;
     let mut srcs = std::collections::HashSet::new();
     let mut dsts = std::collections::HashSet::new();
     let mut by_proto: std::collections::BTreeMap<&'static str, u64> = Default::default();
@@ -284,71 +313,6 @@ fn info<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Resolves the full [`RunConfig`] of a `detect` invocation: the TOML file
-/// named by `--config` (if any) supplies the base, and every flag present
-/// on the command line overrides the corresponding key. The three source
-/// selectors (`--trace`/`--tail`/`--fused`) override as a group, so a flag
-/// cleanly retargets a config file that already names a source.
-fn run_config(args: &Args) -> Result<RunConfig, CliError> {
-    let mut run = match args.get("config") {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)?;
-            RunConfig::from_toml_str(&text)
-                .map_err(|e| CliError::Usage(format!("--config {path}: {e}")))?
-        }
-        None => RunConfig::default(),
-    };
-    let trace = args.get("trace");
-    let tail = args.get("tail");
-    let fused = args.has("fused");
-    if usize::from(trace.is_some()) + usize::from(tail.is_some()) + usize::from(fused) > 1 {
-        return Err(CliError::Usage(
-            "--trace, --tail, and --fused are mutually exclusive".into(),
-        ));
-    }
-    if trace.is_some() || tail.is_some() || fused {
-        run.trace = trace.map(str::to_string);
-        run.tail = tail.map(str::to_string);
-        run.fused = fused;
-    }
-    run.agg = args.get_parsed("agg", run.agg)?;
-    run.min_dsts = args.get_parsed("min-dsts", run.min_dsts)?;
-    run.timeout_secs = args.get_parsed("timeout-secs", run.timeout_secs)?;
-    if args.get("sketch-precision").is_some() {
-        run.sketch_precision = Some(args.get_parsed("sketch-precision", 0)?);
-    }
-    run.threads = args.get_parsed("threads", run.threads)?;
-    run.sequential = run.sequential || args.has("sequential");
-    run.watermark_secs = args.get_parsed("watermark-secs", run.watermark_secs)?;
-    run.batch = args.get_parsed("batch", run.batch)?;
-    run.strict = run.strict || args.has("strict");
-    if let Some(path) = args.get("checkpoint") {
-        run.checkpoint = Some(path.to_string());
-    }
-    run.checkpoint_every = args.get_parsed("checkpoint-every", run.checkpoint_every)?;
-    if args.get("stop-after").is_some() {
-        run.stop_after = Some(args.get_parsed("stop-after", 0)?);
-    }
-    if args.get("flush-idle-secs").is_some() {
-        run.flush_idle_secs = Some(args.get_parsed("flush-idle-secs", 0)?);
-    }
-    if args.get("days").is_some() {
-        run.days = Some(args.get_parsed("days", 0)?);
-    }
-    run.seed = args.get_parsed("seed", run.seed)?;
-    run.small = run.small || args.has("small");
-    run.intensity = args.get_parsed("intensity", run.intensity)?;
-    run.gen_threads = args.get_parsed("gen-threads", run.gen_threads)?;
-    if run.checkpoint.is_none()
-        && (args.get("checkpoint-every").is_some() || args.get("stop-after").is_some())
-    {
-        return Err(CliError::Usage(
-            "--checkpoint-every/--stop-after need --checkpoint FILE".into(),
-        ));
-    }
-    Ok(run)
-}
-
 /// `detect`: the paper's large-scale scan detection over a trace file —
 /// or, with `--fused`, over the fleet generators directly (no trace file
 /// at any point; the paper-scale path).
@@ -357,7 +321,7 @@ fn run_config(args: &Args) -> Result<RunConfig, CliError> {
 /// sharded parallel pipeline by default (`--threads N` to pin the shard
 /// count), the single-threaded reference detector with `--sequential`.
 /// Without `--prefilter` the input is streamed through a fault-tolerant
-/// [`Session`] in bounded memory — checkpoint/resume with
+/// [`lumen6_detect::Session`] in bounded memory — checkpoint/resume with
 /// `--checkpoint FILE` (fused runs resume by deterministic regeneration),
 /// out-of-order tolerance with `--watermark-secs N`, and
 /// quarantine-and-skip of corrupt records unless `--strict`.
@@ -367,22 +331,13 @@ fn detect<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     // Delta against the process-global registry so the emitted snapshot
     // covers exactly this command run (tests share one process).
     let metrics_baseline = lumen6_obs::MetricsRegistry::global().snapshot();
-    // `--sketch-precision P` (or `sketch_precision` in the config file)
-    // switches distinct-destination counting from exact sets to
-    // spill-to-HyperLogLog at precision P (memory per spilled source: 2^P
-    // registers; error ≈ 1.04/sqrt(2^P)). Out-of-range values are clamped
-    // to the supported 4..=16 at construction.
     let run = run_config(args)?;
     run.validate().map_err(CliError::Usage)?;
-    let config = run.detector_config();
-    let agg = config.agg;
-    let builder = DetectorBuilder::new(config);
-    let backend = run.backend();
-    let session = run.session_config();
+    let agg = AggLevel::new(run.agg);
 
     let mut session_stats = None;
     let report = if args.has("prefilter") {
-        if session.checkpoint.is_some() || session.watermark_ms > 0 {
+        if run.checkpoint.is_some() || run.watermark_secs > 0 {
             return Err(CliError::Usage(
                 "--checkpoint/--watermark-secs are incompatible with --prefilter \
                  (prefiltering needs the whole trace resident)"
@@ -396,10 +351,7 @@ fn detect<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
                     .into(),
             ));
         }
-        let Some(path) = &run.trace else {
-            return Err(CliError::Usage("--trace FILE is required".into()));
-        };
-        let records = load_trace_file(path)?;
+        let records = load_trace(&run)?;
         let (kept, filter_report) = ArtifactFilter::default().filter(&records);
         writeln!(
             out,
@@ -408,21 +360,16 @@ fn detect<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             filter_report.input_packets,
             filter_report.removed_sources
         )?;
-        let mut det = builder.build(backend);
-        observe_slice(det.as_mut(), &kept, session.batch);
-        det.finish().remove(&agg).ok_or_else(|| {
-            CliError::Internal(format!("level /{} missing from report", agg.len()))
-        })?
+        detect_resident(&run, false, &kept)?
     } else {
         // Stream through the fault-tolerant session so peak memory does not
         // scale with trace size: off disk with --trace, following a growing
         // file with --tail, or synthesized in-process from the fleet
         // generators with --fused (the generator→detector pipeline never
         // touches a trace file).
-        let announce = session.checkpoint.is_some();
+        let announce = run.checkpoint.is_some();
         let mut src = run.make_source()?;
-        let outcome = Session::new(builder, backend, session).run_source(src.as_mut())?;
-        match outcome {
+        match run.make_session().run_source(src.as_mut())? {
             SessionOutcome::Stopped {
                 checkpoints_written,
                 records_done,
@@ -523,13 +470,7 @@ fn serve<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let text = std::fs::read_to_string(path)?;
     let mut cfg = ServeConfig::from_toml_str(&text)
         .map_err(|e| CliError::Usage(format!("--config {path}: {e}")))?;
-    if let Some(spool) = args.get("spool") {
-        cfg.spool = spool.to_string();
-    }
-    cfg.workers = args.get_parsed("workers", cfg.workers)?;
-    if let Some(stop) = args.get("stop-file") {
-        cfg.stop_file = Some(stop.to_string());
-    }
+    cfg.apply_flags(args.flags()).map_err(CliError::Usage)?;
     let daemon = Daemon::new(cfg).map_err(serve_err)?;
     writeln!(
         out,
@@ -585,13 +526,11 @@ fn emit_metrics<W: std::io::Write>(
     let delta = lumen6_obs::MetricsRegistry::global()
         .snapshot()
         .delta(baseline);
-    let json = serde_json::to_string_pretty(&delta)
-        .map_err(|e| CliError::Internal(format!("serialize metrics snapshot: {e}")))?;
     // Atomic publication: tools polling the metrics file (CI's
     // check_metrics, dashboards) must never observe a torn write.
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, json)?;
-    std::fs::rename(&tmp, path)?;
+    write_atomic(Path::new(path), |file| {
+        serde_json::to_writer_pretty(file, &delta).map_err(std::io::Error::other)
+    })?;
     if !quiet {
         writeln!(out, "metrics -> {path}")?;
         writeln!(out, "{}", delta.summary_table())?;
@@ -601,10 +540,11 @@ fn emit_metrics<W: std::io::Write>(
 
 /// `mawi-detect`: per-day Fukuda–Heidemann-extended detection.
 fn mawi_detect<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    let records = load_trace(args)?;
+    let run = run_config(args)?;
+    let records = load_trace(&run)?;
     let det = MawiDetector::new(FhConfig {
-        agg: agg_of(args)?,
-        min_dsts: args.get_parsed("min-dsts", 100)?,
+        agg: AggLevel::new(run.agg),
+        min_dsts: run.min_dsts,
         ..Default::default()
     });
     let start = records
@@ -648,9 +588,10 @@ fn mawi_detect<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliErr
 
 /// `adaptive`: adaptive-aggregation alerting with collateral estimates.
 fn adaptive<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    let records = load_trace(args)?;
+    let run = run_config(args)?;
+    let records = load_trace(&run)?;
     let ids = AdaptiveIds::new(AdaptiveConfig {
-        min_dsts: args.get_parsed("min-dsts", 100)?,
+        min_dsts: run.min_dsts,
         ..Default::default()
     });
     let alerts = ids.analyze(&records);
@@ -684,14 +625,9 @@ fn adaptive<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError>
 
 /// `fingerprint`: detect scans, then cluster them by traffic behavior.
 fn fingerprint_cmd<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    let records = load_trace(args)?;
-    let config = ScanDetectorConfig {
-        agg: agg_of(args)?,
-        min_dsts: args.get_parsed("min-dsts", 100)?,
-        keep_dsts: true,
-        ..Default::default()
-    };
-    let report = lumen6_detect::detector::detect(&records, config);
+    let run = run_config(args)?;
+    let records = load_trace(&run)?;
+    let report = detect_resident(&run, true, &records)?;
     let threshold = args.get_parsed::<f64>("threshold", 0.10)?;
     let clusters = lumen6_detect::fingerprint::cluster(&report.events, threshold);
     writeln!(
@@ -742,17 +678,10 @@ fn import_pcap<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliErr
     let mut records = imported.records;
     // Captures are usually time-sorted, but the codec requires it.
     lumen6_trace::sort_by_time(&mut records);
-    let tmp = format!("{out_path}.tmp");
-    let mut writer = TraceWriter::new(BufWriter::new(File::create(&tmp)?))?;
-    for r in &records {
-        writer.append(r)?;
-    }
-    writer.finish()?.flush()?;
-    std::fs::rename(&tmp, out_path)?;
+    let count = write_trace(out_path, &mut MaterializedSource::new(records))?;
     writeln!(
         out,
-        "imported {} IPv6 records ({} packets skipped) -> {out_path}",
-        records.len(),
+        "imported {count} IPv6 records ({} packets skipped) -> {out_path}",
         imported.skipped
     )?;
     Ok(())
@@ -760,14 +689,14 @@ fn import_pcap<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliErr
 
 /// `export-pcap`: write a trace as real IPv6 packets for Wireshark/tcpdump.
 fn export_pcap<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    let records = load_trace(args)?;
+    let records = load_trace(&run_config(args)?)?;
     let out_path = args
         .get("out")
         .ok_or_else(|| CliError::Usage("--out FILE is required".into()))?;
-    let tmp = format!("{out_path}.tmp");
-    let n = lumen6_trace::pcap::write_pcap(&records, BufWriter::new(File::create(&tmp)?))
-        .map_err(|e| CliError::Usage(format!("pcap export failed: {e}")))?;
-    std::fs::rename(&tmp, out_path)?;
+    let n = write_atomic(Path::new(out_path), |file| {
+        lumen6_trace::pcap::write_pcap(&records, file)
+            .map_err(|e| CliError::Usage(format!("pcap export failed: {e}")))
+    })?;
     writeln!(out, "wrote {n} packets to {out_path}")?;
     Ok(())
 }
@@ -776,10 +705,11 @@ fn export_pcap<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliErr
 /// trace and run querier-diversity detection on it.
 fn backscatter<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     use lumen6_backscatter::{generate_backscatter, BackscatterConfig, BackscatterDetector};
-    let records = load_trace(args)?;
+    let run = run_config(args)?;
+    let records = load_trace(&run)?;
     let queries = generate_backscatter(&records, &BackscatterConfig::default(), 42);
     let det = BackscatterDetector {
-        agg_len: args.get_parsed::<u8>("agg", 64)?,
+        agg_len: run.agg,
         min_queriers: args.get_parsed("min-queriers", 20)?,
     };
     let flagged = det.detect(&queries);
@@ -865,7 +795,7 @@ mod tests {
         .unwrap();
         let flush_ms = |flags: &[&str]| {
             let argv = flags.iter().map(std::string::ToString::to_string);
-            let args = Args::parse(argv, &["timeout-secs", "flush-idle-secs", "config"]).unwrap();
+            let args = Args::parse(argv).unwrap();
             let run = run_config(&args).unwrap();
             run.validate().unwrap();
             run.session_config().flush_idle_every_ms
@@ -891,6 +821,214 @@ mod tests {
             text.contains("default --timeout-secs") && text.contains("--watermark-secs)"),
             "{text}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every `RunConfig` key, through the one table: its TOML and flag
+    /// spellings agree, the flag overrides a file, it survives a serialize
+    /// round trip, and `detect --help` lists it — with a value exactly when
+    /// its field takes one.
+    #[test]
+    fn every_run_key_reads_alike_from_file_and_flag() {
+        let help = usage_of("detect");
+        assert_eq!(RunConfig::KEYS.len(), 21);
+        for key in RunConfig::KEYS {
+            let (name, flag) = (key.name, key.flag());
+            // `checkpoint_every`/`stop_after` flags need a checkpoint beside them.
+            let beside = if name == "checkpoint" {
+                ""
+            } else {
+                "checkpoint = \"c.l6ck\"\n"
+            };
+            let file =
+                |value: &str| RunConfig::from_toml_str(&format!("{beside}{name} = {value}\n"));
+            // The field's type picks its sample: a switch, a count, a path;
+            // `intensity` alone takes a fraction.
+            let samples = [("true", "false", None), ("7", "9", Some("7"))];
+            let (toml, other, text) = *samples
+                .iter()
+                .chain(&[("\"x.l6tr\"", "\"other\"", Some("x.l6tr"))])
+                .find(|(toml, _, _)| file(toml).is_ok())
+                .unwrap();
+            let (toml, text) = match name {
+                "intensity" => ("2.5", Some("2.5")),
+                _ => (toml, text),
+            };
+            assert_eq!(takes_value(&flag), text.is_some(), "USAGE and --{flag}");
+            let flags = [(flag.clone(), text.map(str::to_string))];
+            let from_file = file(toml).unwrap();
+            let mut from_flag = RunConfig::from_toml_str(beside).unwrap();
+            assert_ne!(from_file, from_flag, "{name}: the sample is the default");
+            from_flag.apply_flags(&flags).unwrap();
+            assert_eq!(from_flag, from_file, "{name}");
+
+            let mut over = file(other).unwrap();
+            assert_ne!(over, from_file, "{name}");
+            over.apply_flags(&flags).unwrap();
+            assert_eq!(over, from_file, "--{flag} did not override the file");
+
+            let json = serde_json::to_string(&from_file).unwrap();
+            assert!(json.contains(&format!("\"{name}\":")), "{json}");
+            let back: RunConfig = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, from_file, "{name}");
+
+            assert!(lists(&help, &flag), "detect --help lacks --{flag}");
+            let argv = [vec!["detect".to_string()], from_file.to_flags().unwrap()].concat();
+            let args = Args::parse(argv).unwrap();
+            assert_eq!(run_config(&args).unwrap(), from_file, "{name}");
+        }
+
+        // The daemon's keys go through the same table; `serve` lists three.
+        let help = usage_of("serve");
+        for (name, toml, text, listed) in [
+            ("spool", "\"elsewhere\"", "elsewhere", true),
+            ("workers", "5", "5", true),
+            ("stop_file", "\"halt\"", "halt", true),
+            ("steps_per_slice", "3", "3", false),
+            ("publish_every_slices", "3", "3", false),
+        ] {
+            let key = ServeConfig::KEYS.iter().find(|k| k.name == name).unwrap();
+            let mut from_flag = ServeConfig::default();
+            let flags = [(key.flag(), Some(text.to_string()))];
+            from_flag.apply_flags(&flags).unwrap();
+            let from_file = ServeConfig::from_toml_str(&format!("{name} = {toml}\n")).unwrap();
+            assert_eq!(from_flag, from_file, "{name}");
+            assert_ne!(from_flag, ServeConfig::default(), "{name}");
+            assert_eq!(lists(&help, &key.flag()), listed, "{name}");
+            assert!(!listed || takes_value(&key.flag()), "{name}");
+        }
+        // Those five, and the tenants table.
+        assert_eq!(ServeConfig::KEYS.len(), 6);
+    }
+
+    /// A flag is read or refused: one the subcommand's usage does not list
+    /// is a usage error naming it, and every flag a usage lists is a key of
+    /// a table or one of the local flags — nothing is silently dropped.
+    #[test]
+    fn a_flag_no_usage_entry_lists_is_a_usage_error_naming_it() {
+        for (line, flag) in [
+            // The typo that used to print the `min_dsts = 100` report.
+            (
+                &[
+                    "detect",
+                    "--fused",
+                    "--small",
+                    "--days",
+                    "14",
+                    "--min-dst",
+                    "5",
+                    "--sequential",
+                ][..],
+                "--min-dst",
+            ),
+            (&["detect", "--trace", "x.l6tr", "--kills", "3"], "--kills"),
+            (
+                &["generate", "cdn", "--out", "x.l6tr", "--min-dsts", "5"],
+                "--min-dsts",
+            ),
+            (
+                &["generate", "mawi", "--out", "x.l6tr", "--intensity", "2"],
+                "generate mawi takes no --intensity",
+            ),
+            (
+                &["serve", "--config", "m.toml", "--steps-per-slice", "3"],
+                "--steps-per-slice",
+            ),
+            (&["soak", "--out", "d", "--stop-after", "1"], "--stop-after"),
+            (&["info", "--trace", "x.l6tr", "--json"], "--json"),
+        ] {
+            let (_, res) = run_cli(line);
+            let Err(CliError::Usage(msg)) = res else {
+                panic!("{line:?}: expected a usage error, got {res:?}");
+            };
+            assert!(
+                msg.contains(flag) && !msg.contains("USAGE"),
+                "{line:?}: {msg}"
+            );
+        }
+
+        const LOCAL: [&str; 14] = [
+            "out",
+            "top",
+            "threshold",
+            "pcap",
+            "min-queriers",
+            "fleet",
+            "metrics-out",
+            "config",
+            "kills",
+            "kill-after-checkpoints",
+            "sample-ms",
+            "max-rss-mb",
+            "json",
+            "prefilter",
+        ];
+        let known = |flag: &str| {
+            LOCAL.contains(&flag)
+                || RunConfig::KEYS.iter().any(|k| k.flag() == flag)
+                || ServeConfig::KEYS.iter().any(|k| k.flag() == flag)
+        };
+        for switch in ["json", "prefilter", "no-such-flag"] {
+            assert!(!takes_value(switch), "--{switch}");
+        }
+        for valued in &LOCAL[..12] {
+            assert!(takes_value(valued), "--{valued}");
+        }
+        for word in USAGE.split(|c: char| !(c == '-' || c.is_ascii_alphanumeric())) {
+            if let Some(flag) = word.strip_prefix("--") {
+                assert!(known(flag), "USAGE lists --{flag}, which nothing reads");
+            }
+        }
+    }
+
+    /// A publication that fails — in the writer or at the rename — leaves
+    /// what the path held and no `*.tmp` beside it, at every kind of site.
+    #[test]
+    fn failed_publication_leaves_the_previous_file_and_no_tmp() {
+        let dir = std::env::temp_dir().join(format!("lumen6-cli-publish-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let trace = at("t.l6tr");
+        run_cli(&["generate", "cdn", "--out", &trace, "--days", "2", "--small"])
+            .1
+            .unwrap();
+        run_cli(&["export-pcap", "--trace", &trace, "--out", &at("t.pcap")])
+            .1
+            .unwrap();
+
+        // The writer fails mid-file: the second record's timestamp does not
+        // fit a pcap header, after the first was written.
+        let late = at("late.l6tr");
+        let mut writer = TraceWriter::new(File::create(&late).unwrap()).unwrap();
+        for ts_ms in [0, u64::MAX / 2] {
+            writer
+                .append(&PacketRecord::tcp(ts_ms, 1, 2, 40_000, 22, 60))
+                .unwrap();
+        }
+        writer.finish().unwrap();
+        let pcap = at("out.pcap");
+        std::fs::write(&pcap, b"previous").unwrap();
+        let (_, res) = run_cli(&["export-pcap", "--trace", &late, "--out", &pcap]);
+        assert!(matches!(res, Err(CliError::Usage(_))), "{res:?}");
+        assert_eq!(std::fs::read(&pcap).unwrap(), b"previous");
+        assert!(!Path::new(&at("out.pcap.tmp")).exists());
+
+        // The rename fails: the destination is a directory.
+        for (site, line) in [
+            (
+                "trace",
+                &["generate", "cdn", "--days", "2", "--small", "--out"][..],
+            ),
+            ("import", &["import", "--pcap", &at("t.pcap"), "--out"]),
+            ("metrics", &["detect", "--trace", &trace, "--metrics-out"]),
+        ] {
+            let dest = at(site);
+            std::fs::create_dir_all(Path::new(&dest).join("previous")).unwrap();
+            let (_, res) = run_cli(&[line, &[dest.as_str()]].concat());
+            assert!(matches!(res, Err(CliError::Io(_))), "{site}: {res:?}");
+            assert!(Path::new(&dest).join("previous").is_dir(), "{site}");
+            assert!(!Path::new(&format!("{dest}.tmp")).exists(), "{site}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -8,6 +8,7 @@
 pub mod commands;
 mod soak;
 
+use lumen6_serve::Flags;
 use std::fmt;
 
 /// CLI-level errors.
@@ -97,17 +98,15 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses a raw argument list. Flags that take values are listed in
-    /// `valued`; everything else starting with `--` is a boolean flag.
-    pub fn parse<I: IntoIterator<Item = String>>(
-        raw: I,
-        valued: &[&str],
-    ) -> Result<Args, CliError> {
+    /// Parses a raw argument list. A flag that [`commands::USAGE`] writes a
+    /// value after (`--days N`) takes the next argument; everything else
+    /// starting with `--` is a switch.
+    pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Args, CliError> {
         let mut out = Args::default();
         let mut it = raw.into_iter();
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
-                if valued.contains(&name) {
+                if commands::takes_value(name) {
                     let v = it.next().ok_or_else(|| {
                         CliError::Usage(format!("flag --{name} requires a value"))
                     })?;
@@ -125,6 +124,11 @@ impl Args {
     /// Positional arguments.
     pub fn positional(&self) -> &[String] {
         &self.positional
+    }
+
+    /// Every flag in argv order, as the config key tables read them.
+    pub fn flags(&self) -> &Flags {
+        &self.flags
     }
 
     /// Whether a boolean flag is present.
@@ -156,11 +160,7 @@ mod tests {
     use super::*;
 
     fn args(v: &[&str]) -> Args {
-        Args::parse(
-            v.iter().map(std::string::ToString::to_string),
-            &["seed", "days", "out"],
-        )
-        .unwrap()
+        Args::parse(v.iter().map(std::string::ToString::to_string)).unwrap()
     }
 
     #[test]
@@ -178,7 +178,7 @@ mod tests {
 
     #[test]
     fn missing_value_is_usage_error() {
-        let e = Args::parse(vec!["--seed".to_string()], &["seed"]).unwrap_err();
+        let e = Args::parse(vec!["--seed".to_string()]).unwrap_err();
         assert!(matches!(e, CliError::Usage(_)));
     }
 

@@ -28,8 +28,9 @@
 //! dashboard tailing the file never sees a torn write.
 
 use crate::{Args, CliError};
+use lumen6_serve::{write_atomic, RunConfig};
 use serde::Serialize;
-use std::io::Read as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -179,6 +180,31 @@ fn parse_records(stdout: &[u8]) -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
+/// The run a child checkpointing to `ckpt` performs, and its argv: `detect
+/// --fused` at full paper intensity on a tight checkpoint cadence, then
+/// soak's own command line — every detection flag `detect --fused` takes is
+/// a key of the same table, so it reaches the children. Both chains resolve
+/// it from the same flags, so any stdout divergence is the pipeline's
+/// fault, not the harness's.
+fn child(args: &Args, ckpt: &Path) -> Result<(RunConfig, Vec<String>), CliError> {
+    let mut run = RunConfig {
+        fused: true,
+        intensity: 1_250.0,
+        checkpoint: Some(ckpt.display().to_string()),
+        checkpoint_every: 10_000,
+        ..RunConfig::default()
+    };
+    run.apply_flags(args.flags()).map_err(CliError::Usage)?;
+    if run.checkpoint_every == 0 {
+        return Err(CliError::Usage(
+            "soak needs --checkpoint-every > 0 (the kill trigger watches checkpoint writes)".into(),
+        ));
+    }
+    let mut argv = vec!["detect".to_string()];
+    argv.extend(run.to_flags().map_err(CliError::Internal)?);
+    Ok((run, argv))
+}
+
 /// `soak`: see the module docs. Exit is non-zero unless every invariant
 /// holds; `DIR/SOAK.json` is written either way so a failing run leaves
 /// its evidence behind.
@@ -188,13 +214,10 @@ pub(crate) fn soak<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), Cl
     };
     let dir = PathBuf::from(dir);
     std::fs::create_dir_all(&dir)?;
-    let intensity: f64 = args.get_parsed("intensity", 1_250.0)?;
-    let every: u64 = args.get_parsed("checkpoint-every", 10_000)?;
-    if every == 0 {
-        return Err(CliError::Usage(
-            "soak needs --checkpoint-every > 0 (the kill trigger watches checkpoint writes)".into(),
-        ));
-    }
+    let (ref_ckpt, soak_ckpt) = (dir.join("reference.l6ck"), dir.join("soak.l6ck"));
+    let (run, reference) = child(args, &ref_ckpt)?;
+    let (_, chain) = child(args, &soak_ckpt)?;
+    let intensity = run.intensity;
     let kills: u64 = args.get_parsed("kills", 2)?;
     let kill_after: u64 = args.get_parsed("kill-after-checkpoints", 2)?;
     if kills > 0 && kill_after == 0 {
@@ -204,38 +227,11 @@ pub(crate) fn soak<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), Cl
     }
     let sample = Duration::from_millis(args.get_parsed("sample-ms", 50)?);
     let max_rss_mb: u64 = args.get_parsed("max-rss-mb", 0)?;
-
-    // Both runs share one argument vector (checkpoint path aside), so any
-    // stdout divergence is the pipeline's fault, not the harness's.
-    let mut base: Vec<String> = vec![
-        "detect".into(),
-        "--fused".into(),
-        "--intensity".into(),
-        intensity.to_string(),
-        "--checkpoint-every".into(),
-        every.to_string(),
-    ];
-    for flag in ["days", "seed", "gen-threads", "min-dsts", "agg", "batch"] {
-        if let Some(v) = args.get(flag) {
-            base.push(format!("--{flag}"));
-            base.push(v.to_string());
-        }
-    }
-    if args.has("small") {
-        base.push("--small".into());
-    }
-    let child_args = |ckpt: &Path| -> Vec<String> {
-        let mut v = base.clone();
-        v.push("--checkpoint".into());
-        v.push(ckpt.display().to_string());
-        v
-    };
     let exe = std::env::current_exe()?;
 
     // Phase 1: uninterrupted reference pass.
     writeln!(out, "soak: reference pass (intensity {intensity})")?;
-    let ref_ckpt = dir.join("reference.l6ck");
-    let reference = drive_child(&exe, &child_args(&ref_ckpt), &ref_ckpt, sample, None)?;
+    let reference = drive_child(&exe, &reference, &ref_ckpt, sample, None)?;
     if reference.exit_code != Some(0) {
         return Err(CliError::Soak(format!(
             "reference run exited with {:?} instead of 0",
@@ -251,13 +247,12 @@ pub(crate) fn soak<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), Cl
     )?;
 
     // Phase 2: kill/resume chain against a fresh checkpoint path.
-    let soak_ckpt = dir.join("soak.l6ck");
     let mut segments: Vec<Segment> = Vec::new();
     let mut kills_injected = 0u64;
     let final_stdout = loop {
         let remaining = kills.saturating_sub(kills_injected);
         let trigger = (remaining > 0).then_some(kill_after);
-        let outcome = drive_child(&exe, &child_args(&soak_ckpt), &soak_ckpt, sample, trigger)?;
+        let outcome = drive_child(&exe, &chain, &soak_ckpt, sample, trigger)?;
         let exit_code = outcome.exit_code;
         writeln!(
             out,
@@ -303,7 +298,7 @@ pub(crate) fn soak<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), Cl
 
     let soak_report = SoakReport {
         intensity,
-        checkpoint_every: every,
+        checkpoint_every: run.checkpoint_every,
         kills_requested: kills,
         kills_injected,
         records,
@@ -326,9 +321,7 @@ pub(crate) fn soak<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), Cl
     // Atomic publication, like the metrics snapshots: a failing invariant
     // still leaves complete evidence, never a torn file.
     let path = dir.join("SOAK.json");
-    let tmp = dir.join("SOAK.json.tmp");
-    std::fs::write(&tmp, &json)?;
-    std::fs::rename(&tmp, &path)?;
+    write_atomic(&path, |file| file.write_all(json.as_bytes()))?;
     writeln!(out, "soak -> {}", path.display())?;
     if args.has("json") {
         writeln!(out, "{json}")?;
@@ -356,4 +349,33 @@ pub(crate) fn soak<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), Cl
          {throughput_rps:.0} rec/s, peak RSS {peak_rss_kb} kB"
     )?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `--sequential` and `--timeout-secs` used to stop at the harness; the
+    /// children get every detection flag soak was given, soak's own
+    /// defaults, and nothing soak itself reads.
+    #[test]
+    fn children_receive_every_detection_flag_soak_was_given() {
+        let line = "soak --out d --sequential --timeout-secs 900 --small --kills 1 --json";
+        let args = Args::parse(line.split(' ').map(str::to_string)).unwrap();
+        let (run, child) = child(&args, Path::new("d/soak.l6ck")).unwrap();
+        let expected = "detect --fused --timeout-secs 900 --sequential --checkpoint d/soak.l6ck \
+                        --checkpoint-every 10000 --small --intensity 1250";
+        assert_eq!(child, expected.split(' ').collect::<Vec<_>>());
+        // Which `detect` reads back as the very run soak resolved.
+        let read_back = crate::commands::run_config(&Args::parse(child).unwrap()).unwrap();
+        assert_eq!(read_back, run);
+
+        let mut help = Vec::new();
+        crate::commands::run(vec!["soak".into(), "--help".into()], &mut help).unwrap();
+        let help = String::from_utf8(help).unwrap();
+        assert!(
+            help.contains("same detection flags as `detect --fused`"),
+            "{help}"
+        );
+    }
 }

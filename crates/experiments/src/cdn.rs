@@ -1,12 +1,11 @@
 //! CDN-side experiments: Figs. 1–4, 8; Tables 1–3; §2.2 sensitivity; §3.1
 //! durations; §3.3 targeting; Appendices A.1 and A.4.
 
-use crate::CdnLab;
+use crate::{run_mode, CdnLab, DetectMode};
 use lumen6_analysis::{
     concentration, durations as dur, heatmap, portbuckets, series, stats, targeting, topas,
     topports,
 };
-use lumen6_detect::detector::detect;
 use lumen6_detect::{AggLevel, ScanDetectorConfig};
 use lumen6_report::{duration_human, pct, pkt_count, pkt_with_share, Table};
 use lumen6_trace::{time, SimTime, DAY_MS};
@@ -139,15 +138,20 @@ pub fn sensitivity(lab: &CdnLab) -> String {
         ("timeout 900s, ≥100 dsts", 900_000, 100),
         ("timeout 3600s, ≥50 dsts", 3_600_000, 50),
     ] {
-        let r = detect(
+        let config = ScanDetectorConfig {
+            agg: AggLevel::L64,
+            timeout_ms: timeout,
+            min_dsts,
+            ..Default::default()
+        };
+        let r = run_mode(
+            DetectMode::Sequential,
             &lab.filtered,
-            ScanDetectorConfig {
-                agg: AggLevel::L64,
-                timeout_ms: timeout,
-                min_dsts,
-                ..Default::default()
-            },
-        );
+            &[AggLevel::L64],
+            config,
+        )
+        .remove(&AggLevel::L64)
+        .unwrap_or_default();
         t.row(vec![
             label.into(),
             r.scans().to_string(),

@@ -24,14 +24,14 @@
 //! Both structs derive `Serialize`, which places their schemas under the
 //! L004 fingerprint: renaming or re-typing a field without blessing the
 //! analyzer snapshot is a build failure, exactly like checkpoint drift.
-//! `Deserialize` is written by hand so every field is optional with the
-//! CLI's defaults, and unknown keys are rejected with the offending name
-//! (a typo'd tenant knob must not silently fall back to a default).
+//! `Deserialize` and the command line both go through one key table per
+//! struct ([`RunConfig::KEYS`]), so every key is optional with the CLI's
+//! defaults and an unknown one is rejected by name, in a file or as a flag.
 
 use crate::toml;
 use lumen6_detect::{
     Backend, CheckpointPolicy, DetectorBuilder, ScanDetectorConfig, Session, SessionConfig,
-    ShardPlan, SketchConfig,
+    SketchConfig,
 };
 use lumen6_scanners::{FleetConfig, FleetSource, World};
 use lumen6_trace::{CodecError, FileStreamSource, Source, TailSource};
@@ -58,6 +58,8 @@ pub struct RunConfig {
     /// Maximum intra-scan packet gap, seconds.
     pub timeout_secs: u64,
     /// HyperLogLog precision for spill-to-sketch counting; `None` = exact.
+    /// Memory per spilled source is 2^P registers, error ≈ 1.04/sqrt(2^P);
+    /// out-of-range values are clamped to the supported 4..=16.
     pub sketch_precision: Option<u8>,
     /// Shard count for the parallel backend; 0 = one per hardware thread.
     pub threads: usize,
@@ -124,53 +126,199 @@ impl Default for RunConfig {
     }
 }
 
-impl Deserialize for RunConfig {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let Value::Object(fields) = v else {
-            return Err(DeError::expected("RunConfig table", v));
-        };
-        let mut cfg = RunConfig::default();
-        for (key, val) in fields {
-            // Serialized `None` options come back as nulls: not set.
-            if matches!(val, Value::Null) {
-                continue;
-            }
-            match key.as_str() {
-                "trace" => cfg.trace = Some(String::from_value(val)?),
-                "tail" => cfg.tail = Some(String::from_value(val)?),
-                "fused" => cfg.fused = bool::from_value(val)?,
-                "agg" => cfg.agg = u8::from_value(val)?,
-                "min_dsts" => cfg.min_dsts = u64::from_value(val)?,
-                "timeout_secs" => cfg.timeout_secs = u64::from_value(val)?,
-                "sketch_precision" => cfg.sketch_precision = Some(u8::from_value(val)?),
-                "threads" => cfg.threads = usize::from_value(val)?,
-                "sequential" => cfg.sequential = bool::from_value(val)?,
-                "watermark_secs" => cfg.watermark_secs = u64::from_value(val)?,
-                "batch" => cfg.batch = usize::from_value(val)?,
-                "strict" => cfg.strict = bool::from_value(val)?,
-                "checkpoint" => cfg.checkpoint = Some(String::from_value(val)?),
-                "checkpoint_every" => cfg.checkpoint_every = u64::from_value(val)?,
-                "stop_after" => cfg.stop_after = Some(u64::from_value(val)?),
-                "flush_idle_secs" => cfg.flush_idle_secs = Some(u64::from_value(val)?),
-                "days" => cfg.days = Some(u64::from_value(val)?),
-                "seed" => cfg.seed = u64::from_value(val)?,
-                "small" => cfg.small = bool::from_value(val)?,
-                "intensity" => cfg.intensity = f64::from_value(val)?,
-                "gen_threads" => cfg.gen_threads = usize::from_value(val)?,
-                other => {
-                    return Err(DeError::msg(format!("unknown RunConfig key {other:?}")));
-                }
-            }
-        }
-        Ok(cfg)
+/// A command line as the key tables see it: `--flag [text]` pairs in argv
+/// order, without the dashes; `None` after a flag that takes no value.
+pub type Flags = [(String, Option<String>)];
+
+/// One settable key of the config struct `C`, written once — a row of
+/// [`RunConfig::KEYS`] or [`ServeConfig::KEYS`] — for everything that sets
+/// it: `--config` files and daemon manifests (the `Deserialize` impls) and
+/// the command line. The field's type is the key's kind.
+pub struct Key<C: 'static> {
+    /// The key as a config file spells it.
+    pub name: &'static str,
+    set: fn(&mut C, &Value) -> Result<(), DeError>,
+    /// The flag a *flag* for this key needs beside it, when `C` lacks it (a
+    /// file may leave the same to the daemon). Flags are applied in table
+    /// order, so the key it names is a row above.
+    needs: fn(&C) -> Option<&'static str>,
+}
+
+impl<C> Key<C> {
+    /// The key as the command line spells it, without the leading `--`.
+    pub fn flag(&self) -> String {
+        self.name.replace('_', "-")
     }
 }
 
+/// A table row: the key's name and the field it sets.
+macro_rules! key {
+    ($cfg:ty, $name:literal, $field:ident) => {
+        key!($cfg, $name, $field, |_| None)
+    };
+    ($cfg:ty, $name:literal, $field:ident, $needs:expr) => {
+        Key {
+            name: $name,
+            set: |c: &mut $cfg, v| {
+                c.$field = Deserialize::from_value(v)?;
+                Ok(())
+            },
+            needs: $needs,
+        }
+    };
+}
+
+/// A parsed file's table through `keys`, over the defaults. A null is a
+/// serialized `None`: not set. A name `keys` does not hold is an error
+/// naming it — a typo'd knob must not silently fall back to its default.
+fn from_table<C: Default>(keys: &[Key<C>], what: &str, v: &Value) -> Result<C, DeError> {
+    let Value::Object(fields) = v else {
+        return Err(DeError::expected(&format!("{what} table"), v));
+    };
+    let mut cfg = C::default();
+    for (name, value) in fields.iter().filter(|(_, v)| !matches!(v, Value::Null)) {
+        let key = keys.iter().find(|key| key.name == name);
+        let key = key.ok_or_else(|| DeError::msg(format!("unknown {what} key {name:?}")))?;
+        (key.set)(&mut cfg, value)?;
+    }
+    Ok(cfg)
+}
+
+/// Sets every key of `keys` whose flag is among `flags` (the first
+/// occurrence wins) by the assignment a file's key goes through. Flags that
+/// name no key are the caller's to read or reject.
+fn set_flags<C>(keys: &[Key<C>], cfg: &mut C, flags: &Flags) -> Result<(), String> {
+    for key in keys {
+        let flag = key.flag();
+        let Some((_, text)) = flags.iter().find(|(name, _)| *name == flag) else {
+            continue;
+        };
+        // What a file could have held for the text, for the field's type to
+        // pick from: an integer, a number, the text as written — or `true`,
+        // when nothing follows the flag.
+        let text = text.as_deref();
+        let readings = [
+            text.is_none().then_some(Value::Bool(true)),
+            text.and_then(|t| t.parse().ok()).map(Value::UInt),
+            text.and_then(|t| t.parse().ok()).map(Value::Float),
+            text.map(|t| Value::Str(t.to_string())),
+        ];
+        let mut readings = readings.into_iter().flatten();
+        if !readings.any(|value| (key.set)(cfg, &value).is_ok()) {
+            let text = text.unwrap_or_default();
+            return Err(format!("invalid value for --{flag}: {text:?}"));
+        }
+        if let Some(what) = (key.needs)(cfg) {
+            return Err(format!("--{flag} needs {what}"));
+        }
+    }
+    Ok(())
+}
+
+fn needs_checkpoint(run: &RunConfig) -> Option<&'static str> {
+    run.checkpoint.is_none().then_some("--checkpoint FILE")
+}
+
+impl Deserialize for RunConfig {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        from_table(RunConfig::KEYS, "RunConfig", v)
+    }
+}
+
+/// `(name, value)` of a field, the name read off the field itself.
+macro_rules! named {
+    ($cfg:ident.$field:ident) => {
+        (stringify!($field), $cfg.$field)
+    };
+}
+
 impl RunConfig {
+    /// The key table: adding a key is a field, its default and a row here.
+    pub const KEYS: &'static [Key<RunConfig>] = &[
+        key!(Self, "trace", trace),
+        key!(Self, "tail", tail),
+        key!(Self, "fused", fused),
+        key!(Self, "agg", agg),
+        key!(Self, "min_dsts", min_dsts),
+        key!(Self, "timeout_secs", timeout_secs),
+        key!(Self, "sketch_precision", sketch_precision),
+        key!(Self, "threads", threads),
+        key!(Self, "sequential", sequential),
+        key!(Self, "watermark_secs", watermark_secs),
+        key!(Self, "batch", batch),
+        key!(Self, "strict", strict),
+        key!(Self, "checkpoint", checkpoint),
+        key!(Self, "checkpoint_every", checkpoint_every, needs_checkpoint),
+        key!(Self, "stop_after", stop_after, needs_checkpoint),
+        key!(Self, "flush_idle_secs", flush_idle_secs),
+        key!(Self, "days", days),
+        key!(Self, "seed", seed),
+        key!(Self, "small", small),
+        key!(Self, "intensity", intensity),
+        key!(Self, "gen_threads", gen_threads),
+    ];
+
     /// Parses a flat TOML file (the `detect --config FILE` format).
     pub fn from_toml_str(text: &str) -> Result<RunConfig, String> {
         let value = toml::parse(text)?;
         RunConfig::from_value(&value).map_err(|e| e.to_string())
+    }
+
+    /// Applies a command line over `self` (a `--config` file's keys, or the
+    /// defaults): every flag that names a key sets it. The three source
+    /// selectors override as a group, so one flag cleanly retargets a file
+    /// that already names a source.
+    pub fn apply_flags(&mut self, flags: &Flags) -> Result<(), String> {
+        let file = (
+            self.trace.take(),
+            self.tail.take(),
+            std::mem::take(&mut self.fused),
+        );
+        set_flags(Self::KEYS, self, flags)?;
+        match self.sources() {
+            0 => (self.trace, self.tail, self.fused) = file,
+            1 => {}
+            _ => return Err("--trace, --tail, and --fused are mutually exclusive".into()),
+        }
+        Ok(())
+    }
+
+    /// The flags that turn the default configuration into `self`, in key
+    /// order — [`apply_flags`](Self::apply_flags) read backwards, and what
+    /// `soak` hands the `detect` children it spawns. An `Err` is a bug: a
+    /// field no flag can spell.
+    pub fn to_flags(&self) -> Result<Vec<String>, String> {
+        let fields = |cfg: &RunConfig| {
+            let json = serde_json::to_string(cfg).map_err(|e| e.to_string())?;
+            match serde_json::from_str(&json) {
+                Ok(Value::Object(fields)) => Ok(fields),
+                other => Err(format!("a RunConfig serialized to {other:?}")),
+            }
+        };
+        let mut argv = Vec::new();
+        for ((name, value), (_, default)) in
+            fields(self)?.into_iter().zip(fields(&Self::default())?)
+        {
+            if value == default {
+                continue;
+            }
+            argv.push(format!("--{}", name.replace('_', "-")));
+            match value {
+                Value::Bool(_) => {}
+                Value::Str(text) => argv.push(text),
+                Value::UInt(n) => argv.push(n.to_string()),
+                Value::Float(f) => argv.push(f.to_string()),
+                other => return Err(format!("no flag spells {name} = {other:?}")),
+            }
+        }
+        Ok(argv)
+    }
+
+    /// How many ingest sources are named.
+    fn sources(&self) -> usize {
+        usize::from(self.trace.is_some())
+            + usize::from(self.tail.is_some())
+            + usize::from(self.fused)
     }
 
     /// Checks cross-field consistency: exactly one ingest source, positive
@@ -186,10 +334,11 @@ impl RunConfig {
                 u32::MAX
             ));
         }
+        let (flush_idle, idle) = named!(self.flush_idle_secs);
         for (key, secs) in [
-            ("timeout_secs", self.timeout_secs),
-            ("watermark_secs", self.watermark_secs),
-            ("flush_idle_secs", self.flush_idle_secs.unwrap_or(0)),
+            named!(self.timeout_secs),
+            named!(self.watermark_secs),
+            (flush_idle, idle.unwrap_or(0)),
         ] {
             if secs.checked_mul(1000).is_none() {
                 return Err(format!(
@@ -198,9 +347,7 @@ impl RunConfig {
                 ));
             }
         }
-        let sources = usize::from(self.trace.is_some())
-            + usize::from(self.tail.is_some())
-            + usize::from(self.fused);
+        let sources = self.sources();
         if sources == 0 {
             return Err("no ingest source: set one of trace, tail, or fused".into());
         }
@@ -237,16 +384,9 @@ impl RunConfig {
         }
     }
 
-    /// The dispatch backend: `sequential` wins, then an explicit shard
-    /// count, then one shard per hardware thread.
+    /// The dispatch backend, by [`Backend::from_flags`]' rule.
     pub fn backend(&self) -> Backend {
-        if self.sequential {
-            Backend::Sequential
-        } else if self.threads > 0 {
-            Backend::Sharded(ShardPlan::with_shards(self.threads))
-        } else {
-            Backend::Sharded(ShardPlan::default())
-        }
+        Backend::from_flags(Some(self.threads), self.sequential)
     }
 
     /// The session-layer configuration — and the one place an unset
@@ -358,41 +498,41 @@ impl Default for ServeConfig {
 
 impl Deserialize for ServeConfig {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        let Value::Object(fields) = v else {
-            return Err(DeError::expected("ServeConfig table", v));
-        };
-        let mut cfg = ServeConfig::default();
-        for (key, val) in fields {
-            if matches!(val, Value::Null) {
-                continue;
-            }
-            match key.as_str() {
-                "spool" => cfg.spool = String::from_value(val)?,
-                "workers" => cfg.workers = usize::from_value(val)?,
-                "steps_per_slice" => cfg.steps_per_slice = u32::from_value(val)?,
-                "publish_every_slices" => cfg.publish_every_slices = u64::from_value(val)?,
-                "stop_file" => cfg.stop_file = Some(String::from_value(val)?),
-                "tenants" => {
-                    let Value::Object(tenants) = val else {
-                        return Err(DeError::expected("tenants table", val));
-                    };
-                    for (name, spec) in tenants {
-                        cfg.tenants.push(TenantSpec {
-                            name: name.clone(),
-                            run: RunConfig::from_value(spec)?,
-                        });
-                    }
-                }
-                other => {
-                    return Err(DeError::msg(format!("unknown ServeConfig key {other:?}")));
-                }
-            }
-        }
-        Ok(cfg)
+        from_table(ServeConfig::KEYS, "ServeConfig", v)
     }
 }
 
 impl ServeConfig {
+    /// The manifest's key table: the scheduler's five keys, and `tenants`,
+    /// a table of [`RunConfig`] tables that no flag can spell.
+    pub const KEYS: &'static [Key<ServeConfig>] = &[
+        key!(Self, "spool", spool),
+        key!(Self, "workers", workers),
+        key!(Self, "steps_per_slice", steps_per_slice),
+        key!(Self, "publish_every_slices", publish_every_slices),
+        key!(Self, "stop_file", stop_file),
+        Key {
+            name: "tenants",
+            set: |cfg, tenants| {
+                let Value::Object(tenants) = tenants else {
+                    return Err(DeError::expected("tenants table", tenants));
+                };
+                for (name, spec) in tenants {
+                    let run = RunConfig::from_value(spec)?;
+                    let name = name.clone();
+                    cfg.tenants.push(TenantSpec { name, run });
+                }
+                Ok(())
+            },
+            needs: |_| None,
+        },
+    ];
+
+    /// Applies a command line over the manifest's scheduler keys.
+    pub fn apply_flags(&mut self, flags: &Flags) -> Result<(), String> {
+        set_flags(Self::KEYS, self, flags)
+    }
+
     /// Parses a daemon manifest (`[tenants.<name>]` sections).
     pub fn from_toml_str(text: &str) -> Result<ServeConfig, String> {
         let value = toml::parse(text)?;
@@ -444,6 +584,7 @@ impl ServeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lumen6_detect::ShardPlan;
 
     #[test]
     fn run_config_defaults_match_cli_defaults() {
@@ -465,6 +606,68 @@ mod tests {
     fn unknown_key_is_rejected_with_its_name() {
         let err = RunConfig::from_toml_str("trace = \"t\"\nmin_dst = 5\n").unwrap_err();
         assert!(err.contains("min_dst"), "{err}");
+    }
+
+    /// The command line's own rules, on top of the table a file shares:
+    /// source selectors override as a group, a value is checked against the
+    /// key's type, a checkpoint cadence needs a checkpoint, and `to_flags`
+    /// reads `apply_flags` backwards.
+    #[test]
+    fn flags_override_a_file_through_the_key_table() {
+        let flags = |line: &[&str]| -> Vec<(String, Option<String>)> {
+            let pair = |f: &&str| match f.split_once(' ') {
+                Some((flag, text)) => (flag.to_string(), Some(text.to_string())),
+                None => (f.to_string(), None),
+            };
+            line.iter().map(pair).collect()
+        };
+        let file = RunConfig::from_toml_str("trace = \"t.l6tr\"\nmin_dsts = 5\n").unwrap();
+        let mut run = file.clone();
+        run.apply_flags(&flags(&[
+            "fused",
+            "min-dsts 7",
+            "min-dsts 9",
+            "json",
+            "top 3",
+        ]))
+        .unwrap();
+        let retargeted = RunConfig {
+            fused: true,
+            min_dsts: 7,
+            ..RunConfig::default()
+        };
+        assert_eq!(
+            run, retargeted,
+            "first occurrence wins, strangers are skipped"
+        );
+        let mut kept = file.clone();
+        kept.apply_flags(&flags(&["sequential"])).unwrap();
+        assert_eq!(kept.trace.as_deref(), Some("t.l6tr"));
+
+        for (line, needle) in [
+            (&["trace a", "tail b"][..], "mutually exclusive"),
+            (&["agg 300"], "invalid value for --agg: \"300\""),
+            (&["threads -1"], "--threads"),
+            (&["intensity fast"], "--intensity"),
+            (
+                &["checkpoint-every 5"],
+                "--checkpoint-every needs --checkpoint FILE",
+            ),
+            (&["stop-after 1"], "--stop-after needs --checkpoint FILE"),
+        ] {
+            let err = file.clone().apply_flags(&flags(line)).unwrap_err();
+            assert!(err.contains(needle), "{line:?}: {err}");
+        }
+        let mut cadence = file.clone();
+        cadence
+            .apply_flags(&flags(&["checkpoint-every 5", "checkpoint c.l6ck"]))
+            .unwrap();
+        assert_eq!(cadence.checkpoint_every, 5);
+
+        assert!(RunConfig::default().to_flags().unwrap().is_empty());
+        let argv = cadence.to_flags().unwrap();
+        let spelled = "--trace t.l6tr --min-dsts 5 --checkpoint c.l6ck --checkpoint-every 5";
+        assert_eq!(argv, spelled.split(' ').collect::<Vec<_>>());
     }
 
     #[test]

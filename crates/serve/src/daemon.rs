@@ -50,7 +50,7 @@ use serde::Serialize;
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs::File;
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -201,23 +201,36 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Streams `value` as pretty JSON into a sibling tmp file of `path` and
-/// renames it over `path`; returns the bytes written. On any failure the
-/// tmp file is removed and `path` keeps its previous content. `wrap` is the
-/// fault-injection point: production passes the file through unchanged.
-fn write_atomic<W: Write>(
+/// Publishes `path` atomically: `write` fills a buffered sibling file,
+/// `<path>.tmp`, which is flushed and renamed over `path` once it returns
+/// `Ok` — a reader of `path` sees the previous content or the new, never a
+/// part of either. On any failure (create, `write`'s own, flush, rename) the
+/// tmp file is removed and `path` keeps what it held. `write` is also the
+/// fault-injection point: a test wraps the writer it is handed.
+pub fn write_atomic<T, E: From<std::io::Error>>(
     path: &Path,
-    value: &impl Serialize,
-    wrap: impl FnOnce(File) -> W,
-) -> std::io::Result<u64> {
-    let tmp = path.with_extension("json.tmp");
-    let result = File::create(&tmp)
-        .and_then(|f| serde_json::to_writer_pretty(wrap(f), value).map_err(std::io::Error::other))
-        .and_then(|bytes| std::fs::rename(&tmp, path).map(|()| bytes));
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<T, E>,
+) -> Result<T, E> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let result = File::create(&tmp).map_err(E::from).and_then(|file| {
+        let mut file = BufWriter::new(file);
+        let done = write(&mut file)?;
+        file.flush()?;
+        std::fs::rename(&tmp, path)?;
+        Ok(done)
+    });
     if result.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
     result
+}
+
+/// Publishes `value` as pretty JSON; returns the bytes written.
+fn write_json(path: &Path, value: &impl Serialize) -> std::io::Result<u64> {
+    write_atomic(path, |file| {
+        serde_json::to_writer_pretty(file, value).map_err(std::io::Error::other)
+    })
 }
 
 /// Publishes a tenant's `report.json` + `metrics.json` + `status.json`.
@@ -229,7 +242,7 @@ fn publish(rt: &mut TenantRt, report: Option<&SessionReport>) {
         // Stopped before the snapshot below, so `metrics.json` carries the
         // publication it accompanies.
         let timer = rt.registry.stage("serve.tenant.publish_us");
-        result = write_atomic(&rt.dir.join("report.json"), report, |f| f);
+        result = write_json(&rt.dir.join("report.json"), report);
         timer.stop();
         if let Ok(bytes) = result {
             let bytes = i64::try_from(bytes).unwrap_or(i64::MAX);
@@ -241,8 +254,8 @@ fn publish(rt: &mut TenantRt, report: Option<&SessionReport>) {
         memory.publish(&rt.registry, *level);
     }
     let snap = rt.registry.snapshot();
-    let metrics = write_atomic(&rt.dir.join("metrics.json"), &snap, |f| f);
-    let status = write_atomic(&rt.dir.join("status.json"), &rt.status(), |f| f);
+    let metrics = write_json(&rt.dir.join("metrics.json"), &snap);
+    let status = write_json(&rt.dir.join("status.json"), &rt.status());
     if let Err(e) = result.and(metrics).and(status) {
         rt.error = Some(format!("publish: {e}"));
     }
@@ -626,12 +639,12 @@ mod tests {
     }
 
     /// Passes `left` bytes through, then fails every write.
-    struct FailAfter {
-        file: File,
+    struct FailAfter<'f> {
+        file: &'f mut BufWriter<File>,
         left: usize,
     }
 
-    impl Write for FailAfter {
+    impl Write for FailAfter<'_> {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
             if self.left == 0 {
                 return Err(std::io::Error::other("injected: disk full"));
@@ -670,8 +683,14 @@ mod tests {
         }
         let small_len = serde_json::to_string_pretty(&small).unwrap().len();
 
+        let publish_through = |report: &SessionReport, left: usize| {
+            write_atomic(&path, |file| {
+                serde_json::to_writer_pretty(FailAfter { file, left }, report)
+                    .map_err(std::io::Error::other)
+            })
+        };
         let check = |report: &SessionReport, left: usize| {
-            let result = write_atomic(&path, report, |file| FailAfter { file, left });
+            let result = publish_through(report, left);
             assert!(result.is_err(), "failing after {left} bytes: {result:?}");
             assert_eq!(std::fs::read(&path).unwrap(), previous, "after {left}");
             assert!(!tmp.path("report.json.tmp").exists(), "after {left}");
@@ -683,7 +702,7 @@ mod tests {
             check(&full, left);
         }
         // Once the fault clears the same call publishes.
-        let bytes = write_atomic(&path, &full, |file| FailAfter { file, left: len }).unwrap();
+        let bytes = publish_through(&full, len).unwrap();
         assert_eq!(bytes, len as u64);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), bytes);
     }

@@ -29,5 +29,5 @@ pub mod config;
 pub mod daemon;
 pub mod toml;
 
-pub use config::{RunConfig, ServeConfig, TenantSpec};
-pub use daemon::{Daemon, DaemonSummary, ServeError, TenantState, TenantStatus};
+pub use config::{Flags, Key, RunConfig, ServeConfig, TenantSpec};
+pub use daemon::{write_atomic, Daemon, DaemonSummary, ServeError, TenantState, TenantStatus};
