@@ -10,6 +10,7 @@
 //! lumen6 mawi-detect --trace mawi.l6tr --min-dsts 100
 //! lumen6 adaptive --trace cdn.l6tr
 //! lumen6 fingerprint --trace cdn.l6tr --threshold 0.1
+//! lumen6 experiments --small table1 fig5
 //! ```
 
 use crate::{Args, CliError};
@@ -18,6 +19,7 @@ use lumen6_detect::{
     observe_slice, AggLevel, ArtifactFilter, DetectorBuilder, MawiConfig as FhConfig, MawiDetector,
     ScanDetectorConfig, ScanReport, SessionOutcome,
 };
+use lumen6_mawi::MawiConfig;
 use lumen6_report::{duration_human, pkt_count, Table};
 use lumen6_serve::{write_atomic, Daemon, RunConfig, ServeConfig, ServeError};
 use lumen6_trace::{MaterializedSource, PacketRecord, Source, StreamingTraceReader, TraceWriter};
@@ -77,6 +79,11 @@ USAGE:
   lumen6 import --pcap FILE --out FILE       (pcap -> .l6tr)
   lumen6 export-pcap --trace FILE --out FILE (.l6tr -> pcap)
   lumen6 backscatter --trace FILE [--agg N] [--min-queriers N]
+  lumen6 experiments [--small] [--seed N] [--threads N] [--sequential]
+                [--trace FILE] [--csv DIR] [--metrics-out FILE.json] NAME...|all
+                (regenerate the paper's tables and figures, EXPERIMENTS.md
+                 names them; progress goes to stderr. --trace FILE streams a
+                 recorded CDN trace for table1 and fig2 and skips the rest)
 ";
 
 /// The entries of [`USAGE`] for one subcommand — or, given `generate cdn`,
@@ -156,6 +163,7 @@ pub fn run<W: std::io::Write>(argv: Vec<String>, out: &mut W) -> Result<(), CliE
         "import" => import_pcap(&args, out),
         "export-pcap" => export_pcap(&args, out),
         "backscatter" => backscatter(&args, out),
+        "experiments" => experiments(&args, out),
         other => Err(CliError::Usage(format!(
             "unknown command {other:?}\n\n{USAGE}"
         ))),
@@ -179,7 +187,10 @@ pub(crate) fn run_config(args: &Args) -> Result<RunConfig, CliError> {
     Ok(run)
 }
 
+/// The records of `run`'s trace. Its readers take `agg` without
+/// [`RunConfig::validate`], so a length it would clamp is refused here.
 fn load_trace(run: &RunConfig) -> Result<Vec<PacketRecord>, CliError> {
+    run.agg_level().map_err(CliError::Usage)?;
     let path = run
         .trace
         .as_ref()
@@ -245,13 +256,10 @@ fn generate<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError>
             run.make_source()?
         }
         "mawi" => {
-            let mut cfg = if run.small {
-                lumen6_mawi::MawiConfig::small()
-            } else {
-                lumen6_mawi::MawiConfig::default()
+            let cfg = MawiConfig {
+                end_day: days,
+                ..mawi_config(&run)
             };
-            cfg.seed = run.seed;
-            cfg.end_day = days;
             let trace = lumen6_mawi::MawiWorld::build(cfg, None).trace();
             Box::new(MaterializedSource::new(trace))
         }
@@ -334,6 +342,7 @@ fn detect<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let run = run_config(args)?;
     run.validate().map_err(CliError::Usage)?;
     let agg = AggLevel::new(run.agg);
+    let top = args.get_parsed::<usize>("top", 20)?;
 
     let mut session_stats = None;
     let report = if args.has("prefilter") {
@@ -423,7 +432,6 @@ fn detect<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         report.sources(),
         pkt_count(report.packets())
     )?;
-    let top = args.get_parsed::<usize>("top", 20)?;
     let mut t = Table::new(vec![
         "source", "start", "duration", "packets", "dsts", "ports",
     ]);
@@ -626,9 +634,14 @@ fn adaptive<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError>
 /// `fingerprint`: detect scans, then cluster them by traffic behavior.
 fn fingerprint_cmd<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let run = run_config(args)?;
+    let threshold = args.get_parsed::<f64>("threshold", 0.10)?;
+    if !threshold.is_finite() || threshold < 0.0 {
+        return Err(CliError::Usage(format!(
+            "invalid value for --threshold: {threshold} (a distance: finite, ≥ 0)"
+        )));
+    }
     let records = load_trace(&run)?;
     let report = detect_resident(&run, true, &records)?;
-    let threshold = args.get_parsed::<f64>("threshold", 0.10)?;
     let clusters = lumen6_detect::fingerprint::cluster(&report.events, threshold);
     writeln!(
         out,
@@ -706,12 +719,12 @@ fn export_pcap<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliErr
 fn backscatter<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     use lumen6_backscatter::{generate_backscatter, BackscatterConfig, BackscatterDetector};
     let run = run_config(args)?;
-    let records = load_trace(&run)?;
-    let queries = generate_backscatter(&records, &BackscatterConfig::default(), 42);
     let det = BackscatterDetector {
         agg_len: run.agg,
         min_queriers: args.get_parsed("min-queriers", 20)?,
     };
+    let records = load_trace(&run)?;
+    let queries = generate_backscatter(&records, &BackscatterConfig::default(), 42);
     let flagged = det.detect(&queries);
     writeln!(
         out,
@@ -733,6 +746,90 @@ fn backscatter<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliErr
     }
     writeln!(out, "{}", t.render())?;
     Ok(())
+}
+
+/// The MAWI world `run`'s `small` and `seed` keys describe.
+fn mawi_config(run: &RunConfig) -> MawiConfig {
+    let base = if run.small {
+        MawiConfig::small()
+    } else {
+        MawiConfig::default()
+    };
+    MawiConfig {
+        seed: run.seed,
+        ..base
+    }
+}
+
+/// `experiments`: renders the paper's tables and figures by name on labs
+/// built once for all of them: the CDN lab from `run`'s fleet and backend
+/// (or streamed from `--trace`, which only
+/// [`lumen6_experiments::STREAM_SAFE`] names can read), the MAWI lab
+/// sharing its scanners. Progress goes to stderr.
+fn experiments<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
+    use lumen6_experiments::{csv_out, run_cdn, run_mawi, CdnLab, MawiLab, STREAM_SAFE};
+    use lumen6_experiments::{CDN_EXPERIMENTS as CDN, MAWI_EXPERIMENTS as MAWI};
+    let metrics_baseline = lumen6_obs::MetricsRegistry::global().snapshot();
+    let run = run_config(args)?;
+    let usage = |why: String| {
+        let (cdn, mawi, safe) = (CDN.join(" "), MAWI.join(" "), STREAM_SAFE.join(" "));
+        let list = format!("CDN:  {cdn}\nMAWI: {mawi}\n--trace limits CDN experiments to: {safe}");
+        CliError::Usage(format!("{why}\n{list}"))
+    };
+    let mut names: Vec<&str> = args.positional()[1..].iter().map(String::as_str).collect();
+    if names.contains(&"all") {
+        names = CDN.iter().chain(MAWI).copied().collect();
+    }
+    if let Some(name) = names.iter().find(|n| !CDN.contains(n) && !MAWI.contains(n)) {
+        return Err(usage(format!("unknown experiment {name:?}")));
+    }
+    if run.trace.is_some() {
+        names.retain(|name| {
+            let kept = !CDN.contains(name) || STREAM_SAFE.contains(name);
+            if !kept {
+                eprintln!("skipping {name}: not available with --trace (needs the resident trace)");
+            }
+            kept
+        });
+    }
+    if names.is_empty() {
+        return Err(usage("experiments needs a NAME, or all".into()));
+    }
+
+    let (fleet, backend) = (run.fleet_config(), run.backend());
+    let cdn = match &run.trace {
+        _ if !names.iter().any(|n| CDN.contains(n)) => None,
+        Some(path) => {
+            eprintln!("# streaming CDN trace from {path} ...");
+            Some(CdnLab::from_trace_file(Path::new(path), fleet, backend)?)
+        }
+        None => {
+            let size = if run.small { "small" } else { "full 439 days" };
+            eprintln!("# building CDN lab (seed {}, {size}) ...", run.seed);
+            Some(CdnLab::build_with(fleet, backend))
+        }
+    };
+    let mawi = names.iter().any(|n| MAWI.contains(n)).then(|| {
+        eprintln!("# building MAWI lab ...");
+        MawiLab::build(mawi_config(&run), cdn.as_ref().map(|lab| &lab.world))
+    });
+    if let Some(csv) = args.get("csv") {
+        if let Some(lab) = &cdn {
+            let n = csv_out::export_cdn(lab, Path::new(csv))?.len();
+            eprintln!("# wrote {n} CDN CSV files to {csv}");
+        }
+        if let Some(lab) = &mawi {
+            let n = csv_out::export_mawi(lab, Path::new(csv))?.len();
+            eprintln!("# wrote {n} MAWI CSV files to {csv}");
+        }
+    }
+    for name in names {
+        let text = cdn.as_ref().and_then(|lab| run_cdn(name, lab));
+        let text = text.or_else(|| mawi.as_ref().and_then(|lab| run_mawi(name, lab)));
+        let text = text.ok_or_else(|| CliError::Internal(format!("no lab renders {name}")))?;
+        writeln!(out, "{text}")?;
+    }
+    emit_metrics(args, &metrics_baseline, out, false)
 }
 
 #[cfg(test)]
@@ -936,6 +1033,31 @@ mod tests {
             ),
             (&["soak", "--out", "d", "--stop-after", "1"], "--stop-after"),
             (&["info", "--trace", "x.l6tr", "--json"], "--json"),
+            (&["experiments", "--seqential", "table1"], "--seqential"),
+            // A key the run would clamp or ignore is refused by name.
+            (
+                &["detect", "--trace", "x.l6tr", "--agg", "200"],
+                "agg = 200",
+            ),
+            (
+                &["mawi-detect", "--trace", "x.l6tr", "--agg", "129"],
+                "agg = 129",
+            ),
+            (
+                &["backscatter", "--trace", "x.l6tr", "--agg", "255"],
+                "agg = 255",
+            ),
+            (
+                &["fingerprint", "--trace", "x.l6tr", "--agg", "200"],
+                "agg = 200",
+            ),
+            (&["detect", "--trace", "x.l6tr", "--days", "3"], "days"),
+            (&["detect", "--trace", "x.l6tr", "--seed", "3"], "seed"),
+            (&["detect", "--trace", "x.l6tr", "--small"], "small"),
+            (
+                &["detect", "--tail", "x.l6tr", "--intensity", "3"],
+                "intensity",
+            ),
         ] {
             let (_, res) = run_cli(line);
             let Err(CliError::Usage(msg)) = res else {
@@ -947,8 +1069,9 @@ mod tests {
             );
         }
 
-        const LOCAL: [&str; 14] = [
+        const LOCAL: [&str; 15] = [
             "out",
+            "csv",
             "top",
             "threshold",
             "pcap",
@@ -971,7 +1094,7 @@ mod tests {
         for switch in ["json", "prefilter", "no-such-flag"] {
             assert!(!takes_value(switch), "--{switch}");
         }
-        for valued in &LOCAL[..12] {
+        for valued in &LOCAL[..13] {
             assert!(takes_value(valued), "--{valued}");
         }
         for word in USAGE.split(|c: char| !(c == '-' || c.is_ascii_alphanumeric())) {
@@ -1021,15 +1144,103 @@ mod tests {
             ),
             ("import", &["import", "--pcap", &at("t.pcap"), "--out"]),
             ("metrics", &["detect", "--trace", &trace, "--metrics-out"]),
+            ("csv/fig1_heatmap.csv", &["experiments", "fig2"]),
         ] {
             let dest = at(site);
             std::fs::create_dir_all(Path::new(&dest).join("previous")).unwrap();
-            let (_, res) = run_cli(&[line, &[dest.as_str()]].concat());
+            // An export names its directory; each CSV in it is published.
+            let line = match dest.strip_suffix("/fig1_heatmap.csv") {
+                Some(dir) => [line, &["--small", "--trace", &trace, "--csv", dir]].concat(),
+                None => [line, &[dest.as_str()]].concat(),
+            };
+            let (_, res) = run_cli(&line);
             assert!(matches!(res, Err(CliError::Io(_))), "{site}: {res:?}");
             assert!(Path::new(&dest).join("previous").is_dir(), "{site}");
             assert!(!Path::new(&format!("{dest}.tmp")).exists(), "{site}");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A subcommand's own flags are read before its input: a bad one is a
+    /// usage error with nothing printed and no metrics file written.
+    #[test]
+    fn local_flags_are_read_before_the_work() {
+        let dir = std::env::temp_dir().join(format!("lumen6-cli-local-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (trace, metrics) = (dir.join("t.l6tr"), dir.join("m.json"));
+        let (t, m) = (trace.to_str().unwrap(), metrics.to_str().unwrap());
+        run_cli(&["generate", "cdn", "--out", t, "--days", "3", "--small"])
+            .1
+            .unwrap();
+        for (line, flag) in [
+            (&["detect", "--top", "-1", "--metrics-out", m][..], "--top"),
+            (
+                &["fingerprint", "--min-dsts", "5", "--threshold", "nan"],
+                "--threshold",
+            ),
+            (
+                &["fingerprint", "--min-dsts", "5", "--threshold", "-5"],
+                "--threshold",
+            ),
+            (&["backscatter", "--min-queriers", "many"], "--min-queriers"),
+        ] {
+            let (text, res) = run_cli(&[line, &["--trace", t]].concat());
+            let Err(CliError::Usage(msg)) = res else {
+                panic!("{line:?}: expected a usage error, got {res:?}");
+            };
+            assert!(msg.contains(flag), "{line:?}: {msg}");
+            assert_eq!(text, "", "{line:?}");
+            assert!(!metrics.exists(), "{line:?}");
+        }
+        let (text, res) = run_cli(&["fingerprint", "--trace", t, "--threshold", "0"]);
+        res.unwrap();
+        assert!(text.contains("(threshold 0)"), "{text}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `experiments` prints what the library renders on labs built from the
+    /// same keys — the same bytes on either backend — and names the
+    /// experiments when it is given none, or one it does not know.
+    #[test]
+    fn experiments_print_the_labs_the_library_builds() {
+        use lumen6_experiments::{run_cdn, run_mawi, CdnLab, MawiLab};
+        let line = ["experiments", "--small", "--sequential", "table1", "fig5"];
+        let (seq, res) = run_cli(&line);
+        res.unwrap();
+        let run = RunConfig {
+            small: true,
+            ..RunConfig::default()
+        };
+        let cdn = CdnLab::build_with(run.fleet_config(), lumen6_detect::Backend::Sequential);
+        let mawi = MawiLab::build(mawi_config(&run), Some(&cdn.world));
+        let table1 = run_cdn("table1", &cdn).unwrap();
+        assert_eq!(
+            seq,
+            format!("{table1}\n{}\n", run_mawi("fig5", &mawi).unwrap())
+        );
+        // `--metrics-out` prints and writes the run's delta, as `detect` does.
+        let metrics = std::env::temp_dir().join(format!("lumen6-cli-exp-{}", std::process::id()));
+        let m = metrics.to_str().unwrap();
+        let par = ["experiments", "--small", "--threads", "2", "table1", "fig5"];
+        let (par, res) = run_cli(&[&par[..], &["--metrics-out", m]].concat());
+        res.unwrap();
+        let table = par
+            .strip_prefix(&seq)
+            .expect("--threads 2 differs from --sequential");
+        assert!(table.starts_with(&format!("metrics -> {m}\n")), "{table}");
+        let snap: lumen6_obs::MetricsSnapshot =
+            serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        assert!(snap.counters["detect.batch.records"] > 0);
+        std::fs::remove_file(&metrics).unwrap();
+
+        for line in [&["experiments"][..], &["experiments", "--small", "fig9"]] {
+            let (text, res) = run_cli(line);
+            let Err(CliError::Usage(msg)) = res else {
+                panic!("{line:?}: expected a usage error, got {res:?}");
+            };
+            assert!(msg.contains("table1") && msg.contains("hitlist"), "{msg}");
+            assert_eq!(text, "");
+        }
     }
 
     #[test]

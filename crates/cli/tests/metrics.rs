@@ -486,3 +486,23 @@ fn checkpoint_cost_is_reported_per_checkpoint_and_only_then() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `experiments --trace` skips, on stderr, a name that needs the resident
+/// trace, prints the rest as it would alone, and exits 2 when none is left.
+#[test]
+fn experiments_under_trace_note_what_they_skip_on_stderr() {
+    let dir = std::env::temp_dir().join(format!("lumen6-metrics-exp-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("t.l6tr");
+    let t = trace.to_str().unwrap();
+    stdout_of(&lumen6(&[
+        "generate", "cdn", "--out", t, "--days", "3", "--small",
+    ]));
+    let run =
+        |names: &[&str]| lumen6(&[&["experiments", "--small", "--trace", t][..], names].concat());
+    let out = run(&["fig3", "table1"]);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("skipping fig3"));
+    assert_eq!(stdout_of(&out), stdout_of(&run(&["table1"])));
+    assert_eq!(run(&["fig3"]).status.code(), Some(2));
+    std::fs::remove_dir_all(&dir).ok();
+}

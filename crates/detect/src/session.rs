@@ -196,11 +196,6 @@ impl Backend {
             }
         }
     }
-
-    /// Whether callers may fan their own loops out across threads.
-    pub fn is_parallel(&self) -> bool {
-        matches!(self, Backend::Sharded(_))
-    }
 }
 
 /// Chooses and constructs a detector backend behind the [`Detect`] trait —

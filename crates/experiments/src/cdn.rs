@@ -1,12 +1,12 @@
 //! CDN-side experiments: Figs. 1–4, 8; Tables 1–3; §2.2 sensitivity; §3.1
 //! durations; §3.3 targeting; Appendices A.1 and A.4.
 
-use crate::{run_mode, CdnLab, DetectMode};
+use crate::{run_mode, CdnLab};
 use lumen6_analysis::{
     concentration, durations as dur, heatmap, portbuckets, series, stats, targeting, topas,
     topports,
 };
-use lumen6_detect::{AggLevel, ScanDetectorConfig};
+use lumen6_detect::{AggLevel, Backend, ScanDetectorConfig};
 use lumen6_report::{duration_human, pct, pkt_count, pkt_with_share, Table};
 use lumen6_trace::{time, SimTime, DAY_MS};
 use std::fmt::Write;
@@ -144,14 +144,9 @@ pub fn sensitivity(lab: &CdnLab) -> String {
             min_dsts,
             ..Default::default()
         };
-        let r = run_mode(
-            DetectMode::Sequential,
-            &lab.filtered,
-            &[AggLevel::L64],
-            config,
-        )
-        .remove(&AggLevel::L64)
-        .unwrap_or_default();
+        let r = run_mode(Backend::Sequential, &lab.filtered, &[AggLevel::L64], config)
+            .remove(&AggLevel::L64)
+            .unwrap_or_default();
         t.row(vec![
             label.into(),
             r.scans().to_string(),

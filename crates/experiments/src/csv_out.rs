@@ -1,19 +1,24 @@
 //! CSV export of the figure series — so the paper's plots can be
-//! regenerated with any plotting tool (`experiments --csv DIR ...`).
+//! regenerated with any plotting tool (`lumen6 experiments --csv DIR ...`).
 
+use crate::mawi_exp::{daily_scans, targets};
 use crate::{CdnLab, MawiLab};
 use lumen6_addr::HammingDistribution;
 use lumen6_analysis::{concentration, heatmap, portbuckets, series};
-use lumen6_detect::{AggLevel, MawiConfig as FhConfig, MawiDetector};
-use lumen6_mawi::split_days;
+use lumen6_detect::AggLevel;
 use lumen6_report::to_csv;
+use lumen6_serve::write_atomic;
 use lumen6_trace::SimTime;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::Path;
 
-fn write(dir: &Path, name: &str, content: &str) -> io::Result<()> {
+/// Publishes `dir/name` by rename, like every other output file — a reader
+/// never sees a torn CSV — and records it in `written`.
+fn write(dir: &Path, written: &mut Vec<String>, name: &str, content: &str) -> io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    std::fs::write(dir.join(name), content)
+    write_atomic(&dir.join(name), |file| file.write_all(content.as_bytes()))?;
+    written.push(name.into());
+    Ok(())
 }
 
 /// Writes every CDN figure series into `dir`.
@@ -38,10 +43,10 @@ pub fn export_cdn(lab: &CdnLab, dir: &Path) -> io::Result<Vec<String>> {
     }
     write(
         dir,
+        &mut written,
         "fig1_heatmap.csv",
         &to_csv(&["dsts_bin", "pkts_bin", "sources"], &rows),
     )?;
-    written.push("fig1_heatmap.csv".into());
 
     // fig2: weekly sources per aggregation.
     let mut per_level = Vec::new();
@@ -64,10 +69,10 @@ pub fn export_cdn(lab: &CdnLab, dir: &Path) -> io::Result<Vec<String>> {
         .collect();
     write(
         dir,
+        &mut written,
         "fig2_weekly_sources.csv",
         &to_csv(&["week", "s128", "s64", "s48"], &rows),
     )?;
-    written.push("fig2_weekly_sources.csv".into());
 
     // fig3: weekly packets and top-2 share.
     let shares = concentration::per_bucket_topk(
@@ -88,10 +93,10 @@ pub fn export_cdn(lab: &CdnLab, dir: &Path) -> io::Result<Vec<String>> {
         .collect();
     write(
         dir,
+        &mut written,
         "fig3_weekly_packets.csv",
         &to_csv(&["week", "packets", "top2_share"], &rows),
     )?;
-    written.push("fig3_weekly_packets.csv".into());
 
     // fig4 + fig8: port buckets per aggregation.
     let as18 = lab.as18_prefix();
@@ -115,10 +120,10 @@ pub fn export_cdn(lab: &CdnLab, dir: &Path) -> io::Result<Vec<String>> {
             .collect();
         write(
             dir,
+            &mut written,
             name,
             &to_csv(&["bucket", "scans", "sources", "packets"], &rows),
         )?;
-        written.push(name.into());
     }
     Ok(written)
 }
@@ -129,13 +134,10 @@ pub fn export_mawi(lab: &MawiLab, dir: &Path) -> io::Result<Vec<String>> {
     let (start, end) = (lab.world.config().start_day, lab.world.config().end_day);
 
     // fig5 + fig6: daily sources (both thresholds) and packets/top shares.
-    let strict = MawiDetector::new(FhConfig::paper(AggLevel::L64));
-    let loose = MawiDetector::new(FhConfig::loose(AggLevel::L64));
+    let loose = daily_scans(lab, AggLevel::L64, 5);
     let mut rows5 = Vec::new();
     let mut rows6 = Vec::new();
-    for (day, slice) in split_days(&lab.trace, start, end) {
-        let s = strict.detect(slice);
-        let l = loose.detect(slice);
+    for ((day, s), (_, l)) in daily_scans(lab, AggLevel::L64, 100).iter().zip(&loose) {
         rows5.push(vec![
             day.to_string(),
             s.len().to_string(),
@@ -161,52 +163,45 @@ pub fn export_mawi(lab: &MawiLab, dir: &Path) -> io::Result<Vec<String>> {
     }
     write(
         dir,
+        &mut written,
         "fig5_daily_sources.csv",
         &to_csv(&["day", "min100", "min5"], &rows5),
     )?;
-    written.push("fig5_daily_sources.csv".into());
     write(
         dir,
+        &mut written,
         "fig6_daily_share.csv",
         &to_csv(&["day", "packets", "top1", "top2", "top3"], &rows6),
     )?;
-    written.push("fig6_daily_share.csv".into());
 
     // fig7: Hamming weight histograms for the selected sources/days.
     let may27 = SimTime::from_date(2021, 5, 27).day_index();
     let dec24 = SimTime::from_date(2021, 12, 24).day_index();
     let jul6 = SimTime::from_date(2021, 7, 6).day_index();
     let mut rows = Vec::new();
-    let mut add = |label: &str, day: u64, pred: &dyn Fn(&lumen6_trace::PacketRecord) -> bool| {
+    let mut add = |label: &str, day: u64, from: &dyn Fn(u128) -> bool| {
         if !(start..end).contains(&day) {
             return;
         }
-        let (ws, we) = lumen6_mawi::capture_window(day);
-        let d = HammingDistribution::from_addrs(
-            lab.trace
-                .iter()
-                .filter(|r| r.ts_ms >= ws && r.ts_ms < we && pred(r))
-                .map(|r| r.dst),
-        );
+        let d = HammingDistribution::from_addrs(targets(lab, day, from));
         for (w, &c) in d.histogram().iter().enumerate() {
             if c > 0 {
                 rows.push(vec![label.to_string(), w.to_string(), c.to_string()]);
             }
         }
     };
-    let as1 = lab.world.as1_source;
-    add("as1_may27", may27, &|r| r.src == as1);
-    add("as1_may28", may27 + 1, &|r| r.src == as1);
-    add("as3_jul6", jul6, &|r| {
-        lab.world.jul6_prefix.contains_addr(r.src)
+    let (as1, dec_src) = (lab.world.as1_source, lab.world.dec24_source);
+    add("as1_may27", may27, &|s| s == as1);
+    add("as1_may28", may27 + 1, &|s| s == as1);
+    add("as3_jul6", jul6, &|s| {
+        lab.world.jul6_prefix.contains_addr(s)
     });
-    let dec_src = lab.world.dec24_source;
-    add("cloud_dec24", dec24, &|r| r.src == dec_src);
+    add("cloud_dec24", dec24, &|s| s == dec_src);
     write(
         dir,
+        &mut written,
         "fig7_hamming.csv",
         &to_csv(&["series", "weight", "count"], &rows),
     )?;
-    written.push("fig7_hamming.csv".into());
     Ok(written)
 }

@@ -2,8 +2,8 @@
 //! the simulated world.
 //!
 //! Each experiment is a function taking a prepared lab ([`CdnLab`] or
-//! [`MawiLab`]) and returning the rendered report text; the `experiments`
-//! binary dispatches on a subcommand. The per-experiment index lives in
+//! [`MawiLab`]) and returning the rendered report text; `lumen6
+//! experiments` dispatches on the names. The per-experiment index lives in
 //! DESIGN.md; measured-vs-paper numbers are recorded in EXPERIMENTS.md.
 
 #![forbid(unsafe_code)]
@@ -15,26 +15,23 @@ pub mod ext;
 pub mod mawi_exp;
 
 use lumen6_detect::{
-    observe_slice, AggLevel, ArtifactFilter, ArtifactFilterConfig, DetectorBuilder, FilterReport,
-    ScanDetectorConfig, ScanReport, Session, SessionConfig, SessionError, SessionOutcome,
-    DEFAULT_SESSION_BATCH,
+    observe_slice, AggLevel, ArtifactFilter, ArtifactFilterConfig, Backend, DetectorBuilder,
+    FilterReport, ScanDetectorConfig, ScanReport, Session, SessionConfig, SessionError,
+    SessionOutcome, DEFAULT_SESSION_BATCH,
 };
 use lumen6_mawi::{MawiConfig, MawiWorld};
 use lumen6_scanners::{scale_intensity, FleetConfig, World};
 use lumen6_trace::PacketRecord;
 use std::collections::BTreeMap;
 
-pub use lumen6_detect::parallel::ShardPlan;
+/// The levels a lab's reports cover: the paper's three, and /32 for the
+/// AS#18 analysis. Destination sets are kept only by a second /64 pass.
+const LEVELS: [AggLevel; 4] = [AggLevel::L128, AggLevel::L64, AggLevel::L48, AggLevel::L32];
 
-/// Which detection backend the labs run — the detect crate's execution
-/// [`Backend`](lumen6_detect::Backend), re-exported under the harness's
-/// historical name. Labs hand it straight to
-/// [`DetectorBuilder::build`](lumen6_detect::DetectorBuilder::build), the
+/// Reports over a resident slice, through [`DetectorBuilder::build`] — the
 /// single dispatch point shared with `lumen6 detect`.
-pub use lumen6_detect::Backend as DetectMode;
-
 fn run_mode(
-    mode: DetectMode,
+    mode: Backend,
     records: &[PacketRecord],
     levels: &[AggLevel],
     base: ScanDetectorConfig,
@@ -63,13 +60,13 @@ pub struct CdnLab {
 impl CdnLab {
     /// Builds the lab with the default (sharded) detection backend.
     pub fn build(config: FleetConfig) -> CdnLab {
-        CdnLab::build_with(config, DetectMode::default())
+        CdnLab::build_with(config, Backend::default())
     }
 
     /// Builds the lab: generates the trace, filters artifacts, runs
     /// detection at the paper's three levels plus /32 using the given
     /// backend. Sequential and sharded modes produce identical reports.
-    pub fn build_with(config: FleetConfig, mode: DetectMode) -> CdnLab {
+    pub fn build_with(config: FleetConfig, mode: Backend) -> CdnLab {
         let world = World::build(config);
         let trace = world.cdn_trace();
         // The A.1 duplicate threshold is a *volume-relative* cutoff ("the
@@ -88,16 +85,7 @@ impl CdnLab {
             ..Default::default()
         });
         let (filtered, filter_report) = prefilter.filter(&trace);
-        let levels = [AggLevel::L128, AggLevel::L64, AggLevel::L48, AggLevel::L32];
-        let mut reports = run_mode(
-            mode,
-            &filtered,
-            &levels,
-            ScanDetectorConfig {
-                keep_dsts: false,
-                ..Default::default()
-            },
-        );
+        let mut reports = run_mode(mode, &filtered, &LEVELS, ScanDetectorConfig::default());
         // Re-run /64 with destination retention (needed by `targets`/`a4`).
         let mut with_dsts = run_mode(
             mode,
@@ -125,36 +113,27 @@ impl CdnLab {
     /// The artifact prefilter and the destination-retaining /64 pass both
     /// need state proportional to the trace, so this constructor skips
     /// them: `trace` and `filtered` stay empty, `filter_report` is empty,
-    /// and `reports[L64]` carries no destination sets. Only experiments
-    /// that consume `reports` plus `world` metadata — `table1` and `fig2`
-    /// — are meaningful on a lab built this way.
+    /// and `reports[L64]` carries no destination sets. Only the
+    /// [`STREAM_SAFE`] experiments are meaningful on a lab built this way.
     pub fn from_trace_file(
         path: &std::path::Path,
         config: FleetConfig,
-        mode: DetectMode,
-    ) -> Result<CdnLab, lumen6_trace::CodecError> {
+        mode: Backend,
+    ) -> Result<CdnLab, SessionError> {
         let world = World::build(config);
-        let levels = [AggLevel::L128, AggLevel::L64, AggLevel::L48, AggLevel::L32];
-        let base = ScanDetectorConfig {
-            keep_dsts: false,
-            ..Default::default()
-        };
         let session = Session::new(
-            DetectorBuilder::new(base).levels(&levels),
+            DetectorBuilder::new(ScanDetectorConfig::default()).levels(&LEVELS),
             mode,
             SessionConfig {
                 strict: true,
                 ..Default::default()
             },
         );
-        let reports = match session.run(path) {
-            Ok(SessionOutcome::Finished(rep)) => rep.reports,
+        let reports = match session.run(path)? {
+            SessionOutcome::Finished(rep) => rep.reports,
             // No checkpoint policy is configured, so the session can only
             // finish or fail.
-            Ok(SessionOutcome::Stopped { .. }) => unreachable!("no checkpoint policy"),
-            Err(SessionError::Codec(e)) => return Err(e),
-            Err(SessionError::Io(e)) => return Err(lumen6_trace::CodecError::Io(e)),
-            Err(e) => return Err(lumen6_trace::CodecError::Io(std::io::Error::other(e))),
+            SessionOutcome::Stopped { .. } => unreachable!("no checkpoint policy"),
         };
         Ok(CdnLab {
             world,
@@ -162,14 +141,6 @@ impl CdnLab {
             filtered: Vec::new(),
             filter_report: FilterReport::default(),
             reports,
-        })
-    }
-
-    /// The default full-window lab.
-    pub fn full(seed: u64) -> CdnLab {
-        CdnLab::build(FleetConfig {
-            seed,
-            ..Default::default()
         })
     }
 
@@ -199,34 +170,15 @@ pub struct MawiLab {
     pub world: MawiWorld,
     /// The full link trace (windowed per day).
     pub trace: Vec<PacketRecord>,
-    /// Detection backend; when parallel, per-day detection fans out across
-    /// threads (days are independent).
-    pub mode: DetectMode,
 }
 
 impl MawiLab {
     /// Builds the MAWI lab, sharing scanner identities with a CDN fleet
     /// when given.
     pub fn build(config: MawiConfig, cdn: Option<&World>) -> MawiLab {
-        MawiLab::build_with(config, cdn, DetectMode::default())
-    }
-
-    /// Builds the MAWI lab with an explicit detection backend.
-    pub fn build_with(config: MawiConfig, cdn: Option<&World>, mode: DetectMode) -> MawiLab {
         let world = MawiWorld::build(config, cdn.map(|w| &*w.fleet));
         let trace = world.trace();
-        MawiLab { world, trace, mode }
-    }
-
-    /// The default full-window MAWI lab.
-    pub fn full(seed: u64, cdn: Option<&World>) -> MawiLab {
-        MawiLab::build(
-            MawiConfig {
-                seed,
-                ..Default::default()
-            },
-            cdn,
-        )
+        MawiLab { world, trace }
     }
 }
 
@@ -255,6 +207,10 @@ pub const CDN_EXPERIMENTS: &[&str] = &[
 
 /// All MAWI experiment names, in paper order.
 pub const MAWI_EXPERIMENTS: &[&str] = &["fig5", "fig6", "icmpv6", "fig7", "hitlist"];
+
+/// The CDN experiments that read only `reports` and `world` metadata, and
+/// so run on a lab streamed by [`CdnLab::from_trace_file`].
+pub const STREAM_SAFE: &[&str] = &["table1", "fig2"];
 
 /// Runs one CDN experiment by name.
 pub fn run_cdn(name: &str, lab: &CdnLab) -> Option<String> {

