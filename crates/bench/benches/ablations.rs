@@ -8,7 +8,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lumen6_bench::{detect_levels, CdnFixture};
 use lumen6_detect::adaptive::{AdaptiveConfig, AdaptiveIds};
-use lumen6_detect::{detector::detect, AggLevel, Backend, ScanDetectorConfig};
+use lumen6_detect::{detector::detect, AggLevel, ScanDetectorConfig};
 
 /// One pass maintaining all three levels vs three passes.
 fn multi_vs_single_pass(c: &mut Criterion) {
@@ -16,7 +16,7 @@ fn multi_vs_single_pass(c: &mut Criterion) {
     let mut g = c.benchmark_group("multilevel_ablation");
     g.sample_size(10);
     g.bench_function("single_pass_all_levels", |b| {
-        b.iter(|| detect_levels(Backend::Sequential, black_box(&fx.filtered)));
+        b.iter(|| detect_levels(black_box(&fx.filtered)));
     });
     g.bench_function("one_pass_per_level", |b| {
         b.iter(|| {

@@ -1,18 +1,14 @@
 //! Detection-pipeline benchmarks: Table 1 (per-level detection), the §2.2
-//! sensitivity sweep, the artifact prefilter, the MAWI detector, and the
-//! sharded-parallel comparison. Kernel-level and comparative only: pipeline
-//! throughput is measured end to end by `pipebench/` (BENCHMARK.json).
+//! sensitivity sweep, the artifact prefilter and the MAWI detector.
+//! Kernel-level and comparative only: pipeline throughput is measured end to
+//! end by `pipebench/` (BENCHMARK.json).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use lumen6_bench::{detect_levels, CdnFixture, MawiFixture};
-use lumen6_detect::parallel::ShardPlan;
+use lumen6_bench::{CdnFixture, MawiFixture};
 use lumen6_detect::{
-    detector::detect, AggLevel, ArtifactFilter, Backend, MawiConfig as FhConfig, MawiDetector,
+    detector::detect, AggLevel, ArtifactFilter, MawiConfig as FhConfig, MawiDetector,
     ScanDetectorConfig,
 };
-
-/// Shard counts the tentpole comparison sweeps.
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Table 1: full scan detection at each aggregation level.
 fn table1_detection(c: &mut Criterion) {
@@ -95,25 +91,6 @@ fn mawi_detection(c: &mut Criterion) {
     g.finish();
 }
 
-/// Tentpole comparison: sequential multi-level detection vs the sharded
-/// parallel pipeline at 1/2/4/8 shards on the same workload.
-fn sharded_vs_sequential(c: &mut Criterion) {
-    let fx = CdnFixture::new();
-    let mut g = c.benchmark_group("sharded_vs_sequential");
-    g.throughput(Throughput::Elements(fx.filtered.len() as u64));
-    g.sample_size(10);
-    g.bench_function("sequential_batched", |b| {
-        b.iter(|| detect_levels(Backend::Sequential, black_box(&fx.filtered)));
-    });
-    for shards in SHARD_COUNTS {
-        g.bench_with_input(BenchmarkId::new("sharded", shards), &shards, |b, &s| {
-            let backend = Backend::Sharded(ShardPlan::with_shards(s));
-            b.iter(|| detect_levels(backend, black_box(&fx.filtered)));
-        });
-    }
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     // Short windows keep the full suite to a few minutes; these are
@@ -125,7 +102,6 @@ criterion_group! {
     targets = table1_detection,
     sensitivity_sweep,
     a1_prefilter,
-    mawi_detection,
-    sharded_vs_sequential
+    mawi_detection
 }
 criterion_main!(benches);

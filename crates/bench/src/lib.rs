@@ -18,12 +18,12 @@ use std::collections::BTreeMap;
 pub const BATCH: usize = 8_192;
 
 /// The multi-level workload the pipeline benches run — the paper's three
-/// aggregation levels over a resident slice on `backend`, through the
-/// detect crate's slice driver.
-pub fn detect_levels(backend: Backend, records: &[PacketRecord]) -> BTreeMap<AggLevel, ScanReport> {
+/// aggregation levels over a resident slice on the caller's thread, through
+/// the detect crate's slice driver.
+pub fn detect_levels(records: &[PacketRecord]) -> BTreeMap<AggLevel, ScanReport> {
     let mut det = DetectorBuilder::new(ScanDetectorConfig::default())
         .levels(&AggLevel::PAPER_LEVELS)
-        .build(backend);
+        .build(Backend::Sequential);
     observe_slice(det.as_mut(), records, BATCH);
     det.finish()
 }

@@ -38,7 +38,7 @@ USAGE:
   lumen6 info --trace FILE
   lumen6 detect --trace FILE [--agg 128|64|48|32] [--min-dsts N]
                 [--timeout-secs N] [--prefilter] [--top N] [--json]
-                [--threads N] [--sequential] [--metrics-out FILE.json]
+                [--sequential] [--metrics-out FILE.json]
                 [--checkpoint FILE] [--checkpoint-every N] [--stop-after N]
                 [--watermark-secs N] [--strict] [--batch N]
                 [--sketch-precision P] [--flush-idle-secs N]
@@ -64,7 +64,7 @@ USAGE:
                 [--gen-threads N] [--kills N] [--kill-after-checkpoints N]
                 [--sample-ms N] [--max-rss-mb N] [--json]
                 [--agg 128|64|48|32] [--min-dsts N] [--timeout-secs N]
-                [--threads N] [--sequential] [--checkpoint-every N]
+                [--sequential] [--checkpoint-every N]
                 [--watermark-secs N] [--strict] [--batch N]
                 [--sketch-precision P] [--flush-idle-secs N]
                 (full-volume fused endurance run: a clean reference pass,
@@ -79,7 +79,7 @@ USAGE:
   lumen6 import --pcap FILE --out FILE       (pcap -> .l6tr)
   lumen6 export-pcap --trace FILE --out FILE (.l6tr -> pcap)
   lumen6 backscatter --trace FILE [--agg N] [--min-queriers N]
-  lumen6 experiments [--small] [--seed N] [--threads N] [--sequential]
+  lumen6 experiments [--small] [--seed N] [--sequential]
                 [--trace FILE] [--csv DIR] [--metrics-out FILE.json] NAME...|all
                 (regenerate the paper's tables and figures, EXPERIMENTS.md
                  names them; progress goes to stderr. --trace FILE streams a
@@ -326,8 +326,8 @@ fn info<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
 /// at any point; the paper-scale path).
 ///
 /// All backends dispatch through one [`DetectorBuilder`] code path: the
-/// sharded parallel pipeline by default (`--threads N` to pin the shard
-/// count), the single-threaded reference detector with `--sequential`.
+/// detector on a worker thread by default, on the ingesting thread with
+/// `--sequential`.
 /// Without `--prefilter` the input is streamed through a fault-tolerant
 /// [`lumen6_detect::Session`] in bounded memory — checkpoint/resume with
 /// `--checkpoint FILE` (fused runs resume by deterministic regeneration),
@@ -924,7 +924,8 @@ mod tests {
     /// Every `RunConfig` key, through the one table: its TOML and flag
     /// spellings agree, the flag overrides a file, it survives a serialize
     /// round trip, and `detect --help` lists it — with a value exactly when
-    /// its field takes one.
+    /// its field takes one — except the retired `threads`, which no usage
+    /// lists.
     #[test]
     fn every_run_key_reads_alike_from_file_and_flag() {
         let help = usage_of("detect");
@@ -951,7 +952,6 @@ mod tests {
                 "intensity" => ("2.5", Some("2.5")),
                 _ => (toml, text),
             };
-            assert_eq!(takes_value(&flag), text.is_some(), "USAGE and --{flag}");
             let flags = [(flag.clone(), text.map(str::to_string))];
             let from_file = file(toml).unwrap();
             let mut from_flag = RunConfig::from_toml_str(beside).unwrap();
@@ -969,6 +969,11 @@ mod tests {
             let back: RunConfig = serde_json::from_str(&json).unwrap();
             assert_eq!(back, from_file, "{name}");
 
+            if name == "threads" {
+                assert!(!lists(USAGE, &flag), "USAGE lists the retired --{flag}");
+                continue;
+            }
+            assert_eq!(takes_value(&flag), text.is_some(), "USAGE and --{flag}");
             assert!(lists(&help, &flag), "detect --help lacks --{flag}");
             let argv = [vec!["detect".to_string()], from_file.to_flags().unwrap()].concat();
             let args = Args::parse(argv).unwrap();
@@ -1034,6 +1039,13 @@ mod tests {
             (&["soak", "--out", "d", "--stop-after", "1"], "--stop-after"),
             (&["info", "--trace", "x.l6tr", "--json"], "--json"),
             (&["experiments", "--seqential", "table1"], "--seqential"),
+            // `--threads N` pinned a shard count; there is one worker now.
+            (
+                &["detect", "--trace", "x.l6tr", "--threads", "2"],
+                "--threads",
+            ),
+            (&["soak", "--out", "d", "--threads", "2"], "--threads"),
+            (&["experiments", "--threads", "2", "all"], "--threads"),
             // A key the run would clamp or ignore is refused by name.
             (
                 &["detect", "--trace", "x.l6tr", "--agg", "200"],
@@ -1221,12 +1233,12 @@ mod tests {
         // `--metrics-out` prints and writes the run's delta, as `detect` does.
         let metrics = std::env::temp_dir().join(format!("lumen6-cli-exp-{}", std::process::id()));
         let m = metrics.to_str().unwrap();
-        let par = ["experiments", "--small", "--threads", "2", "table1", "fig5"];
-        let (par, res) = run_cli(&[&par[..], &["--metrics-out", m]].concat());
+        let threaded = ["experiments", "--small", "table1", "fig5"];
+        let (threaded, res) = run_cli(&[&threaded[..], &["--metrics-out", m]].concat());
         res.unwrap();
-        let table = par
+        let table = threaded
             .strip_prefix(&seq)
-            .expect("--threads 2 differs from --sequential");
+            .expect("the default backend differs from --sequential");
         assert!(table.starts_with(&format!("metrics -> {m}\n")), "{table}");
         let snap: lumen6_obs::MetricsSnapshot =
             serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
@@ -1340,6 +1352,13 @@ mod tests {
             panic!("expected usage error, got {res:?}");
         };
         assert!(msg.contains("no ingest source"), "{msg}");
+        // A tenant that still pins a shard count is refused by the key.
+        std::fs::write(&manifest, "[tenants.par]\nfused = true\nthreads = 2\n").unwrap();
+        let (_, res) = run_cli(&["serve", "--config", manifest.to_str().unwrap()]);
+        let Err(CliError::Usage(msg)) = res else {
+            panic!("expected usage error, got {res:?}");
+        };
+        assert!(msg.contains("par") && msg.contains("threads = 2"), "{msg}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1373,8 +1392,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_detect_matches_sequential() {
-        let dir = std::env::temp_dir().join(format!("lumen6-cli-shard-{}", std::process::id()));
+    fn threaded_detect_matches_sequential() {
+        let dir = std::env::temp_dir().join(format!("lumen6-cli-thread-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.l6tr");
         let p = path.to_str().unwrap();
@@ -1386,26 +1405,9 @@ mod tests {
 
         let (seq, res) = run_cli(&["detect", "--trace", p, "--min-dsts", "50", "--sequential"]);
         res.unwrap();
-        for threads in ["1", "2", "4"] {
-            let (par, res) = run_cli(&[
-                "detect",
-                "--trace",
-                p,
-                "--min-dsts",
-                "50",
-                "--threads",
-                threads,
-            ]);
-            res.unwrap();
-            assert_eq!(
-                par, seq,
-                "--threads {threads} output differs from --sequential"
-            );
-        }
-        // Default (auto thread count) also matches.
-        let (auto, res) = run_cli(&["detect", "--trace", p, "--min-dsts", "50"]);
+        let (threaded, res) = run_cli(&["detect", "--trace", p, "--min-dsts", "50"]);
         res.unwrap();
-        assert_eq!(auto, seq);
+        assert_eq!(threaded, seq);
         std::fs::remove_dir_all(&dir).ok();
     }
 

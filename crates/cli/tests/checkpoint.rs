@@ -98,14 +98,13 @@ fn kill_and_resume_is_byte_identical() {
     // Resuming across a backend switch also matches.
     let ck_seq = dir.join("seq.l6ck");
     let cs = ck_seq.to_str().unwrap();
-    let stopped_par = lumen6(&detect_args(
-        t,
-        cs,
-        &["--stop-after", "1", "--threads", "2"],
-    ));
-    assert_eq!(stopped_par.status.code(), Some(3));
+    let stopped = lumen6(&detect_args(t, cs, &["--stop-after", "1"]));
+    assert_eq!(stopped.status.code(), Some(3));
     let resumed_seq = stdout_of(&lumen6(&detect_args(t, cs, &["--sequential"])));
-    assert_eq!(resumed_seq, reference, "sharded->sequential resume differs");
+    assert_eq!(
+        resumed_seq, reference,
+        "threaded->sequential resume differs"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -124,7 +123,7 @@ fn a_checkpoint_cut_without_retirement_resumes_under_the_default() {
         let mut args = vec![
             "detect", "--fused", "--small", "--days", "60", "--seed", "7",
         ];
-        args.extend(["--threads", "2", "--checkpoint", ck.to_str().unwrap()]);
+        args.extend(["--checkpoint", ck.to_str().unwrap()]);
         args.extend(["--checkpoint-every", "150000"]);
         args.extend_from_slice(extra);
         lumen6(&args)

@@ -1,19 +1,13 @@
 //! Shared column kernels for the batched detection paths.
 //!
-//! Every level of the sequential grouped path
+//! Every level of the grouped path
 //! ([`MultiLevelDetector::observe_batch`](crate::multi::MultiLevelDetector::observe_batch))
-//! and the sharded router
-//! ([`ShardedDetector::observe_batch`](crate::ShardedDetector::observe_batch))
-//! start from questions about whole columns of a
-//! [`RecordBatch`] — *which records repeat their
-//! predecessor?* ([`run_index`], once per batch) and *which shard owns each
-//! row's source?* ([`route_column`]) — answered here in one tight pass per
-//! batch, not row by row behind a `PacketRecord` gather. The kernels write
-//! into caller-owned scratch vectors that are cleared and refilled, never
-//! reallocated in steady state.
+//! starts from questions about whole columns of a [`RecordBatch`] — *which
+//! records repeat their predecessor?* ([`run_index`], once per batch) —
+//! answered here in one tight pass per batch, not row by row behind a
+//! `PacketRecord` gather. The kernels write into caller-owned scratch
+//! vectors that are cleared and refilled, never reallocated in steady state.
 
-use crate::aggregate::AggLevel;
-use lumen6_addr::cast::{high64, low64};
 use lumen6_trace::RecordBatch;
 
 /// The network mask for a prefix length: the top `len` bits set.
@@ -58,50 +52,6 @@ pub fn run_index(batch: &RecordBatch, out: &mut Vec<(u32, u32)>) {
             }
         }
         out.push((i as u32, count));
-    }
-}
-
-/// Seed-free 64-bit mixer (SplitMix64 finalizer). Shard routing must be
-/// deterministic across runs, so no `RandomState`.
-#[inline]
-#[must_use]
-pub fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// The shard owning `src` when routing on `coarsest` across `shards`
-/// workers. Shared by the live router, the column kernel below, and
-/// snapshot restore, so a checkpoint re-partitions exactly as the stream
-/// routes.
-#[inline]
-#[must_use]
-pub fn route(coarsest: AggLevel, shards: usize, src: u128) -> usize {
-    let bits = src & level_mask(coarsest.len());
-    let h = mix64(high64(bits) ^ low64(bits).rotate_left(32) ^ u64::from(coarsest.len()));
-    (h % shards.max(1) as u64) as usize
-}
-
-/// Computes the owning shard for every row of a source column:
-/// `out[i] = route(coarsest, shards, src[i])`. A last-source memo skips the
-/// mask-and-hash for consecutive same-source rows — the dominant shape of
-/// bursty scan traffic — making the pass one compare per row in the best
-/// case. `out` is cleared first and reused across batches.
-pub fn route_column(src: &[u128], coarsest: AggLevel, shards: usize, out: &mut Vec<u32>) {
-    out.clear();
-    out.reserve(src.len());
-    let mut last: Option<(u128, u32)> = None;
-    for &s in src {
-        let sh = match last {
-            Some((p, sh)) if p == s => sh,
-            _ => {
-                let sh = route(coarsest, shards, s) as u32;
-                last = Some((s, sh));
-                sh
-            }
-        };
-        out.push(sh);
     }
 }
 
@@ -162,39 +112,5 @@ mod tests {
         huge.push_n(row(0), u32::MAX as usize + 7);
         run_index(&huge, &mut a);
         assert_eq!(a, [(0, u32::MAX), (1, 7)]);
-    }
-
-    #[test]
-    fn route_column_matches_scalar_route() {
-        let srcs: Vec<u128> = (0..500u128)
-            .map(|i| ((i % 13) << 64) | (i * 0x9e37))
-            .collect();
-        let mut out = Vec::new();
-        for shards in [1usize, 2, 4, 7] {
-            route_column(&srcs, AggLevel::L48, shards, &mut out);
-            assert_eq!(out.len(), srcs.len());
-            for (i, &s) in srcs.iter().enumerate() {
-                assert_eq!(out[i] as usize, route(AggLevel::L48, shards, s));
-                assert!((out[i] as usize) < shards);
-            }
-        }
-    }
-
-    #[test]
-    fn route_is_level_consistent() {
-        // Sources equal at the coarsest level route identically regardless
-        // of finer bits — the invariant that lets one shard own all levels'
-        // state for a source.
-        let base: u128 = 0x2001_0db8_0001_0000 << 64;
-        for host in 0..1_000u128 {
-            assert_eq!(
-                route(AggLevel::L48, 7, base | host),
-                route(AggLevel::L48, 7, base),
-            );
-            assert_eq!(
-                route(AggLevel::L48, 7, base | (host << 64)),
-                route(AggLevel::L48, 7, base),
-            );
-        }
     }
 }

@@ -24,9 +24,9 @@
 //!   a packet-length entropy criterion, merged per source.
 //! - [`multi`]: one-pass simultaneous detection at several aggregation
 //!   levels (an IDS cannot afford one trace pass per level).
-//! - [`parallel`]: the sharded parallel pipeline — partitions the stream by
-//!   the coarsest configured source prefix across worker threads and merges
-//!   deterministically, producing output identical to [`multi`].
+//! - [`parallel`]: the threaded pipeline — one [`multi`] detector on a
+//!   worker thread behind a bounded batch channel, so ingest overlaps
+//!   detection; its output is identical to [`multi`]'s.
 //! - [`adaptive`]: the adaptive-aggregation IDS sketched in the paper's
 //!   discussion (§5): start non-aggregated, promote to coarser prefixes when
 //!   sibling density indicates a spread source, and report the collateral
@@ -65,7 +65,7 @@ pub use fingerprint::Fingerprint;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use ids::{Ids, IdsAction, IdsConfig};
 pub use mawi::{MawiConfig, MawiDetector, MawiScan};
-pub use parallel::{ShardPlan, ShardedDetector};
+pub use parallel::ThreadedDetector;
 pub use portclass::{classify_ports, PortClass};
 pub use prefilter::{ArtifactFilter, ArtifactFilterConfig, FilterReport};
 pub use session::{
@@ -84,7 +84,7 @@ pub mod prelude {
     pub use crate::detector::{ScanDetector, ScanDetectorConfig};
     pub use crate::event::{ScanEvent, ScanReport};
     pub use crate::multi::MultiLevelDetector;
-    pub use crate::parallel::{ShardPlan, ShardedDetector};
+    pub use crate::parallel::ThreadedDetector;
     pub use crate::session::{
         observe_slice, Backend, Checkpoint, CheckpointPolicy, Detect, DetectorBuilder,
         ReorderBuffer, Session, SessionConfig, SessionError, SessionOutcome, SessionReport, Step,

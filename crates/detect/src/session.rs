@@ -31,20 +31,20 @@
 //! the pieces. Nothing is held between steps, so a checkpoint or report
 //! taken after any step covers every record pulled so far.
 //!
-//! The two detector backends — [`MultiLevelDetector`] and the sharded
+//! The two detector backends — [`MultiLevelDetector`] and the threaded
 //! pipeline — implement [`Detect`], so the CLI, the daemon and the
 //! experiment harness dispatch through one code path chosen by
 //! [`DetectorBuilder`]. Snapshots use one uniform, canonically ordered
-//! per-level format: a sharded and a sequential run at the same stream
-//! position write the same checkpoint bytes, a checkpoint written by either
-//! restores into the other, and the shard count may change across a resume.
+//! per-level format: a threaded and a sequential run at the same stream
+//! position write the same checkpoint bytes, and a checkpoint written by
+//! either restores into the other.
 
 use crate::aggregate::AggLevel;
 use crate::checkpoint_codec;
 use crate::detector::{DetectorMemory, ScanDetectorConfig};
 use crate::event::ScanReport;
 use crate::multi::MultiLevelDetector;
-use crate::parallel::{ShardPlan, ShardedDetector};
+use crate::parallel::ThreadedDetector;
 use crate::snapshot::{DetectorSnapshot, LevelState, SnapshotError};
 use lumen6_obs::{Counter, Histogram, MetricsRegistry, StageTimer};
 use lumen6_trace::{
@@ -64,8 +64,8 @@ use std::path::{Path, PathBuf};
 
 /// The unified push interface over all detector backends.
 ///
-/// `observe_batch` returns nothing: the sharded backend processes packets
-/// on worker threads and cannot return closed events synchronously, so every
+/// `observe_batch` returns nothing: the threaded backend processes packets
+/// on a worker thread and cannot return closed events synchronously, so every
 /// implementation accumulates mid-stream events internally and reports them
 /// from [`finish`].
 ///
@@ -89,8 +89,9 @@ pub trait Detect: Send {
     fn levels(&self) -> Vec<AggLevel>;
 
     /// The complete serializable per-level state (see
-    /// [`LevelState`]). `&mut` because the sharded backend must quiesce its
-    /// workers to collect it; sequential backends do not mutate.
+    /// [`LevelState`]). `&mut` because the threaded backend must ship what
+    /// it staged to its worker to collect it; the sequential one does not
+    /// mutate.
     fn state(&mut self) -> Vec<LevelState>;
 
     /// A versioned [`DetectorSnapshot`] wrapping [`state`](Detect::state).
@@ -129,29 +130,29 @@ impl Detect for MultiLevelDetector {
     }
 }
 
-impl Detect for ShardedDetector {
+impl Detect for ThreadedDetector {
     fn observe_batch(&mut self, batch: &RecordBatch) {
-        ShardedDetector::observe_batch(self, batch);
+        ThreadedDetector::observe_batch(self, batch);
     }
 
     fn flush_idle(&mut self, now_ms: u64) {
-        ShardedDetector::flush_idle(self, now_ms);
+        ThreadedDetector::flush_idle(self, now_ms);
     }
 
     fn observed(&self) -> u64 {
-        ShardedDetector::observed(self)
+        ThreadedDetector::observed(self)
     }
 
     fn levels(&self) -> Vec<AggLevel> {
-        ShardedDetector::levels(self).to_vec()
+        ThreadedDetector::levels(self).to_vec()
     }
 
     fn state(&mut self) -> Vec<LevelState> {
-        ShardedDetector::state(self)
+        ThreadedDetector::state(self)
     }
 
     fn finish(self: Box<Self>) -> BTreeMap<AggLevel, ScanReport> {
-        ShardedDetector::finish(*self)
+        ThreadedDetector::finish(*self)
     }
 }
 
@@ -162,40 +163,20 @@ impl Detect for ShardedDetector {
 /// Which execution backend a [`DetectorBuilder`] realizes a detector on.
 ///
 /// The backend is orthogonal to *what* is detected (configuration and
-/// aggregation levels live on the builder): the sequential and sharded
+/// aggregation levels live on the builder): the sequential and threaded
 /// pipelines produce identical reports and interchangeable snapshots, so
 /// the choice is purely an execution-resource decision and is made at
 /// [`build`](DetectorBuilder::build) /
 /// [`restore`](DetectorBuilder::restore) time — including across a resume,
 /// where the checkpoint may have been written by the other backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Backend {
-    /// The single-threaded pipeline: one [`MultiLevelDetector`].
+    /// One [`MultiLevelDetector`] on the caller's thread.
     Sequential,
-    /// The sharded parallel pipeline (identical output, see
-    /// [`crate::parallel`]).
-    Sharded(ShardPlan),
-}
-
-impl Default for Backend {
-    fn default() -> Self {
-        Backend::Sharded(ShardPlan::default())
-    }
-}
-
-impl Backend {
-    /// Resolves the CLI escape hatches: `sequential` wins, an explicit
-    /// `threads = N` pins the shard count, otherwise one shard per core.
-    pub fn from_flags(threads: Option<usize>, sequential: bool) -> Self {
-        if sequential {
-            Backend::Sequential
-        } else {
-            match threads {
-                Some(n) if n > 0 => Backend::Sharded(ShardPlan::with_shards(n)),
-                _ => Backend::default(),
-            }
-        }
-    }
+    /// The same detector on a worker thread, fed through a bounded batch
+    /// channel (identical output, see [`crate::parallel`]).
+    #[default]
+    Threaded,
 }
 
 /// Chooses and constructs a detector backend behind the [`Detect`] trait —
@@ -241,25 +222,20 @@ impl DetectorBuilder {
         self
     }
 
-    /// Constructs a fresh detector on the given backend: the sharded
-    /// pipeline when `backend` carries a plan, a [`MultiLevelDetector`]
-    /// (over however many levels, one included) otherwise.
+    /// Constructs a fresh [`MultiLevelDetector`] (over however many
+    /// levels, one included) on the given backend.
     pub fn build(&self, backend: Backend) -> Box<dyn Detect> {
+        let (levels, base) = (&self.levels, self.base.clone());
         match backend {
-            Backend::Sharded(plan) => {
-                Box::new(ShardedDetector::new(&self.levels, self.base.clone(), plan))
-            }
-            Backend::Sequential => {
-                Box::new(MultiLevelDetector::new(&self.levels, self.base.clone()))
-            }
+            Backend::Threaded => Box::new(ThreadedDetector::new(levels, base)),
+            Backend::Sequential => Box::new(MultiLevelDetector::new(levels, base)),
         }
     }
 
     /// Reconstructs a detector from a snapshot on the given backend. The
     /// snapshot's embedded per-level configurations are authoritative
     /// (they were validated at checkpoint time); only the backend choice
-    /// (sequential vs sharded, and the shard plan) applies, which is what
-    /// makes a checkpoint portable across backends and shard counts.
+    /// applies, which is what makes a checkpoint portable across backends.
     pub fn restore(
         &self,
         backend: Backend,
@@ -270,9 +246,7 @@ impl DetectorBuilder {
             return Err(SnapshotError("snapshot has no levels".into()));
         }
         Ok(match backend {
-            Backend::Sharded(plan) => {
-                Box::new(ShardedDetector::from_state(&snapshot.levels, plan)?)
-            }
+            Backend::Threaded => Box::new(ThreadedDetector::from_state(&snapshot.levels)),
             Backend::Sequential => Box::new(MultiLevelDetector::from_state(&snapshot.levels)),
         })
     }
@@ -851,8 +825,8 @@ fn feed<D: Detect + ?Sized>(
 /// it in row order: for each `(row, now_ms)` the rows before `row` are
 /// observed first, then `flush_idle(now_ms)` runs and the row opens the next
 /// piece. The one statement of the cut: a session applies it to what it
-/// pulled ([`idle_flushes_due`]), a shard worker to the sub-batch the marks
-/// rode in with. A batch without marks is observed as it is.
+/// pulled ([`idle_flushes_due`]), the threaded worker to the batch the
+/// marks rode in with. A batch without marks is observed as it is.
 pub(crate) fn observe_cut_at<D: Detect + ?Sized>(
     det: &mut D,
     batch: &RecordBatch,
@@ -1271,9 +1245,11 @@ impl Session {
     /// A point-in-time [`SessionReport`] *without* ending the session —
     /// the daemon's periodic per-tenant publication. Implemented by
     /// snapshotting the live detector, restoring the snapshot into a
-    /// throwaway clone, feeding it the records still in the reorder heap,
-    /// and finishing the clone; the live pipeline is untouched, so the
-    /// next checkpoint stays byte-identical to an unpublished run.
+    /// throwaway sequential clone (a clone finished at once has nothing to
+    /// overlap, so it spawns no thread on any backend), feeding it the
+    /// records still in the reorder heap, and finishing the clone; the live
+    /// pipeline is untouched, so the next checkpoint stays byte-identical
+    /// to an unpublished run.
     pub fn report_now(&mut self) -> Result<SessionReport, SessionError> {
         self.ensure_state()?;
         let Some(st) = self.state.as_mut() else {
@@ -1282,7 +1258,7 @@ impl Session {
         let snap = st.det.snapshot();
         let mut clone = self
             .builder
-            .restore(self.backend, &snap)
+            .restore(Backend::Sequential, &snap)
             .map_err(SessionError::Snapshot)?;
         clone.observe_batch(&st.reorder.state().entries.into_iter().collect());
         let reports = clone.finish();

@@ -4,23 +4,23 @@
 //! survive restarts without losing the open per-source activity runs, or
 //! every crash silently truncates scans in progress. This module defines a
 //! *uniform* state representation — [`DetectorSnapshot`], a set of
-//! per-aggregation-level [`LevelState`]s — that all three detector backends
+//! per-aggregation-level [`LevelState`]s — that every detector
 //! ([`ScanDetector`](crate::ScanDetector),
 //! [`MultiLevelDetector`](crate::multi::MultiLevelDetector), and the
-//! sharded pipeline) can produce and restore from. Because the format is
-//! backend-agnostic, a checkpoint taken from a sharded run can be resumed
-//! sequentially and vice versa, and the shard count may change across a
-//! resume: runs are re-partitioned by the deterministic routing hash at
-//! restore time.
+//! threaded pipeline) can produce and restore from. Because the format is
+//! backend-agnostic, a checkpoint taken from a threaded run can be resumed
+//! sequentially and vice versa — checkpoints written by the sharded
+//! pipeline of earlier builds included, since they hold the same uniform
+//! form.
 //!
 //! Determinism: everything order-sensitive is sorted before serialization
 //! (run lists by source, destination sets ascending, `pending` events by
 //! `(start_ms, source)`), so two snapshots of equal logical state serialize
-//! identically even though the live detectors use hash maps internally,
-//! close events in arrival order and, sharded, hold them per shard: a
-//! sequential and a sharded run at one stream position write the same
-//! checkpoint bytes ([`crate::checkpoint_codec`]; the serde derives here
-//! remain for version-1 JSON checkpoints and the analyzer's L004).
+//! identically even though the live detectors use hash maps internally and
+//! close events in arrival order: a sequential and a threaded run at one
+//! stream position write the same checkpoint bytes
+//! ([`crate::checkpoint_codec`]; the serde derives here remain for
+//! version-1 JSON checkpoints and the analyzer's L004).
 
 use crate::aggregate::AggLevel;
 use crate::detector::{DetectorMemory, ScanDetectorConfig};
@@ -94,26 +94,9 @@ pub struct LevelState {
 }
 
 impl LevelState {
-    /// Merges another shard's state at the same level into this one.
-    /// Sources are disjoint across shards, so runs concatenate; counters
-    /// add. Used by the sharded pipeline to produce one uniform state.
-    pub fn merge(&mut self, other: LevelState) -> Result<(), SnapshotError> {
-        if self.config != other.config {
-            return Err(SnapshotError(format!(
-                "cannot merge level states with differing configs (level {})",
-                self.config.agg
-            )));
-        }
-        self.observed += other.observed;
-        self.runs_opened += other.runs_opened;
-        self.runs.extend(other.runs);
-        self.pending.extend(other.pending);
-        Ok(())
-    }
-
     /// Sorts runs by source and pending events by `(start_ms, source)` —
     /// the key `finish` sorts reports by, so reports cannot move — making
-    /// the serialized form independent of shard scheduling and backend.
+    /// the serialized form independent of hash-map order and backend.
     pub fn normalize(&mut self) {
         self.runs.sort_by_key(|r| r.source);
         self.pending.sort_by_key(|e| (e.start_ms, e.source));

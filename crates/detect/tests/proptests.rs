@@ -106,9 +106,8 @@ fn cfg(min_dsts: u64, timeout_ms: u64) -> ScanDetectorConfig {
 }
 
 /// Interleaves records one-per-source while preserving each source's own
-/// order — consecutive rows almost always route to *different* shards,
-/// defeating the columnar router's last-source memo and maximally
-/// fragmenting the per-shard staging buffers.
+/// order — consecutive rows almost always belong to *different* sources,
+/// defeating the grouped path's last-source memo.
 fn round_robin_by_source(recs: &[PacketRecord]) -> Vec<PacketRecord> {
     let mut groups: Vec<(u128, std::collections::VecDeque<PacketRecord>)> = Vec::new();
     for r in recs {
@@ -128,14 +127,12 @@ fn round_robin_by_source(recs: &[PacketRecord]) -> Vec<PacketRecord> {
     out
 }
 
-/// The three adversarial arrival orders the batch-routed sharded
-/// differential tests sweep. Each preserves every source's internal time
-/// order (what detection state depends on) while stressing a different
-/// router behavior.
+/// The three adversarial arrival orders the backend differential tests
+/// sweep. Each preserves every source's internal time order (what
+/// detection state depends on) while stressing a different grouping shape.
 fn apply_ordering(recs: &[PacketRecord], ordering: usize) -> Vec<PacketRecord> {
     match ordering {
-        // Every row shares one source: all sub-batches land on one shard
-        // and the other shards only ever see flush/finish control messages.
+        // Every row shares one source: one run state takes every row.
         0 => recs
             .iter()
             .map(|r| PacketRecord {
@@ -145,9 +142,8 @@ fn apply_ordering(recs: &[PacketRecord], ordering: usize) -> Vec<PacketRecord> {
             .collect(),
         // Round-robin across sources: worst case for the routing memo.
         1 => round_robin_by_source(recs),
-        // Stable-sorted by source: the stream arrives source-clustered, so
-        // each flush window routes long runs to a single shard (worst-case
-        // imbalance within a window).
+        // Stable-sorted by source: the stream arrives source-clustered, in
+        // long same-source stretches that batches cut anywhere.
         _ => {
             let mut v = recs.to_vec();
             v.sort_by_key(|r| r.src);
@@ -159,9 +155,8 @@ fn apply_ordering(recs: &[PacketRecord], ordering: usize) -> Vec<PacketRecord> {
 /// Six sources in six /64s each scan six destinations, fall silent for
 /// longer than the 20 s timeout the checkpoint tests run under, and then
 /// send one more packet — in the *reverse* of the order they started in. By
-/// the last record every level has closed six scans mid-stream: a sequential
-/// detector in closing order (5 … 0), a sharded one shard by shard, and the
-/// canonical `(start_ms, source)` order is neither.
+/// the last record every level has closed six scans mid-stream, in closing
+/// order (5 … 0), which the canonical `(start_ms, source)` order is not.
 fn closed_scans_preamble() -> Vec<PacketRecord> {
     let src = |k: u64| (u128::from(100 + k) << 64) | 1;
     let mut recs = Vec::new();
@@ -530,12 +525,12 @@ proptest! {
     }
 }
 
-// The grid tests below sweep 16 shard×batch combinations (and a
+// The grid tests below sweep 16 backend×batch×feed combinations (and a
 // three-session checkpoint round-trip) *inside* each case, so each case
 // covers far more executions than a single property run suggests.
 proptest! {
     /// Backend identity, as a grid over the one slice driver: sequential
-    /// and sharded {1,2,4,8} × batch {1,7,4096,8192}, under all three
+    /// and threaded × batch {1,7,4096,8192}, under all three
     /// adversarial arrival orders, agree on the mid-stream state, the
     /// final state and the reports — three levels with destination
     /// retention, and one level with sketched counters — on rows that
@@ -545,14 +540,14 @@ proptest! {
     /// reports are in turn held to the per-record reference, level by level.
     ///
     /// States are compared raw: `state()` is canonical on every backend —
-    /// `pending` events included, which the sequential detector closes in
-    /// arrival order and the sharded one holds per shard.
+    /// `pending` events included, which the detector closes in arrival
+    /// order.
     #[test]
     fn backend_grid_matches_sequential(
         recs in arb_workload_with_runs(),
         ordering in 0usize..3,
     ) {
-        use lumen6_detect::{observe_slice, Backend, DetectorBuilder, Detect, ShardPlan};
+        use lumen6_detect::{observe_slice, Backend, DetectorBuilder, Detect};
 
         // `observe_slice` with each batch's repeats folded into counts.
         fn observe_counted(det: &mut dyn Detect, recs: &[PacketRecord], batch: usize) {
@@ -565,12 +560,7 @@ proptest! {
         for (base, levels) in [(cfg(3, 20_000), &paper[..]), (sketched, &[AggLevel::L64][..])] {
             let builder = DetectorBuilder::new(base.clone()).levels(levels);
             let mut expect = None;
-            let backends = std::iter::once(Backend::Sequential).chain(
-                [1usize, 2, 4, 8].map(|shards| {
-                    Backend::Sharded(ShardPlan { shards, batch: 7, depth: 2 })
-                }),
-            );
-            for backend in backends {
+            for backend in [Backend::Sequential, Backend::Threaded] {
                 type Feed = fn(&mut dyn Detect, &[PacketRecord], usize);
                 let feeds: [Feed; 2] = [observe_slice, observe_counted];
                 for (batch, observe) in [1usize, 7, 4096, 8192]
@@ -581,6 +571,7 @@ proptest! {
                     observe(det.as_mut(), &recs[..half], batch);
                     let mid = det.state();
                     observe(det.as_mut(), &recs[half..], batch);
+                    prop_assert_eq!(det.observed(), recs.len() as u64, "{:?}", backend);
                     let got = (mid, det.state(), det.finish());
                     let expect = expect.get_or_insert_with(|| got.clone());
                     prop_assert_eq!(
@@ -609,10 +600,10 @@ proptest! {
         every in 10u64..120,
         flush_idle_every_ms in prop_oneof![Just(0u64), 1_000u64..400_000],
         watermark_ms in prop_oneof![Just(0u64), 1_000u64..50_000],
-        shards in 0usize..4,
+        threaded in any::<bool>(),
     ) {
         use lumen6_detect::{
-            Backend, CheckpointPolicy, DetectorBuilder, Session, SessionConfig, ShardPlan, Step,
+            Backend, CheckpointPolicy, DetectorBuilder, Session, SessionConfig, Step,
         };
         use lumen6_trace::MaterializedSource;
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -629,10 +620,7 @@ proptest! {
             0 => recs,
             w => jittered_arrival(&recs, every, w),
         };
-        let backend = match shards {
-            0 => Backend::Sequential,
-            n => Backend::Sharded(ShardPlan { shards: n, batch: 17, depth: 2 }),
-        };
+        let backend = if threaded { Backend::Threaded } else { Backend::Sequential };
 
         let mut runs = Vec::new();
         for b in [1usize, batch] {
@@ -667,28 +655,25 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A checkpoint written by a sharded session is byte-identical to one
+    /// A checkpoint written by a threaded session is byte-identical to one
     /// written by a sequential session at the same stream position — under
-    /// any shard count, sub-batch size, and adversarial arrival order —
-    /// and resuming the sharded session reproduces the uninterrupted
-    /// sequential report exactly.
+    /// any pull size and adversarial arrival order — and resuming the
+    /// threaded session reproduces the uninterrupted sequential report
+    /// exactly.
     ///
     /// Every workload opens with [`closed_scans_preamble`], so at the cut
-    /// each level holds six closed, unreported events spread over whatever
-    /// shards there are, closed in the reverse of their canonical order:
-    /// the case the byte equality used to fail on, which a random workload
-    /// almost never draws.
+    /// each level holds six closed, unreported events, closed in the
+    /// reverse of their canonical order: the case the byte equality used
+    /// to fail on, which a random workload almost never draws.
     #[test]
-    fn sharded_checkpoint_bytes_match_sequential(
+    fn threaded_checkpoint_bytes_match_sequential(
         recs in arb_workload(),
-        shards in 1usize..9,
         batch_ix in 0usize..4,
         ordering in 0usize..3,
         every in 10u64..120,
     ) {
         use lumen6_detect::{
             Backend, CheckpointPolicy, DetectorBuilder, Session, SessionConfig, SessionOutcome,
-            ShardPlan,
         };
         use lumen6_trace::TraceWriter;
         use std::io::Write as _;
@@ -732,7 +717,6 @@ proptest! {
 
         let levels = [AggLevel::L128, AggLevel::L64];
         let builder = DetectorBuilder::new(cfg(5, 20_000)).levels(&levels);
-        let plan = ShardPlan { shards, batch, depth: 2 };
 
         // Uninterrupted sequential reference.
         let reference = match Session::new(
@@ -751,7 +735,7 @@ proptest! {
         let mut reports = Vec::new();
         for (backend, b) in [
             (Backend::Sequential, 1usize),
-            (Backend::Sharded(plan), batch),
+            (Backend::Threaded, batch),
         ] {
             let ck = dir.join(format!("ck-{b}-{}", checkpoints.len()));
             let stop_cfg = SessionConfig {
@@ -799,9 +783,9 @@ proptest! {
             prop_assert_eq!(
                 &checkpoints[0],
                 &checkpoints[1],
-                "sharded checkpoint bytes differ from sequential \
-                 (shards={} batch={} ordering={})",
-                shards, batch, ordering
+                "threaded checkpoint bytes differ from sequential \
+                 (batch={} ordering={})",
+                batch, ordering
             );
         }
         prop_assert_eq!(&reports[0].reports, &reference.reports);

@@ -114,9 +114,9 @@ fn builders() -> Vec<(&'static str, DetectorBuilder, Backend)> {
             Backend::Sequential,
         ),
         (
-            "sharded",
+            "threaded",
             DetectorBuilder::new(base_config()).levels(&levels),
-            Backend::Sharded(ShardPlan::with_shards(3)),
+            Backend::Threaded,
         ),
     ]
 }
@@ -180,7 +180,7 @@ fn snapshot_roundtrip_with_sketch_and_kept_dsts() {
 }
 
 #[test]
-fn snapshots_are_portable_across_backends_and_shard_counts() {
+fn snapshots_are_portable_across_backends() {
     let recs = workload();
     let levels = [AggLevel::L128, AggLevel::L64, AggLevel::L48];
     let builder = DetectorBuilder::new(base_config()).levels(&levels);
@@ -190,21 +190,20 @@ fn snapshots_are_portable_across_backends_and_shard_counts() {
     let expect = report_json(&reference.finish());
 
     let mid = recs.len() / 2;
-    // Snapshot taken by a sharded run...
-    let mut first = builder.build(Backend::Sharded(ShardPlan::with_shards(2)));
-    observe_slice(first.as_mut(), &recs[..mid], 64);
-    let snap = first.snapshot();
-    // ...restores into a sequential run, and into a different shard count.
-    for (name, backend) in [
-        ("sequential", Backend::Sequential),
-        ("sharded-5", Backend::Sharded(ShardPlan::with_shards(5))),
+    // A snapshot taken by either backend restores into either.
+    for (from, into) in [
+        (Backend::Threaded, Backend::Sequential),
+        (Backend::Sequential, Backend::Threaded),
     ] {
-        let mut resumed = builder.restore(backend, &snap).unwrap();
+        let mut first = builder.build(from);
+        observe_slice(first.as_mut(), &recs[..mid], 64);
+        let snap = first.snapshot();
+        let mut resumed = builder.restore(into, &snap).unwrap();
         observe_slice(resumed.as_mut(), &recs[mid..], 64);
         assert_eq!(
             report_json(&resumed.finish()),
             expect,
-            "restore into {name}"
+            "{from:?} restored into {into:?}"
         );
     }
 }
@@ -730,7 +729,6 @@ fn kill_resume_is_byte_identical() {
     };
 
     let builder = DetectorBuilder::new(base_config());
-    let sharded = Backend::Sharded(ShardPlan::with_shards(2));
 
     // Uninterrupted reference (with the same checkpoint cadence, so the
     // checkpoint counters in the report line up).
@@ -766,7 +764,7 @@ fn kill_resume_is_byte_identical() {
             SessionOutcome::Finished(_) => panic!("stop {stop_at}: expected Stopped"),
         }
         // Resume with a *different* backend to also prove portability.
-        let resumed = Session::new(builder.clone(), sharded, config(ck, None))
+        let resumed = Session::new(builder.clone(), Backend::Threaded, config(ck, None))
             .run(&trace)
             .unwrap();
         let SessionOutcome::Finished(rep) = resumed else {
@@ -1248,10 +1246,7 @@ fn idle_flush_cuts_match_one_record_per_step() {
             }
         }
         for watermark_ms in [0u64, 3_000] {
-            for backend in [
-                Backend::Sequential,
-                Backend::Sharded(ShardPlan::with_shards(2)),
-            ] {
+            for backend in [Backend::Sequential, Backend::Threaded] {
                 let run = |batch: usize| {
                     let path = dir.path(&format!("{flush_every}-{watermark_ms}-{batch}.l6ck"));
                     std::fs::remove_file(&path).ok();
@@ -1404,10 +1399,7 @@ fn record_counts_past_u32_add_up_as_u64() {
         min_dsts: 1,
         ..Default::default()
     });
-    for backend in [
-        Backend::Sequential,
-        Backend::Sharded(ShardPlan::with_shards(2)),
-    ] {
+    for backend in [Backend::Sequential, Backend::Threaded] {
         let path = dir.path(&format!("{backend:?}.l6ck"));
         let config = SessionConfig {
             batch: BATCH as usize,

@@ -58,14 +58,14 @@ pub struct CdnLab {
 }
 
 impl CdnLab {
-    /// Builds the lab with the default (sharded) detection backend.
+    /// Builds the lab with the default (threaded) detection backend.
     pub fn build(config: FleetConfig) -> CdnLab {
         CdnLab::build_with(config, Backend::default())
     }
 
     /// Builds the lab: generates the trace, filters artifacts, runs
     /// detection at the paper's three levels plus /32 using the given
-    /// backend. Sequential and sharded modes produce identical reports.
+    /// backend. Sequential and threaded modes produce identical reports.
     pub fn build_with(config: FleetConfig, mode: Backend) -> CdnLab {
         let world = World::build(config);
         let trace = world.cdn_trace();

@@ -221,13 +221,13 @@ fn intensity_scales_volume_not_shape() {
     }
 }
 
-/// The golden fixture is backend-independent: the sharded pipeline renders
+/// The golden fixture is backend-independent: the threaded pipeline renders
 /// byte-identical artifacts, so the goldens also pin cross-backend
 /// equivalence at the experiment level.
 #[test]
 fn table1_is_backend_independent() {
     let seq = cdn::table1_totals(&cdn_lab());
-    let sharded = cdn::table1_totals(&CdnLab::build_with(
+    let threaded = cdn::table1_totals(&CdnLab::build_with(
         FleetConfig {
             seed: SEED,
             end_day: 21,
@@ -235,5 +235,5 @@ fn table1_is_backend_independent() {
         },
         Backend::default(),
     ));
-    assert_eq!(seq, sharded);
+    assert_eq!(seq, threaded);
 }

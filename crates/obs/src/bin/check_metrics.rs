@@ -3,10 +3,10 @@
 //! Usage: `check_metrics FILE.json [--expect-records N]`
 //!
 //! Validates the snapshot invariants (name scheme, histogram bucket
-//! consistency) and, with `--expect-records N`, asserts the sharded
-//! detection pipeline accounted for every input record: per-shard
-//! `detect.parallel.shard.*.packets_routed` sums to N and every
-//! `trace.codec.errors.*` counter is zero. Exits nonzero on any failure.
+//! consistency) and, with `--expect-records N`, asserts the session read
+//! every input record from its source, on any backend: `source.records` is
+//! N and every `trace.codec.errors.*` counter is zero. Exits nonzero on any
+//! failure.
 
 use lumen6_obs::MetricsSnapshot;
 use std::process::ExitCode;
@@ -51,11 +51,9 @@ fn main() -> ExitCode {
 
     let mut errs = lumen6_obs::validate(&snap);
     if let Some(n) = expect_records {
-        let routed = snap.counter_sum("detect.parallel.shard.", ".packets_routed");
-        if routed != n {
-            errs.push(format!(
-                "per-shard packets_routed sums to {routed}, expected {n}"
-            ));
+        let records = snap.counters.get("source.records").copied().unwrap_or(0);
+        if records != n {
+            errs.push(format!("source.records is {records}, expected {n}"));
         }
         let decode_errs = snap.counter_sum("trace.codec.errors.", "");
         if decode_errs != 0 {

@@ -13,7 +13,7 @@
 //! # Naming scheme
 //!
 //! Metric names are dotted lowercase paths, `crate.subsystem.metric`
-//! (e.g. `trace.codec.records_decoded`, `detect.parallel.shard.3.packets_routed`).
+//! (e.g. `trace.codec.records_decoded`, `detect.multi.l64.runs_opened`).
 //! These names are a **stable interface**: BENCH_*.json tooling and the CI
 //! schema checker key on them. Rename only with a migration note in
 //! DESIGN.md.
@@ -440,8 +440,8 @@ impl MetricsSnapshot {
 
     /// Sum of all counters whose name starts with `prefix` and ends with
     /// `suffix` (either may be empty). E.g.
-    /// `counter_sum("detect.parallel.shard.", ".packets_routed")` totals
-    /// the per-shard routing counters.
+    /// `counter_sum("trace.codec.errors.", "")` totals the decode errors of
+    /// every kind.
     pub fn counter_sum(&self, prefix: &str, suffix: &str) -> u64 {
         self.counters
             .iter()

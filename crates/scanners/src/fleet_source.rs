@@ -57,11 +57,11 @@
 //! at every lane count, fill size and intensity; the table1/fig2/fig5
 //! goldens pin the draw sequence itself.
 //!
-//! Routing each actor partition straight into a shard of the sharded
-//! detector, skipping the merge, was rejected: `ShardedDetector` shards by
-//! *aggregated source prefix*, which does not align with actor identity,
-//! so it would change observation order per shard and break byte-identity
-//! with the sequential backends.
+//! Feeding the detector straight from the lanes, skipping the merge, is
+//! not an option: detector state is keyed by *aggregated source prefix*,
+//! which does not align with actor identity, so the detector must see the
+//! one time-ordered stream only the merge makes. One detector thread
+//! behind the merge is the whole detection side (`detect::parallel`).
 //!
 //! The artifact and noise streams *are* held whole, at their base (1×)
 //! size ([`artifacts::generate`] and [`noise::generate`] return a day window

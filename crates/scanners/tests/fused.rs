@@ -439,12 +439,12 @@ fn kill_resume_across_thread_counts_is_byte_identical() {
     );
     let expect = report_json(&reference);
 
-    let sharded = Backend::Sharded(ShardPlan::with_shards(2));
+    let threaded = Backend::Threaded;
     for (wrote, resumes, backend) in [
-        (1, 1, sharded),
+        (1, 1, threaded),
         (1, 2, Backend::Sequential),
         (2, 1, Backend::Sequential),
-        (2, 4, sharded),
+        (2, 4, threaded),
     ] {
         for stop_at in 1..=3u64 {
             let ck = dir.path(&format!("w{wrote}-r{resumes}-stop{stop_at}.l6ck"));

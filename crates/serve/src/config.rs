@@ -61,9 +61,11 @@ pub struct RunConfig {
     /// Memory per spilled source is 2^P registers, error ≈ 1.04/sqrt(2^P);
     /// out-of-range values are clamped to the supported 4..=16.
     pub sketch_precision: Option<u8>,
-    /// Shard count for the parallel backend; 0 = one per hardware thread.
+    /// Retired: the detector runs on one worker thread, or on the caller's
+    /// with `sequential`. Only the default, 0, is accepted; the key stays so
+    /// configurations that spell it still parse.
     pub threads: usize,
-    /// Use the single-threaded reference backend.
+    /// Detect on the ingesting thread instead of a worker thread.
     pub sequential: bool,
     /// Reorder-buffer watermark, seconds; 0 = sorted input.
     pub watermark_secs: u64,
@@ -336,9 +338,15 @@ impl RunConfig {
     /// seconds value representable in the milliseconds the detector and
     /// session count in, a `batch` whose rows the detectors' `u32` row
     /// indices can address, and no key the run would clamp (`agg`) or
-    /// ignore (a generation key without `fused`).
+    /// ignore (a generation key without `fused`, `threads` off its default).
     pub fn validate(&self) -> Result<(), String> {
         self.agg_level()?;
+        if let (key, threads @ 1..) = named!(self.threads) {
+            return Err(format!(
+                "{key} = {threads}: the detector runs on one worker thread \
+                 (set sequential to run it on the ingesting thread)"
+            ));
+        }
         if u32::try_from(self.batch).is_err() {
             return Err(format!(
                 "batch = {} is more rows than a batch can index (at most {})",
@@ -414,9 +422,14 @@ impl RunConfig {
         }
     }
 
-    /// The dispatch backend, by [`Backend::from_flags`]' rule.
+    /// The dispatch backend: [`Backend::Sequential`] with `sequential`,
+    /// else the default, [`Backend::Threaded`].
     pub fn backend(&self) -> Backend {
-        Backend::from_flags(Some(self.threads), self.sequential)
+        if self.sequential {
+            Backend::Sequential
+        } else {
+            Backend::Threaded
+        }
     }
 
     /// The session-layer configuration — and the one place an unset
@@ -614,7 +627,6 @@ impl ServeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lumen6_detect::ShardPlan;
 
     #[test]
     fn run_config_defaults_match_cli_defaults() {
@@ -629,7 +641,7 @@ mod tests {
         assert!(cfg.validate().is_ok());
         let det = cfg.detector_config();
         assert_eq!(det, ScanDetectorConfig::default());
-        assert!(matches!(cfg.backend(), Backend::Sharded(_)));
+        assert_eq!(cfg.backend(), Backend::Threaded);
     }
 
     #[test]
@@ -712,22 +724,29 @@ mod tests {
         assert!(both.validate().unwrap_err().contains("mutually exclusive"));
     }
 
+    /// `sequential` picks the backend alone; `threads` is accepted at its
+    /// default and refused by name otherwise — in a file, a manifest's
+    /// tenant, or (through the same check) a flag.
     #[test]
-    fn backend_resolution_order() {
+    fn sequential_alone_picks_the_backend_and_threads_is_retired() {
         let seq = RunConfig {
             sequential: true,
-            threads: 4,
             ..Default::default()
         };
         assert_eq!(seq.backend(), Backend::Sequential);
-        let pinned = RunConfig {
-            threads: 3,
-            ..Default::default()
-        };
-        assert_eq!(
-            pinned.backend(),
-            Backend::Sharded(ShardPlan::with_shards(3))
-        );
+        assert_eq!(RunConfig::default().backend(), Backend::Threaded);
+
+        let zero = RunConfig::from_toml_str("fused = true\nthreads = 0\n").unwrap();
+        assert_eq!(zero.validate(), Ok(()));
+        for source in ["fused = true", "trace = \"t\""] {
+            let text = format!("{source}\nthreads = 2\n");
+            let err = RunConfig::from_toml_str(&text).unwrap().validate();
+            assert!(err.unwrap_err().contains("threads = 2"), "{text}");
+            let manifest = format!("[tenants.par]\n{text}");
+            let err = ServeConfig::from_toml_str(&manifest).unwrap().validate();
+            let err = err.unwrap_err();
+            assert!(err.contains("par") && err.contains("threads"), "{err}");
+        }
     }
 
     #[test]

@@ -80,13 +80,12 @@ fn default_checkpoints_hold_what_is_live_not_every_source_seen() {
     let scratch = dir.0.join("live-part.l6ck");
     let mut files: Vec<Vec<Vec<u8>>> = Vec::new();
     let mut reports = Vec::new();
-    for (backend, sequential) in [("seq", true), ("sharded", false)] {
+    for (backend, sequential) in [("seq", true), ("threaded", false)] {
         let default = RunConfig {
             fused: true,
             small: true,
             days: Some(120),
             sequential,
-            threads: 2,
             checkpoint: Some(dir.0.join(backend).to_string_lossy().into_owned()),
             checkpoint_every: 50_000,
             ..RunConfig::default()
@@ -139,7 +138,7 @@ fn default_checkpoints_hold_what_is_live_not_every_source_seen() {
     assert_eq!(reports[0], reports[1]);
     assert!(
         files[0] == files[1],
-        "sequential and sharded checkpoints differ"
+        "sequential and threaded checkpoints differ"
     );
 }
 

@@ -23,7 +23,7 @@
 //! |---|---|
 //! | `len`, `is_empty`, `iter` | `rows`, `get(i)`, `count(i)` |
 //! | `push`, `push_n(r, n)` (adds `n`), `Extend`, `FromIterator` | the column slices `ts_ms` … `dport`, `counts` |
-//! | [`Source::fill`](crate::Source::fill)'s `max` and return | ranges and indices of `extend_from_range` / `extend_from_indices` (counts ride along) |
+//! | [`Source::fill`](crate::Source::fill)'s `max` and return | the row range of `extend_from_range` (counts ride along) |
 //!
 //! So batch sizes, checkpoint cadences, stream positions and record
 //! counters mean what they always meant; only code that indexes rows knows
@@ -148,7 +148,7 @@ impl RecordBatch {
 
     /// Accounts the counts of rows about to be appended from `other`: rides
     /// on the row count alone while neither side has a `counts` column.
-    fn extend_counts(&mut self, other: &RecordBatch, rows: impl ExactSizeIterator<Item = usize>) {
+    fn extend_counts(&mut self, other: &RecordBatch, rows: std::ops::Range<usize>) {
         if self.counts.is_empty() && other.counts.is_empty() {
             self.records += rows.len();
             return;
@@ -159,9 +159,8 @@ impl RecordBatch {
         self.records += self.counts[at..].iter().map(|&c| c as usize).sum::<usize>();
     }
 
-    /// Appends every row of `other` — the fast path of the sharded
-    /// router when an entire input batch routes to one shard
-    /// (run-clustered traffic).
+    /// Appends every row of `other`, counts included — how the threaded
+    /// detector stages the batches it is handed.
     pub fn extend_from_batch(&mut self, other: &RecordBatch) {
         self.extend_from_range(other, 0..other.rows());
     }
@@ -178,27 +177,6 @@ impl RecordBatch {
         self.sport.extend_from_slice(&other.sport[rows.clone()]);
         self.dport.extend_from_slice(&other.dport[rows.clone()]);
         self.len.extend_from_slice(&other.len[rows]);
-    }
-
-    /// Appends the rows of `other` selected by `idxs`, counts included, one
-    /// column at a time — the scatter primitive of the sharded router, which
-    /// partitions one decoded batch into per-shard sub-batches. Gathering
-    /// per column keeps every write contiguous (and no `PacketRecord` is
-    /// materialized in between). Panics if any index is `>= other.rows()`,
-    /// like slice indexing.
-    pub fn extend_from_indices(&mut self, other: &RecordBatch, idxs: &[u32]) {
-        self.extend_counts(other, idxs.iter().map(|&i| i as usize));
-        self.ts_ms
-            .extend(idxs.iter().map(|&i| other.ts_ms[i as usize]));
-        self.src.extend(idxs.iter().map(|&i| other.src[i as usize]));
-        self.dst.extend(idxs.iter().map(|&i| other.dst[i as usize]));
-        self.proto
-            .extend(idxs.iter().map(|&i| other.proto[i as usize]));
-        self.sport
-            .extend(idxs.iter().map(|&i| other.sport[i as usize]));
-        self.dport
-            .extend(idxs.iter().map(|&i| other.dport[i as usize]));
-        self.len.extend(idxs.iter().map(|&i| other.len[i as usize]));
     }
 
     /// Reassembles row `i`. Columns are `Copy`, so this is a gather of
@@ -327,25 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_from_indices_scatters_whole_rows() {
-        let recs: Vec<PacketRecord> = (0..12).map(rec).collect();
-        let b: RecordBatch = recs.iter().copied().collect();
-        let evens: Vec<u32> = (0..b.len() as u32).step_by(2).collect();
-        let odds: Vec<u32> = (1..b.len() as u32).step_by(2).collect();
-        let mut even = RecordBatch::new();
-        let mut odd = RecordBatch::new();
-        even.extend_from_indices(&b, &evens);
-        odd.extend_from_indices(&b, &odds);
-        assert_eq!(even.len() + odd.len(), b.len());
-        for (k, &i) in evens.iter().enumerate() {
-            assert_eq!(even.get(k), recs[i as usize]);
-        }
-        for (k, &i) in odds.iter().enumerate() {
-            assert_eq!(odd.get(k), recs[i as usize]);
-        }
-    }
-
-    #[test]
     fn extend_from_batch_appends_all_rows() {
         let a: RecordBatch = (0..5).map(rec).collect();
         let b: RecordBatch = (5..9).map(rec).collect();
@@ -401,12 +360,12 @@ mod tests {
         assert_eq!((b.get(0), b.get(1)), (rec(3), rec(3)));
         let mut twice = RecordBatch::new();
         twice.extend_from_batch(&b);
-        twice.extend_from_indices(&b, &[1, 0]);
+        twice.extend_from_range(&b, 0..2);
         assert_eq!(twice.len() as u64, 2 * (u64::from(u32::MAX) + 7));
     }
 
     #[test]
-    fn extend_from_range_and_indices_carry_counts() {
+    fn extend_from_range_and_batch_carry_counts() {
         let mut src = RecordBatch::new();
         for (i, n) in [(0, 3), (1, 1), (2, 4)] {
             src.push_n(rec(i), n);
@@ -414,11 +373,11 @@ mod tests {
         // Into a batch that had no counts yet: its rows get their ones.
         let mut out: RecordBatch = [rec(8), rec(9)].into_iter().collect();
         out.extend_from_range(&src, 1..3);
-        out.extend_from_indices(&src, &[2, 0]);
+        out.extend_from_batch(&src);
         out.push(rec(7));
-        assert_eq!(out.counts(), &[1, 1, 1, 4, 4, 3, 1]);
-        assert_eq!((out.len(), out.rows()), (15, 7));
-        assert_eq!(out.get(5), rec(0));
+        assert_eq!(out.counts(), &[1, 1, 1, 4, 3, 1, 4, 1]);
+        assert_eq!((out.len(), out.rows()), (16, 8));
+        assert_eq!(out.get(4), rec(0));
         // And from a count-less batch into a counted one.
         let plain: RecordBatch = (0..3).map(rec).collect();
         src.extend_from_range(&plain, 0..2);
@@ -435,7 +394,7 @@ mod tests {
         built.push_n(recs[1], 1);
         built.push_n(recs[1], 0);
         built.extend_from_range(&collected, 2..4);
-        built.extend_from_indices(&collected, &[4, 5]);
+        built.extend_from_batch(&collected.iter().skip(4).collect());
         assert!(built.counts().is_empty());
         assert_eq!((built.len(), built.rows()), (6, 6));
         assert_eq!(built, collected);

@@ -61,7 +61,8 @@ fn session_pending(ck: &Path) -> Session {
     )
 }
 
-/// Spill-to-sketch counters with retained destinations on two shards: the
+/// Spill-to-sketch counters with retained destinations, threaded (the
+/// fixture was cut on two shards of the pipeline that preceded it): the
 /// checkpoint holds `Sketch` and `Exact` counters and `dst_list`s.
 fn session_sketch(ck: &Path) -> Session {
     let base = ScanDetectorConfig {
@@ -76,7 +77,7 @@ fn session_sketch(ck: &Path) -> Session {
     };
     Session::new(
         DetectorBuilder::new(base).levels(&[AggLevel::L64, AggLevel::L48]),
-        Backend::Sharded(ShardPlan::with_shards(2)),
+        Backend::Threaded,
         SessionConfig {
             checkpoint: Some(CheckpointPolicy {
                 path: ck.to_path_buf(),

@@ -49,10 +49,7 @@ fn session_reports_equal_the_per_record_reference_at_paper_levels() {
     let reference = reference_reports(&clean, &base);
 
     let builder = DetectorBuilder::new(base).levels(&AggLevel::PAPER_LEVELS);
-    for backend in [
-        Backend::Sequential,
-        Backend::Sharded(ShardPlan::with_shards(2)),
-    ] {
+    for backend in [Backend::Sequential, Backend::Threaded] {
         for watermark_ms in [0, 60_000] {
             for flush_idle_every_ms in [0, 3_600_000] {
                 let config = SessionConfig {
@@ -91,10 +88,7 @@ fn fused_10x_session_reports_equal_the_per_record_reference_at_paper_levels() {
     let reference = reference_reports(&trace, &base);
 
     let builder = DetectorBuilder::new(base).levels(&AggLevel::PAPER_LEVELS);
-    for backend in [
-        Backend::Sequential,
-        Backend::Sharded(ShardPlan::with_shards(2)),
-    ] {
+    for backend in [Backend::Sequential, Backend::Threaded] {
         // 4096 carries whole runs; 3 cuts every one of them.
         for batch in [4_096, 3] {
             let config = SessionConfig {
@@ -135,10 +129,7 @@ fn fused_1250x_session_reports_are_the_1x_reference_times_1250() {
     }
 
     let builder = DetectorBuilder::new(base).levels(&AggLevel::PAPER_LEVELS);
-    let backends = [
-        Backend::Sequential,
-        Backend::Sharded(ShardPlan::with_shards(2)),
-    ];
+    let backends = [Backend::Sequential, Backend::Threaded];
     for backend in backends {
         let mut src = FleetSource::new(World::build(fleet(1250.0)));
         let outcome = Session::new(builder.clone(), backend, SessionConfig::default())
