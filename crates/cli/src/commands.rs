@@ -531,9 +531,11 @@ fn emit_metrics<W: std::io::Write>(
     let Some(path) = args.get("metrics-out") else {
         return Ok(());
     };
-    let delta = lumen6_obs::MetricsRegistry::global()
-        .snapshot()
-        .delta(baseline);
+    let registry = lumen6_obs::MetricsRegistry::global();
+    if let Some(kib) = peak_rss_kib() {
+        registry.gauge("cli.process.peak_rss_kib").set(kib);
+    }
+    let delta = registry.snapshot().delta(baseline);
     // Atomic publication: tools polling the metrics file (CI's
     // check_metrics, dashboards) must never observe a torn write.
     write_atomic(Path::new(path), |file| {
@@ -544,6 +546,14 @@ fn emit_metrics<W: std::io::Write>(
         writeln!(out, "{}", delta.summary_table())?;
     }
     Ok(())
+}
+
+/// The process's peak resident set so far (`VmHWM`, in KiB), where
+/// `/proc/self/status` reports it.
+fn peak_rss_kib() -> Option<i64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
 /// `mawi-detect`: per-day Fukuda–Heidemann-extended detection.

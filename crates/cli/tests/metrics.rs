@@ -142,6 +142,40 @@ fn detector_memory_is_published_per_level() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Where the generator's memory is: the shared target pools, the fixed
+/// streams, and the process's peak. One copy of each pool keeps the
+/// default fleet's pools far below a mebibyte, whatever its actor count.
+#[test]
+fn generator_memory_is_published() {
+    let dir = std::env::temp_dir().join(format!("lumen6-metrics-gen-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let metrics = dir.join("m.json");
+    stdout_of(&lumen6(&[
+        "detect",
+        "--fused",
+        "--days",
+        "2",
+        "--sequential",
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]));
+    let snap: MetricsSnapshot =
+        serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    assert!(lumen6_obs::validate(&snap).is_empty());
+    let gauge = |name: &str| {
+        *snap
+            .gauges
+            .get(name)
+            .unwrap_or_else(|| panic!("{name} missing"))
+    };
+    let pools = gauge("scanners.world.target_pool_bytes");
+    assert!((1..1 << 20).contains(&pools), "{pools} pool bytes");
+    let fixed = gauge("scanners.fleet.fixed_stream_bytes");
+    assert!(fixed > 0, "{fixed} fixed-stream bytes");
+    assert!(gauge("cli.process.peak_rss_kib") > 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn batch_beyond_u32_rows_is_a_usage_error_not_an_abort() {
     // Both used to reach `RecordBatch::with_capacity(batch)`: the first
@@ -227,15 +261,15 @@ fn hostile_fleet_definitions_are_usage_errors_that_leave_no_file() {
         ),
         (
             "empty-hitlist",
-            |a| a.targets = TargetSampler::Hitlist(Vec::new()),
+            |a| a.targets = TargetSampler::Hitlist(Vec::new().into()),
             "targets",
         ),
         (
             "empty-pool",
             |a| {
                 a.targets = TargetSampler::PairMix {
-                    exposed: Vec::new(),
-                    hidden: vec![1],
+                    exposed: Vec::new().into(),
+                    hidden: vec![1].into(),
                     hidden_frac: 0.5,
                 }
             },
@@ -245,7 +279,7 @@ fn hostile_fleet_definitions_are_usage_errors_that_leave_no_file() {
             "improbable",
             |a| {
                 a.targets = TargetSampler::PairExplore {
-                    pairs: vec![(1, 2)],
+                    pairs: vec![(1, 2)].into(),
                     explore_prob: 2.0,
                 }
             },

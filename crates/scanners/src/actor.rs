@@ -426,7 +426,7 @@ mod tests {
                 "sources",
             ),
             (
-                |a| a.targets = TargetSampler::Hitlist(Vec::new()),
+                |a| a.targets = TargetSampler::Hitlist(Vec::new().into()),
                 "targets",
             ),
             (

@@ -196,15 +196,39 @@ pub struct World {
     config: FleetConfig,
 }
 
-/// Target-pool views of the telescope used when building actors.
+/// Target-pool views of the telescope used when building actors. Each pool
+/// is one shared allocation: every actor drawing from it clones the `Arc`,
+/// so the fleet holds one copy of the telescope, not one per actor.
 #[derive(Debug, Clone)]
 pub struct Pools {
     /// DNS-exposed telescope addresses.
-    pub exposed: Vec<u128>,
+    pub exposed: Arc<[u128]>,
     /// Telescope addresses never exposed via DNS.
-    pub hidden: Vec<u128>,
+    pub hidden: Arc<[u128]>,
     /// The in-DNS / not-in-DNS address pairs (for explorer actors).
-    pub pairs: Vec<(u128, u128)>,
+    pub pairs: Arc<[(u128, u128)]>,
+}
+
+impl Pools {
+    /// The pools of `deployment`, each sorted by address.
+    fn of(deployment: &CdnDeployment) -> Pools {
+        let (exposed, hidden): (Vec<u128>, Vec<u128>) = deployment
+            .all_addrs()
+            .into_iter()
+            .partition(|&a| deployment.is_in_dns(a));
+        Pools {
+            exposed: exposed.into(),
+            hidden: hidden.into(),
+            pairs: deployment.pairs().into(),
+        }
+    }
+
+    /// Bytes the three pools hold.
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.exposed)
+            + std::mem::size_of_val(&*self.hidden)
+            + std::mem::size_of_val(&*self.pairs)
+    }
 }
 
 impl World {
@@ -212,19 +236,10 @@ impl World {
     pub fn build(config: FleetConfig) -> World {
         let mut registry = InternetRegistry::new();
         let deployment = CdnDeployment::build(&config.deployment, &mut registry, config.seed);
-        let pools = Pools {
-            exposed: deployment.dns_hitlist(),
-            hidden: {
-                let dns = deployment.dns_hitlist();
-                let dns_set: std::collections::HashSet<u128> = dns.into_iter().collect();
-                deployment
-                    .all_addrs()
-                    .into_iter()
-                    .filter(|a| !dns_set.contains(a))
-                    .collect()
-            },
-            pairs: deployment.pairs().to_vec(),
-        };
+        let pools = Pools::of(&deployment);
+        lumen6_obs::MetricsRegistry::global()
+            .gauge("scanners.world.target_pool_bytes")
+            .set(pools.bytes() as i64);
         let fleet = Fleet::paper(&config, &mut registry, &pools);
         World {
             registry: Arc::new(registry),
@@ -445,8 +460,8 @@ impl Builder<'_> {
     /// Target pool: mostly DNS-exposed, `hidden_frac` not-in-DNS.
     fn targets(&self, hidden_frac: f64) -> TargetSampler {
         TargetSampler::PairMix {
-            exposed: self.pools.exposed.clone(),
-            hidden: self.pools.hidden.clone(),
+            exposed: Arc::clone(&self.pools.exposed),
+            hidden: Arc::clone(&self.pools.hidden),
             hidden_frac,
         }
     }
@@ -594,7 +609,7 @@ impl Builder<'_> {
             // pair partner afterwards (§3.3); the rest draw from the pools.
             let targets = match explore {
                 Some(prob) => TargetSampler::PairExplore {
-                    pairs: self.pools.pairs.clone(),
+                    pairs: Arc::clone(&self.pools.pairs),
                     explore_prob: prob,
                 },
                 None => self.targets(hidden_frac),
@@ -1113,6 +1128,37 @@ mod tests {
         assert_eq!(as1.generate_scaled(7, 3.0).len() as u64, sessions * 4500);
         // scale_intensity(1500, 1/1250) = 1.2 -> 1 packet per session.
         assert_eq!(as1.generate_scaled(7, 1.0 / 1250.0).len() as u64, sessions);
+    }
+
+    #[test]
+    fn every_actor_shares_one_copy_of_each_target_pool() {
+        // One allocation per pool, whatever the actor count: an actor that
+        // held its own copy would make the fleet O(actors × telescope).
+        let world = World::build(FleetConfig::default());
+        let (mut mixes, mut explorers) = (Vec::new(), Vec::new());
+        for actor in &world.fleet.actors {
+            match &actor.targets {
+                TargetSampler::PairMix {
+                    exposed, hidden, ..
+                } => mixes.push((exposed, hidden)),
+                TargetSampler::PairExplore { pairs, .. } => explorers.push(pairs),
+                _ => {}
+            }
+        }
+        assert!(mixes.len() > 1_000, "{} pair-mix actors", mixes.len());
+        assert!(explorers.len() > 100, "{} explorers", explorers.len());
+        let (exposed, hidden) = mixes[0];
+        assert!(mixes
+            .iter()
+            .all(|(e, h)| Arc::ptr_eq(e, exposed) && Arc::ptr_eq(h, hidden)));
+        assert!(explorers.iter().all(|p| Arc::ptr_eq(p, explorers[0])));
+        // And the pools are the telescope's, split by DNS exposure.
+        let dep = &world.deployment;
+        assert_eq!(exposed.len() + hidden.len(), dep.telescope_size());
+        assert!(exposed.iter().all(|&a| dep.is_in_dns(a)));
+        assert!(hidden.iter().all(|&a| !dep.is_in_dns(a)));
+        assert_eq!(**exposed, *dep.dns_hitlist());
+        assert_eq!(**explorers[0], *dep.pairs());
     }
 
     #[test]

@@ -67,6 +67,10 @@
 //! size ([`artifacts::generate`] and [`noise::generate`] return a day window
 //! as one `Vec`), and scaled at delivery by [`FixedStream`]'s run-length
 //! cursor: independent of `intensity`, outside the bounded-memory claim.
+//! Both generators sort each day as they finish it — every record stays in
+//! its day, so that is the whole stream's stable sort — and no whole-stream
+//! sort scratch is ever allocated. `scanners.fleet.fixed_stream_bytes`
+//! gauges what the two streams hold.
 //!
 //! # Bounded memory
 //!
@@ -326,6 +330,9 @@ impl FixedStream {
             cfg.end_day,
             cfg.seed,
         );
+        let held = (artifacts.len() + noise.len()) * std::mem::size_of::<PacketRecord>();
+        reg.gauge("scanners.fleet.fixed_stream_bytes")
+            .set(held as i64);
         let mut pair = [stream(artifacts, "artifacts"), stream(noise, "noise")];
         pair.iter_mut().for_each(FixedStream::rewind);
         pair

@@ -11,7 +11,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Generates `sources_per_day` ephemeral noise sources for each day of
-/// `[day_start, day_end)`, targeting addresses drawn from `telescope_addrs`.
+/// `[day_start, day_end)`, targeting addresses drawn from `telescope_addrs`,
+/// in stable time order.
 pub fn generate(
     telescope_addrs: &[u128],
     sources_per_day: usize,
@@ -23,6 +24,7 @@ pub fn generate(
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x0153_e5e5);
     let mut out = Vec::new();
     for day in day_start..day_end {
+        let day_first = out.len();
         for _ in 0..sources_per_day {
             // Random source /64 anywhere in 2000::/3-ish space.
             let net64: u64 = 0x2000_0000_0000_0000 | (rng.gen::<u64>() >> 3);
@@ -52,8 +54,11 @@ pub fn generate(
                 });
             }
         }
+        // A source starts at least an hour before midnight and sends for at
+        // most 19 minutes, so the day's records stay in the day: sorting day
+        // by day is the whole stream's stable time sort.
+        lumen6_trace::sort_by_time(&mut out[day_first..]);
     }
-    lumen6_trace::sort_by_time(&mut out);
     out
 }
 
@@ -84,6 +89,26 @@ mod tests {
         let report =
             lumen6_detect::detector::detect(&recs, lumen6_detect::ScanDetectorConfig::default());
         assert_eq!(report.scans(), 0);
+    }
+
+    #[test]
+    fn each_day_stays_in_its_window_so_the_stream_is_sorted() {
+        // The per-day sort is the whole stream's stable sort only if no
+        // record leaves the day it was generated for.
+        let telescope: Vec<u128> = (1..=100u128).map(|i| i << 16).collect();
+        for seed in [11, 4242] {
+            for day in 2..8 {
+                let recs = generate(&telescope, 200, day, day + 1, seed);
+                assert!(!recs.is_empty(), "seed {seed}: day {day} is empty");
+                assert!(
+                    recs.iter()
+                        .all(|r| (day * DAY_MS..(day + 1) * DAY_MS).contains(&r.ts_ms)),
+                    "seed {seed}: a record left day {day}"
+                );
+            }
+            let recs = generate(&telescope, 200, 2, 8, seed);
+            assert!(recs.windows(2).all(|w| w[0].ts_ms <= w[1].ts_ms));
+        }
     }
 
     #[test]

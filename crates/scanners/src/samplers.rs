@@ -6,6 +6,7 @@ use lumen6_trace::Transport;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// How a scanner chooses the source address of each probe.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -111,16 +112,20 @@ pub enum IidMode {
 }
 
 /// How a scanner chooses target addresses.
+///
+/// The address pools are shared slices: every actor drawing from the
+/// telescope's pools holds the same allocation, so a fleet's memory does
+/// not grow with actors × telescope size.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TargetSampler {
     /// Sweep a fixed list (a DNS-derived hitlist). Probes draw uniformly.
-    Hitlist(Vec<u128>),
+    Hitlist(Arc<[u128]>),
     /// Mostly hitlist, but with probability `explore_prob` follow a hit
     /// with a probe to a *nearby* address (same /(128-span)): the §3.3
     /// "found via DNS, then probe the neighborhood" behavior.
     HitlistNearby {
         /// The seed hitlist.
-        hitlist: Vec<u128>,
+        hitlist: Arc<[u128]>,
         /// Probability of emitting a nearby follow-up probe.
         explore_prob: f64,
         /// Neighborhood size in low bits (4 → within a /124).
@@ -131,9 +136,9 @@ pub enum TargetSampler {
     /// 50% not-in-DNS targeting.
     PairMix {
         /// DNS-exposed pool.
-        exposed: Vec<u128>,
+        exposed: Arc<[u128]>,
         /// Not-in-DNS pool.
-        hidden: Vec<u128>,
+        hidden: Arc<[u128]>,
         /// Fraction of probes drawn from the hidden pool.
         hidden_frac: f64,
     },
@@ -145,7 +150,7 @@ pub enum TargetSampler {
     /// addresses so the firewall actually logs them.
     PairExplore {
         /// (exposed, hidden) telescope address pairs.
-        pairs: Vec<(u128, u128)>,
+        pairs: Arc<[(u128, u128)]>,
         /// Probability of the nearby follow-up probe.
         explore_prob: f64,
     },
@@ -449,7 +454,7 @@ mod tests {
     fn hitlist_sampler_stays_in_list() {
         let mut r = rng();
         let list = vec![10u128, 20, 30];
-        let t = TargetSampler::Hitlist(list.clone());
+        let t = TargetSampler::Hitlist(list.clone().into());
         let mut out = Vec::new();
         for _ in 0..100 {
             t.sample(&mut r, &mut out);
@@ -461,7 +466,7 @@ mod tests {
     fn nearby_explorer_emits_hit_then_neighbor() {
         let mut r = rng();
         let t = TargetSampler::HitlistNearby {
-            hitlist: vec![0x1000],
+            hitlist: vec![0x1000].into(),
             explore_prob: 1.0,
             span_bits: 4,
         };
@@ -477,7 +482,7 @@ mod tests {
     fn pair_explore_emits_exposed_then_partner() {
         let mut r = rng();
         let t = TargetSampler::PairExplore {
-            pairs: vec![(0x100, 0x10f), (0x200, 0x203)],
+            pairs: vec![(0x100, 0x10f), (0x200, 0x203)].into(),
             explore_prob: 1.0,
         };
         let mut out = Vec::new();
@@ -491,8 +496,8 @@ mod tests {
     fn pair_mix_respects_fraction() {
         let mut r = rng();
         let t = TargetSampler::PairMix {
-            exposed: vec![1],
-            hidden: vec![2],
+            exposed: vec![1].into(),
+            hidden: vec![2].into(),
             hidden_frac: 0.5,
         };
         let mut out = Vec::new();

@@ -81,7 +81,8 @@ pub fn mapped_machines(
     out
 }
 
-/// Generates the artifact mix for the day range `[day_start, day_end)`.
+/// Generates the artifact mix for the day range `[day_start, day_end)`, in
+/// stable time order.
 ///
 /// Sources are minted fresh per day from residential-looking /64s outside
 /// the CDN space (high bits 0x26xx, eyeball-style), so day-over-day they
@@ -97,6 +98,7 @@ pub fn generate(
     let mut out = Vec::new();
     for day in day_start..day_end {
         let t0 = day * DAY_MS;
+        let day_first = out.len();
         for kind in 0..3 {
             let (count, proto, dport, len) = match kind {
                 0 => (config.smtp_sources_per_day, Transport::Tcp, 25u16, 80u16),
@@ -126,8 +128,11 @@ pub fn generate(
                 }
             }
         }
+        // Every record of the day is clamped into the day, so sorting day
+        // by day is the whole stream's stable time sort, without its
+        // whole-stream scratch.
+        lumen6_trace::sort_by_time(&mut out[day_first..]);
     }
-    lumen6_trace::sort_by_time(&mut out);
     out
 }
 
@@ -201,6 +206,27 @@ mod tests {
         let recs = generate(&dep, &ArtifactConfig::default(), 0, 1, 7);
         let report = lumen6_detect::detector::detect(&recs, ScanDetectorConfig::default());
         assert_eq!(report.scans(), 0);
+    }
+
+    #[test]
+    fn each_day_stays_in_its_window_so_the_stream_is_sorted() {
+        // The per-day sort is the whole stream's stable sort only if no
+        // record leaves the day it was generated for.
+        let dep = deployment();
+        let config = ArtifactConfig::default();
+        for seed in [7, 1234] {
+            for day in 3..9 {
+                let recs = generate(&dep, &config, day, day + 1, seed);
+                assert!(!recs.is_empty(), "seed {seed}: day {day} is empty");
+                assert!(
+                    recs.iter()
+                        .all(|r| (day * DAY_MS..(day + 1) * DAY_MS).contains(&r.ts_ms)),
+                    "seed {seed}: a record left day {day}"
+                );
+            }
+            let recs = generate(&dep, &config, 3, 9, seed);
+            assert!(recs.windows(2).all(|w| w[0].ts_ms <= w[1].ts_ms));
+        }
     }
 
     #[test]
