@@ -22,7 +22,9 @@ use lumen6_detect::{
 use lumen6_mawi::MawiConfig;
 use lumen6_report::{duration_human, pkt_count, Table};
 use lumen6_serve::{write_atomic, Daemon, RunConfig, ServeConfig, ServeError};
-use lumen6_trace::{MaterializedSource, PacketRecord, Source, StreamingTraceReader, TraceWriter};
+use lumen6_trace::{
+    MaterializedSource, PacketRecord, RecordBatch, Source, StreamingTraceReader, TraceWriter,
+};
 use std::fs::File;
 use std::io::BufReader;
 use std::path::Path;
@@ -187,27 +189,35 @@ pub(crate) fn run_config(args: &Args) -> Result<RunConfig, CliError> {
     Ok(run)
 }
 
-/// The records of `run`'s trace. Its readers take `agg` without
+/// A reader over `run`'s trace. Its readers take `agg` without
 /// [`RunConfig::validate`], so a length it would clamp is refused here.
-fn load_trace(run: &RunConfig) -> Result<Vec<PacketRecord>, CliError> {
+fn open_trace(run: &RunConfig) -> Result<StreamingTraceReader<File>, CliError> {
     run.agg_level().map_err(CliError::Usage)?;
     let path = run
         .trace
         .as_ref()
         .ok_or_else(|| CliError::Usage("--trace FILE is required".into()))?;
-    let records: Result<Vec<_>, _> = StreamingTraceReader::new(File::open(path)?)?.collect();
+    Ok(StreamingTraceReader::new(File::open(path)?)?)
+}
+
+/// The records of `run`'s trace.
+fn load_trace(run: &RunConfig) -> Result<Vec<PacketRecord>, CliError> {
+    let records: Result<Vec<_>, _> = open_trace(run)?.collect();
     Ok(records?)
 }
 
 /// Drains `source` into an L6TR file at `path`, published by rename so a
-/// concurrent `--tail` reader of the same path never sees a partial trace
-/// (a counted row writes all its copies); returns the records written.
+/// concurrent `--tail` reader of the same path never sees a partial trace;
+/// a counted batch row goes to the file as a counted row. Returns the
+/// records written.
 fn write_trace(path: &str, source: &mut dyn Source) -> Result<u64, CliError> {
     write_atomic(Path::new(path), |file| {
         let mut writer = TraceWriter::new(file)?;
-        let mut batch = lumen6_trace::RecordBatch::new();
+        let mut batch = RecordBatch::new();
         while source.fill(&mut batch, lumen6_detect::DEFAULT_SESSION_BATCH)? > 0 {
-            batch.iter().try_for_each(|r| writer.append(&r))?;
+            for i in 0..batch.rows() {
+                writer.append_n(&batch.get(i), batch.count(i))?;
+            }
         }
         let records = writer.count();
         writer.finish()?;
@@ -292,25 +302,34 @@ fn generate<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError>
     Ok(())
 }
 
-/// `info`: summary statistics of a trace file.
+/// `info`: summary statistics of a trace file, read a batch at a time.
 fn info<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    let records = load_trace(&run_config(args)?)?;
+    let mut reader = open_trace(&run_config(args)?)?;
+    let mut batch = RecordBatch::new();
+    let (mut records, mut span) = (0, None);
     let mut srcs = std::collections::HashSet::new();
     let mut dsts = std::collections::HashSet::new();
     let mut by_proto: std::collections::BTreeMap<&'static str, u64> = Default::default();
-    for r in &records {
-        srcs.insert(r.src);
-        dsts.insert(r.dst);
-        *by_proto.entry(r.proto.label()).or_default() += 1;
+    while reader.fill(&mut batch, lumen6_detect::DEFAULT_SESSION_BATCH)? > 0 {
+        for i in 0..batch.rows() {
+            let r = batch.get(i);
+            srcs.insert(r.src);
+            dsts.insert(r.dst);
+            *by_proto.entry(r.proto.label()).or_default() += u64::from(batch.count(i));
+            span = Some((span.map_or(r.ts_ms, |(first, _)| first), r.ts_ms));
+        }
+        records += batch.len();
     }
-    writeln!(out, "records:        {}", records.len())?;
-    if let (Some(first), Some(last)) = (records.first(), records.last()) {
+    writeln!(out, "format:         L6TR v{}", reader.version())?;
+    writeln!(out, "records:        {records}")?;
+    writeln!(out, "rows:           {}", reader.rows())?;
+    if let Some((first, last)) = span {
         writeln!(
             out,
             "time range:     {} .. {} ({} days)",
-            lumen6_trace::SimTime(first.ts_ms),
-            lumen6_trace::SimTime(last.ts_ms),
-            (last.ts_ms - first.ts_ms) / lumen6_trace::DAY_MS + 1
+            lumen6_trace::SimTime(first),
+            lumen6_trace::SimTime(last),
+            (last - first) / lumen6_trace::DAY_MS + 1
         )?;
     }
     writeln!(out, "distinct /128 sources: {}", srcs.len())?;

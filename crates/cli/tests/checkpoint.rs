@@ -109,6 +109,68 @@ fn kill_and_resume_is_byte_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// At 4x a trace row carries four copies, and a prime cadence cuts
+/// checkpoints inside rows: the position's skip bits say how many copies
+/// were delivered, and the resumed run still prints the uninterrupted bytes.
+/// Resumed against a file swapped in after the cut, the same checkpoint is a
+/// typed error, not a report of whatever the old offset now holds.
+#[test]
+fn a_4x_run_cut_inside_counted_rows_resumes_and_refuses_a_swapped_trace() {
+    use lumen6_detect::Checkpoint;
+    let dir = std::env::temp_dir().join(format!("lumen6-ckpt-counted-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("t.l6tr");
+    let t = trace.to_str().unwrap();
+    stdout_of(&lumen6(&[
+        "generate",
+        "cdn",
+        "--out",
+        t,
+        "--days",
+        "6",
+        "--seed",
+        "9",
+        "--small",
+        "--intensity",
+        "4",
+    ]));
+    let run = |ck: &Path, extra: &[&str]| {
+        let mut args = vec!["detect", "--trace", t, "--min-dsts", "50"];
+        args.extend(["--checkpoint", ck.to_str().unwrap()]);
+        args.extend(["--checkpoint-every", "5003"]);
+        args.extend_from_slice(extra);
+        lumen6(&args)
+    };
+    let reference = stdout_of(&run(&dir.join("ref.l6ck"), &[]));
+
+    let ck = dir.join("kr.l6ck");
+    assert_eq!(run(&ck, &["--stop-after", "1"]).status.code(), Some(3));
+    let skip = Checkpoint::load(&ck).unwrap().position.offset >> 48;
+    assert_eq!(skip, 5003 % 4, "the first cut lands inside a row");
+    assert_eq!(run(&ck, &["--stop-after", "3"]).status.code(), Some(3));
+    let cut = std::fs::read(&ck).unwrap();
+    assert_eq!(stdout_of(&run(&ck, &[])), reference);
+
+    // The same cut against a replaced file: not a trace any more, and a
+    // version 1 trace, which has no position inside a row.
+    for (swapped, why) in [
+        (b"not a trace at all".to_vec(), "bad magic"),
+        (
+            std::fs::read(committed("compat.l6tr")).unwrap(),
+            "a version 1 row",
+        ),
+    ] {
+        std::fs::write(&ck, &cut).unwrap();
+        std::fs::write(&trace, swapped).unwrap();
+        let out = run(&ck, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+        assert!(stderr.contains(why), "stderr: {stderr}");
+        assert!(out.stdout.is_empty(), "a swapped trace printed a report");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A checkpoint cut by a build without default retirement — `L6CK v2`, no
 /// flush ever run (`last_flush_ms` 0), every source seen so far still open;
 /// `--flush-idle-secs 0` writes that file byte for byte — resumes under the

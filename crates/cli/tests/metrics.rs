@@ -78,6 +78,97 @@ fn metrics_out_accounts_for_every_record() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `info` reads a trace a batch at a time and counts every copy of a
+/// counted row: the committed version 1 trace, written again as version 2
+/// once as it is and once with every record four times, prints the same
+/// lines but `format:` and `rows:` — the 4x stream's counts four times
+/// over. A generated 4x trace is a quarter of its records in rows, and the
+/// codec counts the rows it decodes.
+#[test]
+fn a_4x_trace_is_a_quarter_of_its_records_in_rows() {
+    let dir = std::env::temp_dir().join(format!("lumen6-metrics-rows-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let v1 = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/compat.l6tr");
+    let stream: Result<Vec<_>, _> =
+        lumen6_trace::StreamingTraceReader::new(std::fs::File::open(&v1).unwrap())
+            .unwrap()
+            .collect();
+    let stream = stream.unwrap();
+    let rewrite = |name: &str, copies: u32| {
+        let path = dir.join(name);
+        let mut w = lumen6_trace::TraceWriter::new(std::fs::File::create(&path).unwrap()).unwrap();
+        for r in &stream {
+            w.append_n(r, copies).unwrap();
+        }
+        w.finish().unwrap();
+        path
+    };
+    let (v2, v2x4) = (rewrite("v2.l6tr", 1), rewrite("v2x4.l6tr", 4));
+
+    let info = |path: &PathBuf| stdout_of(&lumen6(&["info", "--trace", path.to_str().unwrap()]));
+    let field = |info: &str, name: &str| -> u64 {
+        let line = info.lines().find_map(|l| l.strip_prefix(name));
+        line.expect(name).trim().parse().unwrap()
+    };
+    // Every line but `format:` and `rows:`, with the counts (`records:`
+    // and the per-protocol packets, below 10 000 here so printed whole)
+    // divided by `copies`.
+    let rest = |info: &str, copies: u64| -> Vec<String> {
+        let per_copy = |l: &str| match l.rsplit_once(' ') {
+            Some((head, n)) if l.starts_with("records:") || l.contains(" packets: ") => {
+                format!("{head} {}", n.parse::<u64>().unwrap() / copies)
+            }
+            _ => l.to_string(),
+        };
+        let keep = |l: &&str| !l.starts_with("format:") && !l.starts_with("rows:");
+        info.lines().filter(keep).map(per_copy).collect()
+    };
+    let (old, new, new_x4) = (info(&v1), info(&v2), info(&v2x4));
+    assert!(old.starts_with("format:         L6TR v1\n"), "{old}");
+    assert!(new.starts_with("format:         L6TR v2\n"), "{new}");
+    let records = stream.len() as u64;
+    assert_eq!(field(&old, "rows:"), records);
+    assert_eq!(field(&new_x4, "records:"), 4 * records);
+    assert_eq!(field(&new_x4, "rows:"), records, "{new_x4}");
+    assert_eq!(rest(&new, 1), rest(&old, 1));
+    assert_eq!(rest(&new_x4, 4), rest(&old, 1));
+
+    let v2 = dir.join("generated.l6tr");
+    stdout_of(&lumen6(&[
+        "generate",
+        "cdn",
+        "--out",
+        v2.to_str().unwrap(),
+        "--days",
+        "5",
+        "--seed",
+        "3",
+        "--small",
+        "--intensity",
+        "4",
+    ]));
+    let new = info(&v2);
+    let (records, rows) = (field(&new, "records:"), field(&new, "rows:"));
+    assert!(records > 0 && rows * 4 == records, "{new}");
+
+    let metrics = dir.join("m.json");
+    stdout_of(&lumen6(&[
+        "detect",
+        "--trace",
+        v2.to_str().unwrap(),
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]));
+    let snap: MetricsSnapshot =
+        serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    assert!(lumen6_obs::validate(&snap).is_empty());
+    let decoded = snap.counters["trace.codec.records_decoded"];
+    let decoded_rows = snap.counters["trace.codec.rows_decoded"];
+    assert_eq!((decoded, decoded_rows), (records, rows));
+    assert!(decoded as f64 / decoded_rows as f64 >= 3.5);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn threaded_output_is_byte_identical_to_sequential() {
     let dir = std::env::temp_dir().join(format!("lumen6-metrics-seq-{}", std::process::id()));

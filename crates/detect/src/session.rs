@@ -498,7 +498,7 @@ pub struct Checkpoint {
     pub position: TracePosition,
     /// Records pulled from the trace so far (including late-dropped ones).
     pub records_done: u64,
-    /// Recoverable decode errors skipped so far.
+    /// Records skipped on recoverable decode errors so far.
     pub decode_skipped: u64,
     /// Detector state.
     pub detector: DetectorSnapshot,
@@ -739,7 +739,7 @@ pub struct SessionReport {
     pub records: u64,
     /// Packets dropped as beyond-watermark late.
     pub late_dropped: u64,
-    /// Recoverable decode errors skipped.
+    /// Records skipped on recoverable decode errors.
     pub decode_skipped: u64,
     /// Checkpoints written.
     pub checkpoints_written: u64,

@@ -15,9 +15,10 @@
 //! An eighth column, `counts`, run-length-encodes adjacent identical
 //! records (the copies `--intensity` makes of one probe): a physical *row*
 //! stands for `count` logical *records*. The column stays empty, at no
-//! cost, while every row stands for one record — every batch a file, pcap,
-//! tail or in-memory source or the reorder buffer fills; only
-//! [`push_n`](RecordBatch::push_n) creates it.
+//! cost, while every row stands for one record — every batch a version 1
+//! trace file, a pcap, an in-memory source or the reorder buffer fills;
+//! only [`push_n`](RecordBatch::push_n) creates it, for the fleet
+//! generator's repeats and a version 2 trace's counted rows.
 //!
 //! | logical records | physical rows |
 //! |---|---|

@@ -4,9 +4,11 @@
 //!
 //! ```text
 //! magic  b"L6TR"          4 bytes
-//! version u8              currently 1
-//! record*:
-//!   delta_ts  varint      ms since previous record (first: since 0)
+//! version u8              2 (version 1 is still read, never written)
+//! row*:
+//!   tag       varint      delta_ts << 1 | counted; delta_ts is ms since
+//!                         the previous row (first: since 0)
+//!   count     varint      only if counted: copies of the row, 2..=65 535
 //!   src       16 bytes    big-endian u128
 //!   dst       16 bytes    big-endian u128
 //!   proto     1 byte      IP next-header value
@@ -15,12 +17,17 @@
 //!   len       varint
 //! ```
 //!
+//! [`TraceWriter`] folds each run of adjacent equal records into a row,
+//! splitting runs past 65 535; a version 1 row is one untagged record. A
+//! batch is bounded in records, so a version 2 [`TracePosition`] may fall
+//! inside a row: its `offset` is then the row's byte offset `| skip << 48`,
+//! `skip` being the copies already delivered.
+//!
 //! Timestamps must be non-decreasing (delta encoding); the writer enforces
-//! this. Varints are LEB128 (7 bits per byte). The format is intentionally
-//! simple: a 439-day scaled trace (a few million records) encodes in tens of
-//! MB. Decode is windowed and bounded: [`StreamingTraceReader`] holds one
-//! 64 KiB refill window whatever the size of the file, and
-//! `decode_record_at` is the only code that turns bytes into a record.
+//! this. Varints are LEB128 (7 bits per byte). Decode is windowed and
+//! bounded: [`StreamingTraceReader`] holds one 64 KiB refill window whatever
+//! the size of the file, and `decode_record_at` is the only code that turns
+//! bytes into a row.
 
 use crate::batch::RecordBatch;
 use crate::record::{PacketRecord, Transport};
@@ -38,6 +45,7 @@ use std::io::{self, Read, Write};
 #[derive(Debug, Default)]
 struct DecodeStats {
     records: u64,
+    rows: u64,
     bytes: u64,
     refills: u64,
 }
@@ -48,6 +56,9 @@ impl DecodeStats {
         if self.records > 0 {
             reg.counter("trace.codec.records_decoded").add(self.records);
         }
+        if self.rows > 0 {
+            reg.counter("trace.codec.rows_decoded").add(self.rows);
+        }
         if self.bytes > 0 {
             reg.counter("trace.codec.bytes_read").add(self.bytes);
         }
@@ -57,6 +68,7 @@ impl DecodeStats {
         // Zero field-by-field: `*self = default()` would drop the old value
         // and recurse through this Drop impl.
         self.records = 0;
+        self.rows = 0;
         self.bytes = 0;
         self.refills = 0;
     }
@@ -79,7 +91,19 @@ fn note_decode_error(e: &CodecError) {
 /// File magic.
 pub const MAGIC: &[u8; 4] = b"L6TR";
 /// Current format version.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
+
+/// Most copies one row carries, so that a skip fits above [`OFFSET_BITS`].
+const MAX_COUNT: u32 = u16::MAX as u32;
+
+/// Bits of a version 2 position's `offset` that hold the row's byte offset.
+const OFFSET_BITS: u32 = 48;
+
+/// A resume position whose skip is not below the copies of its row.
+fn skip_past(skip: u32, row: &str) -> CodecError {
+    let why = format!("resume position skips {skip} copies of {row}");
+    CodecError::Io(io::Error::new(io::ErrorKind::InvalidInput, why))
+}
 
 /// Errors from decoding a trace stream.
 #[derive(Debug)]
@@ -172,11 +196,16 @@ pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
 ///
 /// Records must be appended in non-decreasing timestamp order; `append`
 /// panics otherwise (a programming error — traces are canonical-sorted).
+/// Equal records fold into the open row until another record or
+/// [`finish`](Self::finish) closes it.
 pub struct TraceWriter<W: Write> {
     sink: W,
     buf: BytesMut,
+    /// Timestamp of the last row encoded (the delta base).
     prev_ts: u64,
     count: u64,
+    /// The open row: its record and the copies appended to it so far.
+    pending: Option<(PacketRecord, u32)>,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -189,18 +218,53 @@ impl<W: Write> TraceWriter<W> {
             buf: BytesMut::with_capacity(64 * 1024),
             prev_ts: 0,
             count: 0,
+            pending: None,
         })
     }
 
     /// Appends one record.
     pub fn append(&mut self, r: &PacketRecord) -> Result<(), CodecError> {
+        self.append_n(r, 1)
+    }
+
+    /// Appends `n` copies of one record (a counted [`RecordBatch`] row). A
+    /// timestamp 2^63 ms or more past the last is `FieldOverflow`.
+    pub fn append_n(&mut self, r: &PacketRecord, mut n: u32) -> Result<(), CodecError> {
+        let (ts, last) = (r.ts_ms, self.pending.map_or(self.prev_ts, |(p, _)| p.ts_ms));
         assert!(
-            r.ts_ms >= self.prev_ts,
-            "trace records must be time-sorted: {} < {}",
-            r.ts_ms,
-            self.prev_ts
+            ts >= last,
+            "trace records must be time-sorted: {ts} < {last}"
         );
-        put_varint(&mut self.buf, r.ts_ms - self.prev_ts);
+        if (ts - last) >> 63 != 0 {
+            return Err(CodecError::FieldOverflow("delta_ts", ts - last));
+        }
+        self.count += u64::from(n);
+        while n > 0 {
+            match &mut self.pending {
+                Some((p, copies)) if p == r && *copies < MAX_COUNT => {
+                    let take = n.min(MAX_COUNT - *copies);
+                    *copies += take;
+                    n -= take;
+                }
+                _ => {
+                    self.write_pending()?;
+                    self.pending = Some((*r, 0));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Encodes the open row, if there is one.
+    fn write_pending(&mut self) -> Result<(), CodecError> {
+        let Some((r, copies)) = self.pending.take() else {
+            return Ok(());
+        };
+        let tag = (r.ts_ms - self.prev_ts) << 1 | u64::from(copies > 1);
+        put_varint(&mut self.buf, tag);
+        if copies > 1 {
+            put_varint(&mut self.buf, u64::from(copies));
+        }
         self.prev_ts = r.ts_ms;
         self.buf.put_u128(r.src);
         self.buf.put_u128(r.dst);
@@ -208,7 +272,6 @@ impl<W: Write> TraceWriter<W> {
         put_varint(&mut self.buf, u64::from(r.sport));
         put_varint(&mut self.buf, u64::from(r.dport));
         put_varint(&mut self.buf, u64::from(r.len));
-        self.count += 1;
         if self.buf.len() >= 60 * 1024 {
             self.sink.write_all(&self.buf)?;
             self.buf.clear();
@@ -216,13 +279,14 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
-    /// Number of records appended so far.
+    /// Number of records appended so far, every copy counted.
     pub fn count(&self) -> u64 {
         self.count
     }
 
-    /// Flushes buffered records and returns the sink.
+    /// Closes the open row, flushes buffered rows and returns the sink.
     pub fn finish(mut self) -> Result<W, CodecError> {
+        self.write_pending()?;
         self.sink.write_all(&self.buf)?;
         self.sink.flush()?;
         Ok(self.sink)
@@ -243,27 +307,14 @@ pub fn decode(data: &[u8]) -> Result<Vec<PacketRecord>, CodecError> {
     StreamingTraceReader::new(data)?.collect()
 }
 
-/// Upper bound on the bytes [`decode_record_at`] consumes for one record,
-/// well-formed or not: four varints that each end or overflow within 10
-/// bytes, two 16-byte addresses and the protocol byte. (A record the writer
-/// produced is at most 52: its port and length varints fit 3 bytes.)
-pub(crate) const MAX_RECORD_LEN: usize = 10 + 16 + 16 + 1 + 3 * 10;
+/// Upper bound on the bytes [`decode_record_at`] consumes for one row,
+/// well-formed or not: five varints that each end or overflow within 10
+/// bytes, two 16-byte addresses and the protocol byte. (A row the writer
+/// produced is at most 55: its count, port and length varints fit 3 bytes.)
+pub(crate) const MAX_RECORD_LEN: usize = 2 * 10 + 16 + 16 + 1 + 3 * 10;
 
 /// Refill granularity of the streaming reader.
 const STREAM_BUF_LEN: usize = 64 * 1024;
-
-/// Validates the stream header: magic, then version.
-pub(crate) fn check_header(header: &[u8; 5]) -> Result<(), CodecError> {
-    let [m0, m1, m2, m3, version] = *header;
-    let magic = [m0, m1, m2, m3];
-    if &magic != MAGIC {
-        return Err(CodecError::BadMagic(magic));
-    }
-    if version != VERSION {
-        return Err(CodecError::BadVersion(version));
-    }
-    Ok(())
-}
 
 /// Reads one LEB128 varint from `data` at `*pos`, advancing the cursor — the
 /// only varint reader. `Truncated` or `VarintOverflow` when it cannot.
@@ -296,12 +347,13 @@ fn slice_u128(data: &[u8], pos: &mut usize) -> Result<u128, CodecError> {
     Ok(u128::from_be_bytes(arr))
 }
 
-/// Decodes one record from `data` at `*pos`, delta-decoding its timestamp
-/// against `*prev_ts` — the only code that parses a record. On success the
-/// cursor and the timestamp base both advance past the record.
+/// Decodes one row from `data` at `*pos`, delta-decoding its timestamp
+/// against `*prev_ts` — the only code that parses a row. Returns the record
+/// and its copies (a `counted` stream's rows may carry more than one). On
+/// success the cursor and the timestamp base both advance past the row.
 /// [`CodecError::FieldOverflow`] also advances them (every field of the
-/// offending record was consumed before range validation failed), so
-/// permissive callers can skip the record and stay aligned. Framing errors
+/// offending row was consumed before range validation failed), so
+/// permissive callers can skip the row and stay aligned. Framing errors
 /// (`Truncated`, `VarintOverflow`, `TimestampOverflow`) leave both
 /// untouched, so a caller whose window merely ran out can retry the same
 /// boundary once more bytes arrive.
@@ -309,9 +361,16 @@ fn decode_record_at(
     data: &[u8],
     pos: &mut usize,
     prev_ts: &mut u64,
-) -> Result<PacketRecord, CodecError> {
+    counted: bool,
+) -> Result<(PacketRecord, u32), CodecError> {
     let mut p = *pos;
-    let delta = slice_varint(data, &mut p)?;
+    let tag = slice_varint(data, &mut p)?;
+    let flagged = counted && tag & 1 == 1;
+    let delta = if counted { tag >> 1 } else { tag };
+    let count = flagged
+        .then(|| slice_varint(data, &mut p))
+        .transpose()?
+        .unwrap_or(1);
     let src = slice_u128(data, &mut p)?;
     let dst = slice_u128(data, &mut p)?;
     let proto = Transport::from_byte(*data.get(p).ok_or(CodecError::Truncated)?);
@@ -333,7 +392,10 @@ fn decode_record_at(
     if len > u64::from(u16::MAX) {
         return Err(CodecError::FieldOverflow("len", len));
     }
-    Ok(PacketRecord {
+    if flagged && !(2..=u64::from(MAX_COUNT)).contains(&count) {
+        return Err(CodecError::FieldOverflow("count", count));
+    }
+    let r = PacketRecord {
         ts_ms,
         src,
         dst,
@@ -341,7 +403,17 @@ fn decode_record_at(
         sport: sport as u16,
         dport: dport as u16,
         len: len as u16,
-    })
+    };
+    Ok((r, count as u32))
+}
+
+/// The records the row that `row` starts with stands for, well-formed or
+/// not: its count when it carries one in range, else 1.
+fn copies_of(row: &[u8], counted: bool) -> u64 {
+    let (mut p, in_range) = (0, 2..=u64::from(MAX_COUNT));
+    let flagged = counted && slice_varint(row, &mut p).is_ok_and(|tag| tag & 1 == 1);
+    let count = flagged.then(|| slice_varint(row, &mut p).ok()).flatten();
+    count.filter(|n| in_range.contains(n)).unwrap_or(1)
 }
 
 /// The slice-level decode loop and the state it carries from one window to
@@ -350,10 +422,16 @@ fn decode_record_at(
 /// over its re-read window; what a record cut short by the end of the
 /// window means (refill, genuine truncation, or the writer's partial tail)
 /// is for them to decide.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct WindowDecoder {
-    /// Timestamp of the last record decoded or skipped (delta-decode base).
+    /// Timestamp of the last row decoded or skipped (delta-decode base).
     pub(crate) prev_ts: u64,
+    /// The format version the header gave: rows carry counts from 2 on.
+    pub(crate) version: u8,
+    /// Copies delivered of the row at the cursor (a batch can end mid-row).
+    skip: u32,
+    /// Rows decoded to their last copy.
+    pub(crate) rows: u64,
     /// Skip recoverable per-record errors instead of returning them.
     pub(crate) permissive: bool,
     /// Records skipped so far in permissive mode.
@@ -365,37 +443,92 @@ pub(crate) struct WindowDecoder {
 impl WindowDecoder {
     pub(crate) fn new(skip_metric: &'static str) -> Self {
         WindowDecoder {
-            prev_ts: 0,
-            permissive: false,
-            skipped: 0,
+            version: VERSION,
             skip_metric,
+            ..Default::default()
         }
     }
 
-    /// Decodes whole records from `data[*pos..]` into `sink` until `want`
-    /// are delivered, the window is used up, or a record fails; returns how
-    /// many were delivered and the failure, if any. `Err(Truncated)` means
-    /// the bytes left at `*pos` stop short of a whole record; as with every
-    /// framing error the cursor stays on that record's boundary.
+    /// Validates the stream header — magic, then version 1 or 2 — and
+    /// learns the version; a version 1 row has no copies to skip.
+    pub(crate) fn start(&mut self, header: &[u8; 5]) -> Result<(), CodecError> {
+        let [m0, m1, m2, m3, version] = *header;
+        let magic = [m0, m1, m2, m3];
+        if &magic != MAGIC {
+            return Err(CodecError::BadMagic(magic));
+        }
+        if version != 1 && version != VERSION {
+            return Err(CodecError::BadVersion(version));
+        }
+        if version == 1 && self.skip > 0 {
+            return Err(skip_past(self.skip, "a version 1 row"));
+        }
+        self.version = version;
+        Ok(())
+    }
+
+    /// The position of a cursor on the row at byte `offset`.
+    pub(crate) fn position(&self, offset: u64) -> TracePosition {
+        TracePosition {
+            offset: offset | u64::from(self.skip) << OFFSET_BITS,
+            prev_ts: self.prev_ts,
+        }
+    }
+
+    /// Restores the decode state `at` holds; returns the row's byte offset.
+    pub(crate) fn seek(&mut self, at: TracePosition) -> u64 {
+        self.prev_ts = at.prev_ts;
+        self.skip = (at.offset >> OFFSET_BITS) as u32;
+        at.offset & ((1 << OFFSET_BITS) - 1)
+    }
+
+    /// Decodes rows from `data[*pos..]` into `sink` as `(record, copies)`
+    /// until `want` records are delivered, the window is used up, or a row
+    /// fails; returns how many records were delivered and the failure, if
+    /// any. A row `want` has no room for in full delivers what fits and
+    /// leaves the cursor on its first byte. `Err(Truncated)` means the bytes
+    /// left at `*pos` stop short of a whole row; as with every framing error
+    /// the cursor stays on that row's boundary.
     pub(crate) fn decode_window(
         &mut self,
         data: &[u8],
         pos: &mut usize,
         want: usize,
-        mut sink: impl FnMut(PacketRecord),
+        mut sink: impl FnMut(PacketRecord, usize),
     ) -> (usize, Result<(), CodecError>) {
         let mut n = 0;
         while n < want && *pos < data.len() {
-            match decode_record_at(data, pos, &mut self.prev_ts) {
-                Ok(r) => {
-                    sink(r);
+            let (start, base) = (*pos, self.prev_ts);
+            match decode_record_at(data, pos, &mut self.prev_ts, self.version > 1) {
+                Ok((r, 1)) if self.skip == 0 => {
+                    sink(r, 1);
                     n += 1;
+                    self.rows += 1;
+                }
+                Ok((r, count)) => {
+                    let left = count.saturating_sub(self.skip) as usize;
+                    if left == 0 {
+                        (*pos, self.prev_ts) = (start, base);
+                        return (n, Err(skip_past(self.skip, &format!("a row of {count}"))));
+                    }
+                    let take = left.min(want - n);
+                    sink(r, take);
+                    n += take;
+                    if take < left {
+                        self.skip += lumen6_addr::cast::sat_u32(take);
+                        (*pos, self.prev_ts) = (start, base);
+                    } else {
+                        self.skip = 0;
+                        self.rows += 1;
+                    }
                 }
                 Err(e) if self.permissive && e.is_recoverable() => {
-                    self.skipped += 1;
+                    let lost = copies_of(&data[start..], self.version > 1);
+                    self.skip = 0;
+                    self.skipped += lost;
                     MetricsRegistry::global()
                         .counter(&format!("{}.{}", self.skip_metric, e.kind()))
-                        .inc();
+                        .add(lost);
                 }
                 Err(e) => return (n, Err(e)),
             }
@@ -405,15 +538,16 @@ impl WindowDecoder {
 }
 
 /// A resumable decode position inside an `L6TR` stream: the byte offset of
-/// the next un-decoded record plus the delta-decoding state at that point.
+/// the next un-decoded row plus the delta-decoding state at that point.
 /// Recorded in session checkpoints so a killed run can reopen the trace,
 /// [`StreamingTraceReader::resume`] at this position, and continue decoding
 /// mid-file as if never interrupted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TracePosition {
-    /// Absolute byte offset of the next record (header included in count).
+    /// Absolute byte offset of the next row (header included in count),
+    /// with the copies of it already delivered in bits 48..64.
     pub offset: u64,
-    /// Timestamp of the record preceding `offset` (delta-decode base).
+    /// Timestamp of the row preceding that one (delta-decode base).
     pub prev_ts: u64,
 }
 
@@ -449,37 +583,37 @@ pub struct StreamingTraceReader<R: Read> {
 impl<R: Read> StreamingTraceReader<R> {
     /// Validates the header and prepares for streaming decode.
     pub fn new(mut src: R) -> Result<Self, CodecError> {
-        let mut header = [0u8; 5];
-        read_exactly(&mut src, &mut header)
-            .and_then(|()| check_header(&header))
+        let mut dec = WindowDecoder::new("trace.codec.skipped");
+        read_header(&mut src)
+            .and_then(|header| dec.start(&header))
             .inspect_err(note_decode_error)?;
-        Ok(Self::raw(src, 5, 0))
+        Ok(Self::raw(src, 5, dec))
     }
 
-    /// Resumes decoding mid-stream at a [`TracePosition`] previously taken
-    /// with [`position`](Self::position). Seeks `src` to the recorded byte
-    /// offset and restores the delta-decode state; the header is not
-    /// re-validated (the position can only have come from a successful
-    /// decode of the same stream).
+    /// Resumes decoding at a [`position`](Self::position) of the same stream:
+    /// re-reads the header (a replaced file is `BadMagic`/`BadVersion`), then
+    /// seeks to the recorded row. A skip past that row's copies, or any skip
+    /// in a version 1 stream, is an error.
     pub fn resume(mut src: R, at: TracePosition) -> Result<Self, CodecError>
     where
         R: io::Seek,
     {
-        src.seek(io::SeekFrom::Start(at.offset))?;
-        Ok(Self::raw(src, at.offset, at.prev_ts))
+        let mut dec = WindowDecoder::new("trace.codec.skipped");
+        let offset = dec.seek(at);
+        src.seek(io::SeekFrom::Start(0))?;
+        dec.start(&read_header(&mut src)?)?;
+        src.seek(io::SeekFrom::Start(offset))?;
+        Ok(Self::raw(src, offset, dec))
     }
 
-    fn raw(src: R, fed: u64, prev_ts: u64) -> Self {
+    fn raw(src: R, fed: u64, dec: WindowDecoder) -> Self {
         StreamingTraceReader {
             src,
             buf: vec![0; STREAM_BUF_LEN + MAX_RECORD_LEN],
             pos: 0,
             end: 0,
             eof: false,
-            dec: WindowDecoder {
-                prev_ts,
-                ..WindowDecoder::new("trace.codec.skipped")
-            },
+            dec,
             pending_err: None,
             failed: false,
             fed,
@@ -491,9 +625,9 @@ impl<R: Read> StreamingTraceReader<R> {
     }
 
     /// Enables or disables permissive mode: recoverable per-record errors
-    /// (field overflows) are skipped — counted in [`skipped`](Self::skipped)
-    /// and under `trace.codec.skipped.<kind>` — instead of fusing the
-    /// reader. Framing errors still end the stream.
+    /// (field overflows) are skipped — every copy of the row counted in
+    /// [`skipped`](Self::skipped) and under `trace.codec.skipped.<kind>` —
+    /// instead of fusing the reader. Framing errors still end the stream.
     pub fn permissive(mut self, yes: bool) -> Self {
         self.dec.permissive = yes;
         self
@@ -504,24 +638,30 @@ impl<R: Read> StreamingTraceReader<R> {
         self.dec.skipped
     }
 
-    /// The current decode position: byte offset of the next un-decoded
-    /// record and the timestamp base it will be delta-decoded against.
-    /// Valid input to [`resume`](Self::resume) on a fresh reader over the
-    /// same stream.
-    pub fn position(&self) -> TracePosition {
-        TracePosition {
-            offset: self.fed - (self.end - self.pos) as u64,
-            prev_ts: self.dec.prev_ts,
-        }
+    /// The stream's format version.
+    pub fn version(&self) -> u8 {
+        self.dec.version
     }
 
-    /// Clears `out` and decodes up to `max` records into it; `Ok(0)` is end
-    /// of stream. Records decoded before an error are delivered first, as a
-    /// short batch; the error is returned by the next call, and every call
-    /// after that returns `Ok(0)`.
+    /// Rows decoded to their last copy so far.
+    pub fn rows(&self) -> u64 {
+        self.dec.rows
+    }
+
+    /// The current decode position: the next un-decoded row, the copies of
+    /// it already delivered, and its delta-decode base. Valid input to
+    /// [`resume`](Self::resume) on a fresh reader over the same stream.
+    pub fn position(&self) -> TracePosition {
+        self.dec.position(self.fed - (self.end - self.pos) as u64)
+    }
+
+    /// Clears `out` and decodes up to `max` records into it, a counted row
+    /// as one counted batch row; `Ok(0)` is end of stream. Records decoded
+    /// before an error are delivered first, as a short batch; the error is
+    /// returned by the next call, and every call after that returns `Ok(0)`.
     pub fn fill(&mut self, out: &mut RecordBatch, max: usize) -> Result<usize, CodecError> {
         out.clear();
-        self.pull(max, |r| out.push(r))
+        self.pull(max, |r, n| out.push_n(r, n))
     }
 
     /// Slides the undecoded tail of the window (less than one record) to
@@ -550,7 +690,7 @@ impl<R: Read> StreamingTraceReader<R> {
     fn pull(
         &mut self,
         want: usize,
-        mut sink: impl FnMut(PacketRecord),
+        mut sink: impl FnMut(PacketRecord, usize),
     ) -> Result<usize, CodecError> {
         if let Some(e) = self.pending_err.take() {
             return Err(e);
@@ -558,7 +698,7 @@ impl<R: Read> StreamingTraceReader<R> {
         if self.failed {
             return Ok(0);
         }
-        let mut got = 0;
+        let (mut got, rows) = (0, self.dec.rows);
         let err = loop {
             let (n, end) =
                 self.dec
@@ -576,6 +716,7 @@ impl<R: Read> StreamingTraceReader<R> {
             }
         };
         self.stats.records += got as u64;
+        self.stats.rows += self.dec.rows - rows;
         match err {
             None => Ok(got),
             Some(e) => {
@@ -591,9 +732,11 @@ impl<R: Read> StreamingTraceReader<R> {
     }
 }
 
-fn read_exactly<R: Read>(src: &mut R, out: &mut [u8]) -> Result<(), CodecError> {
-    match src.read_exact(out) {
-        Ok(()) => Ok(()),
+/// Reads the five header bytes; `Truncated` if the stream is shorter.
+pub(crate) fn read_header<R: Read>(src: &mut R) -> Result<[u8; 5], CodecError> {
+    let mut header = [0u8; 5];
+    match src.read_exact(&mut header) {
+        Ok(()) => Ok(header),
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(CodecError::Truncated),
         Err(e) => Err(e.into()),
     }
@@ -604,7 +747,7 @@ impl<R: Read> Iterator for StreamingTraceReader<R> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let mut record = None;
-        match self.pull(1, |r| record = Some(r)) {
+        match self.pull(1, |r, _| record = Some(r)) {
             Ok(_) => record.map(Ok),
             Err(e) => Some(Err(e)),
         }
@@ -616,36 +759,25 @@ impl<R: Read> Iterator for StreamingTraceReader<R> {
 pub(crate) mod tests_support {
     use super::*;
 
-    /// Encodes one record with an out-of-range dport varint (recoverable
-    /// field overflow) surrounded by good records. Returns the encoded
-    /// bytes and the records a permissive decoder should deliver.
+    /// A version 1 stream ([`encode_v1`]) with one record's dport varint
+    /// out of range (recoverable field overflow) among good records.
+    /// Returns the encoded bytes and the records a permissive decoder
+    /// should deliver.
     pub(crate) fn bytes_with_bad_dport() -> (Vec<u8>, Vec<PacketRecord>) {
         let good: Vec<PacketRecord> = (0..10u64)
             .map(|i| PacketRecord::tcp(i * 100, 1, 0xd0 + i as u128, 1, 22, 60))
             .collect();
-        let mut buf = BytesMut::with_capacity(1024);
-        let mut out = MAGIC.to_vec();
-        out.push(VERSION);
-        let mut prev = 0u64;
-        for (i, r) in good.iter().enumerate() {
-            put_varint(&mut buf, r.ts_ms - prev);
-            prev = r.ts_ms;
-            buf.put_u128(r.src);
-            buf.put_u128(r.dst);
-            buf.put_u8(r.proto.to_byte());
-            put_varint(&mut buf, u64::from(r.sport));
-            // Record 5 claims dport 70_000: decodes, fails range validation.
-            put_varint(&mut buf, if i == 5 { 70_000 } else { u64::from(r.dport) });
-            put_varint(&mut buf, u64::from(r.len));
-        }
-        out.extend_from_slice(&buf);
-        let expected: Vec<PacketRecord> = good
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != 5)
-            .map(|(_, r)| *r)
-            .collect();
-        (out, expected)
+        // Every varint of these records is one byte, so the rows are all one
+        // length and record 5's dport is the last byte but one of the sixth.
+        // It claims 70_000: the row decodes, then fails range validation.
+        let v1 = encode_v1(&good);
+        let at = 5 + 6 * ((v1.len() - 5) / good.len()) - 2;
+        assert_eq!(v1[at], 22, "record 5's dport");
+        let mut dport = BytesMut::with_capacity(3);
+        put_varint(&mut dport, 70_000);
+        let mut expected = good;
+        expected.remove(5);
+        ([&v1[..at], &dport, &v1[at + 1..]].concat(), expected)
     }
 
     /// A small trace exercising every field width.
@@ -658,24 +790,93 @@ pub(crate) mod tests_support {
         ]
     }
 
+    /// [`sample`] followed by counted rows: a run of three, a run of
+    /// `copies`, and a last single record.
+    pub(crate) fn counted_sample(copies: usize) -> Vec<PacketRecord> {
+        let mut recs = sample();
+        recs.extend([PacketRecord::tcp(2_000_000, 5, 6, 1234, 443, 60); 3]);
+        let probe = PacketRecord::udp(2_000_007, 7, 8, 53, 53, 90);
+        recs.extend(std::iter::repeat_n(probe, copies));
+        recs.push(PacketRecord::icmpv6_echo(3_000_000, 9, 10, 64));
+        recs
+    }
+
+    /// The codec corpora's sample: [`counted_sample`] with a run that fills
+    /// a row of 65 535 copies and spills two into the next. Eight rows,
+    /// 65 546 records.
+    pub(crate) fn full_row_sample() -> Vec<PacketRecord> {
+        counted_sample(MAX_COUNT as usize + 2)
+    }
+
+    /// Spells `records` out in version 1: one untagged row per record.
+    pub(crate) fn encode_v1(records: &[PacketRecord]) -> Vec<u8> {
+        let mut buf = BytesMut::with_capacity(1024);
+        let mut prev = 0;
+        for r in records {
+            put_varint(&mut buf, r.ts_ms - prev);
+            prev = r.ts_ms;
+            buf.put_u128(r.src);
+            buf.put_u128(r.dst);
+            buf.put_u8(r.proto.to_byte());
+            for field in [r.sport, r.dport, r.len] {
+                put_varint(&mut buf, u64::from(field));
+            }
+        }
+        [&MAGIC[..], &[1], &buf].concat()
+    }
+
+    /// Appends `n` copies of `r` to `runs`, folded into the last run when
+    /// it holds the same record: a record stream's shape whatever rows and
+    /// batches carried it.
+    pub(crate) fn push_run(runs: &mut Vec<(PacketRecord, u64)>, r: PacketRecord, n: u64) {
+        match runs.last_mut() {
+            Some((last, copies)) if *last == r => *copies += n,
+            _ => runs.push((r, n)),
+        }
+    }
+
+    /// The runs of `records` (see [`push_run`]).
+    pub(crate) fn runs_of(records: &[PacketRecord]) -> Vec<(PacketRecord, u64)> {
+        let mut runs = Vec::new();
+        for &r in records {
+            push_run(&mut runs, r, 1);
+        }
+        runs
+    }
+
+    /// Appends the rows of `batch` to `runs` (see [`push_run`]).
+    pub(crate) fn push_batch(runs: &mut Vec<(PacketRecord, u64)>, batch: &RecordBatch) {
+        for i in 0..batch.rows() {
+            push_run(runs, batch.get(i), u64::from(batch.count(i)));
+        }
+    }
+
+    /// Encodes `runs` through [`TraceWriter::append_n`].
+    pub(crate) fn encode_runs(runs: &[(PacketRecord, u64)]) -> Vec<u8> {
+        let mut w = TraceWriter::new(Vec::new()).unwrap();
+        for (r, n) in runs {
+            w.append_n(r, u32::try_from(*n).unwrap()).unwrap();
+        }
+        w.finish().unwrap()
+    }
+
     /// Batch sizes the corruption corpora are decoded at.
     pub(crate) const FILL_SIZES: [usize; 4] = [1, 2, 7, 4096];
 
-    /// The truncation corpus: [`sample`] and every proper prefix of its
-    /// encoding, indexed by cut length.
-    pub(crate) fn every_cut() -> (Vec<PacketRecord>, Vec<Vec<u8>>) {
-        let bytes = encode(&sample()).unwrap();
-        let cuts = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
-        (sample(), cuts)
+    /// The truncation corpus: every proper prefix of the encoding of
+    /// `recs`, indexed by cut length.
+    pub(crate) fn every_cut(recs: &[PacketRecord]) -> Vec<Vec<u8>> {
+        let bytes = encode(recs).unwrap();
+        (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect()
     }
 
-    /// The bit-flip corpus: a twenty-record trace with each bit of each
-    /// byte flipped in turn. Returns the record count and the streams.
-    pub(crate) fn every_bit_flip() -> (usize, Vec<Vec<u8>>) {
-        let recs: Vec<PacketRecord> = (0..20u64)
-            .map(|i| PacketRecord::tcp(i * 50, 3, 0xb0 + i as u128, 1, 443, 60))
-            .collect();
-        let clean = encode(&recs).unwrap();
+    /// The bit-flip corpus: the encoding of `recs` with each bit of each
+    /// byte flipped in turn. Returns the streams and a bound on the records
+    /// any of them decodes to: a flip may raise a count, but every row
+    /// takes at least 37 bytes and carries at most 65 535 copies.
+    pub(crate) fn every_bit_flip(recs: &[PacketRecord]) -> (Vec<Vec<u8>>, usize) {
+        let clean = encode(recs).unwrap();
+        let bound = (clean.len() / 37 + 1) * MAX_COUNT as usize;
         let flips = (0..clean.len() * 8)
             .map(|i| {
                 let mut bad = clean.clone();
@@ -683,14 +884,15 @@ pub(crate) mod tests_support {
                 bad
             })
             .collect();
-        (recs.len(), flips)
+        (flips, bound)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::tests_support::{
-        bytes_with_bad_dport, every_bit_flip, every_cut, sample, FILL_SIZES,
+        bytes_with_bad_dport, counted_sample, encode_runs, encode_v1, every_bit_flip, every_cut,
+        full_row_sample, push_batch, runs_of, sample, FILL_SIZES,
     };
     use super::*;
 
@@ -745,6 +947,141 @@ mod tests {
             w.append(&r).unwrap();
         }
         assert_eq!(w.count(), 4);
+    }
+
+    #[test]
+    fn writer_folds_runs_into_counted_rows_split_at_65535() {
+        let recs = full_row_sample();
+        let bytes = encode(&recs).unwrap();
+        // `append_n` takes a run in any cut to the bytes per-copy appends
+        // write.
+        let mut w = TraceWriter::new(Vec::new()).unwrap();
+        for (r, n) in runs_of(&recs) {
+            let half = u32::try_from(n / 2).unwrap();
+            w.append_n(&r, half).unwrap();
+            w.append_n(&r, u32::try_from(n).unwrap() - half).unwrap();
+        }
+        assert_eq!(w.count(), recs.len() as u64);
+        assert_eq!(w.finish().unwrap(), bytes);
+
+        let mut r = StreamingTraceReader::new(&bytes[..]).unwrap();
+        let mut batch = RecordBatch::new();
+        assert_eq!(r.fill(&mut batch, usize::MAX).unwrap(), recs.len());
+        assert_eq!(batch.counts(), &[1, 1, 1, 1, 3, 65_535, 2, 1]);
+        assert!(batch.iter().eq(recs.iter().copied()));
+        assert_eq!((r.version(), r.rows()), (2, 8));
+        assert_eq!(r.fill(&mut batch, 1).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_hand_built_v1_stream_still_decodes_a_row_per_record() {
+        let recs = &full_row_sample()[..7];
+        let v1 = encode_v1(recs);
+        let mut r = StreamingTraceReader::new(&v1[..]).unwrap();
+        let mut batch = RecordBatch::new();
+        assert_eq!(r.fill(&mut batch, 100).unwrap(), 7);
+        assert!(batch.iter().eq(recs.iter().copied()));
+        assert!(batch.counts().is_empty(), "a v1 row is one record");
+        assert_eq!((r.version(), r.rows()), (1, 7));
+        assert_eq!(r.position().offset, v1.len() as u64);
+        assert!(encode(recs).unwrap().len() < v1.len());
+    }
+
+    #[test]
+    fn a_delta_the_tag_cannot_hold_is_a_typed_error() {
+        let at = |ts| PacketRecord::tcp(ts, 1, 2, 1, 22, 60);
+        let mut w = TraceWriter::new(Vec::new()).unwrap();
+        w.append(&at(5)).unwrap();
+        assert!(matches!(
+            w.append(&at(5 + (1 << 63))),
+            Err(CodecError::FieldOverflow("delta_ts", d)) if d == 1 << 63
+        ));
+        w.append(&at(4 + (1 << 63))).unwrap();
+        assert_eq!(
+            decode(&w.finish().unwrap()).unwrap(),
+            [at(5), at(4 + (1 << 63))]
+        );
+    }
+
+    #[test]
+    fn flagged_counts_outside_2_to_65535_are_recoverable_field_overflows() {
+        let row = |count: u64, dport: u64| {
+            let mut b = BytesMut::with_capacity(64);
+            put_varint(&mut b, 1); // delta 0, counted
+            put_varint(&mut b, count);
+            b.put_u128(1);
+            b.put_u128(2);
+            b.put_u8(6);
+            for field in [3, dport, 60] {
+                put_varint(&mut b, field);
+            }
+            b.to_vec()
+        };
+        let rec = PacketRecord::tcp(0, 1, 2, 3, 22, 60);
+        let stream = |bad: &[u8]| [&MAGIC[..], &[VERSION], &row(2, 22), bad, &row(3, 22)].concat();
+        for bad in [0, 1, 65_536, u64::MAX] {
+            let bytes = stream(&row(bad, 22));
+            let strict: Vec<_> = StreamingTraceReader::new(&bytes[..]).unwrap().collect();
+            assert_eq!(strict.len(), 3, "count {bad}");
+            assert!(matches!(
+                strict[2],
+                Err(CodecError::FieldOverflow("count", n)) if n == bad
+            ));
+            let mut r = StreamingTraceReader::new(&bytes[..])
+                .unwrap()
+                .permissive(true);
+            let got: Result<Vec<_>, _> = r.by_ref().collect();
+            assert_eq!(got.unwrap(), [rec; 5], "count {bad}");
+            // A count out of range says nothing of the copies: one is lost.
+            assert_eq!(r.skipped(), 1);
+        }
+        // A row whose count is in range loses every copy to a bad field.
+        let bytes = stream(&row(7, 70_000));
+        let mut r = StreamingTraceReader::new(&bytes[..])
+            .unwrap()
+            .permissive(true);
+        assert_eq!(r.by_ref().count(), 5);
+        assert_eq!(r.skipped(), 7);
+    }
+
+    #[test]
+    fn resume_refuses_positions_the_stream_cannot_hold() {
+        let bytes = encode(&full_row_sample()).unwrap();
+        let open = |at| StreamingTraceReader::resume(io::Cursor::new(&bytes[..]), at);
+        let mut batch = RecordBatch::new();
+        let is_bad_position = |e: &CodecError| matches!(e, CodecError::Io(io) if io.kind() == io::ErrorKind::InvalidInput);
+        // A skip past the row's copies fails the first fill, before any
+        // record of the row is delivered.
+        let mut refused = |at| {
+            let mut r = open(at).unwrap();
+            assert!(is_bad_position(&r.fill(&mut batch, 100).unwrap_err()));
+            assert!(batch.is_empty() && r.next().is_none(), "fused");
+        };
+        // Ten copies into the 65 535-copy row.
+        let mut r = StreamingTraceReader::new(&bytes[..]).unwrap();
+        r.fill(&mut RecordBatch::new(), 7 + 10).unwrap();
+        let mid = r.position();
+        let row = mid.offset & ((1 << OFFSET_BITS) - 1);
+        assert_eq!(mid.offset >> OFFSET_BITS, 10);
+        let with_skip = |skip: u64| TracePosition {
+            offset: row | skip << OFFSET_BITS,
+            ..mid
+        };
+        refused(with_skip(65_535));
+        // A single-record row has no copy to skip.
+        refused(TracePosition {
+            offset: 5 | 1 << OFFSET_BITS,
+            prev_ts: 0,
+        });
+        let mut last = open(with_skip(65_534)).unwrap();
+        assert_eq!(last.fill(&mut batch, 100).unwrap(), 4, "one copy, two, one");
+        // Nor has any row of a version 1 stream: resume itself refuses that.
+        let v1 = encode_v1(&sample());
+        let on_v1 = StreamingTraceReader::resume(io::Cursor::new(&v1[..]), with_skip(1));
+        assert!(is_bad_position(&on_v1.unwrap_err()));
+        // A stream that is not a trace any more is the header's error.
+        let replaced = StreamingTraceReader::resume(io::Cursor::new(&b"NOPE\x02..."[..]), mid);
+        assert!(matches!(replaced.unwrap_err(), CodecError::BadMagic(_)));
     }
 
     /// A reader that returns at most `cap` bytes per `read` call, to
@@ -886,7 +1223,7 @@ mod tests {
         assert_eq!(r.skipped(), 0);
     }
 
-    /// Drains `r` through `fill(max)`: the records delivered and the kind of
+    /// Drains `r` through `fill(max)`: the runs delivered and the kind of
     /// the error that ended the stream, if one did. Checks the batch-size
     /// bound, that the stream ends within `limit` calls, and that the
     /// reader is fused afterwards.
@@ -894,7 +1231,7 @@ mod tests {
         r: &mut StreamingTraceReader<R>,
         max: usize,
         limit: usize,
-    ) -> (Vec<PacketRecord>, Option<&'static str>) {
+    ) -> (Vec<(PacketRecord, u64)>, Option<&'static str>) {
         let mut batch = RecordBatch::new();
         let mut got = Vec::new();
         let mut err = None;
@@ -904,7 +1241,7 @@ mod tests {
                 Ok(0) => break,
                 Ok(n) => {
                     assert!(n <= max && n == batch.len());
-                    got.extend(batch.iter());
+                    push_batch(&mut got, &batch);
                 }
                 Err(e) => {
                     err = Some(e.kind());
@@ -919,14 +1256,18 @@ mod tests {
 
     #[test]
     fn fill_equals_iterator_at_every_batch_size() {
-        let clean = encode(
-            &(0..2_000u64)
-                .map(|i| PacketRecord::udp(i * 2, i as u128, 9, 1, 53, 80))
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
+        // Runs of one to nine copies, so batches end inside rows; the same
+        // records spelt out in version 1; and a version 1 stream with a bad
+        // record.
+        let recs: Vec<PacketRecord> = (0..400u64)
+            .flat_map(|i| {
+                let r = PacketRecord::udp(i * 2, i as u128, 9, 1, 53, 80);
+                std::iter::repeat_n(r, 1 + i as usize % 9)
+            })
+            .collect();
+        let (clean, v1) = (encode(&recs).unwrap(), encode_v1(&recs));
         let (bad, _) = bytes_with_bad_dport();
-        for (bytes, permissive) in [(&clean, false), (&bad, false), (&bad, true)] {
+        for (bytes, permissive) in [(&clean, false), (&v1, false), (&bad, false), (&bad, true)] {
             let open = || {
                 StreamingTraceReader::new(io::Cursor::new(&bytes[..]))
                     .unwrap()
@@ -1032,16 +1373,17 @@ mod tests {
 
     #[test]
     fn truncation_at_every_cut_is_a_typed_error_never_a_panic() {
-        let (recs, cuts) = every_cut();
-        for (cut, head) in cuts.iter().enumerate() {
+        let recs = full_row_sample();
+        for (cut, head) in every_cut(&recs).iter().enumerate() {
             for max in FILL_SIZES {
                 match StreamingTraceReader::new(&head[..]) {
                     Ok(mut r) => {
                         let (got, err) = drain_fill(&mut r, max, recs.len() + 1);
-                        assert_eq!(got, recs[..got.len()], "cut={cut} max={max}");
+                        let n: u64 = got.iter().map(|run| run.1).sum();
+                        assert_eq!(got, runs_of(&recs[..n as usize]), "cut={cut} max={max}");
                         match err {
                             Some(kind) => assert_eq!(kind, "truncated", "cut={cut} max={max}"),
-                            None => assert_eq!(encode(&got).unwrap(), *head, "cut={cut}"),
+                            None => assert_eq!(encode_runs(&got), *head, "cut={cut}"),
                         }
                     }
                     Err(e) => assert!(
@@ -1055,25 +1397,38 @@ mod tests {
 
     #[test]
     fn bit_flips_are_typed_errors_never_panics() {
-        let (n_recs, flips) = every_bit_flip();
         // Each corrupted stream must decode to records and/or a typed
         // error — never panic, never loop — and to the same ones at every
-        // batch size.
-        for (i, bad) in flips.iter().enumerate() {
-            let outcomes: Vec<_> = FILL_SIZES
-                .iter()
-                .map(|&max| match StreamingTraceReader::new(&bad[..]) {
-                    Ok(mut r) => drain_fill(&mut r, max, n_recs + 1),
-                    Err(e) => {
-                        assert!(
-                            matches!(e, CodecError::BadMagic(_) | CodecError::BadVersion(_)),
-                            "flip {i}: header flip should be magic/version, got {e}"
-                        );
-                        (Vec::new(), Some(e.kind()))
-                    }
-                })
-                .collect();
-            assert!(outcomes.windows(2).all(|w| w[0] == w[1]), "flip {i}");
+        // batch size. A small counted sample runs at every fill size. A
+        // fill of `max` takes one step per `max` copies of the 65 535-copy
+        // row, so the full-row sample runs at sizes that all end a batch
+        // inside it and keep each stream to about a thousand steps.
+        let samples = [
+            (counted_sample(5), &FILL_SIZES[..]),
+            (full_row_sample(), &[64, 4096, 65_536][..]),
+        ];
+        for (recs, sizes) in samples {
+            let (flips, bound) = every_bit_flip(&recs);
+            for (i, bad) in flips.iter().enumerate() {
+                let outcomes: Vec<_> = sizes
+                    .iter()
+                    .map(|&max| match StreamingTraceReader::new(&bad[..]) {
+                        Ok(mut r) => drain_fill(&mut r, max, bound),
+                        Err(e) => {
+                            assert!(
+                                matches!(e, CodecError::BadMagic(_) | CodecError::BadVersion(_)),
+                                "flip {i}: header flip should be magic/version, got {e}"
+                            );
+                            (Vec::new(), Some(e.kind()))
+                        }
+                    })
+                    .collect();
+                let n = recs.len();
+                assert!(
+                    outcomes.windows(2).all(|w| w[0] == w[1]),
+                    "{n} records, flip {i}"
+                );
+            }
         }
     }
 

@@ -9,9 +9,11 @@
 //! - [`MaterializedSource`] — an in-memory, already-sorted record vector
 //!   (what the simulators and tests produce). Positions are record indices.
 //! - [`FileStreamSource`] — a bounded-memory streaming decoder over an
-//!   `L6TR` file. Positions are byte offsets, exactly as session
-//!   checkpoints always recorded them, so pre-existing checkpoints resume
-//!   unchanged.
+//!   `L6TR` file. Positions are byte offsets of the next row, exactly as
+//!   session checkpoints always recorded them, so pre-existing checkpoints
+//!   resume unchanged. In a version 2 file, whose rows carry repeat counts,
+//!   a batch may end inside a row: bits 48..64 of the offset then hold the
+//!   copies of that row already delivered (`offset = row | skip << 48`).
 //! - `FleetSource` (in `lumen6-scanners`, which depends on this crate) —
 //!   synthesizes batches directly from the fleet actors in timestamp order,
 //!   never materializing a trace, on the caller's thread or on N generator
@@ -26,7 +28,7 @@
 
 use crate::batch::RecordBatch;
 use crate::codec::{
-    check_header, CodecError, StreamingTraceReader, TracePosition, WindowDecoder, MAX_RECORD_LEN,
+    read_header, CodecError, StreamingTraceReader, TracePosition, WindowDecoder, MAX_RECORD_LEN,
 };
 use crate::record::PacketRecord;
 use lumen6_obs::MetricsRegistry;
@@ -181,8 +183,10 @@ impl Source for MaterializedSource {
 }
 
 /// A [`Source`] streaming an `L6TR` trace file in bounded memory. Positions
-/// are byte offsets — the same values session checkpoints have always
-/// stored, so existing checkpoints resume through this source unchanged.
+/// are byte offsets (with a skip above bit 48 inside a version 2 row; see
+/// the [module docs](self)) — the same values session checkpoints have
+/// always stored, so existing checkpoints resume through this source
+/// unchanged.
 #[derive(Debug)]
 pub struct FileStreamSource {
     path: PathBuf,
@@ -335,8 +339,7 @@ impl TailSource {
     /// Discards the current incarnation and re-opens `path` from the top.
     fn restart_incarnation(&mut self) {
         self.file = None;
-        self.offset = 0;
-        self.dec.prev_ts = 0;
+        self.offset = self.dec.seek(TracePosition::default());
         self.header_done = false;
     }
 
@@ -357,12 +360,10 @@ impl TailSource {
             if flen < 5 {
                 return Ok(flen > 0);
             }
-            let mut header = [0u8; 5];
             file.seek(io::SeekFrom::Start(0))?;
-            file.read_exact(&mut header)?;
-            check_header(&header)?;
+            self.dec.start(&read_header(file)?)?;
             self.header_done = true;
-            self.offset = 5;
+            self.offset = self.offset.max(5);
         }
         loop {
             let avail = flen.saturating_sub(self.offset);
@@ -391,7 +392,7 @@ impl TailSource {
             let mut pos = 0usize;
             let (_, end) = self
                 .dec
-                .decode_window(data, &mut pos, max - out.len(), |r| out.push(r));
+                .decode_window(data, &mut pos, max - out.len(), |r, n| out.push_n(r, n));
             self.offset += pos as u64;
             match end {
                 // Every record of the window was skipped: the next window
@@ -521,25 +522,16 @@ impl Source for TailSource {
     }
 
     fn position(&self) -> TracePosition {
-        TracePosition {
-            offset: self.offset,
-            prev_ts: self.dec.prev_ts,
-        }
+        self.dec.position(self.offset)
     }
 
+    /// The next poll re-reads the header and checks the position against it.
     fn resume(&mut self, at: TracePosition) -> Result<(), CodecError> {
         self.file = None;
         self.done = false;
         self.pending_err = None;
-        if at.offset < 5 {
-            self.offset = 0;
-            self.dec.prev_ts = 0;
-            self.header_done = false;
-        } else {
-            self.offset = at.offset;
-            self.dec.prev_ts = at.prev_ts;
-            self.header_done = true;
-        }
+        self.offset = self.dec.seek(at);
+        self.header_done = false;
         Ok(())
     }
 
@@ -552,7 +544,7 @@ impl Source for TailSource {
 mod tests {
     use super::*;
     use crate::codec::encode;
-    use crate::codec::tests_support::FILL_SIZES;
+    use crate::codec::tests_support::{counted_sample, every_bit_flip, every_cut, FILL_SIZES};
 
     fn recs(n: u64) -> Vec<PacketRecord> {
         (0..n)
@@ -745,29 +737,31 @@ mod tests {
 
     #[test]
     fn tail_source_partial_trailing_record_is_never_consumed() {
-        let want = recs(20);
+        // The last row is a counted one: three copies of record 19.
+        let mut want = recs(20);
+        want.extend([want[19]; 2]);
         let bytes = encode(&want).expect("encode");
         let dir = ScopedDir::new("partial");
         let path = dir.file("t.l6tr");
-        // Write everything except the last 4 bytes: the final record is a
+        // Write everything except the last 4 bytes: the final row is a
         // partial tail the writer has not finished appending.
         std::fs::write(&path, &bytes[..bytes.len() - 4]).unwrap();
 
         let mut src = TailSource::open(&path);
         let (got, state) = poll_all(&mut src, 7);
-        assert_eq!(got, want[..19], "only complete records delivered");
+        assert_eq!(got, want[..19], "only complete rows delivered");
         assert_eq!(state, FillOutcome::Pending, "partial tail means pending");
         assert_eq!(src.skipped(), 0);
 
-        // The writer completes the record and declares EOF.
+        // The writer completes the row and declares EOF.
         std::fs::write(&path, &bytes).unwrap();
         std::fs::write(TailSource::eof_marker(&path), b"").unwrap();
         let mut batch = RecordBatch::new();
         assert_eq!(
             src.poll_fill(&mut batch, 100).unwrap(),
-            FillOutcome::Filled(1)
+            FillOutcome::Filled(3)
         );
-        assert_eq!(batch.get(0), want[19]);
+        assert_eq!((batch.get(0), batch.count(0)), (want[19], 3));
         assert_eq!(src.poll_fill(&mut batch, 100).unwrap(), FillOutcome::Eof);
     }
 
@@ -932,11 +926,11 @@ mod tests {
 
     #[test]
     fn tail_source_truncation_at_every_cut_is_truncated_never_pending() {
-        let (recs, cuts) = crate::codec::tests_support::every_cut();
+        let recs = counted_sample(5);
         let dir = ScopedDir::new("cuts");
         let path = dir.file("t.l6tr");
         std::fs::write(TailSource::eof_marker(&path), b"").unwrap();
-        for (cut, head) in cuts.iter().enumerate() {
+        for (cut, head) in every_cut(&recs).iter().enumerate() {
             std::fs::write(&path, head).unwrap();
             for max in FILL_SIZES {
                 let mut src = TailSource::open(&path);
@@ -960,7 +954,7 @@ mod tests {
 
     #[test]
     fn tail_source_bit_flips_decode_as_the_file_stream_does() {
-        let (n_recs, flips) = crate::codec::tests_support::every_bit_flip();
+        let (flips, bound) = every_bit_flip(&counted_sample(5));
         let dir = ScopedDir::new("flips");
         let path = dir.file("t.l6tr");
         std::fs::write(TailSource::eof_marker(&path), b"").unwrap();
@@ -981,7 +975,7 @@ mod tests {
             };
             for max in FILL_SIZES {
                 let mut src = TailSource::open(&path);
-                let (got, err) = drain_finished_tail(&mut src, max, n_recs + 1);
+                let (got, err) = drain_finished_tail(&mut src, max, bound);
                 assert_eq!(got, want, "flip {i} max={max}");
                 assert_eq!(err.map(|e| e.kind()), want_err, "flip {i} max={max}");
             }
@@ -1009,6 +1003,48 @@ mod tests {
                 assert_eq!(tail.position(), file.position(), "max={max}");
             }
         }
+    }
+
+    #[test]
+    fn tail_source_resumes_inside_counted_rows() {
+        let want: Vec<PacketRecord> = recs(60)
+            .into_iter()
+            .enumerate()
+            .flat_map(|(i, r)| std::iter::repeat_n(r, 1 + i % 5))
+            .collect();
+        let dir = ScopedDir::new("mid-row");
+        let path = dir.file("t.l6tr");
+        std::fs::write(&path, encode(&want).unwrap()).unwrap();
+        std::fs::write(TailSource::eof_marker(&path), b"").unwrap();
+
+        // Every batch boundary of a 7-record poll, most of them inside a
+        // row, resumes a fresh tail to exactly the rest of the stream.
+        let mut src = TailSource::open(&path);
+        let mut batch = RecordBatch::new();
+        let (mut done, mut inside) = (0, 0);
+        while let FillOutcome::Filled(n) = src.poll_fill(&mut batch, 7).unwrap() {
+            done += n;
+            let pos = src.position();
+            inside += usize::from(pos.offset >> 48 > 0);
+            let mut fresh = TailSource::open(&path);
+            fresh.resume(pos).unwrap();
+            assert_eq!(poll_all(&mut fresh, 33).0, want[done..], "after {done}");
+        }
+        assert_eq!(done, want.len());
+        assert!(inside > 10, "{inside} boundaries inside a row");
+
+        // A version 1 file has no position inside a row.
+        std::fs::write(&path, crate::codec::tests_support::encode_v1(&want)).unwrap();
+        let mut v1 = TailSource::open(&path);
+        v1.resume(TracePosition {
+            offset: 5 | 1 << 48,
+            prev_ts: 0,
+        })
+        .unwrap();
+        assert!(matches!(
+            v1.poll_fill(&mut batch, 7),
+            Err(CodecError::Io(e)) if e.kind() == io::ErrorKind::InvalidInput
+        ));
     }
 
     #[test]
