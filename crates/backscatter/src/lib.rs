@@ -17,7 +17,8 @@
 //!   their victims, produce the PTR-query stream an authority for the
 //!   scanners' reverse zones would record (each victim network's resolver
 //!   looks up a probing source with a configurable probability, with
-//!   per-resolver caching).
+//!   per-resolver caching). [`backscatter_queries`] draws it a packet at
+//!   a time, so a stream need not be resident.
 //! - [`BackscatterDetector`]: the querier-diversity classifier — an address
 //!   (or covering prefix, aggregation matters here exactly as in §2.2 of
 //!   the paper) whose PTR queries arrive from at least `min_queriers`
@@ -31,6 +32,7 @@ use lumen6_trace::PacketRecord;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 
 /// One PTR query observed at the scanners' reverse-zone authority.
@@ -75,36 +77,49 @@ fn resolver_of(dst: u128) -> u128 {
     (Ipv6Prefix::new(dst, 64).bits()) | 0x53
 }
 
-/// Generates the PTR-query stream for a victim-side packet trace.
+/// The PTR-query stream for victim-side packets, drawn a packet at a time:
+/// each packet arriving at a victim — each copy of a counted row — draws
+/// once from the seeded RNG, then meets its resolver's cache, which holds
+/// one entry per (resolver, target) however many packets arrive.
 ///
 /// `records` is the traffic arriving at victims (e.g. the telescope trace);
-/// the output is what the *scanners'* reverse-zone authority sees. Queries
-/// are time-sorted.
+/// the queries are what the *scanners'* reverse-zone authority sees, in
+/// packet order.
+pub fn backscatter_queries(
+    records: impl IntoIterator<Item = PacketRecord>,
+    config: &BackscatterConfig,
+    seed: u64,
+) -> impl Iterator<Item = PtrQuery> {
+    let config = config.clone();
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xba55_ca77);
+    // (resolver, target) -> expiry of the cached answer.
+    let mut cache: HashMap<(u128, u128), u64> = HashMap::new();
+    records.into_iter().filter_map(move |r| {
+        if !rng.gen_bool(config.lookup_probability) {
+            return None;
+        }
+        let resolver = resolver_of(r.dst);
+        match cache.get(&(resolver, r.src)) {
+            Some(&expiry) if r.ts_ms < expiry => return None,
+            _ => {}
+        }
+        cache.insert((resolver, r.src), r.ts_ms + config.cache_ttl_ms);
+        Some(PtrQuery {
+            ts_ms: r.ts_ms + config.latency_ms,
+            resolver,
+            target: r.src,
+        })
+    })
+}
+
+/// The [`backscatter_queries`] of a resident trace, time-sorted.
 pub fn generate_backscatter(
     records: &[PacketRecord],
     config: &BackscatterConfig,
     seed: u64,
 ) -> Vec<PtrQuery> {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xba55_ca77);
-    // (resolver, target) -> expiry of the cached answer.
-    let mut cache: HashMap<(u128, u128), u64> = HashMap::new();
-    let mut out = Vec::new();
-    for r in records {
-        if !rng.gen_bool(config.lookup_probability) {
-            continue;
-        }
-        let resolver = resolver_of(r.dst);
-        match cache.get(&(resolver, r.src)) {
-            Some(&expiry) if r.ts_ms < expiry => continue,
-            _ => {}
-        }
-        cache.insert((resolver, r.src), r.ts_ms + config.cache_ttl_ms);
-        out.push(PtrQuery {
-            ts_ms: r.ts_ms + config.latency_ms,
-            resolver,
-            target: r.src,
-        });
-    }
+    let mut out: Vec<PtrQuery> =
+        backscatter_queries(records.iter().copied(), config, seed).collect();
     out.sort_by_key(|q| q.ts_ms);
     out
 }
@@ -160,10 +175,15 @@ impl Default for BackscatterDetector {
 }
 
 impl BackscatterDetector {
-    /// Runs detection over a query window.
-    pub fn detect(&self, queries: &[PtrQuery]) -> Vec<BackscatterScanner> {
+    /// Runs detection over a query window — resident or streamed, each
+    /// query seen once.
+    pub fn detect(
+        &self,
+        queries: impl IntoIterator<Item = impl Borrow<PtrQuery>>,
+    ) -> Vec<BackscatterScanner> {
         let mut per: HashMap<Ipv6Prefix, (HashSet<u128>, u64, u64, u64)> = HashMap::new();
         for q in queries {
+            let q = q.borrow();
             let src = Ipv6Prefix::new(q.target, self.agg_len);
             let e = per
                 .entry(src)
@@ -316,7 +336,9 @@ mod tests {
     #[test]
     fn empty_traffic_empty_queries() {
         assert!(generate_backscatter(&[], &BackscatterConfig::default(), 1).is_empty());
-        assert!(BackscatterDetector::default().detect(&[]).is_empty());
+        assert!(BackscatterDetector::default()
+            .detect(std::iter::empty::<PtrQuery>())
+            .is_empty());
     }
 
     #[test]

@@ -15,9 +15,10 @@
 
 use crate::{Args, CliError};
 use lumen6_detect::adaptive::{AdaptiveConfig, AdaptiveIds};
+use lumen6_detect::day::{DayBuffer, Prefiltered};
 use lumen6_detect::{
-    observe_slice, AggLevel, ArtifactFilter, DetectorBuilder, MawiConfig as FhConfig, MawiDetector,
-    ScanDetectorConfig, ScanReport, SessionOutcome,
+    AggLevel, ArtifactFilter, DetectorBuilder, FilterReport, MawiConfig as FhConfig, MawiDetector,
+    ScanDetectorConfig, ScanReport, Session, SessionOutcome, SessionReport,
 };
 use lumen6_mawi::MawiConfig;
 use lumen6_report::{duration_human, pkt_count, Table};
@@ -49,6 +50,8 @@ USAGE:
                  live: default --timeout-secs, 0 = never. Report-neutral for
                  input time-ordered at the detector — sorted, or disordered
                  within --watermark-secs)
+                (--prefilter: the A.1 filter, a UTC day at a time; its threshold
+                 scales with --intensity, so a --trace file is taken as 1x)
   lumen6 detect --fused [--days N] [--seed N] [--small] [--intensity F]
                 [--gen-threads N]
                 (synthesize the CDN fleet stream in-process instead of
@@ -189,8 +192,9 @@ pub(crate) fn run_config(args: &Args) -> Result<RunConfig, CliError> {
     Ok(run)
 }
 
-/// A reader over `run`'s trace. Its readers take `agg` without
-/// [`RunConfig::validate`], so a length it would clamp is refused here.
+/// A strict reader over `run`'s trace: a decode error ends the command.
+/// Its readers take `agg` without [`RunConfig::validate`], so a length it
+/// would clamp is refused here.
 fn open_trace(run: &RunConfig) -> Result<StreamingTraceReader<File>, CliError> {
     run.agg_level().map_err(CliError::Usage)?;
     let path = run
@@ -200,10 +204,66 @@ fn open_trace(run: &RunConfig) -> Result<StreamingTraceReader<File>, CliError> {
     Ok(StreamingTraceReader::new(File::open(path)?)?)
 }
 
-/// The records of `run`'s trace.
-fn load_trace(run: &RunConfig) -> Result<Vec<PacketRecord>, CliError> {
-    let records: Result<Vec<_>, _> = open_trace(run)?.collect();
-    Ok(records?)
+/// Hands `read` the counted rows of `run`'s trace, filled a batch at a
+/// time — the one loop every per-record reader takes; none holds the
+/// trace. A decode error ends the rows and is what this returns.
+fn read_rows<T>(
+    run: &RunConfig,
+    read: impl FnOnce(&mut dyn Iterator<Item = (PacketRecord, u32)>) -> T,
+) -> Result<T, CliError> {
+    let (mut reader, mut failed) = (open_trace(run)?, None);
+    let mut rows = std::iter::from_fn(|| {
+        let mut batch = RecordBatch::new();
+        match reader.fill(&mut batch, lumen6_detect::DEFAULT_SESSION_BATCH) {
+            Ok(0) => None,
+            filled => Some(filled.map(|_| batch)),
+        }
+    })
+    .map_while(|filled| filled.map_err(|e| failed = Some(e)).ok())
+    .flat_map(|b| (0..b.rows()).map(move |i| (b.get(i), b.count(i))));
+    let done = read(&mut rows);
+    failed.map_or(Ok(done), |e| Err(e.into()))
+}
+
+/// Every copy of every counted row.
+fn copies(rows: impl Iterator<Item = (PacketRecord, u32)>) -> impl Iterator<Item = PacketRecord> {
+    rows.flat_map(|(r, n)| std::iter::repeat_n(r, n as usize))
+}
+
+/// `run`'s session over its source, with `base` the detector's
+/// configuration (behind the A.1 day stage with `prefilter`): its `agg`
+/// report, and what the filter removed. The source drops here, publishing
+/// its decode counters before a caller reads the metrics.
+fn run_session(
+    run: &RunConfig,
+    base: ScanDetectorConfig,
+    prefilter: bool,
+) -> Result<(SessionReport, ScanReport, Option<FilterReport>), CliError> {
+    let builder = DetectorBuilder::new(base);
+    let session = Session::new(builder, run.backend(), run.session_config());
+    let src = run.make_source()?;
+    let (outcome, filtered) = if prefilter {
+        let mut src = Prefiltered::new(src, ArtifactFilter::at_intensity(run.intensity));
+        (session.run_source(&mut src)?, Some(src.report()))
+    } else {
+        let mut src = src;
+        (session.run_source(src.as_mut())?, None)
+    };
+    let (mut rep, agg) = match outcome {
+        SessionOutcome::Finished(rep) => (rep, AggLevel::new(run.agg)),
+        SessionOutcome::Stopped {
+            checkpoints_written,
+            records_done,
+        } => {
+            return Err(CliError::Stopped {
+                checkpoints_written,
+                records_done,
+            });
+        }
+    };
+    let missing = || CliError::Internal(format!("level /{} missing from report", agg.len()));
+    let report = rep.reports.remove(&agg).ok_or_else(missing)?;
+    Ok((rep, report, filtered))
 }
 
 /// Drains `source` into an L6TR file at `path`, published by rename so a
@@ -223,25 +283,6 @@ fn write_trace(path: &str, source: &mut dyn Source) -> Result<u64, CliError> {
         writer.finish()?;
         Ok(records)
     })
-}
-
-/// `run`'s report over a resident trace, by the batch route every product
-/// path takes.
-fn detect_resident(
-    run: &RunConfig,
-    keep_dsts: bool,
-    records: &[PacketRecord],
-) -> Result<ScanReport, CliError> {
-    let config = ScanDetectorConfig {
-        keep_dsts,
-        ..run.detector_config()
-    };
-    let agg = config.agg;
-    let mut det = DetectorBuilder::new(config).build(run.backend());
-    observe_slice(det.as_mut(), records, run.batch);
-    det.finish()
-        .remove(&agg)
-        .ok_or_else(|| CliError::Internal(format!("level /{} missing from report", agg.len())))
 }
 
 /// `generate <cdn|mawi|custom>`: build a synthetic vantage trace file.
@@ -346,86 +387,35 @@ fn info<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
 ///
 /// All backends dispatch through one [`DetectorBuilder`] code path: the
 /// detector on a worker thread by default, on the ingesting thread with
-/// `--sequential`.
-/// Without `--prefilter` the input is streamed through a fault-tolerant
+/// `--sequential`. The input streams through a fault-tolerant
 /// [`lumen6_detect::Session`] in bounded memory — checkpoint/resume with
 /// `--checkpoint FILE` (fused runs resume by deterministic regeneration),
 /// out-of-order tolerance with `--watermark-secs N`, and
-/// quarantine-and-skip of corrupt records unless `--strict`.
-/// Prefiltering needs the whole trace resident and is incompatible with
-/// the session flags and with `--fused`.
+/// quarantine-and-skip of corrupt records unless `--strict` — behind the
+/// A.1 day stage with `--prefilter`, which cannot resume yet.
 fn detect<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     // Delta against the process-global registry so the emitted snapshot
     // covers exactly this command run (tests share one process).
     let metrics_baseline = lumen6_obs::MetricsRegistry::global().snapshot();
     let run = run_config(args)?;
     run.validate().map_err(CliError::Usage)?;
-    let agg = AggLevel::new(run.agg);
     let top = args.get_parsed::<usize>("top", 20)?;
-
-    let mut session_stats = None;
-    let report = if args.has("prefilter") {
-        if run.checkpoint.is_some() || run.watermark_secs > 0 {
-            return Err(CliError::Usage(
-                "--checkpoint/--watermark-secs are incompatible with --prefilter \
-                 (prefiltering needs the whole trace resident)"
-                    .into(),
-            ));
+    let prefilter = args.has("prefilter");
+    if prefilter && (run.checkpoint.is_some() || run.watermark_secs > 0 || run.tail.is_some()) {
+        let refused = "--checkpoint/--watermark-secs/--tail are incompatible with --prefilter";
+        return Err(CliError::Usage(refused.into()));
+    }
+    let (rep, report, filtered) = run_session(&run, run.detector_config(), prefilter)?;
+    if let Some(f) = filtered {
+        let (removed, input, sources) = (f.removed_packets, f.input_packets, f.removed_sources);
+        let line = format!("prefilter: removed {removed} of {input} packets ({sources} sources)");
+        // Under --json, stdout is the event list alone.
+        if args.has("json") {
+            eprintln!("{line}");
+        } else {
+            writeln!(out, "{line}")?;
         }
-        if run.fused || run.tail.is_some() {
-            return Err(CliError::Usage(
-                "--fused/--tail are incompatible with --prefilter (prefiltering \
-                 needs the whole trace resident; those sources never materialize it)"
-                    .into(),
-            ));
-        }
-        let records = load_trace(&run)?;
-        let (kept, filter_report) = ArtifactFilter::default().filter(&records);
-        writeln!(
-            out,
-            "prefilter: removed {} of {} packets ({} sources)",
-            filter_report.removed_packets,
-            filter_report.input_packets,
-            filter_report.removed_sources
-        )?;
-        detect_resident(&run, false, &kept)?
-    } else {
-        // Stream through the fault-tolerant session so peak memory does not
-        // scale with trace size: off disk with --trace, following a growing
-        // file with --tail, or synthesized in-process from the fleet
-        // generators with --fused (the generator→detector pipeline never
-        // touches a trace file).
-        let announce = run.checkpoint.is_some();
-        let mut src = run.make_source()?;
-        match run.make_session().run_source(src.as_mut())? {
-            SessionOutcome::Stopped {
-                checkpoints_written,
-                records_done,
-            } => {
-                return Err(CliError::Stopped {
-                    checkpoints_written,
-                    records_done,
-                })
-            }
-            SessionOutcome::Finished(mut rep) => {
-                // Surface session-layer accounting whenever checkpointing is
-                // on or anything was dropped/skipped; quiet for the plain
-                // sorted-trace fast path. Restored counters make a resumed
-                // run print the same line as an uninterrupted one.
-                if announce || rep.late_dropped > 0 || rep.decode_skipped > 0 {
-                    session_stats = Some((
-                        rep.records,
-                        rep.late_dropped,
-                        rep.decode_skipped,
-                        rep.checkpoints_written,
-                    ));
-                }
-                rep.reports.remove(&agg).ok_or_else(|| {
-                    CliError::Internal(format!("level /{} missing from report", agg.len()))
-                })?
-            }
-        }
-    };
+    }
     if args.has("json") {
         // Streamed: the event list is never resident as text. Rendering
         // cannot fail, so an error here is `out`'s.
@@ -437,11 +427,16 @@ fn detect<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         return Ok(());
     }
     emit_metrics(args, &metrics_baseline, out, false)?;
-    if let Some((records, late, skipped, ckpts)) = session_stats {
+    // Surface session-layer accounting whenever checkpointing is on or
+    // anything was dropped/skipped; quiet for the plain sorted-trace fast
+    // path. Restored counters make a resumed run print the same line as an
+    // uninterrupted one.
+    if run.checkpoint.is_some() || rep.late_dropped > 0 || rep.decode_skipped > 0 {
+        let (records, late, ckpts) = (rep.records, rep.late_dropped, rep.checkpoints_written);
         writeln!(
             out,
-            "session: {records} records, {late} late-dropped, {skipped} skipped, \
-             {ckpts} checkpoints"
+            "session: {records} records, {late} late-dropped, {} skipped, {ckpts} checkpoints",
+            rep.decode_skipped
         )?;
     }
     writeln!(
@@ -575,29 +570,26 @@ fn peak_rss_kib() -> Option<i64> {
     line.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
-/// `mawi-detect`: per-day Fukuda–Heidemann-extended detection.
+/// `mawi-detect`: per-day Fukuda–Heidemann-extended detection, on each
+/// closed day's capture window.
 fn mawi_detect<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let run = run_config(args)?;
-    let records = load_trace(&run)?;
     let det = MawiDetector::new(FhConfig {
         agg: AggLevel::new(run.agg),
         min_dsts: run.min_dsts,
         ..Default::default()
     });
-    let start = records
-        .first()
-        .map(|r| r.ts_ms / lumen6_trace::DAY_MS)
-        .unwrap_or(0);
-    let end = records
-        .last()
-        .map(|r| r.ts_ms / lumen6_trace::DAY_MS + 1)
-        .unwrap_or(0);
-    let mut all = Vec::new();
-    for (day, slice) in lumen6_mawi::split_days(&records, start, end) {
-        for scan in det.detect(slice) {
-            all.push((day, scan));
-        }
-    }
+    let (mut all, mut days) = (Vec::new(), DayBuffer::default());
+    let mut detect_day = |day, rows: &RecordBatch| {
+        let (start, end) = lumen6_mawi::capture_window(day);
+        let window = (0..rows.rows()).map(|i| (rows.get(i), rows.count(i)));
+        let window = window.filter(|(r, _)| (start..end).contains(&r.ts_ms));
+        all.extend(det.detect_counted(window).into_iter().map(|s| (day, s)));
+    };
+    read_rows(&run, |rows| {
+        rows.for_each(|(r, n)| days.push(r, n, &mut detect_day));
+    })?;
+    days.finish(&mut detect_day);
     if args.has("json") {
         let json = serde_json::to_string_pretty(&all)
             .map_err(|e| CliError::Internal(format!("serialize scans: {e}")))?;
@@ -626,12 +618,11 @@ fn mawi_detect<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliErr
 /// `adaptive`: adaptive-aggregation alerting with collateral estimates.
 fn adaptive<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let run = run_config(args)?;
-    let records = load_trace(&run)?;
     let ids = AdaptiveIds::new(AdaptiveConfig {
         min_dsts: run.min_dsts,
         ..Default::default()
     });
-    let alerts = ids.analyze(&records);
+    let alerts = read_rows(&run, |rows| ids.analyze_counted(rows))?;
     writeln!(out, "{} alerts", alerts.len())?;
     let mut t = Table::new(vec![
         "prefix",
@@ -660,17 +651,19 @@ fn adaptive<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError>
     Ok(())
 }
 
-/// `fingerprint`: detect scans, then cluster them by traffic behavior.
+/// `fingerprint`: detect scans, keeping their destinations, then cluster
+/// them by traffic behavior.
 fn fingerprint_cmd<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    let run = run_config(args)?;
+    let mut run = run_config(args)?;
     let threshold = args.get_parsed::<f64>("threshold", 0.10)?;
     if !threshold.is_finite() || threshold < 0.0 {
         return Err(CliError::Usage(format!(
             "invalid value for --threshold: {threshold} (a distance: finite, ≥ 0)"
         )));
     }
-    let records = load_trace(&run)?;
-    let report = detect_resident(&run, true, &records)?;
+    open_trace(&run)?; // the checks every trace reader makes
+    run.strict = true; // as every trace reader: a decode error ends the command
+    let (_, report, _) = run_session(&run, run.detector_config().with_dsts(), false)?;
     let clusters = lumen6_detect::fingerprint::cluster(&report.events, threshold);
     writeln!(
         out,
@@ -729,15 +722,18 @@ fn import_pcap<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliErr
     Ok(())
 }
 
-/// `export-pcap`: write a trace as real IPv6 packets for Wireshark/tcpdump.
+/// `export-pcap`: write a trace as real IPv6 packets for Wireshark/tcpdump,
+/// each copy of a counted row as it is filled.
 fn export_pcap<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    let records = load_trace(&run_config(args)?)?;
+    let run = run_config(args)?;
     let out_path = args
         .get("out")
         .ok_or_else(|| CliError::Usage("--out FILE is required".into()))?;
     let n = write_atomic(Path::new(out_path), |file| {
-        lumen6_trace::pcap::write_pcap(&records, file)
-            .map_err(|e| CliError::Usage(format!("pcap export failed: {e}")))
+        let written = read_rows(&run, |rows| {
+            lumen6_trace::pcap::write_pcap(copies(rows), file)
+        })?;
+        written.map_err(|e| CliError::Usage(format!("pcap export failed: {e}")))
     })?;
     writeln!(out, "wrote {n} packets to {out_path}")?;
     Ok(())
@@ -746,19 +742,21 @@ fn export_pcap<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliErr
 /// `backscatter`: simulate the reverse-zone authority's PTR stream for the
 /// trace and run querier-diversity detection on it.
 fn backscatter<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    use lumen6_backscatter::{generate_backscatter, BackscatterConfig, BackscatterDetector};
+    use lumen6_backscatter::{backscatter_queries, BackscatterConfig, BackscatterDetector};
     let run = run_config(args)?;
     let det = BackscatterDetector {
         agg_len: run.agg,
         min_queriers: args.get_parsed("min-queriers", 20)?,
     };
-    let records = load_trace(&run)?;
-    let queries = generate_backscatter(&records, &BackscatterConfig::default(), 42);
-    let flagged = det.detect(&queries);
+    let mut queries = 0u64;
+    let flagged = read_rows(&run, |rows| {
+        // Every copy draws its own lookup.
+        let drawn = backscatter_queries(copies(rows), &BackscatterConfig::default(), 42);
+        det.detect(drawn.inspect(|_| queries += 1))
+    })?;
     writeln!(
         out,
-        "{} PTR queries observed; {} sources flagged (≥{} distinct resolvers)",
-        queries.len(),
+        "{queries} PTR queries observed; {} sources flagged (≥{} distinct resolvers)",
         flagged.len(),
         det.min_queriers
     )?;
@@ -1166,7 +1164,9 @@ mod tests {
         let mut writer = TraceWriter::new(File::create(&late).unwrap()).unwrap();
         for ts_ms in [0, u64::MAX / 2] {
             writer
-                .append(&PacketRecord::tcp(ts_ms, 1, 2, 40_000, 22, 60))
+                .append(&lumen6_trace::PacketRecord::tcp(
+                    ts_ms, 1, 2, 40_000, 22, 60,
+                ))
                 .unwrap();
         }
         writer.finish().unwrap();
@@ -1667,6 +1667,79 @@ mod tests {
         let (via_fused, res) = run_cli(&fused);
         res.unwrap();
         assert_eq!(via_fused, via_file, "fused output differs from trace file");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `--prefilter` is the same day stage over a generated file and over
+    /// the fused stream, and at an integer intensity it removes what it
+    /// removes at 1x — its threshold scales — so the events are the 1x
+    /// events with every packet count times the intensity. At
+    /// `--min-dsts 5`, where the filter changes the report. It refuses the
+    /// flags it cannot resume under, with one error.
+    #[test]
+    fn fused_prefilter_equals_the_trace_and_scales_with_intensity() {
+        let dir = std::env::temp_dir().join(format!("lumen6-cli-fusedpre-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.l6tr");
+        let p = path.to_str().unwrap();
+        let shape = ["--small", "--days", "21"];
+        run_cli(&[&["generate", "cdn", "--out", p][..], &shape].concat())
+            .1
+            .unwrap();
+        let filtered = ["--prefilter", "--min-dsts", "5", "--json"];
+        let (via_file, res) = run_cli(&[&["detect", "--trace", p][..], &filtered].concat());
+        res.unwrap();
+        let fused = [&["detect", "--fused"][..], &shape, &filtered].concat();
+        let (via_fused, res) = run_cli(&fused);
+        res.unwrap();
+        assert_eq!(
+            via_fused, via_file,
+            "fused --prefilter differs from the file"
+        );
+        let (unfiltered, res) = run_cli(&[&["detect", "--trace", p][..], &filtered[1..]].concat());
+        res.unwrap();
+        assert_ne!(
+            unfiltered, via_file,
+            "the filter removed nothing that mattered"
+        );
+
+        let events =
+            |json: &str| -> Vec<lumen6_detect::ScanEvent> { serde_json::from_str(json).unwrap() };
+        let (at10, res) = run_cli(&[&fused[..], &["--intensity", "10"]].concat());
+        res.unwrap();
+        let mut expect = events(&via_file);
+        for e in &mut expect {
+            e.packets *= 10;
+            e.ports.iter_mut().for_each(|(_, n)| *n *= 10);
+        }
+        assert_eq!(events(&at10), expect);
+
+        for line in [
+            &[
+                "detect",
+                "--trace",
+                p,
+                "--prefilter",
+                "--checkpoint",
+                "c.l6ck",
+            ][..],
+            &[
+                "detect",
+                "--trace",
+                p,
+                "--prefilter",
+                "--watermark-secs",
+                "5",
+            ],
+            &["detect", "--fused", "--prefilter", "--watermark-secs", "5"],
+            &["detect", "--tail", p, "--prefilter"],
+        ] {
+            let (_, res) = run_cli(line);
+            let Err(CliError::Usage(msg)) = res else {
+                panic!("{line:?}: expected a usage error, got {res:?}");
+            };
+            assert!(msg.contains("incompatible with --prefilter"), "{msg}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -228,6 +228,23 @@ fn truncated_trace_fails_every_reader_alike() {
     ]);
 }
 
+/// Under `--json`, stdout is the event list alone: the A.1 summary line
+/// goes to stderr.
+#[test]
+fn prefilter_json_stdout_is_json() {
+    let args = ["detect", "--prefilter", "--json", "--trace", "s21.l6tr"];
+    let out = lumen6(inputs(), &args);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let events: serde_json::Value = serde_json::from_str(&stdout).expect("stdout is JSON");
+    assert!(
+        events.as_array().is_some_and(|e| !e.is_empty()),
+        "{events:?}"
+    );
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.starts_with("prefilter: removed "), "{stderr}");
+}
+
 /// The paper's tables and figures on the full fleet (seed 42, both
 /// vantages): the full-scale output every change to a reader must hold.
 #[test]

@@ -9,7 +9,8 @@
 //!
 //! [`AdaptiveIds::analyze`] resolves a traffic window bottom-up:
 //!
-//! 1. Per-/128 statistics are computed once.
+//! 1. Per-/128 statistics are computed once, a row at a time, so a stream
+//!    need not be resident ([`AdaptiveIds::analyze_counted`]).
 //! 2. Walking levels from most specific to coarsest, a prefix raises an
 //!    alert if its **residual** traffic — packets from descendants *not*
 //!    already covered by a finer alert — meets the scan definition. A lone
@@ -110,15 +111,26 @@ impl AdaptiveIds {
         AdaptiveIds { config }
     }
 
-    /// Analyzes one window of traffic and returns the final alert set,
-    /// sorted by packet count descending.
+    /// Analyzes one resident window of traffic:
+    /// [`analyze_counted`](Self::analyze_counted) with one copy per record.
     pub fn analyze(&self, records: &[PacketRecord]) -> Vec<Alert> {
+        self.analyze_counted(records.iter().map(|&r| (r, 1)))
+    }
+
+    /// Analyzes one window of counted rows — a row of count `n` weighs as
+    /// `n` copies — and returns the final alert set, sorted by packet count
+    /// descending. Holds one entry per distinct (source, destination),
+    /// however many packets carry it.
+    pub fn analyze_counted(
+        &self,
+        rows: impl IntoIterator<Item = (PacketRecord, u32)>,
+    ) -> Vec<Alert> {
         // 1. Per-/128 stats.
         let mut hosts: HashMap<u128, HostStat> = HashMap::new();
-        for r in records {
+        for (r, n) in rows {
             let h = hosts.entry(r.src).or_default();
             h.dsts.insert(r.dst);
-            h.packets += 1;
+            h.packets += u64::from(n);
         }
 
         let mut levels = self.config.levels.clone();

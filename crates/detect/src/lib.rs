@@ -5,7 +5,8 @@
 //!
 //! 1. **Artifact prefiltering** ([`prefilter`]): remove CDN connection
 //!    artifacts — /64 sources whose daily traffic is >30% "5-duplicate"
-//!    packets (same destination IP and port hit more than 5 times in a day).
+//!    packets (same destination IP and port hit more than 5 times in a day),
+//!    decided a closed UTC day at a time ([`day`]).
 //! 2. **Source aggregation** ([`aggregate`]): treat the traffic source as
 //!    the /128 address itself or the covering /64, /48 (or any) prefix.
 //!    Aggregation happens *before* detection, so a /48 can qualify as a scan
@@ -42,11 +43,11 @@ pub mod adaptive;
 pub mod aggregate;
 pub mod blocklist;
 pub mod checkpoint_codec;
+pub mod day;
 pub mod detector;
 pub mod event;
 pub mod fingerprint;
 pub mod fxhash;
-pub mod ids;
 pub mod kernels;
 pub mod mawi;
 pub mod multi;
@@ -63,7 +64,6 @@ pub use detector::{ScanDetector, ScanDetectorConfig};
 pub use event::{ScanEvent, ScanReport};
 pub use fingerprint::Fingerprint;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use ids::{Ids, IdsAction, IdsConfig};
 pub use mawi::{MawiConfig, MawiDetector, MawiScan};
 pub use parallel::ThreadedDetector;
 pub use portclass::{classify_ports, PortClass};

@@ -142,12 +142,23 @@ impl MawiDetector {
         MawiDetector { config }
     }
 
-    /// Runs detection over one capture window and returns per-source merged
-    /// scans, sorted by source.
+    /// Runs detection over one resident capture window and returns
+    /// per-source merged scans, sorted by source:
+    /// [`detect_counted`](Self::detect_counted) with one copy per record.
     pub fn detect(&self, records: &[PacketRecord]) -> Vec<MawiScan> {
+        self.detect_counted(records.iter().map(|&r| (r, 1)))
+    }
+
+    /// Runs detection over one capture window of counted rows — a row of
+    /// count `n` weighs as `n` copies — and returns per-source merged
+    /// scans, sorted by source.
+    pub fn detect_counted(
+        &self,
+        rows: impl IntoIterator<Item = (PacketRecord, u32)>,
+    ) -> Vec<MawiScan> {
         let mut groups: HashMap<(Ipv6Prefix, Transport, u16), Group> = HashMap::new();
-        for r in records {
-            let s = self.config.agg.source_of(r.src);
+        for (r, n) in rows {
+            let (s, n) = (self.config.agg.source_of(r.src), u64::from(n));
             let g = groups
                 .entry((s, r.proto, r.dport))
                 .or_insert_with(|| Group {
@@ -155,9 +166,9 @@ impl MawiDetector {
                     end_ms: r.ts_ms,
                     ..Default::default()
                 });
-            *g.per_dst.entry(r.dst).or_default() += 1;
-            *g.len_hist.entry(r.len).or_default() += 1;
-            g.packets += 1;
+            *g.per_dst.entry(r.dst).or_default() += n;
+            *g.len_hist.entry(r.len).or_default() += n;
+            g.packets += n;
             g.start_ms = g.start_ms.min(r.ts_ms);
             g.end_ms = g.end_ms.max(r.ts_ms);
         }

@@ -14,7 +14,7 @@
 
 use crate::aggregate::AggLevel;
 use lumen6_addr::Ipv6Prefix;
-use lumen6_trace::{PacketRecord, Transport, DAY_MS};
+use lumen6_trace::{scale_intensity, PacketRecord, RecordBatch, Transport, DAY_MS};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -76,8 +76,10 @@ impl FilterReport {
     }
 }
 
-/// The 5-duplicate artifact filter. Operates on a full, time-sorted trace;
-/// day boundaries are multiples of [`DAY_MS`] from the epoch.
+/// The 5-duplicate artifact filter. Decides one UTC day of counted rows at
+/// a time; day boundaries are multiples of [`DAY_MS`] from the epoch.
+/// [`filter`](Self::filter) runs it over a resident, time-sorted trace,
+/// [`crate::day::Prefiltered`] over a stream.
 ///
 /// ```
 /// use lumen6_detect::ArtifactFilter;
@@ -97,82 +99,104 @@ pub struct ArtifactFilter {
     config: ArtifactFilterConfig,
 }
 
+/// What a filter removed so far, across the days it decided; its
+/// [`report`](Self::report) is the [`FilterReport`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FilterTally {
+    input_packets: u64,
+    removed_packets: u64,
+    removed_source_days: u64,
+    removed_sources: HashSet<Ipv6Prefix>,
+    removed_by_service: BTreeMap<(Transport, u16), u64>,
+    removed_src_service: HashSet<(Ipv6Prefix, Transport, u16)>,
+}
+
+impl FilterTally {
+    /// The report of every day decided so far.
+    pub(crate) fn report(&self) -> FilterReport {
+        let descending = |m: BTreeMap<(Transport, u16), u64>| {
+            let mut v: Vec<_> = m.into_iter().collect();
+            v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            v
+        };
+        let mut sources_by_service: BTreeMap<(Transport, u16), u64> = BTreeMap::new();
+        for &(_, proto, port) in &self.removed_src_service {
+            *sources_by_service.entry((proto, port)).or_default() += 1;
+        }
+        FilterReport {
+            input_packets: self.input_packets,
+            removed_packets: self.removed_packets,
+            removed_source_days: self.removed_source_days,
+            removed_sources: self.removed_sources.len() as u64,
+            removed_by_service: descending(self.removed_by_service.clone()),
+            removed_sources_by_service: descending(sources_by_service),
+        }
+    }
+}
+
 impl ArtifactFilter {
     /// Creates a filter with the paper's parameters.
     pub fn new(config: ArtifactFilterConfig) -> Self {
         ArtifactFilter { config }
     }
 
-    /// Applies the filter, returning the kept packets (original order) and a
-    /// report on what was removed.
+    /// The paper's filter for a stream at `intensity` copies per probe.
     ///
-    /// Two passes per day: first count per-(source, dst, proto, port)
-    /// packets, then decide per source and copy the keepers.
-    pub fn filter(&self, records: &[PacketRecord]) -> (Vec<PacketRecord>, FilterReport) {
-        let mut kept = Vec::with_capacity(records.len());
-        let mut report = FilterReport {
-            input_packets: records.len() as u64,
-            ..Default::default()
-        };
-        let mut removed_sources: HashSet<Ipv6Prefix> = HashSet::new();
-        let mut removed_by_service: BTreeMap<(Transport, u16), u64> = BTreeMap::new();
-        let mut removed_src_service: HashSet<(Ipv6Prefix, Transport, u16)> = HashSet::new();
-
-        // Process day by day (records are time-sorted).
-        let mut day_start = 0usize;
-        while day_start < records.len() {
-            let day = records[day_start].ts_ms / DAY_MS;
-            let mut day_end = day_start;
-            while day_end < records.len() && records[day_end].ts_ms / DAY_MS == day {
-                day_end += 1;
-            }
-            let day_slice = &records[day_start..day_end];
-            self.filter_day(
-                day_slice,
-                &mut kept,
-                &mut report,
-                &mut removed_sources,
-                &mut removed_by_service,
-                &mut removed_src_service,
-            );
-            day_start = day_end;
-        }
-
-        report.removed_sources = removed_sources.len() as u64;
-        report.removed_by_service = {
-            let mut v: Vec<_> = removed_by_service.into_iter().collect();
-            v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            v
-        };
-        report.removed_sources_by_service = {
-            let mut m: BTreeMap<(Transport, u16), u64> = BTreeMap::new();
-            for (_, proto, port) in removed_src_service {
-                *m.entry((proto, port)).or_default() += 1;
-            }
-            let mut v: Vec<_> = m.into_iter().collect();
-            v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            v
-        };
-        (kept, report)
+    /// The A.1 duplicate threshold is a *volume-relative* cutoff ("the
+    /// same (dst, port) more than 5 times per day"), unlike the detector's
+    /// structural thresholds (distinct destinations, idle timeout), which
+    /// intensity leaves untouched. Scaling it with the intensity keeps the
+    /// filter's removal decisions bit-identical at integer intensities:
+    /// every per-(source, dst, port) daily count is exactly `intensity`
+    /// times its 1x value, so `count > 5 * intensity` holds iff the 1x
+    /// count exceeded 5.
+    pub fn at_intensity(intensity: f64) -> Self {
+        let base = ArtifactFilterConfig::default();
+        ArtifactFilter::new(ArtifactFilterConfig {
+            dup_threshold: scale_intensity(base.dup_threshold, intensity),
+            ..base
+        })
     }
 
-    fn filter_day(
+    /// Applies the filter to a resident, time-sorted trace, returning the
+    /// kept packets (original order) and a report on what was removed: the
+    /// day decision over each day's records.
+    pub fn filter(&self, records: &[PacketRecord]) -> (Vec<PacketRecord>, FilterReport) {
+        let mut kept = Vec::with_capacity(records.len());
+        let mut tally = FilterTally::default();
+        let (mut day, mut kept_rows) = (RecordBatch::new(), RecordBatch::new());
+        for records in records.chunk_by(|a, b| a.ts_ms / DAY_MS == b.ts_ms / DAY_MS) {
+            day.clear();
+            day.extend(records.iter().copied());
+            kept_rows.clear();
+            self.filter_day(&day, &mut kept_rows, &mut tally);
+            kept.extend(kept_rows.iter());
+        }
+        (kept, tally.report())
+    }
+
+    /// Decides one day of counted rows — a row of count `n` weighs as `n`
+    /// copies — appending the kept rows to `kept` in order and accounting
+    /// the removed ones in `tally`.
+    ///
+    /// Two passes: first count per-(source, dst, proto, port) packets,
+    /// then decide per source and copy the keepers.
+    pub(crate) fn filter_day(
         &self,
-        day: &[PacketRecord],
-        kept: &mut Vec<PacketRecord>,
-        report: &mut FilterReport,
-        removed_sources: &mut HashSet<Ipv6Prefix>,
-        removed_by_service: &mut BTreeMap<(Transport, u16), u64>,
-        removed_src_service: &mut HashSet<(Ipv6Prefix, Transport, u16)>,
+        day: &RecordBatch,
+        kept: &mut RecordBatch,
+        tally: &mut FilterTally,
     ) {
+        let agg = self.config.agg;
+        let rows = || (0..day.rows()).map(|i| (day.get(i), u64::from(day.count(i))));
         // Pass 1: per-(source, dst, proto, port) packet counts and
         // per-source totals.
         let mut flow_counts: HashMap<(Ipv6Prefix, u128, Transport, u16), u64> = HashMap::new();
         let mut src_totals: HashMap<Ipv6Prefix, u64> = HashMap::new();
-        for r in day {
-            let s = self.config.agg.source_of(r.src);
-            *flow_counts.entry((s, r.dst, r.proto, r.dport)).or_default() += 1;
-            *src_totals.entry(s).or_default() += 1;
+        for (r, n) in rows() {
+            let s = agg.source_of(r.src);
+            *flow_counts.entry((s, r.dst, r.proto, r.dport)).or_default() += n;
+            *src_totals.entry(s).or_default() += n;
         }
         // Per-source duplicate packet counts: packets belonging to flows
         // that exceeded the duplicate threshold.
@@ -192,18 +216,22 @@ impl ArtifactFilter {
             .map(|(s, _)| *s)
             .collect();
 
-        report.removed_source_days += removed.len() as u64;
+        tally.input_packets += day.len() as u64;
+        tally.removed_source_days += removed.len() as u64;
 
         // Pass 2: copy keepers, account removals.
-        for r in day {
-            let s = self.config.agg.source_of(r.src);
+        for (i, (r, n)) in rows().enumerate() {
+            let s = agg.source_of(r.src);
             if removed.contains(&s) {
-                report.removed_packets += 1;
-                *removed_by_service.entry((r.proto, r.dport)).or_default() += 1;
-                removed_src_service.insert((s, r.proto, r.dport));
-                removed_sources.insert(s);
+                tally.removed_packets += n;
+                *tally
+                    .removed_by_service
+                    .entry((r.proto, r.dport))
+                    .or_default() += n;
+                tally.removed_src_service.insert((s, r.proto, r.dport));
+                tally.removed_sources.insert(s);
             } else {
-                kept.push(*r);
+                kept.extend_from_range(day, i..i + 1);
             }
         }
     }

@@ -15,12 +15,12 @@ pub mod ext;
 pub mod mawi_exp;
 
 use lumen6_detect::{
-    observe_slice, AggLevel, ArtifactFilter, ArtifactFilterConfig, Backend, DetectorBuilder,
-    FilterReport, ScanDetectorConfig, ScanReport, Session, SessionConfig, SessionError,
-    SessionOutcome, DEFAULT_SESSION_BATCH,
+    observe_slice, AggLevel, ArtifactFilter, Backend, DetectorBuilder, FilterReport,
+    ScanDetectorConfig, ScanReport, Session, SessionConfig, SessionError, SessionOutcome,
+    DEFAULT_SESSION_BATCH,
 };
 use lumen6_mawi::{MawiConfig, MawiWorld};
-use lumen6_scanners::{scale_intensity, FleetConfig, World};
+use lumen6_scanners::{FleetConfig, World};
 use lumen6_trace::PacketRecord;
 use std::collections::BTreeMap;
 
@@ -69,21 +69,8 @@ impl CdnLab {
     pub fn build_with(config: FleetConfig, mode: Backend) -> CdnLab {
         let world = World::build(config);
         let trace = world.cdn_trace();
-        // The A.1 duplicate threshold is a *volume-relative* cutoff ("the
-        // same (dst, port) more than 5 times per day"), unlike the
-        // detector's structural thresholds (distinct destinations, idle
-        // timeout), which intensity leaves untouched. Scaling it with the
-        // configured intensity keeps the filter's removal decisions
-        // bit-identical at integer intensities: every per-(source, dst,
-        // port) daily count is exactly `intensity` times its 1x value, so
-        // `count > 5 * intensity` holds iff the 1x count exceeded 5.
-        let prefilter = ArtifactFilter::new(ArtifactFilterConfig {
-            dup_threshold: scale_intensity(
-                ArtifactFilterConfig::default().dup_threshold,
-                world.config().intensity,
-            ),
-            ..Default::default()
-        });
+        // The A.1 duplicate threshold scales with the fleet's intensity.
+        let prefilter = ArtifactFilter::at_intensity(world.config().intensity);
         let (filtered, filter_report) = prefilter.filter(&trace);
         let mut reports = run_mode(mode, &filtered, &LEVELS, ScanDetectorConfig::default());
         // Re-run /64 with destination retention (needed by `targets`/`a4`).

@@ -55,6 +55,49 @@ pub fn merge_sorted(traces: Vec<Vec<PacketRecord>>) -> Vec<PacketRecord> {
     out
 }
 
+/// Scales `base` by `factor` — how `--intensity` scales a volume: the
+/// fleet's packets per session and repeat streams, and the A.1 filter's
+/// duplicate threshold — with *exact* integer arithmetic: the result is
+/// `round(base × factor)` where `factor` is taken at its exact rational
+/// value as an IEEE-754 double (mantissa × 2^exponent), the product is
+/// formed in 128 bits, and rounding is explicit (half away from zero).
+///
+/// Exact for every `base` at intensity 1.0 (the identity; going through
+/// `base as f64` would drop low bits above 2^53), with no floor at one
+/// packet (a session that scales below half a packet emits none), monotone
+/// in both arguments, and saturating at `u64::MAX` instead of wrapping.
+/// Non-finite or non-positive factors scale to 0.
+pub fn scale_intensity(base: u64, factor: f64) -> u64 {
+    if base == 0 || !factor.is_finite() || factor <= 0.0 {
+        return 0;
+    }
+    // Decompose the (positive, finite) double: value = mantissa × 2^exp.
+    let bits = factor.to_bits();
+    let raw_exp = ((bits >> 52) & 0x7ff) as i64;
+    let frac = bits & ((1u64 << 52) - 1);
+    let (mantissa, exp) = if raw_exp == 0 {
+        (frac, -1074i64) // subnormal
+    } else {
+        (frac | (1u64 << 52), raw_exp - 1075)
+    };
+    let prod = u128::from(base) * u128::from(mantissa); // ≤ 2^117, exact
+    if exp >= 0 {
+        // Integral scale factor: shift up, saturating.
+        if exp >= 128 || prod.leading_zeros() < exp as u32 {
+            return u64::MAX;
+        }
+        u64::try_from(prod << exp).unwrap_or(u64::MAX)
+    } else {
+        let shift = -exp as u32;
+        if shift >= 128 {
+            return 0;
+        }
+        // Round half away from zero: add 2^(shift-1) before truncating.
+        let half = 1u128 << (shift - 1);
+        u64::try_from(prod.saturating_add(half) >> shift).unwrap_or(u64::MAX)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,6 +19,7 @@
 use crate::record::{PacketRecord, Transport};
 use lumen6_addr::cast::{sat_u16, sat_u32};
 use lumen6_obs::MetricsRegistry;
+use std::borrow::Borrow;
 use std::io::{self, Read, Write};
 
 /// LINKTYPE_RAW: packets start directly with the IP header.
@@ -167,12 +168,16 @@ fn build_packet(r: &PacketRecord) -> Vec<u8> {
 }
 
 /// Writes records as a classic pcap file (microsecond timestamps,
-/// LINKTYPE_RAW). Returns the number of packets written.
+/// LINKTYPE_RAW), a packet as each is drawn from `records` — resident or
+/// streamed. Returns the number of packets written.
 ///
 /// Classic pcap stores epoch seconds in 32 bits; a record whose timestamp
 /// does not fit is a [`PcapError::FieldOverflow`] — previously it was
 /// silently wrapped, producing a capture with scrambled times.
-pub fn write_pcap<W: Write>(records: &[PacketRecord], mut out: W) -> Result<u64, PcapError> {
+pub fn write_pcap<W: Write>(
+    records: impl IntoIterator<Item = impl Borrow<PacketRecord>>,
+    mut out: W,
+) -> Result<u64, PcapError> {
     // Global header.
     out.write_all(&MAGIC_US.to_le_bytes())?;
     out.write_all(&2u16.to_le_bytes())?; // major
@@ -182,7 +187,9 @@ pub fn write_pcap<W: Write>(records: &[PacketRecord], mut out: W) -> Result<u64,
     out.write_all(&65_535u32.to_le_bytes())?; // snaplen
     out.write_all(&LINKTYPE_RAW.to_le_bytes())?;
 
+    let mut packets = 0;
     for r in records {
+        let r = r.borrow();
         let ts_sec = r.ts_ms / 1000;
         let ts_sec =
             u32::try_from(ts_sec).map_err(|_| PcapError::FieldOverflow("ts_sec", ts_sec))?;
@@ -193,12 +200,13 @@ pub fn write_pcap<W: Write>(records: &[PacketRecord], mut out: W) -> Result<u64,
         out.write_all(&wire_len.to_le_bytes())?;
         out.write_all(&wire_len.to_le_bytes())?;
         out.write_all(&pkt)?;
+        packets += 1;
     }
     out.flush()?;
     MetricsRegistry::global()
         .counter("trace.pcap.packets_written")
-        .add(records.len() as u64);
-    Ok(records.len() as u64)
+        .add(packets);
+    Ok(packets)
 }
 
 // ---------------------------------------------------------------------
@@ -604,7 +612,7 @@ mod tests {
     #[test]
     fn truncated_record_counts_as_skipped() {
         let mut buf = Vec::new();
-        write_pcap(&sample(), &mut buf).unwrap();
+        write_pcap(sample(), &mut buf).unwrap();
         let cut = &buf[..buf.len() - 10];
         let imported = read_pcap(cut).unwrap();
         assert_eq!(imported.records.len(), 3);
@@ -691,7 +699,7 @@ mod tests {
     #[test]
     fn empty_capture_is_fine() {
         let mut buf = Vec::new();
-        write_pcap(&[], &mut buf).unwrap();
+        write_pcap(std::iter::empty::<PacketRecord>(), &mut buf).unwrap();
         let imported = read_pcap(&buf[..]).unwrap();
         assert!(imported.records.is_empty());
         assert_eq!(imported.skipped, 0);
@@ -702,11 +710,11 @@ mod tests {
         // 2^32 seconds (~year 2106) does not fit the classic pcap ts_sec
         // field; the writer must refuse instead of silently wrapping.
         let r = PacketRecord::tcp((u64::from(u32::MAX) + 1) * 1000, 1, 2, 1, 22, 60);
-        let err = write_pcap(&[r], Vec::new()).unwrap_err();
+        let err = write_pcap([r], Vec::new()).unwrap_err();
         assert!(matches!(err, PcapError::FieldOverflow("ts_sec", _)));
         // The last representable second is still fine.
         let r = PacketRecord::tcp(u64::from(u32::MAX) * 1000, 1, 2, 1, 22, 60);
-        assert_eq!(write_pcap(&[r], Vec::new()).unwrap(), 1);
+        assert_eq!(write_pcap([r], Vec::new()).unwrap(), 1);
     }
 
     #[test]
@@ -750,7 +758,7 @@ mod tests {
         // A corrupt record claiming a multi-megabyte frame must not trigger
         // a matching allocation; the reader discards what bytes exist.
         let mut buf = Vec::new();
-        write_pcap(&sample(), &mut buf).unwrap();
+        write_pcap(sample(), &mut buf).unwrap();
         buf.extend_from_slice(&9u32.to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes());
         buf.extend_from_slice(&(64 * 1024 * 1024u32).to_le_bytes());
@@ -764,7 +772,7 @@ mod tests {
     #[test]
     fn streaming_reader_matches_batch_import() {
         let mut buf = Vec::new();
-        write_pcap(&sample(), &mut buf).unwrap();
+        write_pcap(sample(), &mut buf).unwrap();
         let mut reader = PcapReader::new(&buf[..]).unwrap();
         let streamed: Vec<PacketRecord> = reader.by_ref().collect::<Result<_, _>>().unwrap();
         assert_eq!(reader.skipped(), 0);
