@@ -249,8 +249,8 @@ fn run_session(
         let mut src = src;
         (session.run_source(src.as_mut())?, None)
     };
-    let (mut rep, agg) = match outcome {
-        SessionOutcome::Finished(rep) => (rep, AggLevel::new(run.agg)),
+    let mut rep = match outcome {
+        SessionOutcome::Finished(rep) => rep,
         SessionOutcome::Stopped {
             checkpoints_written,
             records_done,
@@ -261,6 +261,7 @@ fn run_session(
             });
         }
     };
+    let agg = AggLevel::new(run.agg);
     let missing = || CliError::Internal(format!("level /{} missing from report", agg.len()));
     let report = rep.reports.remove(&agg).ok_or_else(missing)?;
     Ok((rep, report, filtered))

@@ -67,6 +67,7 @@ pub fn merge_sorted(traces: Vec<Vec<PacketRecord>>) -> Vec<PacketRecord> {
 /// packet (a session that scales below half a packet emits none), monotone
 /// in both arguments, and saturating at `u64::MAX` instead of wrapping.
 /// Non-finite or non-positive factors scale to 0.
+#[inline]
 pub fn scale_intensity(base: u64, factor: f64) -> u64 {
     if base == 0 || !factor.is_finite() || factor <= 0.0 {
         return 0;
