@@ -50,8 +50,8 @@ USAGE:
                  live: default --timeout-secs, 0 = never. Report-neutral for
                  input time-ordered at the detector — sorted, or disordered
                  within --watermark-secs)
-                (--prefilter: the A.1 filter, a UTC day at a time; its threshold
-                 scales with --intensity, so a --trace file is taken as 1x)
+                (--prefilter: the A.1 filter, a UTC day at a time, as --strict;
+                 its threshold scales with --intensity: a --trace file is 1x)
   lumen6 detect --fused [--days N] [--seed N] [--small] [--intensity F]
                 [--gen-threads N]
                 (synthesize the CDN fleet stream in-process instead of
@@ -192,16 +192,17 @@ pub(crate) fn run_config(args: &Args) -> Result<RunConfig, CliError> {
     Ok(run)
 }
 
-/// A strict reader over `run`'s trace: a decode error ends the command.
-/// Its readers take `agg` without [`RunConfig::validate`], so a length it
-/// would clamp is refused here.
-fn open_trace(run: &RunConfig) -> Result<StreamingTraceReader<File>, CliError> {
+/// The `--trace` of a per-record reader, which takes `agg` without
+/// [`RunConfig::validate`]: a length it would clamp is refused here.
+fn trace_path(run: &RunConfig) -> Result<&str, CliError> {
     run.agg_level().map_err(CliError::Usage)?;
-    let path = run
-        .trace
-        .as_ref()
-        .ok_or_else(|| CliError::Usage("--trace FILE is required".into()))?;
-    Ok(StreamingTraceReader::new(File::open(path)?)?)
+    let missing = || CliError::Usage("--trace FILE is required".into());
+    run.trace.as_deref().ok_or_else(missing)
+}
+
+/// A strict reader over `run`'s trace: a decode error ends the command.
+fn open_trace(run: &RunConfig) -> Result<StreamingTraceReader<File>, CliError> {
+    Ok(StreamingTraceReader::new(File::open(trace_path(run)?)?)?)
 }
 
 /// Hands `read` the counted rows of `run`'s trace, filled a batch at a
@@ -231,23 +232,23 @@ fn copies(rows: impl Iterator<Item = (PacketRecord, u32)>) -> impl Iterator<Item
 }
 
 /// `run`'s session over its source, with `base` the detector's
-/// configuration (behind the A.1 day stage with `prefilter`): its `agg`
+/// configuration (behind the A.1 day stage with a `prefilter`): its `agg`
 /// report, and what the filter removed. The source drops here, publishing
 /// its decode counters before a caller reads the metrics.
 fn run_session(
     run: &RunConfig,
     base: ScanDetectorConfig,
-    prefilter: bool,
+    prefilter: Option<ArtifactFilter>,
 ) -> Result<(SessionReport, ScanReport, Option<FilterReport>), CliError> {
     let builder = DetectorBuilder::new(base);
     let session = Session::new(builder, run.backend(), run.session_config());
-    let src = run.make_source()?;
-    let (outcome, filtered) = if prefilter {
-        let mut src = Prefiltered::new(src, ArtifactFilter::at_intensity(run.intensity));
-        (session.run_source(&mut src)?, Some(src.report()))
-    } else {
-        let mut src = src;
-        (session.run_source(src.as_mut())?, None)
+    let mut src = run.make_source()?;
+    let (outcome, filtered) = match prefilter {
+        Some(filter) => {
+            let mut src = Prefiltered::new(src, filter);
+            (session.run_source(&mut src)?, Some(src.report()))
+        }
+        None => (session.run_source(src.as_mut())?, None),
     };
     let mut rep = match outcome {
         SessionOutcome::Finished(rep) => rep,
@@ -392,21 +393,23 @@ fn info<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
 /// [`lumen6_detect::Session`] in bounded memory — checkpoint/resume with
 /// `--checkpoint FILE` (fused runs resume by deterministic regeneration),
 /// out-of-order tolerance with `--watermark-secs N`, and
-/// quarantine-and-skip of corrupt records unless `--strict` — behind the
-/// A.1 day stage with `--prefilter`, which cannot resume yet.
+/// quarantine-and-skip of corrupt records unless `--strict` (implied by
+/// `--prefilter`'s A.1 day stage, which cannot resume yet).
 fn detect<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     // Delta against the process-global registry so the emitted snapshot
     // covers exactly this command run (tests share one process).
     let metrics_baseline = lumen6_obs::MetricsRegistry::global().snapshot();
-    let run = run_config(args)?;
+    let mut run = run_config(args)?;
+    let prefilter = args.has("prefilter");
+    run.strict |= prefilter;
     run.validate().map_err(CliError::Usage)?;
     let top = args.get_parsed::<usize>("top", 20)?;
-    let prefilter = args.has("prefilter");
     if prefilter && (run.checkpoint.is_some() || run.watermark_secs > 0 || run.tail.is_some()) {
         let refused = "--checkpoint/--watermark-secs/--tail are incompatible with --prefilter";
         return Err(CliError::Usage(refused.into()));
     }
-    let (rep, report, filtered) = run_session(&run, run.detector_config(), prefilter)?;
+    let filter = prefilter.then(|| ArtifactFilter::at_intensity(run.intensity));
+    let (rep, report, filtered) = run_session(&run, run.detector_config(), filter)?;
     if let Some(f) = filtered {
         let (removed, input, sources) = (f.removed_packets, f.input_packets, f.removed_sources);
         let line = format!("prefilter: removed {removed} of {input} packets ({sources} sources)");
@@ -581,14 +584,17 @@ fn mawi_detect<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliErr
         ..Default::default()
     });
     let (mut all, mut days) = (Vec::new(), DayBuffer::default());
-    let mut detect_day = |day, rows: &RecordBatch| {
-        let (start, end) = lumen6_mawi::capture_window(day);
-        let window = (0..rows.rows()).map(|i| (rows.get(i), rows.count(i)));
-        let window = window.filter(|(r, _)| (start..end).contains(&r.ts_ms));
-        all.extend(det.detect_counted(window).into_iter().map(|s| (day, s)));
+    let mut detect_day = |day, window: &RecordBatch| {
+        let rows = (0..window.rows()).map(|i| (window.get(i), window.count(i)));
+        all.extend(det.detect_counted(rows).into_iter().map(|s| (day, s)));
     };
     read_rows(&run, |rows| {
-        rows.for_each(|(r, n)| days.push(r, n, &mut detect_day));
+        for (r, n) in rows {
+            let (start, end) = lumen6_mawi::capture_window(r.ts_ms / lumen6_trace::DAY_MS);
+            if (start..end).contains(&r.ts_ms) {
+                days.push(r, n, &mut detect_day);
+            }
+        }
     })?;
     days.finish(&mut detect_day);
     if args.has("json") {
@@ -656,15 +662,15 @@ fn adaptive<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError>
 /// them by traffic behavior.
 fn fingerprint_cmd<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let mut run = run_config(args)?;
+    run.strict = true; // as every trace reader: a decode error ends the command
     let threshold = args.get_parsed::<f64>("threshold", 0.10)?;
     if !threshold.is_finite() || threshold < 0.0 {
         return Err(CliError::Usage(format!(
             "invalid value for --threshold: {threshold} (a distance: finite, ≥ 0)"
         )));
     }
-    open_trace(&run)?; // the checks every trace reader makes
-    run.strict = true; // as every trace reader: a decode error ends the command
-    let (_, report, _) = run_session(&run, run.detector_config().with_dsts(), false)?;
+    trace_path(&run)?; // the checks every trace reader makes; the session opens it
+    let (_, report, _) = run_session(&run, run.detector_config().with_dsts(), None)?;
     let clusters = lumen6_detect::fingerprint::cluster(&report.events, threshold);
     writeln!(
         out,

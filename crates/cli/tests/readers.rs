@@ -10,7 +10,10 @@
 //!   --intensity 4` (709 876 records in 177 469 rows);
 //! - the version 1 fixture `tests/data/compat.l6tr`;
 //! - the first half of the counted trace, cut inside a row: every reader
-//!   must fail with the codec's error and exit 2.
+//!   must fail with the codec's error and exit 2;
+//! - a hand-built version 1 trace with one out-of-range field mid-file: a
+//!   recoverable error that `detect` quarantines by default, but that ends
+//!   every reader, `detect --prefilter` included, with exit 2.
 //!
 //! To re-bless after an intentional change:
 //!
@@ -52,10 +55,35 @@ fn inputs() -> &'static Path {
         assert!(out.status.success(), "{out:?}");
         let bytes = std::fs::read(dir.join("s21.l6tr")).unwrap();
         std::fs::write(dir.join("trunc.l6tr"), &bytes[..bytes.len() / 2 + 3]).unwrap();
+        std::fs::write(dir.join("bad.l6tr"), bad_field_trace()).unwrap();
         let compat = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/compat.l6tr");
         std::fs::copy(compat, dir.join("compat.l6tr")).unwrap();
         dir
     })
+}
+
+/// A version 1 trace of 300 probes, one a second, from one source to 300
+/// destinations on TCP/22, whose 151st row carries source port 70 000 —
+/// out of range, so decoding that row fails but the stream stays aligned.
+fn bad_field_trace() -> Vec<u8> {
+    fn varint(out: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+    let mut bytes = b"L6TR\x01".to_vec();
+    for i in 0..300u64 {
+        varint(&mut bytes, 1_000); // the timestamp's delta
+        bytes.extend(0x2001_0db8_0000_0000_0000_0000_0000_0001u128.to_be_bytes());
+        bytes.extend((0x2001_0db8_ffff_0000_0000_0000_0000_0000 + u128::from(i)).to_be_bytes());
+        bytes.push(6); // TCP
+        varint(&mut bytes, if i == 150 { 70_000 } else { 40_000 });
+        varint(&mut bytes, 22);
+        varint(&mut bytes, 60);
+    }
+    bytes
 }
 
 fn lumen6(dir: &Path, args: &[&str]) -> std::process::Output {
@@ -209,9 +237,11 @@ fn v1_trace_readers_match_golden() {
     ]);
 }
 
+/// A truncated trace and a bad field mid-file end every reader with the
+/// codec's error; plain `detect` skips the bad row instead.
 #[test]
-fn truncated_trace_fails_every_reader_alike() {
-    let t = ["--trace", "trunc.l6tr"];
+fn corrupt_traces_fail_every_reader_alike() {
+    let (t, b) = (["--trace", "trunc.l6tr"], ["--trace", "bad.l6tr"]);
     check_all(&[
         (
             "trunc_detect_prefilter",
@@ -224,6 +254,19 @@ fn truncated_trace_fails_every_reader_alike() {
         (
             "trunc_export_pcap",
             &[&["export-pcap", "--out", "trunc.pcap"][..], &t].concat(),
+        ),
+        ("bad_detect", &[&["detect"][..], &b].concat()),
+        (
+            "bad_detect_prefilter",
+            &[&["detect", "--prefilter"][..], &b].concat(),
+        ),
+        ("bad_fingerprint", &[&["fingerprint"][..], &b].concat()),
+        ("bad_adaptive", &[&["adaptive"][..], &b].concat()),
+        ("bad_mawi_detect", &[&["mawi-detect"][..], &b].concat()),
+        ("bad_backscatter", &[&["backscatter"][..], &b].concat()),
+        (
+            "bad_export_pcap",
+            &[&["export-pcap", "--out", "bad.pcap"][..], &b].concat(),
         ),
     ]);
 }

@@ -48,6 +48,7 @@ pub mod detector;
 pub mod event;
 pub mod fingerprint;
 pub mod fxhash;
+pub mod ids;
 pub mod kernels;
 pub mod mawi;
 pub mod multi;
@@ -64,6 +65,7 @@ pub use detector::{ScanDetector, ScanDetectorConfig};
 pub use event::{ScanEvent, ScanReport};
 pub use fingerprint::Fingerprint;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
+pub use ids::{Ids, IdsAction, IdsConfig};
 pub use mawi::{MawiConfig, MawiDetector, MawiScan};
 pub use parallel::ThreadedDetector;
 pub use portclass::{classify_ports, PortClass};
