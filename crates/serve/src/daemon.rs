@@ -183,6 +183,20 @@ struct TenantRt {
 }
 
 impl TenantRt {
+    /// Drops a tenant that reached a terminal state, keeping its status
+    /// fields: on the worker that ended it, and moved, not copied (see
+    /// DESIGN.md, "Multi-tenant runtime", on glibc's per-thread cache).
+    fn end(self) -> Ended {
+        Ended {
+            name: self.name,
+            state: self.state,
+            records: self.records,
+            slices: self.slices,
+            resumed: self.resumed,
+            error: self.error,
+        }
+    }
+
     fn status(&self) -> TenantStatus {
         TenantStatus {
             name: self.name.clone(),
@@ -191,6 +205,29 @@ impl TenantRt {
             slices: self.slices,
             resumed: self.resumed,
             error: self.error.clone(),
+        }
+    }
+}
+
+/// A [`TenantStatus`] before its state is spelled out.
+struct Ended {
+    name: String,
+    state: TenantState,
+    records: u64,
+    slices: u64,
+    resumed: bool,
+    error: Option<String>,
+}
+
+impl Ended {
+    fn status(self) -> TenantStatus {
+        TenantStatus {
+            name: self.name,
+            state: self.state.as_str().to_string(),
+            records: self.records,
+            slices: self.slices,
+            resumed: self.resumed,
+            error: self.error,
         }
     }
 }
@@ -268,6 +305,8 @@ fn publish(rt: &mut TenantRt, report: Option<&SessionReport>) {
 /// never in the ready queue while its slot is empty.
 struct Shared {
     tenants: Vec<Mutex<Option<TenantRt>>>,
+    /// What is kept of each tenant that reached a terminal state.
+    ended: Vec<Mutex<Option<Ended>>>,
     queue: Mutex<VecDeque<usize>>,
     cvar: Condvar,
     quit: AtomicBool,
@@ -362,6 +401,7 @@ impl Daemon {
                 .drain(..)
                 .map(|t| Mutex::new(Some(t)))
                 .collect(),
+            ended: (0..total).map(|_| Mutex::new(None)).collect(),
             queue: Mutex::new((0..total).collect()),
             cvar: Condvar::new(),
             quit: AtomicBool::new(false),
@@ -397,31 +437,34 @@ impl Daemon {
             shared.quit.store(true, Ordering::Release);
             shared.cvar.notify_all();
         });
-        let mut tenants: Vec<TenantRt> = shared
-            .tenants
-            .into_iter()
-            .filter_map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .collect();
-        if stopped {
-            for rt in &mut tenants {
-                if rt.state != TenantState::Running {
-                    continue;
-                }
-                match drain(rt) {
+        let mut statuses = Vec::with_capacity(total);
+        for (slot, ended) in shared.tenants.into_iter().zip(shared.ended) {
+            if let Some(ended) = ended.into_inner().unwrap_or_else(PoisonError::into_inner) {
+                statuses.push(ended.status());
+                continue;
+            }
+            // Still running (the stop file ended the run), or lost to a
+            // panicked worker.
+            let Some(mut rt) = slot.into_inner().unwrap_or_else(PoisonError::into_inner) else {
+                continue;
+            };
+            if stopped && rt.state == TenantState::Running {
+                match drain(&mut rt) {
                     Ok(report) => {
                         rt.state = TenantState::Stopped;
-                        publish(rt, Some(&report));
+                        publish(&mut rt, Some(&report));
                     }
                     Err(e) => {
                         rt.state = TenantState::Failed;
                         rt.error = Some(format!("drain: {e}"));
-                        publish(rt, None);
+                        publish(&mut rt, None);
                     }
                 }
             }
+            statuses.push(rt.status());
         }
         Ok(DaemonSummary {
-            tenants: tenants.iter().map(TenantRt::status).collect(),
+            tenants: statuses,
             stopped,
         })
     }
@@ -522,10 +565,10 @@ fn worker(shared: &Shared, steps: u32, publish_every: u64) {
                 Err(_) => publish(rt, None),
             }
         }
-        // Put the tenant back before re-queueing its index, so the next
-        // worker to pop it always finds the slot occupied.
-        *lock(&shared.tenants[idx]) = Some(tenant);
         if requeue {
+            // Put the tenant back before re-queueing its index, so the next
+            // worker to pop it always finds the slot occupied.
+            *lock(&shared.tenants[idx]) = Some(tenant);
             if pending {
                 std::thread::sleep(PENDING_BACKOFF);
             }
@@ -535,6 +578,8 @@ fn worker(shared: &Shared, steps: u32, publish_every: u64) {
             // a worker wait-timeout; wake everyone.
             shared.cvar.notify_all();
         } else {
+            let ended = tenant.end();
+            *lock(&shared.ended[idx]) = Some(ended);
             shared.done.fetch_add(1, Ordering::AcqRel);
             shared.cvar.notify_all();
         }
