@@ -9,6 +9,7 @@
 
 use lumen6_trace::Transport;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
 /// A detected change point.
@@ -93,13 +94,14 @@ pub fn detect_port_shift(
 /// Convenience: builds per-bucket service sets for one source from raw
 /// records (bucket = `width_ms` windows from the epoch).
 pub fn service_sets_per_bucket(
-    records: &[lumen6_trace::PacketRecord],
+    records: impl IntoIterator<Item = impl Borrow<lumen6_trace::PacketRecord>>,
     source: lumen6_addr::Ipv6Prefix,
     width_ms: u64,
     n_buckets: usize,
 ) -> Vec<BTreeSet<Service>> {
     let mut out = vec![BTreeSet::new(); n_buckets];
     for r in records {
+        let r = r.borrow();
         if source.contains_addr(r.src) {
             let b = (r.ts_ms / width_ms) as usize;
             if b < n_buckets {

@@ -8,6 +8,7 @@
 use lumen6_detect::AggLevel;
 use lumen6_trace::PacketRecord;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 
 /// Per-source raw statistics.
@@ -21,9 +22,13 @@ pub struct SourcePoint {
 
 /// Computes per-source statistics over a trace slice at the given
 /// aggregation (Fig. 1 uses /64).
-pub fn source_points(records: &[PacketRecord], agg: AggLevel) -> Vec<SourcePoint> {
+pub fn source_points(
+    records: impl IntoIterator<Item = impl Borrow<PacketRecord>>,
+    agg: AggLevel,
+) -> Vec<SourcePoint> {
     let mut map: HashMap<u128, (HashSet<u128>, u64)> = HashMap::new();
     for r in records {
+        let r = r.borrow();
         let s = agg.source_of(r.src).bits();
         let e = map.entry(s).or_default();
         e.0.insert(r.dst);

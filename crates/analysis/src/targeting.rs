@@ -6,6 +6,7 @@ use lumen6_detect::event::ScanReport;
 use lumen6_detect::AggLevel;
 use lumen6_trace::PacketRecord;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 
 /// Per-source in-DNS / not-in-DNS target counts.
@@ -179,7 +180,7 @@ impl NearbyPrior {
 /// given sources. `spans` are neighborhood sizes in low bits; the paper uses
 /// 4, 8, 12, 16 (/124, /120, /116, /112).
 pub fn nearby_prior_analysis<F>(
-    records: &[PacketRecord],
+    records: impl IntoIterator<Item = impl Borrow<PacketRecord>>,
     sources: &[Ipv6Prefix],
     agg: AggLevel,
     is_in_dns: F,
@@ -194,6 +195,7 @@ where
     let mut result: HashMap<Ipv6Prefix, NearbyPrior> = HashMap::new();
 
     for r in records {
+        let r = r.borrow();
         let s = agg.source_of(r.src);
         if !wanted.contains(&s) {
             continue;

@@ -86,7 +86,7 @@ fn resolver_of(dst: u128) -> u128 {
 /// the queries are what the *scanners'* reverse-zone authority sees, in
 /// packet order.
 pub fn backscatter_queries(
-    records: impl IntoIterator<Item = PacketRecord>,
+    records: impl IntoIterator<Item = impl Borrow<PacketRecord>>,
     config: &BackscatterConfig,
     seed: u64,
 ) -> impl Iterator<Item = PtrQuery> {
@@ -95,6 +95,7 @@ pub fn backscatter_queries(
     // (resolver, target) -> expiry of the cached answer.
     let mut cache: HashMap<(u128, u128), u64> = HashMap::new();
     records.into_iter().filter_map(move |r| {
+        let r = r.borrow();
         if !rng.gen_bool(config.lookup_probability) {
             return None;
         }
@@ -118,8 +119,7 @@ pub fn generate_backscatter(
     config: &BackscatterConfig,
     seed: u64,
 ) -> Vec<PtrQuery> {
-    let mut out: Vec<PtrQuery> =
-        backscatter_queries(records.iter().copied(), config, seed).collect();
+    let mut out: Vec<PtrQuery> = backscatter_queries(records, config, seed).collect();
     out.sort_by_key(|q| q.ts_ms);
     out
 }

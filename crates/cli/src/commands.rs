@@ -22,9 +22,11 @@ use lumen6_detect::{
 };
 use lumen6_mawi::MawiConfig;
 use lumen6_report::{duration_human, pkt_count, Table};
+use lumen6_scanners::World;
 use lumen6_serve::{write_atomic, Daemon, RunConfig, ServeConfig, ServeError};
 use lumen6_trace::{
-    MaterializedSource, PacketRecord, RecordBatch, Source, StreamingTraceReader, TraceWriter,
+    FileStreamSource, MaterializedSource, PacketRecord, RecordBatch, Source, StreamingTraceReader,
+    TraceWriter,
 };
 use std::fs::File;
 use std::io::BufReader;
@@ -87,8 +89,10 @@ USAGE:
   lumen6 experiments [--small] [--seed N] [--sequential]
                 [--trace FILE] [--csv DIR] [--metrics-out FILE.json] NAME...|all
                 (regenerate the paper's tables and figures, EXPERIMENTS.md
-                 names them; progress goes to stderr. --trace FILE streams a
-                 recorded CDN trace for table1 and fig2 and skips the rest)
+                 names them; progress goes to stderr. --trace FILE reads a
+                 recorded CDN trace, strictly, for every CDN experiment; a
+                 file carries no intensity, so its A.1 threshold is 1x, as
+                 when detect prefilters a file)
 ";
 
 /// The entries of [`USAGE`] for one subcommand — or, given `generate cdn`,
@@ -295,7 +299,6 @@ fn generate<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError>
         .map(String::as_str)
         .ok_or_else(|| CliError::Usage("generate needs <cdn|mawi|custom>".into()))?;
     let mut run = run_config(args)?;
-    let days = run.days.unwrap_or(439);
     let path = args
         .get("out")
         .ok_or_else(|| CliError::Usage("--out FILE is required".into()))?;
@@ -304,16 +307,11 @@ fn generate<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError>
         "cdn" => {
             // `detect --fused`'s source, written out instead: never resident.
             run.fused = true;
-            run.days = Some(days);
             run.validate().map_err(CliError::Usage)?;
             run.make_source()?
         }
         "mawi" => {
-            let cfg = MawiConfig {
-                end_day: days,
-                ..mawi_config(&run)
-            };
-            let trace = lumen6_mawi::MawiWorld::build(cfg, None).trace();
+            let trace = lumen6_mawi::MawiWorld::build(mawi_config(&run), None).trace();
             Box::new(MaterializedSource::new(trace))
         }
         "custom" => {
@@ -782,7 +780,8 @@ fn backscatter<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliErr
     Ok(())
 }
 
-/// The MAWI world `run`'s `small` and `seed` keys describe.
+/// The MAWI world `run`'s `small`, `seed` and `days` keys describe, as
+/// [`RunConfig::fleet_config`] describes the CDN fleet.
 fn mawi_config(run: &RunConfig) -> MawiConfig {
     let base = if run.small {
         MawiConfig::small()
@@ -791,24 +790,23 @@ fn mawi_config(run: &RunConfig) -> MawiConfig {
     };
     MawiConfig {
         seed: run.seed,
+        end_day: run.days.unwrap_or(base.end_day),
         ..base
     }
 }
 
 /// `experiments`: renders the paper's tables and figures by name on labs
 /// built once for all of them: the CDN lab from `run`'s fleet and backend
-/// (or streamed from `--trace`, which only
-/// [`lumen6_experiments::STREAM_SAFE`] names can read), the MAWI lab
+/// (its trace generated, or read strictly from `--trace`), the MAWI lab
 /// sharing its scanners. Progress goes to stderr.
 fn experiments<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    use lumen6_experiments::{csv_out, run_cdn, run_mawi, CdnLab, MawiLab, STREAM_SAFE};
+    use lumen6_experiments::{csv_out, run_cdn, run_mawi, CdnLab, MawiLab};
     use lumen6_experiments::{CDN_EXPERIMENTS as CDN, MAWI_EXPERIMENTS as MAWI};
     let metrics_baseline = lumen6_obs::MetricsRegistry::global().snapshot();
     let run = run_config(args)?;
     let usage = |why: String| {
-        let (cdn, mawi, safe) = (CDN.join(" "), MAWI.join(" "), STREAM_SAFE.join(" "));
-        let list = format!("CDN:  {cdn}\nMAWI: {mawi}\n--trace limits CDN experiments to: {safe}");
-        CliError::Usage(format!("{why}\n{list}"))
+        let (cdn, mawi) = (CDN.join(" "), MAWI.join(" "));
+        CliError::Usage(format!("{why}\nCDN:  {cdn}\nMAWI: {mawi}"))
     };
     let mut names: Vec<&str> = args.positional()[1..].iter().map(String::as_str).collect();
     if names.contains(&"all") {
@@ -816,15 +814,6 @@ fn experiments<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliErr
     }
     if let Some(name) = names.iter().find(|n| !CDN.contains(n) && !MAWI.contains(n)) {
         return Err(usage(format!("unknown experiment {name:?}")));
-    }
-    if run.trace.is_some() {
-        names.retain(|name| {
-            let kept = !CDN.contains(name) || STREAM_SAFE.contains(name);
-            if !kept {
-                eprintln!("skipping {name}: not available with --trace (needs the resident trace)");
-            }
-            kept
-        });
     }
     if names.is_empty() {
         return Err(usage("experiments needs a NAME, or all".into()));
@@ -834,8 +823,9 @@ fn experiments<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliErr
     let cdn = match &run.trace {
         _ if !names.iter().any(|n| CDN.contains(n)) => None,
         Some(path) => {
-            eprintln!("# streaming CDN trace from {path} ...");
-            Some(CdnLab::from_trace_file(Path::new(path), fleet, backend)?)
+            eprintln!("# reading CDN trace from {path} ...");
+            let mut source = FileStreamSource::open(Path::new(path))?;
+            Some(CdnLab::new(World::build(fleet), &mut source, backend)?)
         }
         None => {
             let size = if run.small { "small" } else { "full 439 days" };
@@ -1656,24 +1646,31 @@ mod tests {
         assert!(matches!(res, Err(CliError::Io(_))));
     }
 
+    /// `generate cdn` writes the stream `detect --fused` reads — on the
+    /// same days when neither names them: `--small` alone is 42 days.
     #[test]
     fn fused_detect_matches_trace_file_detect() {
         let dir = std::env::temp_dir().join(format!("lumen6-cli-fused-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.l6tr");
         let p = path.to_str().unwrap();
-        let params = ["--days", "6", "--seed", "13", "--small"];
-        let mut gen = vec!["generate", "cdn", "--out", p];
-        gen.extend(params);
-        run_cli(&gen).1.unwrap();
-
-        let (via_file, res) = run_cli(&["detect", "--trace", p, "--min-dsts", "50"]);
-        res.unwrap();
-        let mut fused = vec!["detect", "--fused", "--min-dsts", "50"];
-        fused.extend(params);
-        let (via_fused, res) = run_cli(&fused);
-        res.unwrap();
-        assert_eq!(via_fused, via_file, "fused output differs from trace file");
+        for params in [
+            &["--days", "6", "--seed", "13", "--small"][..],
+            &["--small"],
+        ] {
+            run_cli(&[&["generate", "cdn", "--out", p][..], params].concat())
+                .1
+                .unwrap();
+            let (via_file, res) = run_cli(&["detect", "--trace", p, "--min-dsts", "50"]);
+            res.unwrap();
+            let fused = [&["detect", "--fused", "--min-dsts", "50"][..], params].concat();
+            let (via_fused, res) = run_cli(&fused);
+            res.unwrap();
+            assert_eq!(
+                via_fused, via_file,
+                "{params:?}: fused output differs from the file"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -588,22 +588,53 @@ fn checkpoint_cost_is_reported_per_checkpoint_and_only_then() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `experiments --trace` skips, on stderr, a name that needs the resident
-/// trace, prints the rest as it would alone, and exits 2 when none is left.
+/// `experiments --trace` builds from a recorded trace the lab the world
+/// generates: every experiment prints, and every CSV file is written, byte
+/// for byte as without it.
 #[test]
-fn experiments_under_trace_note_what_they_skip_on_stderr() {
+fn experiments_under_trace_equal_the_generated_lab() {
     let dir = std::env::temp_dir().join(format!("lumen6-metrics-exp-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let trace = dir.join("t.l6tr");
     let t = trace.to_str().unwrap();
-    stdout_of(&lumen6(&[
-        "generate", "cdn", "--out", t, "--days", "3", "--small",
-    ]));
-    let run =
-        |names: &[&str]| lumen6(&[&["experiments", "--small", "--trace", t][..], names].concat());
-    let out = run(&["fig3", "table1"]);
-    assert!(String::from_utf8_lossy(&out.stderr).contains("skipping fig3"));
-    assert_eq!(stdout_of(&out), stdout_of(&run(&["table1"])));
-    assert_eq!(run(&["fig3"]).status.code(), Some(2));
+    stdout_of(&lumen6(&["generate", "cdn", "--small", "--out", t]));
+    let csv = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let (d1, d2) = (csv("d1"), csv("d2"));
+    // The two runs are independent: run them side by side.
+    let spawn = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_lumen6"))
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn lumen6")
+    };
+    let from_trace = spawn(&["experiments", "--small", "--trace", t, "all", "--csv", &d1]);
+    let generated = spawn(&["experiments", "--small", "all", "--csv", &d2]);
+    let text = |child: std::process::Child| stdout_of(&child.wait_with_output().unwrap());
+    assert_eq!(text(from_trace), text(generated));
+    let files = |dir: &str| {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|f| f.unwrap().path())
+            .map(|f| {
+                (
+                    f.file_name().unwrap().to_owned(),
+                    std::fs::read(&f).unwrap(),
+                )
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let (from_trace, generated) = (files(&d1), files(&d2));
+    let names = |files: &[(std::ffi::OsString, Vec<u8>)]| -> Vec<_> {
+        files.iter().map(|f| f.0.clone()).collect()
+    };
+    assert_eq!(names(&from_trace), names(&generated));
+    assert!(generated.len() > 1, "{:?}", names(&generated));
+    for (a, b) in from_trace.iter().zip(&generated) {
+        assert!(a.1 == b.1, "{:?} differs", a.0);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -23,8 +23,9 @@
 //!
 //! `experiments_all_matches_golden` pins `lumen6 experiments all` (the full
 //! fleet, both vantages) to `tests/golden/experiments_all.txt` at the
-//! repository root. It takes about 10 s in release, so it is ignored by
-//! default; run it with `cargo test --release -p lumen6-cli --test readers
+//! repository root, from the generated world and from a 1x full-fleet trace
+//! file. It takes about 25 s in release, so it is ignored by default; run
+//! it with `cargo test --release -p lumen6-cli --test readers
 //! -- --ignored`.
 
 use std::path::{Path, PathBuf};
@@ -289,13 +290,23 @@ fn prefilter_json_stdout_is_json() {
 }
 
 /// The paper's tables and figures on the full fleet (seed 42, both
-/// vantages): the full-scale output every change to a reader must hold.
+/// vantages): the full-scale output every change to a reader must hold —
+/// from the generated world, and from the trace `generate cdn` writes of
+/// it.
 #[test]
-#[ignore = "full fleet, ~10 s in release: the deep CI tier runs it"]
+#[ignore = "full fleet, ~25 s in release: the deep CI tier runs it"]
 fn experiments_all_matches_golden() {
     let golden =
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/experiments_all.txt");
-    let out = lumen6(inputs(), &["experiments", "all"]);
+    let out = lumen6(inputs(), &["generate", "cdn", "--out", "full1.l6tr"]);
     assert!(out.status.success(), "{out:?}");
-    check(&golden, &String::from_utf8(out.stdout).unwrap());
+    for args in [
+        &["experiments", "all"][..],
+        &["experiments", "--trace", "full1.l6tr", "all"],
+    ] {
+        let out = lumen6(inputs(), args);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        check(&golden, &String::from_utf8(out.stdout).unwrap());
+    }
+    std::fs::remove_file(inputs().join("full1.l6tr")).unwrap();
 }

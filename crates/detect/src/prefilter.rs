@@ -13,8 +13,9 @@
 //! by real scans — so removal is purely behavioral.
 
 use crate::aggregate::AggLevel;
+use crate::day::DayBuffer;
 use lumen6_addr::Ipv6Prefix;
-use lumen6_trace::{scale_intensity, PacketRecord, RecordBatch, Transport, DAY_MS};
+use lumen6_trace::{scale_intensity, PacketRecord, RecordBatch, Transport};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -77,9 +78,9 @@ impl FilterReport {
 }
 
 /// The 5-duplicate artifact filter. Decides one UTC day of counted rows at
-/// a time; day boundaries are multiples of [`DAY_MS`] from the epoch.
-/// [`filter`](Self::filter) runs it over a resident, time-sorted trace,
-/// [`crate::day::Prefiltered`] over a stream.
+/// a time; day boundaries are multiples of [`DAY_MS`](lumen6_trace::DAY_MS)
+/// from the epoch. [`filter_rows`](Self::filter_rows) runs it over resident
+/// rows, [`crate::day::Prefiltered`] over a stream.
 ///
 /// ```
 /// use lumen6_detect::ArtifactFilter;
@@ -159,19 +160,24 @@ impl ArtifactFilter {
     }
 
     /// Applies the filter to a resident, time-sorted trace, returning the
-    /// kept packets (original order) and a report on what was removed: the
-    /// day decision over each day's records.
+    /// kept packets (original order) and a report on what was removed:
+    /// [`filter_rows`](Self::filter_rows) with one row per record.
     pub fn filter(&self, records: &[PacketRecord]) -> (Vec<PacketRecord>, FilterReport) {
-        let mut kept = Vec::with_capacity(records.len());
-        let mut tally = FilterTally::default();
-        let (mut day, mut kept_rows) = (RecordBatch::new(), RecordBatch::new());
-        for records in records.chunk_by(|a, b| a.ts_ms / DAY_MS == b.ts_ms / DAY_MS) {
-            day.clear();
-            day.extend(records.iter().copied());
-            kept_rows.clear();
-            self.filter_day(&day, &mut kept_rows, &mut tally);
-            kept.extend(kept_rows.iter());
+        let (kept, report) = self.filter_rows(&records.iter().copied().collect());
+        (kept.iter().collect(), report)
+    }
+
+    /// Applies the filter to time-sorted counted rows, a closed UTC day at
+    /// a time ([`DayBuffer`]), returning the kept rows (order and counts
+    /// kept) and a report on what was removed.
+    pub fn filter_rows(&self, rows: &RecordBatch) -> (RecordBatch, FilterReport) {
+        let (mut kept, mut tally) = (RecordBatch::new(), FilterTally::default());
+        let mut days = DayBuffer::default();
+        let mut closed = |_, day: &RecordBatch| self.filter_day(day, &mut kept, &mut tally);
+        for i in 0..rows.rows() {
+            days.push(rows.get(i), rows.count(i), &mut closed);
         }
+        days.finish(&mut closed);
         (kept, tally.report())
     }
 
@@ -240,6 +246,7 @@ impl ArtifactFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lumen6_trace::DAY_MS;
 
     /// An SMTP fallback artifact: one source hammering the same
     /// (destination, port) far more than 5 times in a day.

@@ -254,9 +254,8 @@ impl DetectorBuilder {
 
 /// Feeds a resident, time-sorted slice to a detector: chunks `records`
 /// into one reused columnar batch of up to `batch` rows and hands each to
-/// [`Detect::observe_batch`]. The one slice driver — experiments, `detect
-/// --prefilter`, benches and tests all reach a detector through it; streams
-/// go through a [`Session`].
+/// [`Detect::observe_batch`]. The one slice driver — examples and tests
+/// reach a detector through it; streams go through a [`Session`].
 pub fn observe_slice(det: &mut dyn Detect, records: &[PacketRecord], batch: usize) {
     let batch = batch.max(1);
     let mut rows = RecordBatch::with_capacity(batch.min(records.len()));

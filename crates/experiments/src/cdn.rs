@@ -1,7 +1,7 @@
 //! CDN-side experiments: Figs. 1–4, 8; Tables 1–3; §2.2 sensitivity; §3.1
 //! durations; §3.3 targeting; Appendices A.1 and A.4.
 
-use crate::{run_mode, CdnLab};
+use crate::{between, detect, CdnLab};
 use lumen6_analysis::{
     concentration, durations as dur, heatmap, portbuckets, series, stats, targeting, topas,
     topports,
@@ -14,18 +14,13 @@ use std::fmt::Write;
 /// Fig. 1: heatmap of source /64s by (destinations, packets), over November
 /// 2021 when the window covers it, otherwise over the whole trace.
 pub fn fig1_heatmap(lab: &CdnLab) -> String {
-    let (slice_label, slice): (&str, &[lumen6_trace::PacketRecord]) = {
-        let (s, e) = time::month_range(2021, 11);
-        let end_ms = lab.world.config().end_day * DAY_MS;
-        if end_ms >= e {
-            let lo = lab.trace.partition_point(|r| r.ts_ms < s);
-            let hi = lab.trace.partition_point(|r| r.ts_ms < e);
-            ("November 2021", &lab.trace[lo..hi])
-        } else {
-            ("full window", &lab.trace)
-        }
+    let nov = time::month_range(2021, 11);
+    let (slice_label, (from, to)) = if lab.world.config().end_day * DAY_MS >= nov.1 {
+        ("November 2021", nov)
+    } else {
+        ("full window", (0, u64::MAX))
     };
-    let points = heatmap::source_points(slice, AggLevel::L64);
+    let points = heatmap::source_points(between(&lab.trace, from, to), AggLevel::L64);
     let h = heatmap::Heatmap::build(&points, 24);
     let origin = h.mass_below(8, 512);
     let heavy = points.iter().filter(|p| p.dsts >= 100).count();
@@ -144,7 +139,7 @@ pub fn sensitivity(lab: &CdnLab) -> String {
             min_dsts,
             ..Default::default()
         };
-        let r = run_mode(Backend::Sequential, &lab.filtered, &[AggLevel::L64], config)
+        let r = detect(Backend::Sequential, &lab.filtered, &[AggLevel::L64], config)
             .remove(&AggLevel::L64)
             .unwrap_or_default();
         t.row(vec![
@@ -475,7 +470,7 @@ pub fn targets(lab: &CdnLab) -> String {
     let sample: Vec<_> = ranked.iter().map(|b| b.source).take(20).collect();
     let spans = [4u8, 8, 12, 16];
     let analysis = targeting::nearby_prior_analysis(
-        &lab.filtered,
+        lab.filtered.iter(),
         &sample,
         AggLevel::L64,
         |a| dep.is_in_dns(a),

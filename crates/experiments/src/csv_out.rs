@@ -27,7 +27,7 @@ pub fn export_cdn(lab: &CdnLab, dir: &Path) -> io::Result<Vec<String>> {
     let n_weeks = lab.world.config().end_day.div_ceil(7);
 
     // fig1: heatmap cells.
-    let points = heatmap::source_points(&lab.trace, AggLevel::L64);
+    let points = heatmap::source_points(lab.trace.iter(), AggLevel::L64);
     let h = heatmap::Heatmap::build(&points, 24);
     let mut rows = Vec::new();
     for (y, row) in h.cells.iter().enumerate() {

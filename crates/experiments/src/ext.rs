@@ -10,14 +10,14 @@
 //! - `ext_tga` — target generation: learn the telescope's address structure
 //!   from the DNS-exposed half, rediscover hidden (not-in-DNS) addresses.
 
-use crate::CdnLab;
+use crate::{between, CdnLab};
 use lumen6_addr::EntropyProfile;
 use lumen6_detect::adaptive::{AdaptiveConfig, AdaptiveIds};
 use lumen6_detect::blocklist::{Blocklist, BlocklistConfig, Decision, RejectReason};
 use lumen6_detect::{fingerprint, AggLevel};
 use lumen6_report::{pct, Table};
 use lumen6_scanners::tga;
-use lumen6_trace::DAY_MS;
+use lumen6_trace::{PacketRecord, DAY_MS};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
@@ -28,8 +28,8 @@ pub fn ext_adaptive(lab: &CdnLab) -> String {
     // One 28-day window keeps per-host state bounded and mirrors an IDS
     // analysis epoch.
     let end = 28 * DAY_MS;
-    let hi = lab.filtered.partition_point(|r| r.ts_ms < end);
-    let mut window: Vec<lumen6_trace::PacketRecord> = lab.filtered[..hi].to_vec();
+    let rows = &lab.filtered;
+    let hi = rows.ts_ms().partition_point(|&t| t < end);
 
     // The firewall only sees unsolicited traffic, so AS#6's benign cloud
     // tenants are normally invisible. Model the §5 collateral scenario:
@@ -46,25 +46,23 @@ pub fn ext_adaptive(lab: &CdnLab) -> String {
         .prefix;
     let busy_dst = lab.world.deployment.machines()[0].client_facing;
     let mut rng = SmallRng::seed_from_u64(7);
-    for i in 0..300u64 {
-        let src = lumen6_addr::gen::random_in_prefix(&mut rng, as6);
-        window.push(lumen6_trace::PacketRecord::udp(
-            (i % 28) * DAY_MS + 1000,
-            src,
-            busy_dst,
-            500,
-            500,
-            120,
-        ));
-    }
-    lumen6_trace::sort_by_time(&mut window);
-    let alerts = AdaptiveIds::new(AdaptiveConfig::default()).analyze(&window);
+    let tenants: Vec<_> = (0..300u64)
+        .map(|i| {
+            let src = lumen6_addr::gen::random_in_prefix(&mut rng, as6);
+            PacketRecord::udp((i % 28) * DAY_MS + 1000, src, busy_dst, 500, 500, 120)
+        })
+        .collect();
+    // The IDS folds per host, so the window's counted rows go in as they
+    // are, in any order.
+    let window = (0..hi).map(|i| (rows.get(i), rows.count(i)));
+    let window: Vec<_> = window.chain(tenants.iter().map(|&r| (r, 1))).collect();
+    let packets: u64 = window.iter().map(|&(_, n)| u64::from(n)).sum();
+    let alerts = AdaptiveIds::new(AdaptiveConfig::default()).analyze_counted(window);
 
     let mut out = String::from("## Extension — adaptive-aggregation IDS + blocklist policy\n");
     writeln!(
         out,
-        "analysis window: 28 days, {} packets (incl. 300 benign AS#6 tenants); {} alerts",
-        window.len(),
+        "analysis window: 28 days, {packets} packets (incl. 300 benign AS#6 tenants); {} alerts",
         alerts.len()
     )
     .unwrap();
@@ -216,11 +214,16 @@ pub fn ext_fingerprint(lab: &CdnLab) -> String {
 /// DNS-backscatter cross-check: detect the fleet's scanners from the
 /// reverse-zone authority's viewpoint, with no access to the scan traffic.
 pub fn ext_backscatter(lab: &CdnLab) -> String {
-    use lumen6_backscatter::{generate_backscatter, BackscatterConfig, BackscatterDetector};
+    use lumen6_backscatter::{backscatter_queries, BackscatterConfig, BackscatterDetector};
     // One month of victim-side traffic drives the PTR-query stream.
     let end = 31 * DAY_MS;
-    let hi = lab.trace.partition_point(|r| r.ts_ms < end);
-    let queries = generate_backscatter(&lab.trace[..hi], &BackscatterConfig::default(), 5);
+    let mut queries: Vec<_> = backscatter_queries(
+        between(&lab.trace, 0, end),
+        &BackscatterConfig::default(),
+        5,
+    )
+    .collect();
+    queries.sort_by_key(|q| q.ts_ms);
     let detected = BackscatterDetector::default().detect(&queries);
 
     let mut out = String::from(
@@ -300,7 +303,7 @@ pub fn ext_seeds(_lab: &CdnLab) -> String {
         let mut cfg = lumen6_scanners::FleetConfig::small();
         cfg.seed = seed;
         cfg.end_day = 84;
-        let lab = CdnLab::build(cfg);
+        let lab = CdnLab::build_with(cfg, lumen6_detect::Backend::default());
         let r64 = &lab.reports[&AggLevel::L64];
         let r48 = &lab.reports[&lumen6_detect::AggLevel::L48];
         let as18 = lab.as18_prefix();
@@ -334,7 +337,7 @@ pub fn ext_portshift(lab: &CdnLab) -> String {
     let as1 = lab.world.fleet.truth[0].prefix;
     let weeks = lab.world.config().end_day.div_ceil(7) as usize;
     let sets = lumen6_analysis::changepoint::service_sets_per_bucket(
-        &lab.filtered,
+        lab.filtered.iter(),
         as1,
         lumen6_trace::WEEK_MS,
         weeks,

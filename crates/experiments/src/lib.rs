@@ -15,42 +15,65 @@ pub mod ext;
 pub mod mawi_exp;
 
 use lumen6_detect::{
-    observe_slice, AggLevel, ArtifactFilter, Backend, DetectorBuilder, FilterReport,
-    ScanDetectorConfig, ScanReport, Session, SessionConfig, SessionError, SessionOutcome,
-    DEFAULT_SESSION_BATCH,
+    AggLevel, ArtifactFilter, Backend, DetectorBuilder, FilterReport, ScanDetectorConfig,
+    ScanReport, DEFAULT_SESSION_BATCH,
 };
 use lumen6_mawi::{MawiConfig, MawiWorld};
-use lumen6_scanners::{FleetConfig, World};
-use lumen6_trace::PacketRecord;
+use lumen6_scanners::{FleetConfig, FleetSource, World};
+use lumen6_trace::{CodecError, PacketRecord, RecordBatch, Source};
 use std::collections::BTreeMap;
 
 /// The levels a lab's reports cover: the paper's three, and /32 for the
 /// AS#18 analysis. Destination sets are kept only by a second /64 pass.
 const LEVELS: [AggLevel; 4] = [AggLevel::L128, AggLevel::L64, AggLevel::L48, AggLevel::L32];
 
-/// Reports over a resident slice, through [`DetectorBuilder::build`] — the
-/// single dispatch point shared with `lumen6 detect`.
-fn run_mode(
+/// Reports over time-sorted counted rows, handed to a detector from
+/// [`DetectorBuilder::build`] — the dispatch `lumen6 detect` goes through —
+/// a batch of rows at a time.
+fn detect(
     mode: Backend,
-    records: &[PacketRecord],
+    rows: &RecordBatch,
     levels: &[AggLevel],
     base: ScanDetectorConfig,
 ) -> BTreeMap<AggLevel, ScanReport> {
     let mut det = DetectorBuilder::new(base).levels(levels).build(mode);
-    observe_slice(det.as_mut(), records, DEFAULT_SESSION_BATCH);
+    let mut batch = RecordBatch::new();
+    for lo in (0..rows.rows()).step_by(DEFAULT_SESSION_BATCH) {
+        batch.clear();
+        batch.extend_from_range(rows, lo..rows.rows().min(lo + DEFAULT_SESSION_BATCH));
+        det.observe_batch(&batch);
+    }
     det.finish()
+}
+
+/// Every record of time-sorted `rows` in `[from_ms, to_ms)`, each copy of
+/// a counted row in turn.
+fn between(
+    rows: &RecordBatch,
+    from_ms: u64,
+    to_ms: u64,
+) -> impl Iterator<Item = PacketRecord> + '_ {
+    let ts = rows.ts_ms();
+    let (lo, hi) = (
+        ts.partition_point(|&t| t < from_ms),
+        ts.partition_point(|&t| t < to_ms),
+    );
+    (lo..hi).flat_map(move |i| std::iter::repeat_n(rows.get(i), rows.count(i) as usize))
 }
 
 /// The prepared CDN-side experiment context: world, traces, and the three
 /// per-level scan reports (destinations retained at /64 for the targeting
 /// analyses).
+///
+/// The traces are counted rows: a row stands for its copies, so at any
+/// integer intensity the lab holds the rows of the 1x trace.
 pub struct CdnLab {
     /// The simulated world (registry, telescope, fleet ground truth).
     pub world: World,
     /// The raw firewall-logged trace (before artifact filtering).
-    pub trace: Vec<PacketRecord>,
+    pub trace: RecordBatch,
     /// The artifact-filtered trace the detection pipeline runs on.
-    pub filtered: Vec<PacketRecord>,
+    pub filtered: RecordBatch,
     /// What the artifact filter removed (Appendix A.1).
     pub filter_report: FilterReport,
     /// Scan reports at /128, /64, /48 (and /32 for the AS#18 analysis).
@@ -58,84 +81,41 @@ pub struct CdnLab {
 }
 
 impl CdnLab {
-    /// Builds the lab with the default (threaded) detection backend.
-    pub fn build(config: FleetConfig) -> CdnLab {
-        CdnLab::build_with(config, Backend::default())
-    }
-
-    /// Builds the lab: generates the trace, filters artifacts, runs
-    /// detection at the paper's three levels plus /32 using the given
-    /// backend. Sequential and threaded modes produce identical reports.
+    /// Builds the lab over `world`'s generated trace ([`CdnLab::new`] over
+    /// a [`FleetSource`]).
     pub fn build_with(config: FleetConfig, mode: Backend) -> CdnLab {
         let world = World::build(config);
-        let trace = world.cdn_trace();
-        // The A.1 duplicate threshold scales with the fleet's intensity.
+        let mut source = FleetSource::new(world.clone());
+        CdnLab::new(world, &mut source, mode).expect("generation cannot fail")
+    }
+
+    /// Builds the lab from the trace `source` delivers — `world`'s
+    /// generated one, or a recorded file — drained into counted rows: the
+    /// A.1 filter a UTC day at a time, its threshold scaled with the
+    /// world's intensity, then detection at the paper's three levels plus
+    /// /32 on the given backend. Sequential and threaded modes produce
+    /// identical reports. A decode error ends the build.
+    pub fn new(world: World, source: &mut dyn Source, mode: Backend) -> Result<CdnLab, CodecError> {
+        let (mut trace, mut batch) = (RecordBatch::new(), RecordBatch::new());
+        while source.fill(&mut batch, DEFAULT_SESSION_BATCH)? > 0 {
+            trace.extend_from_batch(&batch);
+        }
         let prefilter = ArtifactFilter::at_intensity(world.config().intensity);
-        let (filtered, filter_report) = prefilter.filter(&trace);
-        let mut reports = run_mode(mode, &filtered, &LEVELS, ScanDetectorConfig::default());
+        let (filtered, filter_report) = prefilter.filter_rows(&trace);
+        let mut reports = detect(mode, &filtered, &LEVELS, ScanDetectorConfig::default());
         // Re-run /64 with destination retention (needed by `targets`/`a4`).
-        let mut with_dsts = run_mode(
-            mode,
-            &filtered,
-            &[AggLevel::L64],
-            ScanDetectorConfig::paper(AggLevel::L64).with_dsts(),
-        );
+        let with_dsts = ScanDetectorConfig::paper(AggLevel::L64).with_dsts();
+        let mut with_dsts = detect(mode, &filtered, &[AggLevel::L64], with_dsts);
         reports.insert(
             AggLevel::L64,
             with_dsts.remove(&AggLevel::L64).unwrap_or_default(),
         );
-        CdnLab {
+        Ok(CdnLab {
             world,
             trace,
             filtered,
             filter_report,
             reports,
-        }
-    }
-
-    /// Builds a lab by streaming an L6TR trace from disk in bounded memory
-    /// through a strict (abort-on-decode-error) [`Session`]; the full trace
-    /// is never resident.
-    ///
-    /// The artifact prefilter and the destination-retaining /64 pass both
-    /// need state proportional to the trace, so this constructor skips
-    /// them: `trace` and `filtered` stay empty, `filter_report` is empty,
-    /// and `reports[L64]` carries no destination sets. Only the
-    /// [`STREAM_SAFE`] experiments are meaningful on a lab built this way.
-    pub fn from_trace_file(
-        path: &std::path::Path,
-        config: FleetConfig,
-        mode: Backend,
-    ) -> Result<CdnLab, SessionError> {
-        let world = World::build(config);
-        let session = Session::new(
-            DetectorBuilder::new(ScanDetectorConfig::default()).levels(&LEVELS),
-            mode,
-            SessionConfig {
-                strict: true,
-                ..Default::default()
-            },
-        );
-        let reports = match session.run(path)? {
-            SessionOutcome::Finished(rep) => rep.reports,
-            // No checkpoint policy is configured, so the session can only
-            // finish or fail.
-            SessionOutcome::Stopped { .. } => unreachable!("no checkpoint policy"),
-        };
-        Ok(CdnLab {
-            world,
-            trace: Vec::new(),
-            filtered: Vec::new(),
-            filter_report: FilterReport::default(),
-            reports,
-        })
-    }
-
-    /// A reduced lab for quick runs and tests (6 weeks, small telescope).
-    pub fn small(seed: u64) -> CdnLab {
-        CdnLab::build(FleetConfig {
-            seed,
-            ..FleetConfig::small()
         })
     }
 
@@ -194,10 +174,6 @@ pub const CDN_EXPERIMENTS: &[&str] = &[
 
 /// All MAWI experiment names, in paper order.
 pub const MAWI_EXPERIMENTS: &[&str] = &["fig5", "fig6", "icmpv6", "fig7", "hitlist"];
-
-/// The CDN experiments that read only `reports` and `world` metadata, and
-/// so run on a lab streamed by [`CdnLab::from_trace_file`].
-pub const STREAM_SAFE: &[&str] = &["table1", "fig2"];
 
 /// Runs one CDN experiment by name.
 pub fn run_cdn(name: &str, lab: &CdnLab) -> Option<String> {

@@ -8,7 +8,13 @@ use std::sync::OnceLock;
 
 fn cdn() -> &'static CdnLab {
     static LAB: OnceLock<CdnLab> = OnceLock::new();
-    LAB.get_or_init(|| CdnLab::small(3))
+    LAB.get_or_init(|| {
+        let fleet = lumen6_scanners::FleetConfig {
+            seed: 3,
+            ..lumen6_scanners::FleetConfig::small()
+        };
+        CdnLab::build_with(fleet, lumen6_detect::Backend::default())
+    })
 }
 
 fn mawi() -> &'static MawiLab {
