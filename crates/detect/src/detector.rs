@@ -8,13 +8,14 @@
 //! /64s does.
 //!
 //! The detector is a push-based stream processor. Production paths feed it
-//! columnar batches via [`ScanDetector::observe_batch`], which returns the
-//! events of every activity run a record in the batch closed (by exceeding
-//! the timeout) and that qualified as a scan. [`ScanDetector::observe`] is
-//! the same rule stated one packet at a time — the reference the grouped
-//! path is tested against. Call [`ScanDetector::finish`] at end of stream to
-//! flush all open runs. [`ScanDetector::flush_idle`] lets a long-running IDS
-//! garbage-collect idle state without ending the stream.
+//! columnar batches through
+//! [`MultiLevelDetector::observe_batch`](crate::multi::MultiLevelDetector::observe_batch),
+//! which groups each batch once for all its levels and hands each level its
+//! groups to replay. [`ScanDetector::observe`] is the same rule stated one
+//! packet at a time — the reference the grouped path is tested against.
+//! Call [`ScanDetector::finish`] at end of stream to flush all open runs.
+//! [`ScanDetector::flush_idle`] lets a long-running IDS garbage-collect idle
+//! state without ending the stream.
 
 use crate::aggregate::AggLevel;
 use crate::event::{ScanEvent, ScanReport};
@@ -114,6 +115,11 @@ impl ScanDetectorConfig {
     }
 }
 
+/// What a row may add to a run ([`SourceRun::record`]).
+const NEW_DST: u8 = 1;
+const NEW_SRC: u8 = 2;
+const NEW_ANY: u8 = NEW_DST | NEW_SRC;
+
 /// Per-source accumulation state for one activity run.
 #[derive(Debug)]
 struct SourceRun {
@@ -124,10 +130,13 @@ struct SourceRun {
     dst_list: Option<FxHashSet<u128>>,
     srcs: DistinctCounter,
     ports: FxHashMap<(Transport, u16), u64>,
+    /// The shared pass's clock at the run's first row; 0 for a run opened
+    /// before the pass (restored, or fed by [`ScanDetector::observe`]).
+    opened: u64,
 }
 
 impl SourceRun {
-    fn new(ts: u64, keep_dsts: bool) -> Self {
+    fn new(ts: u64, keep_dsts: bool, opened: u64) -> Self {
         SourceRun {
             start_ms: ts,
             last_ms: ts,
@@ -136,44 +145,33 @@ impl SourceRun {
             dst_list: keep_dsts.then(FxHashSet::default),
             srcs: DistinctCounter::new(),
             ports: FxHashMap::default(),
+            opened,
         }
     }
 
     /// Accounts `n` adjacent copies of one packet to the run — the single
-    /// run update both [`ScanDetector::observe`] and
-    /// [`ScanDetector::observe_batch`] apply. Equal to `n` calls at
-    /// `n = 1`: only the two packet counts add up; the timestamp maximum
-    /// and the set inserts are idempotent, and whether a counter spills to
-    /// a sketch is decided by the first copy (the rest find the set, or the
-    /// registers, unchanged).
+    /// run update of [`ScanDetector::observe`] and of every level's replay.
+    /// Equal to `n` calls at `n = 1`: only the two packet counts add up; the
+    /// timestamp maximum and the set inserts are idempotent, and whether a
+    /// counter spills to a sketch is decided by the first copy. Makes the
+    /// inserts `ask` names and returns those that may have added something
+    /// (a sketch cannot tell, so it may); a coarser level asks only for what
+    /// added something to a finer run inside its own, so a skip changes
+    /// nothing (DESIGN.md, "Nested levels share one pass").
     #[inline]
-    fn record(&mut self, r: &PacketRecord, n: u64, spill: usize, precision: u8) {
+    fn record(&mut self, r: &PacketRecord, n: u64, ask: u8, spill: usize, precision: u8) -> u8 {
         self.last_ms = self.last_ms.max(r.ts_ms);
         self.packets += n;
-        self.dsts.insert(r.dst, spill, precision);
-        if let Some(list) = self.dst_list.as_mut() {
-            list.insert(r.dst);
-        }
-        self.srcs.insert(r.src, spill, precision);
         *self.ports.entry((r.proto, r.dport)).or_default() += n;
+        let dst = ask & NEW_DST != 0 && {
+            let new = self.dsts.insert(r.dst, spill, precision);
+            self.dst_list
+                .as_mut()
+                .map_or(new, |list| list.insert(r.dst) && new)
+        };
+        let src = ask & NEW_SRC != 0 && self.srcs.insert(r.src, spill, precision);
+        u8::from(dst) | u8::from(src) << 1
     }
-}
-
-/// Reusable grouping scratch for [`ScanDetector::observe_batch`]: index
-/// vectors and closure buffers survive across batches so the batched path
-/// allocates nothing in steady state. Never serialized — it carries no
-/// detector state between batches.
-#[derive(Debug, Default)]
-struct BatchScratch {
-    /// Masked source → position in `groups` for the batch being processed.
-    index: FxHashMap<u128, usize>,
-    /// Per-source runs in arrival order: (first row, records).
-    groups: Vec<(u128, Vec<(u32, u32)>)>,
-    /// Recycled index vectors.
-    pool: Vec<Vec<(u32, u32)>>,
-    /// Closed events tagged with the batch index of the closing record, so
-    /// emission order can be restored to exact arrival order.
-    closed: Vec<(u32, ScanEvent)>,
 }
 
 /// Memory footprint of one detection level (what an operator dashboards:
@@ -230,11 +228,10 @@ pub struct ScanDetector {
     runs: FxHashMap<Ipv6Prefix, SourceRun>,
     observed: u64,
     runs_opened: u64,
-    scratch: BatchScratch,
-    /// Batched-path statistics: records ingested via `observe_batch`, how
-    /// many of them hit the last-source memo (consecutive records from
-    /// the same aggregated source, the common shape of scan traffic), and
-    /// how many runs — distinct adjacent rows — they were accounted as.
+    /// Batched-path statistics: records replayed, how many of them hit the
+    /// last-source memo (consecutive records from the same aggregated
+    /// source, the common shape of scan traffic), and how many runs —
+    /// distinct adjacent rows — they were accounted as.
     batch_records: u64,
     memo_hits: u64,
     batch_runs: u64,
@@ -248,7 +245,6 @@ impl ScanDetector {
             runs: FxHashMap::default(),
             observed: 0,
             runs_opened: 0,
-            scratch: BatchScratch::default(),
             batch_records: 0,
             memo_hits: 0,
             batch_runs: 0,
@@ -282,10 +278,11 @@ impl ScanDetector {
     ///
     /// This is the reference statement of the paper's rule, not an ingest
     /// route: sessions, the daemon, the CLI and the experiment harness feed
-    /// [`observe_batch`](Self::observe_batch) only, and the proptest
-    /// `observe_batch_matches_observe_under_any_cuts`
-    /// (`crates/detect/tests/proptests.rs`) holds that grouped path to this
-    /// one: same events, same order, same [`state`](Self::state).
+    /// [`MultiLevelDetector::observe_batch`](crate::multi::MultiLevelDetector::observe_batch)
+    /// only, and the proptests `observe_batch_matches_observe_under_any_cuts`
+    /// and `shared_pass_equals_independent_levels`
+    /// (`crates/detect/tests/proptests.rs`) hold that grouped path to this
+    /// one: same events, same [`state`](Self::state).
     ///
     /// Records are expected in non-decreasing time order; a timestamp below
     /// a source's last seen time is tolerated and treated as simultaneous
@@ -303,7 +300,7 @@ impl ScanDetector {
                 if gap > self.config.timeout_ms {
                     let old = std::mem::replace(
                         occ.get_mut(),
-                        SourceRun::new(r.ts_ms, self.config.keep_dsts),
+                        SourceRun::new(r.ts_ms, self.config.keep_dsts, 0),
                     );
                     self.runs_opened += 1;
                     closed = Self::emit(&self.config, source, old);
@@ -312,125 +309,80 @@ impl ScanDetector {
             }
             std::collections::hash_map::Entry::Vacant(vac) => {
                 self.runs_opened += 1;
-                vac.insert(SourceRun::new(r.ts_ms, self.config.keep_dsts))
+                vac.insert(SourceRun::new(r.ts_ms, self.config.keep_dsts, 0))
             }
         };
-        run.record(r, 1, spill, precision);
+        run.record(r, 1, NEW_ANY, spill, precision);
         closed
     }
 
-    /// Feeds a decoded [`RecordBatch`] (struct-of-arrays) through the
-    /// batched hot path. Returns every scan event closed by records in the
-    /// batch, in exact arrival order — byte-for-byte the same events, state,
-    /// and ordering as feeding each record through
-    /// [`observe`](Self::observe) individually.
+    /// Replays one batch at this level, grouped by the shared pass in
+    /// [`multi`](crate::multi): one runs-map lookup per group (a source's
+    /// runs in arrival order), then one timeout test and one
+    /// [`SourceRun::record`] per run.
     ///
-    /// The batch is cut into runs of identical records
-    /// ([`kernels::run_index`](crate::kernels::run_index)) and grouped by
-    /// aggregated source prefix first, so the per-source run state is
-    /// looked up in the runs map once per (source, batch) and updated once
-    /// per run instead of once per packet; a last-source memo makes the
-    /// grouping itself O(1) per run for bursty scan traffic.
-    pub fn observe_batch(&mut self, batch: &RecordBatch) -> Vec<ScanEvent> {
-        let mut runs = Vec::new();
-        crate::kernels::run_index(batch, &mut runs);
-        self.observe_runs(batch, &runs)
-    }
-
-    /// [`observe_batch`](Self::observe_batch) given the batch's run index:
-    /// [`MultiLevelDetector`](crate::multi::MultiLevelDetector), the product
-    /// route, derives it once for all its levels.
-    pub(crate) fn observe_runs(
+    /// `tags` holds a word per batch row: each level writes where the row's
+    /// run opened on the pass's clock (row `i` is at `base + i`), above the
+    /// bits of what the row added to it; the next coarser level, if its run
+    /// opened no later and so holds all of that run, makes only the inserts
+    /// the bits name (the `finest` level has none to read). Closed events
+    /// go to `pending` in arrival order; `(memo_hits, runs)` count the
+    /// grouping.
+    pub(crate) fn replay<'a>(
         &mut self,
         batch: &RecordBatch,
-        runs: &[(u32, u32)],
-    ) -> Vec<ScanEvent> {
-        let n = batch.len();
+        groups: impl Iterator<Item = (u128, &'a [(u32, u32)])>,
+        tags: &mut [u64],
+        (base, finest): (u64, bool),
+        (memo_hits, runs): (usize, usize),
+        pending: &mut Vec<ScanEvent>,
+    ) {
         let (spill, precision) = self.config.sketch_params();
-        let keep = self.config.keep_dsts;
-        let timeout = self.config.timeout_ms;
-        let agg = self.config.agg;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let BatchScratch {
-            index,
-            groups,
-            pool,
-            closed,
-        } = &mut scratch;
-
-        // Phase 1: group the runs by source masked down to the aggregation
-        // level, preserving arrival order within each group. Consecutive
-        // same-source runs (the dominant pattern under scan traffic) skip
-        // the map entirely; every other record counts as a memo hit.
-        let (src, mask) = (batch.src(), crate::kernels::level_mask(agg.len()));
-        let mut last: Option<(u128, usize)> = None;
-        let mut memo_hits = n as u64;
-        for &(i, count) in runs {
-            let key = src[i as usize] & mask;
-            let gi = match last {
-                Some((k, g)) if k == key => g,
-                _ => {
-                    memo_hits -= 1;
-                    *index.entry(key).or_insert_with(|| {
-                        let g = groups.len();
-                        groups.push((key, pool.pop().unwrap_or_default()));
-                        g
-                    })
-                }
-            };
-            groups[gi].1.push((i, count));
-            last = Some((key, gi));
-        }
-
-        // Phase 2: one runs-map lookup per (source, batch), then replay the
-        // group's runs against the held run state — one timeout test per
-        // run: its later copies arrive at gap zero. Per-source state depends
-        // only on that source's subsequence, so processing groups out of
-        // arrival order cannot change any run or counter.
-        let mut opened = 0u64;
-        for (key, idxs) in groups.iter_mut() {
+        let (cfg, agg) = (&self.config, self.config.agg);
+        // At /128 a run's source is its own address: inserted when it opens.
+        let later = if agg.len() >= 128 { NEW_DST } else { NEW_ANY };
+        let mut closed = Vec::new();
+        for (key, idxs) in groups {
             // The key bits are already masked, so this re-mask is identity.
-            let source = Ipv6Prefix::new(*key, agg.len());
-            let run = match self.runs.entry(source) {
-                std::collections::hash_map::Entry::Occupied(occ) => occ.into_mut(),
-                std::collections::hash_map::Entry::Vacant(vac) => {
-                    opened += 1;
-                    let first_ts = batch.ts_ms()[idxs[0].0 as usize];
-                    vac.insert(SourceRun::new(first_ts, keep))
-                }
-            };
-            for &(i, count) in idxs.iter() {
-                let r = batch.get(i as usize);
+            let source = Ipv6Prefix::new(key, agg.len());
+            let run = self.runs.entry(source).or_insert_with(|| {
+                self.runs_opened += 1;
+                let i = idxs[0].0;
+                SourceRun::new(
+                    batch.ts_ms()[i as usize],
+                    cfg.keep_dsts,
+                    base + u64::from(i),
+                )
+            });
+            for &(i, count) in idxs {
+                let (r, at, n) = (batch.get(i as usize), i as usize, u64::from(count));
                 debug_assert_eq!(source, agg.source_of(r.src));
-                let gap = r.ts_ms.saturating_sub(run.last_ms);
-                if gap > timeout {
-                    let old = std::mem::replace(run, SourceRun::new(r.ts_ms, keep));
-                    opened += 1;
-                    if let Some(e) = Self::emit(&self.config, source, old) {
-                        closed.push((i, e));
-                    }
+                if r.ts_ms.saturating_sub(run.last_ms) > cfg.timeout_ms {
+                    let fresh = SourceRun::new(r.ts_ms, cfg.keep_dsts, base + u64::from(i));
+                    let old = std::mem::replace(run, fresh);
+                    self.runs_opened += 1;
+                    closed.extend(Self::emit(cfg, source, old).map(|e| (i, e)));
                 }
-                run.record(&r, u64::from(count), spill, precision);
+                // Only what the row added to the finer run it went into, if
+                // this run holds all of that run; the finest knows nothing.
+                let held = !finest && run.opened <= tags[at] >> 2;
+                let mut ask = NEW_ANY & if held { tags[at] as u8 } else { NEW_ANY };
+                if run.packets > 0 {
+                    ask &= later;
+                }
+                let new = run.record(&r, n, ask, spill, precision);
+                // A run older than the pass cannot vouch for its rows.
+                let new = if run.opened == 0 { NEW_ANY } else { new };
+                tags[at] = run.opened << 2 | u64::from(new);
             }
         }
-
-        // Phase 3: restore exact arrival order for the closure events (a
-        // record closes at most one run, so sorting by batch index alone is
-        // total) and recycle the scratch buffers.
         closed.sort_unstable_by_key(|&(i, _)| i);
-        let out: Vec<ScanEvent> = closed.drain(..).map(|(_, e)| e).collect();
-        for (_, mut v) in groups.drain(..) {
-            v.clear();
-            pool.push(v);
-        }
-        index.clear();
-        self.scratch = scratch;
-        self.observed += n as u64;
-        self.runs_opened += opened;
-        self.batch_records += n as u64;
-        self.memo_hits += memo_hits;
-        self.batch_runs += runs.len() as u64;
-        out
+        pending.extend(closed.into_iter().map(|(_, e)| e));
+        let n = batch.len() as u64;
+        self.observed += n;
+        self.batch_records += n;
+        self.memo_hits += memo_hits as u64;
+        self.batch_runs += runs as u64;
     }
 
     /// Records ingested through the batched path, how many hit the
@@ -450,7 +402,7 @@ impl ScanDetector {
         self.runs.retain(|&source, run| {
             let live = run.last_ms >= deadline;
             if !live {
-                let run = std::mem::replace(run, SourceRun::new(0, false));
+                let run = std::mem::replace(run, SourceRun::new(0, false, 0));
                 out.extend(Self::emit(config, source, run));
             }
             live
@@ -564,6 +516,7 @@ impl ScanDetector {
                         dst_list: r.dst_list.as_ref().map(|v| v.iter().copied().collect()),
                         srcs: DistinctCounter::from(&r.srcs),
                         ports: r.ports.iter().copied().collect(),
+                        opened: 0,
                     },
                 )
             })
@@ -573,7 +526,6 @@ impl ScanDetector {
             runs,
             observed: state.observed,
             runs_opened: state.runs_opened,
-            scratch: BatchScratch::default(),
             batch_records: 0,
             memo_hits: 0,
             batch_runs: 0,
@@ -672,61 +624,6 @@ mod tests {
         recs.extend(burst(1, 99_000 + HOUR + 1, 100, 22));
         let report = detect(&recs, ScanDetectorConfig::paper(AggLevel::L128));
         assert_eq!(report.scans(), 2);
-    }
-
-    #[test]
-    fn batch_memo_counts_consecutive_same_source_lookups() {
-        let recs = burst(7, 0, 100, 22);
-        let mut det = ScanDetector::new(ScanDetectorConfig::paper(AggLevel::L128));
-        det.observe_batch(&recs.iter().copied().collect());
-        let (records, memo_hits, _) = det.batch_stats();
-        assert_eq!(records, 100);
-        assert_eq!(memo_hits, 99, "every record after the first memo-hits");
-    }
-
-    #[test]
-    fn a_run_is_accounted_once_and_equals_its_copies() {
-        // Twenty destinations, five adjacent copies of each, then seven
-        // near-duplicates of the last row, each differing from its
-        // predecessor in one column. The five columns the run state reads
-        // break the run; `sport` and `len` extend it. With spill at 16 the
-        // first copy of the 17th destination's run crosses the threshold
-        // and its other four find the sketch.
-        let row = |i: u64| PacketRecord::tcp(i * 1000, 1, 0xdd00 + u128::from(i), 40000, 22, 60);
-        let mut recs: Vec<PacketRecord> = (0..20)
-            .flat_map(|i| std::iter::repeat_n(row(i), 5))
-            .collect();
-        let edits: [fn(&mut PacketRecord); 7] = [
-            |r| r.ts_ms += 1,
-            |r| r.src += 1,
-            |r| r.dst += 1,
-            |r| r.proto = Transport::Udp,
-            |r| r.dport += 1,
-            |r| r.sport += 1,
-            |r| r.len += 1,
-        ];
-        for edit in edits {
-            let mut next = recs[recs.len() - 1];
-            edit(&mut next);
-            recs.push(next);
-        }
-        for sketch in [None, Some(SketchConfig::spill_at(16))] {
-            let cfg = ScanDetectorConfig {
-                sketch,
-                ..ScanDetectorConfig::paper(AggLevel::L64)
-            };
-            let mut reference = ScanDetector::new(cfg.clone());
-            for r in &recs {
-                assert!(reference.observe(r).is_none());
-            }
-            let mut grouped = ScanDetector::new(cfg);
-            assert!(grouped
-                .observe_batch(&recs.iter().copied().collect())
-                .is_empty());
-            assert_eq!(grouped.state(), reference.state());
-            // 20 + 5 runs: `sport` and `len` must not cut.
-            assert_eq!(grouped.batch_stats(), (107, 106, 20 + 5));
-        }
     }
 
     #[test]

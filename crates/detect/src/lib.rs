@@ -49,7 +49,6 @@ pub mod event;
 pub mod fingerprint;
 pub mod fxhash;
 pub mod ids;
-pub mod kernels;
 pub mod mawi;
 pub mod multi;
 pub mod parallel;

@@ -170,42 +170,6 @@ impl ThreadedDetector {
         }
     }
 
-    /// The configured aggregation levels.
-    pub fn levels(&self) -> &[AggLevel] {
-        &self.levels
-    }
-
-    /// Number of packets observed so far.
-    pub fn observed(&self) -> u64 {
-        self.observed
-    }
-
-    /// Stages a columnar batch — seven contiguous column copies, counts
-    /// included — and ships the staging batch once it holds `BATCH`
-    /// records. Packets must arrive in non-decreasing time order, as for
-    /// the sequential detectors.
-    pub fn observe_batch(&mut self, batch: &RecordBatch) {
-        self.staged.extend_from_batch(batch);
-        self.observed += batch.len() as u64;
-        if self.staged.len() >= BATCH {
-            self.ship();
-        }
-    }
-
-    /// Closes runs idle since before `now - timeout`. Report-neutral, like
-    /// [`MultiLevelDetector::flush_idle`]. Nothing is sent: the staged rows
-    /// are marked at their current end, and the worker flushes on reaching
-    /// the mark — the order a ship and a control message would give, with
-    /// batches staying full.
-    pub fn flush_idle(&mut self, now_ms: u64) {
-        let rows = self.staged.rows() as u32;
-        match self.marks.last_mut() {
-            // No row between two flushes: the later closes both sets.
-            Some(last) if last.0 == rows => last.1 = last.1.max(now_ms),
-            _ => self.marks.push((rows, now_ms)),
-        }
-    }
-
     /// A channel that closed while the detector is live means the worker
     /// panicked. Joining it retrieves the original payload, so the root
     /// cause — not a secondary send or receive error — surfaces at the call
@@ -254,10 +218,45 @@ impl ThreadedDetector {
             self.ship();
         }
     }
+}
+
+impl Detect for ThreadedDetector {
+    /// Stages a columnar batch — seven contiguous column copies, counts
+    /// included — and ships the staging batch once it holds `BATCH`
+    /// records.
+    fn observe_batch(&mut self, batch: &RecordBatch) {
+        self.staged.extend_from_batch(batch);
+        self.observed += batch.len() as u64;
+        if self.staged.len() >= BATCH {
+            self.ship();
+        }
+    }
+
+    /// Closes runs idle since before `now - timeout`. Report-neutral, like
+    /// [`MultiLevelDetector::flush_idle`]. Nothing is sent: the staged rows
+    /// are marked at their current end, and the worker flushes on reaching
+    /// the mark — the order a ship and a control message would give, with
+    /// batches staying full.
+    fn flush_idle(&mut self, now_ms: u64) {
+        let rows = self.staged.rows() as u32;
+        match self.marks.last_mut() {
+            // No row between two flushes: the later closes both sets.
+            Some(last) if last.0 == rows => last.1 = last.1.max(now_ms),
+            _ => self.marks.push((rows, now_ms)),
+        }
+    }
+
+    fn observed(&self) -> u64 {
+        self.observed
+    }
+
+    fn levels(&self) -> Vec<AggLevel> {
+        self.levels.clone()
+    }
 
     /// The worker's per-level state at the current stream position, in the
     /// canonical form every backend produces. The pipeline keeps running.
-    pub fn state(&mut self) -> Vec<LevelState> {
+    fn state(&mut self) -> Vec<LevelState> {
         self.drain();
         let (reply, state) = sync_channel(1);
         if self.sender.send(Msg::Snapshot(reply)).is_err() {
@@ -272,14 +271,14 @@ impl ThreadedDetector {
     /// Ends the stream: ships what is staged, closes the channel and joins
     /// the worker, whose per-level reports are already sorted by
     /// `(start_ms, source)`.
-    pub fn finish(mut self) -> Reports {
+    fn finish(mut self: Box<Self>) -> Reports {
         self.drain();
         let reg = MetricsRegistry::global();
         reg.counter("detect.parallel.batches_sent")
             .add(self.batches_sent);
         reg.counter("detect.parallel.channel_full_stalls")
             .add(self.stalls);
-        let ThreadedDetector { sender, worker, .. } = self;
+        let ThreadedDetector { sender, worker, .. } = *self;
         // Closing the channel ends the worker's receive loop.
         drop(sender);
         // `worker` is `None` only after a worker panic was re-raised.
@@ -382,13 +381,13 @@ mod tests {
         );
         let allocated = det.spares.len() + 2;
         assert!(allocated <= DEPTH + 2, "{allocated} batches allocated");
-        det.finish();
+        Box::new(det).finish();
     }
 
     #[test]
     fn empty_stream_reports_every_level() {
         let det = ThreadedDetector::new(&AggLevel::PAPER_LEVELS, ScanDetectorConfig::default());
-        let out = det.finish();
+        let out = Box::new(det).finish();
         assert_eq!(out.len(), 3);
         assert!(out.values().all(|r| r.scans() == 0));
     }
@@ -425,7 +424,7 @@ mod tests {
         assert_eq!(par.observed(), recs.len() as u64);
         assert_eq!(par.state(), seq.state());
         assert!(par.marks.is_empty(), "state() ships the marks");
-        assert_eq!(par.finish(), seq.finish());
+        assert_eq!(Box::new(par).finish(), Box::new(seq).finish());
     }
 
     /// A detector that panics on its first batch.
@@ -460,7 +459,7 @@ mod tests {
                 det.observe_batch(&one);
             },
             &|mut det| drop(det.state()),
-            &|det| drop(det.finish()),
+            &|det| drop(Box::new(det).finish()),
         ];
         for call in calls {
             let mut det = ThreadedDetector::spawn(Vec::new(), 0, || Box::new(Panics));

@@ -104,58 +104,6 @@ pub trait Detect: Send {
     fn finish(self: Box<Self>) -> BTreeMap<AggLevel, ScanReport>;
 }
 
-impl Detect for MultiLevelDetector {
-    fn observe_batch(&mut self, batch: &RecordBatch) {
-        MultiLevelDetector::observe_batch(self, batch);
-    }
-
-    fn flush_idle(&mut self, now_ms: u64) {
-        MultiLevelDetector::flush_idle(self, now_ms);
-    }
-
-    fn observed(&self) -> u64 {
-        MultiLevelDetector::observed(self)
-    }
-
-    fn levels(&self) -> Vec<AggLevel> {
-        MultiLevelDetector::levels(self)
-    }
-
-    fn state(&mut self) -> Vec<LevelState> {
-        MultiLevelDetector::state(self)
-    }
-
-    fn finish(self: Box<Self>) -> BTreeMap<AggLevel, ScanReport> {
-        MultiLevelDetector::finish(*self)
-    }
-}
-
-impl Detect for ThreadedDetector {
-    fn observe_batch(&mut self, batch: &RecordBatch) {
-        ThreadedDetector::observe_batch(self, batch);
-    }
-
-    fn flush_idle(&mut self, now_ms: u64) {
-        ThreadedDetector::flush_idle(self, now_ms);
-    }
-
-    fn observed(&self) -> u64 {
-        ThreadedDetector::observed(self)
-    }
-
-    fn levels(&self) -> Vec<AggLevel> {
-        ThreadedDetector::levels(self).to_vec()
-    }
-
-    fn state(&mut self) -> Vec<LevelState> {
-        ThreadedDetector::state(self)
-    }
-
-    fn finish(self: Box<Self>) -> BTreeMap<AggLevel, ScanReport> {
-        ThreadedDetector::finish(*self)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // DetectorBuilder
 // ---------------------------------------------------------------------------
@@ -236,14 +184,26 @@ impl DetectorBuilder {
     /// snapshot's embedded per-level configurations are authoritative
     /// (they were validated at checkpoint time); only the backend choice
     /// applies, which is what makes a checkpoint portable across backends.
+    /// Its levels must share one `timeout_ms`, as a builder's do: one scan
+    /// definition at several aggregations, what the shared pass is built for.
     pub fn restore(
         &self,
         backend: Backend,
         snapshot: &DetectorSnapshot,
     ) -> Result<Box<dyn Detect>, SnapshotError> {
         snapshot.check_version()?;
-        if snapshot.levels.is_empty() {
+        let Some(first) = snapshot.levels.first() else {
             return Err(SnapshotError("snapshot has no levels".into()));
+        };
+        let timeout = first.config.timeout_ms;
+        if snapshot
+            .levels
+            .iter()
+            .any(|l| l.config.timeout_ms != timeout)
+        {
+            return Err(SnapshotError(
+                "snapshot levels disagree on timeout_ms".into(),
+            ));
         }
         Ok(match backend {
             Backend::Threaded => Box::new(ThreadedDetector::from_state(&snapshot.levels)),

@@ -278,11 +278,12 @@ impl DistinctCounter {
         DistinctCounter::Exact(Default::default())
     }
 
-    /// Inserts, spilling to a sketch once the exact set exceeds `spill_at`.
-    pub fn insert(&mut self, item: u128, spill_at: usize, precision: u8) {
+    /// Inserts, spilling to a sketch once the exact set exceeds `spill_at`;
+    /// returns whether `item` may be new (a sketch cannot tell, so it may).
+    pub fn insert(&mut self, item: u128, spill_at: usize, precision: u8) -> bool {
         match self {
             DistinctCounter::Exact(set) => {
-                set.insert(item);
+                let new = set.insert(item);
                 if set.len() > spill_at {
                     let mut hll = HyperLogLog::new(precision);
                     for &x in set.iter() {
@@ -290,8 +291,12 @@ impl DistinctCounter {
                     }
                     *self = DistinctCounter::Sketch(hll);
                 }
+                new
             }
-            DistinctCounter::Sketch(hll) => hll.insert(item),
+            DistinctCounter::Sketch(hll) => {
+                hll.insert(item);
+                true
+            }
         }
     }
 

@@ -1,8 +1,9 @@
 //! Property tests for detector invariants: conservation, event separation,
-//! and monotonicity in the scan-definition parameters — plus the two
+//! and monotonicity in the scan-definition parameters — plus the three
 //! identities the ingest design rests on: the grouped batch path equals the
-//! per-record reference under any cuts, and every backend, batch size and
-//! session geometry yields the same reports, states and checkpoint bytes.
+//! per-record reference under any cuts, nested levels sharing one pass
+//! equal independent levels, and every backend, batch size and session
+//! geometry yields the same reports, states and checkpoint bytes.
 
 use lumen6_detect::detector::detect;
 use lumen6_detect::{AggLevel, ScanDetectorConfig};
@@ -80,6 +81,37 @@ fn arb_workload_with_runs() -> impl Strategy<Value = Vec<PacketRecord>> {
                 _ => continue,
             }
             out.push(twin);
+        }
+        out
+    })
+}
+
+/// Sources nested three deep — two /48s, three /64s in each, three /128s
+/// in each /64 — probing 40 destinations on 8 ports, each probe as 1–4
+/// adjacent copies: several /128s share a /64, and a destination is hit on
+/// many ports, so a coarser level's run already holds most of what a row
+/// carries. Gaps are short beside a /48's traffic and long beside a
+/// /128's, so a timeout splits the levels' runs at different rows.
+fn arb_nested_workload() -> impl Strategy<Value = Vec<PacketRecord>> {
+    proptest::collection::vec(
+        (
+            (0u64..15_000, 0u8..2, 0u8..3, 0u8..3),
+            (0u16..40, 0u16..8),
+            1usize..=4,
+        ),
+        1..200,
+    )
+    .prop_map(|steps| {
+        let mut ts = 0u64;
+        let mut out = Vec::new();
+        for ((dt, p48, p64, host), (dst, port), copies) in steps {
+            ts += dt;
+            let src = (0x2001_0db8u128 << 96)
+                | (u128::from(p48) << 80)
+                | (u128::from(p64) << 64)
+                | u128::from(host);
+            let row = PacketRecord::tcp(ts, src, u128::from(dst), 40_000, port, 60);
+            out.extend(std::iter::repeat_n(row, copies));
         }
         out
     })
@@ -333,61 +365,158 @@ proptest! {
     }
 
     /// The one place two implementations of the rule remain: the grouped
-    /// [`ScanDetector::observe_batch`] equals the per-record reference
-    /// [`ScanDetector::observe`] — same events in the same order, same
-    /// `state()`, same counters — however the stream is cut into batches
-    /// (single-record batches included, and cuts inside runs of repeated
-    /// rows), with destination retention and with sketched counters whose
-    /// spill threshold any copy of a run may be the one to cross. `sport`
-    /// and `len` are no part of any state. And a batch says the same
-    /// whether its repeats arrive as rows or as one row's count: the
-    /// counted spelling of every cut equals the expanded one, counters too.
+    /// batch path — [`MultiLevelDetector::observe_batch`] at one level —
+    /// equals the per-record reference [`ScanDetector::observe`] — same
+    /// events, same `state()`, same counters — however the stream is cut
+    /// into batches (single-record batches included, and cuts inside runs
+    /// of repeated rows), with destination retention and with sketched
+    /// counters whose spill threshold any copy of a run may be the one to
+    /// cross. `sport` and `len` are no part of any state. And a batch says
+    /// the same whether its repeats arrive as rows or as one row's count:
+    /// the counted spelling of every cut equals the expanded one, counters
+    /// too.
     #[test]
     fn observe_batch_matches_observe_under_any_cuts(
         recs in arb_workload_with_runs(),
         cuts in proptest::collection::vec(1usize..40, 1..12),
     ) {
-        use lumen6_detect::ScanDetector;
+        use lumen6_detect::multi::MultiLevelDetector;
+        use lumen6_detect::{Detect, LevelState, ScanDetector};
         use lumen6_trace::RecordBatch;
+        let stats = |det: &MultiLevelDetector| {
+            det.detectors().map(ScanDetector::batch_stats).collect::<Vec<_>>()
+        };
         for config in [
             ScanDetectorConfig { agg: AggLevel::L128, ..cfg(5, 20_000) },
             cfg(5, 20_000),
             ScanDetectorConfig { keep_dsts: false, ..cfg(5, 20_000) },
             ScanDetectorConfig { sketch: Some((16, 12).into()), ..cfg(3, 30_000) },
         ] {
+            let one = || Box::new(MultiLevelDetector::new(&[config.agg], config.clone()));
             let mut reference = ScanDetector::new(config.clone());
             let mut expect = Vec::new();
             for r in &recs {
                 expect.extend(reference.observe(r));
             }
+            // What the one level holds: the reference's runs and the events
+            // it closed, in canonical order.
+            let mut held = LevelState { pending: expect.clone(), ..reference.state() };
+            held.normalize();
 
-            let mut blanked = ScanDetector::new(config.clone());
+            let mut blanked = one();
             let blank = |r: &PacketRecord| PacketRecord { sport: 0, len: 0, ..*r };
             blanked.observe_batch(&recs.iter().map(blank).collect());
-            prop_assert_eq!(blanked.state(), reference.state());
+            prop_assert_eq!(blanked.state(), [held.clone()]);
 
             // Cycle through the drawn cut lengths; the first is forced to 1.
-            let mut grouped = ScanDetector::new(config.clone());
-            let mut by_count = ScanDetector::new(config);
-            let (mut events, mut events_by_count) = (Vec::new(), Vec::new());
+            let (mut grouped, mut by_count) = (one(), one());
             let (mut at, mut k) = (0, 0);
             while at < recs.len() {
                 let len = if k == 0 { 1 } else { cuts[k % cuts.len()] };
                 let end = recs.len().min(at + len);
                 let batch: RecordBatch = recs[at..end].iter().copied().collect();
-                events.extend(grouped.observe_batch(&batch));
-                events_by_count.extend(by_count.observe_batch(&counted(&recs[at..end])));
+                grouped.observe_batch(&batch);
+                by_count.observe_batch(&counted(&recs[at..end]));
                 (at, k) = (end, k + 1);
             }
-            prop_assert_eq!(&events, &expect);
-            prop_assert_eq!(&events_by_count, &expect);
-            prop_assert_eq!(by_count.state(), reference.state());
-            prop_assert_eq!(by_count.batch_stats(), grouped.batch_stats());
-            prop_assert_eq!(grouped.state(), reference.state());
+            prop_assert_eq!(by_count.state(), [held.clone()]);
+            prop_assert_eq!(stats(&by_count), stats(&grouped));
+            prop_assert_eq!(grouped.state(), [held]);
             prop_assert_eq!(grouped.observed(), reference.observed());
-            prop_assert_eq!(grouped.runs_opened(), reference.runs_opened());
-            prop_assert_eq!(grouped.finish(), reference.finish());
+            expect.extend(reference.finish());
+            expect.sort_by_key(|e| (e.start_ms, e.source));
+            prop_assert_eq!(&grouped.finish()[&config.agg].events, &expect);
         }
+    }
+
+    /// Nested levels share one pass: the finest groups each batch, the
+    /// coarser ones derive their groups from it and skip the inserts its
+    /// runs say they already hold. None of that may show. A
+    /// [`MultiLevelDetector`] over a random level set — unsorted, repeats
+    /// allowed, /0 to /128 — holds, at a mid-stream cut and at the end, the
+    /// state and events of one independently fed [`ScanDetector`] per
+    /// level: with sketches spilling at 1–16 destinations, with and
+    /// without destination retention, under idle flushes at a random
+    /// cadence, across a `from_state` round trip at the cut, fed counted or
+    /// expanded batches of sources nested three deep — in time order or in
+    /// one of the adversarial arrival orders, where a finer run can outlive
+    /// the coarser run it opened in.
+    #[test]
+    fn shared_pass_equals_independent_levels(
+        recs in arb_nested_workload(),
+        lens in proptest::collection::vec(
+            prop_oneof![Just(128u8), Just(64), Just(56), Just(48), Just(32), 0u8..=128],
+            1..5,
+        ),
+        (min_dsts, timeout, keep_dsts) in (1u64..8, 5_000u64..60_000, any::<bool>()),
+        sketch in prop_oneof![Just(None), (1usize..=16, 4u8..=12).prop_map(Some)],
+        cuts in proptest::collection::vec(1usize..60, 1..8),
+        (flush_every, cut_at, round_trip, counted_feed) in
+            (0usize..4, 0usize..12, any::<bool>(), any::<bool>()),
+        ordering in 0usize..4,
+    ) {
+        use lumen6_detect::multi::MultiLevelDetector;
+        use lumen6_detect::{Detect, LevelState, ScanDetector, ScanEvent, ScanReport};
+        use std::collections::BTreeMap;
+        let recs = if ordering < 3 { apply_ordering(&recs, ordering) } else { recs };
+        let levels: Vec<AggLevel> = lens.into_iter().map(AggLevel::new).collect();
+        let base = ScanDetectorConfig {
+            agg: AggLevel::L64,
+            min_dsts,
+            timeout_ms: timeout,
+            keep_dsts,
+            sketch: sketch.map(Into::into),
+        };
+        let mut shared = Box::new(MultiLevelDetector::new(&levels, base.clone()));
+        let mut alone: Vec<(ScanDetector, Vec<ScanEvent>)> = levels
+            .iter()
+            .map(|&agg| (ScanDetector::new(ScanDetectorConfig { agg, ..base.clone() }), Vec::new()))
+            .collect();
+        let held = |alone: &[(ScanDetector, Vec<ScanEvent>)]| -> Vec<LevelState> {
+            alone
+                .iter()
+                .map(|(det, events)| {
+                    let mut st = LevelState { pending: events.clone(), ..det.state() };
+                    st.normalize();
+                    st
+                })
+                .collect()
+        };
+        let (mut at, mut k) = (0, 0);
+        while at < recs.len() {
+            let end = recs.len().min(at + cuts[k % cuts.len()]);
+            let part = &recs[at..end];
+            let batch = if counted_feed { counted(part) } else { part.iter().copied().collect() };
+            shared.observe_batch(&batch);
+            for (det, events) in &mut alone {
+                for r in part {
+                    events.extend(det.observe(r));
+                }
+            }
+            (at, k) = (end, k + 1);
+            if flush_every > 0 && k % flush_every == 0 {
+                let now = part.iter().map(|r| r.ts_ms).max().unwrap_or(0);
+                shared.flush_idle(now);
+                for (det, events) in &mut alone {
+                    events.extend(det.flush_idle(now));
+                }
+            }
+            if k == cut_at {
+                prop_assert_eq!(shared.state(), held(&alone), "cut after batch {}", k);
+                if round_trip {
+                    shared = Box::new(MultiLevelDetector::from_state(&shared.state()));
+                }
+            }
+        }
+        prop_assert_eq!(shared.state(), held(&alone));
+        let mut expect = BTreeMap::new();
+        for (det, mut events) in alone {
+            let agg = det.config().agg;
+            events.extend(det.finish());
+            events.sort_by_key(|e| (e.start_ms, e.source));
+            expect.insert(agg, ScanReport::new(events));
+        }
+        prop_assert_eq!(shared.finish(), expect);
     }
 
     /// A checkpoint written by a session pulling `batch` records a step is

@@ -208,6 +208,27 @@ fn snapshots_are_portable_across_backends() {
     }
 }
 
+/// A snapshot's levels are one scan definition at several aggregations: a
+/// two-level snapshot whose levels disagree on the timeout is refused with
+/// a typed error on either backend, and the same snapshot with the
+/// timeouts agreeing restores.
+#[test]
+fn restore_refuses_levels_that_disagree_on_the_timeout() {
+    let builder = DetectorBuilder::new(base_config()).levels(&[AggLevel::L128, AggLevel::L64]);
+    let mut det = builder.build(Backend::Sequential);
+    observe_slice(det.as_mut(), &workload(), 64);
+    let mut snap = det.snapshot();
+    assert_eq!(snap.levels.len(), 2);
+    for backend in [Backend::Sequential, Backend::Threaded] {
+        assert!(builder.restore(backend, &snap).is_ok(), "{backend:?}");
+    }
+    snap.levels[1].config.timeout_ms += 1;
+    for backend in [Backend::Sequential, Backend::Threaded] {
+        let err = builder.restore(backend, &snap).err().expect("refused");
+        assert!(err.to_string().contains("timeout_ms"), "{backend:?}: {err}");
+    }
+}
+
 #[test]
 fn flush_idle_is_report_neutral() {
     let recs = workload();
@@ -1434,13 +1455,14 @@ fn record_counts_past_u32_add_up_as_u64() {
 
     let mut row = RecordBatch::new();
     row.push_n(rec, BATCH as usize);
-    let mut det = ScanDetector::new(ScanDetectorConfig::default());
+    let mut det = MultiLevelDetector::new(&[AggLevel::L64], ScanDetectorConfig::default());
     for _ in 0..3 {
         det.observe_batch(&row);
     }
     // `detect.batch.{records, memo_hits, runs}`: every copy but a batch's
     // first is a memo hit.
-    assert_eq!(det.batch_stats(), (12_884_901_885, 12_884_901_882, 3));
+    let stats: Vec<_> = det.detectors().map(ScanDetector::batch_stats).collect();
+    assert_eq!(stats, [(12_884_901_885, 12_884_901_882, 3)]);
     assert_eq!(det.observed(), 12_884_901_885);
 }
 

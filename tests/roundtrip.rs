@@ -1,7 +1,7 @@
 //! Cross-crate round trips: a generated world trace survives the binary
 //! codec byte-for-byte, and detection over the decoded trace is identical.
 
-use lumen6::detect::{Backend, DetectorBuilder, Session, SessionConfig, SessionError};
+use lumen6::detect::{Backend, Detect, DetectorBuilder, Session, SessionConfig, SessionError};
 use lumen6::prelude::*;
 use lumen6::trace::codec::{decode, encode};
 use lumen6::trace::{CodecError, FileStreamSource, FillOutcome, RecordBatch, Source, TailSource};
@@ -165,7 +165,7 @@ fn multi_level_single_pass_matches_per_level_passes_on_fleet_traffic() {
 
     let mut det = lumen6::detect::multi::MultiLevelDetector::paper();
     lumen6::detect::observe_slice(&mut det, &clean, 4096);
-    let multi = det.finish();
+    let multi = Box::new(det).finish();
     for lvl in AggLevel::PAPER_LEVELS {
         let single = detect(&clean, ScanDetectorConfig::paper(lvl));
         assert_eq!(multi[&lvl].scans(), single.scans(), "{lvl}");
