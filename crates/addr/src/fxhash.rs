@@ -1,26 +1,30 @@
-//! A vendored deterministic FxHash-style hasher for the detection hot path.
+//! A vendored deterministic FxHash-style hasher for hot-path sets and maps
+//! keyed by addresses.
 //!
-//! The per-packet cost of [`ScanDetector::observe`](crate::ScanDetector) is
-//! dominated by hash-map operations keyed by small fixed-size values
-//! (`Ipv6Prefix`, `u128` destinations, `(Transport, u16)` service tuples).
-//! The standard library's default `RandomState` uses SipHash-1-3, which is
-//! DoS-resistant but an order of magnitude slower than necessary for keys
-//! this small — and its per-process random seed makes map iteration order
-//! vary across runs, which this codebase must paper over with explicit
-//! sorts at every report boundary anyway.
+//! Two hot paths hash small fixed-size keys per record: the detector's
+//! per-packet state (`Ipv6Prefix` sources, `u128` destinations,
+//! `(Transport, u16)` service tuples, in `lumen6_detect`) and the firewall
+//! capture test, a telescope-address lookup per generated record
+//! (`CdnDeployment` in `lumen6_telescope`). The standard library's default
+//! `RandomState` uses SipHash-1-3, which is DoS-resistant but an order of
+//! magnitude slower than necessary for keys this small — and its
+//! per-process random seed makes map iteration order vary across runs,
+//! which this codebase must paper over with explicit sorts at every report
+//! boundary anyway.
 //!
 //! This module vendors the multiply-rotate hash used by rustc ("FxHash"):
 //! one rotate, one xor, and one multiply per 8-byte word. It is *not*
 //! collision-resistant against adversarial keys; that is acceptable here
 //! because map contents never cross a trust boundary unhashed (sources are
-//! aggregated prefixes of already-validated records) and worst-case
-//! behavior degrades to a slow map, not a wrong report. Determinism is a
-//! feature: two runs over the same trace now walk identical map layouts,
-//! making performance reproducible. Output determinism does **not** rely on
-//! it — every serialized or reported collection is still explicitly sorted
-//! (or converted to a `BTreeMap`) at the boundary, exactly as before.
+//! aggregated prefixes of already-validated records, telescope addresses
+//! are the deployment's own) and worst-case behavior degrades to a slow
+//! map, not a wrong report. Determinism is a feature: two runs over the
+//! same input walk identical map layouts, making performance reproducible.
+//! Output determinism does **not** rely on it — every serialized or
+//! reported collection is still explicitly sorted (or converted to a
+//! `BTreeMap`) at the boundary.
 
-use lumen6_addr::cast::{high64, low64};
+use crate::cast::{high64, low64};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -160,7 +164,7 @@ mod tests {
 
     #[test]
     fn maps_and_sets_work_with_prefix_keys() {
-        use lumen6_addr::Ipv6Prefix;
+        use crate::Ipv6Prefix;
         let mut m: FxHashMap<Ipv6Prefix, u64> = FxHashMap::default();
         let p = Ipv6Prefix::new(0x2001_0db8 << 96, 64);
         m.insert(p, 7);

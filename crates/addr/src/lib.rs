@@ -15,6 +15,8 @@
 //!   generated (low-byte, EUI-64, embedded port, random, ...).
 //! - [`gen`]: deterministic, seedable address generators used by the scanner
 //!   actor models (random-in-prefix, vary-low-bits, low-Hamming-weight IIDs).
+//! - [`fxhash`]: the deterministic hasher behind the hot-path address sets
+//!   and maps (the detector's state, the capture test's telescope lookup).
 //!
 //! All types are plain data: no I/O, no global state, no wall-clock access.
 
@@ -24,6 +26,7 @@
 pub mod cast;
 pub mod classify;
 pub mod entropy;
+pub mod fxhash;
 pub mod gen;
 pub mod hamming;
 pub mod prefix;

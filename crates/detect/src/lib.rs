@@ -47,7 +47,6 @@ pub mod day;
 pub mod detector;
 pub mod event;
 pub mod fingerprint;
-pub mod fxhash;
 pub mod ids;
 pub mod mawi;
 pub mod multi;
@@ -65,6 +64,7 @@ pub use event::{ScanEvent, ScanReport};
 pub use fingerprint::Fingerprint;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use ids::{Ids, IdsAction, IdsConfig};
+pub use lumen6_addr::fxhash;
 pub use mawi::{MawiConfig, MawiDetector, MawiScan};
 pub use parallel::ThreadedDetector;
 pub use portclass::{classify_ports, PortClass};

@@ -214,7 +214,7 @@ impl ScannerActor {
     /// that is due at least once to `emit(record, copies)`. This is the only
     /// definition of the per-probe draw sequence; callers differ in what
     /// they do with the copies (`generate_scaled` pushes and sorts them, the
-    /// fused source queues one run-length-encoded heap entry).
+    /// fused source queues one run-length-encoded entry).
     pub(crate) fn draw_session(
         &self,
         rng: &mut SmallRng,

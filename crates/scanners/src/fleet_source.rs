@@ -37,10 +37,11 @@
 //!
 //! - An actor's stream is its probes ([`ScannerActor::draw_session`], the
 //!   loop [`ScannerActor::generate_scaled`] collects and stable-sorts) in
-//!   (timestamp, emission index) order, kept by a release heap instead of
-//!   a sort: an entry is releasable once every not-yet-expanded session
-//!   starts at or after its timestamp, since later sessions can only
-//!   contribute equal-or-later timestamps with larger emission indices.
+//!   (timestamp, emission index) order, kept by a release queue that each
+//!   session joins sorted as it is expanded: its front is releasable once
+//!   every not-yet-expanded session starts at or after its timestamp, since
+//!   later sessions can only contribute equal-or-later timestamps with
+//!   larger emission indices.
 //! - The merge key is a total order over the *record sequence itself*, not
 //!   over any runtime state. Each lane is a sorted run of a disjoint subset
 //!   of the streams (its local merge uses the same key), and merging
@@ -74,23 +75,23 @@
 //!
 //! # Bounded memory
 //!
-//! Generator-side buffering is the per-actor release heaps. Lane-side
+//! Generator-side buffering is the per-actor release queues. Lane-side
 //! buffering is bounded by construction: an inline lane owns one run
 //! buffer; a threaded lane circulates exactly [`LANE_DEPTH`] recycled run
 //! buffers — a worker that outruns the consumer blocks waiting for a free
 //! buffer, it never allocates more. The
 //! [`peak_buffered_records`](FleetSource::peak_buffered_records) accessor
-//! (and its pinned test) covers all three tiers: release-heap entries,
+//! (and its pinned test) covers all three tiers: release-queue entries,
 //! records in flight in the channels, and the consumer-held lane heads.
 //!
 //! # Runs
 //!
 //! `--intensity` repeats a probe as adjacent identical records, and a *run*
 //! — `count` copies of one record — is the unit every loop here steps by
-//! and what it emits: a release-heap entry and a fixed-stream cursor hold
+//! and what it emits: a release-queue entry and a fixed-stream cursor hold
 //! their copies run-length-encoded and hand out `min(copies, room)` per
-//! step (`pop_run`), [`Generator::fill`] does one merge pop/push and one
-//! capture test per entry and pushes one row with the copies as its count
+//! step (`pop_run`), [`Generator::fill`] does one in-place merge step and
+//! one capture test per entry and pushes one row with the copies as its count
 //! ([`RecordBatch::push_n`]), and the consumer takes from the winning lane
 //! every head row below the runner-up's key at once, counts included. No
 //! copy is ever expanded. A run is cut in three places — a lane run filling
@@ -131,8 +132,9 @@ use crate::noise;
 use lumen6_telescope::{artifacts, CaptureConfig, FirewallCapture};
 use lumen6_trace::{CodecError, PacketRecord, RecordBatch, Source, TracePosition};
 use rand::rngs::SmallRng;
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
@@ -147,14 +149,14 @@ const RUN_RECORDS: usize = 4_096;
 /// per lane is `LANE_DEPTH * RUN_RECORDS` records, by construction.
 const LANE_DEPTH: usize = 4;
 
-/// A generated probe waiting in an actor's release heap. Ordered by
+/// A generated probe waiting in an actor's release queue. Ordered by
 /// (timestamp, emission index) — exactly the order a stable time-sort of
-/// the fully materialized stream would produce. Intensity repeats of one
-/// probe are run-length-encoded in `reps` rather than stored as separate
-/// entries: all copies share the timestamp and occupy consecutive emission
-/// indices (`idx` is the first), so delivering them back-to-back from a
-/// single entry reproduces the materialized order while keeping heap
-/// memory intensity-invariant.
+/// the fully materialized stream would produce (unique per actor, so an
+/// unstable sort by it is exact). Intensity repeats of one probe are
+/// run-length-encoded in `reps`: all copies share the timestamp and occupy
+/// consecutive emission indices (`idx` is the first), so delivering them
+/// back-to-back from a single entry reproduces the materialized order
+/// while keeping queue memory intensity-invariant.
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     idx: u64,
@@ -163,23 +165,9 @@ struct Pending {
     rec: PacketRecord,
 }
 
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.rec.ts_ms == other.rec.ts_ms && self.idx == other.idx
-    }
-}
-
-impl Eq for Pending {}
-
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.rec.ts_ms, self.idx).cmp(&(other.rec.ts_ms, other.idx))
+impl Pending {
+    fn key(&self) -> (u64, u64) {
+        (self.rec.ts_ms, self.idx)
     }
 }
 
@@ -200,7 +188,8 @@ struct ActorStream {
     suffix_min_start: Vec<u64>,
     next_session: usize,
     emit_idx: u64,
-    heap: BinaryHeap<Reverse<Pending>>,
+    /// Expanded probes in (timestamp, emission index) order.
+    queue: VecDeque<Pending>,
     targets_buf: Vec<u128>,
 }
 
@@ -220,23 +209,26 @@ impl ActorStream {
             suffix_min_start,
             next_session: 0,
             emit_idx: 0,
-            heap: BinaryHeap::new(),
+            queue: VecDeque::new(),
             targets_buf: Vec::with_capacity(2),
         }
     }
 
-    /// Expands the next session's probes into the release heap, one
-    /// run-length-encoded entry per probe that is due at all.
-    fn expand_next_session(&mut self, actor: &ScannerActor) {
+    /// Expands the next session's probes into the release queue, one
+    /// run-length-encoded entry per probe that is due at all: drawn into
+    /// `scratch`, sorted once, then appended — or, when the session
+    /// overlaps what the queue still holds, merged in from the back.
+    fn expand_next_session(&mut self, actor: &ScannerActor, scratch: &mut Vec<Pending>) {
         let s = self.sessions[self.next_session];
         self.next_session += 1;
-        let (heap, emit_idx) = (&mut self.heap, &mut self.emit_idx);
-        let queue = |rec: PacketRecord, reps| {
-            heap.push(Reverse(Pending {
+        scratch.clear();
+        let emit_idx = &mut self.emit_idx;
+        let push = |rec: PacketRecord, reps| {
+            scratch.push(Pending {
                 idx: *emit_idx,
                 reps,
                 rec,
-            }));
+            });
             *emit_idx += reps;
         };
         actor.draw_session(
@@ -244,38 +236,51 @@ impl ActorStream {
             &s,
             self.intensity,
             &mut self.targets_buf,
-            queue,
+            push,
         );
+        scratch.sort_unstable_by_key(Pending::key);
+        let (last, mut i) = (self.queue.back().map(Pending::key), self.queue.len());
+        self.queue.extend(scratch.iter());
+        if scratch.first().is_none_or(|first| last < Some(first.key())) {
+            return;
+        }
+        // Backward merge: the largest remaining key of the old entries
+        // (`queue[..i]`) and the new ones (`scratch[..=j]`) fills the back.
+        let queue = self.queue.make_contiguous();
+        for j in (0..scratch.len()).rev() {
+            while i > 0 && queue[i - 1].key() > scratch[j].key() {
+                queue[i + j] = queue[i - 1];
+                i -= 1;
+            }
+            queue[i + j] = scratch[j];
+        }
     }
 
     /// Timestamp of this actor's next packet, expanding sessions until the
-    /// heap top is confirmed releasable. `None` once exhausted.
-    fn peek_ts(&mut self, actor: &ScannerActor) -> Option<u64> {
+    /// queue front is confirmed releasable. `None` once exhausted.
+    fn peek_ts(&mut self, actor: &ScannerActor, scratch: &mut Vec<Pending>) -> Option<u64> {
         loop {
             let horizon = self.suffix_min_start[self.next_session];
-            match self.heap.peek() {
-                Some(Reverse(p)) if p.rec.ts_ms <= horizon => return Some(p.rec.ts_ms),
+            match self.queue.front() {
+                Some(p) if p.rec.ts_ms <= horizon => return Some(p.rec.ts_ms),
                 _ if self.next_session == self.sessions.len() => return None,
-                _ => self.expand_next_session(actor),
+                _ => self.expand_next_session(actor, scratch),
             }
         }
     }
 
-    /// Pops this actor's next run (after confirming it, as
-    /// [`peek_ts`](ActorStream::peek_ts) does): the top entry's record and
-    /// how many of its remaining copies — at most `room` — are handed out.
-    /// The entry is dequeued only once its repeats are exhausted; the heap
-    /// key is unchanged while copies remain, so a run cut by `room` resumes
-    /// from the same entry with the adjacent duplicates a stable sort
-    /// would produce.
-    fn pop_run(&mut self, actor: &ScannerActor, room: u64) -> Option<(PacketRecord, u64)> {
-        self.peek_ts(actor)?;
-        let mut top = self.heap.peek_mut()?;
-        let (rec, k) = (top.0.rec, top.0.reps.min(room));
-        if k < top.0.reps {
-            top.0.reps -= k;
-        } else {
-            std::collections::binary_heap::PeekMut::pop(top);
+    /// Pops this actor's next run, which [`peek_ts`](ActorStream::peek_ts)
+    /// has confirmed: the front entry's record and how many of its
+    /// remaining copies — at most `room` — are handed out. The entry is
+    /// dequeued only once its repeats are exhausted, so a run cut by `room`
+    /// resumes from the same entry with the adjacent duplicates a stable
+    /// sort would produce.
+    fn pop_run(&mut self, room: u64) -> Option<(PacketRecord, u64)> {
+        let front = self.queue.front_mut()?;
+        let (rec, k) = (front.rec, front.reps.min(room));
+        front.reps -= k;
+        if front.reps == 0 {
+            self.queue.pop_front();
         }
         Some((rec, k))
     }
@@ -392,14 +397,14 @@ fn capture_filter(world: &World) -> FirewallCapture<'_> {
     FirewallCapture::new(&world.deployment, CaptureConfig::default())
 }
 
-/// One sorted run from a generator: filtered records, one row per heap
+/// One sorted run from a generator: filtered records, one row per queue
 /// entry with its copies as the row's count, plus the per-row global stream
 /// index (the merge tie-break key).
 #[derive(Debug, Default)]
 struct Run {
     recs: RecordBatch,
     si: Vec<usize>,
-    /// Release-heap entries its generator held when the run was cut.
+    /// Release-queue entries its generator held when the run was cut.
     held: u64,
 }
 
@@ -425,8 +430,10 @@ struct Generator {
     /// a pass over every actor.
     unflushed: Vec<u64>,
     dirty: Vec<usize>,
-    /// Release-heap entries held across all streams, kept as they change.
+    /// Release-queue entries held across all streams, kept as they change.
     held: u64,
+    /// Where a stream draws a session before queueing it.
+    scratch: Vec<Pending>,
 }
 
 impl Generator {
@@ -436,22 +443,23 @@ impl Generator {
         let reg = lumen6_obs::MetricsRegistry::global();
         let (mut streams, mut emitted) = (Vec::new(), Vec::new());
         let mut merge = BinaryHeap::new();
-        let mut held = 0;
+        let (mut held, mut scratch) = (0, Vec::new());
         for (pos, ai) in actor_ids.enumerate() {
             let actor = &world.fleet.actors[ai];
             let kind = actor.targets.kind();
             emitted.push(reg.counter(&format!("scanners.fleet.packets_emitted.{kind}")));
             let mut stream = ActorStream::new(actor, cfg.seed, cfg.intensity);
-            if let Some(ts) = stream.peek_ts(actor) {
+            if let Some(ts) = stream.peek_ts(actor, &mut scratch) {
                 merge.push(Reverse((ts, ai, pos)));
             }
-            held += stream.heap.len() as u64;
+            held += stream.queue.len() as u64;
             streams.push(stream);
         }
         Generator {
             unflushed: vec![0; streams.len()],
             dirty: Vec::with_capacity(streams.len()),
             held,
+            scratch,
             world,
             streams,
             emitted,
@@ -467,20 +475,24 @@ impl Generator {
         let world: &World = &self.world;
         let filter = capture_filter(world);
         while run.recs.len() < max {
-            let Some(Reverse((_, ai, pos))) = self.merge.pop() else {
+            let Some(mut top) = self.merge.peek_mut() else {
                 break;
             };
+            let Reverse((_, ai, pos)) = *top;
             let actor = &world.fleet.actors[ai];
-            // One step per heap entry: its copies share the merge key, so
+            // One step per queue entry: its copies share the merge key, so
             // they leave back to back — as many as the run has room for.
             let room = (max - run.recs.len()) as u64;
             let stream = &mut self.streams[pos];
-            self.held -= stream.heap.len() as u64;
-            let popped = stream.pop_run(actor, room);
-            if let Some(ts) = stream.peek_ts(actor) {
-                self.merge.push(Reverse((ts, ai, pos)));
+            self.held -= stream.queue.len() as u64;
+            let popped = stream.pop_run(room);
+            // The actor's next key replaces the frontier's top in place;
+            // only an exhausted actor leaves it.
+            match stream.peek_ts(actor, &mut self.scratch) {
+                Some(ts) => top.0 .0 = ts,
+                None => _ = PeekMut::pop(top),
             }
-            self.held += stream.heap.len() as u64;
+            self.held += stream.queue.len() as u64;
             let Some((rec, k)) = popped else {
                 continue; // unreachable: frontier entries are confirmed
             };
@@ -679,7 +691,7 @@ impl FleetSource {
     }
 
     /// Peak buffered records observed so far, across all tiers: release-
-    /// heap entries, records in flight in the lane channels, and
+    /// queue entries, records in flight in the lane channels, and
     /// consumer-held lane heads. Sampled at fill boundaries; the pinned
     /// bounded-memory test asserts it does not scale with trace length.
     pub fn peak_buffered_records(&self) -> u64 {
@@ -984,13 +996,34 @@ mod tests {
     use super::*;
     use crate::fleet::FleetConfig;
 
+    /// Drains one actor's stream through `pop_run`, handing out at most
+    /// `room` copies per step, and counts the `peek_ts` calls after which a
+    /// newly expanded entry sits before one queued earlier: only the merge
+    /// path leaves the queue so.
+    fn drain(actor: &ScannerActor, intensity: f64, room: u64) -> (Vec<PacketRecord>, usize) {
+        let (mut stream, mut scratch) = (ActorStream::new(actor, 42, intensity), Vec::new());
+        let (mut drained, mut merges) = (Vec::new(), 0);
+        loop {
+            let (expanded, queued_before) = (stream.next_session, stream.emit_idx);
+            if stream.peek_ts(actor, &mut scratch).is_none() {
+                return (drained, merges);
+            }
+            if stream.next_session > expanded {
+                let mut entries = stream.queue.iter().map(|p| p.idx < queued_before);
+                merges += usize::from(entries.by_ref().any(|old| !old) && entries.any(|old| old));
+            }
+            let (rec, copies) = stream.pop_run(room).expect("confirmed front");
+            drained.extend(std::iter::repeat_n(rec, copies as usize));
+        }
+    }
+
     #[test]
     fn drained_actor_stream_is_generate_scaled_per_actor() {
         // Both callers of `draw_session`: one pushes the copies and
-        // stable-sorts, the other queues runs in a (timestamp, emission
-        // index) heap. Drained, the heap yields the sorted stream — the same
-        // multiset, and in the same order. 2.5 gives probes two and three
-        // copies, 0.4 drops some.
+        // stable-sorts, the other queues runs in (timestamp, emission
+        // index) order. Drained, the queue yields the sorted stream — the
+        // same multiset, and in the same order. 2.5 gives probes two and
+        // three copies, 0.4 drops some.
         for intensity in [0.4, 1.0, 2.5] {
             let world = World::build(FleetConfig {
                 intensity,
@@ -999,11 +1032,7 @@ mod tests {
             });
             let mut records = 0;
             for actor in &world.fleet.actors {
-                let mut stream = ActorStream::new(actor, 42, intensity);
-                let mut drained = Vec::new();
-                while let Some((rec, copies)) = stream.pop_run(actor, u64::MAX) {
-                    drained.extend(std::iter::repeat_n(rec, copies as usize));
-                }
+                let (drained, _) = drain(actor, intensity, u64::MAX);
                 assert!(
                     drained == actor.generate_scaled(42, intensity),
                     "{} at {intensity}x",
@@ -1016,12 +1045,69 @@ mod tests {
     }
 
     #[test]
-    fn release_heap_entries_are_intensity_invariant() {
-        // Intensity repeats are run-length-encoded in the release heaps:
+    fn overlapping_sessions_merge_into_the_queue() {
+        // Two schedules whose sessions overlap: three 20-hour sessions a
+        // day, and one 24-hour session a day whose follow-up probes cross
+        // midnight into the next day's session. Expanding such a session
+        // merges it into what the queue still holds; drained at any
+        // intensity and any room, the queue is the stable-sorted stream.
+        use crate::actor::Schedule;
+        use crate::samplers::{PortSampler, SourceSampler, TargetSampler};
+        use lumen6_trace::Transport;
+        let hitlist: std::sync::Arc<[u128]> = (1..=400u128).map(|i| i << 8).collect();
+        let actor =
+            |name: &str, sessions_per_week, session_hours, packets_per_session| ScannerActor {
+                name: name.into(),
+                asn: 64500,
+                sources: SourceSampler::Single(0x5001),
+                targets: TargetSampler::HitlistNearby {
+                    hitlist: hitlist.clone(),
+                    explore_prob: 0.5,
+                    span_bits: 4,
+                },
+                ports: PortSampler::Single(Transport::Tcp, 22),
+                schedule: Schedule {
+                    start_day: 0,
+                    end_day: 4,
+                    sessions_per_week,
+                    session_hours,
+                    packets_per_session,
+                    pin_start_ms_in_day: None,
+                },
+                probe_len: 60,
+            };
+        for actor in [
+            actor("thrice-daily", 21.0, 20.0, 2_000),
+            actor("round-the-clock", 7.0, 24.0, 100_000),
+        ] {
+            let mut merges = 0;
+            for intensity in [0.3, 1.0, 7.0] {
+                let sorted = actor.generate_scaled(42, intensity);
+                for room in [1, 4_096] {
+                    let (drained, merged) = drain(&actor, intensity, room);
+                    assert!(
+                        drained == sorted,
+                        "{} at {intensity}x, room {room}",
+                        actor.name
+                    );
+                    merges += merged;
+                }
+            }
+            assert!(
+                merges > 0,
+                "{}: no session overlapped the queue",
+                actor.name
+            );
+        }
+    }
+
+    #[test]
+    fn release_queue_entries_are_intensity_invariant() {
+        // Intensity repeats are run-length-encoded in the release queues:
         // driving the volume 25x must not change the number of buffered
         // entries at all (the footprint — and so the entry set — is
         // intensity-invariant by construction).
-        // Single-record runs so every heap state is observed: the peak is
+        // Single-record runs so every queue state is observed: the peak is
         // then an exact property of the entry sequence, not of where run
         // boundaries happen to fall.
         fn run(intensity: f64) -> (u64, u64) {
@@ -1054,13 +1140,13 @@ mod tests {
         // (at 1x it would already be popped), so allow exactly that one.
         assert!(
             peak_25x <= peak_1x + 1,
-            "heap entries must not scale with intensity: {peak_1x} → {peak_25x}"
+            "queue entries must not scale with intensity: {peak_1x} → {peak_25x}"
         );
     }
 
     #[test]
     fn fill_size_cuts_runs_without_changing_the_stream() {
-        // A heap entry's copies leave `min(reps, room)` at a time, so `max`
+        // A queue entry's copies leave `min(reps, room)` at a time, so `max`
         // decides where runs are cut — never what is delivered. Intensity
         // 0.3 has probes whose repeat count is zero, 25 has long runs.
         // The stream's first records suffice (single-record fills pay the

@@ -57,7 +57,7 @@ pub fn generate(
         // A source starts at least an hour before midnight and sends for at
         // most 19 minutes, so the day's records stay in the day: sorting day
         // by day is the whole stream's stable time sort.
-        lumen6_trace::sort_by_time(&mut out[day_first..]);
+        lumen6_trace::sort_day_by_time(&mut out[day_first..], day);
     }
     out
 }

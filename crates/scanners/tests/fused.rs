@@ -270,7 +270,7 @@ fn resume_rejects_foreign_positions() {
 #[test]
 fn peak_buffered_records_do_not_scale_with_trace_length() {
     // The streaming property that motivates the fused source: buffering
-    // (release heaps + channel runs + consumer heads) is set by the lane
+    // (release queues + channel runs + consumer heads) is set by the lane
     // depth and *concurrent* session budgets, not by how many days the
     // trace spans. Tripling the window must not come close to tripling
     // the peak.

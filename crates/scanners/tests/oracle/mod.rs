@@ -7,7 +7,7 @@
 //!
 //! It shares the per-probe draw loop with the source (the goldens pin
 //! that); what it checks independently is everything the source adds — the
-//! release heaps, the lane merge, where runs are cut, the capture filter
+//! release queues, the lane merge, where runs are cut, the capture filter
 //! applied before the merge, and the fixed streams' run-length cursor.
 //!
 //! Defined once: `crates/scanners/tests/fused.rs` declares it as a module

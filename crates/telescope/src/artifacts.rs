@@ -131,7 +131,7 @@ pub fn generate(
         // Every record of the day is clamped into the day, so sorting day
         // by day is the whole stream's stable time sort, without its
         // whole-stream scratch.
-        lumen6_trace::sort_by_time(&mut out[day_first..]);
+        lumen6_trace::sort_day_by_time(&mut out[day_first..], day);
     }
     out
 }

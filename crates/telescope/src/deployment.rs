@@ -1,11 +1,10 @@
 //! The CDN deployment: machines, addresses, DNS exposure, paired subset.
 
-use lumen6_addr::{gen, Ipv6Prefix};
+use lumen6_addr::{fxhash::FxHashSet, gen, Ipv6Prefix};
 use lumen6_netmodel::{AsType, InternetRegistry};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Scale and shape of the simulated CDN deployment.
 ///
@@ -69,8 +68,9 @@ pub struct Machine {
 #[derive(Debug, Clone)]
 pub struct CdnDeployment {
     machines: Vec<Machine>,
-    telescope: HashSet<u128>,
-    in_dns: HashSet<u128>,
+    /// FxHash: the capture test probes `telescope` once per record.
+    telescope: FxHashSet<u128>,
+    in_dns: FxHashSet<u128>,
     pairs: Vec<(u128, u128)>,
     as_prefixes: Vec<(u32, Ipv6Prefix)>,
 }
@@ -99,8 +99,7 @@ impl CdnDeployment {
         }
 
         let mut machines = Vec::with_capacity(config.machines);
-        let mut telescope = HashSet::with_capacity(config.machines * 2);
-        let mut in_dns = HashSet::with_capacity(config.machines);
+        let (mut telescope, mut in_dns) = (FxHashSet::default(), FxHashSet::default());
         for m in 0..config.machines {
             let (asn, net) = as_prefixes[m % as_prefixes.len()];
             // Each machine gets its own /64 inside the hosting /32; the two
@@ -260,7 +259,7 @@ mod tests {
             assert_eq!(reg.origin_asn(m.non_client_facing), Some(m.asn));
         }
         // Spread over all hosting ASes.
-        let distinct: HashSet<u32> = dep.machines().iter().map(|m| m.asn).collect();
+        let distinct: FxHashSet<u32> = dep.machines().iter().map(|m| m.asn).collect();
         assert_eq!(distinct.len(), 5);
     }
 

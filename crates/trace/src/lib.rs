@@ -30,6 +30,46 @@ pub fn sort_by_time(records: &mut [PacketRecord]) {
     records.sort_by_key(|r| r.ts_ms);
 }
 
+/// Sorts the records of simulation day `day` by timestamp (stable): the
+/// [`sort_by_time`] order, by an LSD radix sort on the millisecond of the
+/// day. Each record becomes one word, its millisecond (27 bits) above its
+/// index, so three 9-bit passes move words, not records, and one gather
+/// moves each record once. A record outside the day falls back to
+/// [`sort_by_time`]: a violated precondition costs speed, never order.
+pub fn sort_day_by_time(records: &mut [PacketRecord], day: u64) {
+    const INDEX_BITS: u32 = 64 - 27;
+    let t0 = day.checked_mul(DAY_MS);
+    let word = |(i, r): (usize, &PacketRecord)| {
+        let ms = r.ts_ms.checked_sub(t0?).filter(|&ms| ms < DAY_MS)?;
+        ((i as u64) >> INDEX_BITS == 0).then_some((ms << INDEX_BITS) | i as u64)
+    };
+    let words: Option<Vec<u64>> = records.iter().enumerate().map(word).collect();
+    let Some(mut words) = words else {
+        return sort_by_time(records);
+    };
+    let mut scratch = vec![0; words.len()];
+    for shift in [INDEX_BITS, INDEX_BITS + 9, INDEX_BITS + 18] {
+        let mut starts = [0usize; 512];
+        for w in &words {
+            starts[(w >> shift) as usize % 512] += 1;
+        }
+        let mut next = 0;
+        for s in &mut starts {
+            (*s, next) = (next, next + *s);
+        }
+        for &w in &words {
+            let at = &mut starts[(w >> shift) as usize % 512];
+            scratch[*at] = w;
+            *at += 1;
+        }
+        std::mem::swap(&mut words, &mut scratch);
+    }
+    let unsorted = records.to_vec();
+    for (r, w) in records.iter_mut().zip(&words) {
+        *r = unsorted[(w % (1 << INDEX_BITS)) as usize];
+    }
+}
+
 /// Merges multiple traces, each already sorted by timestamp, into one sorted
 /// trace. Used to combine per-actor generated traffic into a vantage-point
 /// view.

@@ -1,9 +1,9 @@
-//! Property tests: codec round-trip over arbitrary sorted traces, and
-//! calendar round-trips.
+//! Property tests: codec round-trip over arbitrary sorted traces,
+//! calendar round-trips, and the day sort against the stable time sort.
 
 use lumen6_trace::codec::{decode, encode};
 use lumen6_trace::time::{civil_from_days, days_from_civil};
-use lumen6_trace::{merge_sorted, PacketRecord, Transport};
+use lumen6_trace::{merge_sorted, sort_day_by_time, PacketRecord, Transport, DAY_MS};
 use proptest::prelude::*;
 
 fn arb_transport() -> impl Strategy<Value = Transport> {
@@ -117,5 +117,40 @@ proptest! {
         let merged = merge_sorted(traces);
         prop_assert_eq!(merged.len(), total);
         prop_assert!(merged.windows(2).all(|w| w[0].ts_ms <= w[1].ts_ms));
+    }
+
+    #[test]
+    fn day_sort_is_the_stable_time_sort(
+        day in 1u64..20_000,
+        // A few milliseconds of the day, so most records tie; the day's
+        // first and last millisecond are always among them.
+        mut offsets in proptest::collection::vec(0..DAY_MS, 0..6),
+        picks in proptest::collection::vec(any::<usize>(), 0..2_000),
+        // Whether one record lies outside the day (1: just before it, 2:
+        // up to a day after it), and where it is inserted.
+        (outside, at) in (0u8..3, any::<usize>()),
+    ) {
+        offsets.extend([0, DAY_MS - 1]);
+        let t0 = day * DAY_MS;
+        // Each record's arrival position is in `sport`, so a reordering of
+        // tied records shows.
+        let rec = |i: usize, ts| PacketRecord::tcp(ts, 1, 2, i as u16, 22, 60);
+        let mut recs: Vec<PacketRecord> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, pick)| rec(i, t0 + offsets[pick % offsets.len()]))
+            .collect();
+        if outside > 0 {
+            let ts = if outside == 2 {
+                t0 + DAY_MS + offsets[at % offsets.len()]
+            } else {
+                t0 - 1
+            };
+            recs.insert(at % (recs.len() + 1), rec(recs.len(), ts));
+        }
+        let mut expected = recs.clone();
+        expected.sort_by_key(|r| r.ts_ms);
+        sort_day_by_time(&mut recs, day);
+        prop_assert_eq!(recs, expected);
     }
 }
