@@ -22,7 +22,7 @@ use lumen6_detect::{
 };
 use lumen6_mawi::MawiConfig;
 use lumen6_report::{duration_human, pkt_count, Table};
-use lumen6_scanners::World;
+use lumen6_scanners::{FleetSource, Vantage, World};
 use lumen6_serve::{write_atomic, Daemon, RunConfig, ServeConfig, ServeError};
 use lumen6_trace::{
     FileStreamSource, MaterializedSource, PacketRecord, RecordBatch, Source, StreamingTraceReader,
@@ -310,10 +310,7 @@ fn generate<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError>
             run.validate().map_err(CliError::Usage)?;
             run.make_source()?
         }
-        "mawi" => {
-            let trace = lumen6_mawi::MawiWorld::build(mawi_config(&run), None).trace();
-            Box::new(MaterializedSource::new(trace))
-        }
+        "mawi" => Box::new(lumen6_mawi::MawiWorld::build(mawi_config(&run), None).source()),
         "custom" => {
             // A user-defined actor list (JSON array of ScannerActor).
             let fleet_path = args
@@ -328,8 +325,15 @@ fn generate<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError>
             if let Some(e) = actors.iter().find_map(|a| a.validate().err()) {
                 return Err(CliError::Usage(format!("{fleet_path}: {e}")));
             }
-            let streams: Vec<_> = actors.iter().map(|a| a.generate(run.seed)).collect();
-            Box::new(MaterializedSource::new(lumen6_trace::merge_sorted(streams)))
+            // The actors alone, merged by the engine every vantage runs on.
+            let vantage = Vantage {
+                actors: actors.into(),
+                seed: run.seed,
+                intensity: 1.0,
+                fixed: Vec::new(),
+                capture: None,
+            };
+            Box::new(FleetSource::from_vantage(vantage, 1))
         }
         other => {
             return Err(CliError::Usage(format!(

@@ -65,7 +65,7 @@ pub use fingerprint::Fingerprint;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use ids::{Ids, IdsAction, IdsConfig};
 pub use lumen6_addr::fxhash;
-pub use mawi::{MawiConfig, MawiDetector, MawiScan};
+pub use mawi::{MawiConfig, MawiDetector, MawiGroups, MawiScan};
 pub use parallel::ThreadedDetector;
 pub use portclass::{classify_ports, PortClass};
 pub use prefilter::{ArtifactFilter, ArtifactFilterConfig, FilterReport};

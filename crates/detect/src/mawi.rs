@@ -16,10 +16,10 @@
 //! single multi-port scan record, mirroring the paper's methodology.
 
 use crate::aggregate::AggLevel;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use lumen6_addr::Ipv6Prefix;
 use lumen6_trace::{PacketRecord, Transport};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Configuration of the MAWI-style detector.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -109,11 +109,21 @@ pub fn shannon_entropy<I: IntoIterator<Item = u64>>(counts: I) -> f64 {
 /// Per-(source, service) accumulation.
 #[derive(Debug, Default)]
 struct Group {
-    per_dst: HashMap<u128, u64>,
-    len_hist: HashMap<u16, u64>,
+    per_dst: FxHashMap<u128, u64>,
+    len_hist: FxHashMap<u16, u64>,
     packets: u64,
     start_ms: u64,
     end_ms: u64,
+}
+
+/// The (source, service) groups of one capture window at one aggregation
+/// level: everything detection computes before a threshold applies. A
+/// threshold is a view of them ([`MawiDetector::scans`]), which reads the
+/// groups without changing them, so one grouping serves every `min_dsts`.
+#[derive(Debug)]
+pub struct MawiGroups {
+    agg: AggLevel,
+    groups: FxHashMap<(Ipv6Prefix, Transport, u16), Group>,
 }
 
 /// The MAWI-style detector. Stateless between windows: construct once, call
@@ -151,12 +161,19 @@ impl MawiDetector {
 
     /// Runs detection over one capture window of counted rows — a row of
     /// count `n` weighs as `n` copies — and returns per-source merged
-    /// scans, sorted by source.
+    /// scans, sorted by source: [`group`](Self::group), then
+    /// [`scans`](Self::scans).
     pub fn detect_counted(
         &self,
         rows: impl IntoIterator<Item = (PacketRecord, u32)>,
     ) -> Vec<MawiScan> {
-        let mut groups: HashMap<(Ipv6Prefix, Transport, u16), Group> = HashMap::new();
+        self.scans(&self.group(rows))
+    }
+
+    /// Groups one capture window of counted rows by (source at the
+    /// configured aggregation, protocol, destination port).
+    pub fn group(&self, rows: impl IntoIterator<Item = (PacketRecord, u32)>) -> MawiGroups {
+        let mut groups: FxHashMap<(Ipv6Prefix, Transport, u16), Group> = FxHashMap::default();
         for (r, n) in rows {
             let (s, n) = (self.config.agg.source_of(r.src), u64::from(n));
             let g = groups
@@ -172,13 +189,23 @@ impl MawiDetector {
             g.start_ms = g.start_ms.min(r.ts_ms);
             g.end_ms = g.end_ms.max(r.ts_ms);
         }
+        MawiGroups {
+            agg: self.config.agg,
+            groups,
+        }
+    }
 
+    /// The scans `groups` holds under this detector's thresholds, sorted by
+    /// source: each (source, service) group is qualified, then the
+    /// qualifying groups are merged per source. `groups` must come from
+    /// [`group`](Self::group) at this detector's aggregation level.
+    pub fn scans(&self, groups: &MawiGroups) -> Vec<MawiScan> {
+        debug_assert_eq!(groups.agg, self.config.agg, "groups of another level");
         // Qualify per-port groups, then merge per source with an exact
         // destination union (a multi-port scanner usually probes the same
         // host set on every port — summing would double-count).
-        let mut merged: HashMap<Ipv6Prefix, (MawiScan, std::collections::HashSet<u128>)> =
-            HashMap::new();
-        for ((source, proto, port), g) in groups {
+        let mut merged: FxHashMap<Ipv6Prefix, (MawiScan, FxHashSet<u128>)> = FxHashMap::default();
+        for (&(source, proto, port), g) in &groups.groups {
             if (g.per_dst.len() as u64) < self.config.min_dsts {
                 continue;
             }
@@ -201,7 +228,7 @@ impl MawiDetector {
                         start_ms: g.start_ms,
                         end_ms: g.end_ms,
                     },
-                    std::collections::HashSet::new(),
+                    FxHashSet::default(),
                 )
             });
             entry.services.push((proto, port));

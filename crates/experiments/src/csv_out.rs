@@ -1,7 +1,7 @@
 //! CSV export of the figure series — so the paper's plots can be
 //! regenerated with any plotting tool (`lumen6 experiments --csv DIR ...`).
 
-use crate::mawi_exp::{daily_scans, targets};
+use crate::mawi_exp::targets;
 use crate::{CdnLab, MawiLab};
 use lumen6_addr::HammingDistribution;
 use lumen6_analysis::{concentration, heatmap, portbuckets, series};
@@ -134,10 +134,10 @@ pub fn export_mawi(lab: &MawiLab, dir: &Path) -> io::Result<Vec<String>> {
     let (start, end) = (lab.world.config().start_day, lab.world.config().end_day);
 
     // fig5 + fig6: daily sources (both thresholds) and packets/top shares.
-    let loose = daily_scans(lab, AggLevel::L64, 5);
+    let loose = lab.daily_scans(AggLevel::L64, 5);
     let mut rows5 = Vec::new();
     let mut rows6 = Vec::new();
-    for ((day, s), (_, l)) in daily_scans(lab, AggLevel::L64, 100).iter().zip(&loose) {
+    for ((day, s), (_, l)) in lab.daily_scans(AggLevel::L64, 100).iter().zip(loose) {
         rows5.push(vec![
             day.to_string(),
             s.len().to_string(),

@@ -5,6 +5,11 @@
 //! [`MawiLab`]) and returning the rendered report text; `lumen6
 //! experiments` dispatches on the names. The per-experiment index lives in
 //! DESIGN.md; measured-vs-paper numbers are recorded in EXPERIMENTS.md.
+//!
+//! Both labs are built from a source in one pass: the CDN lab holds the
+//! trace's counted rows, and the MAWI lab holds per-day scans and the event
+//! days' records, grouping each day once per aggregation level and reading
+//! each grouping at both destination thresholds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,8 +20,8 @@ pub mod ext;
 pub mod mawi_exp;
 
 use lumen6_detect::{
-    AggLevel, ArtifactFilter, Backend, DetectorBuilder, FilterReport, ScanDetectorConfig,
-    ScanReport, DEFAULT_SESSION_BATCH,
+    AggLevel, ArtifactFilter, Backend, DetectorBuilder, FilterReport, MawiConfig as MawiFhConfig,
+    MawiDetector, MawiScan, ScanDetectorConfig, ScanReport, DEFAULT_SESSION_BATCH,
 };
 use lumen6_mawi::{MawiConfig, MawiWorld};
 use lumen6_scanners::{FleetConfig, FleetSource, World};
@@ -131,12 +136,32 @@ impl CdnLab {
     }
 }
 
-/// The prepared MAWI-side context.
+/// The aggregation levels the MAWI lab groups each day at (Fig. 5's three).
+const MAWI_AGGS: [AggLevel; 3] = [AggLevel::L128, AggLevel::L64, AggLevel::L48];
+
+/// The destination thresholds it reads each grouping at: the paper's 100
+/// and Fukuda–Heidemann's 5 (Fig. 5, App. A.2).
+const MAWI_MIN_DSTS: [u64; 2] = [100, 5];
+
+/// One day and the scans detected in its capture window.
+type DayScans = (u64, Vec<MawiScan>);
+
+/// The prepared MAWI-side context: per-day scans, and the records of the
+/// days the experiments read record by record.
+///
+/// The lab never holds the trace. It drains [`MawiWorld::source`] once, a
+/// closed capture window at a time ([`lumen6_mawi::each_window`]), groups
+/// each window once per level of [`MAWI_AGGS`] and reads every grouping at
+/// each threshold of [`MAWI_MIN_DSTS`].
 pub struct MawiLab {
     /// The MAWI world.
     pub world: MawiWorld,
-    /// The full link trace (windowed per day).
-    pub trace: Vec<PacketRecord>,
+    /// Per-day scans at each (level, threshold): one entry per day of the
+    /// world's range, empty for a day without traffic.
+    daily: BTreeMap<(AggLevel, u64), Vec<DayScans>>,
+    /// The capture windows of [`mawi_exp::event_days`], every copy a
+    /// record.
+    events: BTreeMap<u64, Vec<PacketRecord>>,
 }
 
 impl MawiLab {
@@ -144,8 +169,60 @@ impl MawiLab {
     /// when given.
     pub fn build(config: MawiConfig, cdn: Option<&World>) -> MawiLab {
         let world = MawiWorld::build(config, cdn.map(|w| &*w.fleet));
-        let trace = world.trace();
-        MawiLab { world, trace }
+        let (start, end) = (world.config().start_day, world.config().end_day);
+        let no_scans: Vec<DayScans> = (start..end).map(|d| (d, Vec::new())).collect();
+        let mut daily: BTreeMap<_, _> = MAWI_AGGS
+            .iter()
+            .flat_map(|&agg| MAWI_MIN_DSTS.map(|min| ((agg, min), no_scans.clone())))
+            .collect();
+        let (event_days, mut events) = (mawi_exp::event_days(), BTreeMap::new());
+        let detector = |agg, min_dsts| {
+            MawiDetector::new(MawiFhConfig {
+                agg,
+                min_dsts,
+                ..Default::default()
+            })
+        };
+        let each = |day: u64, rows: &RecordBatch| {
+            let Some(at) = day.checked_sub(start).filter(|_| day < end) else {
+                return;
+            };
+            for agg in MAWI_AGGS {
+                let rows = (0..rows.rows()).map(|i| (rows.get(i), rows.count(i)));
+                // Grouping reads the level alone, not the threshold.
+                let groups = detector(agg, 0).group(rows);
+                for min in MAWI_MIN_DSTS {
+                    let days = daily.get_mut(&(agg, min)).expect("every pair is keyed");
+                    days[at as usize].1 = detector(agg, min).scans(&groups);
+                }
+            }
+            if event_days.contains(&day) {
+                events.insert(day, rows.iter().collect());
+            }
+        };
+        lumen6_mawi::each_window(&mut world.source(), each).expect("generation cannot fail");
+        MawiLab {
+            world,
+            daily,
+            events,
+        }
+    }
+
+    /// The scans of every day of the world's range, in day order, at one
+    /// aggregation level and destination threshold.
+    ///
+    /// # Panics
+    /// At a level or threshold the lab does not detect at: /128, /64 or /48,
+    /// at 100 or 5 destinations.
+    pub fn daily_scans(&self, agg: AggLevel, min_dsts: u64) -> &[DayScans] {
+        let at = self.daily.get(&(agg, min_dsts));
+        at.expect("the MAWI lab detects at /128, /64, /48 × 100, 5 only")
+    }
+
+    /// The records of one event day's capture window; empty for any other
+    /// day.
+    pub fn window(&self, day: u64) -> &[PacketRecord] {
+        self.events.get(&day).map_or(&[], Vec::as_slice)
     }
 }
 

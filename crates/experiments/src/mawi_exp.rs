@@ -1,34 +1,25 @@
 //! MAWI-side experiments: Figs. 5–7, the §4 ICMPv6 findings, and the
-//! Appendix A.2 hitlist-overlap analysis.
+//! Appendix A.2 hitlist-overlap analysis. Every one reads the lab's per-day
+//! scans ([`MawiLab::daily_scans`]) or its event days' records
+//! ([`MawiLab::window`]); none detects or holds the trace.
 
 use crate::MawiLab;
 use lumen6_addr::HammingDistribution;
 use lumen6_analysis::{overlap, stats, targeting};
-use lumen6_detect::{AggLevel, MawiConfig as FhConfig, MawiDetector, MawiScan};
-use lumen6_mawi::split_days;
+use lumen6_detect::{AggLevel, MawiScan};
 use lumen6_report::{pct, pkt_count, Table};
-use lumen6_trace::{PacketRecord, SimTime};
+use lumen6_trace::SimTime;
 use std::collections::HashMap;
 use std::fmt::Write;
 
-/// Per-day detection at one configuration — the one path every MAWI
-/// experiment and CSV series takes. Days are independent, so they are
-/// detected concurrently, in order: on 2 cores this is 1.6x the one-thread
-/// loop (full MAWI world, `fig5 fig6 icmpv6 fig7 hitlist`, same bytes), and
-/// on one core it is that loop.
-pub(crate) fn daily_scans(
-    lab: &MawiLab,
-    agg: AggLevel,
-    min_dsts: u64,
-) -> Vec<(u64, Vec<MawiScan>)> {
-    let det = MawiDetector::new(FhConfig {
-        agg,
-        min_dsts,
-        ..Default::default()
-    });
-    let config = lab.world.config();
-    let days = split_days(&lab.trace, config.start_day, config.end_day);
-    rayon::parallel_map_slice(&days, &|(day, slice)| (*day, det.detect(slice)))
+/// The days whose capture windows the experiments read record by record:
+/// AS#1's hitlist switch (2021-05-26 to 05-28) and the two ICMPv6 peaks
+/// (07-06, 12-24).
+pub(crate) fn event_days() -> [u64; 5] {
+    let may27 = SimTime::from_date(2021, 5, 27).day_index();
+    let jul6 = SimTime::from_date(2021, 7, 6).day_index();
+    let dec24 = SimTime::from_date(2021, 12, 24).day_index();
+    [may27 - 1, may27, may27 + 1, jul6, dec24]
 }
 
 /// Fig. 5: daily scan sources per aggregation and destination threshold.
@@ -41,7 +32,7 @@ pub fn fig5_daily_sources(lab: &MawiLab) -> String {
     let mut medians: HashMap<(u8, u64), f64> = HashMap::new();
     for agg in [AggLevel::L128, AggLevel::L64, AggLevel::L48] {
         for min in [100u64, 5] {
-            let days = daily_scans(lab, agg, min);
+            let days = lab.daily_scans(agg, min);
             let mut counts: Vec<u64> = days.iter().map(|(_, s)| s.len() as u64).collect();
             counts.sort_unstable();
             let median = stats::median_sorted(&counts);
@@ -71,13 +62,13 @@ pub fn fig5_daily_sources(lab: &MawiLab) -> String {
 
 /// Fig. 6: daily scan packets and top-1/2/3 source shares.
 pub fn fig6_share(lab: &MawiLab) -> String {
-    let days = daily_scans(lab, AggLevel::L64, 100);
+    let days = lab.daily_scans(AggLevel::L64, 100);
     let mut out = String::from("## Fig. 6 — MAWI daily packets and top-source shares (/64)\n");
     let mut total_by_source: HashMap<lumen6_addr::Ipv6Prefix, u64> = HashMap::new();
     let mut daily_top1 = Vec::new();
     let mut daily_top3 = Vec::new();
     let mut total_packets = 0u64;
-    for (_, scans) in &days {
+    for (_, scans) in days {
         let mut v: Vec<u64> = scans.iter().map(|s| s.packets).collect();
         v.sort_unstable_by(|a, b| b.cmp(a));
         let day_total: u64 = v.iter().sum();
@@ -127,12 +118,12 @@ pub fn fig6_share(lab: &MawiLab) -> String {
 
 /// §4 ICMPv6 scans: prevalence, dominance, and the two peak events.
 pub fn icmpv6_days(lab: &MawiLab) -> String {
-    let days = daily_scans(lab, AggLevel::L64, 100);
+    let days = lab.daily_scans(AggLevel::L64, 100);
     let mut out = String::from("## §4 — ICMPv6 scanning in the MAWI traces\n");
     let mut days_with_icmp = 0usize;
     let mut days_icmp_majority = 0usize;
     let mut peak: (u64, u64) = (0, 0); // (day, icmpv6 packets)
-    for (day, scans) in &days {
+    for (day, scans) in days {
         let icmp: Vec<&MawiScan> = scans.iter().filter(|s| s.is_icmpv6()).collect();
         if !icmp.is_empty() {
             days_with_icmp += 1;
@@ -169,7 +160,8 @@ pub fn icmpv6_days(lab: &MawiLab) -> String {
     // (the paper: "the top scan source consists of 7 source IPs from the
     // same /124 prefix").
     let jul6 = SimTime::from_date(2021, 7, 6).day_index();
-    let srcs: std::collections::HashSet<u128> = window(lab, jul6)
+    let srcs: std::collections::HashSet<u128> = lab
+        .window(jul6)
         .iter()
         .filter(|r| lab.world.jul6_prefix.contains_addr(r.src))
         .map(|r| r.src)
@@ -184,17 +176,9 @@ pub fn icmpv6_days(lab: &MawiLab) -> String {
     out
 }
 
-/// The records of one day's capture window.
-fn window(lab: &MawiLab, day: u64) -> &[PacketRecord] {
-    let (s, e) = lumen6_mawi::capture_window(day);
-    let lo = lab.trace.partition_point(|r| r.ts_ms < s);
-    let hi = lab.trace.partition_point(|r| r.ts_ms < e);
-    &lab.trace[lo..hi]
-}
-
 /// The targets probed on `day` by the sources `from` admits.
 pub(crate) fn targets(lab: &MawiLab, day: u64, from: impl Fn(u128) -> bool) -> Vec<u128> {
-    let probes = window(lab, day).iter().filter(|r| from(r.src));
+    let probes = lab.window(day).iter().filter(|r| from(r.src));
     probes.map(|r| r.dst).collect()
 }
 

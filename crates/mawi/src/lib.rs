@@ -29,6 +29,13 @@
 //! All traffic is generated *within* the daily capture window — the
 //! simulator models what the vantage records, not what the sources do
 //! around the clock.
+//!
+//! The trace is never collected to be written or read: [`MawiWorld::source`]
+//! streams it from the engine that generates the CDN trace
+//! (`lumen6_scanners::FleetSource` over the world's [`MawiWorld::vantage`]:
+//! the actors, then background traffic, then the small scanners), and
+//! [`each_window`] hands a time-sorted stream over a closed capture window
+//! at a time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +45,8 @@ pub mod world;
 
 pub use world::{MawiConfig, MawiWorld};
 
-use lumen6_trace::{DAY_MS, MINUTE_MS};
+use lumen6_detect::day::DayBuffer;
+use lumen6_trace::{CodecError, RecordBatch, Source, DAY_MS, MINUTE_MS};
 
 /// Capture window start offset within a day (14:00 local-equivalent).
 pub const WINDOW_START_MS: u64 = 14 * 60 * MINUTE_MS;
@@ -49,6 +57,29 @@ pub const WINDOW_LEN_MS: u64 = 15 * MINUTE_MS;
 pub fn capture_window(day: u64) -> (u64, u64) {
     let start = day * DAY_MS + WINDOW_START_MS;
     (start, start + WINDOW_LEN_MS)
+}
+
+/// Drains `source`, a time-sorted trace, and hands each day's capture
+/// window to `window` as counted rows, in day order, once a later record
+/// closes it (the last one when the source ends). Records outside every
+/// window are dropped, and so is the open day when a decode error ends the
+/// drain with that error.
+pub fn each_window(
+    source: &mut dyn Source,
+    mut window: impl FnMut(u64, &RecordBatch),
+) -> Result<(), CodecError> {
+    let (mut batch, mut days) = (RecordBatch::new(), DayBuffer::default());
+    while source.fill(&mut batch, lumen6_detect::DEFAULT_SESSION_BATCH)? > 0 {
+        for i in 0..batch.rows() {
+            let r = batch.get(i);
+            let (start, end) = capture_window(r.ts_ms / DAY_MS);
+            if (start..end).contains(&r.ts_ms) {
+                days.push(r, batch.count(i), &mut window);
+            }
+        }
+    }
+    days.finish(&mut window);
+    Ok(())
 }
 
 /// Splits a time-sorted trace into per-day capture slices for

@@ -5,7 +5,7 @@ use lumen6_addr::Ipv6Prefix;
 use lumen6_scanners::{
     actor::{ScannerActor, Schedule},
     fleet::Fleet,
-    IidMode, PortSampler, SourceSampler, TargetSampler,
+    FleetSource, IidMode, PortSampler, SourceSampler, TargetSampler, Vantage,
 };
 use lumen6_trace::{PacketRecord, SimTime, Transport};
 use rand::rngs::SmallRng;
@@ -299,31 +299,57 @@ impl MawiWorld {
         &self.config
     }
 
-    /// Generates the full link trace (scanners + background), time-sorted;
-    /// every record falls inside some daily capture window.
+    /// The vantage [`FleetSource`] generates the link trace from: the
+    /// actors at their indices, then background traffic, then the small
+    /// scanners, with no capture filter, at 1x — `merge_sorted`'s
+    /// (timestamp, stream index) order over those streams.
+    pub fn vantage(&self) -> Vantage {
+        let c = &self.config;
+        let background = background::generate(
+            &c.downstream,
+            c.background_flows_per_day,
+            c.start_day,
+            c.end_day,
+            c.seed,
+        );
+        Vantage {
+            actors: self.actors.clone().into(),
+            seed: c.seed,
+            intensity: 1.0,
+            fixed: vec![
+                ("background", background),
+                ("small_scanners", self.small_scanners()),
+            ],
+            capture: None,
+        }
+    }
+
+    /// The full link trace (scanners + background) as a [`Source`] of
+    /// time-sorted records, generated on the caller's thread; every record
+    /// falls inside some daily capture window.
+    ///
+    /// [`Source`]: lumen6_trace::Source
+    pub fn source(&self) -> FleetSource {
+        FleetSource::from_vantage(self.vantage(), 1)
+    }
+
+    /// The full link trace, collected from [`source`](Self::source): every
+    /// record at once, for tests that index it.
     pub fn trace(&self) -> Vec<PacketRecord> {
-        use rayon::prelude::*;
-        let mut streams: Vec<Vec<PacketRecord>> = self
-            .actors
-            .par_iter()
-            .map(|a| a.generate(self.config.seed))
-            .collect();
-        streams.push(background::generate(
-            &self.config.downstream,
-            self.config.background_flows_per_day,
-            self.config.start_day,
-            self.config.end_day,
-            self.config.seed,
-        ));
-        streams.push(self.small_scanners());
-        lumen6_trace::merge_sorted(streams)
+        use lumen6_trace::{RecordBatch, Source};
+        let (mut source, mut out, mut batch) = (self.source(), Vec::new(), RecordBatch::new());
+        // Generation cannot fail: `fill` errs only for decoded sources.
+        while source.fill(&mut batch, 65_536).is_ok_and(|n| n > 0) {
+            out.extend(batch.iter());
+        }
+        out
     }
 
     /// Ephemeral small-scale scanners (see
     /// [`MawiConfig::small_scanners_per_day`]): one-port probes of 6–60
     /// distinct destinations with constant packet length, inside the
-    /// capture window.
-    fn small_scanners(&self) -> Vec<PacketRecord> {
+    /// capture window, time-sorted.
+    pub fn small_scanners(&self) -> Vec<PacketRecord> {
         let mut rng = SmallRng::seed_from_u64(self.config.seed ^ 0x5a11);
         let mut out = Vec::new();
         for day in self.config.start_day..self.config.end_day {

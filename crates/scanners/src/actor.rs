@@ -170,8 +170,10 @@ impl ScannerActor {
     /// misread or never finish. The message names the actor and the field.
     pub fn validate(&self) -> Result<(), String> {
         let s = &self.schedule;
-        // A day holds at most `rate / 7 + 1` sessions, and the stream is
-        // materialized: every session, then every packet, is held at once.
+        // A day holds at most `rate / 7 + 1` sessions. The streamed engine
+        // draws every session up front and holds a whole session's probes
+        // while it releases them, so the scheduled total bounds both what
+        // generation holds and how long it runs.
         let days = s.end_day.saturating_sub(s.start_day) as f64;
         let packets = (s.sessions_per_week / 7.0 + 1.0) * days * s.packets_per_session as f64;
         // The last session may start at the window's last millisecond and

@@ -137,8 +137,9 @@ pub struct GroundTruth {
 /// The assembled fleet.
 #[derive(Debug, Clone)]
 pub struct Fleet {
-    /// All scanner actors (many ASes are modeled as multiple mini-actors).
-    pub actors: Vec<ScannerActor>,
+    /// All scanner actors (many ASes are modeled as multiple mini-actors),
+    /// one allocation every fused source over the world shares.
+    pub actors: Arc<[ScannerActor]>,
     /// Per-AS ground truth, rank order.
     pub truth: Vec<GroundTruth>,
 }
@@ -371,7 +372,7 @@ impl Builder<'_> {
             None,
         );
         Fleet {
-            actors: self.actors,
+            actors: self.actors.into(),
             truth: self.truth,
         }
     }
@@ -895,7 +896,7 @@ mod tests {
     fn actor_sources_live_inside_their_as_prefix() {
         let world = World::build(FleetConfig::small());
         let mut rng = SmallRng::seed_from_u64(3);
-        for actor in &world.fleet.actors {
+        for actor in world.fleet.actors.iter() {
             let truth = world
                 .fleet
                 .truth
@@ -1096,7 +1097,7 @@ mod tests {
         // held its own copy would make the fleet O(actors × telescope).
         let world = World::build(FleetConfig::default());
         let (mut mixes, mut explorers) = (Vec::new(), Vec::new());
-        for actor in &world.fleet.actors {
+        for actor in world.fleet.actors.iter() {
             match &actor.targets {
                 TargetSampler::PairMix {
                     exposed, hidden, ..

@@ -1,23 +1,37 @@
-//! Fused generation: the [`Source`] that *defines* the firewall-logged CDN
-//! trace — scanner traffic plus artifacts plus noise, capture-filtered, in
-//! timestamp order — synthesized straight from the fleet actors without
-//! ever materializing it. [`World::cdn_trace`] is a collect of this source.
+//! Fused generation: the [`Source`] that *defines* a vantage's trace —
+//! its scanner actors merged with its fixed streams and, at the CDN, passed
+//! through the firewall capture, in timestamp order — synthesized straight
+//! from the actors without ever materializing the actors' traffic.
 //!
-//! At paper scale (intensity ≥ 100×) the trace runs to tens of gigabytes.
-//! The source produces it incrementally: each actor holds only its
-//! not-yet-releasable packets (roughly the one or two scanning sessions
-//! overlapping the merge frontier), so peak memory is bounded by
+//! # One engine, three vantages
+//!
+//! The engine is the lanes, the release queues, the in-place merge step,
+//! the fixed-stream cursors and the positions. What it generates is a
+//! [`Vantage`]: the actors, the seed, the intensity, the fixed streams in
+//! merge order and an optional firewall capture.
+//!
+//! - **CDN** ([`FleetSource::new`], [`FleetSource::with_gen_threads`]): the
+//!   fleet's actors, the artifact and noise streams, and the capture of the
+//!   world's telescope. [`World::cdn_trace`] is a collect of this source.
+//! - **MAWI** (`lumen6_mawi::MawiWorld::source`): the transit-link actors,
+//!   then background traffic and the small scanners, with no capture, at 1x.
+//! - **Custom** (`lumen6 generate custom`): a fleet file's actors alone.
+//!
+//! At paper scale (intensity ≥ 100×) the CDN trace runs to tens of
+//! gigabytes. The source produces it incrementally: each actor holds only
+//! its not-yet-releasable packets (roughly the one or two scanning sessions
+//! overlapping the merge frontier), so that part of memory is bounded by
 //! per-session packet budgets, not by the trace length.
 //!
-//! # One engine, inline or threaded lanes
+//! # Inline or threaded lanes
 //!
-//! The fleet's actors are dealt round-robin to `gen_threads` *lanes*. A
+//! The vantage's actors are dealt round-robin to `gen_threads` *lanes*. A
 //! lane's [`Generator`] runs its actors' [`ActorStream`]s under a local
 //! merge and emits sorted, capture-filtered runs of at most
 //! [`RUN_RECORDS`] records, each record tagged with its global stream
-//! index; the consumer k-way-merges the lane heads with the artifact and
-//! noise streams. The only thing `gen_threads` changes is *where* a lane's
-//! generator runs:
+//! index; the consumer k-way-merges the lane heads with the fixed streams.
+//! The only thing `gen_threads` changes is *where* a lane's generator
+//! runs:
 //!
 //! - `gen_threads = 1`: the single lane owns its generator and refills its
 //!   run on the consumer's thread — no thread, no channel, no cross-thread
@@ -30,10 +44,10 @@
 //! # The sequence and its determinism
 //!
 //! The trace is the merge, by (timestamp, stream index), of one stream per
-//! actor at its fleet index, then the artifact stream, then the noise
-//! stream, minus the records [`FirewallCapture::logs`] rejects. It is a
-//! pure function of the [`FleetConfig`](crate::FleetConfig) — not of the
-//! lane count, the fill sizes or thread scheduling:
+//! actor at its index, then each fixed stream in order, minus the records
+//! the capture rejects — `merge_sorted`'s order. It is a pure function of
+//! the vantage — not of the lane count, the fill sizes or thread
+//! scheduling:
 //!
 //! - An actor's stream is its probes ([`ScannerActor::draw_session`], the
 //!   loop [`ScannerActor::generate_scaled`] collects and stable-sorts) in
@@ -52,11 +66,12 @@
 //!   lane-side, before the merge, deletes the same records and cuts
 //!   channel volume.
 //!
-//! The check is independent of all of the above: a test-side oracle
-//! (`tests/oracle/mod.rs` — whole `generate_scaled` streams and repeated
-//! fixed streams, one `merge_sorted`, one `capture`) must equal the source
-//! at every lane count, fill size and intensity; the table1/fig2/fig5
-//! goldens pin the draw sequence itself.
+//! The check is independent of all of the above: test-side oracles
+//! (`tests/oracle/mod.rs` for the CDN — whole `generate_scaled` streams and
+//! repeated fixed streams, one `merge_sorted`, one `capture`; the MAWI
+//! crate's `tests/vantage.rs` for MAWI and custom fleets) must equal the
+//! source at every lane count and fill size; the table1/fig2/fig5 goldens
+//! pin the draw sequence itself.
 //!
 //! Feeding the detector straight from the lanes, skipping the merge, is
 //! not an option: detector state is keyed by *aggregated source prefix*,
@@ -64,14 +79,14 @@
 //! one time-ordered stream only the merge makes. One detector thread
 //! behind the merge is the whole detection side (`detect::parallel`).
 //!
-//! The artifact and noise streams *are* held whole, at their base (1×)
-//! size ([`artifacts::generate`] and [`noise::generate`] return a day window
-//! as one `Vec`), and scaled at delivery by [`FixedStream`]'s run-length
+//! The fixed streams *are* held whole, at their base (1×) size (the CDN's
+//! [`artifacts::generate`] and [`noise::generate`] return a day window as
+//! one `Vec`), and scaled at delivery by [`FixedStream`]'s run-length
 //! cursor: independent of `intensity`, outside the bounded-memory claim.
-//! Both generators sort each day as they finish it — every record stays in
-//! its day, so that is the whole stream's stable sort — and no whole-stream
-//! sort scratch is ever allocated. `scanners.fleet.fixed_stream_bytes`
-//! gauges what the two streams hold.
+//! The CDN's two generators sort each day as they finish it — every record
+//! stays in its day, so that is the whole stream's stable sort — and no
+//! whole-stream sort scratch is ever allocated.
+//! `scanners.fleet.fixed_stream_bytes` gauges what the fixed streams hold.
 //!
 //! # Bounded memory
 //!
@@ -107,7 +122,7 @@
 //! `gen_threads` resumes at any other, and one inside a run names a copy
 //! of it. [`Source::resume`] seeks forward by generating and discarding,
 //! one step per run; only a position behind the current one rebuilds the
-//! generators from the world's seed and replays from the start —
+//! generators from the vantage's seed and replays from the start —
 //! generation is cheap relative to detection, and a checkpoint resume
 //! happens at most once per run. Replayed packets are re-counted by the
 //! `scanners.fleet.packets_emitted.*` telemetry, which counts generation
@@ -129,7 +144,7 @@
 use crate::actor::ScannerActor;
 use crate::fleet::{emission_due, scale_intensity, World};
 use crate::noise;
-use lumen6_telescope::{artifacts, CaptureConfig, FirewallCapture};
+use lumen6_telescope::{artifacts, CaptureConfig, CdnDeployment, FirewallCapture};
 use lumen6_trace::{CodecError, PacketRecord, RecordBatch, Source, TracePosition};
 use rand::rngs::SmallRng;
 use std::cmp::Reverse;
@@ -286,11 +301,74 @@ impl ActorStream {
     }
 }
 
-/// A fixed (artifact or noise) stream and its delivery cursor: the stream
-/// is held at its base (1×) size and scaled at delivery time
-/// ([`emission_due`]), so memory stays intensity-invariant. It scales with
-/// the scanners because the A.1 duplicate prefilter compares packet
-/// *counts*: only then is the detected shape intensity-invariant.
+/// What one vantage point sees, as [`FleetSource`] generates it (see the
+/// [module docs](self) for the three vantages).
+#[derive(Debug)]
+pub struct Vantage {
+    /// The scanner actors; an actor's index is its stream index.
+    pub actors: Arc<[ScannerActor]>,
+    /// Master seed of every actor's draws.
+    pub seed: u64,
+    /// Volume multiplier of the actors and the fixed streams
+    /// ([`scale_intensity`]).
+    pub intensity: f64,
+    /// Streams held whole at 1x, each time-sorted and named by its
+    /// `scanners.fleet.packets_emitted.<name>` counter, merged after the
+    /// actors in this order.
+    pub fixed: Vec<(&'static str, Vec<PacketRecord>)>,
+    /// The telescope whose firewall capture every record must pass; `None`
+    /// logs every record.
+    pub capture: Option<Arc<CdnDeployment>>,
+}
+
+impl Vantage {
+    /// The CDN vantage of `world` without its fixed streams, which
+    /// [`cdn_fixed_streams`] generates.
+    fn cdn(world: &World) -> Vantage {
+        let cfg = world.config();
+        Vantage {
+            actors: Arc::clone(&world.fleet.actors),
+            seed: cfg.seed,
+            intensity: cfg.intensity,
+            fixed: Vec::new(),
+            capture: Some(Arc::clone(&world.deployment)),
+        }
+    }
+
+    /// The capture filter every record passes, if the vantage has one: the
+    /// default [`CaptureConfig`].
+    fn capture_filter(&self) -> Option<FirewallCapture<'_>> {
+        let deployment = self.capture.as_deref()?;
+        Some(FirewallCapture::new(deployment, CaptureConfig::default()))
+    }
+}
+
+/// The artifact and noise streams of a world, in the order they merge
+/// after the actors.
+fn cdn_fixed_streams(world: &World) -> Vec<(&'static str, Vec<PacketRecord>)> {
+    let cfg = world.config();
+    let artifacts = artifacts::generate(
+        &world.deployment,
+        &cfg.artifacts,
+        cfg.start_day,
+        cfg.end_day,
+        cfg.seed,
+    );
+    let noise = noise::generate(
+        &world.deployment.all_addrs(),
+        cfg.noise_sources_per_day,
+        cfg.start_day,
+        cfg.end_day,
+        cfg.seed,
+    );
+    vec![("artifacts", artifacts), ("noise", noise)]
+}
+
+/// A fixed stream and its delivery cursor: the stream is held at its base
+/// (1×) size and scaled at delivery time ([`emission_due`]), so memory
+/// stays intensity-invariant. The CDN's artifacts and noise scale with the
+/// scanners because the A.1 duplicate prefilter compares packet *counts*:
+/// only then is the detected shape intensity-invariant.
 /// Invariant outside of [`pop_run`](FixedStream::pop_run): either `pos` is
 /// past the end, or `rem > 0` copies of `records[pos]` remain due — a run
 /// cut short by the caller's room stays under the cursor.
@@ -301,46 +379,36 @@ struct FixedStream {
     scaled: u64,
     pos: usize,
     rem: u64,
-    /// `scanners.fleet.packets_emitted.{artifacts,noise}` and its per-fill
-    /// local accumulation.
+    /// `scanners.fleet.packets_emitted.<name>` and its per-fill local
+    /// accumulation.
     counter: lumen6_obs::Counter,
     pending: u64,
 }
 
 impl FixedStream {
-    /// Generates the artifact and noise streams of a world, in the order
-    /// they merge after the actors.
-    fn pair(world: &World) -> [FixedStream; 2] {
-        let cfg = world.config();
+    /// Cursors over a vantage's fixed streams at `intensity`, in merge
+    /// order, each on its first due record.
+    fn all(streams: Vec<(&'static str, Vec<PacketRecord>)>, intensity: f64) -> Vec<FixedStream> {
         let reg = lumen6_obs::MetricsRegistry::global();
-        let stream = |records: Vec<PacketRecord>, name: &str| FixedStream {
-            scaled: scale_intensity(records.len() as u64, cfg.intensity),
-            records,
-            pos: 0,
-            rem: 0,
-            counter: reg.counter(&format!("scanners.fleet.packets_emitted.{name}")),
-            pending: 0,
-        };
-        let artifacts = artifacts::generate(
-            &world.deployment,
-            &cfg.artifacts,
-            cfg.start_day,
-            cfg.end_day,
-            cfg.seed,
-        );
-        let noise = noise::generate(
-            &world.deployment.all_addrs(),
-            cfg.noise_sources_per_day,
-            cfg.start_day,
-            cfg.end_day,
-            cfg.seed,
-        );
-        let held = (artifacts.len() + noise.len()) * std::mem::size_of::<PacketRecord>();
+        let held: usize = streams
+            .iter()
+            .map(|(_, r)| std::mem::size_of_val(&r[..]))
+            .sum();
         reg.gauge("scanners.fleet.fixed_stream_bytes")
             .set(held as i64);
-        let mut pair = [stream(artifacts, "artifacts"), stream(noise, "noise")];
-        pair.iter_mut().for_each(FixedStream::rewind);
-        pair
+        let stream = |(name, records): (&str, Vec<PacketRecord>)| {
+            let mut stream = FixedStream {
+                scaled: scale_intensity(records.len() as u64, intensity),
+                records,
+                pos: 0,
+                rem: 0,
+                counter: reg.counter(&format!("scanners.fleet.packets_emitted.{name}")),
+                pending: 0,
+            };
+            stream.rewind();
+            stream
+        };
+        streams.into_iter().map(stream).collect()
     }
 
     /// Puts the cursor on the first due record.
@@ -392,11 +460,6 @@ impl FixedStream {
     }
 }
 
-/// The capture filter every record passes: the default [`CaptureConfig`].
-fn capture_filter(world: &World) -> FirewallCapture<'_> {
-    FirewallCapture::new(&world.deployment, CaptureConfig::default())
-}
-
 /// One sorted run from a generator: filtered records, one row per queue
 /// entry with its copies as the row's count, plus the per-row global stream
 /// index (the merge tie-break key).
@@ -409,12 +472,13 @@ struct Run {
 }
 
 /// One lane's generation engine: a disjoint, ascending subset of the
-/// fleet's actors, locally merged by the global (timestamp, stream index)
+/// vantage's actors, locally merged by the global (timestamp, stream index)
 /// key and capture-filtered. A value, so a lane can run it on the
 /// consumer's thread or hand it to a worker.
 #[derive(Debug)]
 struct Generator {
-    world: World,
+    /// The vantage, shared by every lane; its fixed streams are not here.
+    vantage: Arc<Vantage>,
     /// One stream per actor of this lane, ascending by fleet index, and the
     /// pre-filter emission counter of its target-strategy kind
     /// (`scanners.fleet.packets_emitted.<kind>`).
@@ -438,17 +502,16 @@ struct Generator {
 
 impl Generator {
     /// Draws every actor's schedule and primes the local merge.
-    fn new(world: World, actor_ids: impl Iterator<Item = usize>) -> Generator {
-        let cfg = world.config();
+    fn new(vantage: Arc<Vantage>, actor_ids: impl Iterator<Item = usize>) -> Generator {
         let reg = lumen6_obs::MetricsRegistry::global();
         let (mut streams, mut emitted) = (Vec::new(), Vec::new());
         let mut merge = BinaryHeap::new();
         let (mut held, mut scratch) = (0, Vec::new());
         for (pos, ai) in actor_ids.enumerate() {
-            let actor = &world.fleet.actors[ai];
+            let actor = &vantage.actors[ai];
             let kind = actor.targets.kind();
             emitted.push(reg.counter(&format!("scanners.fleet.packets_emitted.{kind}")));
-            let mut stream = ActorStream::new(actor, cfg.seed, cfg.intensity);
+            let mut stream = ActorStream::new(actor, vantage.seed, vantage.intensity);
             if let Some(ts) = stream.peek_ts(actor, &mut scratch) {
                 merge.push(Reverse((ts, ai, pos)));
             }
@@ -460,7 +523,7 @@ impl Generator {
             dirty: Vec::with_capacity(streams.len()),
             held,
             scratch,
-            world,
+            vantage,
             streams,
             emitted,
             merge,
@@ -472,14 +535,14 @@ impl Generator {
     fn fill(&mut self, run: &mut Run, max: usize) {
         run.recs.clear();
         run.si.clear();
-        let world: &World = &self.world;
-        let filter = capture_filter(world);
+        let vantage: &Vantage = &self.vantage;
+        let filter = vantage.capture_filter();
         while run.recs.len() < max {
             let Some(mut top) = self.merge.peek_mut() else {
                 break;
             };
             let Reverse((_, ai, pos)) = *top;
-            let actor = &world.fleet.actors[ai];
+            let actor = &vantage.actors[ai];
             // One step per queue entry: its copies share the merge key, so
             // they leave back to back — as many as the run has room for.
             let room = (max - run.recs.len()) as u64;
@@ -500,7 +563,7 @@ impl Generator {
                 self.dirty.push(pos);
             }
             self.unflushed[pos] += k;
-            if filter.logs(&rec) {
+            if filter.as_ref().is_none_or(|f| f.logs(&rec)) {
                 run.recs.push_n(rec, k as usize);
                 run.si.resize(run.recs.rows(), ai);
             }
@@ -641,16 +704,18 @@ impl Lane {
     }
 }
 
-/// A [`Source`] that generates the firewall-logged CDN trace of a [`World`]
-/// on the fly, byte-identical at every `gen_threads`. See the module docs
-/// for the engine, the equivalence argument and the position semantics.
+/// A [`Source`] that generates a [`Vantage`]'s trace — by default the
+/// firewall-logged CDN trace of a [`World`] — on the fly, byte-identical at
+/// every `gen_threads`. See the module docs for the engine, the
+/// equivalence argument and the position semantics.
 #[derive(Debug)]
 pub struct FleetSource {
-    world: World,
+    /// The vantage the lanes generate; its fixed streams are in `fixed`.
+    vantage: Arc<Vantage>,
     /// One lane per generator thread; a single lane runs inline.
     lanes: Vec<Lane>,
-    /// The artifact and noise streams, merged after the actors.
-    fixed: [FixedStream; 2],
+    /// The vantage's fixed streams, merged after the actors.
+    fixed: Vec<FixedStream>,
     delivered: u64,
     prev_ts: u64,
     /// `scanners.parallel.{channel_depth, buffered_records}`; like every
@@ -666,17 +731,37 @@ impl FleetSource {
         FleetSource::with_gen_threads(world, 1)
     }
 
-    /// Builds a fused source whose generation runs on `gen_threads` worker
-    /// threads (clamped to `1..=actor count`; 1 spawns none).
+    /// Builds a fused source over `world` whose generation runs on
+    /// `gen_threads` worker threads (clamped to `1..=actor count`; 1 spawns
+    /// none).
     pub fn with_gen_threads(world: World, gen_threads: usize) -> FleetSource {
-        let n = gen_threads.clamp(1, world.fleet.actors.len().max(1));
+        FleetSource::start(Vantage::cdn(&world), gen_threads, || {
+            cdn_fixed_streams(&world)
+        })
+    }
+
+    /// Builds a source over any vantage, generating on `gen_threads`
+    /// threads as [`with_gen_threads`](Self::with_gen_threads) does.
+    pub fn from_vantage(mut vantage: Vantage, gen_threads: usize) -> FleetSource {
+        let fixed = std::mem::take(&mut vantage.fixed);
+        FleetSource::start(vantage, gen_threads, || fixed)
+    }
+
+    /// Spawns the lanes over `vantage`, then takes its fixed streams from
+    /// `fixed`: threaded workers prime and fill their first runs while this
+    /// thread generates them.
+    fn start(
+        vantage: Vantage,
+        gen_threads: usize,
+        fixed: impl FnOnce() -> Vec<(&'static str, Vec<PacketRecord>)>,
+    ) -> FleetSource {
+        let n = gen_threads.clamp(1, vantage.actors.len().max(1));
         let reg = lumen6_obs::MetricsRegistry::global();
+        let vantage = Arc::new(vantage);
         FleetSource {
-            // Lanes first: threaded workers prime and fill their first
-            // runs while this thread materializes the fixed streams.
-            lanes: FleetSource::spawn_lanes(&world, n),
-            fixed: FixedStream::pair(&world),
-            world,
+            lanes: FleetSource::spawn_lanes(&vantage, n),
+            fixed: FixedStream::all(fixed(), vantage.intensity),
+            vantage,
             delivered: 0,
             prev_ts: 0,
             occupancy_gauges: (n > 1).then(|| {
@@ -698,9 +783,9 @@ impl FleetSource {
         self.peak_buffered
     }
 
-    /// Builds `n` lanes over `world`, spawning their workers when `n > 1`.
-    fn spawn_lanes(world: &World, n: usize) -> Vec<Lane> {
-        let actors = world.fleet.actors.len();
+    /// Builds `n` lanes over `vantage`, spawning their workers when `n > 1`.
+    fn spawn_lanes(vantage: &Arc<Vantage>, n: usize) -> Vec<Lane> {
+        let actors = vantage.actors.len();
         let reg = lumen6_obs::MetricsRegistry::global();
         (0..n)
             .map(|k| {
@@ -709,9 +794,9 @@ impl FleetSource {
                 // lane's id list ascending (so its runs are sorted runs
                 // of a disjoint subset).
                 let ids = (k..actors).step_by(n);
-                let world = world.clone();
+                let vantage = Arc::clone(vantage);
                 let feed = if n == 1 {
-                    Feed::Inline(Box::new(Generator::new(world, ids)))
+                    Feed::Inline(Box::new(Generator::new(vantage, ids)))
                 } else {
                     let (data_tx, data) = sync_channel::<Run>(LANE_DEPTH);
                     let (recycle, recycle_rx) = sync_channel::<Run>(LANE_DEPTH);
@@ -726,7 +811,7 @@ impl FleetSource {
                     // drawing is spread across the lanes too.
                     let handle = std::thread::spawn(move || {
                         run_worker(
-                            Generator::new(world, ids),
+                            Generator::new(vantage, ids),
                             data_tx,
                             recycle_rx,
                             worker_in_flight,
@@ -794,7 +879,7 @@ impl FleetSource {
     /// logged records were produced; fewer than `max` means end of stream.
     pub(crate) fn produce(&mut self, mut out: Option<&mut RecordBatch>, max: usize) -> usize {
         let FleetSource {
-            world,
+            vantage,
             lanes,
             fixed,
             delivered,
@@ -803,15 +888,15 @@ impl FleetSource {
         } = self;
         // Consumer-side filter for the fixed streams only — actor records
         // arrive pre-filtered from the lanes.
-        let filter = capture_filter(world);
-        let actors = world.fleet.actors.len();
+        let filter = vantage.capture_filter();
+        let actors = vantage.actors.len();
         let mut produced = 0usize;
         while produced < max {
             // The candidate with the smallest (timestamp, stream index)
             // key is next — exactly the `merge_sorted` order — and it stays
             // next until its key passes the runner-up's. Slots number the
-            // lanes first, then artifacts, then noise; stream indices are
-            // disjoint across slots, so keys never tie between them.
+            // lanes first, then the fixed streams in order; stream indices
+            // are disjoint across slots, so keys never tie between them.
             let n = lanes.len();
             let mut best: Option<((u64, usize), usize)> = None;
             let mut runner_up = (u64::MAX, usize::MAX);
@@ -876,7 +961,7 @@ impl FleetSource {
             } else {
                 // The copies due of one fixed record, after one filter test.
                 let (rec, k) = fixed[slot - n].pop_run(room as u64);
-                if !filter.logs(&rec) {
+                if filter.as_ref().is_some_and(|f| !f.logs(&rec)) {
                     continue;
                 }
                 *prev_ts = rec.ts_ms;
@@ -923,7 +1008,7 @@ impl Source for FleetSource {
             let n = self.lanes.len();
             self.shutdown();
             (self.delivered, self.prev_ts) = (0, 0);
-            self.lanes = FleetSource::spawn_lanes(&self.world, n);
+            self.lanes = FleetSource::spawn_lanes(&self.vantage, n);
             for stream in &mut self.fixed {
                 stream.rewind();
             }
@@ -1031,7 +1116,7 @@ mod tests {
                 ..FleetConfig::small()
             });
             let mut records = 0;
-            for actor in &world.fleet.actors {
+            for actor in world.fleet.actors.iter() {
                 let (drained, _) = drain(actor, intensity, u64::MAX);
                 assert!(
                     drained == actor.generate_scaled(42, intensity),
@@ -1118,7 +1203,7 @@ mod tests {
                 ..FleetConfig::small()
             });
             let actors = world.fleet.actors.len();
-            let mut gen = Generator::new(world, 0..actors);
+            let mut gen = Generator::new(Arc::new(Vantage::cdn(&world)), 0..actors);
             let mut run = Run::default();
             let (mut peak, mut total) = (0, 0);
             loop {
@@ -1160,7 +1245,7 @@ mod tests {
                 ..FleetConfig::small()
             });
             let actors = world.fleet.actors.len();
-            let mut gen = Generator::new(world, 0..actors);
+            let mut gen = Generator::new(Arc::new(Vantage::cdn(&world)), 0..actors);
             let mut run = Run::default();
             let (mut recs, mut si) = (Vec::new(), Vec::new());
             loop {

@@ -36,5 +36,5 @@ pub mod tga;
 
 pub use actor::{ScannerActor, Schedule, Session};
 pub use fleet::{scale_intensity, Fleet, FleetConfig, World};
-pub use fleet_source::{FleetSource, ParallelFleetSource};
+pub use fleet_source::{FleetSource, ParallelFleetSource, Vantage};
 pub use samplers::{IidMode, PortSampler, SourceSampler, TargetSampler};
