@@ -839,7 +839,17 @@ fn experiments<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliErr
     };
     let mawi = names.iter().any(|n| MAWI.contains(n)).then(|| {
         eprintln!("# building MAWI lab ...");
-        MawiLab::build(mawi_config(&run), cdn.as_ref().map(|lab| &lab.world))
+        // The MAWI scanners share the CDN fleet's identities: without a CDN
+        // lab, its world alone is built for them.
+        let fleet_only;
+        let world = match &cdn {
+            Some(lab) => &lab.world,
+            None => {
+                fleet_only = World::build(run.fleet_config());
+                &fleet_only
+            }
+        };
+        MawiLab::build(mawi_config(&run), Some(world))
     });
     if let Some(csv) = args.get("csv") {
         if let Some(lab) = &cdn {
@@ -1283,6 +1293,22 @@ mod tests {
             assert!(msg.contains("table1") && msg.contains("hitlist"), "{msg}");
             assert_eq!(text, "");
         }
+    }
+
+    /// A MAWI experiment named alone shares the CDN fleet's identities as
+    /// it does beside the CDN experiments: the cross-vantage check is not
+    /// run against a fallback source.
+    #[test]
+    fn a_mawi_experiment_alone_prints_its_section_of_all() {
+        let (alone, res) = run_cli(&["experiments", "--small", "fig6"]);
+        res.unwrap();
+        let (all, res) = run_cli(&["experiments", "--small", "all"]);
+        res.unwrap();
+        assert!(alone.starts_with("## Fig. 6"), "{alone}");
+        assert!(
+            all.contains(&alone),
+            "fig6 alone is not a section of all:\n{alone}"
+        );
     }
 
     #[test]

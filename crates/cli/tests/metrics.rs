@@ -261,8 +261,17 @@ fn generator_memory_is_published() {
     };
     let pools = gauge("scanners.world.target_pool_bytes");
     assert!((1..1 << 20).contains(&pools), "{pools} pool bytes");
+    // The fixed streams are held as 16-byte rows over a flow table, not as
+    // 48-byte records: at 1x every held record is delivered once.
     let fixed = gauge("scanners.fleet.fixed_stream_bytes");
-    assert!(fixed > 0, "{fixed} fixed-stream bytes");
+    let held: u64 = ["artifacts", "noise"]
+        .iter()
+        .map(|name| snap.counters[&format!("scanners.fleet.packets_emitted.{name}")])
+        .sum();
+    assert!(
+        held > 0 && (1..=20 * held as i64).contains(&fixed),
+        "{fixed} fixed-stream bytes for {held} records"
+    );
     assert!(gauge("cli.process.peak_rss_kib") > 0);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,11 +7,12 @@
 
 use crate::capture_window;
 use lumen6_addr::{gen, Ipv6Prefix};
-use lumen6_trace::{PacketRecord, Transport};
+use lumen6_trace::{FlowStream, FlowStreamBuilder, Transport};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Generates background flows inside each day's capture window.
+/// Generates background flows inside each day's capture window, in stable
+/// time order: a flow per (remote, local) pair, its packets as rows.
 ///
 /// `flows_per_day` flows each exchange 5–40 packets of varying length
 /// between a remote host and a downstream host. A few "busy servers" also
@@ -23,11 +24,14 @@ pub fn generate(
     start_day: u64,
     end_day: u64,
     seed: u64,
-) -> Vec<PacketRecord> {
+) -> FlowStream {
     assert!(!downstream.is_empty(), "need downstream prefixes");
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xbac0);
-    let mut out = Vec::new();
+    let mut out = FlowStreamBuilder::default();
     for day in start_day..end_day {
+        // Every record is clamped into the day's capture window, so the
+        // builder's day-by-day sort is the whole stream's stable time sort.
+        out.open_day(day);
         let (ws, we) = capture_window(day);
         // Ordinary flows.
         for _ in 0..flows_per_day {
@@ -35,19 +39,21 @@ pub fn generate(
             let local = gen::random_in_prefix(&mut rng, p);
             let remote_net: u64 = 0x2400_0000_0000_0000 | (rng.gen::<u64>() >> 8);
             let remote = gen::random_iid(&mut rng, remote_net);
+            let flow = out.flow(remote, local);
             let dport = [443u16, 80, 53, 8443, 993][rng.gen_range(0usize..5)];
             let n = rng.gen_range(5..40u64);
             let t0 = rng.gen_range(ws..we - 1);
             for k in 0..n {
-                out.push(PacketRecord {
-                    ts_ms: (t0 + k * rng.gen_range(5u64..2_000)).min(we - 1),
-                    src: remote,
-                    dst: local,
-                    proto: Transport::Tcp,
-                    sport: rng.gen_range(1024..65000),
+                let ts = (t0 + k * rng.gen_range(5u64..2_000)).min(we - 1);
+                let sport = rng.gen_range(1024..65000);
+                out.push(
+                    ts,
+                    flow,
+                    Transport::Tcp,
+                    sport,
                     dport,
-                    len: rng.gen_range(40..1500),
-                });
+                    rng.gen_range(40..1500),
+                );
             }
         }
         // A couple of busy remote servers touching many destinations with
@@ -62,30 +68,44 @@ pub fn generate(
             let t0 = rng.gen_range(ws..we - 1);
             for k in 0..150u64 {
                 let local = gen::random_in_prefix(&mut rng, p);
-                out.push(PacketRecord {
-                    ts_ms: (t0 + k * rng.gen_range(5u64..500)).min(we - 1),
-                    src: remote,
-                    dst: local,
-                    proto: Transport::Tcp,
-                    sport: 443,
-                    dport: if fixed_port {
-                        4500
-                    } else {
-                        rng.gen_range(1024..65000)
-                    },
-                    len: rng.gen_range(40..1500),
-                });
+                let flow = out.flow(remote, local);
+                let ts = (t0 + k * rng.gen_range(5u64..500)).min(we - 1);
+                let dport = if fixed_port {
+                    4500
+                } else {
+                    rng.gen_range(1024..65000)
+                };
+                out.push(
+                    ts,
+                    flow,
+                    Transport::Tcp,
+                    443,
+                    dport,
+                    rng.gen_range(40..1500),
+                );
             }
         }
     }
-    lumen6_trace::sort_by_time(&mut out);
-    out
+    out.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lumen6_detect::{AggLevel, MawiConfig, MawiDetector};
+
+    /// The generated stream, expanded.
+    fn generate(
+        downstream: &[Ipv6Prefix],
+        flows_per_day: usize,
+        start_day: u64,
+        end_day: u64,
+        seed: u64,
+    ) -> Vec<lumen6_trace::PacketRecord> {
+        super::generate(downstream, flows_per_day, start_day, end_day, seed)
+            .iter()
+            .collect()
+    }
 
     fn downstream() -> Vec<Ipv6Prefix> {
         vec!["2001:db8::/32".parse().unwrap()]

@@ -7,7 +7,7 @@ use lumen6_scanners::{
     fleet::Fleet,
     FleetSource, IidMode, PortSampler, SourceSampler, TargetSampler, Vantage,
 };
-use lumen6_trace::{PacketRecord, SimTime, Transport};
+use lumen6_trace::{FlowStream, FlowStreamBuilder, PacketRecord, SimTime, Transport};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -348,11 +348,14 @@ impl MawiWorld {
     /// Ephemeral small-scale scanners (see
     /// [`MawiConfig::small_scanners_per_day`]): one-port probes of 6–60
     /// distinct destinations with constant packet length, inside the
-    /// capture window, time-sorted.
-    pub fn small_scanners(&self) -> Vec<PacketRecord> {
+    /// capture window, time-sorted: a flow per probe.
+    fn small_scanners(&self) -> FlowStream {
         let mut rng = SmallRng::seed_from_u64(self.config.seed ^ 0x5a11);
-        let mut out = Vec::new();
+        let mut out = FlowStreamBuilder::default();
         for day in self.config.start_day..self.config.end_day {
+            // Every probe is clamped into the day's capture window, so the
+            // builder's day-by-day sort is the whole stream's stable sort.
+            out.open_day(day);
             let (ws, we) = crate::capture_window(day);
             for _ in 0..self.config.small_scanners_per_day {
                 let net: u64 = 0x2a0e_0000_0000_0000 | (rng.gen::<u64>() >> 12);
@@ -365,20 +368,14 @@ impl MawiWorld {
                     let sub = p.nth_subnet(64, rng.gen_range(0..1u128 << 16)).unwrap_or(p);
                     let dst =
                         lumen6_addr::gen::low_weight_iid(&mut rng, (sub.bits() >> 64) as u64, 6);
-                    out.push(PacketRecord {
-                        ts_ms: (t0 + k * rng.gen_range(100u64..2_000)).min(we - 1),
-                        src,
-                        dst,
-                        proto: Transport::Tcp,
-                        sport: rng.gen_range(32_768..61_000),
-                        dport,
-                        len: 60,
-                    });
+                    let flow = out.flow(src, dst);
+                    let ts = (t0 + k * rng.gen_range(100u64..2_000)).min(we - 1);
+                    let sport = rng.gen_range(32_768..61_000);
+                    out.push(ts, flow, Transport::Tcp, sport, dport, 60);
                 }
             }
         }
-        lumen6_trace::sort_by_time(&mut out);
-        out
+        out.finish()
     }
 }
 

@@ -4,18 +4,23 @@
 //! the small scanners, then one `merge_sorted`. Everything is resident at
 //! once, so short windows only.
 //!
-//! It shares the per-actor draw loop and the two fixed-stream generators
-//! with the source; what it checks independently is everything the engine
-//! adds — release queues, the lane merge, where runs are cut and the
-//! fixed-stream cursors.
+//! It shares the per-actor draw loop with the source; what it checks
+//! independently is everything the engine adds — release queues, the lane
+//! merge, where runs are cut and the fixed-stream cursors — and the two
+//! fixed streams' compact form: they are generated here as records, by the
+//! bodies the product generators had before they wrote rows over a flow
+//! table, and sorted whole by comparison.
 //!
 //! Defined once: `crates/mawi/tests/vantage.rs` declares it as a module and
 //! the experiments crate's `tests/mawi_lab.rs` includes the same file.
 //!
 //! [`MawiWorld::source`]: lumen6_mawi::MawiWorld::source
 
-use lumen6_mawi::{background, MawiWorld};
-use lumen6_trace::{merge_sorted, PacketRecord};
+use lumen6_addr::{gen, Ipv6Prefix};
+use lumen6_mawi::{capture_window, MawiWorld};
+use lumen6_trace::{merge_sorted, PacketRecord, Transport};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// The materialized link trace of `world`: actors at their indices, then
 /// background, then the small scanners — the merge's tie-break order.
@@ -23,13 +28,112 @@ pub fn mawi_trace(world: &MawiWorld) -> Vec<PacketRecord> {
     let c = world.config();
     let mut streams: Vec<Vec<PacketRecord>> =
         world.actors.iter().map(|a| a.generate(c.seed)).collect();
-    streams.push(background::generate(
+    streams.push(background(
         &c.downstream,
         c.background_flows_per_day,
         c.start_day,
         c.end_day,
         c.seed,
     ));
-    streams.push(world.small_scanners());
+    streams.push(small_scanners(world));
     merge_sorted(streams)
+}
+
+/// Background flows inside each day's capture window, time-sorted.
+fn background(
+    downstream: &[Ipv6Prefix],
+    flows_per_day: usize,
+    start_day: u64,
+    end_day: u64,
+    seed: u64,
+) -> Vec<PacketRecord> {
+    assert!(!downstream.is_empty(), "need downstream prefixes");
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xbac0);
+    let mut out = Vec::new();
+    for day in start_day..end_day {
+        let (ws, we) = capture_window(day);
+        // Ordinary flows.
+        for _ in 0..flows_per_day {
+            let p = downstream[rng.gen_range(0..downstream.len())];
+            let local = gen::random_in_prefix(&mut rng, p);
+            let remote_net: u64 = 0x2400_0000_0000_0000 | (rng.gen::<u64>() >> 8);
+            let remote = gen::random_iid(&mut rng, remote_net);
+            let dport = [443u16, 80, 53, 8443, 993][rng.gen_range(0usize..5)];
+            let n = rng.gen_range(5..40u64);
+            let t0 = rng.gen_range(ws..we - 1);
+            for k in 0..n {
+                out.push(PacketRecord {
+                    ts_ms: (t0 + k * rng.gen_range(5u64..2_000)).min(we - 1),
+                    src: remote,
+                    dst: local,
+                    proto: Transport::Tcp,
+                    sport: rng.gen_range(1024..65000),
+                    dport,
+                    len: rng.gen_range(40..1500),
+                });
+            }
+        }
+        // A couple of busy remote servers touching many destinations with
+        // high length variance (e.g. a node pushing data to many clients).
+        // The second one keeps a FIXED destination port: it satisfies every
+        // Fukuda–Heidemann criterion except length entropy, which is the
+        // only thing standing between it and a false positive.
+        for fixed_port in [false, true] {
+            let remote_net: u64 = 0x2400_0000_0000_0000 | (rng.gen::<u64>() >> 8);
+            let remote = gen::random_iid(&mut rng, remote_net);
+            let p = downstream[rng.gen_range(0..downstream.len())];
+            let t0 = rng.gen_range(ws..we - 1);
+            for k in 0..150u64 {
+                let local = gen::random_in_prefix(&mut rng, p);
+                out.push(PacketRecord {
+                    ts_ms: (t0 + k * rng.gen_range(5u64..500)).min(we - 1),
+                    src: remote,
+                    dst: local,
+                    proto: Transport::Tcp,
+                    sport: 443,
+                    dport: if fixed_port {
+                        4500
+                    } else {
+                        rng.gen_range(1024..65000)
+                    },
+                    len: rng.gen_range(40..1500),
+                });
+            }
+        }
+    }
+    lumen6_trace::sort_by_time(&mut out);
+    out
+}
+
+/// The ephemeral small-scale scanners, time-sorted.
+fn small_scanners(world: &MawiWorld) -> Vec<PacketRecord> {
+    let config = world.config();
+    let mut rng = SmallRng::seed_from_u64(config.seed ^ 0x5a11);
+    let mut out = Vec::new();
+    for day in config.start_day..config.end_day {
+        let (ws, we) = capture_window(day);
+        for _ in 0..config.small_scanners_per_day {
+            let net: u64 = 0x2a0e_0000_0000_0000 | (rng.gen::<u64>() >> 12);
+            let src = ((net as u128) << 64) | u128::from(rng.gen::<u16>());
+            let n = rng.gen_range(6..60u64);
+            let dport = [22u16, 23, 80, 443, 8080, 2323][rng.gen_range(0usize..6)];
+            let p = config.downstream[rng.gen_range(0..config.downstream.len())];
+            let t0 = rng.gen_range(ws..we - 1);
+            for k in 0..n {
+                let sub = p.nth_subnet(64, rng.gen_range(0..1u128 << 16)).unwrap_or(p);
+                let dst = lumen6_addr::gen::low_weight_iid(&mut rng, (sub.bits() >> 64) as u64, 6);
+                out.push(PacketRecord {
+                    ts_ms: (t0 + k * rng.gen_range(100u64..2_000)).min(we - 1),
+                    src,
+                    dst,
+                    proto: Transport::Tcp,
+                    sport: rng.gen_range(32_768..61_000),
+                    dport,
+                    len: 60,
+                });
+            }
+        }
+    }
+    lumen6_trace::sort_by_time(&mut out);
+    out
 }

@@ -79,14 +79,19 @@
 //! one time-ordered stream only the merge makes. One detector thread
 //! behind the merge is the whole detection side (`detect::parallel`).
 //!
-//! The fixed streams *are* held whole, at their base (1×) size (the CDN's
-//! [`artifacts::generate`] and [`noise::generate`] return a day window as
-//! one `Vec`), and scaled at delivery by [`FixedStream`]'s run-length
-//! cursor: independent of `intensity`, outside the bounded-memory claim.
-//! The CDN's two generators sort each day as they finish it — every record
-//! stays in its day, so that is the whole stream's stable sort — and no
-//! whole-stream sort scratch is ever allocated.
-//! `scanners.fleet.fixed_stream_bytes` gauges what the fixed streams hold.
+//! The fixed streams *are* held whole, at their base (1×) size, and scaled
+//! at delivery by [`FixedStream`]'s run-length cursor: independent of
+//! `intensity`, outside the bounded-memory claim. They are held compact —
+//! a [`FlowStream`], 16-byte rows over a flow table of (source,
+//! destination) pairs, 1 MiB chunks of rows — and the cursor rebuilds each
+//! record as it delivers it. Every generator ([`artifacts::generate`],
+//! [`noise::generate`], MAWI's background and small scanners) writes that
+//! form directly: it pushes a flow when it mints an address pair and rows
+//! that carry the flow's id, so no record is hashed, and the builder sorts
+//! each day's rows as the day closes — every row stays in its day, so that
+//! is the whole stream's stable sort. No `Vec<PacketRecord>` of a whole
+//! stream is ever built. `scanners.fleet.fixed_stream_bytes` gauges what
+//! the fixed streams hold.
 //!
 //! # Bounded memory
 //!
@@ -98,6 +103,9 @@
 //! [`peak_buffered_records`](FleetSource::peak_buffered_records) accessor
 //! (and its pinned test) covers all three tiers: release-queue entries,
 //! records in flight in the channels, and the consumer-held lane heads.
+//! What stays resident beside them is the fixed streams' rows (about 16
+//! bytes a record plus 32 a flow: 47.8 MB of records became 19.1 MB at 120
+//! days of the default fleet) and the actors' schedules and target pools.
 //!
 //! # Runs
 //!
@@ -145,7 +153,9 @@ use crate::actor::ScannerActor;
 use crate::fleet::{emission_due, scale_intensity, World};
 use crate::noise;
 use lumen6_telescope::{artifacts, CaptureConfig, CdnDeployment, FirewallCapture};
-use lumen6_trace::{CodecError, PacketRecord, RecordBatch, Source, TracePosition};
+use lumen6_trace::{
+    CodecError, FlowStream, PacketRecord, RecordBatch, RowIndex, Source, TracePosition,
+};
 use rand::rngs::SmallRng;
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -312,10 +322,10 @@ pub struct Vantage {
     /// Volume multiplier of the actors and the fixed streams
     /// ([`scale_intensity`]).
     pub intensity: f64,
-    /// Streams held whole at 1x, each time-sorted and named by its
-    /// `scanners.fleet.packets_emitted.<name>` counter, merged after the
-    /// actors in this order.
-    pub fixed: Vec<(&'static str, Vec<PacketRecord>)>,
+    /// Streams held whole at 1x as compact rows, each time-sorted and
+    /// named by its `scanners.fleet.packets_emitted.<name>` counter, merged
+    /// after the actors in this order.
+    pub fixed: Vec<(&'static str, FlowStream)>,
     /// The telescope whose firewall capture every record must pass; `None`
     /// logs every record.
     pub capture: Option<Arc<CdnDeployment>>,
@@ -345,7 +355,7 @@ impl Vantage {
 
 /// The artifact and noise streams of a world, in the order they merge
 /// after the actors.
-fn cdn_fixed_streams(world: &World) -> Vec<(&'static str, Vec<PacketRecord>)> {
+fn cdn_fixed_streams(world: &World) -> Vec<(&'static str, FlowStream)> {
     let cfg = world.config();
     let artifacts = artifacts::generate(
         &world.deployment,
@@ -366,18 +376,27 @@ fn cdn_fixed_streams(world: &World) -> Vec<(&'static str, Vec<PacketRecord>)> {
 
 /// A fixed stream and its delivery cursor: the stream is held at its base
 /// (1×) size and scaled at delivery time ([`emission_due`]), so memory
-/// stays intensity-invariant. The CDN's artifacts and noise scale with the
-/// scanners because the A.1 duplicate prefilter compares packet *counts*:
-/// only then is the detected shape intensity-invariant.
+/// stays intensity-invariant; each due record is rebuilt from its row once,
+/// as the cursor reaches it. The CDN's artifacts and noise scale with the scanners because
+/// the A.1 duplicate prefilter compares packet *counts*: only then is the
+/// detected shape intensity-invariant.
 /// Invariant outside of [`pop_run`](FixedStream::pop_run): either `pos` is
-/// past the end, or `rem > 0` copies of `records[pos]` remain due — a run
-/// cut short by the caller's room stays under the cursor.
+/// past the end and `head` is `None`, or `head` is the record at `pos` (row
+/// `at`) and `rem > 0` copies of it remain due — a run cut short by the
+/// caller's room stays under the cursor.
 #[derive(Debug)]
 struct FixedStream {
-    records: Vec<PacketRecord>,
+    stream: FlowStream,
     /// Scaled delivery total.
     scaled: u64,
-    pos: usize,
+    /// The cursor's global record index, its row and its record, rebuilt
+    /// once as the cursor reaches it.
+    pos: u64,
+    at: RowIndex,
+    head: Option<PacketRecord>,
+    /// Copies due before `pos` (`emission_due` at `pos`), and through
+    /// `pos` itself while its copies are due: one division a record.
+    due: u64,
     rem: u64,
     /// `scanners.fleet.packets_emitted.<name>` and its per-fill local
     /// accumulation.
@@ -388,19 +407,19 @@ struct FixedStream {
 impl FixedStream {
     /// Cursors over a vantage's fixed streams at `intensity`, in merge
     /// order, each on its first due record.
-    fn all(streams: Vec<(&'static str, Vec<PacketRecord>)>, intensity: f64) -> Vec<FixedStream> {
+    fn all(streams: Vec<(&'static str, FlowStream)>, intensity: f64) -> Vec<FixedStream> {
         let reg = lumen6_obs::MetricsRegistry::global();
-        let held: usize = streams
-            .iter()
-            .map(|(_, r)| std::mem::size_of_val(&r[..]))
-            .sum();
+        let held: usize = streams.iter().map(|(_, s)| s.held_bytes()).sum();
         reg.gauge("scanners.fleet.fixed_stream_bytes")
             .set(held as i64);
-        let stream = |(name, records): (&str, Vec<PacketRecord>)| {
+        let stream = |(name, stream): (&str, FlowStream)| {
             let mut stream = FixedStream {
-                scaled: scale_intensity(records.len() as u64, intensity),
-                records,
+                scaled: scale_intensity(stream.len() as u64, intensity),
+                stream,
                 pos: 0,
+                at: RowIndex::default(),
+                head: None,
+                due: 0,
                 rem: 0,
                 counter: reg.counter(&format!("scanners.fleet.packets_emitted.{name}")),
                 pending: 0,
@@ -413,39 +432,46 @@ impl FixedStream {
 
     /// Puts the cursor on the first due record.
     fn rewind(&mut self) {
-        (self.pos, self.rem) = (0, 0);
+        (self.pos, self.at, self.due, self.rem) = (0, RowIndex::default(), 0, 0);
         self.normalize();
     }
 
     /// Re-establishes the invariant after `rem` hits zero: advances `pos`
     /// past records whose repeat count is zero (fractional intensities
-    /// drop records) and loads the next record's count.
+    /// drop records), loads the next record's count and rebuilds it.
     fn normalize(&mut self) {
-        let base = self.records.len() as u64;
-        while self.rem == 0 && (self.pos as u64) < base {
-            let i = self.pos as u64;
-            self.rem = emission_due(self.scaled, base, i + 1) - emission_due(self.scaled, base, i);
+        let base = self.stream.len() as u64;
+        while self.rem == 0 && self.pos < base {
+            let through = emission_due(self.scaled, base, self.pos + 1);
+            (self.rem, self.due) = (through - self.due, through);
             if self.rem == 0 {
-                self.pos += 1;
+                self.step();
             }
         }
+        self.head = self.stream.record_at(self.at);
+    }
+
+    /// Moves the cursor to the next record.
+    fn step(&mut self) {
+        self.pos += 1;
+        self.at = self.stream.next_index(self.at);
     }
 
     /// Timestamp of the next due copy, `None` once exhausted.
     fn peek_ts(&self) -> Option<u64> {
-        self.records.get(self.pos).map(|r| r.ts_ms)
+        self.head.map(|r| r.ts_ms)
     }
 
     /// Delivers the record under the cursor, which
     /// [`peek_ts`](FixedStream::peek_ts) has confirmed, and how many of its
     /// due copies — at most `room` — are handed out.
     fn pop_run(&mut self, room: u64) -> (PacketRecord, u64) {
-        let rec = self.records[self.pos];
+        let rec = self.head.expect("a confirmed record");
         let k = self.rem.min(room);
         self.pending += k;
         self.rem -= k;
         if self.rem == 0 {
-            self.pos += 1;
+            self.step();
             self.normalize();
         }
         (rec, k)
@@ -753,7 +779,7 @@ impl FleetSource {
     fn start(
         vantage: Vantage,
         gen_threads: usize,
-        fixed: impl FnOnce() -> Vec<(&'static str, Vec<PacketRecord>)>,
+        fixed: impl FnOnce() -> Vec<(&'static str, FlowStream)>,
     ) -> FleetSource {
         let n = gen_threads.clamp(1, vantage.actors.len().max(1));
         let reg = lumen6_obs::MetricsRegistry::global();
@@ -1080,6 +1106,7 @@ impl Source for ParallelFleetSource {
 mod tests {
     use super::*;
     use crate::fleet::FleetConfig;
+    use lumen6_trace::Transport;
 
     /// Drains one actor's stream through `pop_run`, handing out at most
     /// `room` copies per step, and counts the `peek_ts` calls after which a
@@ -1138,7 +1165,6 @@ mod tests {
         // intensity and any room, the queue is the stable-sorted stream.
         use crate::actor::Schedule;
         use crate::samplers::{PortSampler, SourceSampler, TargetSampler};
-        use lumen6_trace::Transport;
         let hitlist: std::sync::Arc<[u128]> = (1..=400u128).map(|i| i << 8).collect();
         let actor =
             |name: &str, sessions_per_week, session_hours, packets_per_session| ScannerActor {
@@ -1183,6 +1209,48 @@ mod tests {
                 "{}: no session overlapped the queue",
                 actor.name
             );
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn fixed_stream_delivers_emission_due_copies_of_each_record(
+            // Mostly ties and small steps; a rare step past 2^32 ms starts
+            // a chunk by its offset.
+            steps in proptest::collection::vec((0u8..20, 0u64..3), 0..600),
+            room in 1u64..7,
+        ) {
+            let mut ts = 1_000;
+            let (mut records, mut stream) = (Vec::new(), FlowStream::default());
+            for (i, &(wide, step)) in steps.iter().enumerate() {
+                ts += if wide == 0 { 1 << 32 } else { step };
+                let proto = [Transport::Tcp, Transport::Other(6)][i % 2];
+                let rec = PacketRecord { ts_ms: ts, src: i as u128, dst: 7, proto, sport: i as u16, dport: 25, len: 80 };
+                let flow = stream.flow(rec.src, rec.dst);
+                stream.push(ts, flow, proto, rec.sport, rec.dport, rec.len);
+                records.push(rec);
+            }
+            let base = records.len() as u64;
+            for intensity in [0.37, 1.0, 10.0] {
+                let scaled = scale_intensity(base, intensity);
+                let due = |i: u64| emission_due(scaled, base, i);
+                let want: Vec<PacketRecord> = (0..base)
+                    .flat_map(|i| std::iter::repeat_n(records[i as usize], (due(i + 1) - due(i)) as usize))
+                    .collect();
+                let mut cursor = FixedStream::all(vec![("proptest", stream.clone())], intensity)
+                    .pop()
+                    .expect("one stream");
+                for _pass in 0..2 {
+                    let mut got = Vec::new();
+                    while let Some(ts) = cursor.peek_ts() {
+                        let (rec, k) = cursor.pop_run(room);
+                        proptest::prop_assert_eq!(rec.ts_ms, ts);
+                        got.extend(std::iter::repeat_n(rec, k as usize));
+                    }
+                    proptest::prop_assert_eq!(&got, &want, "at {}x", intensity);
+                    cursor.rewind();
+                }
+            }
         }
     }
 

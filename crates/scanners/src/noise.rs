@@ -6,65 +6,76 @@
 //! unsolicited traffic. This generator mints ephemeral sources that send a
 //! handful of packets to one or a few telescope addresses and disappear.
 
-use lumen6_trace::{PacketRecord, Transport, DAY_MS};
+use lumen6_trace::{FlowStream, FlowStreamBuilder, Transport, DAY_MS};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Generates `sources_per_day` ephemeral noise sources for each day of
 /// `[day_start, day_end)`, targeting addresses drawn from `telescope_addrs`,
-/// in stable time order.
+/// in stable time order: a flow per drawn destination, its packets as rows.
 pub fn generate(
     telescope_addrs: &[u128],
     sources_per_day: usize,
     day_start: u64,
     day_end: u64,
     seed: u64,
-) -> Vec<PacketRecord> {
+) -> FlowStream {
     assert!(!telescope_addrs.is_empty(), "need telescope addresses");
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x0153_e5e5);
-    let mut out = Vec::new();
+    let mut out = FlowStreamBuilder::default();
     for day in day_start..day_end {
-        let day_first = out.len();
+        // A source starts at least an hour before midnight and sends for at
+        // most 19 minutes, so the day's records stay in the day: the
+        // builder's day-by-day sort is the whole stream's stable time sort.
+        out.open_day(day);
         for _ in 0..sources_per_day {
             // Random source /64 anywhere in 2000::/3-ish space.
             let net64: u64 = 0x2000_0000_0000_0000 | (rng.gen::<u64>() >> 3);
             let src = ((net64 as u128) << 64) | u128::from(rng.gen::<u64>());
             let n_dsts = rng.gen_range(1..=5usize);
-            let dsts: Vec<u128> = (0..n_dsts)
-                .map(|_| telescope_addrs[rng.gen_range(0..telescope_addrs.len())])
+            let flows: Vec<u32> = (0..n_dsts)
+                .map(|_| {
+                    let dst = telescope_addrs[rng.gen_range(0..telescope_addrs.len())];
+                    out.flow(src, dst)
+                })
                 .collect();
             let packets = rng.gen_range(1..=20u64);
             let t0 = day * DAY_MS + rng.gen_range(0..DAY_MS - 3_600_000);
             for k in 0..packets {
-                let dst = dsts[rng.gen_range(0..dsts.len())];
+                let flow = flows[rng.gen_range(0..flows.len())];
                 let proto = if rng.gen_bool(0.7) {
                     Transport::Tcp
                 } else {
                     Transport::Udp
                 };
-                out.push(PacketRecord {
-                    ts_ms: t0 + k * rng.gen_range(1_000u64..60_000),
-                    src,
-                    dst,
-                    proto,
-                    sport: rng.gen_range(1024..65000),
-                    dport: [53u16, 123, 161, 1900, 5060, 6881, 3074, 27015]
-                        [rng.gen_range(0usize..8)],
-                    len: rng.gen_range(40..1400),
-                });
+                let ts = t0 + k * rng.gen_range(1_000u64..60_000);
+                let sport = rng.gen_range(1024..65000);
+                let dport =
+                    [53u16, 123, 161, 1900, 5060, 6881, 3074, 27015][rng.gen_range(0usize..8)];
+                out.push(ts, flow, proto, sport, dport, rng.gen_range(40..1400));
             }
         }
-        // A source starts at least an hour before midnight and sends for at
-        // most 19 minutes, so the day's records stay in the day: sorting day
-        // by day is the whole stream's stable time sort.
-        lumen6_trace::sort_day_by_time(&mut out[day_first..], day);
     }
-    out
+    out.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lumen6_trace::PacketRecord;
+
+    /// The generated stream, expanded.
+    fn generate(
+        telescope_addrs: &[u128],
+        sources_per_day: usize,
+        day_start: u64,
+        day_end: u64,
+        seed: u64,
+    ) -> Vec<PacketRecord> {
+        super::generate(telescope_addrs, sources_per_day, day_start, day_end, seed)
+            .iter()
+            .collect()
+    }
 
     #[test]
     fn noise_is_low_volume_per_source() {

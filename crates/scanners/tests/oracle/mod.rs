@@ -8,16 +8,23 @@
 //! It shares the per-probe draw loop with the source (the goldens pin
 //! that); what it checks independently is everything the source adds — the
 //! release queues, the lane merge, where runs are cut, the capture filter
-//! applied before the merge, and the fixed streams' run-length cursor.
+//! applied before the merge, and the fixed streams' run-length cursor. The
+//! artifact and noise streams are generated here as records, by the bodies
+//! the product generators had before they wrote compact rows, each day
+//! stably sorted by comparison: the flow table, the rows, their chunks and
+//! the day radix sort are checked too.
 //!
 //! Defined once: `crates/scanners/tests/fused.rs` declares it as a module
 //! and the workspace root's `tests/fused.rs` includes the same file.
 //!
 //! [`FleetSource`]: lumen6_scanners::FleetSource
 
-use lumen6_scanners::{noise, scale_intensity, World};
-use lumen6_telescope::{artifacts, CaptureConfig, FirewallCapture};
-use lumen6_trace::{merge_sorted, PacketRecord};
+use lumen6_scanners::{scale_intensity, World};
+use lumen6_telescope::artifacts::{mapped_machines, ArtifactConfig};
+use lumen6_telescope::{CaptureConfig, CdnDeployment, FirewallCapture};
+use lumen6_trace::{merge_sorted, sort_by_time, PacketRecord, Transport, DAY_MS, HOUR_MS};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// `stream` scaled to `scale_intensity(len, intensity)` records by the
 /// Bresenham schedule: record `i` appears `due(i + 1) - due(i)` times, in
@@ -41,14 +48,14 @@ pub fn cdn_trace(world: &World) -> Vec<PacketRecord> {
         .collect();
     // Stream order is the merge's tie-break: actors at their fleet indices,
     // then artifacts, then noise.
-    let artifacts = artifacts::generate(
+    let artifacts = artifacts(
         &world.deployment,
         &cfg.artifacts,
         cfg.start_day,
         cfg.end_day,
         cfg.seed,
     );
-    let noise = noise::generate(
+    let noise = noise(
         &world.deployment.all_addrs(),
         cfg.noise_sources_per_day,
         cfg.start_day,
@@ -59,4 +66,105 @@ pub fn cdn_trace(world: &World) -> Vec<PacketRecord> {
     streams.push(repeat(&noise, cfg.intensity));
     let capture = FirewallCapture::new(&world.deployment, CaptureConfig::default());
     capture.capture(&merge_sorted(streams)).0
+}
+
+/// The artifact mix for `[day_start, day_end)`, in stable time order.
+fn artifacts(
+    deployment: &CdnDeployment,
+    config: &ArtifactConfig,
+    day_start: u64,
+    day_end: u64,
+    seed: u64,
+) -> Vec<PacketRecord> {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xa27f_ac75);
+    let mut out = Vec::new();
+    for day in day_start..day_end {
+        let t0 = day * DAY_MS;
+        let day_first = out.len();
+        for kind in 0..3 {
+            let (count, proto, dport, len) = match kind {
+                0 => (config.smtp_sources_per_day, Transport::Tcp, 25u16, 80u16),
+                1 => (config.isakmp_sources_per_day, Transport::Udp, 500, 120),
+                _ => (config.netbios_sources_per_day, Transport::Udp, 137, 92),
+            };
+            for _ in 0..count {
+                // Residential-looking source /64 with a random host IID.
+                let net64: u64 = 0x2600_0000_0000_0000 | (rng.gen::<u64>() & 0x00ff_ffff_ffff_0000);
+                let src = ((net64 as u128) << 64) | u128::from(rng.gen::<u64>());
+                let dsts = mapped_machines(deployment, src, day, config.mapped_machines);
+                // Retries spread over the day.
+                for dst in dsts {
+                    let base = t0 + rng.gen_range(0..4 * HOUR_MS);
+                    for k in 0..config.retries_per_dst {
+                        let ts = base + k * rng.gen_range(60_000u64..120_000);
+                        out.push(PacketRecord {
+                            ts_ms: ts.min(t0 + DAY_MS - 1),
+                            src,
+                            dst,
+                            proto,
+                            sport: rng.gen_range(1024..65535),
+                            dport,
+                            len,
+                        });
+                    }
+                }
+            }
+        }
+        // Every record of the day is clamped into the day, so sorting day
+        // by day is the whole stream's stable time sort.
+        sort_by_time(&mut out[day_first..]);
+    }
+    out
+}
+
+/// `sources_per_day` ephemeral noise sources for each day of `[day_start,
+/// day_end)`, targeting addresses drawn from `telescope_addrs`, in stable
+/// time order.
+fn noise(
+    telescope_addrs: &[u128],
+    sources_per_day: usize,
+    day_start: u64,
+    day_end: u64,
+    seed: u64,
+) -> Vec<PacketRecord> {
+    assert!(!telescope_addrs.is_empty(), "need telescope addresses");
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x0153_e5e5);
+    let mut out = Vec::new();
+    for day in day_start..day_end {
+        let day_first = out.len();
+        for _ in 0..sources_per_day {
+            // Random source /64 anywhere in 2000::/3-ish space.
+            let net64: u64 = 0x2000_0000_0000_0000 | (rng.gen::<u64>() >> 3);
+            let src = ((net64 as u128) << 64) | u128::from(rng.gen::<u64>());
+            let n_dsts = rng.gen_range(1..=5usize);
+            let dsts: Vec<u128> = (0..n_dsts)
+                .map(|_| telescope_addrs[rng.gen_range(0..telescope_addrs.len())])
+                .collect();
+            let packets = rng.gen_range(1..=20u64);
+            let t0 = day * DAY_MS + rng.gen_range(0..DAY_MS - 3_600_000);
+            for k in 0..packets {
+                let dst = dsts[rng.gen_range(0..dsts.len())];
+                let proto = if rng.gen_bool(0.7) {
+                    Transport::Tcp
+                } else {
+                    Transport::Udp
+                };
+                out.push(PacketRecord {
+                    ts_ms: t0 + k * rng.gen_range(1_000u64..60_000),
+                    src,
+                    dst,
+                    proto,
+                    sport: rng.gen_range(1024..65000),
+                    dport: [53u16, 123, 161, 1900, 5060, 6881, 3074, 27015]
+                        [rng.gen_range(0usize..8)],
+                    len: rng.gen_range(40..1400),
+                });
+            }
+        }
+        // A source starts at least an hour before midnight and sends for at
+        // most 19 minutes, so the day's records stay in the day: sorting day
+        // by day is the whole stream's stable time sort.
+        sort_by_time(&mut out[day_first..]);
+    }
+    out
 }

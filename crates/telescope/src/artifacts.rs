@@ -19,7 +19,7 @@
 //! corner of Fig. 1.
 
 use crate::deployment::CdnDeployment;
-use lumen6_trace::{PacketRecord, Transport, DAY_MS, HOUR_MS};
+use lumen6_trace::{FlowStream, FlowStreamBuilder, Transport, DAY_MS, HOUR_MS};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -82,7 +82,8 @@ pub fn mapped_machines(
 }
 
 /// Generates the artifact mix for the day range `[day_start, day_end)`, in
-/// stable time order.
+/// stable time order: a flow per (source, mapped machine) pair, its retries
+/// as rows.
 ///
 /// Sources are minted fresh per day from residential-looking /64s outside
 /// the CDN space (high bits 0x26xx, eyeball-style), so day-over-day they
@@ -93,12 +94,14 @@ pub fn generate(
     day_start: u64,
     day_end: u64,
     seed: u64,
-) -> Vec<PacketRecord> {
+) -> FlowStream {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xa27f_ac75);
-    let mut out = Vec::new();
+    let mut out = FlowStreamBuilder::default();
     for day in day_start..day_end {
+        // Every record of the day is clamped into the day, so the
+        // builder's day-by-day sort is the whole stream's stable time sort.
+        out.open_day(day);
         let t0 = day * DAY_MS;
-        let day_first = out.len();
         for kind in 0..3 {
             let (count, proto, dport, len) = match kind {
                 0 => (config.smtp_sources_per_day, Transport::Tcp, 25u16, 80u16),
@@ -112,28 +115,18 @@ pub fn generate(
                 let dsts = mapped_machines(deployment, src, day, config.mapped_machines);
                 // Retries spread over the day.
                 for dst in dsts {
+                    let flow = out.flow(src, dst);
                     let base = t0 + rng.gen_range(0..4 * HOUR_MS);
                     for k in 0..config.retries_per_dst {
                         let ts = base + k * rng.gen_range(60_000u64..120_000);
-                        out.push(PacketRecord {
-                            ts_ms: ts.min(t0 + DAY_MS - 1),
-                            src,
-                            dst,
-                            proto,
-                            sport: rng.gen_range(1024..65535),
-                            dport,
-                            len,
-                        });
+                        let sport = rng.gen_range(1024..65535);
+                        out.push(ts.min(t0 + DAY_MS - 1), flow, proto, sport, dport, len);
                     }
                 }
             }
         }
-        // Every record of the day is clamped into the day, so sorting day
-        // by day is the whole stream's stable time sort, without its
-        // whole-stream scratch.
-        lumen6_trace::sort_day_by_time(&mut out[day_first..], day);
     }
-    out
+    out.finish()
 }
 
 #[cfg(test)]
@@ -142,6 +135,19 @@ mod tests {
     use crate::deployment::DeploymentConfig;
     use lumen6_detect::{ArtifactFilter, ScanDetectorConfig};
     use lumen6_netmodel::InternetRegistry;
+
+    /// The generated stream, expanded.
+    fn generate(
+        deployment: &CdnDeployment,
+        config: &ArtifactConfig,
+        day_start: u64,
+        day_end: u64,
+        seed: u64,
+    ) -> Vec<lumen6_trace::PacketRecord> {
+        super::generate(deployment, config, day_start, day_end, seed)
+            .iter()
+            .collect()
+    }
 
     fn deployment() -> CdnDeployment {
         let mut reg = InternetRegistry::new();

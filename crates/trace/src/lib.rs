@@ -14,6 +14,7 @@
 
 pub mod batch;
 pub mod codec;
+pub mod flow;
 pub mod pcap;
 pub mod record;
 pub mod source;
@@ -21,6 +22,7 @@ pub mod time;
 
 pub use batch::RecordBatch;
 pub use codec::{CodecError, StreamingTraceReader, TracePosition, TraceWriter};
+pub use flow::{FlowStream, FlowStreamBuilder, RowIndex};
 pub use record::{PacketRecord, Transport};
 pub use source::{FileStreamSource, FillOutcome, MaterializedSource, Source, TailSource};
 pub use time::{SimTime, DAY_MS, HOUR_MS, MINUTE_MS, WEEK_MS};
@@ -30,22 +32,23 @@ pub fn sort_by_time(records: &mut [PacketRecord]) {
     records.sort_by_key(|r| r.ts_ms);
 }
 
-/// Sorts the records of simulation day `day` by timestamp (stable): the
-/// [`sort_by_time`] order, by an LSD radix sort on the millisecond of the
-/// day. Each record becomes one word, its millisecond (27 bits) above its
-/// index, so three 9-bit passes move words, not records, and one gather
-/// moves each record once. A record outside the day falls back to
-/// [`sort_by_time`]: a violated precondition costs speed, never order.
-pub fn sort_day_by_time(records: &mut [PacketRecord], day: u64) {
+/// Sorts the items of simulation day `day` by their timestamp `ts_ms`
+/// (stable): the [`sort_by_time`] order, by an LSD radix sort on the
+/// millisecond of the day. Each item becomes one word, its millisecond (27
+/// bits) above its index, so three 9-bit passes move words, not items, and
+/// one gather moves each item once. An item outside the day falls back to
+/// a stable comparison sort: a violated precondition costs speed, never
+/// order.
+pub fn sort_day_by_time<T: Copy>(items: &mut [T], day: u64, ts_ms: impl Fn(&T) -> u64) {
     const INDEX_BITS: u32 = 64 - 27;
     let t0 = day.checked_mul(DAY_MS);
-    let word = |(i, r): (usize, &PacketRecord)| {
-        let ms = r.ts_ms.checked_sub(t0?).filter(|&ms| ms < DAY_MS)?;
+    let word = |(i, item): (usize, &T)| {
+        let ms = ts_ms(item).checked_sub(t0?).filter(|&ms| ms < DAY_MS)?;
         ((i as u64) >> INDEX_BITS == 0).then_some((ms << INDEX_BITS) | i as u64)
     };
-    let words: Option<Vec<u64>> = records.iter().enumerate().map(word).collect();
+    let words: Option<Vec<u64>> = items.iter().enumerate().map(word).collect();
     let Some(mut words) = words else {
-        return sort_by_time(records);
+        return items.sort_by_key(ts_ms);
     };
     let mut scratch = vec![0; words.len()];
     for shift in [INDEX_BITS, INDEX_BITS + 9, INDEX_BITS + 18] {
@@ -64,9 +67,9 @@ pub fn sort_day_by_time(records: &mut [PacketRecord], day: u64) {
         }
         std::mem::swap(&mut words, &mut scratch);
     }
-    let unsorted = records.to_vec();
-    for (r, w) in records.iter_mut().zip(&words) {
-        *r = unsorted[(w % (1 << INDEX_BITS)) as usize];
+    let unsorted = items.to_vec();
+    for (item, w) in items.iter_mut().zip(&words) {
+        *item = unsorted[(w % (1 << INDEX_BITS)) as usize];
     }
 }
 

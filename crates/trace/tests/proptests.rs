@@ -150,7 +150,7 @@ proptest! {
         }
         let mut expected = recs.clone();
         expected.sort_by_key(|r| r.ts_ms);
-        sort_day_by_time(&mut recs, day);
+        sort_day_by_time(&mut recs, day, |r| r.ts_ms);
         prop_assert_eq!(recs, expected);
     }
 }
