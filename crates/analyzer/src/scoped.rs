@@ -19,8 +19,9 @@ use syn::TokenKind;
 pub const LOCK_DISCIPLINE_CRATES: &[&str] = &["serve", "obs", "detect"];
 
 /// Crates carrying 128-bit address/counter state where a truncating cast
-/// is a silent wrong-answer bug (L007).
-pub const CAST_DISCIPLINE_CRATES: &[&str] = &["detect", "serve", "trace"];
+/// is a silent wrong-answer bug (L007): the detector, the daemon, the
+/// codec, the generator's repeat schedule and the CLI's counts.
+pub const CAST_DISCIPLINE_CRATES: &[&str] = &["detect", "serve", "trace", "scanners", "cli"];
 
 /// Crates publishing spool/checkpoint files that concurrent readers poll
 /// (L008).

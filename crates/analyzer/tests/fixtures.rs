@@ -158,12 +158,16 @@ fn l006_is_scoped_to_daemon_crates() {
 #[test]
 fn l007_bad_flags_truncating_casts() {
     // Address field u128->u64, u64 param ->u32, .len() ->u32, and a
-    // u128-suffixed literal binding ->usize.
-    let out = analyze("l007_bad.rs", Some("detect"));
-    assert_eq!(
-        hits(&out),
-        vec![("L007", 10), ("L007", 14), ("L007", 18), ("L007", 23)]
-    );
+    // u128-suffixed literal binding ->usize — in every crate L007 covers,
+    // the generator and the CLI included.
+    for krate in ["detect", "serve", "trace", "scanners", "cli"] {
+        let out = analyze("l007_bad.rs", Some(krate));
+        assert_eq!(
+            hits(&out),
+            vec![("L007", 10), ("L007", 14), ("L007", 18), ("L007", 23)],
+            "{krate}"
+        );
+    }
 }
 
 #[test]

@@ -7,19 +7,27 @@
 //! source address *before* detection, so a /48 can qualify while none of its
 //! /64s does.
 //!
-//! The detector is a push-based stream processor. Production paths feed it
-//! columnar batches through
+//! Edge rules: a run splits only when the gap to the source's latest
+//! timestamp is strictly greater than the timeout, and qualifies at exactly
+//! `min_dsts`. A timestamp below the source's latest is tolerated and
+//! counts as gap zero, so mildly disordered input neither splits a run nor
+//! grows it backwards in time. A row of count `n` weighs as `n` packets.
+//!
+//! The rule is stated once, in [`ScanDetector`]'s replay of a batch: the
+//! one ingest route is
 //! [`MultiLevelDetector::observe_batch`](crate::multi::MultiLevelDetector::observe_batch),
 //! which groups each batch once for all its levels and hands each level its
-//! groups to replay. [`ScanDetector::observe`] is the same rule stated one
-//! packet at a time — the reference the grouped path is tested against.
-//! Call [`ScanDetector::finish`] at end of stream to flush all open runs.
-//! [`ScanDetector::flush_idle`] lets a long-running IDS garbage-collect idle
-//! state without ending the stream.
+//! groups to replay. [`detect`] is a one-level detector over a resident
+//! slice. The tests hold that route to an oracle of their own,
+//! `crates/detect/tests/oracle/mod.rs`, written from §2.2 alone.
+//! [`Detect::flush_idle`](crate::Detect::flush_idle) lets a long-running
+//! IDS garbage-collect idle state without ending the stream.
 
 use crate::aggregate::AggLevel;
 use crate::event::{ScanEvent, ScanReport};
 use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::multi::MultiLevelDetector;
+use crate::session::{observe_slice, Detect, DEFAULT_SESSION_BATCH};
 use crate::sketch::{DistinctCounter, SketchConfig};
 use crate::snapshot::{CounterState, LevelState, RunState};
 use lumen6_addr::Ipv6Prefix;
@@ -130,8 +138,8 @@ struct SourceRun {
     dst_list: Option<FxHashSet<u128>>,
     srcs: DistinctCounter,
     ports: FxHashMap<(Transport, u16), u64>,
-    /// The shared pass's clock at the run's first row; 0 for a run opened
-    /// before the pass (restored, or fed by [`ScanDetector::observe`]).
+    /// The shared pass's clock at the run's first row; 0 for a run
+    /// restored from a snapshot, which opened before the pass.
     opened: u64,
 }
 
@@ -150,7 +158,7 @@ impl SourceRun {
     }
 
     /// Accounts `n` adjacent copies of one packet to the run — the single
-    /// run update of [`ScanDetector::observe`] and of every level's replay.
+    /// run update of every level's replay.
     /// Equal to `n` calls at `n = 1`: only the two packet counts add up; the
     /// timestamp maximum and the set inserts are idempotent, and whether a
     /// counter spills to a sketch is decided by the first copy. Makes the
@@ -206,22 +214,10 @@ impl DetectorMemory {
     }
 }
 
-/// Streaming large-scale scan detector. See the module docs for usage.
-///
-/// ```
-/// use lumen6_detect::{ScanDetector, ScanDetectorConfig, AggLevel};
-/// use lumen6_trace::PacketRecord;
-///
-/// let mut det = ScanDetector::new(ScanDetectorConfig::paper(AggLevel::L64));
-/// // 150 probes to distinct destinations, one second apart.
-/// for i in 0..150u64 {
-///     let pkt = PacketRecord::tcp(i * 1_000, 0x2001, 0xd000 + i as u128, 1, 22, 60);
-///     assert!(det.observe(&pkt).is_none()); // still within one run
-/// }
-/// let events = det.finish();
-/// assert_eq!(events.len(), 1);
-/// assert_eq!(events[0].distinct_dsts, 150);
-/// ```
+/// One aggregation level's detection state: the open run of every source
+/// and the counters the `detect.*` metrics read. A
+/// [`MultiLevelDetector`](crate::multi::MultiLevelDetector) holds one per
+/// level and is the only way to feed it.
 #[derive(Debug)]
 pub struct ScanDetector {
     config: ScanDetectorConfig,
@@ -239,7 +235,7 @@ pub struct ScanDetector {
 
 impl ScanDetector {
     /// Creates a detector with the given configuration.
-    pub fn new(config: ScanDetectorConfig) -> Self {
+    pub(crate) fn new(config: ScanDetectorConfig) -> Self {
         ScanDetector {
             config: config.normalized(),
             runs: FxHashMap::default(),
@@ -252,68 +248,19 @@ impl ScanDetector {
     }
 
     /// The active configuration.
-    pub fn config(&self) -> &ScanDetectorConfig {
+    pub(crate) fn config(&self) -> &ScanDetectorConfig {
         &self.config
     }
 
     /// Number of packets observed so far.
-    pub fn observed(&self) -> u64 {
+    pub(crate) fn observed(&self) -> u64 {
         self.observed
-    }
-
-    /// Number of sources with an open activity run (IDS memory footprint).
-    pub fn open_runs(&self) -> usize {
-        self.runs.len()
     }
 
     /// Total activity runs ever opened (first packet of a new source, or
     /// the first packet after a timeout split).
-    pub fn runs_opened(&self) -> u64 {
+    pub(crate) fn runs_opened(&self) -> u64 {
         self.runs_opened
-    }
-
-    /// Feeds one packet. Returns a scan event if this packet's arrival
-    /// closed a qualifying previous run of the same source (i.e. the gap to
-    /// the source's last packet exceeded the timeout).
-    ///
-    /// This is the reference statement of the paper's rule, not an ingest
-    /// route: sessions, the daemon, the CLI and the experiment harness feed
-    /// [`MultiLevelDetector::observe_batch`](crate::multi::MultiLevelDetector::observe_batch)
-    /// only, and the proptests `observe_batch_matches_observe_under_any_cuts`
-    /// and `shared_pass_equals_independent_levels`
-    /// (`crates/detect/tests/proptests.rs`) hold that grouped path to this
-    /// one: same events, same [`state`](Self::state).
-    ///
-    /// Records are expected in non-decreasing time order; a timestamp below
-    /// a source's last seen time is tolerated and treated as simultaneous
-    /// (gap zero), which keeps the detector robust to mildly disordered
-    /// input without growing events backwards in time.
-    pub fn observe(&mut self, r: &PacketRecord) -> Option<ScanEvent> {
-        let source = self.config.agg.source_of(r.src);
-        self.observed += 1;
-        let (spill, precision) = self.config.sketch_params();
-
-        let mut closed = None;
-        let run = match self.runs.entry(source) {
-            std::collections::hash_map::Entry::Occupied(mut occ) => {
-                let gap = r.ts_ms.saturating_sub(occ.get().last_ms);
-                if gap > self.config.timeout_ms {
-                    let old = std::mem::replace(
-                        occ.get_mut(),
-                        SourceRun::new(r.ts_ms, self.config.keep_dsts, 0),
-                    );
-                    self.runs_opened += 1;
-                    closed = Self::emit(&self.config, source, old);
-                }
-                occ.into_mut()
-            }
-            std::collections::hash_map::Entry::Vacant(vac) => {
-                self.runs_opened += 1;
-                vac.insert(SourceRun::new(r.ts_ms, self.config.keep_dsts, 0))
-            }
-        };
-        run.record(r, 1, NEW_ANY, spill, precision);
-        closed
     }
 
     /// Replays one batch at this level, grouped by the shared pass in
@@ -396,7 +343,7 @@ impl ScanDetector {
     /// `now - timeout`. Lets a long-running deployment bound state size. One
     /// pass over the run map: a session calls this once per timeout of
     /// stream time.
-    pub fn flush_idle(&mut self, now_ms: u64) -> Vec<ScanEvent> {
+    pub(crate) fn flush_idle(&mut self, now_ms: u64) -> Vec<ScanEvent> {
         let deadline = now_ms.saturating_sub(self.config.timeout_ms);
         let (config, mut out) = (&self.config, Vec::new());
         self.runs.retain(|&source, run| {
@@ -418,7 +365,7 @@ impl ScanDetector {
     /// `detect.batch.runs`) to the global metrics registry — accumulated
     /// as plain integers during the stream so the hot path stays free of
     /// atomics.
-    pub fn finish(mut self) -> Vec<ScanEvent> {
+    pub(crate) fn finish(mut self) -> Vec<ScanEvent> {
         if self.batch_records > 0 {
             let reg = lumen6_obs::MetricsRegistry::global();
             reg.counter("detect.batch.records").add(self.batch_records);
@@ -464,7 +411,7 @@ impl ScanDetector {
     /// detector that collects them fills it in. Order-sensitive collections
     /// are sorted, so two detectors in the same logical state produce
     /// identical snapshots.
-    pub fn state(&self) -> LevelState {
+    pub(crate) fn state(&self) -> LevelState {
         let mut runs: Vec<RunState> = self
             .runs
             .iter()
@@ -501,7 +448,7 @@ impl ScanDetector {
     /// Rebuilds a detector from a [`state`](Self::state) snapshot. The
     /// snapshot's embedded configuration is authoritative; its `pending`
     /// events belong to whoever collects this detector's output.
-    pub fn from_state(state: &LevelState) -> Self {
+    pub(crate) fn from_state(state: &LevelState) -> Self {
         let runs = state
             .runs
             .iter()
@@ -533,24 +480,29 @@ impl ScanDetector {
     }
 }
 
-/// Runs the per-record reference ([`ScanDetector::observe`]) over a
-/// complete, time-sorted slice and returns the full report (mid-stream
-/// closures plus end-of-stream flush). Examples, benches and tests use it as
-/// the oracle; product paths go through
-/// [`DetectorBuilder`](crate::DetectorBuilder) and
-/// [`observe_slice`](crate::observe_slice), and the root `tests/ingest.rs`
-/// holds a [`Session`](crate::Session) to this function level by level.
+/// Detects the scans in a complete, time-sorted slice at one level and
+/// returns the full report (mid-stream closures plus end-of-stream flush):
+/// a one-level [`MultiLevelDetector`] fed through [`observe_slice`], then
+/// finished. Streams go through a [`Session`](crate::Session).
+///
+/// ```
+/// use lumen6_detect::detector::detect;
+/// use lumen6_detect::{AggLevel, ScanDetectorConfig};
+/// use lumen6_trace::PacketRecord;
+///
+/// // 150 probes to distinct destinations, one second apart: one run.
+/// let probes: Vec<PacketRecord> = (0..150u64)
+///     .map(|i| PacketRecord::tcp(i * 1_000, 0x2001, 0xd000 + u128::from(i), 1, 22, 60))
+///     .collect();
+/// let report = detect(&probes, ScanDetectorConfig::paper(AggLevel::L64));
+/// assert_eq!(report.scans(), 1);
+/// assert_eq!(report.events[0].distinct_dsts, 150);
+/// ```
 pub fn detect(records: &[PacketRecord], config: ScanDetectorConfig) -> ScanReport {
-    let mut det = ScanDetector::new(config);
-    let mut events = Vec::new();
-    for r in records {
-        if let Some(e) = det.observe(r) {
-            events.push(e);
-        }
-    }
-    events.extend(det.finish());
-    events.sort_by_key(|e| (e.start_ms, e.source));
-    ScanReport::new(events)
+    let agg = config.agg;
+    let mut det = MultiLevelDetector::new(&[agg], config);
+    observe_slice(&mut det, records, DEFAULT_SESSION_BATCH);
+    Box::new(det).finish().remove(&agg).unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -559,31 +511,18 @@ mod tests {
 
     const HOUR: u64 = 3_600_000;
 
+    /// A one-level detector fed `recs` one row per batch.
+    fn fed(cfg: ScanDetectorConfig, recs: &[PacketRecord]) -> MultiLevelDetector {
+        let mut det = MultiLevelDetector::new(&[cfg.agg], cfg);
+        observe_slice(&mut det, recs, 1);
+        det
+    }
+
     /// `n` packets from `src`, one per second, to distinct destinations.
     fn burst(src: u128, t0: u64, n: u64, dport: u16) -> Vec<PacketRecord> {
         (0..n)
             .map(|i| PacketRecord::tcp(t0 + i * 1000, src, 0xdd00 + i as u128, 40000, dport, 60))
             .collect()
-    }
-
-    #[test]
-    fn hundred_destinations_qualifies() {
-        let recs = burst(1, 0, 100, 22);
-        let report = detect(&recs, ScanDetectorConfig::paper(AggLevel::L128));
-        assert_eq!(report.scans(), 1);
-        let e = &report.events[0];
-        assert_eq!(e.packets, 100);
-        assert_eq!(e.distinct_dsts, 100);
-        assert_eq!(e.distinct_srcs, 1);
-        assert_eq!(e.start_ms, 0);
-        assert_eq!(e.end_ms, 99_000);
-    }
-
-    #[test]
-    fn ninety_nine_destinations_does_not() {
-        let recs = burst(1, 0, 99, 22);
-        let report = detect(&recs, ScanDetectorConfig::paper(AggLevel::L128));
-        assert_eq!(report.scans(), 0);
     }
 
     #[test]
@@ -598,46 +537,21 @@ mod tests {
     }
 
     #[test]
-    fn timeout_splits_events() {
-        let mut recs = burst(1, 0, 100, 22);
-        recs.extend(burst(1, 100_000 + HOUR + 1, 100, 22));
-        let report = detect(&recs, ScanDetectorConfig::paper(AggLevel::L128));
-        assert_eq!(report.scans(), 2);
-        assert_eq!(report.sources(), 1);
-    }
-
-    #[test]
-    fn gap_exactly_at_timeout_does_not_split() {
-        // Last packet of first burst at t=99_000; next packet exactly
-        // `timeout` later must stay in the same event (strictly-greater gap
-        // splits).
-        let mut recs = burst(1, 0, 100, 22);
-        recs.extend(burst(1, 99_000 + HOUR, 100, 23));
-        let report = detect(&recs, ScanDetectorConfig::paper(AggLevel::L128));
-        assert_eq!(report.scans(), 1);
-        assert_eq!(report.events[0].packets, 200);
-    }
-
-    #[test]
-    fn gap_one_ms_over_timeout_splits() {
-        let mut recs = burst(1, 0, 100, 22);
-        recs.extend(burst(1, 99_000 + HOUR + 1, 100, 22));
-        let report = detect(&recs, ScanDetectorConfig::paper(AggLevel::L128));
-        assert_eq!(report.scans(), 2);
-    }
-
-    #[test]
     fn mid_stream_emission_on_gap() {
-        let mut det = ScanDetector::new(ScanDetectorConfig::paper(AggLevel::L128));
-        for r in burst(1, 0, 100, 22) {
-            assert!(det.observe(&r).is_none());
-        }
-        // First packet after the timeout closes and emits the run.
+        let mut det = fed(
+            ScanDetectorConfig::paper(AggLevel::L128),
+            &burst(1, 0, 100, 22),
+        );
+        assert!(det.state()[0].pending.is_empty());
+        // First packet after the timeout closes the run: its event is
+        // held for the report.
         let r = PacketRecord::tcp(99_000 + HOUR + 1, 1, 9, 1, 22, 60);
-        let e = det.observe(&r).expect("qualifying run closes");
-        assert_eq!(e.distinct_dsts, 100);
+        observe_slice(&mut det, &[r], 1);
+        let closed = det.state().remove(0).pending;
+        assert_eq!(closed.len(), 1);
+        assert_eq!(closed[0].distinct_dsts, 100);
         // The trailing single packet does not qualify.
-        assert!(det.finish().is_empty());
+        assert_eq!(Box::new(det).finish()[&AggLevel::L128].events, closed);
     }
 
     #[test]
@@ -655,28 +569,6 @@ mod tests {
         assert_eq!(at64.scans(), 1);
         assert_eq!(at64.events[0].distinct_srcs, 100);
         assert_eq!(at64.events[0].source.len(), 64);
-    }
-
-    #[test]
-    fn forty_eight_can_qualify_when_no_64_does() {
-        // Two /64s in one /48, each targeting 60 destinations: no /64 scan,
-        // one /48 scan (Table 2, AS#18 situation).
-        let p64a: u128 = 0x2001_0db8_0001_0000_0000_0000_0000_0001;
-        let p64b: u128 = 0x2001_0db8_0001_0001_0000_0000_0000_0001;
-        let mut recs = burst(p64a, 0, 60, 22);
-        recs.extend(burst(p64b, 500, 60, 22));
-        // Distinct destinations across the two bursts:
-        for (i, r) in recs.iter_mut().enumerate() {
-            r.dst = 0xaa00 + i as u128;
-        }
-        lumen6_trace::sort_by_time(&mut recs);
-        assert_eq!(
-            detect(&recs, ScanDetectorConfig::paper(AggLevel::L64)).scans(),
-            0
-        );
-        let at48 = detect(&recs, ScanDetectorConfig::paper(AggLevel::L48));
-        assert_eq!(at48.scans(), 1);
-        assert_eq!(at48.events[0].distinct_dsts, 120);
     }
 
     #[test]
@@ -702,35 +594,25 @@ mod tests {
 
     #[test]
     fn flush_idle_bounds_state() {
-        let mut det = ScanDetector::new(ScanDetectorConfig::paper(AggLevel::L128));
-        for r in burst(1, 0, 100, 22) {
-            det.observe(&r);
-        }
-        for r in burst(2, HOUR, 5, 22) {
-            det.observe(&r);
-        }
-        assert_eq!(det.open_runs(), 2);
+        let mut det = fed(
+            ScanDetectorConfig::paper(AggLevel::L128),
+            &burst(1, 0, 100, 22),
+        );
+        observe_slice(&mut det, &burst(2, HOUR, 5, 22), 1);
+        let held = |det: &mut MultiLevelDetector| det.state()[0].memory();
+        assert_eq!(held(&mut det).open_runs, 2);
         // Source 1 idle since 99s; flush at a time where only it is expired.
-        let flushed = det.flush_idle(99_000 + HOUR + 1);
-        assert_eq!(flushed.len(), 1);
-        assert_eq!(det.open_runs(), 1);
+        det.flush_idle(99_000 + HOUR + 1);
+        assert_eq!(
+            (held(&mut det).open_runs, held(&mut det).pending_events),
+            (1, 1)
+        );
         // Non-qualifying idle runs are dropped silently.
-        let flushed2 = det.flush_idle(HOUR + 5_000 + HOUR + 1);
-        assert!(flushed2.is_empty());
-        assert_eq!(det.open_runs(), 0);
-    }
-
-    #[test]
-    fn out_of_order_timestamp_tolerated() {
-        let mut recs = burst(1, 10_000, 100, 22);
-        // A straggler 5 s in the past.
-        recs.push(PacketRecord::tcp(5_000, 1, 0xffff, 1, 22, 60));
-        let report = detect(&recs, ScanDetectorConfig::paper(AggLevel::L128));
-        assert_eq!(report.scans(), 1);
-        let e = &report.events[0];
-        assert_eq!(e.packets, 101);
-        // Event does not extend backwards past its first-seen packet.
-        assert_eq!(e.start_ms, 10_000);
+        det.flush_idle(HOUR + 5_000 + HOUR + 1);
+        assert_eq!(
+            (held(&mut det).open_runs, held(&mut det).pending_events),
+            (0, 1)
+        );
     }
 
     #[test]
@@ -763,16 +645,11 @@ mod tests {
     fn memory_snapshot_tracks_state_and_spills() {
         let mut cfg = ScanDetectorConfig::paper(AggLevel::L128);
         cfg.sketch = Some(SketchConfig::spill_at(64));
-        let mut det = ScanDetector::new(cfg);
         // Source 1: 200 distinct destinations → spills past 64.
-        for r in burst(1, 0, 200, 22) {
-            det.observe(&r);
-        }
+        let mut det = fed(cfg, &burst(1, 0, 200, 22));
         // Source 2: 10 destinations → stays exact.
-        for r in burst(2, 0, 10, 23) {
-            det.observe(&r);
-        }
-        let m = det.state().memory();
+        observe_slice(&mut det, &burst(2, 0, 10, 23), 1);
+        let m = det.state()[0].memory();
         assert_eq!(m.open_runs, 2);
         assert_eq!(m.sketched_runs, 1);
         assert_eq!(m.exact_dst_entries, 10);

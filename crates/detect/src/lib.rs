@@ -14,6 +14,10 @@
 //! 3. **Scan eventization** ([`detector`]): a *scan* is a source targeting
 //!    at least `min_dsts` (default 100) distinct destination addresses with
 //!    packet inter-arrival never exceeding `timeout` (default 3 600 s).
+//!    The rule is stated once, in the batch replay every ingest route ends
+//!    in ([`Detect::observe_batch`]); [`detector::detect`] is a one-level
+//!    detector over a resident slice. The crate's tests hold it to an
+//!    oracle of their own (`tests/oracle/mod.rs`) written from §2.2 alone.
 //! 4. **Characterization** ([`portclass`]): single-port vs multi-port scan
 //!    tagging via the fraction of packets on the most common port
 //!    (footnote 9 of the paper).

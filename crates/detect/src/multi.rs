@@ -363,12 +363,11 @@ mod tests {
                 sketch,
                 ..ScanDetectorConfig::paper(AggLevel::L64)
             };
-            let mut reference = ScanDetector::new(cfg.clone());
-            for r in &recs {
-                assert!(reference.observe(r).is_none());
-            }
+            let mut by_row = MultiLevelDetector::new(&[cfg.agg], cfg.clone());
+            observe_slice(&mut by_row, &recs, 1);
             let mut grouped = one_level(cfg, &recs.iter().copied().collect());
-            assert_eq!(grouped.state(), [reference.state()]);
+            assert_eq!(grouped.state(), by_row.state());
+            assert!(grouped.state()[0].pending.is_empty());
             // 20 + 5 runs: `sport` and `len` must not cut.
             assert_eq!(grouped.levels[0].0.batch_stats(), (107, 106, 20 + 5));
         }

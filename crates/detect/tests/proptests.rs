@@ -1,15 +1,24 @@
 //! Property tests for detector invariants: conservation, event separation,
-//! and monotonicity in the scan-definition parameters — plus the three
-//! identities the ingest design rests on: the grouped batch path equals the
-//! per-record reference under any cuts, nested levels sharing one pass
-//! equal independent levels, and every backend, batch size and session
-//! geometry yields the same reports, states and checkpoint bytes.
+//! and monotonicity in the scan-definition parameters — plus the identities
+//! the ingest design rests on: the grouped batch path reports what the
+//! test-side oracle (`oracle/mod.rs`, the §2.2 rule stated on its own)
+//! reports under any cuts, and holds the state of one-row batches; nested
+//! levels sharing one pass equal independent levels; and every backend,
+//! batch size and session geometry yields the same reports, states and
+//! checkpoint bytes. A few hand-computed cases pin the oracle itself.
 
 use lumen6_detect::detector::detect;
 use lumen6_detect::{AggLevel, ScanDetectorConfig};
 use lumen6_trace::{PacketRecord, Transport};
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+mod oracle;
+
+/// The oracle's report on `recs`, one packet a record.
+fn oracle_scans(recs: &[PacketRecord], config: &ScanDetectorConfig) -> lumen6_detect::ScanReport {
+    oracle::scans(recs.iter().map(|&r| (r, 1)), config)
+}
 
 /// Generates a random but time-sorted workload with a handful of sources and
 /// destinations, deltas small enough that both split and no-split cases occur.
@@ -40,11 +49,13 @@ fn arb_workload() -> impl Strategy<Value = Vec<PacketRecord>> {
 /// about half are followed by a near-duplicate that differs from them in
 /// exactly one of the seven columns. The batch path accounts adjacent rows
 /// that agree in the five columns the run state reads as one run, so each
-/// of those five must break a run, and `sport`/`len` must not matter.
+/// of those five must break a run, and `sport`/`len` must not matter. One
+/// step in four is exactly 20 s or 30 s, the timeouts the tests run under,
+/// so a source's gap often equals the timeout: that must not split.
 fn arb_workload_with_runs() -> impl Strategy<Value = Vec<PacketRecord>> {
     proptest::collection::vec(
         (
-            (0u64..200_000, 0u8..6, 0u16..300, 1u16..5),
+            ((0u64..200_000, 0u8..8), 0u8..6, 0u16..300, 1u16..5),
             1usize..=6,
             0u8..14,
         ),
@@ -53,8 +64,12 @@ fn arb_workload_with_runs() -> impl Strategy<Value = Vec<PacketRecord>> {
     .prop_map(|steps| {
         let mut ts = 0u64;
         let mut out = Vec::new();
-        for ((dt, src, dst, port), copies, differs_in) in steps {
-            ts += dt;
+        for (((dt, exact), src, dst, port), copies, differs_in) in steps {
+            ts += match exact {
+                0 => 20_000,
+                1 => 30_000,
+                _ => dt,
+            };
             let row = PacketRecord::tcp(
                 ts,
                 (u128::from(src) << 64) | 1,
@@ -236,6 +251,132 @@ fn jittered_arrival(recs: &[PacketRecord], seed: u64, watermark: u64) -> Vec<Pac
     arrival.into_iter().map(|(_, i)| recs[i]).collect()
 }
 
+const HOUR: u64 = 3_600_000;
+
+/// `n` probes from `src`, one a second from `t0`, to the destinations
+/// `0xdd00`, `0xdd01`, … on TCP `dport`.
+fn burst(src: u128, t0: u64, n: u64, dport: u16) -> Vec<PacketRecord> {
+    (0..n)
+        .map(|i| {
+            PacketRecord::tcp(
+                t0 + i * 1000,
+                src,
+                0xdd00 + u128::from(i),
+                40_000,
+                dport,
+                60,
+            )
+        })
+        .collect()
+}
+
+/// A hand-computed event: one TCP port histogram, no destination list.
+fn scan(
+    (src, len): (u128, u8),
+    (start_ms, end_ms): (u64, u64),
+    packets: u64,
+    (distinct_dsts, distinct_srcs): (u64, u64),
+    ports: &[(u16, u64)],
+) -> lumen6_detect::ScanEvent {
+    lumen6_detect::ScanEvent {
+        source: lumen6_addr::Ipv6Prefix::new(src, len),
+        agg: AggLevel::new(len),
+        start_ms,
+        end_ms,
+        packets,
+        distinct_dsts,
+        distinct_srcs,
+        ports: ports
+            .iter()
+            .map(|&(p, n)| ((Transport::Tcp, p), n))
+            .collect(),
+        dsts: None,
+    }
+}
+
+/// The oracle and the detector both report exactly `expect` on `recs`.
+fn both_report(
+    recs: &[PacketRecord],
+    config: ScanDetectorConfig,
+    expect: &[lumen6_detect::ScanEvent],
+) {
+    assert_eq!(oracle_scans(recs, &config).events, expect, "oracle");
+    assert_eq!(detect(recs, config).events, expect, "detect");
+}
+
+#[test]
+fn hand_computed_hundred_destinations_qualify_and_ninety_nine_do_not() {
+    let paper = ScanDetectorConfig::paper(AggLevel::L128);
+    let hundred = scan((1, 128), (0, 99_000), 100, (100, 1), &[(22, 100)]);
+    both_report(&burst(1, 0, 100, 22), paper.clone(), &[hundred]);
+    both_report(&burst(1, 0, 99, 22), paper.clone(), &[]);
+    // A row of count 3 weighs as three packets: the same run, tripled.
+    let rows: Vec<_> = burst(1, 0, 100, 22).into_iter().map(|r| (r, 3)).collect();
+    let tripled = scan((1, 128), (0, 99_000), 300, (100, 1), &[(22, 300)]);
+    assert_eq!(
+        oracle::scans(rows.iter().copied(), &paper).events,
+        std::slice::from_ref(&tripled)
+    );
+    let copies: Vec<_> = rows.iter().flat_map(|&(r, _)| [r; 3]).collect();
+    assert_eq!(detect(&copies, paper).events, [tripled]);
+}
+
+#[test]
+fn hand_computed_gap_at_the_timeout_joins_and_one_ms_over_splits() {
+    let paper = ScanDetectorConfig::paper(AggLevel::L128);
+    // The first burst's last probe is at 99 s; the second burst probes the
+    // same 100 destinations on port 23.
+    let second = |t0| [burst(7, 0, 100, 22), burst(7, t0, 100, 23)].concat();
+    let at = 99_000 + HOUR;
+    let joined = scan(
+        (7, 128),
+        (0, at + 99_000),
+        200,
+        (100, 1),
+        &[(22, 100), (23, 100)],
+    );
+    both_report(&second(at), paper.clone(), &[joined]);
+    let first = scan((7, 128), (0, 99_000), 100, (100, 1), &[(22, 100)]);
+    let next = scan((7, 128), (at + 1, at + 99_001), 100, (100, 1), &[(23, 100)]);
+    both_report(&second(at + 1), paper, &[first, next]);
+}
+
+#[test]
+fn hand_computed_forty_eight_qualifies_while_its_sixty_fours_do_not() {
+    // Two /64s of one /48, 60 destinations each, 120 distinct in all.
+    let a: u128 = 0x2001_0db8_0001_0000_0000_0000_0000_0001;
+    let b: u128 = 0x2001_0db8_0001_0001_0000_0000_0000_0001;
+    let mut recs = [burst(a, 0, 60, 22), burst(b, 500, 60, 22)].concat();
+    for (i, r) in recs.iter_mut().enumerate() {
+        r.dst = 0xaa00 + i as u128;
+    }
+    recs.sort_by_key(|r| r.ts_ms);
+    both_report(&recs, ScanDetectorConfig::paper(AggLevel::L64), &[]);
+    let mut at48 = scan((a, 48), (0, 59_500), 120, (120, 2), &[(22, 120)]);
+    at48.dsts = Some((0xaa00..0xaa00 + 120).collect());
+    both_report(
+        &recs,
+        ScanDetectorConfig::paper(AggLevel::L48).with_dsts(),
+        &[at48],
+    );
+}
+
+#[test]
+fn hand_computed_late_packet_is_gap_zero() {
+    // A straggler two hours older than the run it joins: it neither splits
+    // the run nor moves its start back.
+    let mut recs = burst(1, 2 * HOUR, 100, 22);
+    recs.push(PacketRecord::tcp(0, 1, 0xffff, 40_000, 22, 60));
+    let run = scan(
+        (1, 128),
+        (2 * HOUR, 2 * HOUR + 99_000),
+        101,
+        (101, 1),
+        &[(22, 101)],
+    );
+    both_report(&recs, ScanDetectorConfig::paper(AggLevel::L128), &[run]);
+}
+
 proptest! {
     /// With min_dsts = 1, every packet belongs to exactly one event.
     #[test]
@@ -339,49 +480,40 @@ proptest! {
         prop_assert_eq!(report2.removed_packets, 0);
     }
 
-    /// The streaming detector with flush_idle produces the same qualifying
-    /// events as the batch run (GC must never change results).
+    /// Idle flushes never change results: a one-level detector fed one
+    /// record a batch and flushed at the stream clock every 37 records
+    /// reports what the oracle reports.
     #[test]
     fn flush_idle_is_transparent(recs in arb_workload()) {
-        use lumen6_detect::ScanDetector;
+        use lumen6_detect::multi::MultiLevelDetector;
+        use lumen6_detect::{observe_slice, Detect};
         let config = cfg(5, 20_000);
-        let batch = detect(&recs, config.clone());
-
-        let mut det = ScanDetector::new(config);
-        let mut events = Vec::new();
+        let mut det = Box::new(MultiLevelDetector::new(&[config.agg], config.clone()));
         for (i, r) in recs.iter().enumerate() {
-            if let Some(e) = det.observe(r) {
-                events.push(e);
-            }
+            observe_slice(det.as_mut(), std::slice::from_ref(r), 1);
             if i % 37 == 0 {
-                events.extend(det.flush_idle(r.ts_ms));
+                det.flush_idle(r.ts_ms);
             }
         }
-        events.extend(det.finish());
-        events.sort_by_key(|e| (e.start_ms, e.source));
-        let mut batch_events = batch.events.clone();
-        batch_events.sort_by_key(|e| (e.start_ms, e.source));
-        prop_assert_eq!(events, batch_events);
+        prop_assert_eq!(&det.finish()[&config.agg], &oracle_scans(&recs, &config));
     }
 
-    /// The one place two implementations of the rule remain: the grouped
-    /// batch path — [`MultiLevelDetector::observe_batch`] at one level —
-    /// equals the per-record reference [`ScanDetector::observe`] — same
-    /// events, same `state()`, same counters — however the stream is cut
-    /// into batches (single-record batches included, and cuts inside runs
-    /// of repeated rows), with destination retention and with sketched
-    /// counters whose spill threshold any copy of a run may be the one to
-    /// cross. `sport` and `len` are no part of any state. And a batch says
-    /// the same whether its repeats arrive as rows or as one row's count:
-    /// the counted spelling of every cut equals the expanded one, counters
-    /// too.
+    /// The grouped batch path — [`MultiLevelDetector::observe_batch`] at
+    /// one level — reports what the oracle reports, however the stream is
+    /// cut into batches (single-record batches included, and cuts inside
+    /// runs of repeated rows), with and without destination retention. And
+    /// for every configuration, sketched counters included (whose spill
+    /// threshold any copy of a run may be the one to cross), every cut
+    /// holds the `state()` of one-row batches: `sport` and `len` are no
+    /// part of any state, and a batch says the same whether its repeats
+    /// arrive as rows or as one row's count, counters too.
     #[test]
-    fn observe_batch_matches_observe_under_any_cuts(
+    fn observe_batch_matches_the_oracle_under_any_cuts(
         recs in arb_workload_with_runs(),
         cuts in proptest::collection::vec(1usize..40, 1..12),
     ) {
         use lumen6_detect::multi::MultiLevelDetector;
-        use lumen6_detect::{Detect, LevelState, ScanDetector};
+        use lumen6_detect::{observe_slice, Detect, ScanDetector};
         use lumen6_trace::RecordBatch;
         let stats = |det: &MultiLevelDetector| {
             det.detectors().map(ScanDetector::batch_stats).collect::<Vec<_>>()
@@ -393,20 +525,16 @@ proptest! {
             ScanDetectorConfig { sketch: Some((16, 12).into()), ..cfg(3, 30_000) },
         ] {
             let one = || Box::new(MultiLevelDetector::new(&[config.agg], config.clone()));
-            let mut reference = ScanDetector::new(config.clone());
-            let mut expect = Vec::new();
-            for r in &recs {
-                expect.extend(reference.observe(r));
-            }
-            // What the one level holds: the reference's runs and the events
-            // it closed, in canonical order.
-            let mut held = LevelState { pending: expect.clone(), ..reference.state() };
-            held.normalize();
+            // What the one level holds fed one row a batch: its runs and
+            // the events it closed, in canonical order.
+            let mut by_row = one();
+            observe_slice(by_row.as_mut(), &recs, 1);
+            let held = by_row.state();
 
             let mut blanked = one();
             let blank = |r: &PacketRecord| PacketRecord { sport: 0, len: 0, ..*r };
             blanked.observe_batch(&recs.iter().map(blank).collect());
-            prop_assert_eq!(blanked.state(), [held.clone()]);
+            prop_assert_eq!(&blanked.state(), &held);
 
             // Cycle through the drawn cut lengths; the first is forced to 1.
             let (mut grouped, mut by_count) = (one(), one());
@@ -419,13 +547,15 @@ proptest! {
                 by_count.observe_batch(&counted(&recs[at..end]));
                 (at, k) = (end, k + 1);
             }
-            prop_assert_eq!(by_count.state(), [held.clone()]);
+            prop_assert_eq!(&by_count.state(), &held);
             prop_assert_eq!(stats(&by_count), stats(&grouped));
-            prop_assert_eq!(grouped.state(), [held]);
-            prop_assert_eq!(grouped.observed(), reference.observed());
-            expect.extend(reference.finish());
-            expect.sort_by_key(|e| (e.start_ms, e.source));
-            prop_assert_eq!(&grouped.finish()[&config.agg].events, &expect);
+            prop_assert_eq!(&grouped.state(), &held);
+            prop_assert_eq!(grouped.observed(), recs.len() as u64);
+            let report = grouped.finish().remove(&config.agg).expect("the one level");
+            prop_assert_eq!(&report, &by_row.finish()[&config.agg]);
+            if config.sketch.is_none() {
+                prop_assert_eq!(&report, &oracle_scans(&recs, &config));
+            }
         }
     }
 
@@ -434,13 +564,16 @@ proptest! {
     /// runs say they already hold. None of that may show. A
     /// [`MultiLevelDetector`] over a random level set — unsorted, repeats
     /// allowed, /0 to /128 — holds, at a mid-stream cut and at the end, the
-    /// state and events of one independently fed [`ScanDetector`] per
-    /// level: with sketches spilling at 1–16 destinations, with and
-    /// without destination retention, under idle flushes at a random
-    /// cadence, across a `from_state` round trip at the cut, fed counted or
-    /// expanded batches of sources nested three deep — in time order or in
-    /// one of the adversarial arrival orders, where a finer run can outlive
-    /// the coarser run it opened in.
+    /// state and events of independent levels: one one-level detector per
+    /// level, fed one row a batch, so each is its own finest level and
+    /// never skips an insert. So with sketches spilling at 1–16
+    /// destinations, with and without destination retention, under idle
+    /// flushes at a random cadence, across a `from_state` round trip at the
+    /// cut, fed counted or expanded batches of sources nested three deep —
+    /// in time order or in one of the adversarial arrival orders, where a
+    /// finer run can outlive the coarser run it opened in. Exact reports
+    /// also equal the oracle's, unless an idle flush ran ahead of a late
+    /// packet (a flush is transparent only on time-sorted input).
     #[test]
     fn shared_pass_equals_independent_levels(
         recs in arb_nested_workload(),
@@ -456,7 +589,7 @@ proptest! {
         ordering in 0usize..4,
     ) {
         use lumen6_detect::multi::MultiLevelDetector;
-        use lumen6_detect::{Detect, LevelState, ScanDetector, ScanEvent, ScanReport};
+        use lumen6_detect::{observe_slice, Detect, LevelState};
         use std::collections::BTreeMap;
         let recs = if ordering < 3 { apply_ordering(&recs, ordering) } else { recs };
         let levels: Vec<AggLevel> = lens.into_iter().map(AggLevel::new).collect();
@@ -467,56 +600,48 @@ proptest! {
             keep_dsts,
             sketch: sketch.map(Into::into),
         };
+        let at = |agg| ScanDetectorConfig { agg, ..base.clone() };
         let mut shared = Box::new(MultiLevelDetector::new(&levels, base.clone()));
-        let mut alone: Vec<(ScanDetector, Vec<ScanEvent>)> = levels
+        let mut alone: Vec<Box<MultiLevelDetector>> = levels
             .iter()
-            .map(|&agg| (ScanDetector::new(ScanDetectorConfig { agg, ..base.clone() }), Vec::new()))
+            .map(|&agg| Box::new(MultiLevelDetector::new(&[agg], at(agg))))
             .collect();
-        let held = |alone: &[(ScanDetector, Vec<ScanEvent>)]| -> Vec<LevelState> {
-            alone
-                .iter()
-                .map(|(det, events)| {
-                    let mut st = LevelState { pending: events.clone(), ..det.state() };
-                    st.normalize();
-                    st
-                })
-                .collect()
+        let held = |alone: &mut [Box<MultiLevelDetector>]| -> Vec<LevelState> {
+            alone.iter_mut().flat_map(|det| det.state()).collect()
         };
-        let (mut at, mut k) = (0, 0);
-        while at < recs.len() {
-            let end = recs.len().min(at + cuts[k % cuts.len()]);
-            let part = &recs[at..end];
+        let (mut at_row, mut k) = (0, 0);
+        while at_row < recs.len() {
+            let end = recs.len().min(at_row + cuts[k % cuts.len()]);
+            let part = &recs[at_row..end];
             let batch = if counted_feed { counted(part) } else { part.iter().copied().collect() };
             shared.observe_batch(&batch);
-            for (det, events) in &mut alone {
-                for r in part {
-                    events.extend(det.observe(r));
-                }
+            for det in &mut alone {
+                observe_slice(det.as_mut(), part, 1);
             }
-            (at, k) = (end, k + 1);
+            (at_row, k) = (end, k + 1);
             if flush_every > 0 && k % flush_every == 0 {
                 let now = part.iter().map(|r| r.ts_ms).max().unwrap_or(0);
                 shared.flush_idle(now);
-                for (det, events) in &mut alone {
-                    events.extend(det.flush_idle(now));
+                for det in &mut alone {
+                    det.flush_idle(now);
                 }
             }
             if k == cut_at {
-                prop_assert_eq!(shared.state(), held(&alone), "cut after batch {}", k);
+                prop_assert_eq!(shared.state(), held(&mut alone), "cut after batch {}", k);
                 if round_trip {
                     shared = Box::new(MultiLevelDetector::from_state(&shared.state()));
                 }
             }
         }
-        prop_assert_eq!(shared.state(), held(&alone));
-        let mut expect = BTreeMap::new();
-        for (det, mut events) in alone {
-            let agg = det.config().agg;
-            events.extend(det.finish());
-            events.sort_by_key(|e| (e.start_ms, e.source));
-            expect.insert(agg, ScanReport::new(events));
+        prop_assert_eq!(shared.state(), held(&mut alone));
+        let expect: BTreeMap<_, _> = alone.into_iter().flat_map(Detect::finish).collect();
+        let reports = shared.finish();
+        prop_assert_eq!(&reports, &expect);
+        if sketch.is_none() && (flush_every == 0 || recs.is_sorted_by_key(|r| r.ts_ms)) {
+            for (&agg, report) in &reports {
+                prop_assert_eq!(report, &oracle_scans(&recs, &at(agg)), "level {}", agg);
+            }
         }
-        prop_assert_eq!(shared.finish(), expect);
     }
 
     /// A checkpoint written by a session pulling `batch` records a step is
@@ -636,7 +761,7 @@ proptest! {
         use lumen6_detect::{Backend, DetectorBuilder, Session, SessionConfig, SessionOutcome};
         use lumen6_trace::MaterializedSource;
         let config = cfg(5, 20_000);
-        let sorted_report = detect(&recs, config.clone());
+        let sorted_report = oracle_scans(&recs, &config);
 
         let mut src = MaterializedSource::new(jittered_arrival(&recs, jitter_seed, watermark));
         let outcome = Session::new(
@@ -665,8 +790,8 @@ proptest! {
     /// retention, and one level with sketched counters — on rows that
     /// arrive as runs of repeats and near-duplicates, which the orderings
     /// keep adjacent, collapse into exact repeats or scatter — each batch
-    /// fed once as rows and once with its repeats as counts. The sequential
-    /// reports are in turn held to the per-record reference, level by level.
+    /// fed once as rows and once with its repeats as counts. The exact
+    /// reports are in turn held to the oracle, level by level.
     ///
     /// States are compared raw: `state()` is canonical on every backend —
     /// `pending` events included, which the detector closes in arrival
@@ -710,9 +835,11 @@ proptest! {
                 }
             }
             let (.., reports) = expect.expect("the grid ran");
-            for &lvl in levels {
-                let reference = detect(&recs, ScanDetectorConfig { agg: lvl, ..base.clone() });
-                prop_assert_eq!(&reports[&lvl], &reference, "level {}", lvl);
+            if base.sketch.is_none() {
+                for &lvl in levels {
+                    let oracle = oracle_scans(&recs, &ScanDetectorConfig { agg: lvl, ..base.clone() });
+                    prop_assert_eq!(&reports[&lvl], &oracle, "level {}", lvl);
+                }
             }
         }
     }

@@ -3,7 +3,6 @@
 //! checkpoint durability, kill-resume determinism, and the independence of
 //! every report and checkpoint byte from how the stream is cut into batches.
 
-use lumen6_detect::detector::detect;
 use lumen6_detect::prelude::*;
 use lumen6_detect::DEFAULT_SESSION_BATCH;
 use lumen6_trace::{CodecError, PacketRecord, RecordBatch, TracePosition, TraceWriter};
@@ -11,6 +10,8 @@ use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::PathBuf;
+
+mod oracle;
 
 /// A per-test temp directory (removed on drop).
 struct TempDir(PathBuf);
@@ -1467,7 +1468,7 @@ fn record_counts_past_u32_add_up_as_u64() {
 }
 
 /// `report_now` while the reorder heap still holds records: the published
-/// report covers them (it equals the reference over everything pulled so
+/// report covers them (it equals the oracle's over everything pulled so
 /// far), and the session goes on to the same final report.
 #[test]
 fn report_now_covers_the_reorder_heap() {
@@ -1501,7 +1502,7 @@ fn report_now_covers_the_reorder_heap() {
     assert_eq!(published.records, 200);
     assert_eq!(
         published.reports[&AggLevel::L64],
-        detect(pulled, base_config()),
+        oracle::scans(pulled.iter().map(|&r| (r, 1)), &base_config()),
         "published report misses the reorder heap"
     );
     assert!(published.reports[&AggLevel::L64].scans() > 0);

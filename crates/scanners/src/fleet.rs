@@ -35,6 +35,7 @@
 
 use crate::actor::{ScannerActor, Schedule};
 use crate::samplers::{PortSampler, SourceSampler, TargetSampler};
+use lumen6_addr::cast::sat_u32;
 use lumen6_addr::Ipv6Prefix;
 use lumen6_netmodel::{AsType, InternetRegistry};
 use lumen6_telescope::artifacts::ArtifactConfig;
@@ -110,9 +111,12 @@ impl FleetConfig {
 /// ([`crate::FleetSource`]'s fixed streams). Record `i` is emitted
 /// `due(i + 1) - due(i)` times, adjacent, so order and timestamps are kept.
 /// Monotone in `drawn`, exactly `scaled` at `drawn == base`, and the
-/// identity when `scaled == base`. Callers guarantee `base > 0`.
+/// identity when `scaled == base`. Callers guarantee `base > 0` and
+/// `drawn ≤ base`, so the quotient is at most `scaled` and the saturation
+/// never bites.
 pub(crate) fn emission_due(scaled: u64, base: u64, drawn: u64) -> u64 {
-    ((u128::from(scaled) * u128::from(drawn)) / u128::from(base)) as u64
+    let due = u128::from(scaled) * u128::from(drawn) / u128::from(base);
+    u64::try_from(due).unwrap_or(u64::MAX)
 }
 
 /// Ground truth for one Table 2 row.
@@ -386,7 +390,7 @@ impl Builder<'_> {
     }
 
     fn asn(rank: usize) -> u32 {
-        64_600 + rank as u32
+        64_600 + sat_u32(rank)
     }
 
     fn register(
@@ -403,7 +407,7 @@ impl Builder<'_> {
             ty,
             country,
             &format!("scan-as-{rank}"),
-            rank as u32,
+            sat_u32(rank),
         );
         let prefix = prefix.expect("fleet ranks fit the allocation layout");
         self.truth.push(GroundTruth {
@@ -873,6 +877,55 @@ impl Builder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn emission_due_schedule_at_paper_volume_and_the_u64_limits() {
+        const MAX: u64 = u64::MAX;
+        // (scaled, base): the identity, the paper's 1250x and its inverse,
+        // and totals and bases up to the u64 limit, where `scaled * drawn`
+        // needs all 128 bits.
+        let cases = [
+            (1, 1),
+            (7, 7),
+            (1250, 1),
+            (1250 * 5_369_860, 5_369_860),
+            (5_369_860, 1250 * 5_369_860),
+            (0, 9),
+            (MAX, 1),
+            (MAX, 3),
+            (MAX, MAX),
+            (MAX - 1, MAX),
+            (1, MAX),
+            (MAX / 1250, MAX / 1250 / 1250),
+        ];
+        for (scaled, base) in cases {
+            let due = |drawn| emission_due(scaled, base, drawn);
+            assert_eq!(due(base), scaled, "due(base), {scaled}/{base}");
+            assert_eq!(due(0), 0, "due(0), {scaled}/{base}");
+            // Monotone and within `scaled` along a spread of `drawn` ≤
+            // `base`, both ends and their neighbours included.
+            let at = |k: u128| u64::try_from(u128::from(base) * k / 64).expect("≤ base");
+            let mut drawn: Vec<u64> = (0..=64).map(at).collect();
+            drawn.extend([1, 2, base.saturating_sub(1), base / 1250, base / 3]);
+            drawn.retain(|&d| d <= base);
+            drawn.sort_unstable();
+            for w in drawn.windows(2) {
+                assert!(due(w[0]) <= due(w[1]), "monotone at {w:?}, {scaled}/{base}");
+            }
+            assert!(drawn.iter().all(|&d| due(d) <= scaled), "{scaled}/{base}");
+        }
+        // 1250x of a base stream: every record is due exactly 1250 times.
+        let base = 5_369_860;
+        for drawn in [0, 1, 2, 4_096, base - 1, base] {
+            assert_eq!(emission_due(1250 * base, base, drawn), 1250 * drawn);
+        }
+        // The inverse ratio keeps one record in 1250, at its last copy.
+        let scaled = 4_296;
+        let base = 1250 * scaled;
+        assert_eq!(emission_due(scaled, base, 1249), 0);
+        assert_eq!(emission_due(scaled, base, 1250), 1);
+        assert_eq!(emission_due(scaled, base, base - 1), scaled - 1);
+    }
 
     #[test]
     fn world_builds_and_registers_all_20_ases() {

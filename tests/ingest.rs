@@ -1,33 +1,38 @@
-//! Tier-1 check of the one ingest route: a `Session` that hands the source's
-//! batches to the detector — as filled, through the reorder buffer, cut by
-//! idle flushes, on either backend — reports exactly what the per-record
-//! reference `detector::detect` reports, level by level, on fleet traffic —
-//! and so does a fused 10x run, where the source emits and the detector
-//! accounts nine records in ten as the repeats of a run; at the paper's
-//! 1250x, where a 4096-record batch is three or four counted rows, the
-//! reports are the 1x reports with every packet count times 1250.
+//! Tier-1 check of the one ingest route against an independent statement
+//! of the paper's rule: a `Session` that hands the source's batches to the
+//! detector — as filled, through the reorder buffer, cut by idle flushes,
+//! on either backend — reports exactly what the test-side oracle
+//! (`crates/detect/tests/oracle/mod.rs`, §2.2 written out with std
+//! collections) reports, level by level, on fleet traffic — and so does a
+//! fused 10x run, where the source emits and the detector accounts nine
+//! records in ten as the repeats of a run. At the paper's 1250x, where a
+//! 4096-record batch is three or four counted rows, the reports are the
+//! oracle's over the 1x records as rows of count 1250: every packet count
+//! is the oracle's u64 sum, with no copy expanded.
 
-use lumen6::detect::detector::detect;
 use lumen6::detect::prelude::*;
 use lumen6::detect::ArtifactFilter;
 use lumen6::scanners::{FleetConfig, FleetSource, World};
 use lumen6::trace::{PacketRecord, RecordBatch, Source};
 
-/// What the per-record reference reports on `records` at each paper level.
-fn reference_reports(
+#[path = "../crates/detect/tests/oracle/mod.rs"]
+mod oracle;
+
+/// What the oracle reports at each paper level on `records`, each record
+/// standing for `copies` packets.
+fn oracle_reports(
     records: &[PacketRecord],
+    copies: u64,
     base: &ScanDetectorConfig,
 ) -> Vec<(AggLevel, ScanReport)> {
     AggLevel::PAPER_LEVELS
         .iter()
         .map(|&agg| {
-            let report = detect(
-                records,
-                ScanDetectorConfig {
-                    agg,
-                    ..base.clone()
-                },
-            );
+            let config = ScanDetectorConfig {
+                agg,
+                ..base.clone()
+            };
+            let report = oracle::scans(records.iter().map(|&r| (r, copies)), &config);
             assert!(report.scans() > 0, "{agg}: nothing to compare");
             (agg, report)
         })
@@ -35,7 +40,7 @@ fn reference_reports(
 }
 
 #[test]
-fn session_reports_equal_the_per_record_reference_at_paper_levels() {
+fn session_reports_equal_the_oracle_at_paper_levels() {
     let world = World::build(FleetConfig {
         end_day: 7,
         ..FleetConfig::small()
@@ -46,7 +51,7 @@ fn session_reports_equal_the_per_record_reference_at_paper_levels() {
         min_dsts: 50,
         ..Default::default()
     };
-    let reference = reference_reports(&clean, &base);
+    let reference = oracle_reports(&clean, 1, &base);
 
     let builder = DetectorBuilder::new(base).levels(&AggLevel::PAPER_LEVELS);
     for backend in [Backend::Sequential, Backend::Threaded] {
@@ -76,7 +81,7 @@ fn session_reports_equal_the_per_record_reference_at_paper_levels() {
 }
 
 #[test]
-fn fused_10x_session_reports_equal_the_per_record_reference_at_paper_levels() {
+fn fused_10x_session_reports_equal_the_oracle_at_paper_levels() {
     let fleet = FleetConfig {
         intensity: 10.0,
         end_day: 7,
@@ -85,7 +90,7 @@ fn fused_10x_session_reports_equal_the_per_record_reference_at_paper_levels() {
     let trace = World::build(fleet.clone()).cdn_trace();
     assert!(trace.len() > 100_000, "trace too small to be meaningful");
     let base = ScanDetectorConfig::default();
-    let reference = reference_reports(&trace, &base);
+    let reference = oracle_reports(&trace, 1, &base);
 
     let builder = DetectorBuilder::new(base).levels(&AggLevel::PAPER_LEVELS);
     for backend in [Backend::Sequential, Backend::Threaded] {
@@ -122,11 +127,16 @@ fn fused_1250x_session_reports_are_the_1x_reference_times_1250() {
     // own timestamp: same events, 1250 packets for each one.
     let base = ScanDetectorConfig::default();
     let trace = World::build(fleet(1.0)).cdn_trace();
-    let mut reference = reference_reports(&trace, &base);
-    for e in reference.iter_mut().flat_map(|(_, r)| &mut r.events) {
+    let reference = oracle_reports(&trace, 1250, &base);
+    let mut times_1250 = oracle_reports(&trace, 1, &base);
+    for e in times_1250.iter_mut().flat_map(|(_, r)| &mut r.events) {
         e.packets *= 1250;
         e.ports.iter_mut().for_each(|(_, n)| *n *= 1250);
     }
+    assert_eq!(
+        reference, times_1250,
+        "a row of count n weighs as n packets"
+    );
 
     let builder = DetectorBuilder::new(base).levels(&AggLevel::PAPER_LEVELS);
     let backends = [Backend::Sequential, Backend::Threaded];
