@@ -43,9 +43,3 @@ pub use trie::PrefixTrie;
 pub fn iid(addr: u128) -> u64 {
     addr as u64
 }
-
-/// The network part: the high 64 bits of an IPv6 address.
-#[inline]
-pub fn network64(addr: u128) -> u64 {
-    (addr >> 64) as u64
-}

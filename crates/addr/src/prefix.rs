@@ -101,12 +101,6 @@ impl Ipv6Prefix {
         self.len
     }
 
-    /// Whether this is the zero-length default prefix.
-    #[inline]
-    pub fn is_default(&self) -> bool {
-        self.len == 0
-    }
-
     /// The network address as an [`Ipv6Addr`].
     #[inline]
     pub fn addr(&self) -> Ipv6Addr {

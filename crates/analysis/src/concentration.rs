@@ -1,6 +1,6 @@
 //! Scan-traffic concentration: top-k source packet shares (Fig. 3, Fig. 6).
 
-use crate::series::{Bucket, SeriesPoint};
+use crate::series::Bucket;
 use lumen6_addr::Ipv6Prefix;
 use lumen6_detect::event::ScanReport;
 use serde::{Deserialize, Serialize};
@@ -85,18 +85,6 @@ pub fn mean_topk_share(shares: &[BucketShare]) -> f64 {
         return 0.0;
     }
     active.iter().map(|s| s.topk_share).sum::<f64>() / active.len() as f64
-}
-
-/// Converts bucket shares into plain series points (for reporting).
-pub fn to_series(shares: &[BucketShare]) -> Vec<SeriesPoint> {
-    shares
-        .iter()
-        .map(|s| SeriesPoint {
-            bucket: s.bucket,
-            sources: 0,
-            packets: s.packets,
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 use lumen6_detect::event::ScanReport;
 use lumen6_detect::PortClass;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Fractions per port-count bucket.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -67,15 +67,6 @@ where
             packets: crate::stats::share(packets.get(&class).copied().unwrap_or(0), total_packets),
         })
         .collect()
-}
-
-/// Distinct sources per bucket (absolute counts, for Fig. 8-style reports).
-pub fn sources_per_bucket(report: &ScanReport) -> HashMap<PortClass, usize> {
-    let mut per: HashMap<PortClass, HashSet<lumen6_addr::Ipv6Prefix>> = HashMap::new();
-    for e in &report.events {
-        per.entry(e.port_class()).or_default().insert(e.source);
-    }
-    per.into_iter().map(|(k, v)| (k, v.len())).collect()
 }
 
 #[cfg(test)]

@@ -22,14 +22,14 @@ pub fn backoff(state: &Mutex<Vec<u64>>) -> usize {
     guard.len()
 }
 
-fn publish(path: &str, body: &[u8]) -> std::io::Result<()> {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, body)?;
-    std::fs::rename(&tmp, path)
+fn rotate(path: &str) -> std::io::Result<()> {
+    let prev = format!("{path}.prev");
+    std::fs::copy(path, &prev)?;
+    std::fs::remove_file(path)
 }
 
-pub fn snapshot(state: &Mutex<Vec<u64>>, path: &str) -> std::io::Result<()> {
+pub fn snapshot(state: &Mutex<Vec<u64>>, path: &str) -> std::io::Result<usize> {
     let guard = lock(state);
-    let body = format!("{}", guard.len());
-    publish(path, body.as_bytes()) // line 34: transitive blocking I/O
+    let held = guard.len();
+    rotate(path).map(|()| held) // line 34: transitive blocking I/O
 }

@@ -1,21 +1,27 @@
-//! L008 good fixture: the temp+rename publishing idiom, and one audited
-//! process-private scratch file.
+//! L008 good fixture (as the trace crate): the one publisher, a caller
+//! publishing through it, and one audited process-private scratch file.
 
-use std::io::Write;
+use std::io::{BufWriter, Write};
 
-pub fn publish(path: &str, body: &[u8]) -> std::io::Result<()> {
+pub fn write_atomic(
+    path: &str,
+    write: impl FnOnce(&mut BufWriter<std::fs::File>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
     let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, body)?;
-    std::fs::rename(&tmp, path)
+    let result = std::fs::File::create(&tmp).and_then(|file| {
+        let mut file = BufWriter::new(file);
+        write(&mut file)?;
+        file.flush()?;
+        std::fs::rename(&tmp, path)
+    });
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
 }
 
-pub fn publish_stream(path: &str, body: &[u8]) -> std::io::Result<()> {
-    let tmp = format!("{path}.tmp");
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(body)?;
-    f.sync_all()?;
-    drop(f);
-    std::fs::rename(&tmp, path)
+pub fn publish(path: &str, body: &[u8]) -> std::io::Result<()> {
+    write_atomic(path, |file| file.write_all(body))
 }
 
 pub fn scratch(dir: &std::path::Path, body: &[u8]) -> std::io::Result<()> {

@@ -12,7 +12,7 @@
 //! | L005 | metric-name literals must satisfy the `lumen6-obs` scheme |
 //! | L006 | no lock guard held across a blocking boundary in daemon crates |
 //! | L007 | no truncating `as` cast on provably-wider address/counter operands |
-//! | L008 | spool/checkpoint writes must use the temp+rename publish idiom |
+//! | L008 | every file is published through `lumen6_trace::write_atomic` |
 //! | L009 | no unbounded growth primitives in daemon-resident loops |
 //!
 //! L006–L009 run on a scope tree built over the token stream (see
@@ -82,7 +82,7 @@ pub const KNOWN_LINTS: &[LintInfo] = &[
     },
     LintInfo {
         id: "L008",
-        summary: "File::create/fs::write must live in a temp+rename publishing function",
+        summary: "File::create/fs::write only in the one publisher, lumen6_trace::write_atomic",
     },
     LintInfo {
         id: "L009",
@@ -107,12 +107,6 @@ pub struct Finding {
     pub suppressed: bool,
     /// The allow directive's reason, when suppressed.
     pub reason: Option<String>,
-}
-
-/// Interns the `&'static str` lint ID for findings constructed from a
-/// parsed directive ID.
-pub fn lint_id(id: &str) -> Option<&'static str> {
-    KNOWN_LINTS.iter().map(|l| l.id).find(|k| *k == id)
 }
 
 /// Analysis options.

@@ -417,13 +417,6 @@ impl ScopeTree {
         }
     }
 
-    /// Is guard binding `b` live at code index `i` (declared before,
-    /// same scope, not yet dropped)?
-    pub fn live_at(&self, b: &Binding, i: usize) -> bool {
-        let s = &self.scopes[b.scope];
-        b.decl < i && i < s.close && b.drop_at.is_none_or(|d| i < d)
-    }
-
     /// Bit width of the expression spanning code indices `[lo, hi)`, or
     /// `None` when it cannot be proven. For `x >> K` and `x & MASK`
     /// forms the result is the number of bits the *value* can occupy,

@@ -5,7 +5,8 @@
 //! (deadlock / tail-latency collapse under multi-tenant load), a
 //! silently truncating cast on 128-bit address state (wrong /64
 //! attribution, not a crash), a torn spool write observed by a reader
-//! mid-`File::create`, and per-tenant state that only ever grows.
+//! mid-`File::create` or a partial file a failed write left behind, and
+//! per-tenant state that only ever grows.
 
 use crate::ctx::FileCtx;
 use crate::lints::finding;
@@ -23,9 +24,14 @@ pub const LOCK_DISCIPLINE_CRATES: &[&str] = &["serve", "obs", "detect"];
 /// codec, the generator's repeat schedule and the CLI's counts.
 pub const CAST_DISCIPLINE_CRATES: &[&str] = &["detect", "serve", "trace", "scanners", "cli"];
 
-/// Crates publishing spool/checkpoint files that concurrent readers poll
+/// Crates publishing files that concurrent readers poll — traces,
+/// checkpoints, spool documents, metrics, CSVs (L008).
+pub const ATOMIC_WRITE_CRATES: &[&str] = &["serve", "detect", "cli", "trace", "experiments"];
+
+/// The one function (crate, name) of [`ATOMIC_WRITE_CRATES`] that may
+/// create a file: every file the product writes becomes visible through it
 /// (L008).
-pub const ATOMIC_WRITE_CRATES: &[&str] = &["serve", "detect", "cli"];
+pub const PUBLISHER: (&str, &str) = ("trace", "write_atomic");
 
 /// Crates whose loops are daemon-resident: unbounded growth there is a
 /// slow OOM over a soak run (L009).
@@ -240,13 +246,15 @@ pub fn l007(ctx: &FileCtx, tree: &ScopeTree, out: &mut Vec<Finding>) {
     }
 }
 
-/// L008: `File::create` / `fs::write` in a publishing crate must live in
-/// a function that also renames (the write-temp-then-rename idiom);
-/// anything else can expose a torn file to a concurrent reader.
+/// L008: in a publishing crate, `File::create` / `fs::write` may appear
+/// only in the one publisher, [`PUBLISHER`]. Anywhere else a concurrent
+/// reader can observe a torn file, or a failed write can leave a partial
+/// file behind — a second temp+rename writer included.
 pub fn l008(ctx: &FileCtx, tree: &ScopeTree, out: &mut Vec<Finding>) {
     if !in_crate(ctx, ATOMIC_WRITE_CRATES) || ctx.is_test_file {
         return;
     }
+    let (home, publisher) = PUBLISHER;
     for i in 3..ctx.code.len() {
         let t = ctx.ct(i);
         if t.kind != TokenKind::Ident || ctx.in_test(t.span.line) {
@@ -263,20 +271,21 @@ pub fn l008(ctx: &FileCtx, tree: &ScopeTree, out: &mut Vec<Finding>) {
         if !is_write {
             continue;
         }
-        let renames = tree.enclosing_fn(i).is_some_and(|f| {
-            let s = &tree.scopes[f];
-            (s.open + 1..s.close).any(|k| ctx.ct(k).is_ident("rename"))
-        });
-        if !renames {
+        let in_publisher = ctx.crate_name.as_deref() == Some(home)
+            && tree
+                .enclosing_fn(i)
+                .and_then(|f| tree.scopes[f].fn_name.as_deref())
+                == Some(publisher);
+        if !in_publisher {
             out.push(finding(
                 ctx,
                 "L008",
                 i,
                 format!(
-                    "{base}::{name} outside a temp+rename function: a \
-                     concurrent reader can observe a torn or empty file — \
-                     write to a temp path and fs::rename into place, or add \
-                     a reasoned allow",
+                    "{base}::{name} outside lumen6_{home}::{publisher}: a \
+                     concurrent reader can observe a torn or empty file, and \
+                     a failed write can leave a partial one — publish \
+                     through {publisher}, or add a reasoned allow",
                 ),
             ));
         }

@@ -56,7 +56,7 @@ fn good_fixtures_exit_zero() {
         ("l005_good.rs", "cli"),
         ("l006_good.rs", "serve"),
         ("l007_good.rs", "detect"),
-        ("l008_good.rs", "cli"),
+        ("l008_good.rs", "trace"),
         ("l009_good.rs", "detect"),
     ] {
         let out = bin()

@@ -184,14 +184,29 @@ fn l007_exempts_the_addr_crate() {
 }
 
 #[test]
-fn l008_bad_flags_direct_spool_writes() {
-    let out = analyze("l008_bad.rs", Some("cli"));
-    assert_eq!(hits(&out), vec![("L008", 5), ("L008", 9)]);
+fn l008_bad_flags_every_file_made_outside_the_publisher() {
+    // A direct write, and a second temp+rename writer (the shape a
+    // checkpoint writer of its own would take), in every crate L008 covers.
+    for krate in ["serve", "detect", "cli", "trace", "experiments"] {
+        let out = analyze("l008_bad.rs", Some(krate));
+        assert_eq!(
+            hits(&out),
+            vec![("L008", 6), ("L008", 10), ("L008", 16)],
+            "{krate}"
+        );
+    }
 }
 
 #[test]
-fn l008_good_accepts_temp_plus_rename() {
-    assert_clean_with_one_audited(&analyze("l008_good.rs", Some("cli")));
+fn l008_good_accepts_the_one_publisher() {
+    assert_clean_with_one_audited(&analyze("l008_good.rs", Some("trace")));
+}
+
+#[test]
+fn l008_publisher_lives_in_trace_only() {
+    // The same function under another crate's name is a second publisher.
+    let out = analyze("l008_good.rs", Some("cli"));
+    assert_eq!(hits(&out), vec![("L008", 11)]);
 }
 
 #[test]

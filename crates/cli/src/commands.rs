@@ -15,7 +15,7 @@
 
 use crate::{Args, CliError};
 use lumen6_detect::adaptive::{AdaptiveConfig, AdaptiveIds};
-use lumen6_detect::day::{DayBuffer, Prefiltered};
+use lumen6_detect::day::Prefiltered;
 use lumen6_detect::{
     AggLevel, ArtifactFilter, DetectorBuilder, FilterReport, MawiConfig as FhConfig, MawiDetector,
     ScanDetectorConfig, ScanReport, Session, SessionOutcome, SessionReport,
@@ -23,10 +23,10 @@ use lumen6_detect::{
 use lumen6_mawi::MawiConfig;
 use lumen6_report::{duration_human, pkt_count, Table};
 use lumen6_scanners::{FleetSource, Vantage, World};
-use lumen6_serve::{write_atomic, Daemon, RunConfig, ServeConfig, ServeError};
+use lumen6_serve::{Daemon, RunConfig, ServeConfig, ServeError};
 use lumen6_trace::{
-    FileStreamSource, MaterializedSource, PacketRecord, RecordBatch, Source, StreamingTraceReader,
-    TraceWriter,
+    write_atomic, CodecError, FileStreamSource, MaterializedSource, PacketRecord, RecordBatch,
+    Source, StreamingTraceReader, TraceWriter,
 };
 use std::fs::File;
 use std::io::BufReader;
@@ -585,20 +585,17 @@ fn mawi_detect<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliErr
         min_dsts: run.min_dsts,
         ..Default::default()
     });
-    let (mut all, mut days) = (Vec::new(), DayBuffer::default());
-    let mut detect_day = |day, window: &RecordBatch| {
+    // As `open_trace` reports them: a file that cannot be opened is an I/O
+    // error, a bad stream a trace error.
+    let mut src = FileStreamSource::open(Path::new(trace_path(&run)?)).map_err(|e| match e {
+        CodecError::Io(e) => CliError::Io(e),
+        e => CliError::Codec(e),
+    })?;
+    let mut all = Vec::new();
+    lumen6_mawi::each_window(&mut src, |day, window| {
         let rows = (0..window.rows()).map(|i| (window.get(i), window.count(i)));
         all.extend(det.detect_counted(rows).into_iter().map(|s| (day, s)));
-    };
-    read_rows(&run, |rows| {
-        for (r, n) in rows {
-            let (start, end) = lumen6_mawi::capture_window(r.ts_ms / lumen6_trace::DAY_MS);
-            if (start..end).contains(&r.ts_ms) {
-                days.push(r, n, &mut detect_day);
-            }
-        }
     })?;
-    days.finish(&mut detect_day);
     if args.has("json") {
         let json = serde_json::to_string_pretty(&all)
             .map_err(|e| CliError::Internal(format!("serialize scans: {e}")))?;

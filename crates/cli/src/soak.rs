@@ -28,7 +28,8 @@
 //! dashboard tailing the file never sees a torn write.
 
 use crate::{Args, CliError};
-use lumen6_serve::{write_atomic, RunConfig};
+use lumen6_serve::RunConfig;
+use lumen6_trace::write_atomic;
 use serde::Serialize;
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};

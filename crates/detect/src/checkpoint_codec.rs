@@ -627,6 +627,56 @@ mod tests {
         }
     }
 
+    /// Takes `left` bytes, then fails every write: a disk that fills up
+    /// partway through a file.
+    struct FailAfter {
+        taken: Vec<u8>,
+        left: usize,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.left == 0 {
+                return Err(io::Error::from(io::ErrorKind::StorageFull));
+            }
+            let n = buf.len().min(self.left);
+            self.taken.extend_from_slice(&buf[..n]);
+            self.left -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    proptest! {
+        /// A writer failing after any number of bytes — in the frame's
+        /// placeholder header or anywhere in the body — fails the write with
+        /// its own error, never a panic, having taken exactly what it took.
+        #[test]
+        fn a_writer_failing_mid_frame_fails_with_its_error(ck in arb_checkpoint()) {
+            let header = format!("L6CK v2 {:016x} {:020}\n", 0, 0);
+            let mut frame = header.clone().into_bytes();
+            frame.extend(encoded(&ck));
+            let step = frame.len() / 256 + 1;
+            let cuts = (0..header.len() + 2).chain((header.len()..frame.len()).step_by(step));
+            for left in cuts.chain([frame.len() - 1]) {
+                let mut w = FailAfter { taken: Vec::new(), left };
+                let result = w
+                    .write_all(header.as_bytes())
+                    .and_then(|()| encode(&ck, &mut w));
+                let err = result.expect_err("a write past the fault succeeded");
+                prop_assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+                prop_assert_eq!(&w.taken[..], &frame[..left]);
+            }
+            let mut w = FailAfter { taken: Vec::new(), left: frame.len() };
+            w.write_all(header.as_bytes()).unwrap();
+            encode(&ck, &mut w).unwrap();
+            prop_assert_eq!(w.taken, frame);
+        }
+    }
+
     fn on<'a, T>(
         bytes: &'a [u8],
         read: impl FnOnce(&mut Decoder<'a>) -> Result<T, String>,

@@ -48,14 +48,15 @@ use crate::parallel::ThreadedDetector;
 use crate::snapshot::{DetectorSnapshot, LevelState, SnapshotError};
 use lumen6_obs::{Counter, Histogram, MetricsRegistry, StageTimer};
 use lumen6_trace::{
-    CodecError, FileStreamSource, FillOutcome, PacketRecord, RecordBatch, Source, TracePosition,
+    write_atomic, CodecError, FileStreamSource, FillOutcome, PacketRecord, RecordBatch, Source,
+    TracePosition,
 };
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
-use std::fs::{self, File};
-use std::io::{self, BufWriter, Seek, SeekFrom, Write};
+use std::fs;
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 // ---------------------------------------------------------------------------
@@ -441,13 +442,6 @@ fn frame_header(sum: u64, len: u64) -> String {
     format!("{CHECKPOINT_MAGIC} {FRAME_V2} {sum:016x} {len:020}\n")
 }
 
-/// `path` with `suffix` appended (extension kept, not replaced).
-fn sibling(path: &Path, suffix: &str) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(suffix);
-    PathBuf::from(os)
-}
-
 /// The complete durable state of a [`Session`] at one stream position:
 /// resuming from a checkpoint reproduces the uninterrupted run byte for
 /// byte.
@@ -470,48 +464,49 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Writes the checkpoint atomically as `L6CK v2 <fnv1a64> <len>\n` and
-    /// the binary body: the body streams into `<path>.tmp` (suffix appended,
-    /// like [`prev_path`](Self::prev_path)) behind a placeholder header,
-    /// checksummed and counted as it passes; the header is then patched, the
-    /// file fsynced and renamed over `path`. A crash mid-write leaves the
-    /// previous checkpoint intact. Before the rename, any existing checkpoint
-    /// is *copied* (not renamed — a crash between the two operations must
-    /// leave `path` valid) to `prev_path`, so one generation survives even a
-    /// corruption of the main file that slips past the atomic rename (torn
-    /// disk writes); [`load_newest`](Self::load_newest) falls back to it.
+    /// Writes the checkpoint as `L6CK v2 <fnv1a64> <len>\n` and the binary
+    /// body, published by [`write_atomic`]: the body streams behind a
+    /// placeholder header, checksummed and counted as it passes; the header
+    /// is then patched and the file fsynced. A failed save leaves `path`,
+    /// its `.prev` and no temp file behind — the previous checkpoint stays
+    /// intact. Before the rename, any existing checkpoint is *copied* (not
+    /// renamed — a crash between the two operations must leave `path` valid)
+    /// to `prev_path`, so one generation survives even a corruption of the
+    /// main file that slips past the atomic rename (torn disk writes);
+    /// [`load_newest`](Self::load_newest) falls back to it.
     pub fn save(&self, path: &Path) -> Result<(), SessionError> {
         self.save_sized(path).map(|_| ())
     }
 
     fn save_sized(&self, path: &Path) -> Result<u64, SessionError> {
-        let tmp = sibling(path, ".tmp");
-        let placeholder = frame_header(0, 0);
-        let mut file = File::create(&tmp)?;
-        file.write_all(placeholder.as_bytes())?;
-        let mut body = BodyWriter {
-            inner: BufWriter::new(file),
-            sum: FNV_OFFSET,
-            len: 0,
-        };
-        checkpoint_codec::encode(self, &mut body)?;
-        let BodyWriter { inner, sum, len } = body;
-        let mut file = inner.into_inner().map_err(io::IntoInnerError::into_error)?;
-        file.seek(SeekFrom::Start(0))?;
-        file.write_all(frame_header(sum, len).as_bytes())?;
-        file.sync_all()?;
-        drop(file);
-        if path.exists() {
-            fs::copy(path, Self::prev_path(path))?;
-        }
-        fs::rename(&tmp, path)?;
-        Ok(placeholder.len() as u64 + len)
+        write_atomic(path, |file| {
+            let placeholder = frame_header(0, 0);
+            file.write_all(placeholder.as_bytes())?;
+            let mut body = BodyWriter {
+                inner: &mut *file,
+                sum: FNV_OFFSET,
+                len: 0,
+            };
+            checkpoint_codec::encode(self, &mut body)?;
+            let BodyWriter { sum, len, .. } = body;
+            file.flush()?;
+            let file = file.get_mut();
+            file.seek(SeekFrom::Start(0))?;
+            file.write_all(frame_header(sum, len).as_bytes())?;
+            file.sync_all()?;
+            if path.exists() {
+                fs::copy(path, Self::prev_path(path))?;
+            }
+            Ok(placeholder.len() as u64 + len)
+        })
     }
 
     /// Where [`save`](Self::save) keeps the previous checkpoint
     /// generation: `<path>.prev` (extension appended, not replaced).
     pub fn prev_path(path: &Path) -> PathBuf {
-        sibling(path, ".prev")
+        let mut prev = path.as_os_str().to_os_string();
+        prev.push(".prev");
+        PathBuf::from(prev)
     }
 
     /// Loads the newest *valid* checkpoint at `path`: the main file when
@@ -977,11 +972,6 @@ impl Session {
     /// checkpoint-resumed history afterwards).
     pub fn records_done(&self) -> u64 {
         self.state.as_ref().map_or(0, |st| st.records_done)
-    }
-
-    /// Whether the session delivered its final report.
-    pub fn is_finished(&self) -> bool {
-        self.finished
     }
 
     /// What each level held at the last checkpoint — or, finished, at the

@@ -9,7 +9,7 @@ use lumen6_trace::{CodecError, PacketRecord, RecordBatch, TracePosition, TraceWr
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 mod oracle;
 
@@ -77,7 +77,7 @@ fn workload() -> Vec<PacketRecord> {
     recs
 }
 
-fn write_trace(path: &std::path::Path, recs: &[PacketRecord]) {
+fn write_trace(path: &Path, recs: &[PacketRecord]) {
     let mut w = TraceWriter::new(BufWriter::new(File::create(path).unwrap())).unwrap();
     for r in recs {
         w.append(r).unwrap();
@@ -1203,6 +1203,132 @@ fn load_newest_prefers_main_and_falls_back_to_prev() {
         Checkpoint::load_newest(&path),
         Err(SessionError::Corrupt(_))
     ));
+}
+
+// ---------------------------------------------------------------------------
+// A save that cannot publish
+// ---------------------------------------------------------------------------
+
+/// What stands at a path: nothing, a directory, or a file's bytes.
+#[derive(Debug, PartialEq)]
+enum Entry {
+    Missing,
+    Dir,
+    File(Vec<u8>),
+}
+
+fn entry(path: &Path) -> Entry {
+    match std::fs::symlink_metadata(path) {
+        Err(_) => Entry::Missing,
+        Ok(m) if m.is_dir() => Entry::Dir,
+        Ok(_) => Entry::File(std::fs::read(path).unwrap()),
+    }
+}
+
+/// Steps a session checkpointing every 100 records until `before` saves
+/// have landed, lets `obstruct` put something in the next save's way (and
+/// name it), and steps on. That save must end the session with a typed
+/// `Io` error, leave the checkpoint and its `.prev` exactly as they were
+/// and no `*.tmp` behind; with the obstacle gone, a session resumed from
+/// what is left must finish with the uninterrupted report.
+fn failed_save_leaves_what_was_there(
+    tag: &str,
+    before: u64,
+    obstruct: impl FnOnce(&Path) -> PathBuf,
+) {
+    let dir = TempDir::new(tag);
+    let trace = dir.path("t.l6tr");
+    write_trace(&trace, &workload());
+    let every = 100;
+    let config = |path: PathBuf| SessionConfig {
+        checkpoint: Some(CheckpointPolicy {
+            path,
+            every_records: every,
+            stop_after: None,
+        }),
+        ..Default::default()
+    };
+    let builder = DetectorBuilder::new(base_config());
+    let run = |path: PathBuf| {
+        let session = Session::new(builder.clone(), Backend::Sequential, config(path));
+        match session.run(&trace).unwrap() {
+            SessionOutcome::Finished(rep) => session_report_json(&rep),
+            SessionOutcome::Stopped { .. } => panic!("unexpected Stopped without stop_after"),
+        }
+    };
+    let expect = run(dir.path("ref.l6ck"));
+
+    let path = dir.path("state.l6ck");
+    let prev = Checkpoint::prev_path(&path);
+    let mut session = Session::new(builder.clone(), Backend::Sequential, config(path.clone()));
+    let mut src = FileStreamSource::open(&trace).unwrap();
+    while session.records_done() < before * every {
+        assert!(matches!(session.step(&mut src), Ok(Step::Ingested(_))));
+    }
+    let obstacle = obstruct(&path);
+    let (kept, kept_prev) = (entry(&path), entry(&prev));
+    let err = loop {
+        match session.step(&mut src) {
+            Ok(Step::Ingested(_)) => {}
+            Ok(other) => panic!("save {} did not fail: {other:?}", before + 1),
+            Err(e) => break e,
+        }
+    };
+    assert!(matches!(err, SessionError::Io(_)), "{err:?}");
+    assert_eq!(entry(&path), kept, "the checkpoint changed");
+    assert_eq!(entry(&prev), kept_prev, "the previous generation changed");
+    let left: Vec<_> = std::fs::read_dir(&dir.0)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.ends_with(".tmp"))
+        .collect();
+    assert!(left.is_empty(), "a failed save left {left:?}");
+
+    // The obstacle, where the failed save did not take it away itself.
+    match std::fs::symlink_metadata(&obstacle) {
+        Ok(m) if m.is_dir() => std::fs::remove_dir(&obstacle).unwrap(),
+        Ok(_) => std::fs::remove_file(&obstacle).unwrap(),
+        Err(_) => {}
+    }
+    assert_eq!(run(path), expect, "resumed from what the failed save left");
+}
+
+/// A directory at `<path>.prev`: the copy of the previous generation fails.
+#[test]
+fn a_save_whose_prev_copy_fails_leaves_no_temp_file() {
+    failed_save_leaves_what_was_there("ck-fail-prev", 1, |path| {
+        let prev = Checkpoint::prev_path(path);
+        std::fs::create_dir(&prev).unwrap();
+        prev
+    });
+}
+
+/// A directory at `path` itself: neither the copy nor the rename can land.
+#[test]
+fn a_save_over_a_directory_leaves_no_temp_file() {
+    failed_save_leaves_what_was_there("ck-fail-dir", 2, |path| {
+        std::fs::remove_file(path).unwrap();
+        std::fs::create_dir(path).unwrap();
+        path.to_path_buf()
+    });
+}
+
+/// `<path>.tmp` a symlink to `/dev/full`: `File::create` follows it, so the
+/// body's writes fail with ENOSPC, as on a full disk.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_save_onto_a_full_disk_leaves_no_temp_file() {
+    let full = Path::new("/dev/full");
+    if !full.exists() {
+        eprintln!("skipped: no /dev/full");
+        return;
+    }
+    failed_save_leaves_what_was_there("ck-fail-full", 2, |path| {
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        std::os::unix::fs::symlink(full, &tmp).unwrap();
+        PathBuf::from(tmp)
+    });
 }
 
 // ---------------------------------------------------------------------------

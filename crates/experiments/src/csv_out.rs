@@ -7,8 +7,7 @@ use lumen6_addr::HammingDistribution;
 use lumen6_analysis::{concentration, heatmap, portbuckets, series};
 use lumen6_detect::AggLevel;
 use lumen6_report::to_csv;
-use lumen6_serve::write_atomic;
-use lumen6_trace::SimTime;
+use lumen6_trace::{write_atomic, SimTime};
 use std::io::{self, Write as _};
 use std::path::Path;
 

@@ -243,11 +243,6 @@ impl InternetRegistry {
         self.rib.longest_match(addr).map(|(_, asn)| *asn)
     }
 
-    /// The most specific announced prefix covering the address.
-    pub fn covering_prefix(&self, addr: u128) -> Option<(Ipv6Prefix, u32)> {
-        self.rib.longest_match(addr).map(|(p, asn)| (p, *asn))
-    }
-
     /// AS metadata.
     pub fn as_info(&self, asn: u32) -> Option<&AsInfo> {
         self.ases.get(&asn)

@@ -14,14 +14,16 @@
 //! <spool>/
 //!   shutdown              # graceful-stop trigger (configurable path)
 //!   <tenant>/
-//!     checkpoint.l6ck     # + .prev + .tmp, via the session's own policy
+//!     checkpoint.l6ck     # + .prev, the generation before it
 //!     report.json         # newest SessionReport (periodic, then final)
 //!     metrics.json        # newest per-tenant MetricsSnapshot
 //!     status.json         # name, state, slices, records, resumed, error
 //! ```
 //!
-//! All three JSON files are written atomically (tmp + rename), so a reader
-//! — or a crash — never observes a torn document.
+//! Every file here is published by [`lumen6_trace::write_atomic`]: written
+//! to `<file>.tmp` and renamed into place, the `.tmp` removed if anything
+//! fails — so a reader, or a crash, never observes a torn document, and a
+//! failed write leaves no partial file behind.
 //!
 //! # Crash recovery
 //!
@@ -45,12 +47,10 @@
 use crate::config::{RunConfig, ServeConfig};
 use lumen6_detect::{Session, SessionError, SessionReport, Step};
 use lumen6_obs::MetricsRegistry;
-use lumen6_trace::{CodecError, Source};
+use lumen6_trace::{write_atomic, CodecError, Source};
 use serde::Serialize;
 use std::collections::VecDeque;
 use std::fmt;
-use std::fs::File;
-use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -236,31 +236,6 @@ impl Ended {
 /// panicking worker.
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Publishes `path` atomically: `write` fills a buffered sibling file,
-/// `<path>.tmp`, which is flushed and renamed over `path` once it returns
-/// `Ok` — a reader of `path` sees the previous content or the new, never a
-/// part of either. On any failure (create, `write`'s own, flush, rename) the
-/// tmp file is removed and `path` keeps what it held. `write` is also the
-/// fault-injection point: a test wraps the writer it is handed.
-pub fn write_atomic<T, E: From<std::io::Error>>(
-    path: &Path,
-    write: impl FnOnce(&mut BufWriter<File>) -> Result<T, E>,
-) -> Result<T, E> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let result = File::create(&tmp).map_err(E::from).and_then(|file| {
-        let mut file = BufWriter::new(file);
-        let done = write(&mut file)?;
-        file.flush()?;
-        std::fs::rename(&tmp, path)?;
-        Ok(done)
-    });
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
 }
 
 /// Publishes `value` as pretty JSON; returns the bytes written.
@@ -590,8 +565,10 @@ fn worker(shared: &Shared, steps: u32, publish_every: u64) {
 mod tests {
     use super::*;
     use crate::config::{RunConfig, TenantSpec};
-    use lumen6_detect::SessionOutcome;
+    use lumen6_detect::{Checkpoint, SessionOutcome};
     use lumen6_trace::TraceWriter;
+    use std::fs::File;
+    use std::io::{BufWriter, Write};
 
     struct TempDir(PathBuf);
     impl TempDir {
@@ -779,6 +756,87 @@ mod tests {
         assert!(error.starts_with("publish: "), "{t:?}");
         assert_eq!(std::fs::read(dir.join("report.json")).unwrap(), b"previous");
         assert!(dir.join("status.json").exists() && dir.join("metrics.json").exists());
+    }
+
+    fn tenant(name: &str) -> TenantSpec {
+        TenantSpec {
+            name: name.into(),
+            run: fused_run(1),
+        }
+    }
+
+    /// A torn checkpoint with no good generation behind it — the main file
+    /// torn and no `.prev`, or both torn — fails that tenant alone, naming
+    /// the corruption; a torn main file over a good `.prev` resumes from it.
+    #[test]
+    fn torn_checkpoints_fail_their_tenant_only() {
+        let tmp = TempDir::new("torn");
+        let spool = tmp.path("spool");
+        let seeded = Daemon::new(manifest(&spool, vec![tenant("seed")])).unwrap();
+        assert!(!seeded.run().unwrap().any_failed());
+        let seed = spool.join("seed/checkpoint.l6ck");
+        let (main, prev) = (
+            std::fs::read(&seed).unwrap(),
+            std::fs::read(Checkpoint::prev_path(&seed)).unwrap(),
+        );
+        let lay = |name: &str, main: &[u8], prev: Option<&[u8]>| {
+            let path = spool.join(name).join("checkpoint.l6ck");
+            std::fs::create_dir_all(spool.join(name)).unwrap();
+            std::fs::write(&path, main).unwrap();
+            if let Some(prev) = prev {
+                std::fs::write(Checkpoint::prev_path(&path), prev).unwrap();
+            }
+        };
+        let (torn_main, torn_prev) = (&main[..main.len() / 2], &prev[..prev.len() / 2]);
+        lay("main", torn_main, None);
+        lay("both", torn_main, Some(torn_prev));
+        lay("fallback", torn_main, Some(&prev));
+        let names = ["ok", "main", "both", "fallback"];
+        let cfg = manifest(&spool, names.iter().map(|n| tenant(n)).collect());
+        let summary = Daemon::new(cfg).unwrap().run().unwrap();
+        let by_name = |n: &str| summary.tenants.iter().find(|t| t.name == n).unwrap();
+        for name in ["main", "both"] {
+            let t = by_name(name);
+            assert_eq!(t.state, "failed", "{t:?}");
+            let error = t.error.as_deref().unwrap_or_default();
+            assert!(error.starts_with("corrupt checkpoint"), "{t:?}");
+        }
+        assert_eq!(by_name("ok").state, "finished");
+        assert!(!by_name("ok").resumed);
+        assert_eq!(by_name("fallback").state, "finished");
+        assert!(by_name("fallback").resumed);
+    }
+
+    /// A tenant whose checkpoints cannot be saved (a directory where the
+    /// previous generation goes) fails alone, and its spool holds no temp
+    /// file; the other tenant finishes.
+    #[test]
+    fn tenant_whose_saves_fail_is_isolated() {
+        let tmp = TempDir::new("unsavable");
+        let spool = tmp.path("spool");
+        let dir = spool.join("stuck");
+        std::fs::create_dir_all(dir.join("checkpoint.l6ck.prev")).unwrap();
+        let cfg = manifest(&spool, vec![tenant("ok"), tenant("stuck")]);
+        let summary = Daemon::new(cfg).unwrap().run().unwrap();
+        let by_name = |n: &str| summary.tenants.iter().find(|t| t.name == n).unwrap();
+        assert_eq!(by_name("ok").state, "finished");
+        let stuck = by_name("stuck");
+        assert_eq!(stuck.state, "failed", "{stuck:?}");
+        assert!(
+            stuck
+                .error
+                .as_deref()
+                .unwrap_or_default()
+                .starts_with("session io error"),
+            "{stuck:?}"
+        );
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n.ends_with(".tmp"))
+            .collect();
+        assert!(left.is_empty(), "the failed tenant left {left:?}");
+        assert!(dir.join("status.json").exists());
     }
 
     fn write_trace(path: &Path, records: &[lumen6_trace::PacketRecord]) {

@@ -30,4 +30,4 @@ pub mod daemon;
 pub mod toml;
 
 pub use config::{Flags, Key, RunConfig, ServeConfig, TenantSpec};
-pub use daemon::{write_atomic, Daemon, DaemonSummary, ServeError, TenantState, TenantStatus};
+pub use daemon::{Daemon, DaemonSummary, ServeError, TenantState, TenantStatus};

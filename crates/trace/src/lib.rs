@@ -16,6 +16,7 @@ pub mod batch;
 pub mod codec;
 pub mod flow;
 pub mod pcap;
+pub mod publish;
 pub mod record;
 pub mod source;
 pub mod time;
@@ -23,6 +24,7 @@ pub mod time;
 pub use batch::RecordBatch;
 pub use codec::{CodecError, StreamingTraceReader, TracePosition, TraceWriter};
 pub use flow::{FlowStream, FlowStreamBuilder, RowIndex};
+pub use publish::write_atomic;
 pub use record::{PacketRecord, Transport};
 pub use source::{FileStreamSource, FillOutcome, MaterializedSource, Source, TailSource};
 pub use time::{SimTime, DAY_MS, HOUR_MS, MINUTE_MS, WEEK_MS};

@@ -117,12 +117,6 @@ impl PacketRecord {
         Ipv6Prefix::new(self.src, len)
     }
 
-    /// The destination address aggregated to the given prefix length.
-    #[inline]
-    pub fn dst_prefix(&self, len: u8) -> Ipv6Prefix {
-        Ipv6Prefix::new(self.dst, len)
-    }
-
     /// A (protocol, destination port) key, the paper's notion of a targeted
     /// service ("TCP/22").
     #[inline]
