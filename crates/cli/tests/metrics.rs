@@ -235,44 +235,54 @@ fn detector_memory_is_published_per_level() {
 
 /// Where the generator's memory is: the shared target pools, the fixed
 /// streams, and the process's peak. One copy of each pool keeps the
-/// default fleet's pools far below a mebibyte, whatever its actor count.
+/// default fleet's pools far below a mebibyte, whatever its actor count;
+/// the fixed streams are generated a day at a time, so their buffers are
+/// one day's, whatever the horizon.
 #[test]
 fn generator_memory_is_published() {
     let dir = std::env::temp_dir().join(format!("lumen6-metrics-gen-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let metrics = dir.join("m.json");
-    stdout_of(&lumen6(&[
-        "detect",
-        "--fused",
-        "--days",
-        "2",
-        "--sequential",
-        "--metrics-out",
-        metrics.to_str().unwrap(),
-    ]));
-    let snap: MetricsSnapshot =
-        serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
-    assert!(lumen6_obs::validate(&snap).is_empty());
-    let gauge = |name: &str| {
+    let snapshot = |args: &[&str]| {
+        let metrics = dir.join("m.json");
+        let mut args = [&["detect", "--fused", "--sequential"], args].concat();
+        args.extend(["--metrics-out", metrics.to_str().unwrap()]);
+        stdout_of(&lumen6(&args));
+        let snap: MetricsSnapshot =
+            serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        assert!(lumen6_obs::validate(&snap).is_empty());
+        snap
+    };
+    let gauge = |snap: &MetricsSnapshot, name: &str| {
         *snap
             .gauges
             .get(name)
             .unwrap_or_else(|| panic!("{name} missing"))
     };
-    let pools = gauge("scanners.world.target_pool_bytes");
+    let snap = snapshot(&["--days", "2"]);
+    let pools = gauge(&snap, "scanners.world.target_pool_bytes");
     assert!((1..1 << 20).contains(&pools), "{pools} pool bytes");
-    // The fixed streams are held as 16-byte rows over a flow table, not as
-    // 48-byte records: at 1x every held record is delivered once.
-    let fixed = gauge("scanners.fleet.fixed_stream_bytes");
-    let held: u64 = ["artifacts", "noise"]
-        .iter()
-        .map(|name| snap.counters[&format!("scanners.fleet.packets_emitted.{name}")])
-        .sum();
+    assert!(gauge(&snap, "cli.process.peak_rss_kib") > 0);
+    // The fixed streams' day buffers at 4 and at 40 days differ by less
+    // than one day's rows: a row costs at most 108 bytes across them (a
+    // 16-byte row, a 32-byte flow, 60 bytes of run), so 128 bytes a row
+    // bounds a day of the mean day's rows.
+    let [(short, rows), (long, horizon_rows)] = [4, 40].map(|days| {
+        let snap = snapshot(&["--small", "--days", &days.to_string()]);
+        let rows: u64 = ["artifacts", "noise"]
+            .iter()
+            .map(|name| snap.counters[&format!("scanners.fleet.packets_emitted.{name}")])
+            .sum();
+        (gauge(&snap, "scanners.fleet.fixed_stream_bytes"), rows)
+    });
+    let day = 128 * rows as i64 / 4;
     assert!(
-        held > 0 && (1..=20 * held as i64).contains(&fixed),
-        "{fixed} fixed-stream bytes for {held} records"
+        short > 0 && short.abs_diff(long) <= day as u64,
+        "fixed-stream bytes {short} at 4 days, {long} at 40: more than a day ({day} B) apart"
     );
-    assert!(gauge("cli.process.peak_rss_kib") > 0);
+    assert!(
+        long < 16 * horizon_rows as i64 / 4,
+        "{long} fixed-stream bytes hold a quarter of the horizon's {horizon_rows} rows"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -7,38 +7,61 @@
 
 use crate::capture_window;
 use lumen6_addr::{gen, Ipv6Prefix};
-use lumen6_trace::{FlowStream, FlowStreamBuilder, Transport};
+use lumen6_trace::{DayRows, DayStepper, Transport};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
-/// Generates background flows inside each day's capture window, in stable
-/// time order: a flow per (remote, local) pair, its packets as rows.
+/// Background flows inside each day's capture window, a day at a time in
+/// stable time order: a flow per (remote, local) pair, its packets as rows.
 ///
 /// `flows_per_day` flows each exchange 5–40 packets of varying length
 /// between a remote host and a downstream host. A few "busy servers" also
 /// appear, touching >100 destinations — with high length entropy, so the
 /// detector must still reject them.
-pub fn generate(
-    downstream: &[Ipv6Prefix],
+#[derive(Debug, Clone)]
+pub struct Background {
+    downstream: Vec<Ipv6Prefix>,
     flows_per_day: usize,
-    start_day: u64,
-    end_day: u64,
-    seed: u64,
-) -> FlowStream {
-    assert!(!downstream.is_empty(), "need downstream prefixes");
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xbac0);
-    let mut out = FlowStreamBuilder::default();
-    for day in start_day..end_day {
+    days: Range<u64>,
+    rng: SmallRng,
+}
+
+impl Background {
+    /// The stream's recipe: it has drawn nothing yet.
+    pub fn new(
+        downstream: Vec<Ipv6Prefix>,
+        flows_per_day: usize,
+        start_day: u64,
+        end_day: u64,
+        seed: u64,
+    ) -> Background {
+        assert!(!downstream.is_empty(), "need downstream prefixes");
+        Background {
+            downstream,
+            flows_per_day,
+            days: start_day..end_day,
+            rng: SmallRng::seed_from_u64(seed ^ 0xbac0),
+        }
+    }
+}
+
+impl DayStepper for Background {
+    fn step(&mut self, out: &mut DayRows) -> bool {
+        let Some(day) = self.days.next() else {
+            return false;
+        };
+        let (downstream, rng) = (&self.downstream, &mut self.rng);
         // Every record is clamped into the day's capture window, so the
-        // builder's day-by-day sort is the whole stream's stable time sort.
+        // days in turn are the whole stream's stable time sort.
         out.open_day(day);
         let (ws, we) = capture_window(day);
         // Ordinary flows.
-        for _ in 0..flows_per_day {
+        for _ in 0..self.flows_per_day {
             let p = downstream[rng.gen_range(0..downstream.len())];
-            let local = gen::random_in_prefix(&mut rng, p);
+            let local = gen::random_in_prefix(rng, p);
             let remote_net: u64 = 0x2400_0000_0000_0000 | (rng.gen::<u64>() >> 8);
-            let remote = gen::random_iid(&mut rng, remote_net);
+            let remote = gen::random_iid(rng, remote_net);
             let flow = out.flow(remote, local);
             let dport = [443u16, 80, 53, 8443, 993][rng.gen_range(0usize..5)];
             let n = rng.gen_range(5..40u64);
@@ -63,11 +86,11 @@ pub fn generate(
         // only thing standing between it and a false positive.
         for fixed_port in [false, true] {
             let remote_net: u64 = 0x2400_0000_0000_0000 | (rng.gen::<u64>() >> 8);
-            let remote = gen::random_iid(&mut rng, remote_net);
+            let remote = gen::random_iid(rng, remote_net);
             let p = downstream[rng.gen_range(0..downstream.len())];
             let t0 = rng.gen_range(ws..we - 1);
             for k in 0..150u64 {
-                let local = gen::random_in_prefix(&mut rng, p);
+                let local = gen::random_in_prefix(rng, p);
                 let flow = out.flow(remote, local);
                 let ts = (t0 + k * rng.gen_range(5u64..500)).min(we - 1);
                 let dport = if fixed_port {
@@ -85,8 +108,8 @@ pub fn generate(
                 );
             }
         }
+        true
     }
-    out.finish()
 }
 
 #[cfg(test)]
@@ -94,7 +117,7 @@ mod tests {
     use super::*;
     use lumen6_detect::{AggLevel, MawiConfig, MawiDetector};
 
-    /// The generated stream, expanded.
+    /// The stream of `[start_day, end_day)`, every day expanded.
     fn generate(
         downstream: &[Ipv6Prefix],
         flows_per_day: usize,
@@ -102,9 +125,13 @@ mod tests {
         end_day: u64,
         seed: u64,
     ) -> Vec<lumen6_trace::PacketRecord> {
-        super::generate(downstream, flows_per_day, start_day, end_day, seed)
-            .iter()
-            .collect()
+        let downstream = downstream.to_vec();
+        let mut stepper = Background::new(downstream, flows_per_day, start_day, end_day, seed);
+        let (mut day, mut out) = (DayRows::default(), Vec::new());
+        while stepper.step(&mut day) {
+            out.extend(day.sorted().map(|(_, r)| r));
+        }
+        out
     }
 
     fn downstream() -> Vec<Ipv6Prefix> {

@@ -1,16 +1,18 @@
 //! Assembly of the MAWI-visible scanner population.
 
-use crate::{background, WINDOW_LEN_MS, WINDOW_START_MS};
+use crate::background::Background;
+use crate::{WINDOW_LEN_MS, WINDOW_START_MS};
 use lumen6_addr::Ipv6Prefix;
 use lumen6_scanners::{
     actor::{ScannerActor, Schedule},
     fleet::Fleet,
     FleetSource, IidMode, PortSampler, SourceSampler, TargetSampler, Vantage,
 };
-use lumen6_trace::{FlowStream, FlowStreamBuilder, PacketRecord, SimTime, Transport};
+use lumen6_trace::{DayRows, DayStepper, SimTime, Transport};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// MAWI simulation shape.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -305,8 +307,8 @@ impl MawiWorld {
     /// (timestamp, stream index) order over those streams.
     pub fn vantage(&self) -> Vantage {
         let c = &self.config;
-        let background = background::generate(
-            &c.downstream,
+        let background = Background::new(
+            c.downstream.clone(),
             c.background_flows_per_day,
             c.start_day,
             c.end_day,
@@ -317,8 +319,8 @@ impl MawiWorld {
             seed: c.seed,
             intensity: 1.0,
             fixed: vec![
-                ("background", background),
-                ("small_scanners", self.small_scanners()),
+                ("background", Box::new(background)),
+                ("small_scanners", Box::new(self.small_scanners())),
             ],
             capture: None,
         }
@@ -333,49 +335,57 @@ impl MawiWorld {
         FleetSource::from_vantage(self.vantage(), 1)
     }
 
-    /// The full link trace, collected from [`source`](Self::source): every
-    /// record at once, for tests that index it.
-    pub fn trace(&self) -> Vec<PacketRecord> {
-        use lumen6_trace::{RecordBatch, Source};
-        let (mut source, mut out, mut batch) = (self.source(), Vec::new(), RecordBatch::new());
-        // Generation cannot fail: `fill` errs only for decoded sources.
-        while source.fill(&mut batch, 65_536).is_ok_and(|n| n > 0) {
-            out.extend(batch.iter());
+    /// The ephemeral small-scale scanners' recipe.
+    fn small_scanners(&self) -> SmallScanners {
+        let c = &self.config;
+        SmallScanners {
+            downstream: c.downstream.clone(),
+            per_day: c.small_scanners_per_day,
+            days: c.start_day..c.end_day,
+            rng: SmallRng::seed_from_u64(c.seed ^ 0x5a11),
         }
-        out
     }
+}
 
-    /// Ephemeral small-scale scanners (see
-    /// [`MawiConfig::small_scanners_per_day`]): one-port probes of 6–60
-    /// distinct destinations with constant packet length, inside the
-    /// capture window, time-sorted: a flow per probe.
-    fn small_scanners(&self) -> FlowStream {
-        let mut rng = SmallRng::seed_from_u64(self.config.seed ^ 0x5a11);
-        let mut out = FlowStreamBuilder::default();
-        for day in self.config.start_day..self.config.end_day {
-            // Every probe is clamped into the day's capture window, so the
-            // builder's day-by-day sort is the whole stream's stable sort.
-            out.open_day(day);
-            let (ws, we) = crate::capture_window(day);
-            for _ in 0..self.config.small_scanners_per_day {
-                let net: u64 = 0x2a0e_0000_0000_0000 | (rng.gen::<u64>() >> 12);
-                let src = ((net as u128) << 64) | u128::from(rng.gen::<u16>());
-                let n = rng.gen_range(6..60u64);
-                let dport = [22u16, 23, 80, 443, 8080, 2323][rng.gen_range(0usize..6)];
-                let p = self.config.downstream[rng.gen_range(0..self.config.downstream.len())];
-                let t0 = rng.gen_range(ws..we - 1);
-                for k in 0..n {
-                    let sub = p.nth_subnet(64, rng.gen_range(0..1u128 << 16)).unwrap_or(p);
-                    let dst =
-                        lumen6_addr::gen::low_weight_iid(&mut rng, (sub.bits() >> 64) as u64, 6);
-                    let flow = out.flow(src, dst);
-                    let ts = (t0 + k * rng.gen_range(100u64..2_000)).min(we - 1);
-                    let sport = rng.gen_range(32_768..61_000);
-                    out.push(ts, flow, Transport::Tcp, sport, dport, 60);
-                }
+/// Ephemeral small-scale scanners (see
+/// [`MawiConfig::small_scanners_per_day`]): one-port probes of 6–60
+/// distinct destinations with constant packet length, inside the capture
+/// window, a day at a time in stable time order: a flow per probe.
+#[derive(Debug, Clone)]
+struct SmallScanners {
+    downstream: Vec<Ipv6Prefix>,
+    per_day: usize,
+    days: Range<u64>,
+    rng: SmallRng,
+}
+
+impl DayStepper for SmallScanners {
+    fn step(&mut self, out: &mut DayRows) -> bool {
+        let Some(day) = self.days.next() else {
+            return false;
+        };
+        let (downstream, rng) = (&self.downstream, &mut self.rng);
+        // Every probe is clamped into the day's capture window, so the days
+        // in turn are the whole stream's stable time sort.
+        out.open_day(day);
+        let (ws, we) = crate::capture_window(day);
+        for _ in 0..self.per_day {
+            let net: u64 = 0x2a0e_0000_0000_0000 | (rng.gen::<u64>() >> 12);
+            let src = ((net as u128) << 64) | u128::from(rng.gen::<u16>());
+            let n = rng.gen_range(6..60u64);
+            let dport = [22u16, 23, 80, 443, 8080, 2323][rng.gen_range(0usize..6)];
+            let p = downstream[rng.gen_range(0..downstream.len())];
+            let t0 = rng.gen_range(ws..we - 1);
+            for k in 0..n {
+                let sub = p.nth_subnet(64, rng.gen_range(0..1u128 << 16)).unwrap_or(p);
+                let dst = lumen6_addr::gen::low_weight_iid(rng, (sub.bits() >> 64) as u64, 6);
+                let flow = out.flow(src, dst);
+                let ts = (t0 + k * rng.gen_range(100u64..2_000)).min(we - 1);
+                let sport = rng.gen_range(32_768..61_000);
+                out.push(ts, flow, Transport::Tcp, sport, dport, 60);
             }
         }
-        out.finish()
+        true
     }
 }
 
@@ -384,6 +394,21 @@ mod tests {
     use super::*;
     use crate::split_days;
     use lumen6_detect::{AggLevel, MawiDetector};
+    use lumen6_trace::{PacketRecord, RecordBatch, Source};
+
+    /// The full link trace, drained from [`MawiWorld::source`]: every
+    /// record at once, for tests that index it.
+    fn trace(world: &MawiWorld) -> Vec<PacketRecord> {
+        let (mut source, mut out, mut batch) = (world.source(), Vec::new(), RecordBatch::new());
+        while source
+            .fill(&mut batch, 65_536)
+            .expect("generation cannot fail")
+            > 0
+        {
+            out.extend(batch.iter());
+        }
+        out
+    }
 
     #[test]
     fn default_downstream_matches_textual_prefixes() {
@@ -413,7 +438,7 @@ mod tests {
     #[test]
     fn trace_stays_inside_windows() {
         let w = MawiWorld::build(MawiConfig::small(), None);
-        let trace = w.trace();
+        let trace = trace(&w);
         assert!(!trace.is_empty());
         for r in &trace {
             let day = r.ts_ms / lumen6_trace::DAY_MS;
@@ -429,7 +454,7 @@ mod tests {
     #[test]
     fn as1_detected_most_days() {
         let w = MawiWorld::build(MawiConfig::small(), None);
-        let trace = w.trace();
+        let trace = trace(&w);
         let det = MawiDetector::new(lumen6_detect::MawiConfig::paper(AggLevel::L64));
         let mut days_with_as1 = 0;
         for (_, slice) in split_days(&trace, 0, 30) {
@@ -462,7 +487,7 @@ mod tests {
         cfg.start_day = 355;
         cfg.end_day = 360; // covers 2021-12-24 (day 357)
         let w = MawiWorld::build(cfg, None);
-        let trace = w.trace();
+        let trace = trace(&w);
         let dec: Vec<_> = trace.iter().filter(|r| r.src == w.dec24_source).collect();
         assert!(dec.len() >= 4_000);
         let dist = lumen6_addr::HammingDistribution::from_addrs(dec.iter().map(|r| r.dst));
@@ -479,7 +504,7 @@ mod tests {
         cfg.start_day = 180;
         cfg.end_day = 190; // covers 2021-07-06 (day 186)
         let w = MawiWorld::build(cfg, None);
-        let trace = w.trace();
+        let trace = trace(&w);
         let jul: std::collections::HashSet<u128> = trace
             .iter()
             .filter(|r| w.jul6_prefix.contains_addr(r.src))

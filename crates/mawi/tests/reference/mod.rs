@@ -6,10 +6,11 @@
 //!
 //! It shares the per-actor draw loop with the source; what it checks
 //! independently is everything the engine adds — release queues, the lane
-//! merge, where runs are cut and the fixed-stream cursors — and the two
-//! fixed streams' compact form: they are generated here as records, by the
-//! bodies the product generators had before they wrote rows over a flow
-//! table, and sorted whole by comparison.
+//! merge, where runs are cut, the fixed streams' days and their copies —
+//! and the two fixed streams' compact form: they are generated here as
+//! records over the whole window, by the bodies the product generators had
+//! before they wrote a day of rows over a flow table at a time, sorted
+//! whole by comparison and repeated record by record.
 //!
 //! Defined once: `crates/mawi/tests/vantage.rs` declares it as a module and
 //! the experiments crate's `tests/mawi_lab.rs` includes the same file.
@@ -18,25 +19,47 @@
 
 use lumen6_addr::{gen, Ipv6Prefix};
 use lumen6_mawi::{capture_window, MawiWorld};
-use lumen6_trace::{merge_sorted, PacketRecord, Transport};
+use lumen6_trace::{merge_sorted, scale_intensity, PacketRecord, Transport};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// The materialized link trace of `world`: actors at their indices, then
 /// background, then the small scanners — the merge's tie-break order.
 pub fn mawi_trace(world: &MawiWorld) -> Vec<PacketRecord> {
+    mawi_trace_at(world, 1.0)
+}
+
+/// The link trace of `world` with every stream's volume scaled by
+/// `intensity`: each actor's `generate_scaled` stream, and the background
+/// and small scanners repeated record by record.
+pub fn mawi_trace_at(world: &MawiWorld, intensity: f64) -> Vec<PacketRecord> {
     let c = world.config();
-    let mut streams: Vec<Vec<PacketRecord>> =
-        world.actors.iter().map(|a| a.generate(c.seed)).collect();
-    streams.push(background(
+    let mut streams: Vec<Vec<PacketRecord>> = world
+        .actors
+        .iter()
+        .map(|a| a.generate_scaled(c.seed, intensity))
+        .collect();
+    let background = background(
         &c.downstream,
         c.background_flows_per_day,
         c.start_day,
         c.end_day,
         c.seed,
-    ));
-    streams.push(small_scanners(world));
+    );
+    streams.push(repeat(&background, intensity));
+    streams.push(repeat(&small_scanners(world), intensity));
     merge_sorted(streams)
+}
+
+/// `stream` scaled to `scale_intensity(len, intensity)` records by the
+/// Bresenham schedule: record `i` appears `due(i + 1) - due(i)` times, in
+/// place.
+fn repeat(stream: &[PacketRecord], intensity: f64) -> Vec<PacketRecord> {
+    let base = stream.len() as u128;
+    let scaled = u128::from(scale_intensity(stream.len() as u64, intensity));
+    let due = |i: usize| (scaled * i as u128 / base) as usize;
+    let copies = |(i, r): (usize, &PacketRecord)| std::iter::repeat_n(*r, due(i + 1) - due(i));
+    stream.iter().enumerate().flat_map(copies).collect()
 }
 
 /// Background flows inside each day's capture window, time-sorted.

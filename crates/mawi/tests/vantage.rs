@@ -6,7 +6,9 @@ use lumen6_mawi::{MawiConfig, MawiWorld};
 use lumen6_scanners::{
     FleetSource, PortSampler, ScannerActor, Schedule, SourceSampler, TargetSampler, Vantage,
 };
-use lumen6_trace::{merge_sorted, PacketRecord, RecordBatch, SimTime, Source, Transport};
+use lumen6_trace::{
+    merge_sorted, PacketRecord, RecordBatch, SimTime, Source, TracePosition, Transport,
+};
 
 mod reference;
 
@@ -54,7 +56,45 @@ fn mawi_source_is_the_reference_merge_at_every_lane_count_and_fill_size() {
                 );
             }
         }
-        assert_eq!(world.trace(), want);
+    }
+}
+
+/// The fixed streams are generated a day at a time: at a fractional
+/// intensity (the counting pass) and integral ones, over a window that
+/// starts after day 0 and one of a single day, and after a backward
+/// resume restarts the steppers, the source delivers the reference's
+/// sequence.
+#[test]
+fn mawi_source_is_the_reference_at_every_intensity_horizon_and_resume() {
+    let jul6 = SimTime::from_date(2021, 7, 6).day_index();
+    let one_day = MawiConfig {
+        start_day: jul6,
+        end_day: jul6 + 1,
+        ..MawiConfig::small()
+    };
+    for world in [around(2021, 5, 27), MawiWorld::build(one_day, None)] {
+        let days = world.config().start_day..world.config().end_day;
+        for intensity in [0.37, 1.0, 10.0] {
+            let want = reference::mawi_trace_at(&world, intensity);
+            assert!(want.len() > 1_000, "days {days:?}: too quiet");
+            let third = want.len() / 3;
+            for gen_threads in [1, 2] {
+                let case = format!("days {days:?}, {intensity}x, gen_threads {gen_threads}");
+                let vantage = || Vantage {
+                    intensity,
+                    ..world.vantage()
+                };
+                let mut source = FleetSource::from_vantage(vantage(), gen_threads);
+                assert!(drain(&mut source, 4096) == want, "{case}");
+                source
+                    .resume(TracePosition {
+                        offset: third as u64,
+                        prev_ts: want[third - 1].ts_ms,
+                    })
+                    .expect("backward resume");
+                assert!(drain(&mut source, 97) == want[third..], "{case}, resumed");
+            }
+        }
     }
 }
 

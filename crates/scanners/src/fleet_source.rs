@@ -6,9 +6,9 @@
 //! # One engine, three vantages
 //!
 //! The engine is the lanes, the release queues, the in-place merge step,
-//! the fixed-stream cursors and the positions. What it generates is a
-//! [`Vantage`]: the actors, the seed, the intensity, the fixed streams in
-//! merge order and an optional firewall capture.
+//! the fixed-stream days and the positions. What it generates is a
+//! [`Vantage`]: the actors, the seed, the intensity, the fixed streams'
+//! recipes in merge order and an optional firewall capture.
 //!
 //! - **CDN** ([`FleetSource::new`], [`FleetSource::with_gen_threads`]): the
 //!   fleet's actors, the artifact and noise streams, and the capture of the
@@ -29,7 +29,8 @@
 //! lane's [`Generator`] runs its actors' [`ActorStream`]s under a local
 //! merge and emits sorted, capture-filtered runs of at most
 //! [`RUN_RECORDS`] records, each record tagged with its global stream
-//! index; the consumer k-way-merges the lane heads with the fixed streams.
+//! index; the consumer k-way-merges the lane heads with the fixed streams'
+//! days, each one more lane.
 //! The only thing `gen_threads` changes is *where* a lane's generator
 //! runs:
 //!
@@ -69,9 +70,10 @@
 //! The check is independent of all of the above: test-side oracles
 //! (`tests/oracle/mod.rs` for the CDN — whole `generate_scaled` streams and
 //! repeated fixed streams, one `merge_sorted`, one `capture`; the MAWI
-//! crate's `tests/vantage.rs` for MAWI and custom fleets) must equal the
-//! source at every lane count and fill size; the table1/fig2/fig5 goldens
-//! pin the draw sequence itself.
+//! crate's `tests/reference/mod.rs` for MAWI and custom fleets) must equal
+//! the source at every lane count, fill size, intensity and horizon, and
+//! after a backward resume; the table1/fig2/fig5 goldens pin the draw
+//! sequence itself.
 //!
 //! Feeding the detector straight from the lanes, skipping the merge, is
 //! not an option: detector state is keyed by *aggregated source prefix*,
@@ -79,19 +81,23 @@
 //! one time-ordered stream only the merge makes. One detector thread
 //! behind the merge is the whole detection side (`detect::parallel`).
 //!
-//! The fixed streams *are* held whole, at their base (1×) size, and scaled
-//! at delivery by [`FixedStream`]'s run-length cursor: independent of
-//! `intensity`, outside the bounded-memory claim. They are held compact —
-//! a [`FlowStream`], 16-byte rows over a flow table of (source,
-//! destination) pairs, 1 MiB chunks of rows — and the cursor rebuilds each
-//! record as it delivers it. Every generator ([`artifacts::generate`],
-//! [`noise::generate`], MAWI's background and small scanners) writes that
-//! form directly: it pushes a flow when it mints an address pair and rows
-//! that carry the flow's id, so no record is hashed, and the builder sorts
-//! each day's rows as the day closes — every row stays in its day, so that
-//! is the whole stream's stable sort. No `Vec<PacketRecord>` of a whole
-//! stream is ever built. `scanners.fleet.fixed_stream_bytes` gauges what
-//! the fixed streams hold.
+//! The fixed streams are generated a day at a time. A vantage holds each
+//! one as a recipe — a [`DayStepper`] that has not stepped: its name, its
+//! seeded RNG and its configuration — and the source runs a clone of it,
+//! one UTC day into a reused [`DayRows`] buffer whenever the merge has
+//! taken the last. The day is built into a run as a lane run is: sorted by
+//! time, each row given its copies by the [`emission_due`] schedule from
+//! its index in the whole stream, the records the capture rejects dropped.
+//! It then merges like a lane run, every head row below the runner-up key
+//! taken as one range. Every generator ([`Artifacts`], [`Noise`], MAWI's
+//! background and small scanners) writes that form directly: it pushes a
+//! flow when it mints an address pair and rows that carry the flow's id,
+//! so no record is hashed. A row's copies depend on the stream's length
+//! only at a fractional intensity (at an integral `k` they are `k`), so
+//! only then does the source count the stream at open: a pass of another
+//! clone of the recipe that counts each day's rows and keeps none.
+//! `scanners.fleet.fixed_stream_bytes` gauges the peak bytes of the day
+//! buffers: one day of rows, not the horizon.
 //!
 //! # Bounded memory
 //!
@@ -103,21 +109,22 @@
 //! [`peak_buffered_records`](FleetSource::peak_buffered_records) accessor
 //! (and its pinned test) covers all three tiers: release-queue entries,
 //! records in flight in the channels, and the consumer-held lane heads.
-//! What stays resident beside them is the fixed streams' rows (about 16
-//! bytes a record plus 32 a flow: 47.8 MB of records became 19.1 MB at 120
-//! days of the default fleet) and the actors' schedules and target pools.
+//! Beside them stay each fixed stream's day buffers (its biggest day's rows
+//! and run: O(day), whatever `--days` and `--intensity`) and the actors'
+//! schedules and target pools.
 //!
 //! # Runs
 //!
 //! `--intensity` repeats a probe as adjacent identical records, and a *run*
 //! — `count` copies of one record — is the unit every loop here steps by
-//! and what it emits: a release-queue entry and a fixed-stream cursor hold
-//! their copies run-length-encoded and hand out `min(copies, room)` per
-//! step (`pop_run`), [`Generator::fill`] does one in-place merge step and
-//! one capture test per entry and pushes one row with the copies as its count
-//! ([`RecordBatch::push_n`]), and the consumer takes from the winning lane
-//! every head row below the runner-up's key at once, counts included. No
-//! copy is ever expanded. A run is cut in three places — a lane run filling
+//! and what it emits: a release-queue entry holds its copies
+//! run-length-encoded and hands out `min(copies, room)` per step
+//! (`pop_run`), [`Generator::fill`] does one in-place merge step and one
+//! capture test per entry and pushes one row with the copies as its count
+//! ([`RecordBatch::push_n`]), a fixed stream's day is one such row per
+//! record, and the consumer takes from the winning lane every head row
+//! below the runner-up's key at once, counts included. No copy is ever
+//! expanded. A run is cut in three places — a lane run filling
 //! up ([`RUN_RECORDS`] records), the caller's `max`, the runner-up key —
 //! and each cut leaves the rest of the copies where they were, under the
 //! same merge key, so the next step resumes with them: the record sequence
@@ -130,7 +137,8 @@
 //! `gen_threads` resumes at any other, and one inside a run names a copy
 //! of it. [`Source::resume`] seeks forward by generating and discarding,
 //! one step per run; only a position behind the current one rebuilds the
-//! generators from the vantage's seed and replays from the start —
+//! generators from the vantage's seed and its fixed streams' recipes and
+//! replays from the start —
 //! generation is cheap relative to detection, and a checkpoint resume
 //! happens at most once per run. Replayed packets are re-counted by the
 //! `scanners.fleet.packets_emitted.*` telemetry, which counts generation
@@ -151,10 +159,11 @@
 
 use crate::actor::ScannerActor;
 use crate::fleet::{emission_due, scale_intensity, World};
-use crate::noise;
-use lumen6_telescope::{artifacts, CaptureConfig, CdnDeployment, FirewallCapture};
+use crate::noise::Noise;
+use lumen6_telescope::artifacts::Artifacts;
+use lumen6_telescope::{CaptureConfig, CdnDeployment, FirewallCapture};
 use lumen6_trace::{
-    CodecError, FlowStream, PacketRecord, RecordBatch, RowIndex, Source, TracePosition,
+    CodecError, DayRows, DayStepper, PacketRecord, RecordBatch, Source, TracePosition,
 };
 use rand::rngs::SmallRng;
 use std::cmp::Reverse;
@@ -322,25 +331,33 @@ pub struct Vantage {
     /// Volume multiplier of the actors and the fixed streams
     /// ([`scale_intensity`]).
     pub intensity: f64,
-    /// Streams held whole at 1x as compact rows, each time-sorted and
-    /// named by its `scanners.fleet.packets_emitted.<name>` counter, merged
-    /// after the actors in this order.
-    pub fixed: Vec<(&'static str, FlowStream)>,
+    /// The recipes of the streams generated a day at a time, each at 1x
+    /// and named by its `scanners.fleet.packets_emitted.<name>` counter,
+    /// merged after the actors in this order.
+    pub fixed: Vec<(&'static str, Box<dyn DayStepper>)>,
     /// The telescope whose firewall capture every record must pass; `None`
     /// logs every record.
     pub capture: Option<Arc<CdnDeployment>>,
 }
 
 impl Vantage {
-    /// The CDN vantage of `world` without its fixed streams, which
-    /// [`cdn_fixed_streams`] generates.
+    /// The CDN vantage of `world`: its fleet, then the artifact and noise
+    /// streams, through its telescope's capture.
     fn cdn(world: &World) -> Vantage {
         let cfg = world.config();
+        let (start, end, seed) = (cfg.start_day, cfg.end_day, cfg.seed);
+        let deployment = Arc::clone(&world.deployment);
+        let artifacts = Artifacts::new(deployment, cfg.artifacts.clone(), start, end, seed);
+        let addrs = world.deployment.all_addrs().into();
+        let noise = Noise::new(addrs, cfg.noise_sources_per_day, start, end, seed);
         Vantage {
             actors: Arc::clone(&world.fleet.actors),
-            seed: cfg.seed,
+            seed,
             intensity: cfg.intensity,
-            fixed: Vec::new(),
+            fixed: vec![
+                ("artifacts", Box::new(artifacts)),
+                ("noise", Box::new(noise)),
+            ],
             capture: Some(Arc::clone(&world.deployment)),
         }
     }
@@ -353,136 +370,125 @@ impl Vantage {
     }
 }
 
-/// The artifact and noise streams of a world, in the order they merge
-/// after the actors.
-fn cdn_fixed_streams(world: &World) -> Vec<(&'static str, FlowStream)> {
-    let cfg = world.config();
-    let artifacts = artifacts::generate(
-        &world.deployment,
-        &cfg.artifacts,
-        cfg.start_day,
-        cfg.end_day,
-        cfg.seed,
-    );
-    let noise = noise::generate(
-        &world.deployment.all_addrs(),
-        cfg.noise_sources_per_day,
-        cfg.start_day,
-        cfg.end_day,
-        cfg.seed,
-    );
-    vec![("artifacts", artifacts), ("noise", noise)]
+/// How many copies of each of a fixed stream's rows are due: the stream is
+/// generated at its base (1×) size and scaled as each day is built
+/// ([`emission_due`]). The CDN's artifacts and noise scale with the
+/// scanners because the A.1 duplicate prefilter compares packet *counts*:
+/// only then is the detected shape intensity-invariant.
+#[derive(Debug, Clone, Copy)]
+enum Copies {
+    /// An integral intensity `k` (below 2^32): `k` of every row — what the
+    /// schedule gives, `k·B·i / B`, for any stream of `B` < 2^32 rows.
+    Each(u64),
+    /// Any other: `due(i + 1) - due(i)` of row `i`, where `due` is
+    /// `emission_due(scaled, base, ·)` over the stream's `base` rows, and
+    /// `drawn` rows have had theirs, `due` copies in all.
+    Due {
+        scaled: u64,
+        base: u64,
+        drawn: u64,
+        due: u64,
+    },
 }
 
-/// A fixed stream and its delivery cursor: the stream is held at its base
-/// (1×) size and scaled at delivery time ([`emission_due`]), so memory
-/// stays intensity-invariant; each due record is rebuilt from its row once,
-/// as the cursor reaches it. The CDN's artifacts and noise scale with the scanners because
-/// the A.1 duplicate prefilter compares packet *counts*: only then is the
-/// detected shape intensity-invariant.
-/// Invariant outside of [`pop_run`](FixedStream::pop_run): either `pos` is
-/// past the end and `head` is `None`, or `head` is the record at `pos` (row
-/// `at`) and `rem > 0` copies of it remain due — a run cut short by the
-/// caller's room stays under the cursor.
-#[derive(Debug)]
-struct FixedStream {
-    stream: FlowStream,
-    /// Scaled delivery total.
-    scaled: u64,
-    /// The cursor's global record index, its row and its record, rebuilt
-    /// once as the cursor reaches it.
-    pos: u64,
-    at: RowIndex,
-    head: Option<PacketRecord>,
-    /// Copies due before `pos` (`emission_due` at `pos`), and through
-    /// `pos` itself while its copies are due: one division a record.
-    due: u64,
-    rem: u64,
-    /// `scanners.fleet.packets_emitted.<name>` and its per-fill local
-    /// accumulation.
-    counter: lumen6_obs::Counter,
-    pending: u64,
-}
-
-impl FixedStream {
-    /// Cursors over a vantage's fixed streams at `intensity`, in merge
-    /// order, each on its first due record.
-    fn all(streams: Vec<(&'static str, FlowStream)>, intensity: f64) -> Vec<FixedStream> {
-        let reg = lumen6_obs::MetricsRegistry::global();
-        let held: usize = streams.iter().map(|(_, s)| s.held_bytes()).sum();
-        reg.gauge("scanners.fleet.fixed_stream_bytes")
-            .set(held as i64);
-        let stream = |(name, stream): (&str, FlowStream)| {
-            let mut stream = FixedStream {
-                scaled: scale_intensity(stream.len() as u64, intensity),
-                stream,
-                pos: 0,
-                at: RowIndex::default(),
-                head: None,
-                due: 0,
-                rem: 0,
-                counter: reg.counter(&format!("scanners.fleet.packets_emitted.{name}")),
-                pending: 0,
-            };
-            stream.rewind();
-            stream
-        };
-        streams.into_iter().map(stream).collect()
+impl Copies {
+    /// The copy rule of the stream `recipe` generates at `intensity`,
+    /// counting the stream in `rows` when the rule needs its length.
+    fn new(recipe: &dyn DayStepper, intensity: f64, rows: &mut DayRows) -> Copies {
+        let k = scale_intensity(1, intensity);
+        if intensity.fract() == 0.0 && k <= u64::from(u32::MAX) {
+            return Copies::Each(k);
+        }
+        let (mut counter, mut base) = (recipe.clone_box(), 0);
+        while counter.step(rows) {
+            base += rows.len() as u64;
+        }
+        Copies::Due {
+            scaled: scale_intensity(base, intensity),
+            base,
+            drawn: 0,
+            due: 0,
+        }
     }
 
-    /// Puts the cursor on the first due record.
-    fn rewind(&mut self) {
-        (self.pos, self.at, self.due, self.rem) = (0, RowIndex::default(), 0, 0);
-        self.normalize();
-    }
-
-    /// Re-establishes the invariant after `rem` hits zero: advances `pos`
-    /// past records whose repeat count is zero (fractional intensities
-    /// drop records), loads the next record's count and rebuilds it.
-    fn normalize(&mut self) {
-        let base = self.stream.len() as u64;
-        while self.rem == 0 && self.pos < base {
-            let through = emission_due(self.scaled, base, self.pos + 1);
-            (self.rem, self.due) = (through - self.due, through);
-            if self.rem == 0 {
-                self.step();
+    /// The copies of the stream's next row.
+    fn next(&mut self) -> u64 {
+        match self {
+            Copies::Each(k) => *k,
+            Copies::Due {
+                scaled,
+                base,
+                drawn,
+                due,
+            } => {
+                *drawn += 1;
+                let through = emission_due(*scaled, *base, *drawn);
+                through - std::mem::replace(due, through)
             }
         }
-        self.head = self.stream.record_at(self.at);
     }
+}
 
-    /// Moves the cursor to the next record.
-    fn step(&mut self) {
-        self.pos += 1;
-        self.at = self.stream.next_index(self.at);
-    }
+/// A fixed stream's generation engine: a clone of its recipe stepped a day
+/// at a time into `rows`, each day built into a lane run.
+#[derive(Debug)]
+struct DayFeed {
+    /// The vantage, for its capture filter.
+    vantage: Arc<Vantage>,
+    stepper: Box<dyn DayStepper>,
+    rows: DayRows,
+    /// Whether the capture logs each of the day's flows' destinations.
+    logged_dsts: Vec<bool>,
+    copies: Copies,
+    /// The stream's global index: the merge tie-break of all its rows.
+    si: usize,
+    /// `scanners.fleet.packets_emitted.<name>`.
+    emitted: lumen6_obs::Counter,
+}
 
-    /// Timestamp of the next due copy, `None` once exhausted.
-    fn peek_ts(&self) -> Option<u64> {
-        self.head.map(|r| r.ts_ms)
-    }
-
-    /// Delivers the record under the cursor, which
-    /// [`peek_ts`](FixedStream::peek_ts) has confirmed, and how many of its
-    /// due copies — at most `room` — are handed out.
-    fn pop_run(&mut self, room: u64) -> (PacketRecord, u64) {
-        let rec = self.head.expect("a confirmed record");
-        let k = self.rem.min(room);
-        self.pending += k;
-        self.rem -= k;
-        if self.rem == 0 {
-            self.step();
-            self.normalize();
+impl DayFeed {
+    /// Refills `run` with the stream's next day that logs any record: its
+    /// records in time order, one row each with its due copies as the
+    /// row's count, less those the capture rejects. An empty run means the
+    /// stream is exhausted.
+    fn fill(&mut self, run: &mut Run) {
+        run.recs.clear();
+        run.si.clear();
+        while run.recs.is_empty() && self.stepper.step(&mut self.rows) {
+            // Sized to the biggest day so far, not to a power of two above it.
+            run.recs.reserve_exact(self.rows.len());
+            run.si.reserve_exact(self.rows.len());
+            // The capture tests a destination once a flow, not once a row.
+            let filter = self.vantage.capture_filter();
+            self.logged_dsts.clear();
+            let dsts = self.rows.flows().iter().map(|&(_, dst)| dst);
+            let logs_dst = |dst| filter.as_ref().is_none_or(|f| f.logs_dst(dst));
+            self.logged_dsts.extend(dsts.map(logs_dst));
+            let logs_service = |r: &PacketRecord| {
+                filter
+                    .as_ref()
+                    .is_none_or(|f| f.logs_service(r.proto, r.dport))
+            };
+            let mut emitted = 0;
+            for (flow, rec) in self.rows.sorted() {
+                let k = self.copies.next();
+                emitted += k;
+                if k > 0 && self.logged_dsts[flow as usize] && logs_service(&rec) {
+                    run.recs.push_n(rec, k as usize);
+                }
+            }
+            self.emitted.add(emitted);
         }
-        (rec, k)
+        run.si.resize(run.recs.rows(), self.si);
     }
 
-    /// Adds the local emission count to the registry counter — once per
-    /// fill, so per-run accounting stays atomic-free.
-    fn flush_count(&mut self) {
-        if self.pending > 0 {
-            self.counter.add(std::mem::take(&mut self.pending));
-        }
+    /// Heap bytes of the day buffers: the rows, their flows' capture
+    /// verdicts and the run built from them.
+    fn held_bytes(&self, run: &Run) -> usize {
+        self.rows.held_bytes()
+            + self.logged_dsts.capacity()
+            + run.recs.held_bytes()
+            + run.si.capacity() * std::mem::size_of::<usize>()
     }
 }
 
@@ -503,7 +509,7 @@ struct Run {
 /// consumer's thread or hand it to a worker.
 #[derive(Debug)]
 struct Generator {
-    /// The vantage, shared by every lane; its fixed streams are not here.
+    /// The vantage, shared by every lane; this one runs actors only.
     vantage: Arc<Vantage>,
     /// One stream per actor of this lane, ascending by fleet index, and the
     /// pre-filter emission counter of its target-strategy kind
@@ -631,6 +637,8 @@ fn run_worker(
 enum Feed {
     /// `gen_threads = 1`: owned, and refilled on the consumer's thread.
     Inline(Box<Generator>),
+    /// A fixed stream, a day per run, refilled on the consumer's thread.
+    Day(Box<DayFeed>),
     /// `gen_threads ≥ 2`: on a worker thread, behind a data channel and
     /// the recycle channel that returns drained run buffers to it.
     Threaded {
@@ -652,7 +660,8 @@ enum Feed {
 /// the next one.
 #[derive(Debug)]
 struct Lane {
-    /// `None` once the lane is exhausted.
+    /// `None` once an actor lane is exhausted; a fixed stream's lane keeps
+    /// its day feed, which then fills nothing.
     feed: Option<Feed>,
     head: Run,
     /// The head row being merged, how many of its copies have gone, and how
@@ -663,6 +672,17 @@ struct Lane {
 }
 
 impl Lane {
+    /// A lane on `feed` whose first run is yet to be fetched.
+    fn new(feed: Feed) -> Lane {
+        Lane {
+            feed: Some(feed),
+            head: Run::default(),
+            cursor: 0,
+            used: 0,
+            left: 0,
+        }
+    }
+
     /// The (timestamp, stream index) merge key of the lane's next record,
     /// fetching the next run when the current one is drained. `None` once
     /// the lane is exhausted.
@@ -685,6 +705,7 @@ impl Lane {
         match &mut self.feed {
             None => return false,
             Some(Feed::Inline(gen)) => gen.fill(&mut self.head, RUN_RECORDS),
+            Some(Feed::Day(feed)) => feed.fill(&mut self.head),
             Some(Feed::Threaded {
                 data,
                 recycle,
@@ -718,13 +739,18 @@ impl Lane {
         if self.left > 0 {
             return true;
         }
-        // Generators never emit an empty run before exhaustion.
-        if let Some(Feed::Threaded { handle, .. }) = self.feed.take() {
-            // A worker that panicked disconnects too: surface it, so a
-            // crashed generator never reads as a clean end of stream.
-            if let Err(panic) = handle.join() {
-                std::panic::resume_unwind(panic);
+        // Generators never emit an empty run before exhaustion. A day feed
+        // stays: its buffers are what `fixed_stream_bytes` gauges.
+        match self.feed.take() {
+            Some(Feed::Threaded { handle, .. }) => {
+                // A worker that panicked disconnects too: surface it, so a
+                // crashed generator never reads as a clean end of stream.
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
+            day @ Some(Feed::Day(_)) => self.feed = day,
+            _ => {}
         }
         false
     }
@@ -736,14 +762,20 @@ impl Lane {
 /// equivalence argument and the position semantics.
 #[derive(Debug)]
 pub struct FleetSource {
-    /// The vantage the lanes generate; its fixed streams are in `fixed`.
+    /// The vantage the lanes generate.
     vantage: Arc<Vantage>,
-    /// One lane per generator thread; a single lane runs inline.
+    /// One lane per generator thread (a single lane runs inline), then one
+    /// per fixed stream, in merge order.
     lanes: Vec<Lane>,
-    /// The vantage's fixed streams, merged after the actors.
-    fixed: Vec<FixedStream>,
+    /// How many of `lanes` generate actors.
+    actor_lanes: usize,
+    /// Each fixed stream's copy rule, as its first row finds it.
+    copies: Vec<Copies>,
     delivered: u64,
     prev_ts: u64,
+    /// `scanners.fleet.fixed_stream_bytes` and the peak it reports.
+    fixed_bytes: lumen6_obs::Gauge,
+    fixed_peak: usize,
     /// `scanners.parallel.{channel_depth, buffered_records}`; like every
     /// `scanners.parallel.*` metric, registered only with threaded lanes.
     occupancy_gauges: Option<[lumen6_obs::Gauge; 2]>,
@@ -761,35 +793,34 @@ impl FleetSource {
     /// `gen_threads` worker threads (clamped to `1..=actor count`; 1 spawns
     /// none).
     pub fn with_gen_threads(world: World, gen_threads: usize) -> FleetSource {
-        FleetSource::start(Vantage::cdn(&world), gen_threads, || {
-            cdn_fixed_streams(&world)
-        })
+        FleetSource::from_vantage(Vantage::cdn(&world), gen_threads)
     }
 
     /// Builds a source over any vantage, generating on `gen_threads`
-    /// threads as [`with_gen_threads`](Self::with_gen_threads) does.
-    pub fn from_vantage(mut vantage: Vantage, gen_threads: usize) -> FleetSource {
-        let fixed = std::mem::take(&mut vantage.fixed);
-        FleetSource::start(vantage, gen_threads, || fixed)
-    }
-
-    /// Spawns the lanes over `vantage`, then takes its fixed streams from
-    /// `fixed`: threaded workers prime and fill their first runs while this
-    /// thread generates them.
-    fn start(
-        vantage: Vantage,
-        gen_threads: usize,
-        fixed: impl FnOnce() -> Vec<(&'static str, FlowStream)>,
-    ) -> FleetSource {
+    /// threads as [`with_gen_threads`](Self::with_gen_threads) does. A
+    /// fractional intensity counts the fixed streams here, while threaded
+    /// workers prime and fill their first runs.
+    pub fn from_vantage(vantage: Vantage, gen_threads: usize) -> FleetSource {
         let n = gen_threads.clamp(1, vantage.actors.len().max(1));
         let reg = lumen6_obs::MetricsRegistry::global();
         let vantage = Arc::new(vantage);
+        let mut lanes = FleetSource::spawn_lanes(&vantage, n);
+        let mut rows = DayRows::default();
+        let copies: Vec<Copies> = vantage
+            .fixed
+            .iter()
+            .map(|(_, recipe)| Copies::new(recipe.as_ref(), vantage.intensity, &mut rows))
+            .collect();
+        lanes.extend(FleetSource::day_lanes(&vantage, &copies));
         FleetSource {
-            lanes: FleetSource::spawn_lanes(&vantage, n),
-            fixed: FixedStream::all(fixed(), vantage.intensity),
+            lanes,
+            actor_lanes: n,
+            copies,
             vantage,
             delivered: 0,
             prev_ts: 0,
+            fixed_bytes: reg.gauge("scanners.fleet.fixed_stream_bytes"),
+            fixed_peak: 0,
             occupancy_gauges: (n > 1).then(|| {
                 reg.gauge("scanners.parallel.gen_threads").set(n as i64);
                 [
@@ -803,13 +834,15 @@ impl FleetSource {
 
     /// Peak buffered records observed so far, across all tiers: release-
     /// queue entries, records in flight in the lane channels, and
-    /// consumer-held lane heads. Sampled at fill boundaries; the pinned
-    /// bounded-memory test asserts it does not scale with trace length.
+    /// consumer-held actor lane heads. Sampled at fill boundaries; the
+    /// pinned bounded-memory test asserts it does not scale with trace
+    /// length.
     pub fn peak_buffered_records(&self) -> u64 {
         self.peak_buffered
     }
 
-    /// Builds `n` lanes over `vantage`, spawning their workers when `n > 1`.
+    /// Builds `n` lanes over `vantage`'s actors, spawning their workers
+    /// when `n > 1`.
     fn spawn_lanes(vantage: &Arc<Vantage>, n: usize) -> Vec<Lane> {
         let actors = vantage.actors.len();
         let reg = lumen6_obs::MetricsRegistry::global();
@@ -852,15 +885,41 @@ impl FleetSource {
                         runs_merged: reg.counter("scanners.parallel.runs_merged"),
                     }
                 };
-                Lane {
-                    feed: Some(feed),
-                    head: Run::default(),
-                    cursor: 0,
-                    used: 0,
-                    left: 0,
-                }
+                Lane::new(feed)
             })
             .collect()
+    }
+
+    /// One lane per fixed stream of `vantage`, each on a fresh clone of
+    /// its recipe under its copy rule.
+    fn day_lanes<'a>(
+        vantage: &'a Arc<Vantage>,
+        copies: &'a [Copies],
+    ) -> impl Iterator<Item = Lane> + 'a {
+        let reg = lumen6_obs::MetricsRegistry::global();
+        let streams = vantage.fixed.iter().zip(copies).enumerate();
+        streams.map(move |(fi, ((name, recipe), &copies))| {
+            Lane::new(Feed::Day(Box::new(DayFeed {
+                vantage: Arc::clone(vantage),
+                stepper: recipe.clone_box(),
+                rows: DayRows::default(),
+                logged_dsts: Vec::new(),
+                copies,
+                si: vantage.actors.len() + fi,
+                emitted: reg.counter(&format!("scanners.fleet.packets_emitted.{name}")),
+            })))
+        })
+    }
+
+    /// Builds every lane afresh — the actors' from the seed, the fixed
+    /// streams' from their recipes — after joining the old generator
+    /// threads: the source is back at its first record.
+    fn restart(&mut self) {
+        self.shutdown();
+        self.lanes = FleetSource::spawn_lanes(&self.vantage, self.actor_lanes);
+        let day_lanes = FleetSource::day_lanes(&self.vantage, &self.copies);
+        self.lanes.extend(day_lanes);
+        (self.delivered, self.prev_ts) = (0, 0);
     }
 
     /// Disconnects all lanes, then joins the generator threads. Dropping
@@ -880,12 +939,14 @@ impl FleetSource {
         }
     }
 
-    /// Samples lane occupancy into the peak tracker (and, for threaded
-    /// lanes, the gauges). Called at fill boundaries, never per record.
+    /// Samples actor lane occupancy into the peak tracker (and, for
+    /// threaded lanes, the gauges), and the fixed streams' day buffers into
+    /// theirs. Called at fill boundaries, never per record.
     fn sample_buffering(&mut self) {
+        let (actor_lanes, day_lanes) = self.lanes.split_at(self.actor_lanes);
         let mut runs = 0u64;
         let mut buffered = 0u64;
-        for lane in &self.lanes {
+        for lane in actor_lanes {
             buffered += lane.head.held + lane.left as u64;
             if let Some(Feed::Threaded { in_flight, .. }) = &lane.feed {
                 let records = in_flight.load(Relaxed);
@@ -898,6 +959,17 @@ impl FleetSource {
             buffered_records.set(buffered as i64);
         }
         self.peak_buffered = self.peak_buffered.max(buffered);
+        let fixed: usize = day_lanes
+            .iter()
+            .map(|lane| match &lane.feed {
+                Some(Feed::Day(feed)) => feed.held_bytes(&lane.head),
+                _ => 0,
+            })
+            .sum();
+        if fixed > self.fixed_peak {
+            self.fixed_peak = fixed;
+            self.fixed_bytes.set(fixed as i64);
+        }
     }
 
     /// Produces up to `max` *logged* records, appending to `out` when
@@ -905,102 +977,73 @@ impl FleetSource {
     /// logged records were produced; fewer than `max` means end of stream.
     pub(crate) fn produce(&mut self, mut out: Option<&mut RecordBatch>, max: usize) -> usize {
         let FleetSource {
-            vantage,
             lanes,
-            fixed,
             delivered,
             prev_ts,
             ..
         } = self;
-        // Consumer-side filter for the fixed streams only — actor records
-        // arrive pre-filtered from the lanes.
-        let filter = vantage.capture_filter();
-        let actors = vantage.actors.len();
         let mut produced = 0usize;
         while produced < max {
             // The candidate with the smallest (timestamp, stream index)
             // key is next — exactly the `merge_sorted` order — and it stays
-            // next until its key passes the runner-up's. Slots number the
-            // lanes first, then the fixed streams in order; stream indices
-            // are disjoint across slots, so keys never tie between them.
-            let n = lanes.len();
+            // next until its key passes the runner-up's. Stream indices
+            // are disjoint across lanes, so keys never tie between them.
             let mut best: Option<((u64, usize), usize)> = None;
             let mut runner_up = (u64::MAX, usize::MAX);
-            let mut offer = |key: (u64, usize), slot: usize| match best {
-                Some((k, _)) if k <= key => runner_up = runner_up.min(key),
-                _ => {
-                    runner_up = best.map_or(runner_up, |(k, _)| k);
-                    best = Some((key, slot));
-                }
-            };
             for (slot, lane) in lanes.iter_mut().enumerate() {
-                if let Some(key) = lane.head_key() {
-                    offer(key, slot);
-                }
-            }
-            for (fi, stream) in fixed.iter().enumerate() {
-                if let Some(ts) = stream.peek_ts() {
-                    offer((ts, actors + fi), n + fi);
+                let Some(key) = lane.head_key() else {
+                    continue;
+                };
+                match best {
+                    Some((k, _)) if k <= key => runner_up = runner_up.min(key),
+                    _ => {
+                        runner_up = best.map_or(runner_up, |(k, _)| k);
+                        best = Some((key, slot));
+                    }
                 }
             }
             let Some((_, slot)) = best else {
-                break; // all lanes and fixed streams exhausted
+                break; // every lane exhausted
             };
             let room = max - produced;
-            let k = if let Some(lane) = lanes.get_mut(slot) {
-                let (recs, si) = (&lane.head.recs, &lane.head.si);
-                let (ts, first) = (recs.ts_ms(), lane.cursor);
-                let due = recs.count(first) as usize - lane.used;
-                *prev_ts = ts[first];
-                let k = if lane.used > 0 || due > room {
-                    // The head row is cut as `pop_run` cuts: `min(copies,
-                    // room)` now, the rest stays under the same key.
-                    let k = due.min(room);
-                    (lane.cursor, lane.used) = if k == due {
-                        (first + 1, 0)
-                    } else {
-                        (first, lane.used + k)
-                    };
-                    if let Some(batch) = out.as_deref_mut() {
-                        batch.push_n(recs.get(first), k);
-                    }
-                    k
+            let lane = &mut lanes[slot];
+            let (recs, si) = (&lane.head.recs, &lane.head.si);
+            let (ts, first) = (recs.ts_ms(), lane.cursor);
+            let due = recs.count(first) as usize - lane.used;
+            *prev_ts = ts[first];
+            let k = if lane.used > 0 || due > room {
+                // The head row is cut as `pop_run` cuts: `min(copies,
+                // room)` now, the rest stays under the same key.
+                let k = due.min(room);
+                (lane.cursor, lane.used) = if k == due {
+                    (first + 1, 0)
                 } else {
-                    // Every whole head row below the runner-up key that the
-                    // room holds, as one range.
-                    let (mut end, mut k) = (first + 1, due);
-                    while end < ts.len() && (ts[end], si[end]) < runner_up {
-                        let copies = recs.count(end) as usize;
-                        if k + copies > room {
-                            break;
-                        }
-                        (end, k) = (end + 1, k + copies);
-                    }
-                    (lane.cursor, *prev_ts) = (end, ts[end - 1]);
-                    if let Some(batch) = out.as_deref_mut() {
-                        batch.extend_from_range(recs, first..end);
-                    }
-                    k
+                    (first, lane.used + k)
                 };
-                lane.left -= k;
+                if let Some(batch) = out.as_deref_mut() {
+                    batch.push_n(recs.get(first), k);
+                }
                 k
             } else {
-                // The copies due of one fixed record, after one filter test.
-                let (rec, k) = fixed[slot - n].pop_run(room as u64);
-                if filter.as_ref().is_some_and(|f| !f.logs(&rec)) {
-                    continue;
+                // Every whole head row below the runner-up key that the
+                // room holds, as one range.
+                let (mut end, mut k) = (first + 1, due);
+                while end < ts.len() && (ts[end], si[end]) < runner_up {
+                    let copies = recs.count(end) as usize;
+                    if k + copies > room {
+                        break;
+                    }
+                    (end, k) = (end + 1, k + copies);
                 }
-                *prev_ts = rec.ts_ms;
+                (lane.cursor, *prev_ts) = (end, ts[end - 1]);
                 if let Some(batch) = out.as_deref_mut() {
-                    batch.push_n(rec, k as usize);
+                    batch.extend_from_range(recs, first..end);
                 }
-                k as usize
+                k
             };
+            lane.left -= k;
             produced += k;
             *delivered += k as u64;
-        }
-        for stream in &mut self.fixed {
-            stream.flush_count();
         }
         self.sample_buffering();
         produced
@@ -1029,15 +1072,9 @@ impl Source for FleetSource {
     fn resume(&mut self, at: TracePosition) -> Result<(), CodecError> {
         // Forward seeks continue from here (a session resumes a source it
         // has just built); only going backwards rewinds: rebuilds the lanes
-        // (same seed, same draws) and resets the fixed cursors.
+        // (same seed, same recipes, same draws).
         if at.offset < self.delivered {
-            let n = self.lanes.len();
-            self.shutdown();
-            (self.delivered, self.prev_ts) = (0, 0);
-            self.lanes = FleetSource::spawn_lanes(&self.vantage, n);
-            for stream in &mut self.fixed {
-                stream.rewind();
-            }
+            self.restart();
         }
         let mut remaining = at.offset - self.delivered;
         while remaining > 0 {
@@ -1212,43 +1249,71 @@ mod tests {
         }
     }
 
+    /// A fixed stream given day by day, each day's records in the order
+    /// they are pushed.
+    #[derive(Debug, Clone)]
+    struct Days(std::collections::VecDeque<(u64, Vec<PacketRecord>)>);
+
+    impl DayStepper for Days {
+        fn step(&mut self, out: &mut DayRows) -> bool {
+            let Some((day, records)) = self.0.pop_front() else {
+                return false;
+            };
+            out.open_day(day);
+            for r in records {
+                let flow = out.flow(r.src, r.dst);
+                out.push(r.ts_ms, flow, r.proto, r.sport, r.dport, r.len);
+            }
+            true
+        }
+    }
+
     proptest::proptest! {
         #[test]
-        fn fixed_stream_delivers_emission_due_copies_of_each_record(
-            // Mostly ties and small steps; a rare step past 2^32 ms starts
-            // a chunk by its offset.
-            steps in proptest::collection::vec((0u8..20, 0u64..3), 0..600),
-            room in 1u64..7,
+        fn a_fixed_stream_delivers_emission_due_copies_of_each_record(
+            // Days with gaps between them, some empty; each day's records
+            // pushed in any order, with many ties.
+            days in proptest::collection::vec(
+                (1u64..4, proptest::collection::vec(0u64..50, 0..80)),
+                0..8,
+            ),
         ) {
-            let mut ts = 1_000;
-            let (mut records, mut stream) = (Vec::new(), FlowStream::default());
-            for (i, &(wide, step)) in steps.iter().enumerate() {
-                ts += if wide == 0 { 1 << 32 } else { step };
-                let proto = [Transport::Tcp, Transport::Other(6)][i % 2];
-                let rec = PacketRecord { ts_ms: ts, src: i as u128, dst: 7, proto, sport: i as u16, dport: 25, len: 80 };
-                let flow = stream.flow(rec.src, rec.dst);
-                stream.push(ts, flow, proto, rec.sport, rec.dport, rec.len);
-                records.push(rec);
+            let (mut stream, mut sorted, mut day) = (Days(Default::default()), Vec::new(), 0);
+            for (gap, offsets) in &days {
+                day += gap;
+                let records: Vec<PacketRecord> = offsets
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &ms)| PacketRecord::tcp(day * lumen6_trace::DAY_MS + ms, i as u128, 7, 1, 25, 80))
+                    .collect();
+                let at = sorted.len();
+                sorted.extend(records.iter().copied());
+                sorted[at..].sort_by_key(|r: &PacketRecord| r.ts_ms);
+                stream.0.push_back((day, records));
             }
-            let base = records.len() as u64;
+            let base = sorted.len() as u64;
             for intensity in [0.37, 1.0, 10.0] {
                 let scaled = scale_intensity(base, intensity);
                 let due = |i: u64| emission_due(scaled, base, i);
                 let want: Vec<PacketRecord> = (0..base)
-                    .flat_map(|i| std::iter::repeat_n(records[i as usize], (due(i + 1) - due(i)) as usize))
+                    .flat_map(|i| std::iter::repeat_n(sorted[i as usize], (due(i + 1) - due(i)) as usize))
                     .collect();
-                let mut cursor = FixedStream::all(vec![("proptest", stream.clone())], intensity)
-                    .pop()
-                    .expect("one stream");
+                let vantage = Vantage {
+                    actors: Arc::new([]),
+                    seed: 0,
+                    intensity,
+                    fixed: vec![("proptest", Box::new(stream.clone()))],
+                    capture: None,
+                };
+                let mut source = FleetSource::from_vantage(vantage, 1);
+                let mut batch = RecordBatch::new();
                 for _pass in 0..2 {
                     let mut got = Vec::new();
-                    while let Some(ts) = cursor.peek_ts() {
-                        let (rec, k) = cursor.pop_run(room);
-                        proptest::prop_assert_eq!(rec.ts_ms, ts);
-                        got.extend(std::iter::repeat_n(rec, k as usize));
+                    while source.fill(&mut batch, 3).expect("generation") > 0 {
+                        got.extend(batch.iter());
                     }
                     proptest::prop_assert_eq!(&got, &want, "at {}x", intensity);
-                    cursor.rewind();
+                    source.resume(TracePosition::default()).expect("rewind");
                 }
             }
         }

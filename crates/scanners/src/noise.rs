@@ -6,29 +6,54 @@
 //! unsolicited traffic. This generator mints ephemeral sources that send a
 //! handful of packets to one or a few telescope addresses and disappear.
 
-use lumen6_trace::{FlowStream, FlowStreamBuilder, Transport, DAY_MS};
+use lumen6_trace::{DayRows, DayStepper, Transport, DAY_MS};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
+use std::sync::Arc;
 
-/// Generates `sources_per_day` ephemeral noise sources for each day of
-/// `[day_start, day_end)`, targeting addresses drawn from `telescope_addrs`,
-/// in stable time order: a flow per drawn destination, its packets as rows.
-pub fn generate(
-    telescope_addrs: &[u128],
+/// `sources_per_day` ephemeral noise sources for each day of `[day_start,
+/// day_end)`, targeting addresses drawn from the telescope's, a day at a
+/// time in stable time order: a flow per drawn destination, its packets as
+/// rows.
+#[derive(Debug, Clone)]
+pub struct Noise {
+    telescope_addrs: Arc<[u128]>,
     sources_per_day: usize,
-    day_start: u64,
-    day_end: u64,
-    seed: u64,
-) -> FlowStream {
-    assert!(!telescope_addrs.is_empty(), "need telescope addresses");
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x0153_e5e5);
-    let mut out = FlowStreamBuilder::default();
-    for day in day_start..day_end {
+    days: Range<u64>,
+    rng: SmallRng,
+}
+
+impl Noise {
+    /// The stream's recipe: it has drawn nothing yet.
+    pub fn new(
+        telescope_addrs: Arc<[u128]>,
+        sources_per_day: usize,
+        day_start: u64,
+        day_end: u64,
+        seed: u64,
+    ) -> Noise {
+        assert!(!telescope_addrs.is_empty(), "need telescope addresses");
+        Noise {
+            telescope_addrs,
+            sources_per_day,
+            days: day_start..day_end,
+            rng: SmallRng::seed_from_u64(seed ^ 0x0153_e5e5),
+        }
+    }
+}
+
+impl DayStepper for Noise {
+    fn step(&mut self, out: &mut DayRows) -> bool {
+        let Some(day) = self.days.next() else {
+            return false;
+        };
+        let (telescope_addrs, rng) = (&self.telescope_addrs, &mut self.rng);
         // A source starts at least an hour before midnight and sends for at
-        // most 19 minutes, so the day's records stay in the day: the
-        // builder's day-by-day sort is the whole stream's stable time sort.
+        // most 19 minutes, so the day's records stay in the day: the days
+        // in turn are the whole stream's stable time sort.
         out.open_day(day);
-        for _ in 0..sources_per_day {
+        for _ in 0..self.sources_per_day {
             // Random source /64 anywhere in 2000::/3-ish space.
             let net64: u64 = 0x2000_0000_0000_0000 | (rng.gen::<u64>() >> 3);
             let src = ((net64 as u128) << 64) | u128::from(rng.gen::<u64>());
@@ -55,8 +80,8 @@ pub fn generate(
                 out.push(ts, flow, proto, sport, dport, rng.gen_range(40..1400));
             }
         }
+        true
     }
-    out.finish()
 }
 
 #[cfg(test)]
@@ -64,7 +89,7 @@ mod tests {
     use super::*;
     use lumen6_trace::PacketRecord;
 
-    /// The generated stream, expanded.
+    /// The stream of `[day_start, day_end)`, every day expanded.
     fn generate(
         telescope_addrs: &[u128],
         sources_per_day: usize,
@@ -72,9 +97,13 @@ mod tests {
         day_end: u64,
         seed: u64,
     ) -> Vec<PacketRecord> {
-        super::generate(telescope_addrs, sources_per_day, day_start, day_end, seed)
-            .iter()
-            .collect()
+        let addrs = telescope_addrs.into();
+        let mut stepper = Noise::new(addrs, sources_per_day, day_start, day_end, seed);
+        let (mut day, mut out) = (DayRows::default(), Vec::new());
+        while stepper.step(&mut day) {
+            out.extend(day.sorted().map(|(_, r)| r));
+        }
+        out
     }
 
     #[test]

@@ -111,6 +111,45 @@ fn stream_equals_cdn_trace_across_threads_batch_and_intensity() {
     }
 }
 
+/// The fixed streams are generated a day at a time, so their edges are
+/// where a day stepper could go wrong: a fractional intensity, whose copies
+/// need the counting pass, and integral ones, whose copies need none; a
+/// horizon that starts after day 0, and one of a single day; and a
+/// backward resume, which restarts the steppers from their recipes. Each
+/// source delivers the oracle's sequence, and after going back from two
+/// thirds of the way to one third, the rest of it.
+#[test]
+fn fixed_stream_edges_equal_cdn_trace() {
+    for intensity in [0.37, 1.0, 10.0] {
+        for (start_day, end_day) in [(5, 9), (3, 4), (0, 1)] {
+            let cfg = FleetConfig {
+                start_day,
+                ..tiny_config(42, intensity, end_day)
+            };
+            let want = oracle::cdn_trace(&World::build(cfg.clone()));
+            assert!(want.len() > 100, "days {start_day}..{end_day}: too quiet");
+            let at = |i: usize| TracePosition {
+                offset: i as u64,
+                prev_ts: want[i - 1].ts_ms,
+            };
+            let case = format!("{intensity}x, days {start_day}..{end_day}");
+            for n in [1, 2] {
+                assert!(
+                    drain(&mut source(&cfg, n), 4096) == want,
+                    "{case}, gen_threads={n}"
+                );
+                let mut src = source(&cfg, n);
+                src.resume(at(want.len() * 2 / 3)).expect("forward");
+                src.resume(at(want.len() / 3)).expect("backward");
+                assert!(
+                    drain(&mut src, 97) == want[want.len() / 3..],
+                    "{case}, gen_threads={n}, resumed backward"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     /// Differential: for arbitrary seeds, lane counts, intensities and
     /// batch sizes, the fused stream is byte-identical to the materialized

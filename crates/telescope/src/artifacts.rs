@@ -19,10 +19,12 @@
 //! corner of Fig. 1.
 
 use crate::deployment::CdnDeployment;
-use lumen6_trace::{FlowStream, FlowStreamBuilder, Transport, DAY_MS, HOUR_MS};
+use lumen6_trace::{DayRows, DayStepper, Transport, DAY_MS, HOUR_MS};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Artifact traffic mix over a time range.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -81,25 +83,47 @@ pub fn mapped_machines(
     out
 }
 
-/// Generates the artifact mix for the day range `[day_start, day_end)`, in
-/// stable time order: a flow per (source, mapped machine) pair, its retries
-/// as rows.
+/// The artifact mix for the day range `[day_start, day_end)`, a day at a
+/// time in stable time order: a flow per (source, mapped machine) pair, its
+/// retries as rows.
 ///
 /// Sources are minted fresh per day from residential-looking /64s outside
 /// the CDN space (high bits 0x26xx, eyeball-style), so day-over-day they
 /// look like a churning population.
-pub fn generate(
-    deployment: &CdnDeployment,
-    config: &ArtifactConfig,
-    day_start: u64,
-    day_end: u64,
-    seed: u64,
-) -> FlowStream {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xa27f_ac75);
-    let mut out = FlowStreamBuilder::default();
-    for day in day_start..day_end {
-        // Every record of the day is clamped into the day, so the
-        // builder's day-by-day sort is the whole stream's stable time sort.
+#[derive(Debug, Clone)]
+pub struct Artifacts {
+    deployment: Arc<CdnDeployment>,
+    config: ArtifactConfig,
+    days: Range<u64>,
+    rng: SmallRng,
+}
+
+impl Artifacts {
+    /// The stream's recipe: it has drawn nothing yet.
+    pub fn new(
+        deployment: Arc<CdnDeployment>,
+        config: ArtifactConfig,
+        day_start: u64,
+        day_end: u64,
+        seed: u64,
+    ) -> Artifacts {
+        Artifacts {
+            deployment,
+            config,
+            days: day_start..day_end,
+            rng: SmallRng::seed_from_u64(seed ^ 0xa27f_ac75),
+        }
+    }
+}
+
+impl DayStepper for Artifacts {
+    fn step(&mut self, out: &mut DayRows) -> bool {
+        let Some(day) = self.days.next() else {
+            return false;
+        };
+        let (config, rng) = (&self.config, &mut self.rng);
+        // Every record of the day is clamped into the day, so the days in
+        // turn are the whole stream's stable time sort.
         out.open_day(day);
         let t0 = day * DAY_MS;
         for kind in 0..3 {
@@ -112,7 +136,7 @@ pub fn generate(
                 // Residential-looking source /64 with a random host IID.
                 let net64: u64 = 0x2600_0000_0000_0000 | (rng.gen::<u64>() & 0x00ff_ffff_ffff_0000);
                 let src = ((net64 as u128) << 64) | u128::from(rng.gen::<u64>());
-                let dsts = mapped_machines(deployment, src, day, config.mapped_machines);
+                let dsts = mapped_machines(&self.deployment, src, day, config.mapped_machines);
                 // Retries spread over the day.
                 for dst in dsts {
                     let flow = out.flow(src, dst);
@@ -125,8 +149,8 @@ pub fn generate(
                 }
             }
         }
+        true
     }
-    out.finish()
 }
 
 #[cfg(test)]
@@ -136,22 +160,26 @@ mod tests {
     use lumen6_detect::{ArtifactFilter, ScanDetectorConfig};
     use lumen6_netmodel::InternetRegistry;
 
-    /// The generated stream, expanded.
+    /// The stream of `[day_start, day_end)`, every day expanded.
     fn generate(
-        deployment: &CdnDeployment,
+        deployment: &Arc<CdnDeployment>,
         config: &ArtifactConfig,
         day_start: u64,
         day_end: u64,
         seed: u64,
     ) -> Vec<lumen6_trace::PacketRecord> {
-        super::generate(deployment, config, day_start, day_end, seed)
-            .iter()
-            .collect()
+        let deployment = Arc::clone(deployment);
+        let mut stepper = Artifacts::new(deployment, config.clone(), day_start, day_end, seed);
+        let (mut day, mut out) = (DayRows::default(), Vec::new());
+        while stepper.step(&mut day) {
+            out.extend(day.sorted().map(|(_, r)| r));
+        }
+        out
     }
 
-    fn deployment() -> CdnDeployment {
+    fn deployment() -> Arc<CdnDeployment> {
         let mut reg = InternetRegistry::new();
-        CdnDeployment::build(&DeploymentConfig::tiny(), &mut reg, 1)
+        Arc::new(CdnDeployment::build(&DeploymentConfig::tiny(), &mut reg, 1))
     }
 
     #[test]

@@ -59,13 +59,23 @@ impl<'a> FirewallCapture<'a> {
 
     /// Whether a single packet would be logged.
     pub fn logs(&self, r: &PacketRecord) -> bool {
-        if self.config.drop_icmpv6 && r.proto == Transport::Icmpv6 {
+        self.logs_service(r.proto, r.dport) && self.logs_dst(r.dst)
+    }
+
+    /// Whether packets of `proto` to `dport` would be logged, whatever
+    /// their destination: [`logs`](Self::logs) is this and
+    /// [`logs_dst`](Self::logs_dst), so a caller holding many packets of
+    /// one destination can test it once.
+    pub fn logs_service(&self, proto: Transport, dport: u16) -> bool {
+        if self.config.drop_icmpv6 && proto == Transport::Icmpv6 {
             return false;
         }
-        if r.proto == Transport::Tcp && self.config.served_tcp_ports.contains(&r.dport) {
-            return false;
-        }
-        self.deployment.is_telescope_addr(r.dst)
+        !(proto == Transport::Tcp && self.config.served_tcp_ports.contains(&dport))
+    }
+
+    /// Whether packets to `dst` would be logged on a service that is.
+    pub fn logs_dst(&self, dst: u128) -> bool {
+        self.deployment.is_telescope_addr(dst)
     }
 
     /// Filters a stream, returning the logged packets and statistics.

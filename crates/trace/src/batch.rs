@@ -74,6 +74,18 @@ impl RecordBatch {
         }
     }
 
+    /// Makes room for at least `rows` more rows in every column but the
+    /// counts, growing each to exactly that if it must grow.
+    pub fn reserve_exact(&mut self, rows: usize) {
+        self.ts_ms.reserve_exact(rows);
+        self.src.reserve_exact(rows);
+        self.dst.reserve_exact(rows);
+        self.proto.reserve_exact(rows);
+        self.sport.reserve_exact(rows);
+        self.dport.reserve_exact(rows);
+        self.len.reserve_exact(rows);
+    }
+
     /// Number of records in the batch (every copy counted).
     pub fn len(&self) -> usize {
         self.records
@@ -150,14 +162,17 @@ impl RecordBatch {
     /// Accounts the counts of rows about to be appended from `other`: rides
     /// on the row count alone while neither side has a `counts` column.
     fn extend_counts(&mut self, other: &RecordBatch, rows: std::ops::Range<usize>) {
-        if self.counts.is_empty() && other.counts.is_empty() {
+        if other.counts.is_empty() {
+            if !self.counts.is_empty() {
+                self.counts.resize(self.counts.len() + rows.len(), 1);
+            }
             self.records += rows.len();
             return;
         }
         self.count_rows();
-        let at = self.counts.len();
-        self.counts.extend(rows.map(|i| other.count(i)));
-        self.records += self.counts[at..].iter().map(|&c| c as usize).sum::<usize>();
+        let counts = &other.counts[rows];
+        self.counts.extend_from_slice(counts);
+        self.records += counts.iter().map(|&c| c as usize).sum::<usize>();
     }
 
     /// Appends every row of `other`, counts included — how the threaded
@@ -237,6 +252,17 @@ impl RecordBatch {
     /// stands for one record.
     pub fn counts(&self) -> &[u32] {
         &self.counts
+    }
+
+    /// Heap bytes the columns hold, capacity included.
+    pub fn held_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.ts_ms.capacity() * size_of::<u64>()
+            + (self.src.capacity() + self.dst.capacity()) * size_of::<u128>()
+            + self.proto.capacity() * size_of::<Transport>()
+            + (self.sport.capacity() + self.dport.capacity() + self.len.capacity())
+                * size_of::<u16>()
+            + self.counts.capacity() * size_of::<u32>()
     }
 }
 

@@ -14,7 +14,7 @@
 
 pub mod batch;
 pub mod codec;
-pub mod flow;
+pub mod day;
 pub mod pcap;
 pub mod publish;
 pub mod record;
@@ -23,7 +23,7 @@ pub mod time;
 
 pub use batch::RecordBatch;
 pub use codec::{CodecError, StreamingTraceReader, TracePosition, TraceWriter};
-pub use flow::{FlowStream, FlowStreamBuilder, RowIndex};
+pub use day::{DayRows, DayStepper};
 pub use publish::write_atomic;
 pub use record::{PacketRecord, Transport};
 pub use source::{FileStreamSource, FillOutcome, MaterializedSource, Source, TailSource};

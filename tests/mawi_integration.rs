@@ -5,7 +5,7 @@ use lumen6::analysis::{overlap, targeting};
 use lumen6::detect::{AggLevel, MawiConfig as FhConfig, MawiDetector};
 use lumen6::mawi::{capture_window, split_days, MawiConfig, MawiWorld};
 use lumen6::prelude::*;
-use lumen6::trace::SimTime;
+use lumen6::trace::{RecordBatch, SimTime, Source};
 use std::sync::OnceLock;
 
 /// A MAWI world covering the May-27 switch, July-6 and Dec-24 events.
@@ -18,7 +18,14 @@ fn world() -> &'static (MawiWorld, Vec<PacketRecord>) {
             ..MawiConfig::small()
         };
         let w = MawiWorld::build(cfg, None);
-        let trace = w.trace();
+        let (mut source, mut trace, mut batch) = (w.source(), Vec::new(), RecordBatch::new());
+        while source
+            .fill(&mut batch, 65_536)
+            .expect("generation cannot fail")
+            > 0
+        {
+            trace.extend(batch.iter());
+        }
         (w, trace)
     })
 }
