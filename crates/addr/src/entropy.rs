@@ -94,15 +94,6 @@ impl EntropyProfile {
             .sum::<f64>()
     }
 
-    /// The full 32-position entropy profile.
-    pub fn profile(&self) -> [f64; NIBBLES] {
-        let mut out = [0.0; NIBBLES];
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.entropy(i);
-        }
-        out
-    }
-
     /// Classifies nibble position `i`.
     pub fn class(&self, i: usize) -> NibbleClass {
         let h = self.entropy(i);
@@ -122,18 +113,6 @@ impl EntropyProfile {
     /// analysis is a cruder cut of the same signal.
     pub fn iid_entropy(&self) -> f64 {
         (16..NIBBLES).map(|i| self.entropy(i)).sum::<f64>() / 16.0
-    }
-
-    /// The empirical distribution of values at position `i` (sums to 1).
-    pub fn distribution(&self, i: usize) -> [f64; 16] {
-        let mut out = [0.0; 16];
-        if self.total == 0 {
-            return out;
-        }
-        for (v, slot) in out.iter_mut().enumerate() {
-            *slot = self.counts[i][v] as f64 / self.total as f64;
-        }
-        out
     }
 
     /// Raw counts at position `i`.
@@ -193,7 +172,7 @@ mod tests {
         let p = EntropyProfile::from_addrs((0..5000).map(|_| base | u128::from(rng.gen::<u64>())));
         assert!(p.iid_entropy() > 3.8, "iid entropy {}", p.iid_entropy());
         // Network half stays fixed.
-        assert!(p.profile()[..8].iter().all(|&h| h == 0.0));
+        assert!((0..8).all(|i| p.entropy(i) == 0.0));
     }
 
     #[test]
@@ -215,20 +194,10 @@ mod tests {
     }
 
     #[test]
-    fn distribution_sums_to_one() {
-        let p = EntropyProfile::from_addrs([1u128, 2, 3, 0xf]);
-        for i in 0..NIBBLES {
-            let s: f64 = p.distribution(i).iter().sum();
-            assert!((s - 1.0).abs() < 1e-12);
-        }
-        assert_eq!(p.total(), 4);
-    }
-
-    #[test]
     fn empty_profile_is_all_fixed() {
         let p = EntropyProfile::new();
         assert_eq!(p.total(), 0);
-        assert!(p.profile().iter().all(|&h| h == 0.0));
+        assert!((0..NIBBLES).all(|i| p.entropy(i) == 0.0));
         assert_eq!(p.iid_entropy(), 0.0);
     }
 }

@@ -101,14 +101,6 @@ pub fn nearby_addr<R: Rng + ?Sized>(rng: &mut R, base: u128, span_bits: u8) -> u
     }
 }
 
-/// Enumerates the first `count` sequential host addresses of a /64:
-/// `net64::1`, `net64::2`, ... Useful for building deterministic telescope
-/// deployments.
-pub fn sequential_hosts(net64: u64, count: u64) -> impl Iterator<Item = u128> {
-    let base = (net64 as u128) << 64;
-    (1..=count as u128).map(move |i| base | i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,15 +187,6 @@ mod tests {
             assert_ne!(a, base);
             assert_eq!(a >> 5, base >> 5);
         }
-    }
-
-    #[test]
-    fn sequential_hosts_enumerate() {
-        let v: Vec<u128> = sequential_hosts(0x1, 3).collect();
-        assert_eq!(
-            v,
-            vec![(1u128 << 64) | 1, (1u128 << 64) | 2, (1u128 << 64) | 3]
-        );
     }
 
     #[test]

@@ -121,36 +121,6 @@ impl HammingDistribution {
         64
     }
 
-    /// Chi-square statistic against the binomial(64, ½) distribution expected
-    /// for uniformly random IIDs. Buckets with expected count < 1 are pooled
-    /// into their neighbors to keep the statistic stable.
-    pub fn chi_square_vs_random(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let n = self.total as f64;
-        let probs = binomial64_pmf();
-        let mut chi = 0.0;
-        let mut pool_obs = 0.0;
-        let mut pool_exp = 0.0;
-        for (w, &p) in probs.iter().enumerate() {
-            let obs = self.counts[w] as f64 + pool_obs;
-            let exp = n * p + pool_exp;
-            if exp < 1.0 {
-                pool_obs = obs;
-                pool_exp = exp;
-                continue;
-            }
-            pool_obs = 0.0;
-            pool_exp = 0.0;
-            chi += (obs - exp).powi(2) / exp;
-        }
-        if pool_exp > 0.0 {
-            chi += (pool_obs - pool_exp).powi(2) / pool_exp;
-        }
-        chi
-    }
-
     /// A coarse randomness verdict: does this distribution look like
     /// uniformly random IIDs?
     ///
@@ -170,19 +140,6 @@ impl HammingDistribution {
         }
         self.total += other.total;
     }
-}
-
-/// The binomial(64, ½) PMF over weights 0..=64: C(64, w) / 2^64.
-pub fn binomial64_pmf() -> [f64; 65] {
-    let mut out = [0.0; 65];
-    // C(64, w) fits in f64 exactly up to w=32? Not exactly, but well within
-    // f64 precision for our use; compute multiplicatively to avoid overflow.
-    let mut c = 1.0f64; // C(64, 0)
-    for (w, slot) in out.iter_mut().enumerate() {
-        *slot = c / 2f64.powi(64);
-        c = c * (64 - w) as f64 / (w + 1) as f64;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -208,7 +165,6 @@ mod tests {
         assert_eq!(d.mean(), 0.0);
         assert_eq!(d.median(), 0);
         assert!(!d.looks_random());
-        assert_eq!(d.chi_square_vs_random(), 0.0);
     }
 
     #[test]
@@ -225,26 +181,6 @@ mod tests {
         let d = HammingDistribution::from_addrs((1u128..1000).map(|i| i % 256));
         assert!(d.mean() < 8.0);
         assert!(!d.looks_random());
-    }
-
-    #[test]
-    fn chi_square_separates_random_from_structured() {
-        let mut rng = SmallRng::seed_from_u64(9);
-        let random = HammingDistribution::from_addrs((0..2000).map(|_| rng.gen::<u64>() as u128));
-        let structured = HammingDistribution::from_addrs((0..2000u128).map(|i| i % 64));
-        assert!(random.chi_square_vs_random() < structured.chi_square_vs_random());
-    }
-
-    #[test]
-    fn binomial_pmf_sums_to_one_and_is_symmetric() {
-        let pmf = binomial64_pmf();
-        let sum: f64 = pmf.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9);
-        for w in 0..=32 {
-            assert!((pmf[w] - pmf[64 - w]).abs() < 1e-12);
-        }
-        // Mode at 32.
-        assert!(pmf[32] >= pmf[31] && pmf[32] >= pmf[33]);
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //! - [`hamming`]: Hamming-weight analysis of Interface IDs (the low 64 bits),
 //!   used by the paper (§4, Fig. 7) to distinguish structured from random
 //!   target generation.
-//! - [`classify`]: heuristic classification of how an address's IID was
-//!   generated (low-byte, EUI-64, embedded port, random, ...).
 //! - [`gen`]: deterministic, seedable address generators used by the scanner
 //!   actor models (random-in-prefix, vary-low-bits, low-Hamming-weight IIDs).
 //! - [`fxhash`]: the deterministic hasher behind the hot-path address sets
@@ -24,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod cast;
-pub mod classify;
 pub mod entropy;
 pub mod fxhash;
 pub mod gen;
@@ -32,7 +29,6 @@ pub mod hamming;
 pub mod prefix;
 pub mod trie;
 
-pub use classify::{classify_iid, IidClass};
 pub use entropy::EntropyProfile;
 pub use hamming::{hamming_weight_iid, HammingDistribution};
 pub use prefix::{Ipv6Prefix, PrefixParseError};

@@ -76,12 +76,6 @@ impl Ipv6Prefix {
         }
     }
 
-    /// Creates a /128 prefix from raw address bits.
-    #[inline]
-    pub fn host_bits(bits: u128) -> Self {
-        Ipv6Prefix { bits, len: 128 }
-    }
-
     /// Creates a prefix from an [`Ipv6Addr`] and a length, masking host bits.
     #[inline]
     pub fn from_addr(addr: Ipv6Addr, len: u8) -> Self {

@@ -112,40 +112,6 @@ impl<V> PrefixTrie<V> {
         self.nodes[node].value.as_ref()
     }
 
-    /// Returns a mutable reference to the value at exactly this prefix.
-    pub fn get_mut(&mut self, prefix: &Ipv6Prefix) -> Option<&mut V> {
-        let mut node = 0usize;
-        for i in 0..prefix.len() {
-            let bit = prefix.bit(i) as usize;
-            let child = self.nodes[node].children[bit];
-            if child == NIL {
-                return None;
-            }
-            node = child as usize;
-        }
-        self.nodes[node].value.as_mut()
-    }
-
-    /// Removes and returns the value at exactly this prefix. The node itself
-    /// is left in place (tombstone); this keeps removal O(len) without
-    /// re-linking, which is fine for routing-table-sized tries.
-    pub fn remove(&mut self, prefix: &Ipv6Prefix) -> Option<V> {
-        let mut node = 0usize;
-        for i in 0..prefix.len() {
-            let bit = prefix.bit(i) as usize;
-            let child = self.nodes[node].children[bit];
-            if child == NIL {
-                return None;
-            }
-            node = child as usize;
-        }
-        let v = self.nodes[node].value.take();
-        if v.is_some() {
-            self.len -= 1;
-        }
-        v
-    }
-
     /// Longest-prefix match: the most specific stored prefix containing the
     /// address, with its value.
     pub fn longest_match(&self, addr: u128) -> Option<(Ipv6Prefix, &V)> {
@@ -163,52 +129,6 @@ impl<V> PrefixTrie<V> {
             }
         }
         best.map(|(len, v)| (Ipv6Prefix::new(addr, len), v))
-    }
-
-    /// All stored (prefix, value) pairs covering the address, from least to
-    /// most specific.
-    pub fn matches(&self, addr: u128) -> Vec<(Ipv6Prefix, &V)> {
-        let mut out = Vec::new();
-        let mut node = 0usize;
-        if let Some(v) = self.nodes[0].value.as_ref() {
-            out.push((Ipv6Prefix::DEFAULT, v));
-        }
-        for i in 0..128u8 {
-            let bit = ((addr >> (127 - i)) & 1) as usize;
-            let child = self.nodes[node].children[bit];
-            if child == NIL {
-                break;
-            }
-            node = child as usize;
-            if let Some(v) = self.nodes[node].value.as_ref() {
-                out.push((Ipv6Prefix::new(addr, i + 1), v));
-            }
-        }
-        out
-    }
-
-    /// Iterates over all stored (prefix, value) pairs in lexicographic
-    /// (bit-string) order.
-    pub fn iter(&self) -> impl Iterator<Item = (Ipv6Prefix, &V)> {
-        // Explicit stack DFS; left (0) before right (1).
-        let mut out = Vec::with_capacity(self.len);
-        let mut stack: Vec<(usize, u128, u8)> = vec![(0, 0, 0)];
-        while let Some((node, bits, depth)) = stack.pop() {
-            if let Some(v) = self.nodes[node].value.as_ref() {
-                out.push((Ipv6Prefix::new(bits, depth), v));
-            }
-            // Push right first so left is processed first.
-            let right = self.nodes[node].children[1];
-            if right != NIL {
-                stack.push((right as usize, bits | (1u128 << (127 - depth)), depth + 1));
-            }
-            let left = self.nodes[node].children[0];
-            if left != NIL {
-                stack.push((left as usize, bits, depth + 1));
-            }
-        }
-        out.sort_by_key(|(p, _)| (p.bits(), p.len()));
-        out.into_iter()
     }
 
     /// Linear-scan longest-prefix match over an explicit list; used as a
@@ -266,39 +186,6 @@ mod tests {
         t.insert(Ipv6Prefix::DEFAULT, "default");
         assert_eq!(t.longest_match(0).unwrap().1, &"default");
         assert_eq!(t.longest_match(u128::MAX).unwrap().1, &"default");
-    }
-
-    #[test]
-    fn matches_returns_all_covers() {
-        let mut t = PrefixTrie::new();
-        t.insert(Ipv6Prefix::DEFAULT, 0);
-        t.insert(p("2001:db8::/32"), 32);
-        t.insert(p("2001:db8:1::/48"), 48);
-        let q = u128::from(p("2001:db8:1::1").addr());
-        let m: Vec<i32> = t.matches(q).into_iter().map(|(_, v)| *v).collect();
-        assert_eq!(m, vec![0, 32, 48]);
-    }
-
-    #[test]
-    fn remove_tombstones() {
-        let mut t = PrefixTrie::new();
-        t.insert(p("2001:db8::/32"), 1);
-        t.insert(p("2001:db8:1::/48"), 2);
-        assert_eq!(t.remove(&p("2001:db8:1::/48")), Some(2));
-        assert_eq!(t.remove(&p("2001:db8:1::/48")), None);
-        assert_eq!(t.len(), 1);
-        let q = u128::from(p("2001:db8:1::1").addr());
-        assert_eq!(t.longest_match(q).unwrap().1, &1);
-    }
-
-    #[test]
-    fn iter_yields_sorted_entries() {
-        let mut t = PrefixTrie::new();
-        t.insert(p("2001:db8:1::/48"), "b");
-        t.insert(p("2001:db8::/32"), "a");
-        t.insert(p("ff00::/8"), "c");
-        let got: Vec<String> = t.iter().map(|(p, _)| p.to_string()).collect();
-        assert_eq!(got, vec!["2001:db8::/32", "2001:db8:1::/48", "ff00::/8"]);
     }
 
     #[test]

@@ -33,18 +33,6 @@ where
     }
 }
 
-/// Target-set similarity between two sources (Appendix A.4): Jaccard index
-/// over distinct targets. The paper measures 78% for the AS#6 pair.
-pub fn target_similarity(a: &[u128], b: &[u128]) -> f64 {
-    let mut sa: Vec<u128> = a.to_vec();
-    let mut sb: Vec<u128> = b.to_vec();
-    sa.sort_unstable();
-    sa.dedup();
-    sb.sort_unstable();
-    sb.dedup();
-    crate::stats::jaccard_sorted(&sa, &sb)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,19 +52,5 @@ mod tests {
         let hitlist: HashSet<u128> = HashSet::new();
         let o = hitlist_overlap([].iter(), &hitlist);
         assert_eq!(o.fraction(), 0.0);
-    }
-
-    #[test]
-    fn similarity_with_duplicates() {
-        let a = vec![1u128, 2, 3, 3, 3];
-        let b = vec![2u128, 3, 4];
-        // {1,2,3} vs {2,3,4}: 2/4.
-        assert!((target_similarity(&a, &b) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn identical_sets_full_similarity() {
-        let a = vec![5u128, 6, 7];
-        assert_eq!(target_similarity(&a, &a), 1.0);
     }
 }

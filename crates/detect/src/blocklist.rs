@@ -6,10 +6,9 @@
 //! This module is the enforcement half of [`crate::adaptive`]:
 //!
 //! - alerts are admitted only if their collateral estimate is acceptable;
-//! - entries carry a TTL and expire unless re-confirmed;
-//! - membership tests are longest-prefix-match over a binary trie, so a
-//!   blocked /32 covers all its addresses at O(prefix-length);
-//! - every decision is recorded, auditable, and reversible.
+//! - an alert an equal or coarser entry already covers is not admitted
+//!   again; coverage is a longest-prefix match over a binary trie;
+//! - every decision is returned with its reason, so it is auditable.
 
 use crate::adaptive::Alert;
 use lumen6_addr::{Ipv6Prefix, PrefixTrie};
@@ -21,8 +20,6 @@ pub struct BlocklistConfig {
     /// Maximum tolerated collateral (low-activity sources inside the
     /// prefix) per alert.
     pub max_collateral: u64,
-    /// Entry lifetime; re-admitting an alert refreshes it.
-    pub ttl_ms: u64,
     /// Minimum alert packet volume to bother blocking.
     pub min_packets: u64,
     /// Coarsest prefix the operator is willing to block (e.g. 32 — never
@@ -34,7 +31,6 @@ impl Default for BlocklistConfig {
     fn default() -> Self {
         BlocklistConfig {
             max_collateral: 8,
-            ttl_ms: 24 * 3_600_000,
             min_packets: 100,
             min_prefix_len: 32,
         }
@@ -57,24 +53,17 @@ pub enum RejectReason {
 /// Outcome of offering one alert to the blocklist.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Decision {
-    /// Entry added (or refreshed).
+    /// Entry added (or confirmed).
     Blocked(Ipv6Prefix),
     /// Rejected with a reason.
     Rejected(Ipv6Prefix, RejectReason),
-}
-
-#[derive(Debug, Clone)]
-struct Entry {
-    expires_ms: u64,
-    hits: u64,
 }
 
 /// The blocklist.
 #[derive(Debug, Clone)]
 pub struct Blocklist {
     config: BlocklistConfig,
-    trie: PrefixTrie<Entry>,
-    entries: Vec<Ipv6Prefix>,
+    trie: PrefixTrie<()>,
 }
 
 impl Blocklist {
@@ -83,17 +72,15 @@ impl Blocklist {
         Blocklist {
             config,
             trie: PrefixTrie::new(),
-            entries: Vec::new(),
         }
     }
 
-    /// Offers a batch of alerts at time `now_ms`; returns one decision per
-    /// alert, in order.
-    pub fn ingest(&mut self, now_ms: u64, alerts: &[Alert]) -> Vec<Decision> {
-        alerts.iter().map(|a| self.offer(now_ms, a)).collect()
+    /// Offers a batch of alerts; returns one decision per alert, in order.
+    pub fn ingest(&mut self, alerts: &[Alert]) -> Vec<Decision> {
+        alerts.iter().map(|a| self.offer(a)).collect()
     }
 
-    fn offer(&mut self, now_ms: u64, alert: &Alert) -> Decision {
+    fn offer(&mut self, alert: &Alert) -> Decision {
         let p = alert.prefix;
         if p.len() < self.config.min_prefix_len {
             return Decision::Rejected(p, RejectReason::TooCoarse);
@@ -104,83 +91,17 @@ impl Blocklist {
         if alert.collateral_srcs > self.config.max_collateral {
             return Decision::Rejected(p, RejectReason::TooMuchCollateral);
         }
-        // Refresh if exactly present; reject if a live coarser cover exists.
-        if let Some(e) = self.trie.get_mut(&p) {
-            e.expires_ms = now_ms + self.config.ttl_ms;
+        // Confirm if exactly present; reject if a coarser cover exists.
+        if self.trie.get(&p).is_some() {
             return Decision::Blocked(p);
         }
-        if let Some((cover, entry)) = self.trie.longest_match(p.bits()) {
-            if cover.len() <= p.len() && entry.expires_ms > now_ms && cover.contains(&p) {
+        if let Some((cover, ())) = self.trie.longest_match(p.bits()) {
+            if cover.len() <= p.len() && cover.contains(&p) {
                 return Decision::Rejected(p, RejectReason::AlreadyCovered);
             }
         }
-        self.trie.insert(
-            p,
-            Entry {
-                expires_ms: now_ms + self.config.ttl_ms,
-                hits: 0,
-            },
-        );
-        self.entries.push(p);
+        self.trie.insert(p, ());
         Decision::Blocked(p)
-    }
-
-    /// Whether traffic from `addr` is blocked at time `now_ms`; counts a
-    /// hit on the matching entry.
-    pub fn check(&mut self, addr: u128, now_ms: u64) -> bool {
-        // Find the most specific live cover.
-        let hit = self
-            .trie
-            .matches(addr)
-            .into_iter()
-            .rev()
-            .find(|(_, e)| e.expires_ms > now_ms)
-            .map(|(p, _)| p);
-        match hit {
-            Some(p) => {
-                if let Some(e) = self.trie.get_mut(&p) {
-                    e.hits += 1;
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Removes expired entries; returns how many were dropped.
-    pub fn expire(&mut self, now_ms: u64) -> usize {
-        let mut dropped = 0;
-        self.entries.retain(|p| {
-            let live = self
-                .trie
-                .get(p)
-                .map(|e| e.expires_ms > now_ms)
-                .unwrap_or(false);
-            if !live {
-                self.trie.remove(p);
-                dropped += 1;
-            }
-            live
-        });
-        dropped
-    }
-
-    /// Live entries with their accumulated hit counts.
-    pub fn entries(&self) -> Vec<(Ipv6Prefix, u64)> {
-        self.entries
-            .iter()
-            .filter_map(|p| self.trie.get(p).map(|e| (*p, e.hits)))
-            .collect()
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the blocklist has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -204,19 +125,25 @@ mod tests {
     }
 
     #[test]
-    fn admits_clean_alert_and_blocks_contained_traffic() {
+    fn admits_clean_alert_and_covers_finer_alerts_inside_it() {
         let mut b = bl();
-        let d = b.ingest(0, &[alert("2001:db8::/48", 5_000, 0)]);
+        let d = b.ingest(&[alert("2001:db8::/48", 5_000, 0)]);
         assert_eq!(d, vec![Decision::Blocked("2001:db8::/48".parse().unwrap())]);
-        assert!(b.check("2001:db8::1234".parse::<Ipv6Prefix>().unwrap().bits(), 1000));
-        assert!(!b.check("2001:db9::1".parse::<Ipv6Prefix>().unwrap().bits(), 1000));
-        assert_eq!(b.entries()[0].1, 1, "hit recorded");
+        let d = b.ingest(&[
+            alert("2001:db8:0:1234::/64", 5_000, 0),
+            alert("2001:db9::/64", 5_000, 0),
+        ]);
+        assert!(matches!(
+            d[0],
+            Decision::Rejected(_, RejectReason::AlreadyCovered)
+        ));
+        assert!(matches!(d[1], Decision::Blocked(_)));
     }
 
     #[test]
     fn collateral_guard_rejects_risky_blocks() {
         let mut b = bl();
-        let d = b.ingest(0, &[alert("2001:db8::/64", 10_000, 500)]);
+        let d = b.ingest(&[alert("2001:db8::/64", 10_000, 500)]);
         assert_eq!(
             d,
             vec![Decision::Rejected(
@@ -224,19 +151,18 @@ mod tests {
                 RejectReason::TooMuchCollateral
             )]
         );
-        assert!(b.is_empty());
+        // The rejected /64 was not entered, so nothing covers a /96 in it.
+        let d = b.ingest(&[alert("2001:db8::/96", 10_000, 0)]);
+        assert!(matches!(d[0], Decision::Blocked(_)));
     }
 
     #[test]
     fn volume_floor_and_coarseness_guard() {
         let mut b = bl();
-        let d = b.ingest(
-            0,
-            &[
-                alert("2001:db8::/48", 10, 0),
-                alert("2001::/16", 1_000_000, 0),
-            ],
-        );
+        let d = b.ingest(&[
+            alert("2001:db8::/48", 10, 0),
+            alert("2001::/16", 1_000_000, 0),
+        ]);
         assert!(matches!(
             d[0],
             Decision::Rejected(_, RejectReason::TooFewPackets)
@@ -248,67 +174,24 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expires_entries() {
-        let mut b = bl();
-        b.ingest(0, &[alert("2001:db8::/48", 1_000, 0)]);
-        let addr = "2001:db8::1".parse::<Ipv6Prefix>().unwrap().bits();
-        assert!(b.check(addr, 1_000));
-        let ttl = BlocklistConfig::default().ttl_ms;
-        assert!(!b.check(addr, ttl + 1), "expired entries stop matching");
-        assert_eq!(b.expire(ttl + 1), 1);
-        assert!(b.is_empty());
-    }
-
-    #[test]
-    fn readmission_refreshes_ttl() {
+    fn readmission_confirms_the_entry() {
         let mut b = bl();
         let a = alert("2001:db8::/48", 1_000, 0);
-        b.ingest(0, std::slice::from_ref(&a));
-        let ttl = BlocklistConfig::default().ttl_ms;
-        // Refresh shortly before expiry.
-        b.ingest(ttl - 10, &[a]);
-        let addr = "2001:db8::1".parse::<Ipv6Prefix>().unwrap().bits();
-        assert!(b.check(addr, ttl + 10), "refresh extended the lifetime");
-        assert_eq!(b.len(), 1, "no duplicate entry");
+        b.ingest(std::slice::from_ref(&a));
+        assert_eq!(
+            b.ingest(&[a]),
+            vec![Decision::Blocked("2001:db8::/48".parse().unwrap())]
+        );
     }
 
     #[test]
-    fn finer_alert_covered_by_live_coarser_entry() {
+    fn finer_alert_covered_by_coarser_entry() {
         let mut b = bl();
-        b.ingest(0, &[alert("2001:db8::/32", 100_000, 0)]);
-        let d = b.ingest(10, &[alert("2001:db8:1::/48", 5_000, 0)]);
+        b.ingest(&[alert("2001:db8::/32", 100_000, 0)]);
+        let d = b.ingest(&[alert("2001:db8:1::/48", 5_000, 0)]);
         assert!(matches!(
             d[0],
             Decision::Rejected(_, RejectReason::AlreadyCovered)
         ));
-        assert_eq!(b.len(), 1);
-    }
-
-    #[test]
-    fn expired_coarse_cover_does_not_block_admission() {
-        let mut b = bl();
-        b.ingest(0, &[alert("2001:db8::/32", 100_000, 0)]);
-        let ttl = BlocklistConfig::default().ttl_ms;
-        let d = b.ingest(ttl + 1, &[alert("2001:db8:1::/48", 5_000, 0)]);
-        assert!(matches!(d[0], Decision::Blocked(_)));
-    }
-
-    #[test]
-    fn most_specific_live_entry_takes_the_hit() {
-        let mut b = bl();
-        b.ingest(0, &[alert("2001:db8::/32", 100_000, 0)]);
-        // Admit a finer one after the cover expires, then re-admit cover.
-        let ttl = BlocklistConfig::default().ttl_ms;
-        b.ingest(ttl + 1, &[alert("2001:db8:1::/48", 5_000, 0)]);
-        b.ingest(ttl + 2, &[alert("2001:db8::/32", 100_000, 0)]);
-        let inside_fine = "2001:db8:1::9".parse::<Ipv6Prefix>().unwrap().bits();
-        assert!(b.check(inside_fine, ttl + 3));
-        let entries = b.entries();
-        let fine_hits = entries
-            .iter()
-            .find(|(p, _)| p.len() == 48)
-            .map(|(_, h)| *h)
-            .unwrap();
-        assert_eq!(fine_hits, 1, "hit attributed to the most specific entry");
     }
 }

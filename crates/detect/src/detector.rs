@@ -589,7 +589,10 @@ mod tests {
         let e = &report.events[0];
         assert_eq!(e.num_ports(), 2);
         assert!(e.targets(Transport::Tcp, 22));
-        assert_eq!(e.top_port().unwrap(), ((Transport::Tcp, 22), 100));
+        assert_eq!(
+            e.ports,
+            vec![((Transport::Tcp, 22), 100), ((Transport::Tcp, 443), 50)]
+        );
     }
 
     #[test]

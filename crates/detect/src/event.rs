@@ -44,11 +44,6 @@ impl ScanEvent {
         self.ports.len()
     }
 
-    /// Packet count on the most-targeted service.
-    pub fn top_port(&self) -> Option<((Transport, u16), u64)> {
-        self.ports.iter().max_by_key(|(_, n)| *n).copied()
-    }
-
     /// The paper's footnote-9 single/multi-port classification.
     pub fn port_class(&self) -> PortClass {
         classify_ports(self.ports.iter().map(|&(_, n)| n), self.packets)
@@ -94,16 +89,6 @@ impl ScanReport {
     /// The distinct source prefixes.
     pub fn source_set(&self) -> HashSet<Ipv6Prefix> {
         self.events.iter().map(|e| e.source).collect()
-    }
-
-    /// Events overlapping the half-open time range `[start, end)`.
-    ///
-    /// An event overlaps if any of its packets could fall in the range,
-    /// i.e. `start_ms < end && end_ms >= start`.
-    pub fn in_range(&self, start: u64, end: u64) -> impl Iterator<Item = &ScanEvent> {
-        self.events
-            .iter()
-            .filter(move |e| e.start_ms < end && e.end_ms >= start)
     }
 
     /// Sorted scan durations in milliseconds.
@@ -163,16 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn in_range_is_overlap_semantics() {
-        let r = ScanReport::new(vec![ev("2001:db8::/64", 50, 150, 10)]);
-        assert_eq!(r.in_range(0, 51).count(), 1); // starts before end of range
-        assert_eq!(r.in_range(0, 50).count(), 0); // half-open: excluded
-        assert_eq!(r.in_range(150, 200).count(), 1); // last packet at 150
-        assert_eq!(r.in_range(151, 200).count(), 0);
-        assert_eq!(r.in_range(100, 120).count(), 1); // straddles
-    }
-
-    #[test]
     fn packets_by_source_descends() {
         let r = ScanReport::new(vec![
             ev("2001:db8::/64", 0, 1, 10),
@@ -189,7 +164,7 @@ mod tests {
         let e = ev("2001:db8::/64", 5, 105, 42);
         assert_eq!(e.duration_ms(), 100);
         assert_eq!(e.num_ports(), 1);
-        assert_eq!(e.top_port().unwrap().0, (Transport::Tcp, 22));
+        assert_eq!(e.ports[0].0, (Transport::Tcp, 22));
         assert!(e.targets(Transport::Tcp, 22));
         assert!(!e.targets(Transport::Udp, 22));
         assert!(!e.targets(Transport::Tcp, 23));

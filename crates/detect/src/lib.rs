@@ -51,7 +51,6 @@ pub mod day;
 pub mod detector;
 pub mod event;
 pub mod fingerprint;
-pub mod ids;
 pub mod mawi;
 pub mod multi;
 pub mod parallel;
@@ -67,7 +66,6 @@ pub use detector::{ScanDetector, ScanDetectorConfig};
 pub use event::{ScanEvent, ScanReport};
 pub use fingerprint::Fingerprint;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use ids::{Ids, IdsAction, IdsConfig};
 pub use lumen6_addr::fxhash;
 pub use mawi::{MawiConfig, MawiDetector, MawiGroups, MawiScan};
 pub use parallel::ThreadedDetector;

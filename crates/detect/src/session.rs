@@ -302,11 +302,6 @@ impl ReorderBuffer {
         self.late_dropped
     }
 
-    /// Packets currently buffered.
-    pub fn pending(&self) -> usize {
-        self.heap.len()
-    }
-
     /// Feeds one packet; appends every packet whose release horizon passed
     /// to `out`, in timestamp order.
     pub fn push(&mut self, rec: PacketRecord, out: &mut RecordBatch) {

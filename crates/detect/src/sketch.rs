@@ -236,11 +236,6 @@ impl HyperLogLog {
     pub fn is_empty(&self) -> bool {
         self.registers.iter().all(|&r| r == 0)
     }
-
-    /// Memory used by the register array, in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.registers.len()
-    }
 }
 
 /// Hand-written so a stored sketch passes [`HyperLogLog::from_registers`]: a
@@ -306,11 +301,6 @@ impl DistinctCounter {
             DistinctCounter::Exact(set) => set.len() as u64,
             DistinctCounter::Sketch(hll) => hll.estimate(),
         }
-    }
-
-    /// Whether this counter spilled to a sketch.
-    pub fn is_sketched(&self) -> bool {
-        matches!(self, DistinctCounter::Sketch(_))
     }
 }
 
@@ -474,7 +464,7 @@ mod tests {
     fn precision_clamped() {
         assert_eq!(HyperLogLog::new(0).precision(), 4);
         assert_eq!(HyperLogLog::new(40).precision(), 16);
-        assert_eq!(HyperLogLog::new(12).memory_bytes(), 4096);
+        assert_eq!(HyperLogLog::new(12).registers().len(), 4096);
     }
 
     #[test]
@@ -483,7 +473,7 @@ mod tests {
         for i in 0..10_000u128 {
             c.insert(i, 256, 12);
         }
-        assert!(c.is_sketched());
+        assert!(matches!(c, DistinctCounter::Sketch(_)));
         let est = c.count() as f64;
         assert!((est - 10_000.0).abs() / 10_000.0 < 0.05, "est={est}");
     }
@@ -495,7 +485,7 @@ mod tests {
             c.insert(i, 256, 12);
             c.insert(i, 256, 12);
         }
-        assert!(!c.is_sketched());
+        assert!(matches!(c, DistinctCounter::Exact(_)));
         assert_eq!(c.count(), 100);
     }
 }

@@ -105,7 +105,7 @@ pub fn ext_adaptive(lab: &CdnLab) -> String {
             max_collateral,
             ..Default::default()
         });
-        let decisions = bl.ingest(end, &alerts);
+        let decisions = bl.ingest(&alerts);
         let blocked = decisions
             .iter()
             .filter(|d| matches!(d, Decision::Blocked(_)))
@@ -382,8 +382,7 @@ pub fn ext_tga(lab: &CdnLab) -> String {
 
     let profile = EntropyProfile::from_addrs(seeds.iter().copied());
     let model = tga::IidModel::learn(&seeds);
-    let tree = tga::PrefixTree::learn(&seeds);
-    let nets = tree.networks();
+    let nets = tga::seed_networks(&seeds);
 
     let mut rng = SmallRng::seed_from_u64(99);
     let n = 200_000;
@@ -406,7 +405,7 @@ pub fn ext_tga(lab: &CdnLab) -> String {
         out,
         "seed set: {} DNS-exposed addresses over {} /64s",
         seeds.len(),
-        tree.len()
+        nets.len()
     )
     .unwrap();
     writeln!(out, "seed entropy signature: {}", profile.signature()).unwrap();

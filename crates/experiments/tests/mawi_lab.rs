@@ -5,13 +5,29 @@
 
 use lumen6_detect::{AggLevel, MawiConfig as FhConfig, MawiDetector, MawiScan};
 use lumen6_experiments::MawiLab;
-use lumen6_mawi::{split_days, MawiConfig};
+use lumen6_mawi::{capture_window, MawiConfig};
 use lumen6_trace::{PacketRecord, SimTime};
 
 #[path = "../../mawi/tests/reference/mod.rs"]
 mod reference;
 
 const AGGS: [AggLevel; 3] = [AggLevel::L128, AggLevel::L64, AggLevel::L48];
+
+/// The capture window of each day in `[start_day, end_day)`, as a slice of
+/// the time-sorted `records`.
+fn split_days(
+    records: &[PacketRecord],
+    start_day: u64,
+    end_day: u64,
+) -> Vec<(u64, &[PacketRecord])> {
+    let at = |t: u64| records.partition_point(|r| r.ts_ms < t);
+    (start_day..end_day)
+        .map(|day| {
+            let (s, e) = capture_window(day);
+            (day, &records[at(s)..at(e)])
+        })
+        .collect()
+}
 
 fn detector(agg: AggLevel, min_dsts: u64) -> MawiDetector {
     MawiDetector::new(FhConfig {

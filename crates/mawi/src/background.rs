@@ -152,7 +152,10 @@ mod tests {
     #[test]
     fn background_is_rejected_by_the_detector() {
         let recs = generate(&downstream(), 60, 0, 2, 5);
-        for (_, day) in crate::split_days(&recs, 0, 2) {
+        for day in 0..2 {
+            let (s, e) = capture_window(day);
+            let at = |t: u64| recs.partition_point(|r| r.ts_ms < t);
+            let day = &recs[at(s)..at(e)];
             let scans = MawiDetector::new(MawiConfig::loose(AggLevel::L64)).detect(day);
             assert!(
                 scans.is_empty(),

@@ -82,49 +82,14 @@ pub fn each_window(
     Ok(())
 }
 
-/// Splits a time-sorted trace into per-day capture slices for
-/// `[start_day, end_day)`. Records outside any window are dropped.
-pub fn split_days(
-    records: &[lumen6_trace::PacketRecord],
-    start_day: u64,
-    end_day: u64,
-) -> Vec<(u64, &[lumen6_trace::PacketRecord])> {
-    let mut out = Vec::new();
-    for day in start_day..end_day {
-        let (s, e) = capture_window(day);
-        let lo = records.partition_point(|r| r.ts_ms < s);
-        let hi = records.partition_point(|r| r.ts_ms < e);
-        out.push((day, &records[lo..hi]));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lumen6_trace::PacketRecord;
 
     #[test]
     fn windows_are_15_minutes() {
         let (s, e) = capture_window(3);
         assert_eq!(e - s, 15 * MINUTE_MS);
         assert_eq!(s % DAY_MS, WINDOW_START_MS);
-    }
-
-    #[test]
-    fn split_days_partitions() {
-        let (s0, _) = capture_window(0);
-        let (_s1, e1) = capture_window(1);
-        let records = vec![
-            PacketRecord::tcp(s0, 1, 2, 1, 22, 60),
-            PacketRecord::tcp(s0 + 10, 1, 3, 1, 22, 60),
-            PacketRecord::tcp(e1 - 1, 1, 4, 1, 22, 60),
-            PacketRecord::tcp(e1, 1, 5, 1, 22, 60), // outside
-        ];
-        let days = split_days(&records, 0, 3);
-        assert_eq!(days.len(), 3);
-        assert_eq!(days[0].1.len(), 2);
-        assert_eq!(days[1].1.len(), 1);
-        assert_eq!(days[2].1.len(), 0);
     }
 }

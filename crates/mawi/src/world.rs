@@ -303,8 +303,8 @@ impl MawiWorld {
 
     /// The vantage [`FleetSource`] generates the link trace from: the
     /// actors at their indices, then background traffic, then the small
-    /// scanners, with no capture filter, at 1x — `merge_sorted`'s
-    /// (timestamp, stream index) order over those streams.
+    /// scanners, with no capture filter, at 1x, merged in (timestamp,
+    /// stream index) order over those streams.
     pub fn vantage(&self) -> Vantage {
         let c = &self.config;
         let background = Background::new(
@@ -392,7 +392,6 @@ impl DayStepper for SmallScanners {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::split_days;
     use lumen6_detect::{AggLevel, MawiDetector};
     use lumen6_trace::{PacketRecord, RecordBatch, Source};
 
@@ -457,8 +456,10 @@ mod tests {
         let trace = trace(&w);
         let det = MawiDetector::new(lumen6_detect::MawiConfig::paper(AggLevel::L64));
         let mut days_with_as1 = 0;
-        for (_, slice) in split_days(&trace, 0, 30) {
-            let scans = det.detect(slice);
+        for day in 0..30 {
+            let (start, end) = crate::capture_window(day);
+            let at = |t: u64| trace.partition_point(|r| r.ts_ms < t);
+            let scans = det.detect(&trace[at(start)..at(end)]);
             if scans.iter().any(|s| s.source.contains_addr(w.as1_source)) {
                 days_with_as1 += 1;
             }

@@ -19,7 +19,7 @@
 
 use lumen6_addr::{gen, Ipv6Prefix};
 use lumen6_mawi::{capture_window, MawiWorld};
-use lumen6_trace::{merge_sorted, scale_intensity, PacketRecord, Transport};
+use lumen6_trace::{scale_intensity, PacketRecord, Transport};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -49,6 +49,30 @@ pub fn mawi_trace_at(world: &MawiWorld, intensity: f64) -> Vec<PacketRecord> {
     streams.push(repeat(&background, intensity));
     streams.push(repeat(&small_scanners(world), intensity));
     merge_sorted(streams)
+}
+
+/// Merges traces, each sorted by timestamp, into one sorted trace; ties go
+/// to the lower trace index, so the streams' order is the tie-break.
+pub fn merge_sorted(traces: Vec<Vec<PacketRecord>>) -> Vec<PacketRecord> {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    let total: usize = traces.iter().map(Vec::len).sum();
+    let mut out = Vec::with_capacity(total);
+    // Heap of (next timestamp, trace index, position).
+    let mut heap: BinaryHeap<Reverse<(u64, usize, usize)>> = BinaryHeap::new();
+    for (i, t) in traces.iter().enumerate() {
+        if let Some(r) = t.first() {
+            heap.push(Reverse((r.ts_ms, i, 0)));
+        }
+    }
+    while let Some(Reverse((_, i, pos))) = heap.pop() {
+        out.push(traces[i][pos]);
+        if pos + 1 < traces[i].len() {
+            heap.push(Reverse((traces[i][pos + 1].ts_ms, i, pos + 1)));
+        }
+    }
+    out
 }
 
 /// `stream` scaled to `scale_intensity(len, intensity)` records by the

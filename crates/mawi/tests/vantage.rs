@@ -6,9 +6,7 @@ use lumen6_mawi::{MawiConfig, MawiWorld};
 use lumen6_scanners::{
     FleetSource, PortSampler, ScannerActor, Schedule, SourceSampler, TargetSampler, Vantage,
 };
-use lumen6_trace::{
-    merge_sorted, PacketRecord, RecordBatch, SimTime, Source, TracePosition, Transport,
-};
+use lumen6_trace::{PacketRecord, RecordBatch, SimTime, Source, TracePosition, Transport};
 
 mod reference;
 
@@ -118,7 +116,7 @@ fn a_custom_fleet_is_the_merge_of_its_actors() {
         actor("ssh", 0x2001_0db8 << 96 | 1, 0xd << 96, 22, (0, 3)),
         actor("telnet", 0x2001_0db9 << 96 | 2, 0xe << 96, 23, (1, 4)),
     ];
-    let want = merge_sorted(actors.iter().map(|a| a.generate(7)).collect());
+    let want = reference::merge_sorted(actors.iter().map(|a| a.generate(7)).collect());
     assert!(want.windows(2).any(|w| w[0].src != w[1].src));
     for gen_threads in [1, 2] {
         for max in [1, 3, 4096] {

@@ -126,7 +126,6 @@ pub fn alloc_len(ty: AsType) -> u8 {
 pub struct InternetRegistry {
     ases: BTreeMap<u32, AsInfo>,
     rib: PrefixTrie<u32>,
-    announcements: Vec<(Ipv6Prefix, u32)>,
 }
 
 /// Errors from registry operations.
@@ -198,7 +197,6 @@ impl InternetRegistry {
             return Err(RegistryError::DuplicateAnnouncement(prefix, *existing));
         }
         self.rib.insert(prefix, asn);
-        self.announcements.push((prefix, asn));
         Ok(())
     }
 
@@ -246,16 +244,6 @@ impl InternetRegistry {
     /// AS metadata.
     pub fn as_info(&self, asn: u32) -> Option<&AsInfo> {
         self.ases.get(&asn)
-    }
-
-    /// All registered ASes in ASN order.
-    pub fn ases(&self) -> impl Iterator<Item = &AsInfo> {
-        self.ases.values()
-    }
-
-    /// All announcements in insertion order.
-    pub fn announcements(&self) -> &[(Ipv6Prefix, u32)] {
-        &self.announcements
     }
 
     /// Number of distinct ASes originating the given addresses — the "ASes"

@@ -314,28 +314,6 @@ impl MetricsRegistry {
                 .collect(),
         }
     }
-
-    /// Zeroes every registered metric (handles stay valid). Test helper —
-    /// concurrent writers may land increments before or after the sweep.
-    pub fn reset(&self) {
-        let inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for c in inner.counters.values() {
-            c.store(0, Ordering::Relaxed);
-        }
-        for g in inner.gauges.values() {
-            g.store(0, Ordering::Relaxed);
-        }
-        for h in inner.histograms.values() {
-            for b in &h.buckets {
-                b.store(0, Ordering::Relaxed);
-            }
-            h.count.store(0, Ordering::Relaxed);
-            h.sum.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// One non-empty histogram bucket: `count` values `<= le` (and above the
@@ -619,17 +597,6 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counter_sum("p.shard.", ".routed"), 7);
         assert_eq!(snap.counter_sum("", ""), 16);
-    }
-
-    #[test]
-    fn reset_zeroes_but_keeps_handles() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("r.c");
-        c.add(7);
-        reg.reset();
-        assert_eq!(c.get(), 0);
-        c.inc();
-        assert_eq!(reg.snapshot().counters["r.c"], 1);
     }
 
     #[test]

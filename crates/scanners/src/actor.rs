@@ -48,18 +48,6 @@ impl Schedule {
         }
     }
 
-    /// A single burst on one day (the MAWI peak events).
-    pub fn burst(day: u64, hours: f64, packets: u64) -> Schedule {
-        Schedule {
-            start_day: day,
-            end_day: day + 1,
-            sessions_per_week: 7.0,
-            session_hours: hours,
-            packets_per_session: packets,
-            pin_start_ms_in_day: None,
-        }
-    }
-
     /// Expands the schedule into concrete sessions.
     pub fn sessions(&self, rng: &mut SmallRng) -> Vec<Session> {
         let mut out = Vec::new();
@@ -340,7 +328,15 @@ mod tests {
 
     #[test]
     fn burst_is_single_day() {
-        let s = Schedule::burst(355, 0.25, 10_000); // Dec 22-ish, 15 minutes
+        // Dec 22-ish, 15 minutes.
+        let s = Schedule {
+            start_day: 355,
+            end_day: 356,
+            sessions_per_week: 7.0,
+            session_hours: 0.25,
+            packets_per_session: 10_000,
+            pin_start_ms_in_day: None,
+        };
         let mut rng = SmallRng::seed_from_u64(3);
         let sessions = s.sessions(&mut rng);
         assert_eq!(sessions.len(), 1);

@@ -248,23 +248,6 @@ impl Fleet {
         }
         .build()
     }
-
-    /// Total scheduled packets across all actors at the given intensity
-    /// (ground-truth budget). Schedules carry the calibrated 1× budgets;
-    /// intensity is applied per session at generation time, so it is a
-    /// parameter here rather than baked into the schedules.
-    pub fn scheduled_packets(&self, intensity: f64) -> u64 {
-        // Approximation: sessions × packets, not expanded; used for sanity
-        // checks and reporting only.
-        self.actors
-            .iter()
-            .map(|a| {
-                let days = a.schedule.end_day - a.schedule.start_day;
-                let sessions = (days as f64 / 7.0 * a.schedule.sessions_per_week).round() as u64;
-                sessions * scale_intensity(a.schedule.packets_per_session, intensity)
-            })
-            .sum()
-    }
 }
 
 struct Builder<'a> {
@@ -1118,14 +1101,28 @@ mod tests {
         // budget at generation time (per session, exact integer
         // arithmetic). The schedules themselves are intensity-independent.
         let world = World::build(FleetConfig::small());
-        let base = world.fleet.scheduled_packets(1.0);
+        // Sessions x scaled packets per actor, not expanded.
+        let scheduled_packets = |intensity: f64| -> u64 {
+            world
+                .fleet
+                .actors
+                .iter()
+                .map(|a| {
+                    let s = &a.schedule;
+                    let days = s.end_day - s.start_day;
+                    let sessions = (days as f64 / 7.0 * s.sessions_per_week).round() as u64;
+                    sessions * scale_intensity(s.packets_per_session, intensity)
+                })
+                .sum()
+        };
+        let base = scheduled_packets(1.0);
         // Intensity 1250.0 is an exactly representable integer scale, so the
         // per-session budget scales exactly 1250x — no f64 drift.
-        assert_eq!(world.fleet.scheduled_packets(1250.0), base * 1250);
+        assert_eq!(scheduled_packets(1250.0), base * 1250);
         // At 1:1250 most mini-actor sessions round to zero packets; the old
         // .max(1) floor would have produced >= one packet per actor
         // (= actors.len() at minimum), inflating the downscaled total.
-        let tiny = world.fleet.scheduled_packets(1.0 / 1250.0);
+        let tiny = scheduled_packets(1.0 / 1250.0);
         let actors = world.fleet.actors.len() as u64;
         assert!(tiny < actors, "floor removed: {tiny} < {actors} actors");
         // Emission honors the scaled budget exactly: AS#1 is continuous at

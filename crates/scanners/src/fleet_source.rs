@@ -31,8 +31,7 @@
 //! [`RUN_RECORDS`] records, each record tagged with its global stream
 //! index; the consumer k-way-merges the lane heads with the fixed streams'
 //! days, each one more lane.
-//! The only thing `gen_threads` changes is *where* a lane's generator
-//! runs:
+//! `gen_threads` changes only *where* an actor lane's generator runs:
 //!
 //! - `gen_threads = 1`: the single lane owns its generator and refills its
 //!   run on the consumer's thread — no thread, no channel, no cross-thread
@@ -42,13 +41,19 @@
 //!   detector backends can absorb, so each lane hands its generator to a
 //!   spawned thread behind a pair of bounded channels.
 //!
+//! The fixed streams' day lanes are built on the consumer's thread at
+//! every `gen_threads`, each day when the merge has taken the last row of
+//! the one before. They stay there because `gen_threads = N` means exactly
+//! N worker threads, one per actor lane, and `tests/threads.rs` pins that
+//! count: a worker per day lane would make the CDN source run N + 2.
+//!
 //! # The sequence and its determinism
 //!
 //! The trace is the merge, by (timestamp, stream index), of one stream per
 //! actor at its index, then each fixed stream in order, minus the records
-//! the capture rejects — `merge_sorted`'s order. It is a pure function of
-//! the vantage — not of the lane count, the fill sizes or thread
-//! scheduling:
+//! the capture rejects — the order the test oracles' `merge_sorted`
+//! builds. It is a pure function of the vantage — not of the lane count,
+//! the fill sizes or thread scheduling:
 //!
 //! - An actor's stream is its probes ([`ScannerActor::draw_session`], the
 //!   loop [`ScannerActor::generate_scaled`] collects and stable-sorts) in
@@ -110,7 +115,8 @@
 //! (and its pinned test) covers all three tiers: release-queue entries,
 //! records in flight in the channels, and the consumer-held lane heads.
 //! Beside them stay each fixed stream's day buffers (its biggest day's rows
-//! and run: O(day), whatever `--days` and `--intensity`) and the actors'
+//! and run: O(day), whatever `--days` and `--intensity`), held and refilled
+//! on the consumer's thread at every `gen_threads`, and the actors'
 //! schedules and target pools.
 //!
 //! # Runs
@@ -985,9 +991,10 @@ impl FleetSource {
         let mut produced = 0usize;
         while produced < max {
             // The candidate with the smallest (timestamp, stream index)
-            // key is next — exactly the `merge_sorted` order — and it stays
-            // next until its key passes the runner-up's. Stream indices
-            // are disjoint across lanes, so keys never tie between them.
+            // key is next — exactly the oracles' `merge_sorted` order — and
+            // it stays next until its key passes the runner-up's. Stream
+            // indices are disjoint across lanes, so keys never tie between
+            // them.
             let mut best: Option<((u64, usize), usize)> = None;
             let mut runner_up = (u64::MAX, usize::MAX);
             for (slot, lane) in lanes.iter_mut().enumerate() {

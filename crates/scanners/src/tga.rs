@@ -13,9 +13,8 @@
 //!   structured (low-byte, small counters), a learned model rediscovers
 //!   unadvertised neighbors — like the telescope's not-in-DNS pair members
 //!   — orders of magnitude better than random generation.
-//! - [`PrefixTree`]: a seed-weighted prefix tree over the network halves,
-//!   sampling /64s proportionally to observed density (the 6Tree/6Gen
-//!   "divide where the seeds are" idea).
+//! - [`seed_networks`]: the distinct seed /64s, the networks a model
+//!   generates inside (the 6Tree/6Gen "divide where the seeds are" idea).
 //!
 //! [`evaluate_hit_rate`] scores a candidate list against a ground-truth
 //! responder set — the standard TGA metric.
@@ -96,56 +95,11 @@ impl IidModel {
     }
 }
 
-/// A density-weighted prefix tree over network halves: sample /64s where
-/// the seeds are.
-#[derive(Debug, Clone, Default)]
-pub struct PrefixTree {
-    /// (network /64, seed count), sorted by network.
-    nets: Vec<(u64, u64)>,
-    total: u64,
-}
-
-impl PrefixTree {
-    /// Builds the tree from seed addresses.
-    pub fn learn(seeds: &[u128]) -> PrefixTree {
-        let mut map = std::collections::BTreeMap::new();
-        for &s in seeds {
-            *map.entry((s >> 64) as u64).or_insert(0u64) += 1;
-        }
-        let nets: Vec<(u64, u64)> = map.into_iter().collect();
-        let total = nets.iter().map(|(_, c)| c).sum();
-        PrefixTree { nets, total }
-    }
-
-    /// Number of distinct seed /64s.
-    pub fn len(&self) -> usize {
-        self.nets.len()
-    }
-
-    /// Whether no seeds were observed.
-    pub fn is_empty(&self) -> bool {
-        self.nets.is_empty()
-    }
-
-    /// Samples a /64 network proportionally to its seed density.
-    pub fn sample_net<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let mut pick = rng.gen_range(0..self.total);
-        for &(net, c) in &self.nets {
-            if pick < c {
-                return Some(net);
-            }
-            pick -= c;
-        }
-        None
-    }
-
-    /// The distinct seed networks.
-    pub fn networks(&self) -> Vec<u64> {
-        self.nets.iter().map(|&(n, _)| n).collect()
-    }
+/// The distinct /64 networks of a seed set, sorted: where the seeds are,
+/// and so where [`IidModel::generate`] places fresh IIDs.
+pub fn seed_networks(seeds: &[u128]) -> Vec<u64> {
+    let nets: std::collections::BTreeSet<u64> = seeds.iter().map(|&s| (s >> 64) as u64).collect();
+    nets.into_iter().collect()
 }
 
 /// Fraction of `candidates` (deduplicated, seeds excluded) present in
@@ -207,8 +161,7 @@ mod tests {
     fn learned_model_beats_random_by_orders_of_magnitude() {
         let (seed_list, seed_set, responders) = world();
         let model = IidModel::learn(&seed_list);
-        let tree = PrefixTree::learn(&seed_list);
-        let nets = tree.networks();
+        let nets = seed_networks(&seed_list);
         let mut rng = SmallRng::seed_from_u64(12);
 
         let candidates = model.generate(&mut rng, &nets, &seed_set, 20_000);
@@ -245,30 +198,10 @@ mod tests {
     }
 
     #[test]
-    fn prefix_tree_samples_proportionally() {
-        // One heavy /64 (90 seeds) vs one light /64 (10 seeds).
-        let mut seeds = Vec::new();
-        for i in 0..90u128 {
-            seeds.push((1u128 << 64) | i);
-        }
-        for i in 0..10u128 {
-            seeds.push((2u128 << 64) | i);
-        }
-        let tree = PrefixTree::learn(&seeds);
-        assert_eq!(tree.len(), 2);
-        let mut rng = SmallRng::seed_from_u64(14);
-        let heavy = (0..2000)
-            .filter(|_| tree.sample_net(&mut rng) == Some(1))
-            .count();
-        assert!((1650..=1950).contains(&heavy), "heavy draws {heavy}");
-    }
-
-    #[test]
-    fn empty_tree_yields_nothing() {
-        let tree = PrefixTree::learn(&[]);
-        assert!(tree.is_empty());
-        let mut rng = SmallRng::seed_from_u64(15);
-        assert_eq!(tree.sample_net(&mut rng), None);
+    fn seed_networks_are_distinct_and_sorted() {
+        let seeds = [(2u128 << 64) | 1, (1u128 << 64) | 7, (2u128 << 64) | 9];
+        assert_eq!(seed_networks(&seeds), vec![1, 2]);
+        assert!(seed_networks(&[]).is_empty());
     }
 
     #[test]
@@ -285,7 +218,7 @@ mod tests {
     fn generate_avoids_exact_seed_reproduction_mostly() {
         let (seed_list, seed_set, _) = world();
         let model = IidModel::learn(&seed_list);
-        let nets = PrefixTree::learn(&seed_list).networks();
+        let nets = seed_networks(&seed_list);
         let mut rng = SmallRng::seed_from_u64(16);
         let cands = model.generate(&mut rng, &nets, &seed_set, 5_000);
         let dupes = cands.iter().filter(|c| seed_set.contains(c)).count();

@@ -167,6 +167,46 @@ proptest! {
         let expected = oracle::cdn_trace(&World::build(cfg.clone()));
         prop_assert_eq!(drain(&mut source(&cfg, gen_threads), max), expected);
     }
+
+    /// The oracle's reference merge keeps every record and sorts them.
+    #[test]
+    fn merge_sorted_is_sorted_and_complete(
+        lens in proptest::collection::vec(proptest::collection::vec(0u64..100, 0..30), 0..6)
+    ) {
+        let traces: Vec<Vec<PacketRecord>> = lens
+            .into_iter()
+            .map(|deltas| {
+                let mut ts = 0u64;
+                deltas
+                    .into_iter()
+                    .map(|d| {
+                        ts += d;
+                        PacketRecord::tcp(ts, 1, 2, 1, 22, 60)
+                    })
+                    .collect()
+            })
+            .collect();
+        let total: usize = traces.iter().map(std::vec::Vec::len).sum();
+        let merged = oracle::merge_sorted(traces);
+        prop_assert_eq!(merged.len(), total);
+        prop_assert!(merged.windows(2).all(|w| w[0].ts_ms <= w[1].ts_ms));
+    }
+}
+
+#[test]
+fn merge_sorted_interleaves() {
+    let rec = |ts| PacketRecord::tcp(ts, 1, 2, 1000, 22, 60);
+    let a = vec![rec(1), rec(5), rec(9)];
+    let b = vec![rec(2), rec(3)];
+    let m = oracle::merge_sorted(vec![a, b, vec![]]);
+    let ts: Vec<u64> = m.iter().map(|r| r.ts_ms).collect();
+    assert_eq!(ts, vec![1, 2, 3, 5, 9]);
+}
+
+#[test]
+fn merge_sorted_empty() {
+    assert!(oracle::merge_sorted(vec![]).is_empty());
+    assert!(oracle::merge_sorted(vec![vec![], vec![]]).is_empty());
 }
 
 #[test]

@@ -15,14 +15,15 @@
 //! the day radix sort are checked too.
 //!
 //! Defined once: `crates/scanners/tests/fused.rs` declares it as a module
-//! and the workspace root's `tests/fused.rs` includes the same file.
+//! (and checks its [`merge_sorted`]) and the workspace root's
+//! `tests/fused.rs` includes the same file.
 //!
 //! [`FleetSource`]: lumen6_scanners::FleetSource
 
 use lumen6_scanners::{scale_intensity, World};
 use lumen6_telescope::artifacts::{mapped_machines, ArtifactConfig};
 use lumen6_telescope::{CaptureConfig, CdnDeployment, FirewallCapture};
-use lumen6_trace::{merge_sorted, sort_by_time, PacketRecord, Transport, DAY_MS, HOUR_MS};
+use lumen6_trace::{sort_by_time, PacketRecord, Transport, DAY_MS, HOUR_MS};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -35,6 +36,30 @@ fn repeat(stream: &[PacketRecord], intensity: f64) -> Vec<PacketRecord> {
     let due = |i: usize| (scaled * i as u128 / base) as usize;
     let copies = |(i, r): (usize, &PacketRecord)| std::iter::repeat_n(*r, due(i + 1) - due(i));
     stream.iter().enumerate().flat_map(copies).collect()
+}
+
+/// Merges traces, each sorted by timestamp, into one sorted trace; ties go
+/// to the lower trace index, so the streams' order is the tie-break.
+pub fn merge_sorted(traces: Vec<Vec<PacketRecord>>) -> Vec<PacketRecord> {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    let total: usize = traces.iter().map(Vec::len).sum();
+    let mut out = Vec::with_capacity(total);
+    // Heap of (next timestamp, trace index, position).
+    let mut heap: BinaryHeap<Reverse<(u64, usize, usize)>> = BinaryHeap::new();
+    for (i, t) in traces.iter().enumerate() {
+        if let Some(r) = t.first() {
+            heap.push(Reverse((r.ts_ms, i, 0)));
+        }
+    }
+    while let Some(Reverse((_, i, pos))) = heap.pop() {
+        out.push(traces[i][pos]);
+        if pos + 1 < traces[i].len() {
+            heap.push(Reverse((traces[i][pos + 1].ts_ms, i, pos + 1)));
+        }
+    }
+    out
 }
 
 /// The materialized CDN trace of `world`.

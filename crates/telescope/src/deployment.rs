@@ -3,7 +3,7 @@
 use lumen6_addr::{fxhash::FxHashSet, gen, Ipv6Prefix};
 use lumen6_netmodel::{AsType, InternetRegistry};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Scale and shape of the simulated CDN deployment.
@@ -195,17 +195,6 @@ impl CdnDeployment {
     pub fn as_prefixes(&self) -> &[(u32, Ipv6Prefix)] {
         &self.as_prefixes
     }
-
-    /// A deterministic pseudo-random sample of `n` DNS-exposed addresses —
-    /// what a scanner working from a DNS-derived hitlist would target.
-    pub fn sample_hitlist(&self, n: usize, seed: u64) -> Vec<u128> {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let all = self.dns_hitlist();
-        if all.is_empty() {
-            return Vec::new();
-        }
-        (0..n).map(|_| all[rng.gen_range(0..all.len())]).collect()
-    }
 }
 
 #[cfg(test)]
@@ -289,16 +278,6 @@ mod tests {
         assert_eq!(hitlist.len(), 50 + 20);
         assert!(hitlist.iter().all(|&a| dep.is_in_dns(a)));
         assert!(hitlist.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn sample_hitlist_draws_from_dns() {
-        let (dep, _) = build();
-        let sample = dep.sample_hitlist(200, 7);
-        assert_eq!(sample.len(), 200);
-        assert!(sample.iter().all(|&a| dep.is_in_dns(a)));
-        // Deterministic.
-        assert_eq!(sample, dep.sample_hitlist(200, 7));
     }
 
     #[test]

@@ -75,31 +75,6 @@ pub fn sort_day_by_time<T: Copy>(items: &mut [T], day: u64, ts_ms: impl Fn(&T) -
     }
 }
 
-/// Merges multiple traces, each already sorted by timestamp, into one sorted
-/// trace. Used to combine per-actor generated traffic into a vantage-point
-/// view.
-pub fn merge_sorted(traces: Vec<Vec<PacketRecord>>) -> Vec<PacketRecord> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let total: usize = traces.iter().map(std::vec::Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    // Heap of (next timestamp, trace index, position).
-    let mut heap: BinaryHeap<Reverse<(u64, usize, usize)>> = BinaryHeap::new();
-    for (i, t) in traces.iter().enumerate() {
-        if let Some(r) = t.first() {
-            heap.push(Reverse((r.ts_ms, i, 0)));
-        }
-    }
-    while let Some(Reverse((_, i, pos))) = heap.pop() {
-        out.push(traces[i][pos]);
-        if pos + 1 < traces[i].len() {
-            heap.push(Reverse((traces[i][pos + 1].ts_ms, i, pos + 1)));
-        }
-    }
-    out
-}
-
 /// Scales `base` by `factor` — how `--intensity` scales a volume: the
 /// fleet's packets per session and repeat streams, and the A.1 filter's
 /// duplicate threshold — with *exact* integer arithmetic: the result is
@@ -150,22 +125,6 @@ mod tests {
 
     fn rec(ts: u64) -> PacketRecord {
         PacketRecord::tcp(ts, 1, 2, 1000, 22, 60)
-    }
-
-    #[test]
-    fn merge_sorted_interleaves() {
-        let a = vec![rec(1), rec(5), rec(9)];
-        let b = vec![rec(2), rec(3)];
-        let c = vec![];
-        let m = merge_sorted(vec![a, b, c]);
-        let ts: Vec<u64> = m.iter().map(|r| r.ts_ms).collect();
-        assert_eq!(ts, vec![1, 2, 3, 5, 9]);
-    }
-
-    #[test]
-    fn merge_sorted_empty() {
-        assert!(merge_sorted(vec![]).is_empty());
-        assert!(merge_sorted(vec![vec![], vec![]]).is_empty());
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The [`PacketRecord`]: what a firewall log line reduces to.
 
-use lumen6_addr::Ipv6Prefix;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -109,20 +108,6 @@ impl PacketRecord {
             len,
         }
     }
-
-    /// The source address aggregated to the given prefix length — the
-    /// scan-source aggregation primitive of the paper (§2.2).
-    #[inline]
-    pub fn src_prefix(&self, len: u8) -> Ipv6Prefix {
-        Ipv6Prefix::new(self.src, len)
-    }
-
-    /// A (protocol, destination port) key, the paper's notion of a targeted
-    /// service ("TCP/22").
-    #[inline]
-    pub fn service(&self) -> (Transport, u16) {
-        (self.proto, self.dport)
-    }
 }
 
 impl fmt::Display for PacketRecord {
@@ -161,24 +146,10 @@ mod tests {
     }
 
     #[test]
-    fn src_prefix_aggregates() {
-        let r = PacketRecord::tcp(0, 0x2001_0db8_0001_0002_0003_0004_0005_0006, 1, 1, 22, 60);
-        assert_eq!(r.src_prefix(64).to_string(), "2001:db8:1:2::/64");
-        assert_eq!(r.src_prefix(48).to_string(), "2001:db8:1::/48");
-        assert_eq!(r.src_prefix(128).bits(), r.src);
-    }
-
-    #[test]
     fn display_is_humane() {
         let r = PacketRecord::tcp(1500, 1, 2, 4000, 22, 60);
         let s = r.to_string();
         assert!(s.contains("TCP/22"), "{s}");
         assert!(s.contains("::1"), "{s}");
-    }
-
-    #[test]
-    fn service_key() {
-        let r = PacketRecord::udp(0, 1, 2, 500, 500, 100);
-        assert_eq!(r.service(), (Transport::Udp, 500));
     }
 }

@@ -20,8 +20,6 @@ pub const DAY_MS: u64 = 24 * HOUR_MS;
 /// Milliseconds per 7-day week.
 pub const WEEK_MS: u64 = 7 * DAY_MS;
 
-/// The epoch's civil date: 2021-01-01 (a Friday).
-pub const EPOCH_YEAR: i32 = 2021;
 /// Days from 0000-03-01 (the algorithm's internal era origin) to 2021-01-01.
 const EPOCH_DAYS_FROM_CE: i64 = days_from_civil(2021, 1, 1);
 
@@ -45,11 +43,6 @@ impl SimTime {
         SimTime(d as u64 * DAY_MS)
     }
 
-    /// Timestamp with added hours/minutes/seconds.
-    pub fn at(self, hour: u64, minute: u64, second: u64) -> SimTime {
-        SimTime(self.0 + hour * HOUR_MS + minute * MINUTE_MS + second * SECOND_MS)
-    }
-
     /// Raw milliseconds since the epoch.
     #[inline]
     pub fn ms(self) -> u64 {
@@ -60,12 +53,6 @@ impl SimTime {
     #[inline]
     pub fn day_index(self) -> u64 {
         self.0 / DAY_MS
-    }
-
-    /// Week index since the epoch (week 0 starts 2021-01-01).
-    #[inline]
-    pub fn week_index(self) -> u64 {
-        self.0 / WEEK_MS
     }
 
     /// The civil (year, month, day) of this timestamp.
@@ -106,16 +93,6 @@ pub fn month_range(year: i32, month: u32) -> (u64, u64) {
     (start, end)
 }
 
-/// The half-open millisecond range `[start, end)` of day `day_index`.
-pub fn day_range(day_index: u64) -> (u64, u64) {
-    (day_index * DAY_MS, (day_index + 1) * DAY_MS)
-}
-
-/// The half-open millisecond range `[start, end)` of week `week_index`.
-pub fn week_range(week_index: u64) -> (u64, u64) {
-    (week_index * WEEK_MS, (week_index + 1) * WEEK_MS)
-}
-
 /// Days from the civil era origin to `year-month-day`, proleptic Gregorian.
 ///
 /// Howard Hinnant's `days_from_civil` algorithm; exact for all i32 years.
@@ -153,7 +130,6 @@ mod tests {
         let t = SimTime::from_date(2021, 1, 1);
         assert_eq!(t.ms(), 0);
         assert_eq!(t.day_index(), 0);
-        assert_eq!(t.week_index(), 0);
         assert_eq!(t.date_label(), "2021-01-01");
     }
 
@@ -211,19 +187,10 @@ mod tests {
     }
 
     #[test]
-    fn at_adds_time_of_day() {
-        let t = SimTime::from_date(2021, 7, 6).at(13, 30, 15);
+    fn display_shows_time_of_day() {
+        let day = SimTime::from_date(2021, 7, 6);
+        let t = SimTime(day.ms() + 13 * HOUR_MS + 30 * MINUTE_MS + 15 * SECOND_MS);
         assert_eq!(t.to_string(), "2021-07-06T13:30:15Z");
-        assert_eq!(t.day_index(), SimTime::from_date(2021, 7, 6).day_index());
-    }
-
-    #[test]
-    fn ranges_are_half_open_and_contiguous() {
-        let (s0, e0) = day_range(0);
-        let (s1, _) = day_range(1);
-        assert_eq!(e0, s1);
-        assert_eq!(s0, 0);
-        let (ws, we) = week_range(3);
-        assert_eq!(we - ws, WEEK_MS);
+        assert_eq!(t.day_index(), day.day_index());
     }
 }

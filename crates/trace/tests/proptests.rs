@@ -3,7 +3,7 @@
 
 use lumen6_trace::codec::{decode, encode};
 use lumen6_trace::time::{civil_from_days, days_from_civil};
-use lumen6_trace::{merge_sorted, sort_day_by_time, PacketRecord, Transport, DAY_MS};
+use lumen6_trace::{sort_day_by_time, PacketRecord, Transport, DAY_MS};
 use proptest::prelude::*;
 
 fn arb_transport() -> impl Strategy<Value = Transport> {
@@ -94,29 +94,6 @@ proptest! {
         prop_assert_eq!(days_from_civil(y, m, d), days);
         prop_assert!((1..=12).contains(&m));
         prop_assert!((1..=31).contains(&d));
-    }
-
-    #[test]
-    fn merge_sorted_is_sorted_and_complete(
-        lens in proptest::collection::vec(proptest::collection::vec(0u64..100, 0..30), 0..6)
-    ) {
-        let traces: Vec<Vec<PacketRecord>> = lens
-            .into_iter()
-            .map(|deltas| {
-                let mut ts = 0u64;
-                deltas
-                    .into_iter()
-                    .map(|d| {
-                        ts += d;
-                        PacketRecord::tcp(ts, 1, 2, 1, 22, 60)
-                    })
-                    .collect()
-            })
-            .collect();
-        let total: usize = traces.iter().map(std::vec::Vec::len).sum();
-        let merged = merge_sorted(traces);
-        prop_assert_eq!(merged.len(), total);
-        prop_assert!(merged.windows(2).all(|w| w[0].ts_ms <= w[1].ts_ms));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use lumen6::addr::HammingDistribution;
 use lumen6::analysis::{overlap, targeting};
 use lumen6::detect::{AggLevel, MawiConfig as FhConfig, MawiDetector};
-use lumen6::mawi::{capture_window, split_days, MawiConfig, MawiWorld};
+use lumen6::mawi::{capture_window, MawiConfig, MawiWorld};
 use lumen6::prelude::*;
 use lumen6::trace::{RecordBatch, SimTime, Source};
 use std::sync::OnceLock;
@@ -28,6 +28,22 @@ fn world() -> &'static (MawiWorld, Vec<PacketRecord>) {
         }
         (w, trace)
     })
+}
+
+/// The capture window of each day in `[start_day, end_day)`, as a slice of
+/// the time-sorted `records`.
+fn split_days(
+    records: &[PacketRecord],
+    start_day: u64,
+    end_day: u64,
+) -> Vec<(u64, &[PacketRecord])> {
+    let at = |t: u64| records.partition_point(|r| r.ts_ms < t);
+    (start_day..end_day)
+        .map(|day| {
+            let (s, e) = capture_window(day);
+            (day, &records[at(s)..at(e)])
+        })
+        .collect()
 }
 
 fn targets_on(day: u64, pred: impl Fn(&PacketRecord) -> bool) -> Vec<u128> {
@@ -204,4 +220,21 @@ fn background_traffic_is_never_classified_as_scanning() {
             );
         }
     }
+}
+
+#[test]
+fn split_days_partitions() {
+    let (s0, _) = capture_window(0);
+    let (_s1, e1) = capture_window(1);
+    let records = vec![
+        PacketRecord::tcp(s0, 1, 2, 1, 22, 60),
+        PacketRecord::tcp(s0 + 10, 1, 3, 1, 22, 60),
+        PacketRecord::tcp(e1 - 1, 1, 4, 1, 22, 60),
+        PacketRecord::tcp(e1, 1, 5, 1, 22, 60), // outside
+    ];
+    let days = split_days(&records, 0, 3);
+    assert_eq!(days.len(), 3);
+    assert_eq!(days[0].1.len(), 2);
+    assert_eq!(days[1].1.len(), 1);
+    assert_eq!(days[2].1.len(), 0);
 }
