@@ -169,6 +169,51 @@ fn a_4x_trace_is_a_quarter_of_its_records_in_rows() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `detect --tail` over a finished 1250x trace reads each byte about once,
+/// as `--trace` does, and prints what `--trace` prints. A tail that re-read
+/// a window of up to a batch's worst-case encoding each poll, 340 kB for
+/// 4 096 records, read the file's few rows over and over.
+#[test]
+fn tail_reads_a_finished_counted_trace_about_once() {
+    let dir = std::env::temp_dir().join(format!("lumen6-metrics-tail-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("t.l6tr");
+    let (t, m) = (trace.to_str().unwrap(), dir.join("m.json"));
+    stdout_of(&lumen6(&[
+        "generate",
+        "cdn",
+        "--out",
+        t,
+        "--days",
+        "3",
+        "--seed",
+        "3",
+        "--small",
+        "--intensity",
+        "1250",
+    ]));
+    std::fs::write(dir.join("t.l6tr.eof"), b"").unwrap();
+    let len = std::fs::metadata(&trace).unwrap().len();
+
+    let tailed = ["detect", "--tail", t, "--metrics-out", m.to_str().unwrap()];
+    stdout_of(&lumen6(&tailed));
+    let snap: MetricsSnapshot =
+        serde_json::from_str(&std::fs::read_to_string(&m).unwrap()).unwrap();
+    let read = snap.counters.get("trace.codec.bytes_read").copied();
+    assert!(
+        read.is_some_and(|read| read <= 2 * len),
+        "{read:?} bytes read of {len}"
+    );
+    assert!(snap.counters["trace.codec.records_decoded"] > 0);
+
+    let tail = stdout_of(&lumen6(&["detect", "--tail", t, "--json"]));
+    assert_eq!(
+        tail,
+        stdout_of(&lumen6(&["detect", "--trace", t, "--json"]))
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn threaded_output_is_byte_identical_to_sequential() {
     let dir = std::env::temp_dir().join(format!("lumen6-metrics-seq-{}", std::process::id()));

@@ -252,11 +252,6 @@ impl ScanDetector {
         &self.config
     }
 
-    /// Number of packets observed so far.
-    pub(crate) fn observed(&self) -> u64 {
-        self.observed
-    }
-
     /// Total activity runs ever opened (first packet of a new source, or
     /// the first packet after a timeout split).
     pub(crate) fn runs_opened(&self) -> u64 {

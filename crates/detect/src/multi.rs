@@ -232,17 +232,6 @@ impl Detect for MultiLevelDetector {
         }
     }
 
-    fn observed(&self) -> u64 {
-        self.levels.first().map_or(0, |(det, _)| det.observed())
-    }
-
-    fn levels(&self) -> Vec<AggLevel> {
-        self.levels
-            .iter()
-            .map(|(det, _)| det.config().agg)
-            .collect()
-    }
-
     /// Pending events included, in canonical order.
     fn state(&mut self) -> Vec<LevelState> {
         let mut levels: Vec<LevelState> = self

@@ -95,8 +95,6 @@ pub struct ThreadedDetector {
     /// channel before a fresh batch is ever allocated.
     spares: Vec<RecordBatch>,
     recycle: Receiver<RecordBatch>,
-    levels: Vec<AggLevel>,
-    observed: u64,
     // Telemetry as plain integers on the hot path, flushed in `finish`.
     batches_sent: u64,
     stalls: u64,
@@ -107,28 +105,18 @@ impl ThreadedDetector {
     /// configuration, on its worker.
     pub fn new(levels: &[AggLevel], base: ScanDetectorConfig) -> Self {
         let owned = levels.to_vec();
-        Self::spawn(levels.to_vec(), 0, move || {
-            Box::new(MultiLevelDetector::new(&owned, base))
-        })
+        Self::spawn(move || Box::new(MultiLevelDetector::new(&owned, base)))
     }
 
     /// The detector a uniform per-level snapshot describes (as produced by
     /// [`Detect::state`] on either backend), restored on its worker.
     pub fn from_state(states: &[LevelState]) -> Self {
-        let levels = states.iter().map(|s| s.config.agg).collect();
-        let observed = states.first().map_or(0, |s| s.observed);
         let states = states.to_vec();
-        Self::spawn(levels, observed, move || {
-            Box::new(MultiLevelDetector::from_state(&states))
-        })
+        Self::spawn(move || Box::new(MultiLevelDetector::from_state(&states)))
     }
 
     /// Spawns the worker, which builds its detector with `init`.
-    fn spawn(
-        levels: Vec<AggLevel>,
-        observed: u64,
-        init: impl FnOnce() -> Box<dyn Detect> + Send + 'static,
-    ) -> Self {
+    fn spawn(init: impl FnOnce() -> Box<dyn Detect> + Send + 'static) -> Self {
         // lumen6: allow(L009, recycle channel is bounded by construction: batches in circulation never exceed DEPTH + 2, pinned by staging_batches_are_recycled_not_reallocated)
         let (recycle_tx, recycle) = channel::<RecordBatch>();
         let (sender, rx) = sync_channel::<Msg>(DEPTH);
@@ -163,8 +151,6 @@ impl ThreadedDetector {
             marks: Vec::new(),
             spares: Vec::new(),
             recycle,
-            levels,
-            observed,
             batches_sent: 0,
             stalls: 0,
         }
@@ -226,7 +212,6 @@ impl Detect for ThreadedDetector {
     /// records.
     fn observe_batch(&mut self, batch: &RecordBatch) {
         self.staged.extend_from_batch(batch);
-        self.observed += batch.len() as u64;
         if self.staged.len() >= BATCH {
             self.ship();
         }
@@ -244,14 +229,6 @@ impl Detect for ThreadedDetector {
             Some(last) if last.0 == rows => last.1 = last.1.max(now_ms),
             _ => self.marks.push((rows, now_ms)),
         }
-    }
-
-    fn observed(&self) -> u64 {
-        self.observed
-    }
-
-    fn levels(&self) -> Vec<AggLevel> {
-        self.levels.clone()
     }
 
     /// The worker's per-level state at the current stream position, in the
@@ -421,8 +398,9 @@ mod tests {
             closed_mid_stream |= seq.state().iter().any(|l| !l.pending.is_empty());
         }
         assert!(closed_mid_stream, "no flush closed a scan");
-        assert_eq!(par.observed(), recs.len() as u64);
-        assert_eq!(par.state(), seq.state());
+        let state = par.state();
+        assert!(state.iter().all(|l| l.observed == recs.len() as u64));
+        assert_eq!(state, seq.state());
         assert!(par.marks.is_empty(), "state() ships the marks");
         assert_eq!(Box::new(par).finish(), Box::new(seq).finish());
     }
@@ -435,12 +413,6 @@ mod tests {
             panic!("worker boom");
         }
         fn flush_idle(&mut self, _: u64) {}
-        fn observed(&self) -> u64 {
-            0
-        }
-        fn levels(&self) -> Vec<AggLevel> {
-            Vec::new()
-        }
         fn state(&mut self) -> Vec<LevelState> {
             Vec::new()
         }
@@ -462,7 +434,7 @@ mod tests {
             &|det| drop(Box::new(det).finish()),
         ];
         for call in calls {
-            let mut det = ThreadedDetector::spawn(Vec::new(), 0, || Box::new(Panics));
+            let mut det = ThreadedDetector::spawn(|| Box::new(Panics));
             det.observe_batch(&one);
             det.drain();
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call(det)));

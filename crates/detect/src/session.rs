@@ -83,12 +83,6 @@ pub trait Detect: Send {
     /// here are identical to what [`finish`](Detect::finish) would emit.
     fn flush_idle(&mut self, now_ms: u64);
 
-    /// Packets observed so far.
-    fn observed(&self) -> u64;
-
-    /// The aggregation levels this detector reports on.
-    fn levels(&self) -> Vec<AggLevel>;
-
     /// The complete serializable per-level state (see
     /// [`LevelState`]). `&mut` because the threaded backend must ship what
     /// it staged to its worker to collect it; the sequential one does not

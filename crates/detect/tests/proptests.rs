@@ -549,8 +549,9 @@ proptest! {
             }
             prop_assert_eq!(&by_count.state(), &held);
             prop_assert_eq!(stats(&by_count), stats(&grouped));
-            prop_assert_eq!(&grouped.state(), &held);
-            prop_assert_eq!(grouped.observed(), recs.len() as u64);
+            let state = grouped.state();
+            prop_assert_eq!(&state, &held);
+            prop_assert_eq!(state[0].observed, recs.len() as u64);
             let report = grouped.finish().remove(&config.agg).expect("the one level");
             prop_assert_eq!(&report, &by_row.finish()[&config.agg]);
             if config.sketch.is_none() {
@@ -825,8 +826,11 @@ proptest! {
                     observe(det.as_mut(), &recs[..half], batch);
                     let mid = det.state();
                     observe(det.as_mut(), &recs[half..], batch);
-                    prop_assert_eq!(det.observed(), recs.len() as u64, "{:?}", backend);
-                    let got = (mid, det.state(), det.finish());
+                    let end = det.state();
+                    for level in &end {
+                        prop_assert_eq!(level.observed, recs.len() as u64, "{:?}", backend);
+                    }
+                    let got = (mid, end, det.finish());
                     let expect = expect.get_or_insert_with(|| got.clone());
                     prop_assert_eq!(
                         &got, expect,

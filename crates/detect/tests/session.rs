@@ -138,7 +138,9 @@ fn snapshot_roundtrip_every_backend() {
         let snap = first.snapshot();
         drop(first);
         let mut resumed = builder.restore(backend, &snap).unwrap();
-        assert_eq!(resumed.observed(), mid as u64, "{name}: observed count");
+        for level in resumed.state() {
+            assert_eq!(level.observed, mid as u64, "{name}: observed count");
+        }
         observe_slice(resumed.as_mut(), &recs[mid..], 64);
         assert_eq!(report_json(&resumed.finish()), expect, "{name}");
     }
@@ -1590,7 +1592,7 @@ fn record_counts_past_u32_add_up_as_u64() {
     // first is a memo hit.
     let stats: Vec<_> = det.detectors().map(ScanDetector::batch_stats).collect();
     assert_eq!(stats, [(12_884_901_885, 12_884_901_882, 3)]);
-    assert_eq!(det.observed(), 12_884_901_885);
+    assert_eq!(det.state()[0].observed, 12_884_901_885);
 }
 
 /// `report_now` while the reorder heap still holds records: the published

@@ -183,13 +183,13 @@ struct TenantRt {
 }
 
 impl TenantRt {
-    /// Drops a tenant that reached a terminal state, keeping its status
-    /// fields: on the worker that ended it, and moved, not copied (see
+    /// Drops a tenant that reached a terminal state, keeping its status:
+    /// on the worker that ended it, its fields moved, not copied (see
     /// DESIGN.md, "Multi-tenant runtime", on glibc's per-thread cache).
-    fn end(self) -> Ended {
-        Ended {
+    fn end(self) -> TenantStatus {
+        TenantStatus {
             name: self.name,
-            state: self.state,
+            state: self.state.as_str().to_string(),
             records: self.records,
             slices: self.slices,
             resumed: self.resumed,
@@ -205,29 +205,6 @@ impl TenantRt {
             slices: self.slices,
             resumed: self.resumed,
             error: self.error.clone(),
-        }
-    }
-}
-
-/// A [`TenantStatus`] before its state is spelled out.
-struct Ended {
-    name: String,
-    state: TenantState,
-    records: u64,
-    slices: u64,
-    resumed: bool,
-    error: Option<String>,
-}
-
-impl Ended {
-    fn status(self) -> TenantStatus {
-        TenantStatus {
-            name: self.name,
-            state: self.state.as_str().to_string(),
-            records: self.records,
-            slices: self.slices,
-            resumed: self.resumed,
-            error: self.error,
         }
     }
 }
@@ -281,7 +258,7 @@ fn publish(rt: &mut TenantRt, report: Option<&SessionReport>) {
 struct Shared {
     tenants: Vec<Mutex<Option<TenantRt>>>,
     /// What is kept of each tenant that reached a terminal state.
-    ended: Vec<Mutex<Option<Ended>>>,
+    ended: Vec<Mutex<Option<TenantStatus>>>,
     queue: Mutex<VecDeque<usize>>,
     cvar: Condvar,
     quit: AtomicBool,
@@ -414,8 +391,8 @@ impl Daemon {
         });
         let mut statuses = Vec::with_capacity(total);
         for (slot, ended) in shared.tenants.into_iter().zip(shared.ended) {
-            if let Some(ended) = ended.into_inner().unwrap_or_else(PoisonError::into_inner) {
-                statuses.push(ended.status());
+            if let Some(status) = ended.into_inner().unwrap_or_else(PoisonError::into_inner) {
+                statuses.push(status);
                 continue;
             }
             // Still running (the stop file ended the run), or lost to a
@@ -553,8 +530,8 @@ fn worker(shared: &Shared, steps: u32, publish_every: u64) {
             // a worker wait-timeout; wake everyone.
             shared.cvar.notify_all();
         } else {
-            let ended = tenant.end();
-            *lock(&shared.ended[idx]) = Some(ended);
+            let status = tenant.end();
+            *lock(&shared.ended[idx]) = Some(status);
             shared.done.fetch_add(1, Ordering::AcqRel);
             shared.cvar.notify_all();
         }

@@ -311,7 +311,7 @@ pub fn decode(data: &[u8]) -> Result<Vec<PacketRecord>, CodecError> {
 /// well-formed or not: five varints that each end or overflow within 10
 /// bytes, two 16-byte addresses and the protocol byte. (A row the writer
 /// produced is at most 55: its count, port and length varints fit 3 bytes.)
-pub(crate) const MAX_RECORD_LEN: usize = 2 * 10 + 16 + 16 + 1 + 3 * 10;
+const MAX_RECORD_LEN: usize = 2 * 10 + 16 + 16 + 1 + 3 * 10;
 
 /// Refill granularity of the streaming reader.
 const STREAM_BUF_LEN: usize = 64 * 1024;
@@ -418,40 +418,40 @@ fn copies_of(row: &[u8], counted: bool) -> u64 {
 
 /// The slice-level decode loop and the state it carries from one window to
 /// the next: the delta-decode time base and the permissive-skip policy.
-/// [`StreamingTraceReader`] runs it over its refill window and `TailSource`
-/// over its re-read window; what a record cut short by the end of the
-/// window means (refill, genuine truncation, or the writer's partial tail)
-/// is for them to decide.
+/// [`StreamingTraceReader`] runs it over its refill window; what a record
+/// cut short by the end of the window means (a refill, a truncated stream,
+/// or, for a reader following a growing file, the writer's partial row) is
+/// the reader's to decide.
 #[derive(Debug, Default)]
-pub(crate) struct WindowDecoder {
+struct WindowDecoder {
     /// Timestamp of the last row decoded or skipped (delta-decode base).
-    pub(crate) prev_ts: u64,
+    prev_ts: u64,
     /// The format version the header gave: rows carry counts from 2 on.
-    pub(crate) version: u8,
+    version: u8,
     /// Copies delivered of the row at the cursor (a batch can end mid-row).
     skip: u32,
     /// Rows decoded to their last copy.
-    pub(crate) rows: u64,
+    rows: u64,
     /// Skip recoverable per-record errors instead of returning them.
-    pub(crate) permissive: bool,
+    permissive: bool,
     /// Records skipped so far in permissive mode.
-    pub(crate) skipped: u64,
+    skipped: u64,
     /// Counter family a skip is reported under, as `<skip_metric>.<kind>`.
     skip_metric: &'static str,
 }
 
 impl WindowDecoder {
-    pub(crate) fn new(skip_metric: &'static str) -> Self {
+    fn new() -> Self {
         WindowDecoder {
             version: VERSION,
-            skip_metric,
+            skip_metric: "trace.codec.skipped",
             ..Default::default()
         }
     }
 
     /// Validates the stream header — magic, then version 1 or 2 — and
     /// learns the version; a version 1 row has no copies to skip.
-    pub(crate) fn start(&mut self, header: &[u8; 5]) -> Result<(), CodecError> {
+    fn start(&mut self, header: &[u8; 5]) -> Result<(), CodecError> {
         let [m0, m1, m2, m3, version] = *header;
         let magic = [m0, m1, m2, m3];
         if &magic != MAGIC {
@@ -468,7 +468,7 @@ impl WindowDecoder {
     }
 
     /// The position of a cursor on the row at byte `offset`.
-    pub(crate) fn position(&self, offset: u64) -> TracePosition {
+    fn position(&self, offset: u64) -> TracePosition {
         TracePosition {
             offset: offset | u64::from(self.skip) << OFFSET_BITS,
             prev_ts: self.prev_ts,
@@ -476,7 +476,7 @@ impl WindowDecoder {
     }
 
     /// Restores the decode state `at` holds; returns the row's byte offset.
-    pub(crate) fn seek(&mut self, at: TracePosition) -> u64 {
+    fn seek(&mut self, at: TracePosition) -> u64 {
         self.prev_ts = at.prev_ts;
         self.skip = (at.offset >> OFFSET_BITS) as u32;
         at.offset & ((1 << OFFSET_BITS) - 1)
@@ -489,7 +489,7 @@ impl WindowDecoder {
     /// leaves the cursor on its first byte. `Err(Truncated)` means the bytes
     /// left at `*pos` stop short of a whole row; as with every framing error
     /// the cursor stays on that row's boundary.
-    pub(crate) fn decode_window(
+    fn decode_window(
         &mut self,
         data: &[u8],
         pos: &mut usize,
@@ -575,6 +575,9 @@ pub struct StreamingTraceReader<R: Read> {
     /// the next call returns it.
     pending_err: Option<CodecError>,
     failed: bool,
+    /// Following a growing file: the end of input is only the end of the
+    /// data so far (see [`follow`](Self::follow)).
+    follow: bool,
     /// Total bytes pulled from `src`, header included.
     fed: u64,
     stats: DecodeStats,
@@ -583,7 +586,7 @@ pub struct StreamingTraceReader<R: Read> {
 impl<R: Read> StreamingTraceReader<R> {
     /// Validates the header and prepares for streaming decode.
     pub fn new(mut src: R) -> Result<Self, CodecError> {
-        let mut dec = WindowDecoder::new("trace.codec.skipped");
+        let mut dec = WindowDecoder::new();
         read_header(&mut src)
             .and_then(|header| dec.start(&header))
             .inspect_err(note_decode_error)?;
@@ -598,7 +601,7 @@ impl<R: Read> StreamingTraceReader<R> {
     where
         R: io::Seek,
     {
-        let mut dec = WindowDecoder::new("trace.codec.skipped");
+        let mut dec = WindowDecoder::new();
         let offset = dec.seek(at);
         src.seek(io::SeekFrom::Start(0))?;
         dec.start(&read_header(&mut src)?)?;
@@ -616,6 +619,7 @@ impl<R: Read> StreamingTraceReader<R> {
             dec,
             pending_err: None,
             failed: false,
+            follow: false,
             fed,
             stats: DecodeStats {
                 bytes: fed,
@@ -646,6 +650,29 @@ impl<R: Read> StreamingTraceReader<R> {
     /// Rows decoded to their last copy so far.
     pub fn rows(&self) -> u64 {
         self.dec.rows
+    }
+
+    /// Follows a file another process is still appending to, as
+    /// `TailSource` does: a row cut short by the end of input is the
+    /// writer's partial row, left undecoded instead of ending the stream as
+    /// `Truncated`, and every call reads on from where the last one stopped.
+    /// Permissive skips count under `trace.tail.skipped.<kind>`.
+    pub(crate) fn follow(mut self) -> Self {
+        self.follow = true;
+        self.dec.skip_metric = "trace.tail.skipped";
+        self
+    }
+
+    /// Bytes read from the source so far, header and skipped prefix
+    /// included: the file offset the next read starts at.
+    pub(crate) fn bytes_fed(&self) -> u64 {
+        self.fed
+    }
+
+    /// Bytes read but not decoded. At the end of the data a following
+    /// reader found, they are the start of the writer's partial row.
+    pub(crate) fn undecoded(&self) -> u64 {
+        (self.end - self.pos) as u64
     }
 
     /// The current decode position: the next un-decoded row, the copies of
@@ -706,6 +733,7 @@ impl<R: Read> StreamingTraceReader<R> {
             got += n;
             match end {
                 Ok(()) if got == want || self.eof => break None,
+                Err(CodecError::Truncated) if self.eof && self.follow => break None,
                 Err(e) if self.eof || !matches!(e, CodecError::Truncated) => break Some(e),
                 // The window holds no further whole record; the source may.
                 _ => {
@@ -715,6 +743,8 @@ impl<R: Read> StreamingTraceReader<R> {
                 }
             }
         };
+        // A following reader looks for more input on its next call.
+        self.eof &= !self.follow;
         self.stats.records += got as u64;
         self.stats.rows += self.dec.rows - rows;
         match err {
@@ -733,7 +763,7 @@ impl<R: Read> StreamingTraceReader<R> {
 }
 
 /// Reads the five header bytes; `Truncated` if the stream is shorter.
-pub(crate) fn read_header<R: Read>(src: &mut R) -> Result<[u8; 5], CodecError> {
+fn read_header<R: Read>(src: &mut R) -> Result<[u8; 5], CodecError> {
     let mut header = [0u8; 5];
     match src.read_exact(&mut header) {
         Ok(()) => Ok(header),

@@ -4,7 +4,9 @@
 //! A session pulls batches from *any* source, and each source defines its
 //! own resumable position space so checkpoint/resume keeps working.
 //!
-//! Three finite implementations exist (plus the live [`TailSource`]):
+//! Three finite implementations exist, plus the live [`TailSource`], which
+//! follows a file another process is still writing through the same
+//! decoder as [`FileStreamSource`], in the same position space:
 //!
 //! - [`MaterializedSource`] — an in-memory, already-sorted record vector
 //!   (what the simulators and tests produce). Positions are record indices.
@@ -27,13 +29,11 @@
 //! of source that produced it — the same contract a byte offset always had.
 
 use crate::batch::RecordBatch;
-use crate::codec::{
-    read_header, CodecError, StreamingTraceReader, TracePosition, WindowDecoder, MAX_RECORD_LEN,
-};
+use crate::codec::{CodecError, StreamingTraceReader, TracePosition};
 use crate::record::PacketRecord;
 use lumen6_obs::MetricsRegistry;
 use std::fs::{self, File};
-use std::io::{self, Read as _, Seek as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Result of one non-blocking [`Source::poll_fill`] pull.
@@ -251,13 +251,16 @@ fn same_file(_a: &fs::Metadata, _b: &fs::Metadata) -> bool {
 /// writing — the daemon-side ingest the one-shot [`FileStreamSource`]
 /// cannot provide.
 ///
-/// Each [`poll_fill`](Source::poll_fill) stats the file and decodes only
-/// the *complete* records appended since the last poll:
+/// It decodes through the same [`StreamingTraceReader`] as
+/// [`FileStreamSource`], set to follow the file: each
+/// [`poll_fill`](Source::poll_fill) reads on from where the last one
+/// stopped, and only when the reader reaches the end of the data does the
+/// tail look at the file:
 ///
 /// - a **partial trailing record** (the writer is mid-append) is never
-///   consumed; the poll returns what precedes it and retries the same
-///   boundary next time;
-/// - **truncation in place** (the file shrank below the read offset)
+///   consumed; the poll returns what precedes it, and the reader keeps the
+///   bytes it has until the rest arrives;
+/// - **truncation in place** (the file shrank below what was read)
 ///   restarts decode from the header, counted under
 ///   `trace.tail.truncations`;
 /// - **rotation by rename** (the path now names a different inode) drains
@@ -267,13 +270,14 @@ fn same_file(_a: &fs::Metadata, _b: &fs::Metadata) -> bool {
 ///   rotated-away file can never complete and is discarded (counted under
 ///   `trace.tail.discarded_bytes`);
 /// - recoverable per-record decode errors follow the same permissive
-///   quarantine contract as [`FileStreamSource`].
+///   quarantine contract as [`FileStreamSource`], counted under
+///   `trace.tail.skipped.<kind>`.
 ///
 /// A tail never ends on its own: end of stream is declared out of band by
 /// creating the [`eof_marker`](TailSource::eof_marker) sentinel file next
 /// to the trace, after which a fully drained tail reports
-/// [`FillOutcome::Eof`]. The blocking [`fill`](Source::fill) sleeps between
-/// polls until then.
+/// [`FillOutcome::Eof`], or `Truncated` if the file ends mid-record. The
+/// blocking [`fill`](Source::fill) sleeps between polls until then.
 ///
 /// [`position`](Source::position)/[`resume`](Source::resume) carry byte
 /// offsets within the *current incarnation*: a position taken before a
@@ -282,16 +286,18 @@ fn same_file(_a: &fs::Metadata, _b: &fs::Metadata) -> bool {
 #[derive(Debug)]
 pub struct TailSource {
     path: PathBuf,
-    file: Option<File>,
-    /// Byte offset of the next un-decoded byte in the current incarnation.
-    offset: u64,
-    dec: WindowDecoder,
-    header_done: bool,
+    /// The reader over the current incarnation, once its header is written,
+    /// and the metadata of the file it reads (its identity).
+    reader: Option<(StreamingTraceReader<File>, fs::Metadata)>,
+    /// Where the next reader starts: the top of the file, or a position
+    /// given to [`resume`](Source::resume).
+    start: TracePosition,
+    permissive: bool,
     done: bool,
-    pending_err: Option<CodecError>,
     rotations: u64,
     truncations: u64,
-    window: Vec<u8>,
+    /// Records the readers of earlier incarnations skipped.
+    skipped: u64,
 }
 
 impl TailSource {
@@ -300,22 +306,21 @@ impl TailSource {
     pub fn open(path: &Path) -> Self {
         TailSource {
             path: path.to_path_buf(),
-            file: None,
-            offset: 0,
-            dec: WindowDecoder::new("trace.tail.skipped"),
-            header_done: false,
+            reader: None,
+            start: TracePosition::default(),
+            permissive: false,
             done: false,
-            pending_err: None,
             rotations: 0,
             truncations: 0,
-            window: Vec::new(),
+            skipped: 0,
         }
     }
 
     /// Enables or disables permissive decoding (recoverable per-record
     /// errors are skipped and counted instead of ending the stream).
     pub fn permissive(mut self, yes: bool) -> Self {
-        self.dec.permissive = yes;
+        self.permissive = yes;
+        self.reader = self.reader.map(|(r, m)| (r.permissive(yes), m));
         self
     }
 
@@ -336,81 +341,112 @@ impl TailSource {
         self.truncations
     }
 
-    /// Discards the current incarnation and re-opens `path` from the top.
-    fn restart_incarnation(&mut self) {
-        self.file = None;
-        self.offset = self.dec.seek(TracePosition::default());
-        self.header_done = false;
+    /// Drops the reader, keeping its skip count; the next one starts `at`.
+    fn restart(&mut self, at: TracePosition) {
+        self.skipped += self.reader.take().map_or(0, |(r, _)| r.skipped());
+        self.start = at;
     }
 
-    /// Decodes complete records from `[offset, flen)` of the held file into
-    /// `out`. Returns `Ok(true)` if decoding is blocked on a partial
-    /// trailing record (more bytes needed), `Ok(false)` if everything
-    /// available was consumed.
-    fn decode_available(
-        &mut self,
-        out: &mut RecordBatch,
-        max: usize,
-        flen: u64,
-    ) -> Result<bool, CodecError> {
-        let Some(file) = self.file.as_mut() else {
-            return Ok(false);
+    /// Opens a reader over the file at `path` unless one is open. Returns
+    /// what the poll reports instead when there is no reader to open: the
+    /// file is missing or shorter than its header.
+    fn open_reader(&mut self) -> Result<Option<FillOutcome>, CodecError> {
+        if self.reader.is_some() {
+            return Ok(None);
+        }
+        // Looked at first, so that what it says covers the length below.
+        let finished = Self::eof_marker(&self.path).exists();
+        let file = match File::open(&self.path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Some(FillOutcome::Pending)),
+            Err(e) => return Err(e.into()),
         };
-        if !self.header_done {
-            if flen < 5 {
-                return Ok(flen > 0);
-            }
-            file.seek(io::SeekFrom::Start(0))?;
-            self.dec.start(&read_header(file)?)?;
-            self.header_done = true;
-            self.offset = self.offset.max(5);
+        let meta = file.metadata()?;
+        match meta.len() {
+            5.. => {}
+            // Declared finished with no whole header: the empty file no
+            // writer started, or a truncated one.
+            0 if finished => return Ok(Some(FillOutcome::Eof)),
+            _ if finished => return Err(CodecError::Truncated),
+            _ => return Ok(Some(FillOutcome::Pending)),
         }
-        loop {
-            let avail = flen.saturating_sub(self.offset);
-            if avail == 0 || out.len() >= max {
-                return Ok(false);
+        // A fresh tail's position, inside the header, is the first row.
+        let at = TracePosition {
+            offset: self.start.offset.max(5),
+            ..self.start
+        };
+        let reader = StreamingTraceReader::resume(file, at)?.follow();
+        self.reader = Some((reader.permissive(self.permissive), meta));
+        Ok(None)
+    }
+
+    /// One poll of [`poll_fill`](Source::poll_fill), which fuses the tail
+    /// once a poll ends the stream.
+    fn poll(&mut self, out: &mut RecordBatch, max: usize) -> Result<FillOutcome, CodecError> {
+        // At most one incarnation switch per poll: the first pass drains
+        // the current file; if it rotated away, the second reads the
+        // successor.
+        for _ in 0..2 {
+            if let Some(outcome) = self.open_reader()? {
+                return Ok(outcome);
             }
-            // One window holds everything this poll can deliver: `max`
-            // records at the worst-case encoded length. The read may come up
-            // short if the file shrinks mid-poll; decode only what actually
-            // arrived.
-            let want = usize::try_from(avail)
-                .unwrap_or(usize::MAX)
-                .min((max - out.len()).saturating_mul(MAX_RECORD_LEN));
-            self.window.resize(want, 0);
-            file.seek(io::SeekFrom::Start(self.offset))?;
-            let mut got = 0;
-            while got < want {
-                let n = file.read(&mut self.window[got..])?;
-                if n == 0 {
-                    break;
+            let Some((reader, opened)) = self.reader.as_mut() else {
+                return Ok(FillOutcome::Pending);
+            };
+            if reader.fill(out, max)? > 0 {
+                return Ok(FillOutcome::Filled(out.len()));
+            }
+            // The end of the data so far: look at the file. What the marker
+            // and the stat show was written before the read below, so a read
+            // that then finds nothing more has drained it.
+            let finished = Self::eof_marker(&self.path).exists();
+            let rotated = match fs::metadata(&self.path) {
+                Ok(m) if same_file(&m, opened) => {
+                    if m.len() < reader.bytes_fed() {
+                        // Truncated in place: the offset space restarted,
+                        // so must we.
+                        self.truncations += 1;
+                        MetricsRegistry::global()
+                            .counter("trace.tail.truncations")
+                            .inc();
+                        self.restart(TracePosition::default());
+                        continue;
+                    }
+                    false
                 }
-                got += n;
+                Ok(_) => true,
+                // Renamed away with no successor yet: treat as rotated and
+                // wait for the new file.
+                Err(e) if e.kind() == io::ErrorKind::NotFound => true,
+                Err(e) => return Err(e.into()),
+            };
+            if reader.fill(out, max)? > 0 {
+                return Ok(FillOutcome::Filled(out.len()));
             }
-            let data = &self.window[..got];
-            let window_end = self.offset + got as u64;
-            let mut pos = 0usize;
-            let (_, end) = self
-                .dec
-                .decode_window(data, &mut pos, max - out.len(), |r, n| out.push_n(r, n));
-            self.offset += pos as u64;
-            match end {
-                // Every record of the window was skipped: the next window
-                // may hold one to deliver.
-                Ok(()) | Err(CodecError::Truncated) if out.is_empty() && pos > 0 => {}
-                Ok(()) => return Ok(false),
-                // A record runs past the window: the writer's partial tail
-                // if the window reached end-of-file, otherwise a complete
-                // record the next (re-read) window will cover. Never
-                // consumed either way.
-                Err(CodecError::Truncated) => return Ok(window_end >= flen),
-                Err(e) if out.is_empty() => return Err(e),
-                Err(e) => {
-                    self.pending_err = Some(e);
-                    return Ok(false);
+            if rotated {
+                // Old incarnation drained of complete records. A stranded
+                // partial row can never complete: discard it.
+                let stranded = reader.undecoded();
+                if stranded > 0 {
+                    MetricsRegistry::global()
+                        .counter("trace.tail.discarded_bytes")
+                        .add(stranded);
                 }
+                self.rotations += 1;
+                MetricsRegistry::global()
+                    .counter("trace.tail.rotations")
+                    .inc();
+                self.restart(TracePosition::default());
+                continue;
             }
+            return match (finished, reader.undecoded()) {
+                (false, _) => Ok(FillOutcome::Pending),
+                (true, 0) => Ok(FillOutcome::Eof),
+                // Declared finished mid-record: genuine truncation.
+                (true, _) => Err(CodecError::Truncated),
+            };
         }
+        Ok(FillOutcome::Pending)
     }
 }
 
@@ -433,110 +469,30 @@ impl Source for TailSource {
         if self.done {
             return Ok(FillOutcome::Eof);
         }
-        if let Some(e) = self.pending_err.take() {
-            self.done = true;
-            return Err(e);
-        }
-        let max = max.max(1);
-        // At most one incarnation switch per poll: the first pass drains
-        // the current file; if it rotated away empty, the second pass reads
-        // the successor.
-        for _ in 0..2 {
-            if self.file.is_none() {
-                match File::open(&self.path) {
-                    Ok(f) => self.file = Some(f),
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                        return Ok(FillOutcome::Pending)
-                    }
-                    Err(e) => {
-                        self.done = true;
-                        return Err(e.into());
-                    }
-                }
-            }
-            let (flen, rotated) = {
-                let Some(file) = self.file.as_ref() else {
-                    return Ok(FillOutcome::Pending);
-                };
-                let hmeta = file.metadata()?;
-                let rotated = match fs::metadata(&self.path) {
-                    Ok(m) => !same_file(&m, &hmeta),
-                    // Renamed away with no successor yet: treat as rotated
-                    // and wait for the new file.
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => true,
-                    Err(e) => {
-                        self.done = true;
-                        return Err(e.into());
-                    }
-                };
-                (hmeta.len(), rotated)
-            };
-            if !rotated && flen < self.offset {
-                // Truncated in place: the offset space restarted, so must we.
-                self.truncations += 1;
-                MetricsRegistry::global()
-                    .counter("trace.tail.truncations")
-                    .inc();
-                self.restart_incarnation();
-                continue;
-            }
-            let blocked_on_partial = match self.decode_available(out, max, flen) {
-                Ok(b) => b,
-                Err(e) => {
-                    self.done = true;
-                    return Err(e);
-                }
-            };
-            if !out.is_empty() {
-                return Ok(FillOutcome::Filled(out.len()));
-            }
-            if rotated {
-                // Old incarnation fully drained of complete records. A
-                // stranded partial tail can never complete — discard it.
-                let stranded =
-                    flen.saturating_sub(self.offset.max(if self.header_done { 5 } else { 0 }));
-                if stranded > 0 {
-                    MetricsRegistry::global()
-                        .counter("trace.tail.discarded_bytes")
-                        .add(stranded);
-                }
-                self.rotations += 1;
-                MetricsRegistry::global()
-                    .counter("trace.tail.rotations")
-                    .inc();
-                self.restart_incarnation();
-                continue;
-            }
-            if Self::eof_marker(&self.path).exists() {
-                if self.offset >= flen && !blocked_on_partial {
-                    self.done = true;
-                    return Ok(FillOutcome::Eof);
-                }
-                // Declared finished mid-record: genuine truncation.
-                self.done = true;
-                return Err(CodecError::Truncated);
-            }
-            return Ok(FillOutcome::Pending);
-        }
-        Ok(FillOutcome::Pending)
+        let polled = self.poll(out, max.max(1));
+        self.done = !matches!(polled, Ok(FillOutcome::Filled(_) | FillOutcome::Pending));
+        polled
     }
 
     fn position(&self) -> TracePosition {
-        self.dec.position(self.offset)
+        self.reader
+            .as_ref()
+            .map_or(self.start, |(reader, _)| reader.position())
     }
 
     /// The next poll re-reads the header and checks the position against it.
     fn resume(&mut self, at: TracePosition) -> Result<(), CodecError> {
-        self.file = None;
+        self.restart(at);
         self.done = false;
-        self.pending_err = None;
-        self.offset = self.dec.seek(at);
-        self.header_done = false;
         Ok(())
     }
 
     fn skipped(&self) -> u64 {
-        self.dec.skipped
+        self.skipped
+            + self
+                .reader
+                .as_ref()
+                .map_or(0, |(reader, _)| reader.skipped())
     }
 }
 
@@ -544,7 +500,11 @@ impl Source for TailSource {
 mod tests {
     use super::*;
     use crate::codec::encode;
-    use crate::codec::tests_support::{counted_sample, every_bit_flip, every_cut, FILL_SIZES};
+    use crate::codec::tests_support::{
+        counted_sample, every_bit_flip, every_cut, push_batch, push_run, FILL_SIZES,
+    };
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn recs(n: u64) -> Vec<PacketRecord> {
         (0..n)
@@ -1069,5 +1029,244 @@ mod tests {
         let (tail, state) = poll_all(&mut fresh, 33);
         assert_eq!(state, FillOutcome::Eof);
         assert_eq!(tail, want[80..].to_vec());
+    }
+
+    /// A permissive tail's skips add up over the files it follows and
+    /// survive a resume.
+    #[test]
+    fn tail_source_counts_skips_across_incarnations() {
+        let (bad, good) = crate::codec::tests_support::bytes_with_bad_dport();
+        let dir = ScopedDir::new("skips");
+        let path = dir.file("t.l6tr");
+        std::fs::write(&path, &bad).unwrap();
+        let mut src = TailSource::open(&path).permissive(true);
+        assert_eq!(poll_all(&mut src, 4), (good.clone(), FillOutcome::Pending));
+        // Truncated in place, cut inside its last row, then rotated away.
+        std::fs::write(&path, &bad[..bad.len() - 1]).unwrap();
+        let head = good[..good.len() - 1].to_vec();
+        assert_eq!(poll_all(&mut src, 4), (head, FillOutcome::Pending));
+        std::fs::rename(&path, dir.file("t.l6tr.1")).unwrap();
+        std::fs::write(&path, &bad).unwrap();
+        assert_eq!(poll_all(&mut src, 4), (good, FillOutcome::Pending));
+        src.resume(src.position()).unwrap();
+        std::fs::write(TailSource::eof_marker(&path), b"").unwrap();
+        assert_eq!(poll_all(&mut src, 4), (Vec::new(), FillOutcome::Eof));
+        assert_eq!((src.truncations(), src.rotations()), (1, 1));
+        assert_eq!(src.skipped(), 3);
+    }
+
+    /// The encoding of one incarnation of a tailed file: up to a dozen
+    /// counted rows whose tags, counts and ports take one to three varint
+    /// bytes, a run of 65 537 split over two rows among them.
+    fn incarnation(rng: &mut SmallRng) -> Vec<u8> {
+        let mut w = crate::codec::TraceWriter::new(Vec::new()).unwrap();
+        let mut ts = rng.gen_range(0..1_000_000u64);
+        for _ in 0..rng.gen_range(1..12) {
+            ts += [0, 1, 200, 20_000, 3_000_000][rng.gen_range(0..5usize)];
+            let (src, dst) = (rng.gen_range(0..3u64), rng.gen_range(0..300u64));
+            let dport = [22, 443, 40_000][rng.gen_range(0..3usize)];
+            let r = PacketRecord::tcp(ts, src.into(), dst.into(), 40_000, dport, 60);
+            let copies = [1, 2, 127, 128, 1_250, 65_535, 65_537][rng.gen_range(0..7usize)];
+            w.append_n(&r, copies).unwrap();
+        }
+        w.finish().unwrap()
+    }
+
+    /// What a [`FileStreamSource`] decodes from `bytes`, as runs, and where
+    /// it stops: the whole prefix is rows, or how many bytes of a partial
+    /// row it ends with, and the error that ended it.
+    fn reference(
+        dir: &ScopedDir,
+        bytes: &[u8],
+    ) -> (Vec<(PacketRecord, u64)>, u64, Option<&'static str>) {
+        let path = dir.file("reference.l6tr");
+        std::fs::write(&path, bytes).unwrap();
+        let mut file = match FileStreamSource::open(&path) {
+            Ok(file) => file,
+            Err(e) => return (Vec::new(), bytes.len() as u64, Some(e.kind())),
+        };
+        let (mut runs, mut batch) = (Vec::new(), RecordBatch::new());
+        let err = loop {
+            match file.fill(&mut batch, 4096) {
+                Ok(0) => break None,
+                Ok(_) => push_batch(&mut runs, &batch),
+                Err(e) => break Some(e.kind()),
+            }
+        };
+        (runs, bytes.len() as u64 - file.position().offset, err)
+    }
+
+    /// Polls once with a batch size drawn from `rng`, adding what arrives
+    /// to `got`.
+    fn poll_once(
+        src: &mut TailSource,
+        rng: &mut SmallRng,
+        got: &mut Vec<(PacketRecord, u64)>,
+    ) -> FillOutcome {
+        let max = [1, 2, 7, 4096, rng.gen_range(1..3000)][rng.gen_range(0..5usize)];
+        let mut batch = RecordBatch::new();
+        let outcome = src.poll_fill(&mut batch, max).expect("poll");
+        assert!(batch.len() <= max);
+        push_batch(got, &batch);
+        outcome
+    }
+
+    /// Seeded interleavings of a writer's appends (a quarter of the seeds
+    /// one byte at a time, so every byte of a counted row is a cut, varints
+    /// included), in-place truncations, rename rotations, resumes at the
+    /// tail's position (often inside a row) and, last, the `.eof` marker.
+    /// The tail delivers what a [`FileStreamSource`] decodes from each
+    /// incarnation's final bytes, in order, ends as it ends on the last one,
+    /// and counts every rotation, truncation and stranded byte it saw.
+    ///
+    /// A tail can only tell a truncation in place from growth by length, so
+    /// the writer truncates once the tail has read all there was, to fewer
+    /// bytes, and the tail polls before the file grows again; and it
+    /// rotates a file only once the tail reads it.
+    #[test]
+    fn tail_source_follows_seeded_interleavings() {
+        let discarded = MetricsRegistry::global().counter("trace.tail.discarded_bytes");
+        let (mut inside, mut rotated, mut truncated) = (0, 0, 0);
+        for seed in 0..96u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let bytewise = seed % 4 == 0;
+            let dir = ScopedDir::new("interleave");
+            let path = dir.file("t.l6tr");
+            let append = |bytes: &[u8]| {
+                use std::io::Write as _;
+                let mut f = fs::OpenOptions::new().create(true).append(true).open(&path);
+                f.as_mut().unwrap().write_all(bytes).unwrap();
+            };
+            let discarded_before = discarded.get();
+            // The final bytes of every incarnation the writer left.
+            let mut ended: Vec<Vec<u8>> = Vec::new();
+            let (mut full, mut written, mut exists) = (incarnation(&mut rng), 0, false);
+            // What the tail should count, and what earlier tails (before a
+            // resume into a fresh one) did count.
+            let (mut want_rotations, mut want_truncations, mut want_discarded) = (0, 0, 0);
+            let (mut rotations, mut truncations) = (0, 0);
+            // The tail holds a reader over the current incarnation; it has
+            // also read all of it; it may hold one over a rotated file.
+            let (mut on_current, mut caught_up, mut behind) = (false, false, false);
+            let mut src = TailSource::open(&path);
+            let mut got = Vec::new();
+            for _ in 0..if bytewise { 1_500 } else { 150 } {
+                let poll = match rng.gen_range(0..10) {
+                    0..=4 if written < full.len() => {
+                        let k = if bytewise || rng.gen_bool(0.3) {
+                            1
+                        } else {
+                            rng.gen_range(1..=120)
+                        };
+                        let k = k.min(full.len() - written);
+                        append(&full[written..written + k]);
+                        (written, exists, caught_up) = (written + k, true, false);
+                        bytewise
+                    }
+                    5 if caught_up && exists && written > 0 => {
+                        ended.push(full[..written].to_vec());
+                        want_truncations += u64::from(on_current);
+                        full = incarnation(&mut rng);
+                        let k = rng.gen_range(0..written).min(full.len());
+                        std::fs::write(&path, &full[..k]).unwrap();
+                        (written, on_current, caught_up) = (k, false, false);
+                        true
+                    }
+                    6 if exists && (on_current || written < 5) => {
+                        let old = full[..written].to_vec();
+                        if on_current {
+                            want_rotations += 1;
+                            want_discarded += reference(&dir, &old).1;
+                        }
+                        let n = ended.len();
+                        fs::rename(&path, dir.file(&format!("t.l6tr.{n}"))).unwrap();
+                        ended.push(old);
+                        full = incarnation(&mut rng);
+                        (written, exists, on_current, caught_up) = (0, false, false, false);
+                        behind = true;
+                        if rng.gen_bool(0.5) {
+                            written = rng.gen_range(0..=full.len().min(60));
+                            append(&full[..written]);
+                            exists = true;
+                        }
+                        false
+                    }
+                    _ => true,
+                };
+                if poll {
+                    match poll_once(&mut src, &mut rng, &mut got) {
+                        // Resumed where the batch ended, often inside a
+                        // row, by this tail or a fresh one.
+                        FillOutcome::Filled(_) if !behind && rng.gen_bool(0.5) => {
+                            let at = src.position();
+                            inside += usize::from(at.offset >> 48 > 0);
+                            if rng.gen_bool(0.5) {
+                                rotations += src.rotations();
+                                truncations += src.truncations();
+                                src = TailSource::open(&path);
+                            }
+                            src.resume(at).unwrap();
+                            on_current = false;
+                        }
+                        FillOutcome::Filled(_) => on_current = !behind,
+                        FillOutcome::Pending => {
+                            on_current = exists && written >= 5;
+                            (caught_up, behind) = (true, false);
+                        }
+                        FillOutcome::Eof => panic!("seed {seed}: Eof before the marker"),
+                    }
+                }
+            }
+            // The writer finishes the incarnation, or stops inside a row,
+            // and declares the file finished.
+            let end = if rng.gen_bool(0.5) {
+                full.len()
+            } else {
+                rng.gen_range(written..=full.len())
+            };
+            append(&full[written..end]);
+            ended.push(full[..end].to_vec());
+            std::fs::write(TailSource::eof_marker(&path), b"").unwrap();
+            let mut batch = RecordBatch::new();
+            let err = loop {
+                match src.poll_fill(&mut batch, 4096) {
+                    Ok(FillOutcome::Filled(_)) => push_batch(&mut got, &batch),
+                    Ok(FillOutcome::Eof) => break None,
+                    Ok(FillOutcome::Pending) => panic!("seed {seed}: Pending after the marker"),
+                    Err(e) => break Some(e.kind()),
+                }
+            };
+
+            let mut want = Vec::new();
+            let mut last = None;
+            for bytes in &ended {
+                let (runs, _, err) = reference(&dir, bytes);
+                runs.into_iter()
+                    .for_each(|(r, n)| push_run(&mut want, r, n));
+                // An empty file declared finished is an empty stream.
+                last = err.filter(|_| !bytes.is_empty());
+            }
+            assert_eq!(got, want, "seed {seed}");
+            assert_eq!(err, last, "seed {seed}");
+            assert_eq!(rotations + src.rotations(), want_rotations, "seed {seed}");
+            assert_eq!(
+                truncations + src.truncations(),
+                want_truncations,
+                "seed {seed}"
+            );
+            assert_eq!(
+                discarded.get() - discarded_before,
+                want_discarded,
+                "seed {seed}"
+            );
+            assert_eq!(src.skipped(), 0, "seed {seed}");
+            rotated += want_rotations;
+            truncated += want_truncations;
+        }
+        assert!(
+            rotated > 50 && truncated > 50,
+            "{rotated} rotations, {truncated} truncations"
+        );
+        assert!(inside > 50, "{inside} resumes inside a row");
     }
 }
