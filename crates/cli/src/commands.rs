@@ -38,8 +38,11 @@ lumen6 — IPv6 scan detection toolkit
 
 USAGE:
   lumen6 generate cdn --out FILE [--days N] [--seed N] [--small] [--intensity F]
+                [--metrics-out FILE.json]
   lumen6 generate mawi --out FILE [--days N] [--seed N] [--small]
+                [--metrics-out FILE.json]
   lumen6 generate custom --fleet ACTORS.json --out FILE [--seed N]
+                [--metrics-out FILE.json]
   lumen6 info --trace FILE
   lumen6 detect --trace FILE [--agg 128|64|48|32] [--min-dsts N]
                 [--timeout-secs N] [--prefilter] [--top N] [--json]
@@ -293,6 +296,7 @@ fn write_trace(path: &str, source: &mut dyn Source) -> Result<u64, CliError> {
 
 /// `generate <cdn|mawi|custom>`: build a synthetic vantage trace file.
 fn generate<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
+    let metrics_baseline = lumen6_obs::MetricsRegistry::global().snapshot();
     let kind = args
         .positional()
         .get(1)
@@ -344,7 +348,7 @@ fn generate<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliError>
 
     let records = write_trace(path, source.as_mut())?;
     writeln!(out, "wrote {records} records to {path}")?;
-    Ok(())
+    emit_metrics(args, &metrics_baseline, out, false)
 }
 
 /// `info`: summary statistics of a trace file, read a batch at a time.

@@ -511,6 +511,72 @@ fn hostile_fleet_definitions_are_usage_errors_that_leave_no_file() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A resumed `detect --trace` run counts in `trace.codec.bytes_read` the
+/// header and what it reads from its checkpoint on, not the prefix the
+/// resume skipped: at most the rest of the file, one refill window over
+/// and the header.
+#[test]
+fn a_resumed_trace_run_counts_only_the_bytes_it_reads() {
+    use lumen6_detect::Checkpoint;
+    let dir = std::env::temp_dir().join(format!("lumen6-metrics-resume-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (trace, ck, m) = (dir.join("t.l6tr"), dir.join("t.l6ck"), dir.join("m.json"));
+    let t = trace.to_str().unwrap();
+    stdout_of(&lumen6(&[
+        "generate", "cdn", "--out", t, "--days", "5", "--seed", "3", "--small",
+    ]));
+    let run = |extra: &[&str]| {
+        let mut args = vec!["detect", "--trace", t, "--checkpoint", ck.to_str().unwrap()];
+        args.extend(["--checkpoint-every", "30000"]);
+        args.extend_from_slice(extra);
+        lumen6(&args)
+    };
+    assert_eq!(run(&["--stop-after", "2"]).status.code(), Some(3));
+    let resumed_at = Checkpoint::load(&ck).unwrap().position.offset & ((1 << 48) - 1);
+    let len = std::fs::metadata(&trace).unwrap().len();
+    assert!(
+        resumed_at > 64 * 1024,
+        "resumed {resumed_at} bytes into {len}"
+    );
+
+    stdout_of(&run(&["--metrics-out", m.to_str().unwrap()]));
+    let snap: MetricsSnapshot =
+        serde_json::from_str(&std::fs::read_to_string(&m).unwrap()).unwrap();
+    assert_eq!(snap.counters["detect.session.resumes"], 1);
+    let read = snap.counters["trace.codec.bytes_read"];
+    assert!(
+        read <= len - resumed_at + 64 * 1024 + 5,
+        "{read} bytes read resuming at {resumed_at} of {len}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `generate --metrics-out` writes the run's metrics, the generator's
+/// gauges among them: the MAWI fixed streams' day buffers.
+#[test]
+fn generate_writes_its_metrics() {
+    let dir = std::env::temp_dir().join(format!("lumen6-metrics-gen-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (trace, m) = (dir.join("m.l6tr"), dir.join("m.json"));
+    let out = stdout_of(&lumen6(&[
+        "generate",
+        "mawi",
+        "--small",
+        "--days",
+        "2",
+        "--out",
+        trace.to_str().unwrap(),
+        "--metrics-out",
+        m.to_str().unwrap(),
+    ]));
+    assert!(out.contains("wrote") && out.contains("metrics ->"), "{out}");
+    let snap: MetricsSnapshot =
+        serde_json::from_str(&std::fs::read_to_string(&m).unwrap()).unwrap();
+    assert!(lumen6_obs::validate(&snap).is_empty());
+    assert!(snap.gauges["scanners.fleet.fixed_stream_bytes"] > 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn generate_rejects_the_flags_a_vantage_does_not_read() {
     // `--intensity` was silently ignored by `generate mawi`, and

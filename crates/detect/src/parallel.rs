@@ -11,17 +11,20 @@
 //! (DESIGN.md, "Parallel pipeline").
 //!
 //! The caller copies each columnar [`RecordBatch`] it is given into a
-//! staging batch and ships it to the worker once it holds `BATCH` records,
+//! staging batch and ships it to the worker once it holds `BATCH` rows,
 //! over a channel `DEPTH` batches deep; the worker feeds it to the
 //! detector's grouped [`observe_batch`](MultiLevelDetector::observe_batch)
 //! and returns the emptied batch through a recycle channel, so the steady
-//! state allocates nothing. An idle flush rides in-band as a mark on the
-//! staged rows ([`observe_cut_at`]), and a snapshot is a rendezvous: the
-//! worker replies once it has consumed everything queued before the
-//! request. State and reports are the worker's detector's own, so a
-//! threaded and a sequential run at one stream position write the same
-//! checkpoint bytes and the same reports (the property-tested backend
-//! grid, see `crates/detect/tests/proptests.rs`).
+//! state allocates nothing. Rows, because the worker's cost is per row: a
+//! ship is the same work at 1x and at 1250x, where a row counts 1250
+//! records. Batches are allocated on the caller's thread, at `BATCH` rows.
+//! An idle flush rides in-band as a mark on the staged rows
+//! ([`observe_cut_at`]), and a snapshot is a rendezvous: the worker replies
+//! once it has consumed everything queued before the request. State and
+//! reports are the worker's detector's own, so a threaded and a sequential
+//! run at one stream position write the same checkpoint bytes and the same
+//! reports (the property-tested backend grid, see
+//! `crates/detect/tests/proptests.rs`).
 //!
 //! ```
 //! use lumen6_detect::prelude::*;
@@ -50,8 +53,8 @@ use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TrySendError}
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Records per batch shipped to the worker. Batching amortizes channel
-/// synchronization; the value does not affect results.
+/// Rows (whatever records they count) per batch shipped to the worker.
+/// Batching amortizes channel synchronization; it does not affect results.
 const BATCH: usize = 4096;
 
 /// Batches in flight before the caller blocks on the worker. Bounds the
@@ -208,11 +211,10 @@ impl ThreadedDetector {
 
 impl Detect for ThreadedDetector {
     /// Stages a columnar batch — seven contiguous column copies, counts
-    /// included — and ships the staging batch once it holds `BATCH`
-    /// records.
+    /// included — and ships the staging batch once it holds `BATCH` rows.
     fn observe_batch(&mut self, batch: &RecordBatch) {
         self.staged.extend_from_batch(batch);
-        if self.staged.len() >= BATCH {
+        if self.staged.rows() >= BATCH {
             self.ship();
         }
     }
@@ -359,6 +361,36 @@ mod tests {
         let allocated = det.spares.len() + 2;
         assert!(allocated <= DEPTH + 2, "{allocated} batches allocated");
         Box::new(det).finish();
+    }
+
+    /// The staging batch ships at `BATCH` rows, whatever records they
+    /// count: `BATCH` rows fed one at a time ship once at 1x and once at
+    /// the paper's 1250x, where a bound in records would ship every four.
+    #[test]
+    fn a_ship_is_bounded_in_rows_not_records() {
+        let sent = |copies: usize| {
+            let mut det =
+                ThreadedDetector::new(&AggLevel::PAPER_LEVELS, ScanDetectorConfig::default());
+            let mut row = RecordBatch::new();
+            for i in 0..BATCH as u64 {
+                let src = 0x2001 << 64 | u128::from(i % 7);
+                row.clear();
+                row.push_n(PacketRecord::tcp(i, src, i.into(), 1, 22, 60), copies);
+                det.observe_batch(&row);
+            }
+            assert!(det.staged.is_empty(), "{copies}x: the last row shipped");
+            let sent = det.batches_sent;
+            let observed = det.state().iter().map(|l| l.observed).max();
+            assert_eq!(observed, Some((BATCH * copies) as u64), "{copies}x");
+            Box::new(det).finish();
+            sent
+        };
+        let paper = sent(1250);
+        assert_eq!(
+            paper, 1,
+            "{BATCH} rows of 1250 copies shipped {paper} times"
+        );
+        assert_eq!(sent(1), paper);
     }
 
     #[test]

@@ -27,10 +27,9 @@
 //!
 //! The vantage's actors are dealt round-robin to `gen_threads` *lanes*. A
 //! lane's [`Generator`] runs its actors' [`ActorStream`]s under a local
-//! merge and emits sorted, capture-filtered runs of at most
-//! [`RUN_RECORDS`] records, each record tagged with its global stream
-//! index; the consumer k-way-merges the lane heads with the fixed streams'
-//! days, each one more lane.
+//! merge and emits sorted, capture-filtered runs of at most [`RUN_ROWS`]
+//! rows, each tagged with its global stream index; the consumer k-way-merges
+//! the lane heads with the fixed streams' days, each one more lane.
 //! `gen_threads` changes only *where* an actor lane's generator runs:
 //!
 //! - `gen_threads = 1`: the single lane owns its generator and refills its
@@ -110,7 +109,7 @@
 //! buffering is bounded by construction: an inline lane owns one run
 //! buffer; a threaded lane circulates exactly [`LANE_DEPTH`] recycled run
 //! buffers — a worker that outruns the consumer blocks waiting for a free
-//! buffer, it never allocates more. The
+//! buffer, it never allocates more: `LANE_DEPTH × RUN_ROWS` rows. The
 //! [`peak_buffered_records`](FleetSource::peak_buffered_records) accessor
 //! (and its pinned test) covers all three tiers: release-queue entries,
 //! records in flight in the channels, and the consumer-held lane heads.
@@ -130,11 +129,12 @@
 //! ([`RecordBatch::push_n`]), a fixed stream's day is one such row per
 //! record, and the consumer takes from the winning lane every head row
 //! below the runner-up's key at once, counts included. No copy is ever
-//! expanded. A run is cut in three places — a lane run filling
-//! up ([`RUN_RECORDS`] records), the caller's `max`, the runner-up key —
-//! and each cut leaves the rest of the copies where they were, under the
-//! same merge key, so the next step resumes with them: the record sequence
-//! does not depend on where the cuts fall.
+//! expanded. A lane run is cut in rows, so a hand-off costs the same at
+//! any intensity: an entry leaves with all its copies (up to `u32::MAX`),
+//! and a lane's runs ramp from [`FIRST_RUN_ROWS`] to [`RUN_ROWS`] rows. The
+//! consumer cuts a row at the caller's `max` or the runner-up key; a cut
+//! leaves the rest of the copies where they were, under the same merge
+//! key, so the record sequence does not depend on where the cuts fall.
 //!
 //! # Positions
 //!
@@ -159,9 +159,9 @@
 //! registered at `gen_threads = 1`: `merge_stalls` (consumer blocked on an
 //! empty lane — generation is the bottleneck; a worker blocked for a free
 //! buffer shows up as zero stalls and full channels), `runs_merged` (lane
-//! runs, the [`RUN_RECORDS`]-sized buffers), `channel_depth` (lane runs in
-//! flight), `buffered_records` (total buffered across all tiers) and
-//! `gen_threads`.
+//! runs of up to [`RUN_ROWS`] rows: about as many at any intensity),
+//! `channel_depth` (lane runs in flight), `buffered_records` (records
+//! buffered across all tiers) and `gen_threads`.
 
 use crate::actor::ScannerActor;
 use crate::fleet::{emission_due, scale_intensity, World};
@@ -181,13 +181,17 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Records per emitted run: large enough to amortize channel traffic, small
-/// enough that a lane's circulation set stays in cache.
-const RUN_RECORDS: usize = 4_096;
+/// Rows per emitted run (a row costs the same at any intensity): large
+/// enough to amortize channel traffic, small enough to stay in cache.
+const RUN_ROWS: usize = 4_096;
 
-/// Run buffers circulating per threaded lane. Total channel-side buffering
-/// per lane is `LANE_DEPTH * RUN_RECORDS` records, by construction.
-const LANE_DEPTH: usize = 4;
+/// Rows in a lane's first run, which a fused start waits for; each later
+/// run doubles, up to [`RUN_ROWS`].
+const FIRST_RUN_ROWS: usize = 512;
+
+/// Run buffers per threaded lane — one merging, one filling, one queued —
+/// so it buffers `LANE_DEPTH * RUN_ROWS` rows at most, by construction.
+const LANE_DEPTH: usize = 3;
 
 /// A generated probe waiting in an actor's release queue. Ordered by
 /// (timestamp, emission index) — exactly the order a stable time-sort of
@@ -509,6 +513,17 @@ struct Run {
     held: u64,
 }
 
+impl Run {
+    /// An empty run with room for [`RUN_ROWS`] rows, on the consumer's thread.
+    fn full_size() -> Run {
+        Run {
+            recs: RecordBatch::with_capacity(RUN_ROWS),
+            si: Vec::with_capacity(RUN_ROWS),
+            held: 0,
+        }
+    }
+}
+
 /// One lane's generation engine: a disjoint, ascending subset of the
 /// vantage's actors, locally merged by the global (timestamp, stream index)
 /// key and capture-filtered. A value, so a lane can run it on the
@@ -536,6 +551,8 @@ struct Generator {
     held: u64,
     /// Where a stream draws a session before queueing it.
     scratch: Vec<Pending>,
+    /// Rows of the lane's next run.
+    run_rows: usize,
 }
 
 impl Generator {
@@ -565,28 +582,34 @@ impl Generator {
             streams,
             emitted,
             merge,
+            run_rows: FIRST_RUN_ROWS,
         }
     }
 
-    /// Refills `run` with this lane's next (at most `max`) logged records,
-    /// in merge order. An empty run means the lane's actors are exhausted.
-    fn fill(&mut self, run: &mut Run, max: usize) {
+    /// Refills `run` with the lane's next run, at `run_rows` rows.
+    fn next_run(&mut self, run: &mut Run) {
+        self.fill(run, self.run_rows);
+        self.run_rows = (self.run_rows * 2).min(RUN_ROWS);
+    }
+
+    /// Refills `run` with this lane's next `max_rows` rows of logged records
+    /// at most, in merge order; empty once the lane's actors are exhausted.
+    fn fill(&mut self, run: &mut Run, max_rows: usize) {
         run.recs.clear();
         run.si.clear();
         let vantage: &Vantage = &self.vantage;
         let filter = vantage.capture_filter();
-        while run.recs.len() < max {
+        while run.recs.rows() < max_rows {
             let Some(mut top) = self.merge.peek_mut() else {
                 break;
             };
             let Reverse((_, ai, pos)) = *top;
             let actor = &vantage.actors[ai];
             // One step per queue entry: its copies share the merge key, so
-            // they leave back to back — as many as the run has room for.
-            let room = (max - run.recs.len()) as u64;
+            // they leave back to back, as one row of all it can count.
             let stream = &mut self.streams[pos];
             self.held -= stream.queue.len() as u64;
-            let popped = stream.pop_run(room);
+            let popped = stream.pop_run(u64::from(u32::MAX));
             // The actor's next key replaces the frontier's top in place;
             // only an exhausted actor leaves it.
             match stream.peek_ts(actor, &mut self.scratch) {
@@ -614,28 +637,29 @@ impl Generator {
     }
 }
 
-/// Body of a threaded lane's worker: ships the generator's runs until it
-/// is exhausted or the consumer disconnects.
+/// Body of a threaded lane's worker: ships the generator's runs, an empty
+/// one last, then waits until the consumer lets go of the lane.
 fn run_worker(
     mut gen: Generator,
     data: SyncSender<Run>,
     recycle: Receiver<Run>,
-    in_flight: Arc<AtomicU64>,
+    in_flight: Arc<[AtomicU64; 2]>,
 ) {
     // Bounded by construction: the only buffers are the LANE_DEPTH runs
     // circulating through the recycle channel.
     while let Ok(mut run) = recycle.recv() {
-        gen.fill(&mut run, RUN_RECORDS);
-        if run.recs.is_empty() {
-            // Exhausted: dropping `data` disconnects the lane, which the
-            // consumer reads as this lane's end of stream.
-            return;
-        }
-        in_flight.fetch_add(run.recs.len() as u64, Relaxed);
-        if data.send(run).is_err() {
-            return; // consumer dropped the lane
+        gen.next_run(&mut run);
+        let end = run.recs.is_empty();
+        in_flight[0].fetch_add(run.recs.len() as u64, Relaxed);
+        in_flight[1].fetch_add(1, Relaxed);
+        // An empty run ends the lane; a failed send, the consumer's end.
+        if data.send(run).is_err() || end {
+            break;
         }
     }
+    // Why the worker stays: see `spawn_lanes`.
+    drop(gen);
+    while recycle.recv().is_ok() {}
 }
 
 /// Where a lane's generator runs.
@@ -651,10 +675,8 @@ enum Feed {
         data: Receiver<Run>,
         recycle: SyncSender<Run>,
         handle: JoinHandle<()>,
-        /// Filtered records currently in the data channel, updated at run
-        /// boundaries (never per record). Every run but a lane's last is
-        /// full, so this also counts the runs in flight.
-        in_flight: Arc<AtomicU64>,
+        /// Filtered records, then runs, in the data channel, updated per run.
+        in_flight: Arc<[AtomicU64; 2]>,
         /// `scanners.parallel.merge_stalls`.
         merge_stalls: lumen6_obs::Counter,
         /// `scanners.parallel.runs_merged`.
@@ -669,6 +691,8 @@ struct Lane {
     /// `None` once an actor lane is exhausted; a fixed stream's lane keeps
     /// its day feed, which then fills nothing.
     feed: Option<Feed>,
+    /// A threaded feed whose worker sent its empty run, until shutdown.
+    parked: Option<Feed>,
     head: Run,
     /// The head row being merged, how many of its copies have gone, and how
     /// many records the head still holds.
@@ -678,11 +702,12 @@ struct Lane {
 }
 
 impl Lane {
-    /// A lane on `feed` whose first run is yet to be fetched.
-    fn new(feed: Feed) -> Lane {
+    /// A lane on `feed` whose first run is yet to be fetched into `head`.
+    fn new(feed: Feed, head: Run) -> Lane {
         Lane {
             feed: Some(feed),
-            head: Run::default(),
+            parked: None,
+            head,
             cursor: 0,
             used: 0,
             left: 0,
@@ -708,9 +733,10 @@ impl Lane {
     /// exhausted.
     fn next_run(&mut self) -> bool {
         (self.cursor, self.used) = (0, 0);
+        let mut ended = false;
         match &mut self.feed {
             None => return false,
-            Some(Feed::Inline(gen)) => gen.fill(&mut self.head, RUN_RECORDS),
+            Some(Feed::Inline(gen)) => gen.next_run(&mut self.head),
             Some(Feed::Day(feed)) => feed.fill(&mut self.head),
             Some(Feed::Threaded {
                 data,
@@ -734,9 +760,11 @@ impl Lane {
                     }
                     Err(TryRecvError::Disconnected) => None,
                 };
+                ended = next.is_some();
                 if let Some(run) = next {
-                    runs_merged.add(1);
-                    in_flight.fetch_sub(run.recs.len() as u64, Relaxed);
+                    runs_merged.add(u64::from(!run.recs.is_empty()));
+                    in_flight[0].fetch_sub(run.recs.len() as u64, Relaxed);
+                    in_flight[1].fetch_sub(1, Relaxed);
                     self.head = run;
                 }
             }
@@ -748,9 +776,10 @@ impl Lane {
         // Generators never emit an empty run before exhaustion. A day feed
         // stays: its buffers are what `fixed_stream_bytes` gauges.
         match self.feed.take() {
+            feed @ Some(Feed::Threaded { .. }) if ended => self.parked = feed,
             Some(Feed::Threaded { handle, .. }) => {
-                // A worker that panicked disconnects too: surface it, so a
-                // crashed generator never reads as a clean end of stream.
+                // A worker that panicked disconnects without an empty run:
+                // surface it, so a crash never reads as an end of stream.
                 if let Err(panic) = handle.join() {
                     std::panic::resume_unwind(panic);
                 }
@@ -805,7 +834,7 @@ impl FleetSource {
     /// Builds a source over any vantage, generating on `gen_threads`
     /// threads as [`with_gen_threads`](Self::with_gen_threads) does. A
     /// fractional intensity counts the fixed streams here, while threaded
-    /// workers prime and fill their first runs.
+    /// workers fill their first runs.
     pub fn from_vantage(vantage: Vantage, gen_threads: usize) -> FleetSource {
         let n = gen_threads.clamp(1, vantage.actors.len().max(1));
         let reg = lumen6_obs::MetricsRegistry::global();
@@ -847,12 +876,15 @@ impl FleetSource {
         self.peak_buffered
     }
 
-    /// Builds `n` lanes over `vantage`'s actors, spawning their workers
-    /// when `n > 1`.
+    /// Builds `n` lanes over `vantage`'s actors (workers when `n > 1`) and
+    /// returns once each worker has built its generator. A worker then
+    /// allocates before a detector thread started next and exits after it
+    /// (`run_worker`), so glibc gives each kind its arena back.
     fn spawn_lanes(vantage: &Arc<Vantage>, n: usize) -> Vec<Lane> {
         let actors = vantage.actors.len();
         let reg = lumen6_obs::MetricsRegistry::global();
-        (0..n)
+        let (ready, built) = sync_channel::<()>(0);
+        let lanes = (0..n)
             .map(|k| {
                 // Round-robin partition: balances the per-kind expansion
                 // cost better than contiguous blocks, and keeps each
@@ -868,19 +900,17 @@ impl FleetSource {
                     for _ in 1..LANE_DEPTH {
                         // Seed the circulation set; the lane's first head
                         // below is its last member.
-                        let _ = recycle.send(Run::default());
+                        let _ = recycle.send(Run::full_size());
                     }
-                    let in_flight = Arc::new(AtomicU64::new(0));
+                    let in_flight = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
                     let worker_in_flight = Arc::clone(&in_flight);
                     // The worker builds its own generator, so schedule
                     // drawing is spread across the lanes too.
+                    let ready = ready.clone();
                     let handle = std::thread::spawn(move || {
-                        run_worker(
-                            Generator::new(vantage, ids),
-                            data_tx,
-                            recycle_rx,
-                            worker_in_flight,
-                        );
+                        let gen = Generator::new(vantage, ids);
+                        drop(ready);
+                        run_worker(gen, data_tx, recycle_rx, worker_in_flight);
                     });
                     Feed::Threaded {
                         data,
@@ -891,9 +921,12 @@ impl FleetSource {
                         runs_merged: reg.counter("scanners.parallel.runs_merged"),
                     }
                 };
-                Lane::new(feed)
+                Lane::new(feed, Run::full_size())
             })
-            .collect()
+            .collect();
+        drop(ready);
+        let _ = built.recv(); // once every worker has built (or panicked)
+        lanes
     }
 
     /// One lane per fixed stream of `vantage`, each on a fresh clone of
@@ -905,7 +938,7 @@ impl FleetSource {
         let reg = lumen6_obs::MetricsRegistry::global();
         let streams = vantage.fixed.iter().zip(copies).enumerate();
         streams.map(move |(fi, ((name, recipe), &copies))| {
-            Lane::new(Feed::Day(Box::new(DayFeed {
+            let feed = Feed::Day(Box::new(DayFeed {
                 vantage: Arc::clone(vantage),
                 stepper: recipe.clone_box(),
                 rows: DayRows::default(),
@@ -913,7 +946,8 @@ impl FleetSource {
                 copies,
                 si: vantage.actors.len() + fi,
                 emitted: reg.counter(&format!("scanners.fleet.packets_emitted.{name}")),
-            })))
+            }));
+            Lane::new(feed, Run::default())
         })
     }
 
@@ -935,7 +969,7 @@ impl FleetSource {
         let handles: Vec<JoinHandle<()>> = self
             .lanes
             .drain(..)
-            .filter_map(|lane| match lane.feed {
+            .filter_map(|lane| match lane.feed.or(lane.parked) {
                 Some(Feed::Threaded { handle, .. }) => Some(handle),
                 _ => None,
             })
@@ -955,9 +989,8 @@ impl FleetSource {
         for lane in actor_lanes {
             buffered += lane.head.held + lane.left as u64;
             if let Some(Feed::Threaded { in_flight, .. }) = &lane.feed {
-                let records = in_flight.load(Relaxed);
-                runs += records.div_ceil(RUN_RECORDS as u64);
-                buffered += records;
+                buffered += in_flight[0].load(Relaxed);
+                runs += in_flight[1].load(Relaxed);
             }
         }
         if let Some([depth, buffered_records]) = &self.occupancy_gauges {
@@ -1332,9 +1365,11 @@ mod tests {
         // driving the volume 25x must not change the number of buffered
         // entries at all (the footprint — and so the entry set — is
         // intensity-invariant by construction).
-        // Single-record runs so every queue state is observed: the peak is
+        // Single-row runs so every queue state is observed: the peak is
         // then an exact property of the entry sequence, not of where run
-        // boundaries happen to fall.
+        // boundaries happen to fall. A row is a whole entry, all its
+        // copies, so the runs cut the stream at the same entries at 1x and
+        // at 25x; the volume is the records those runs deliver.
         fn run(intensity: f64) -> (u64, u64) {
             let world = World::build(FleetConfig {
                 seed: 42,
@@ -1351,8 +1386,9 @@ mod tests {
                 if run.recs.is_empty() {
                     return (peak, total);
                 }
+                assert_eq!(run.recs.rows(), 1);
                 peak = peak.max(run.held);
-                total += 1;
+                total += run.recs.len() as u64;
             }
         }
         let (peak_1x, total_1x) = run(1.0);
@@ -1361,23 +1397,23 @@ mod tests {
             total_25x > total_1x * 20,
             "volume did not scale: {total_1x} → {total_25x}"
         );
-        // A partially-delivered entry stays resident until its last copy
-        // (at 1x it would already be popped), so allow exactly that one.
+        // An entry leaves with all its copies, so none is ever partly
+        // delivered: the same entries are resident at both intensities.
         assert!(
-            peak_25x <= peak_1x + 1,
+            peak_25x == peak_1x,
             "queue entries must not scale with intensity: {peak_1x} → {peak_25x}"
         );
     }
 
     #[test]
     fn fill_size_cuts_runs_without_changing_the_stream() {
-        // A queue entry's copies leave `min(reps, room)` at a time, so `max`
-        // decides where runs are cut — never what is delivered. Intensity
-        // 0.3 has probes whose repeat count is zero, 25 has long runs.
-        // The stream's first records suffice (single-record fills pay the
-        // run-boundary accounting per record).
+        // A lane run fills up at `max_rows` rows, so `max_rows` decides
+        // where runs are cut — never what is delivered. Intensity 0.3 has
+        // probes whose repeat count is zero, 25 has long runs. The stream's
+        // first records suffice (single-row fills pay the run-boundary
+        // accounting per row).
         const PREFIX: usize = 5_000;
-        fn stream(intensity: f64, max: usize) -> (Vec<PacketRecord>, Vec<usize>) {
+        fn stream(intensity: f64, max_rows: usize) -> (Vec<PacketRecord>, Vec<usize>) {
             let world = World::build(FleetConfig {
                 seed: 42,
                 intensity,
@@ -1389,9 +1425,9 @@ mod tests {
             let mut run = Run::default();
             let (mut recs, mut si) = (Vec::new(), Vec::new());
             loop {
-                gen.fill(&mut run, max);
+                gen.fill(&mut run, max_rows);
                 assert_eq!(run.recs.rows(), run.si.len());
-                assert!(run.recs.len() <= max, "fill overran max={max}");
+                assert!(run.recs.rows() <= max_rows, "fill overran {max_rows} rows");
                 recs.extend(run.recs.iter());
                 for (row, &ai) in run.si.iter().enumerate() {
                     si.extend(std::iter::repeat_n(ai, run.recs.count(row) as usize));
@@ -1406,10 +1442,10 @@ mod tests {
         for intensity in [0.3, 25.0] {
             let one_by_one = stream(intensity, 1);
             assert_eq!(one_by_one.0.len(), PREFIX, "stream too small");
-            for max in [2, 3, 4_096] {
+            for max_rows in [2, 3, RUN_ROWS] {
                 assert!(
-                    stream(intensity, max) == one_by_one,
-                    "intensity={intensity} max={max}"
+                    stream(intensity, max_rows) == one_by_one,
+                    "intensity={intensity} max_rows={max_rows}"
                 );
             }
         }

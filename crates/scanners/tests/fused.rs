@@ -378,6 +378,48 @@ fn peak_buffered_records_do_not_scale_with_trace_length() {
     }
 }
 
+/// Lane runs are cut in rows, and a row carries every copy of a probe, so
+/// `scanners.parallel.runs_merged` at 100x stays within 2x of 1x on the
+/// small fleet at `gen_threads = 2` (cut in records, it was 100x). The
+/// registry is process-global and every threaded test here adds to the
+/// counter, so each count comes from a child run of this test binary that
+/// drains one source and does nothing else.
+#[test]
+fn lane_runs_merged_do_not_scale_with_intensity() {
+    const NAME: &str = "lane_runs_merged_do_not_scale_with_intensity";
+    const CHILD: &str = "LUMEN6_RUNS_MERGED_AT";
+    if let Ok(intensity) = std::env::var(CHILD) {
+        let mut src = source(&tiny_config(42, intensity.parse().unwrap(), 7), 2);
+        let mut batch = RecordBatch::new();
+        while src.fill(&mut batch, 65_536).expect("fill") > 0 {}
+        let snap = lumen6_obs::MetricsRegistry::global().snapshot();
+        println!(
+            "runs_merged={}",
+            snap.counters["scanners.parallel.runs_merged"]
+        );
+        return;
+    }
+    let runs_merged = |intensity: f64| -> u64 {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", NAME, "--nocapture", "--test-threads", "1"])
+            .env(CHILD, intensity.to_string())
+            .output()
+            .expect("spawn the test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{stdout}");
+        // The harness prints the test's name on the same line.
+        let (_, count) = stdout.split_once("runs_merged=").expect("a count");
+        let digits = count.split(|c: char| !c.is_ascii_digit()).next();
+        digits.and_then(|n| n.parse().ok()).expect("a count")
+    };
+    let (one, hundred) = (runs_merged(1.0), runs_merged(100.0));
+    assert!(one > 0, "no lane run merged at 1x");
+    assert!(
+        hundred <= 2 * one,
+        "runs merged scaled with intensity: {one} at 1x, {hundred} at 100x"
+    );
+}
+
 /// Low-threshold detector so even the 0.1× grid corner produces events.
 fn detector() -> DetectorBuilder {
     DetectorBuilder::new(ScanDetectorConfig {

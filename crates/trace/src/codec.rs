@@ -621,8 +621,9 @@ impl<R: Read> StreamingTraceReader<R> {
             failed: false,
             follow: false,
             fed,
+            // The header, read at a resume too; a skipped prefix is not.
             stats: DecodeStats {
-                bytes: fed,
+                bytes: 5,
                 ..DecodeStats::default()
             },
         }
