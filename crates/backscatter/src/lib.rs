@@ -13,12 +13,12 @@
 //!
 //! This crate provides both halves at simulation scale:
 //!
-//! - [`generate_backscatter`]: given the packet stream scanners emit toward
+//! - [`backscatter_queries`]: given the packet stream scanners emit toward
 //!   their victims, produce the PTR-query stream an authority for the
 //!   scanners' reverse zones would record (each victim network's resolver
 //!   looks up a probing source with a configurable probability, with
-//!   per-resolver caching). [`backscatter_queries`] draws it a packet at
-//!   a time, so a stream need not be resident.
+//!   per-resolver caching), drawn a packet at a time, so a stream need not
+//!   be resident.
 //! - [`BackscatterDetector`]: the querier-diversity classifier — an address
 //!   (or covering prefix, aggregation matters here exactly as in §2.2 of
 //!   the paper) whose PTR queries arrive from at least `min_queriers`
@@ -113,17 +113,6 @@ pub fn backscatter_queries(
     })
 }
 
-/// The [`backscatter_queries`] of a resident trace, time-sorted.
-pub fn generate_backscatter(
-    records: &[PacketRecord],
-    config: &BackscatterConfig,
-    seed: u64,
-) -> Vec<PtrQuery> {
-    let mut out: Vec<PtrQuery> = backscatter_queries(records, config, seed).collect();
-    out.sort_by_key(|q| q.ts_ms);
-    out
-}
-
 /// A backscatter-detected scanner.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BackscatterScanner {
@@ -142,16 +131,15 @@ pub struct BackscatterScanner {
 /// Querier-diversity detector over PTR query streams.
 ///
 /// ```
-/// use lumen6_backscatter::{generate_backscatter, BackscatterConfig, BackscatterDetector};
+/// use lumen6_backscatter::{backscatter_queries, BackscatterConfig, BackscatterDetector};
 /// use lumen6_trace::PacketRecord;
 ///
 /// // A scanner probing 500 different victim sites...
-/// let traffic: Vec<PacketRecord> = (0..500u64)
-///     .map(|i| PacketRecord::tcp(i * 500, 0x2001, (i as u128) << 64 | 1, 1, 22, 60))
-///     .collect();
+/// let traffic = (0..500u64)
+///     .map(|i| PacketRecord::tcp(i * 500, 0x2001, (i as u128) << 64 | 1, 1, 22, 60));
 /// // ...draws PTR lookups from hundreds of distinct resolvers.
-/// let queries = generate_backscatter(&traffic, &BackscatterConfig::default(), 1);
-/// let flagged = BackscatterDetector::default().detect(&queries);
+/// let queries = backscatter_queries(traffic, &BackscatterConfig::default(), 1);
+/// let flagged = BackscatterDetector::default().detect(queries);
 /// assert_eq!(flagged.len(), 1);
 /// assert!(flagged[0].queriers >= 20);
 /// ```
@@ -215,6 +203,11 @@ impl BackscatterDetector {
 mod tests {
     use super::*;
 
+    /// The queries `traffic` draws, in packet order.
+    fn drawn(traffic: &[PacketRecord], config: &BackscatterConfig, seed: u64) -> Vec<PtrQuery> {
+        backscatter_queries(traffic, config, seed).collect()
+    }
+
     /// A scanner probing many distinct victim /48s.
     fn scan_traffic(src: u128, victims: u64) -> Vec<PacketRecord> {
         (0..victims)
@@ -237,7 +230,7 @@ mod tests {
         traffic.extend(benign_traffic(benign));
         lumen6_trace::sort_by_time(&mut traffic);
 
-        let queries = generate_backscatter(&traffic, &BackscatterConfig::default(), 1);
+        let queries = drawn(&traffic, &BackscatterConfig::default(), 1);
         assert!(!queries.is_empty());
         let detected = BackscatterDetector::default().detect(&queries);
         assert_eq!(detected.len(), 1, "{detected:?}");
@@ -258,7 +251,7 @@ mod tests {
             cache_ttl_ms: 3_600_000,
             latency_ms: 0,
         };
-        let queries = generate_backscatter(&traffic, &config, 2);
+        let queries = drawn(&traffic, &config, 2);
         // 1000 s of probes < 1 h TTL → exactly one query.
         assert_eq!(queries.len(), 1);
     }
@@ -275,7 +268,7 @@ mod tests {
             cache_ttl_ms: 3_600_000,
             latency_ms: 0,
         };
-        assert_eq!(generate_backscatter(&traffic, &config, 3).len(), 2);
+        assert_eq!(drawn(&traffic, &config, 3).len(), 2);
     }
 
     #[test]
@@ -299,7 +292,7 @@ mod tests {
             lookup_probability: 1.0,
             ..Default::default()
         };
-        let queries = generate_backscatter(&traffic, &config, 4);
+        let queries = drawn(&traffic, &config, 4);
         let at128 = BackscatterDetector {
             agg_len: 128,
             min_queriers: 20,
@@ -315,7 +308,7 @@ mod tests {
     #[test]
     fn queries_are_time_sorted_with_latency() {
         let traffic = scan_traffic(7, 100);
-        let queries = generate_backscatter(&traffic, &BackscatterConfig::default(), 5);
+        let queries = drawn(&traffic, &BackscatterConfig::default(), 5);
         assert!(queries.windows(2).all(|w| w[0].ts_ms <= w[1].ts_ms));
         assert!(
             queries.iter().all(|q| q.ts_ms % 500 == 50),
@@ -326,16 +319,16 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let traffic = scan_traffic(9, 300);
-        let a = generate_backscatter(&traffic, &BackscatterConfig::default(), 7);
-        let b = generate_backscatter(&traffic, &BackscatterConfig::default(), 7);
+        let a = drawn(&traffic, &BackscatterConfig::default(), 7);
+        let b = drawn(&traffic, &BackscatterConfig::default(), 7);
         assert_eq!(a, b);
-        let c = generate_backscatter(&traffic, &BackscatterConfig::default(), 8);
+        let c = drawn(&traffic, &BackscatterConfig::default(), 8);
         assert_ne!(a, c);
     }
 
     #[test]
     fn empty_traffic_empty_queries() {
-        assert!(generate_backscatter(&[], &BackscatterConfig::default(), 1).is_empty());
+        assert!(drawn(&[], &BackscatterConfig::default(), 1).is_empty());
         assert!(BackscatterDetector::default()
             .detect(std::iter::empty::<PtrQuery>())
             .is_empty());
@@ -348,13 +341,22 @@ mod tests {
         let mut cfg = lumen6_scanners::FleetConfig::small();
         cfg.end_day = 7;
         let world = lumen6_scanners::World::build(cfg);
-        let trace = world.cdn_trace();
-        let queries = generate_backscatter(&trace, &BackscatterConfig::default(), 11);
+        // Every copy of every row the fused source fills, a batch at a time.
+        let mut source = lumen6_scanners::FleetSource::new(world.clone());
+        let batches = std::iter::from_fn(|| {
+            let mut batch = lumen6_trace::RecordBatch::new();
+            (lumen6_trace::Source::fill(&mut source, &mut batch, 4096).unwrap() > 0)
+                .then_some(batch)
+        });
+        let trace = batches.flat_map(|b| {
+            (0..b.rows()).flat_map(move |i| std::iter::repeat_n(b.get(i), b.count(i) as usize))
+        });
+        let queries = backscatter_queries(trace, &BackscatterConfig::default(), 11);
         let detected = BackscatterDetector {
             agg_len: 64,
             min_queriers: 30,
         }
-        .detect(&queries);
+        .detect(queries);
         assert!(!detected.is_empty());
         // The top backscatter source is one of the heavy fleet scanners.
         let top = &detected[0];

@@ -718,16 +718,19 @@ fn import_pcap<W: std::io::Write>(args: &Args, out: &mut W) -> Result<(), CliErr
     let out_path = args
         .get("out")
         .ok_or_else(|| CliError::Usage("--out FILE is required".into()))?;
-    let imported = lumen6_trace::pcap::read_pcap(BufReader::new(File::open(pcap_path)?))
-        .map_err(|e| CliError::Usage(format!("pcap import failed: {e}")))?;
-    let mut records = imported.records;
+    let failed = |e| CliError::Usage(format!("pcap import failed: {e}"));
+    let (mut records, skipped) = {
+        let file = BufReader::new(File::open(pcap_path)?);
+        let mut reader = lumen6_trace::pcap::PcapReader::new(file).map_err(failed)?;
+        let records = reader.by_ref().collect::<Result<Vec<_>, _>>();
+        (records.map_err(failed)?, reader.skipped())
+    };
     // Captures are usually time-sorted, but the codec requires it.
     lumen6_trace::sort_by_time(&mut records);
     let count = write_trace(out_path, &mut MaterializedSource::new(records))?;
     writeln!(
         out,
-        "imported {count} IPv6 records ({} packets skipped) -> {out_path}",
-        imported.skipped
+        "imported {count} IPv6 records ({skipped} packets skipped) -> {out_path}"
     )?;
     Ok(())
 }

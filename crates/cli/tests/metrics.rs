@@ -89,11 +89,12 @@ fn a_4x_trace_is_a_quarter_of_its_records_in_rows() {
     let dir = std::env::temp_dir().join(format!("lumen6-metrics-rows-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let v1 = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/compat.l6tr");
-    let stream: Result<Vec<_>, _> =
-        lumen6_trace::StreamingTraceReader::new(std::fs::File::open(&v1).unwrap())
-            .unwrap()
-            .collect();
-    let stream = stream.unwrap();
+    let mut reader =
+        lumen6_trace::StreamingTraceReader::new(std::fs::File::open(&v1).unwrap()).unwrap();
+    let (mut batch, mut stream) = (lumen6_trace::RecordBatch::new(), Vec::new());
+    while reader.fill(&mut batch, 4096).unwrap() > 0 {
+        stream.extend(batch.iter());
+    }
     let rewrite = |name: &str, copies: u32| {
         let path = dir.join(name);
         let mut w = lumen6_trace::TraceWriter::new(std::fs::File::create(&path).unwrap()).unwrap();

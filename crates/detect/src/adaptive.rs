@@ -77,7 +77,7 @@ pub struct Alert {
 }
 
 /// The adaptive-aggregation analyzer. Stateless; call
-/// [`AdaptiveIds::analyze`] per traffic window.
+/// [`AdaptiveIds::analyze_counted`] per traffic window.
 ///
 /// ```
 /// use lumen6_detect::adaptive::{AdaptiveIds, AdaptiveConfig};
@@ -85,11 +85,11 @@ pub struct Alert {
 ///
 /// // 200 one-packet sources spread across one /64: invisible per /128,
 /// // one actor at /64.
-/// let window: Vec<PacketRecord> = (0..200u64)
-///     .map(|i| PacketRecord::tcp(i, (0x2001u128 << 112) | i as u128,
-///                                0xa000 + i as u128, 1, 22, 60))
-///     .collect();
-/// let alerts = AdaptiveIds::new(AdaptiveConfig::default()).analyze(&window);
+/// let window = (0..200u64).map(|i| {
+///     let src = (0x2001u128 << 112) | i as u128;
+///     (PacketRecord::tcp(i, src, 0xa000 + i as u128, 1, 22, 60), 1)
+/// });
+/// let alerts = AdaptiveIds::new(AdaptiveConfig::default()).analyze_counted(window);
 /// assert_eq!(alerts.len(), 1);
 /// assert_eq!(alerts[0].prefix.len(), 64);
 /// assert_eq!(alerts[0].contributing_srcs, 200);
@@ -109,12 +109,6 @@ impl AdaptiveIds {
     /// Creates an analyzer.
     pub fn new(config: AdaptiveConfig) -> Self {
         AdaptiveIds { config }
-    }
-
-    /// Analyzes one resident window of traffic:
-    /// [`analyze_counted`](Self::analyze_counted) with one copy per record.
-    pub fn analyze(&self, records: &[PacketRecord]) -> Vec<Alert> {
-        self.analyze_counted(records.iter().map(|&r| (r, 1)))
     }
 
     /// Analyzes one window of counted rows — a row of count `n` weighs as
@@ -220,8 +214,9 @@ impl AdaptiveIds {
 mod tests {
     use super::*;
 
-    fn analyze(recs: &[PacketRecord]) -> Vec<Alert> {
-        AdaptiveIds::new(AdaptiveConfig::default()).analyze(recs)
+    /// The alerts of the default analyzer over `recs`, one copy each.
+    fn alerts(recs: &[PacketRecord]) -> Vec<Alert> {
+        AdaptiveIds::new(AdaptiveConfig::default()).analyze_counted(recs.iter().map(|&r| (r, 1)))
     }
 
     /// One heavy /128 scanning 150 destinations.
@@ -234,7 +229,7 @@ mod tests {
     #[test]
     fn lone_heavy_host_alerts_at_slash_128() {
         let recs = heavy_host(42, 150);
-        let alerts = analyze(&recs);
+        let alerts = alerts(&recs);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].prefix.len(), 128);
         assert_eq!(alerts[0].distinct_dsts, 150);
@@ -255,7 +250,7 @@ mod tests {
                 PacketRecord::tcp(i, src, 0xe000 + i as u128, 1, 22, 60)
             })
             .collect();
-        let alerts = analyze(&recs);
+        let alerts = alerts(&recs);
         assert_eq!(alerts.len(), 1, "{alerts:?}");
         assert_eq!(alerts[0].prefix.len(), 32);
         assert_eq!(alerts[0].contributing_srcs, 500);
@@ -282,7 +277,7 @@ mod tests {
                 60,
             ));
         }
-        let alerts = analyze(&recs);
+        let alerts = alerts(&recs);
         assert_eq!(alerts.len(), 2, "{alerts:?}");
         assert!(alerts.iter().all(|a| a.prefix.len() == 128));
         // Blocking either /128 causes zero collateral.
@@ -298,7 +293,7 @@ mod tests {
         let recs: Vec<PacketRecord> = (0..120u64)
             .map(|i| PacketRecord::tcp(i, net | i as u128, 0xa000 + i as u128, 1, 22, 60))
             .collect();
-        let alerts = analyze(&recs);
+        let alerts = alerts(&recs);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].prefix.len(), 64);
     }
@@ -320,7 +315,7 @@ mod tests {
                 60,
             )
         }));
-        let alerts = analyze(&recs);
+        let alerts = alerts(&recs);
         assert_eq!(alerts.len(), 1, "{alerts:?}");
         assert_eq!(alerts[0].prefix.len(), 64);
         assert_eq!(alerts[0].subsumed.len(), 1);
@@ -333,19 +328,19 @@ mod tests {
         let recs: Vec<PacketRecord> = (0..50u64)
             .map(|i| PacketRecord::tcp(i, i as u128 + 1, 0xf000, 1, 443, 60))
             .collect();
-        assert!(analyze(&recs).is_empty());
+        assert!(alerts(&recs).is_empty());
     }
 
     #[test]
     fn empty_window() {
-        assert!(analyze(&[]).is_empty());
+        assert!(alerts(&[]).is_empty());
     }
 
     #[test]
     fn alerts_sorted_by_packets() {
         let mut recs = heavy_host(1, 200);
         recs.extend(heavy_host(0xaaaa_0000_0000_0000_0000_0000_0000_0000, 120));
-        let alerts = analyze(&recs);
+        let alerts = alerts(&recs);
         assert_eq!(alerts.len(), 2);
         assert!(alerts[0].packets >= alerts[1].packets);
     }

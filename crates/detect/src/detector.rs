@@ -17,17 +17,14 @@
 //! one ingest route is
 //! [`MultiLevelDetector::observe_batch`](crate::multi::MultiLevelDetector::observe_batch),
 //! which groups each batch once for all its levels and hands each level its
-//! groups to replay. [`detect`] is a one-level detector over a resident
-//! slice. The tests hold that route to an oracle of their own,
+//! groups to replay. The tests hold that route to an oracle of their own,
 //! `crates/detect/tests/oracle/mod.rs`, written from §2.2 alone.
 //! [`Detect::flush_idle`](crate::Detect::flush_idle) lets a long-running
 //! IDS garbage-collect idle state without ending the stream.
 
 use crate::aggregate::AggLevel;
-use crate::event::{ScanEvent, ScanReport};
+use crate::event::ScanEvent;
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::multi::MultiLevelDetector;
-use crate::session::{observe_slice, Detect, DEFAULT_SESSION_BATCH};
 use crate::sketch::{DistinctCounter, SketchConfig};
 use crate::snapshot::{CounterState, LevelState, RunState};
 use lumen6_addr::Ipv6Prefix;
@@ -475,42 +472,35 @@ impl ScanDetector {
     }
 }
 
-/// Detects the scans in a complete, time-sorted slice at one level and
-/// returns the full report (mid-stream closures plus end-of-stream flush):
-/// a one-level [`MultiLevelDetector`] fed through [`observe_slice`], then
-/// finished. Streams go through a [`Session`](crate::Session).
-///
-/// ```
-/// use lumen6_detect::detector::detect;
-/// use lumen6_detect::{AggLevel, ScanDetectorConfig};
-/// use lumen6_trace::PacketRecord;
-///
-/// // 150 probes to distinct destinations, one second apart: one run.
-/// let probes: Vec<PacketRecord> = (0..150u64)
-///     .map(|i| PacketRecord::tcp(i * 1_000, 0x2001, 0xd000 + u128::from(i), 1, 22, 60))
-///     .collect();
-/// let report = detect(&probes, ScanDetectorConfig::paper(AggLevel::L64));
-/// assert_eq!(report.scans(), 1);
-/// assert_eq!(report.events[0].distinct_dsts, 150);
-/// ```
-pub fn detect(records: &[PacketRecord], config: ScanDetectorConfig) -> ScanReport {
-    let agg = config.agg;
-    let mut det = MultiLevelDetector::new(&[agg], config);
-    observe_slice(&mut det, records, DEFAULT_SESSION_BATCH);
-    Box::new(det).finish().remove(&agg).unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::ScanReport;
+    use crate::multi::MultiLevelDetector;
+    use crate::session::Detect;
 
     const HOUR: u64 = 3_600_000;
+
+    /// Hands `det` each of `recs` as a batch of its own.
+    fn observe_each(det: &mut MultiLevelDetector, recs: &[PacketRecord]) {
+        for &r in recs {
+            det.observe_batch(&std::iter::once(r).collect());
+        }
+    }
 
     /// A one-level detector fed `recs` one row per batch.
     fn fed(cfg: ScanDetectorConfig, recs: &[PacketRecord]) -> MultiLevelDetector {
         let mut det = MultiLevelDetector::new(&[cfg.agg], cfg);
-        observe_slice(&mut det, recs, 1);
+        observe_each(&mut det, recs);
         det
+    }
+
+    /// The report of a one-level detector handed `recs` as one batch.
+    fn report_of(recs: &[PacketRecord], cfg: ScanDetectorConfig) -> ScanReport {
+        let agg = cfg.agg;
+        let mut det = MultiLevelDetector::new(&[agg], cfg);
+        det.observe_batch(&recs.iter().copied().collect());
+        Box::new(det).finish().remove(&agg).unwrap_or_default()
     }
 
     /// `n` packets from `src`, one per second, to distinct destinations.
@@ -527,7 +517,7 @@ mod tests {
         for i in 0..200u64 {
             recs.push(PacketRecord::tcp(i * 1000, 1, (i % 50) as u128, 1, 22, 60));
         }
-        let report = detect(&recs, ScanDetectorConfig::paper(AggLevel::L128));
+        let report = report_of(&recs, ScanDetectorConfig::paper(AggLevel::L128));
         assert_eq!(report.scans(), 0);
     }
 
@@ -541,7 +531,7 @@ mod tests {
         // First packet after the timeout closes the run: its event is
         // held for the report.
         let r = PacketRecord::tcp(99_000 + HOUR + 1, 1, 9, 1, 22, 60);
-        observe_slice(&mut det, &[r], 1);
+        observe_each(&mut det, &[r]);
         let closed = det.state().remove(0).pending;
         assert_eq!(closed.len(), 1);
         assert_eq!(closed[0].distinct_dsts, 100);
@@ -558,9 +548,9 @@ mod tests {
         let recs: Vec<PacketRecord> = (0..100u64)
             .map(|i| PacketRecord::tcp(i * 1000, base + i as u128, 0xee00 + i as u128, 1, 22, 60))
             .collect();
-        let at128 = detect(&recs, ScanDetectorConfig::paper(AggLevel::L128));
+        let at128 = report_of(&recs, ScanDetectorConfig::paper(AggLevel::L128));
         assert_eq!(at128.scans(), 0);
-        let at64 = detect(&recs, ScanDetectorConfig::paper(AggLevel::L64));
+        let at64 = report_of(&recs, ScanDetectorConfig::paper(AggLevel::L64));
         assert_eq!(at64.scans(), 1);
         assert_eq!(at64.events[0].distinct_srcs, 100);
         assert_eq!(at64.events[0].source.len(), 64);
@@ -569,7 +559,7 @@ mod tests {
     #[test]
     fn keep_dsts_returns_sorted_targets() {
         let recs = burst(1, 0, 100, 22);
-        let report = detect(&recs, ScanDetectorConfig::paper(AggLevel::L128).with_dsts());
+        let report = report_of(&recs, ScanDetectorConfig::paper(AggLevel::L128).with_dsts());
         let dsts = report.events[0].dsts.as_ref().unwrap();
         assert_eq!(dsts.len(), 100);
         assert!(dsts.windows(2).all(|w| w[0] < w[1]));
@@ -580,7 +570,7 @@ mod tests {
     fn ports_histogram_accumulates() {
         let mut recs = burst(1, 0, 100, 22);
         recs.extend(burst(1, 100_000, 50, 443));
-        let report = detect(&recs, ScanDetectorConfig::paper(AggLevel::L128));
+        let report = report_of(&recs, ScanDetectorConfig::paper(AggLevel::L128));
         let e = &report.events[0];
         assert_eq!(e.num_ports(), 2);
         assert!(e.targets(Transport::Tcp, 22));
@@ -596,7 +586,7 @@ mod tests {
             ScanDetectorConfig::paper(AggLevel::L128),
             &burst(1, 0, 100, 22),
         );
-        observe_slice(&mut det, &burst(2, HOUR, 5, 22), 1);
+        observe_each(&mut det, &burst(2, HOUR, 5, 22));
         let held = |det: &mut MultiLevelDetector| det.state()[0].memory();
         assert_eq!(held(&mut det).open_runs, 2);
         // Source 1 idle since 99s; flush at a time where only it is expired.
@@ -616,10 +606,10 @@ mod tests {
     #[test]
     fn sketched_detection_close_to_exact() {
         let recs = burst(1, 0, 5_000, 22);
-        let exact = detect(&recs, ScanDetectorConfig::paper(AggLevel::L128));
+        let exact = report_of(&recs, ScanDetectorConfig::paper(AggLevel::L128));
         let mut cfg = ScanDetectorConfig::paper(AggLevel::L128);
         cfg.sketch = Some(SketchConfig::spill_at(256));
-        let sketched = detect(&recs, cfg);
+        let sketched = report_of(&recs, cfg);
         assert_eq!(exact.scans(), 1);
         assert_eq!(sketched.scans(), 1);
         let a = exact.events[0].distinct_dsts as f64;
@@ -632,9 +622,9 @@ mod tests {
         let recs = burst(1, 0, 7, 22);
         let mut cfg = ScanDetectorConfig::paper(AggLevel::L128);
         cfg.min_dsts = 5;
-        assert_eq!(detect(&recs, cfg).scans(), 1);
+        assert_eq!(report_of(&recs, cfg).scans(), 1);
         assert_eq!(
-            detect(&recs, ScanDetectorConfig::paper(AggLevel::L128)).scans(),
+            report_of(&recs, ScanDetectorConfig::paper(AggLevel::L128)).scans(),
             0
         );
     }
@@ -646,7 +636,7 @@ mod tests {
         // Source 1: 200 distinct destinations → spills past 64.
         let mut det = fed(cfg, &burst(1, 0, 200, 22));
         // Source 2: 10 destinations → stays exact.
-        observe_slice(&mut det, &burst(2, 0, 10, 23), 1);
+        observe_each(&mut det, &burst(2, 0, 10, 23));
         let m = det.state()[0].memory();
         assert_eq!(m.open_runs, 2);
         assert_eq!(m.sketched_runs, 1);
@@ -660,7 +650,7 @@ mod tests {
 
     #[test]
     fn empty_input_empty_report() {
-        let report = detect(&[], ScanDetectorConfig::default());
+        let report = report_of(&[], ScanDetectorConfig::default());
         assert_eq!(report.scans(), 0);
         assert_eq!(report.packets(), 0);
     }

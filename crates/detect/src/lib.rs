@@ -15,8 +15,8 @@
 //!    at least `min_dsts` (default 100) distinct destination addresses with
 //!    packet inter-arrival never exceeding `timeout` (default 3 600 s).
 //!    The rule is stated once, in the batch replay every ingest route ends
-//!    in ([`Detect::observe_batch`]); [`detector::detect`] is a one-level
-//!    detector over a resident slice. The crate's tests hold it to an
+//!    in ([`Detect::observe_batch`]), which a [`Session`] drives over any
+//!    [`Source`](lumen6_trace::Source). The crate's tests hold it to an
 //!    oracle of their own (`tests/oracle/mod.rs`) written from §2.2 alone.
 //! 4. **Characterization** ([`portclass`]): single-port vs multi-port scan
 //!    tagging via the fraction of packets on the most common port
@@ -72,16 +72,15 @@ pub use parallel::ThreadedDetector;
 pub use portclass::{classify_ports, PortClass};
 pub use prefilter::{ArtifactFilter, ArtifactFilterConfig, FilterReport};
 pub use session::{
-    observe_slice, Backend, Checkpoint, CheckpointPolicy, Detect, DetectorBuilder, ReorderBuffer,
-    Session, SessionConfig, SessionError, SessionOutcome, SessionReport, Step,
-    DEFAULT_SESSION_BATCH,
+    Backend, Checkpoint, CheckpointPolicy, Detect, DetectorBuilder, ReorderBuffer, Session,
+    SessionConfig, SessionError, SessionOutcome, SessionReport, Step, DEFAULT_SESSION_BATCH,
 };
 pub use sketch::{HyperLogLog, SketchConfig};
 pub use snapshot::{DetectorSnapshot, LevelState, SnapshotError};
 
 /// One-line import for the unified detection API: the [`Detect`] trait,
-/// the [`DetectorBuilder`], the [`observe_slice`] driver, session/checkpoint
-/// types, and the configuration types they take.
+/// the [`DetectorBuilder`], session/checkpoint types, and the configuration
+/// types they take.
 pub mod prelude {
     pub use crate::aggregate::AggLevel;
     pub use crate::detector::{ScanDetector, ScanDetectorConfig};
@@ -89,8 +88,8 @@ pub mod prelude {
     pub use crate::multi::MultiLevelDetector;
     pub use crate::parallel::ThreadedDetector;
     pub use crate::session::{
-        observe_slice, Backend, Checkpoint, CheckpointPolicy, Detect, DetectorBuilder,
-        ReorderBuffer, Session, SessionConfig, SessionError, SessionOutcome, SessionReport, Step,
+        Backend, Checkpoint, CheckpointPolicy, Detect, DetectorBuilder, ReorderBuffer, Session,
+        SessionConfig, SessionError, SessionOutcome, SessionReport, Step,
     };
     pub use crate::sketch::SketchConfig;
     pub use crate::snapshot::{DetectorSnapshot, LevelState, SnapshotError};

@@ -127,17 +127,16 @@ pub struct MawiGroups {
 }
 
 /// The MAWI-style detector. Stateless between windows: construct once, call
-/// [`MawiDetector::detect`] per capture window.
+/// [`MawiDetector::detect_counted`] per capture window.
 ///
 /// ```
 /// use lumen6_detect::{MawiDetector, MawiConfig, AggLevel};
 /// use lumen6_trace::PacketRecord;
 ///
 /// // A clean same-port scan: constant probe size, one packet per target.
-/// let window: Vec<PacketRecord> = (0..150u64)
-///     .map(|i| PacketRecord::tcp(i * 10, 0x2001, 0xd000 + i as u128, 1, 22, 60))
-///     .collect();
-/// let scans = MawiDetector::new(MawiConfig::paper(AggLevel::L64)).detect(&window);
+/// let window = (0..150u64)
+///     .map(|i| (PacketRecord::tcp(i * 10, 0x2001, 0xd000 + i as u128, 1, 22, 60), 1));
+/// let scans = MawiDetector::new(MawiConfig::paper(AggLevel::L64)).detect_counted(window);
 /// assert_eq!(scans.len(), 1);
 /// assert_eq!(scans[0].services, vec![(lumen6_trace::Transport::Tcp, 22)]);
 /// ```
@@ -150,13 +149,6 @@ impl MawiDetector {
     /// Creates a detector.
     pub fn new(config: MawiConfig) -> Self {
         MawiDetector { config }
-    }
-
-    /// Runs detection over one resident capture window and returns
-    /// per-source merged scans, sorted by source:
-    /// [`detect_counted`](Self::detect_counted) with one copy per record.
-    pub fn detect(&self, records: &[PacketRecord]) -> Vec<MawiScan> {
-        self.detect_counted(records.iter().map(|&r| (r, 1)))
     }
 
     /// Runs detection over one capture window of counted rows — a row of
@@ -267,6 +259,11 @@ mod tests {
             .collect()
     }
 
+    /// `recs` as rows of one copy each.
+    fn ones(recs: &[PacketRecord]) -> impl Iterator<Item = (PacketRecord, u32)> + '_ {
+        recs.iter().map(|&r| (r, 1))
+    }
+
     fn det(min_dsts: u64) -> MawiDetector {
         MawiDetector::new(MawiConfig {
             agg: AggLevel::L128,
@@ -278,7 +275,7 @@ mod tests {
     #[test]
     fn clean_scan_detected() {
         let recs = clean_scan(1, 150, 22, 60);
-        let scans = det(100).detect(&recs);
+        let scans = det(100).detect_counted(ones(&recs));
         assert_eq!(scans.len(), 1);
         assert_eq!(scans[0].distinct_dsts, 150);
         assert_eq!(scans[0].services, vec![(Transport::Tcp, 22)]);
@@ -288,10 +285,10 @@ mod tests {
     #[test]
     fn below_threshold_not_detected() {
         let recs = clean_scan(1, 99, 22, 60);
-        assert!(det(100).detect(&recs).is_empty());
+        assert!(det(100).detect_counted(ones(&recs)).is_empty());
         // But the loose (5-destination) definition catches it — the Fig. 5
         // order-of-magnitude effect.
-        assert_eq!(det(5).detect(&recs).len(), 1);
+        assert_eq!(det(5).detect_counted(ones(&recs)).len(), 1);
     }
 
     #[test]
@@ -301,7 +298,7 @@ mod tests {
         let recs: Vec<PacketRecord> = (0..150u64)
             .map(|i| PacketRecord::tcp(i * 10, 1, 0xd000 + i as u128, 1, 443, 60 + (i % 64) as u16))
             .collect();
-        assert!(det(100).detect(&recs).is_empty());
+        assert!(det(100).detect_counted(ones(&recs)).is_empty());
     }
 
     #[test]
@@ -311,7 +308,7 @@ mod tests {
         for i in 0..5u64 {
             recs.push(PacketRecord::tcp(i, 1, 0xf000 + i as u128, 1, 22, 72));
         }
-        let scans = det(100).detect(&recs);
+        let scans = det(100).detect_counted(ones(&recs));
         assert_eq!(scans.len(), 1);
     }
 
@@ -331,7 +328,7 @@ mod tests {
                 ));
             }
         }
-        assert!(det(100).detect(&recs).is_empty());
+        assert!(det(100).detect_counted(ones(&recs)).is_empty());
     }
 
     #[test]
@@ -349,7 +346,7 @@ mod tests {
                 ));
             }
         }
-        assert_eq!(det(100).detect(&recs).len(), 1);
+        assert_eq!(det(100).detect_counted(ones(&recs)).len(), 1);
     }
 
     #[test]
@@ -359,7 +356,7 @@ mod tests {
             r.ts_ms += 100_000;
             r
         }));
-        let scans = det(100).detect(&recs);
+        let scans = det(100).detect_counted(ones(&recs));
         assert_eq!(scans.len(), 1, "merged into one scan record");
         assert_eq!(
             scans[0].services,
@@ -375,7 +372,7 @@ mod tests {
     fn distinct_sources_stay_distinct() {
         let mut recs = clean_scan(1, 120, 22, 60);
         recs.extend(clean_scan(2, 120, 22, 60));
-        let scans = det(100).detect(&recs);
+        let scans = det(100).detect_counted(ones(&recs));
         assert_eq!(scans.len(), 2);
     }
 
@@ -384,7 +381,7 @@ mod tests {
         let recs: Vec<PacketRecord> = (0..200u64)
             .map(|i| PacketRecord::icmpv6_echo(i * 10, 9, 0xe000 + i as u128, 96))
             .collect();
-        let scans = det(100).detect(&recs);
+        let scans = det(100).detect_counted(ones(&recs));
         assert_eq!(scans.len(), 1);
         assert!(scans[0].is_icmpv6());
     }
@@ -396,8 +393,11 @@ mod tests {
         let recs: Vec<PacketRecord> = (0..120u64)
             .map(|i| PacketRecord::tcp(i * 10, base + i as u128, 0xd000 + i as u128, 1, 22, 60))
             .collect();
-        assert!(det(100).detect(&recs).is_empty(), "invisible at /128");
-        let at64 = MawiDetector::new(MawiConfig::paper(AggLevel::L64)).detect(&recs);
+        assert!(
+            det(100).detect_counted(ones(&recs)).is_empty(),
+            "invisible at /128"
+        );
+        let at64 = MawiDetector::new(MawiConfig::paper(AggLevel::L64)).detect_counted(ones(&recs));
         assert_eq!(at64.len(), 1);
     }
 
@@ -418,7 +418,7 @@ mod tests {
             r.ts_ms += 500_000;
         }
         recs.extend(later);
-        let scans = det(100).detect(&recs);
+        let scans = det(100).detect_counted(ones(&recs));
         assert_eq!(scans[0].start_ms, 0);
         assert_eq!(scans[0].end_ms, 500_000 + 119 * 10);
     }

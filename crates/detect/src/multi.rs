@@ -170,11 +170,6 @@ impl MultiLevelDetector {
         MultiLevelDetector { levels, pass }
     }
 
-    /// The paper's three levels with the paper's scan definition.
-    pub fn paper() -> Self {
-        Self::new(&AggLevel::PAPER_LEVELS, ScanDetectorConfig::default())
-    }
-
     /// Each level's detector, in detection order.
     pub fn detectors(&self) -> impl Iterator<Item = &ScanDetector> {
         self.levels.iter().map(|(det, _)| det)
@@ -268,18 +263,20 @@ impl Detect for MultiLevelDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::detect;
-    use crate::session::observe_slice;
     use lumen6_addr::Ipv6Prefix;
     use lumen6_trace::PacketRecord;
 
+    /// The reports of a detector at `levels` handed `records` in batches
+    /// of 64.
     fn detect_levels(
         records: &[PacketRecord],
         levels: &[AggLevel],
         base: ScanDetectorConfig,
     ) -> BTreeMap<AggLevel, ScanReport> {
         let mut det = MultiLevelDetector::new(levels, base);
-        observe_slice(&mut det, records, 64);
+        for part in records.chunks(64) {
+            det.observe_batch(&part.iter().copied().collect());
+        }
         Box::new(det).finish()
     }
 
@@ -353,7 +350,9 @@ mod tests {
                 ..ScanDetectorConfig::paper(AggLevel::L64)
             };
             let mut by_row = MultiLevelDetector::new(&[cfg.agg], cfg.clone());
-            observe_slice(&mut by_row, &recs, 1);
+            for &r in &recs {
+                by_row.observe_batch(&std::iter::once(r).collect());
+            }
             let mut grouped = one_level(cfg, &recs.iter().copied().collect());
             assert_eq!(grouped.state(), by_row.state());
             assert!(grouped.state()[0].pending.is_empty());
@@ -425,7 +424,7 @@ mod tests {
             ScanDetectorConfig::default(),
         );
         for lvl in AggLevel::PAPER_LEVELS {
-            let single = detect(&recs, ScanDetectorConfig::paper(lvl));
+            let single = &detect_levels(&recs, &[lvl], ScanDetectorConfig::paper(lvl))[&lvl];
             let m = &multi[&lvl];
             assert_eq!(m.scans(), single.scans(), "level {lvl}");
             assert_eq!(m.packets(), single.packets(), "level {lvl}");

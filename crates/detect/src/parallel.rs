@@ -28,15 +28,15 @@
 //!
 //! ```
 //! use lumen6_detect::prelude::*;
-//! use lumen6_trace::PacketRecord;
+//! use lumen6_trace::{PacketRecord, RecordBatch};
 //!
-//! let recs: Vec<PacketRecord> = (0..200u64)
+//! let batch: RecordBatch = (0..200u64)
 //!     .map(|i| PacketRecord::tcp(i * 1000, 7, 0xd000 + i as u128, 1, 22, 60))
 //!     .collect();
 //! let mut det = DetectorBuilder::new(ScanDetectorConfig::default())
 //!     .levels(&AggLevel::PAPER_LEVELS)
 //!     .build(Backend::Threaded);
-//! observe_slice(det.as_mut(), &recs, 4096);
+//! det.observe_batch(&batch);
 //! assert_eq!(det.finish()[&AggLevel::L128].scans(), 1);
 //! ```
 

@@ -133,15 +133,15 @@ pub enum Backend {
 ///
 /// ```
 /// use lumen6_detect::prelude::*;
-/// use lumen6_trace::PacketRecord;
+/// use lumen6_trace::{PacketRecord, RecordBatch};
 ///
-/// let recs: Vec<PacketRecord> = (0..150u64)
+/// let batch: RecordBatch = (0..150u64)
 ///     .map(|i| PacketRecord::tcp(i * 1_000, 7, 0xd000 + u128::from(i), 1, 22, 60))
 ///     .collect();
 /// let mut det = DetectorBuilder::new(ScanDetectorConfig::default())
 ///     .levels(&AggLevel::PAPER_LEVELS)
 ///     .build(Backend::Sequential);
-/// observe_slice(det.as_mut(), &recs, 4096);
+/// det.observe_batch(&batch);
 /// let reports = det.finish();
 /// assert_eq!(reports[&AggLevel::L64].scans(), 1);
 /// ```
@@ -204,20 +204,6 @@ impl DetectorBuilder {
             Backend::Threaded => Box::new(ThreadedDetector::from_state(&snapshot.levels)),
             Backend::Sequential => Box::new(MultiLevelDetector::from_state(&snapshot.levels)),
         })
-    }
-}
-
-/// Feeds a resident, time-sorted slice to a detector: chunks `records`
-/// into one reused columnar batch of up to `batch` rows and hands each to
-/// [`Detect::observe_batch`]. The one slice driver — examples and tests
-/// reach a detector through it; streams go through a [`Session`].
-pub fn observe_slice(det: &mut dyn Detect, records: &[PacketRecord], batch: usize) {
-    let batch = batch.max(1);
-    let mut rows = RecordBatch::with_capacity(batch.min(records.len()));
-    for part in records.chunks(batch) {
-        rows.clear();
-        rows.extend(part.iter().copied());
-        det.observe_batch(&rows);
     }
 }
 

@@ -1,23 +1,69 @@
 //! Property tests for detector invariants: conservation, event separation,
-//! and monotonicity in the scan-definition parameters — plus the identities
-//! the ingest design rests on: the grouped batch path reports what the
-//! test-side oracle (`oracle/mod.rs`, the §2.2 rule stated on its own)
-//! reports under any cuts, and holds the state of one-row batches; nested
-//! levels sharing one pass equal independent levels; and every backend,
-//! batch size and session geometry yields the same reports, states and
-//! checkpoint bytes. A few hand-computed cases pin the oracle itself.
+//! and monotonicity in the scan-definition parameters, read from whole
+//! sessions — plus the identities the ingest design rests on: a session
+//! reports what the test-side oracle (`oracle/mod.rs`, the §2.2 rule stated
+//! on its own) reports at any pull size and idle-flush cadence; the grouped
+//! batch path does under any cuts, and holds the state of one-row batches;
+//! nested levels sharing one pass equal independent levels; and every
+//! backend, batch size and session geometry yields the same reports,
+//! states and checkpoint bytes. A few hand-computed cases pin the oracle
+//! itself.
 
-use lumen6_detect::detector::detect;
-use lumen6_detect::{AggLevel, ScanDetectorConfig};
-use lumen6_trace::{PacketRecord, Transport};
+use lumen6_detect::{
+    AggLevel, Backend, Detect, DetectorBuilder, ScanDetectorConfig, ScanReport, Session,
+    SessionConfig, SessionOutcome,
+};
+use lumen6_trace::{MaterializedSource, PacketRecord, Transport};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 mod oracle;
 
 /// The oracle's report on `recs`, one packet a record.
-fn oracle_scans(recs: &[PacketRecord], config: &ScanDetectorConfig) -> lumen6_detect::ScanReport {
+fn oracle_scans(recs: &[PacketRecord], config: &ScanDetectorConfig) -> ScanReport {
     oracle::scans(recs.iter().map(|&r| (r, 1)), config)
+}
+
+/// The report at `config`'s level of a sequential [`Session`] over `recs`
+/// that pulls `batch` records a step and retires idle runs every
+/// `flush_idle_every_ms` of stream time (0: never).
+fn session_scans(
+    recs: &[PacketRecord],
+    config: &ScanDetectorConfig,
+    batch: usize,
+    flush_idle_every_ms: u64,
+) -> ScanReport {
+    let session = Session::new(
+        DetectorBuilder::new(config.clone()),
+        Backend::Sequential,
+        SessionConfig {
+            batch,
+            flush_idle_every_ms,
+            ..Default::default()
+        },
+    );
+    let mut src = MaterializedSource::new(recs.to_vec());
+    let SessionOutcome::Finished(mut rep) = session.run_source(&mut src).unwrap() else {
+        unreachable!("no checkpoint policy")
+    };
+    rep.reports.remove(&config.agg).expect("the one level")
+}
+
+/// Hands `det` the rows of `recs` in batches of `batch`.
+fn observe_in(det: &mut dyn Detect, recs: &[PacketRecord], batch: usize) {
+    for part in recs.chunks(batch) {
+        det.observe_batch(&part.iter().copied().collect());
+    }
+}
+
+/// Pull sizes a session is run at, from one record a step to more than any
+/// workload, and idle-flush cadences from never to every second of stream
+/// time.
+fn arb_geometry() -> impl Strategy<Value = (usize, u64)> {
+    (
+        prop_oneof![Just(1usize), 2usize..300, Just(4096)],
+        prop_oneof![Just(0u64), 1_000u64..400_000],
+    )
 }
 
 /// Generates a random but time-sorted workload with a handful of sources and
@@ -294,14 +340,15 @@ fn scan(
     }
 }
 
-/// The oracle and the detector both report exactly `expect` on `recs`.
+/// The oracle and a session both report exactly `expect` on `recs`.
 fn both_report(
     recs: &[PacketRecord],
     config: ScanDetectorConfig,
     expect: &[lumen6_detect::ScanEvent],
 ) {
     assert_eq!(oracle_scans(recs, &config).events, expect, "oracle");
-    assert_eq!(detect(recs, config).events, expect, "detect");
+    let report = session_scans(recs, &config, 4096, 0);
+    assert_eq!(report.events, expect, "session");
 }
 
 #[test]
@@ -318,7 +365,7 @@ fn hand_computed_hundred_destinations_qualify_and_ninety_nine_do_not() {
         std::slice::from_ref(&tripled)
     );
     let copies: Vec<_> = rows.iter().flat_map(|&(r, _)| [r; 3]).collect();
-    assert_eq!(detect(&copies, paper).events, [tripled]);
+    assert_eq!(session_scans(&copies, &paper, 7, 0).events, [tripled]);
 }
 
 #[test]
@@ -378,10 +425,36 @@ fn hand_computed_late_packet_is_gap_zero() {
 }
 
 proptest! {
+    /// A session reports what the oracle reports, whatever it pulls a step
+    /// and however often it retires idle runs: at /128 and /64, with and
+    /// without destination retention, on rows that arrive as runs of
+    /// repeats and near-duplicates, whose gaps often equal the timeout.
+    #[test]
+    fn session_matches_the_oracle(
+        recs in arb_workload_with_runs(),
+        (batch, flush_idle_every_ms) in arb_geometry(),
+    ) {
+        for config in [
+            ScanDetectorConfig { agg: AggLevel::L128, ..cfg(5, 20_000) },
+            cfg(5, 20_000),
+            ScanDetectorConfig { keep_dsts: false, ..cfg(3, 30_000) },
+        ] {
+            prop_assert_eq!(
+                &session_scans(&recs, &config, batch, flush_idle_every_ms),
+                &oracle_scans(&recs, &config),
+                "batch={} flush={}", batch, flush_idle_every_ms
+            );
+        }
+    }
+
     /// With min_dsts = 1, every packet belongs to exactly one event.
     #[test]
-    fn conservation_at_min_dsts_one(recs in arb_workload(), timeout in 1_000u64..100_000) {
-        let report = detect(&recs, cfg(1, timeout));
+    fn conservation_at_min_dsts_one(
+        recs in arb_workload(),
+        timeout in 1_000u64..100_000,
+        (batch, flush) in arb_geometry(),
+    ) {
+        let report = session_scans(&recs, &cfg(1, timeout), batch, flush);
         let total: u64 = report.events.iter().map(|e| e.packets).sum();
         prop_assert_eq!(total, recs.len() as u64);
         // Per-event port histograms also conserve packets.
@@ -394,8 +467,8 @@ proptest! {
     /// Qualifying events never contain more packets than the input, and
     /// distinct_dsts is bounded by packets.
     #[test]
-    fn events_are_bounded(recs in arb_workload()) {
-        let report = detect(&recs, cfg(10, 50_000));
+    fn events_are_bounded(recs in arb_workload(), (batch, flush) in arb_geometry()) {
+        let report = session_scans(&recs, &cfg(10, 50_000), batch, flush);
         let total: u64 = report.events.iter().map(|e| e.packets).sum();
         prop_assert!(total <= recs.len() as u64);
         for e in &report.events {
@@ -408,8 +481,12 @@ proptest! {
 
     /// Same-source events are separated by more than the timeout.
     #[test]
-    fn event_separation(recs in arb_workload(), timeout in 1_000u64..100_000) {
-        let report = detect(&recs, cfg(1, timeout));
+    fn event_separation(
+        recs in arb_workload(),
+        timeout in 1_000u64..100_000,
+        (batch, flush) in arb_geometry(),
+    ) {
+        let report = session_scans(&recs, &cfg(1, timeout), batch, flush);
         let mut per_source: HashMap<_, Vec<(u64, u64)>> = HashMap::new();
         for e in &report.events {
             per_source.entry(e.source).or_default().push((e.start_ms, e.end_ms));
@@ -425,9 +502,9 @@ proptest! {
 
     /// Lowering min_dsts can only add scans (superset of sources).
     #[test]
-    fn min_dsts_monotone(recs in arb_workload()) {
-        let strict = detect(&recs, cfg(50, 50_000));
-        let loose = detect(&recs, cfg(5, 50_000));
+    fn min_dsts_monotone(recs in arb_workload(), (batch, flush) in arb_geometry()) {
+        let strict = session_scans(&recs, &cfg(50, 50_000), batch, flush);
+        let loose = session_scans(&recs, &cfg(5, 50_000), batch, flush);
         prop_assert!(loose.scans() >= strict.scans());
         let loose_sources = loose.source_set();
         for s in strict.source_set() {
@@ -438,9 +515,9 @@ proptest! {
     /// Raising the timeout can only merge runs: every source detected with a
     /// short timeout is detected with a longer one.
     #[test]
-    fn timeout_monotone_in_sources(recs in arb_workload()) {
-        let short = detect(&recs, cfg(20, 5_000));
-        let long = detect(&recs, cfg(20, 500_000));
+    fn timeout_monotone_in_sources(recs in arb_workload(), (batch, flush) in arb_geometry()) {
+        let short = session_scans(&recs, &cfg(20, 5_000), batch, flush);
+        let long = session_scans(&recs, &cfg(20, 500_000), batch, flush);
         let long_sources = long.source_set();
         for s in short.source_set() {
             prop_assert!(long_sources.contains(&s));
@@ -452,9 +529,13 @@ proptest! {
     /// Coarser aggregation never loses scan packets when every run
     /// qualifies (min_dsts = 1): the same packets regroup into fewer sources.
     #[test]
-    fn aggregation_conserves_packets_at_min_one(recs in arb_workload()) {
-        let fine = detect(&recs, ScanDetectorConfig { agg: AggLevel::L128, ..cfg(1, 50_000) });
-        let coarse = detect(&recs, ScanDetectorConfig { agg: AggLevel::L48, ..cfg(1, 50_000) });
+    fn aggregation_conserves_packets_at_min_one(
+        recs in arb_workload(),
+        (batch, flush) in arb_geometry(),
+    ) {
+        let at = |agg| ScanDetectorConfig { agg, ..cfg(1, 50_000) };
+        let fine = session_scans(&recs, &at(AggLevel::L128), batch, flush);
+        let coarse = session_scans(&recs, &at(AggLevel::L48), batch, flush);
         prop_assert_eq!(fine.packets(), coarse.packets());
         prop_assert!(coarse.sources() <= fine.sources());
     }
@@ -486,11 +567,10 @@ proptest! {
     #[test]
     fn flush_idle_is_transparent(recs in arb_workload()) {
         use lumen6_detect::multi::MultiLevelDetector;
-        use lumen6_detect::{observe_slice, Detect};
         let config = cfg(5, 20_000);
         let mut det = Box::new(MultiLevelDetector::new(&[config.agg], config.clone()));
         for (i, r) in recs.iter().enumerate() {
-            observe_slice(det.as_mut(), std::slice::from_ref(r), 1);
+            observe_in(det.as_mut(), std::slice::from_ref(r), 1);
             if i % 37 == 0 {
                 det.flush_idle(r.ts_ms);
             }
@@ -513,7 +593,7 @@ proptest! {
         cuts in proptest::collection::vec(1usize..40, 1..12),
     ) {
         use lumen6_detect::multi::MultiLevelDetector;
-        use lumen6_detect::{observe_slice, Detect, ScanDetector};
+        use lumen6_detect::ScanDetector;
         use lumen6_trace::RecordBatch;
         let stats = |det: &MultiLevelDetector| {
             det.detectors().map(ScanDetector::batch_stats).collect::<Vec<_>>()
@@ -528,7 +608,7 @@ proptest! {
             // What the one level holds fed one row a batch: its runs and
             // the events it closed, in canonical order.
             let mut by_row = one();
-            observe_slice(by_row.as_mut(), &recs, 1);
+            observe_in(by_row.as_mut(), &recs, 1);
             let held = by_row.state();
 
             let mut blanked = one();
@@ -590,7 +670,7 @@ proptest! {
         ordering in 0usize..4,
     ) {
         use lumen6_detect::multi::MultiLevelDetector;
-        use lumen6_detect::{observe_slice, Detect, LevelState};
+        use lumen6_detect::LevelState;
         use std::collections::BTreeMap;
         let recs = if ordering < 3 { apply_ordering(&recs, ordering) } else { recs };
         let levels: Vec<AggLevel> = lens.into_iter().map(AggLevel::new).collect();
@@ -617,7 +697,7 @@ proptest! {
             let batch = if counted_feed { counted(part) } else { part.iter().copied().collect() };
             shared.observe_batch(&batch);
             for det in &mut alone {
-                observe_slice(det.as_mut(), part, 1);
+                observe_in(det.as_mut(), part, 1);
             }
             (at_row, k) = (end, k + 1);
             if flush_every > 0 && k % flush_every == 0 {
@@ -655,9 +735,7 @@ proptest! {
         batch in 2usize..300,
         every in 10u64..120,
     ) {
-        use lumen6_detect::{
-            Backend, CheckpointPolicy, DetectorBuilder, Session, SessionConfig, SessionOutcome,
-        };
+        use lumen6_detect::CheckpointPolicy;
         use lumen6_trace::TraceWriter;
         use std::io::Write as _;
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -759,8 +837,6 @@ proptest! {
         jitter_seed in 0u64..1_000_000,
         watermark in 1_000u64..50_000,
     ) {
-        use lumen6_detect::{Backend, DetectorBuilder, Session, SessionConfig, SessionOutcome};
-        use lumen6_trace::MaterializedSource;
         let config = cfg(5, 20_000);
         let sorted_report = oracle_scans(&recs, &config);
 
@@ -784,8 +860,8 @@ proptest! {
 // three-session checkpoint round-trip) *inside* each case, so each case
 // covers far more executions than a single property run suggests.
 proptest! {
-    /// Backend identity, as a grid over the one slice driver: sequential
-    /// and threaded × batch {1,7,4096,8192}, under all three
+    /// Backend identity, as a grid: sequential and threaded × batch
+    /// {1,7,4096,8192}, under all three
     /// adversarial arrival orders, agree on the mid-stream state, the
     /// final state and the reports — three levels with destination
     /// retention, and one level with sketched counters — on rows that
@@ -802,9 +878,7 @@ proptest! {
         recs in arb_workload_with_runs(),
         ordering in 0usize..3,
     ) {
-        use lumen6_detect::{observe_slice, Backend, DetectorBuilder, Detect};
-
-        // `observe_slice` with each batch's repeats folded into counts.
+        // `observe_in` with each batch's repeats folded into counts.
         fn observe_counted(det: &mut dyn Detect, recs: &[PacketRecord], batch: usize) {
             recs.chunks(batch).for_each(|part| det.observe_batch(&counted(part)));
         }
@@ -817,7 +891,7 @@ proptest! {
             let mut expect = None;
             for backend in [Backend::Sequential, Backend::Threaded] {
                 type Feed = fn(&mut dyn Detect, &[PacketRecord], usize);
-                let feeds: [Feed; 2] = [observe_slice, observe_counted];
+                let feeds: [Feed; 2] = [observe_in, observe_counted];
                 for (batch, observe) in [1usize, 7, 4096, 8192]
                     .into_iter()
                     .flat_map(|b| feeds.map(|f| (b, f)))
@@ -862,10 +936,7 @@ proptest! {
         watermark_ms in prop_oneof![Just(0u64), 1_000u64..50_000],
         threaded in any::<bool>(),
     ) {
-        use lumen6_detect::{
-            Backend, CheckpointPolicy, DetectorBuilder, Session, SessionConfig, Step,
-        };
-        use lumen6_trace::MaterializedSource;
+        use lumen6_detect::{CheckpointPolicy, Step};
         use std::sync::atomic::{AtomicU64, Ordering};
 
         static CASE: AtomicU64 = AtomicU64::new(0);
@@ -932,9 +1003,7 @@ proptest! {
         ordering in 0usize..3,
         every in 10u64..120,
     ) {
-        use lumen6_detect::{
-            Backend, CheckpointPolicy, DetectorBuilder, Session, SessionConfig, SessionOutcome,
-        };
+        use lumen6_detect::CheckpointPolicy;
         use lumen6_trace::TraceWriter;
         use std::io::Write as _;
         use std::sync::atomic::{AtomicU64, Ordering};

@@ -13,6 +13,13 @@ use std::path::{Path, PathBuf};
 
 mod oracle;
 
+/// Hands `det` the rows of `recs` in batches of `batch`.
+fn observe_in(det: &mut dyn Detect, recs: &[PacketRecord], batch: usize) {
+    for part in recs.chunks(batch) {
+        det.observe_batch(&part.iter().copied().collect());
+    }
+}
+
 /// A per-test temp directory (removed on drop).
 struct TempDir(PathBuf);
 
@@ -128,20 +135,20 @@ fn snapshot_roundtrip_every_backend() {
     for (name, builder, backend) in builders() {
         // Uninterrupted reference.
         let mut reference = builder.build(backend);
-        observe_slice(reference.as_mut(), &recs, 64);
+        observe_in(reference.as_mut(), &recs, 64);
         let expect = report_json(&reference.finish());
 
         // Snapshot mid-stream, restore, continue.
         let mid = recs.len() / 2;
         let mut first = builder.build(backend);
-        observe_slice(first.as_mut(), &recs[..mid], 64);
+        observe_in(first.as_mut(), &recs[..mid], 64);
         let snap = first.snapshot();
         drop(first);
         let mut resumed = builder.restore(backend, &snap).unwrap();
         for level in resumed.state() {
             assert_eq!(level.observed, mid as u64, "{name}: observed count");
         }
-        observe_slice(resumed.as_mut(), &recs[mid..], 64);
+        observe_in(resumed.as_mut(), &recs[mid..], 64);
         assert_eq!(report_json(&resumed.finish()), expect, "{name}");
     }
 }
@@ -169,15 +176,15 @@ fn snapshot_roundtrip_with_sketch_and_kept_dsts() {
     ] {
         let builder = DetectorBuilder::new(cfg);
         let mut reference = builder.build(Backend::Sequential);
-        observe_slice(reference.as_mut(), &recs, 64);
+        observe_in(reference.as_mut(), &recs, 64);
         let expect = report_json(&reference.finish());
 
         let mid = recs.len() / 3;
         let mut first = builder.build(Backend::Sequential);
-        observe_slice(first.as_mut(), &recs[..mid], 64);
+        observe_in(first.as_mut(), &recs[..mid], 64);
         let snap = first.snapshot();
         let mut resumed = builder.restore(Backend::Sequential, &snap).unwrap();
-        observe_slice(resumed.as_mut(), &recs[mid..], 64);
+        observe_in(resumed.as_mut(), &recs[mid..], 64);
         assert_eq!(report_json(&resumed.finish()), expect, "{tag}");
     }
 }
@@ -189,7 +196,7 @@ fn snapshots_are_portable_across_backends() {
     let builder = DetectorBuilder::new(base_config()).levels(&levels);
 
     let mut reference = builder.build(Backend::Sequential);
-    observe_slice(reference.as_mut(), &recs, 64);
+    observe_in(reference.as_mut(), &recs, 64);
     let expect = report_json(&reference.finish());
 
     let mid = recs.len() / 2;
@@ -199,10 +206,10 @@ fn snapshots_are_portable_across_backends() {
         (Backend::Sequential, Backend::Threaded),
     ] {
         let mut first = builder.build(from);
-        observe_slice(first.as_mut(), &recs[..mid], 64);
+        observe_in(first.as_mut(), &recs[..mid], 64);
         let snap = first.snapshot();
         let mut resumed = builder.restore(into, &snap).unwrap();
-        observe_slice(resumed.as_mut(), &recs[mid..], 64);
+        observe_in(resumed.as_mut(), &recs[mid..], 64);
         assert_eq!(
             report_json(&resumed.finish()),
             expect,
@@ -219,7 +226,7 @@ fn snapshots_are_portable_across_backends() {
 fn restore_refuses_levels_that_disagree_on_the_timeout() {
     let builder = DetectorBuilder::new(base_config()).levels(&[AggLevel::L128, AggLevel::L64]);
     let mut det = builder.build(Backend::Sequential);
-    observe_slice(det.as_mut(), &workload(), 64);
+    observe_in(det.as_mut(), &workload(), 64);
     let mut snap = det.snapshot();
     assert_eq!(snap.levels.len(), 2);
     for backend in [Backend::Sequential, Backend::Threaded] {
@@ -237,14 +244,14 @@ fn flush_idle_is_report_neutral() {
     let recs = workload();
     for (name, builder, backend) in builders() {
         let mut plain = builder.build(backend);
-        observe_slice(plain.as_mut(), &recs, 64);
+        observe_in(plain.as_mut(), &recs, 64);
         let expect = report_json(&plain.finish());
 
         // Aggressive flushing at every packet must not change the report.
         let mut flushed = builder.build(backend);
         for r in &recs {
             flushed.flush_idle(r.ts_ms);
-            observe_slice(flushed.as_mut(), std::slice::from_ref(r), 1);
+            observe_in(flushed.as_mut(), std::slice::from_ref(r), 1);
         }
         assert_eq!(report_json(&flushed.finish()), expect, "{name}");
     }
@@ -261,7 +268,7 @@ fn flush_idle_closes_idle_runs() {
     let burst: Vec<PacketRecord> = (0..150u64)
         .map(|i| PacketRecord::tcp(i * 900, heavy, u128::from(i), 1, 443, 60))
         .collect();
-    observe_slice(det.as_mut(), &burst, 64);
+    observe_in(det.as_mut(), &burst, 64);
     let last_ts = 149 * 900;
     det.flush_idle(last_ts + timeout + 1);
     let state = &det.state()[0];
@@ -360,7 +367,7 @@ fn within_watermark_shuffle_yields_sorted_report() {
     let sorted = workload();
 
     let mut reference = DetectorBuilder::new(base_config()).build(Backend::Sequential);
-    observe_slice(reference.as_mut(), &sorted, 64);
+    observe_in(reference.as_mut(), &sorted, 64);
     let expect = report_json(&reference.finish());
 
     for seed in 0..8u64 {
@@ -395,7 +402,7 @@ fn within_watermark_shuffle_yields_sorted_report() {
 
 fn sample_checkpoint() -> Checkpoint {
     let mut det = DetectorBuilder::new(base_config()).build(Backend::Sequential);
-    observe_slice(det.as_mut(), &workload()[..100], 64);
+    observe_in(det.as_mut(), &workload()[..100], 64);
     Checkpoint {
         position: lumen6_trace::TracePosition {
             offset: 1_234,
@@ -481,7 +488,7 @@ fn tiny_checkpoint() -> Checkpoint {
     recs.extend(
         (0..6u64).map(|i| PacketRecord::tcp(5_000 + i, 7, 0xb0 + u128::from(i), 1, 22, 60)),
     );
-    observe_slice(det.as_mut(), &recs, 64);
+    observe_in(det.as_mut(), &recs, 64);
     let mut reorder = ReorderBuffer::new(5_000);
     reorder.push(
         PacketRecord::icmpv6_echo(6_000, 9, 10, 64),
@@ -725,7 +732,7 @@ fn session_finishes_without_checkpointing() {
     assert_eq!(rep.checkpoints_written, 0);
 
     let mut direct = builder.build(Backend::Sequential);
-    observe_slice(direct.as_mut(), &recs, 64);
+    observe_in(direct.as_mut(), &recs, 64);
     assert_eq!(report_json(&rep.reports), report_json(&direct.finish()));
 }
 

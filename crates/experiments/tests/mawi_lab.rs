@@ -29,6 +29,11 @@ fn split_days(
         .collect()
 }
 
+/// `records` as rows of one copy each.
+fn ones(records: &[PacketRecord]) -> impl Iterator<Item = (PacketRecord, u32)> + '_ {
+    records.iter().map(|&r| (r, 1))
+}
+
 fn detector(agg: AggLevel, min_dsts: u64) -> MawiDetector {
     MawiDetector::new(FhConfig {
         agg,
@@ -58,7 +63,7 @@ fn lab_scans_are_a_fresh_detection_of_every_day() {
         for min in [100, 5] {
             let want: Vec<(u64, Vec<MawiScan>)> = days
                 .iter()
-                .map(|&(day, slice)| (day, detector(agg, min).detect(slice)))
+                .map(|&(day, slice)| (day, detector(agg, min).detect_counted(ones(slice))))
                 .collect();
             assert!(want.iter().all(|(_, scans)| !scans.is_empty()));
             assert_eq!(lab.daily_scans(agg, min), want, "{agg}, ≥{min} dsts");
@@ -79,14 +84,14 @@ fn a_threshold_is_a_view_that_leaves_the_groups_as_they_were() {
     let (_, window) = split_days(&trace, may27, may27 + 1)[0];
     for agg in AGGS {
         let (strict, loose) = (
-            detector(agg, 100).detect(window),
-            detector(agg, 5).detect(window),
+            detector(agg, 100).detect_counted(ones(window)),
+            detector(agg, 5).detect_counted(ones(window)),
         );
         assert!(
             loose.len() > strict.len(),
             "{agg}: 5 must find more than 100"
         );
-        let rows = || window.iter().map(|&r| (r, 1));
+        let rows = || ones(window);
         let groups = detector(agg, 100).group(rows());
         assert_eq!(detector(agg, 100).scans(&groups), strict, "{agg}");
         assert_eq!(detector(agg, 5).scans(&groups), loose, "{agg}");

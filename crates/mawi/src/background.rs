@@ -156,7 +156,8 @@ mod tests {
             let (s, e) = capture_window(day);
             let at = |t: u64| recs.partition_point(|r| r.ts_ms < t);
             let day = &recs[at(s)..at(e)];
-            let scans = MawiDetector::new(MawiConfig::loose(AggLevel::L64)).detect(day);
+            let day = day.iter().map(|&r| (r, 1));
+            let scans = MawiDetector::new(MawiConfig::loose(AggLevel::L64)).detect_counted(day);
             assert!(
                 scans.is_empty(),
                 "background must not register as scans: {scans:?}"

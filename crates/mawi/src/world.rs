@@ -459,7 +459,8 @@ mod tests {
         for day in 0..30 {
             let (start, end) = crate::capture_window(day);
             let at = |t: u64| trace.partition_point(|r| r.ts_ms < t);
-            let scans = det.detect(&trace[at(start)..at(end)]);
+            let window = trace[at(start)..at(end)].iter().map(|&r| (r, 1));
+            let scans = det.detect_counted(window);
             if scans.iter().any(|s| s.source.contains_addr(w.as1_source)) {
                 days_with_as1 += 1;
             }

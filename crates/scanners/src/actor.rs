@@ -111,17 +111,10 @@ pub struct ScannerActor {
 }
 
 impl ScannerActor {
-    /// Generates this actor's complete packet stream, time-sorted, at the
-    /// calibrated (1×) volume.
-    ///
-    /// Determinism: the stream is a pure function of the actor definition
-    /// and `seed`.
-    pub fn generate(&self, seed: u64) -> Vec<PacketRecord> {
-        self.generate_scaled(seed, 1.0)
-    }
-
-    /// Generates the packet stream with emitted volume scaled by
-    /// `intensity`, over an *intensity-invariant probe footprint*.
+    /// Generates this actor's complete packet stream, time-sorted, with
+    /// emitted volume scaled by `intensity` (1.0 is the calibrated volume)
+    /// over an *intensity-invariant probe footprint*. The stream is a pure
+    /// function of the actor definition, `seed` and `intensity`.
     ///
     /// The probe sequence — targets, source addresses, ports, timestamps —
     /// is drawn at the schedule's calibrated base rate regardless of
@@ -260,6 +253,7 @@ mod tests {
     use super::*;
     use crate::samplers::IidMode;
     use lumen6_addr::Ipv6Prefix;
+    use lumen6_detect::{AggLevel, Backend, DetectorBuilder, ScanDetectorConfig};
     use lumen6_trace::Transport;
 
     fn actor() -> ScannerActor {
@@ -276,7 +270,7 @@ mod tests {
 
     #[test]
     fn generates_scheduled_volume() {
-        let recs = actor().generate(1);
+        let recs = actor().generate_scaled(1, 1.0);
         assert_eq!(recs.len(), 7 * 500);
         assert!(recs.windows(2).all(|w| w[0].ts_ms <= w[1].ts_ms));
         assert!(recs.iter().all(|r| r.src == 0x5001 && r.dport == 22));
@@ -285,17 +279,17 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = actor().generate(9);
-        let b = actor().generate(9);
+        let a = actor().generate_scaled(9, 1.0);
+        let b = actor().generate_scaled(9, 1.0);
         assert_eq!(a, b);
-        let c = actor().generate(10);
+        let c = actor().generate_scaled(10, 1.0);
         assert_ne!(a, c);
     }
 
     #[test]
     fn intensity_scales_volume_over_an_invariant_footprint() {
         let a = actor();
-        let base = a.generate(3);
+        let base = a.generate_scaled(3, 1.0);
         // Integral upscale: every base probe repeated exactly 10×, at its
         // own timestamp — deduplicating adjacent repeats recovers the base
         // stream bit-for-bit.
@@ -312,15 +306,13 @@ mod tests {
         let srcs: std::collections::HashSet<u128> = base.iter().map(|r| r.src).collect();
         assert!(down.iter().all(|r| dsts.contains(&r.dst)));
         assert!(down.iter().all(|r| srcs.contains(&r.src)));
-        // And 1.0 is the identity.
-        assert_eq!(a.generate_scaled(3, 1.0), base);
     }
 
     #[test]
     fn schedule_window_respected() {
         let mut a = actor();
         a.schedule = Schedule::continuous(10, 12, 100);
-        let recs = a.generate(1);
+        let recs = a.generate_scaled(1, 1.0);
         assert!(recs
             .iter()
             .all(|r| r.ts_ms >= 10 * DAY_MS && r.ts_ms < 12 * DAY_MS));
@@ -363,11 +355,11 @@ mod tests {
     #[test]
     fn actor_detected_by_pipeline() {
         // End-to-end sanity: a hitlist scanner shows up as scan events.
-        let recs = actor().generate(4);
-        let report = lumen6_detect::detector::detect(
-            &recs,
-            lumen6_detect::ScanDetectorConfig::paper(lumen6_detect::AggLevel::L128),
-        );
+        let recs = actor().generate_scaled(4, 1.0);
+        let config = ScanDetectorConfig::paper(AggLevel::L128);
+        let mut det = DetectorBuilder::new(config).build(Backend::Sequential);
+        det.observe_batch(&recs.iter().copied().collect());
+        let report = &det.finish()[&AggLevel::L128];
         assert!(report.scans() >= 1);
         assert_eq!(report.sources(), 1);
         assert_eq!(report.packets(), recs.len() as u64);
@@ -381,7 +373,7 @@ mod tests {
             iid: IidMode::Random,
             subnets_per_prefix: 1 << 16,
         };
-        let recs = a.generate(2);
+        let recs = a.generate_scaled(2, 1.0);
         let dist = lumen6_addr::HammingDistribution::from_addrs(recs.iter().map(|r| r.dst));
         assert!(dist.looks_random());
     }
@@ -390,7 +382,7 @@ mod tests {
     fn icmpv6_actor_emits_echo() {
         let mut a = actor();
         a.ports = PortSampler::Icmpv6Echo;
-        let recs = a.generate(2);
+        let recs = a.generate_scaled(2, 1.0);
         assert!(recs
             .iter()
             .all(|r| r.proto == Transport::Icmpv6 && r.sport == 128));

@@ -1026,7 +1026,7 @@ mod tests {
         };
         let world = World::build(cfg);
         let as1 = &world.fleet.actors[0];
-        let recs = as1.generate(1);
+        let recs = as1.generate_scaled(1, 1.0);
         let switch = SimTime::from_date(2021, 5, 27).ms();
         let before: std::collections::HashSet<u16> = recs
             .iter()
@@ -1134,7 +1134,7 @@ mod tests {
             .iter()
             .find(|a| a.name == "as1-datacenter-cn")
             .expect("fleet has AS#1");
-        let sessions = as1.generate(7).len() as u64 / 1500;
+        let sessions = as1.generate_scaled(7, 1.0).len() as u64 / 1500;
         assert!(sessions > 0);
         assert_eq!(as1.generate_scaled(7, 3.0).len() as u64, sessions * 4500);
         // scale_intensity(1500, 1/1250) = 1.2 -> 1 packet per session.

@@ -87,6 +87,7 @@ impl DayStepper for Noise {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lumen6_detect::{Backend, DetectorBuilder, ScanDetectorConfig};
     use lumen6_trace::PacketRecord;
 
     /// The stream of `[day_start, day_end)`, every day expanded.
@@ -126,9 +127,10 @@ mod tests {
     fn noise_never_qualifies_as_scan() {
         let telescope: Vec<u128> = (1..=500u128).map(|i| i << 16).collect();
         let recs = generate(&telescope, 50, 0, 5, 7);
-        let report =
-            lumen6_detect::detector::detect(&recs, lumen6_detect::ScanDetectorConfig::default());
-        assert_eq!(report.scans(), 0);
+        let mut det =
+            DetectorBuilder::new(ScanDetectorConfig::default()).build(Backend::Sequential);
+        det.observe_batch(&recs.iter().copied().collect());
+        assert!(det.finish().values().all(|report| report.scans() == 0));
     }
 
     #[test]

@@ -193,6 +193,61 @@ proptest! {
     }
 }
 
+/// The capture rule on every service it decides. Three actors probe the
+/// same hitlist, half telescope addresses and half foreign ones: ICMPv6
+/// echo, TCP on a served port and on another, and UDP on the served port
+/// numbers. Through the CDN telescope's capture their merged stream is
+/// the oracle's rule applied to the merge of their `generate_scaled`
+/// streams, each of the rule's decisions taken.
+#[test]
+fn capture_keeps_what_the_oracle_rule_keeps_on_every_service() {
+    use lumen6_scanners::{actor::Schedule, PortSampler, ScannerActor, SourceSampler};
+    use lumen6_scanners::{TargetSampler, Vantage};
+    use lumen6_trace::Transport;
+    let world = World::build(grid_config(5, 1.0));
+    let telescope = world.deployment.all_addrs();
+    let hitlist: std::sync::Arc<[u128]> = (0..100u128)
+        .map(|i| telescope[i as usize % telescope.len()])
+        .chain((1..=100u128).map(|i| 0xdead << 96 | i))
+        .collect();
+    let actor = |k: u128, ports| ScannerActor {
+        name: format!("service-{k}"),
+        asn: 65_001,
+        sources: SourceSampler::Single(0x2001_0db8 << 96 | k),
+        targets: TargetSampler::Hitlist(hitlist.clone()),
+        ports,
+        schedule: Schedule::continuous(0, 2, 600),
+        probe_len: 60,
+    };
+    let actors = vec![
+        actor(1, PortSampler::Icmpv6Echo),
+        actor(2, PortSampler::Set(Transport::Tcp, vec![22, 80, 443])),
+        actor(3, PortSampler::Set(Transport::Udp, vec![80, 443])),
+    ];
+    let merged = oracle::merge_sorted(actors.iter().map(|a| a.generate_scaled(5, 1.0)).collect());
+    let (want, dropped): (Vec<_>, Vec<_>) = merged
+        .into_iter()
+        .partition(|r| oracle::logged(&world.deployment, r));
+    let to = |rs: &[PacketRecord], proto, port| {
+        rs.iter()
+            .any(|r| r.proto == proto && (port == 0 || r.dport == port))
+    };
+    assert!(to(&dropped, Transport::Icmpv6, 0));
+    assert!(to(&dropped, Transport::Tcp, 443) && to(&want, Transport::Tcp, 22));
+    assert!(to(&want, Transport::Udp, 443));
+    let foreign = |r: &PacketRecord| !world.deployment.is_telescope_addr(r.dst);
+    assert!(dropped.iter().any(foreign));
+    let vantage = Vantage {
+        actors: actors.into(),
+        seed: 5,
+        intensity: 1.0,
+        fixed: Vec::new(),
+        capture: Some(std::sync::Arc::clone(&world.deployment)),
+    };
+    let got = drain(&mut FleetSource::from_vantage(vantage, 1), 4096);
+    assert_eq!(got, want);
+}
+
 #[test]
 fn merge_sorted_interleaves() {
     let rec = |ts| PacketRecord::tcp(ts, 1, 2, 1000, 22, 60);

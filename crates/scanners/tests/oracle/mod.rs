@@ -2,13 +2,15 @@
 //! [`World::cdn_trace`], its drain) against: the firewall-logged CDN record
 //! sequence assembled the long way round, from public parts only — every
 //! actor's whole `generate_scaled` stream, the artifact and noise streams
-//! repeated record by record, one `merge_sorted`, one `capture` over the
-//! merged trace. Everything is resident at once, so small fleets only.
+//! repeated record by record, one `merge_sorted`, and the firewall's
+//! capture rule (§2.1) stated here on its own and applied to the merged
+//! trace. Everything is resident at once, so small fleets only.
 //!
 //! It shares the per-probe draw loop with the source (the goldens pin
 //! that); what it checks independently is everything the source adds — the
 //! release queues, the lane merge, where runs are cut, the capture filter
-//! applied before the merge, and the fixed streams' run-length cursor. The
+//! (its rule, and that it runs before the merge), and the fixed streams'
+//! run-length cursor. The
 //! artifact and noise streams are generated here as records, by the bodies
 //! the product generators had before they wrote compact rows, each day
 //! stably sorted by comparison: the flow table, the rows, their chunks and
@@ -22,7 +24,7 @@
 
 use lumen6_scanners::{scale_intensity, World};
 use lumen6_telescope::artifacts::{mapped_machines, ArtifactConfig};
-use lumen6_telescope::{CaptureConfig, CdnDeployment, FirewallCapture};
+use lumen6_telescope::{CaptureConfig, CdnDeployment};
 use lumen6_trace::{sort_by_time, PacketRecord, Transport, DAY_MS, HOUR_MS};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -89,8 +91,19 @@ pub fn cdn_trace(world: &World) -> Vec<PacketRecord> {
     );
     streams.push(repeat(&artifacts, cfg.intensity));
     streams.push(repeat(&noise, cfg.intensity));
-    let capture = FirewallCapture::new(&world.deployment, CaptureConfig::default());
-    capture.capture(&merge_sorted(streams)).0
+    let mut trace = merge_sorted(streams);
+    trace.retain(|r| logged(&world.deployment, r));
+    trace
+}
+
+/// Whether the CDN firewall over `deployment` logs `r` (§2.1): every
+/// packet but ICMPv6, TCP to a served port, and packets to an address
+/// outside the telescope.
+pub fn logged(deployment: &CdnDeployment, r: &PacketRecord) -> bool {
+    let firewall = CaptureConfig::default();
+    let icmpv6 = firewall.drop_icmpv6 && r.proto == Transport::Icmpv6;
+    let served = r.proto == Transport::Tcp && firewall.served_tcp_ports.contains(&r.dport);
+    !icmpv6 && !served && deployment.is_telescope_addr(r.dst)
 }
 
 /// The artifact mix for `[day_start, day_end)`, in stable time order.

@@ -157,7 +157,7 @@ impl DayStepper for Artifacts {
 mod tests {
     use super::*;
     use crate::deployment::DeploymentConfig;
-    use lumen6_detect::{ArtifactFilter, ScanDetectorConfig};
+    use lumen6_detect::{ArtifactFilter, Backend, DetectorBuilder, ScanDetectorConfig};
     use lumen6_netmodel::InternetRegistry;
 
     /// The stream of `[day_start, day_end)`, every day expanded.
@@ -238,8 +238,10 @@ mod tests {
         // scan threshold; with the filter, nothing remains at all.
         let dep = deployment();
         let recs = generate(&dep, &ArtifactConfig::default(), 0, 1, 7);
-        let report = lumen6_detect::detector::detect(&recs, ScanDetectorConfig::default());
-        assert_eq!(report.scans(), 0);
+        let mut det =
+            DetectorBuilder::new(ScanDetectorConfig::default()).build(Backend::Sequential);
+        det.observe_batch(&recs.iter().copied().collect());
+        assert!(det.finish().values().all(|report| report.scans() == 0));
     }
 
     #[test]

@@ -29,21 +29,6 @@ impl Default for CaptureConfig {
     }
 }
 
-/// Per-run capture statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CaptureStats {
-    /// Packets offered to the filter.
-    pub offered: u64,
-    /// Packets logged.
-    pub logged: u64,
-    /// Dropped: destination not a telescope address.
-    pub dropped_foreign: u64,
-    /// Dropped: served TCP port (80/443).
-    pub dropped_served_port: u64,
-    /// Dropped: ICMPv6.
-    pub dropped_icmpv6: u64,
-}
-
 /// The firewall capture filter bound to a deployment.
 #[derive(Debug, Clone)]
 pub struct FirewallCapture<'a> {
@@ -76,30 +61,6 @@ impl<'a> FirewallCapture<'a> {
     /// Whether packets to `dst` would be logged on a service that is.
     pub fn logs_dst(&self, dst: u128) -> bool {
         self.deployment.is_telescope_addr(dst)
-    }
-
-    /// Filters a stream, returning the logged packets and statistics.
-    pub fn capture(&self, records: &[PacketRecord]) -> (Vec<PacketRecord>, CaptureStats) {
-        let mut stats = CaptureStats::default();
-        let mut out = Vec::with_capacity(records.len());
-        for r in records {
-            stats.offered += 1;
-            if self.config.drop_icmpv6 && r.proto == Transport::Icmpv6 {
-                stats.dropped_icmpv6 += 1;
-                continue;
-            }
-            if r.proto == Transport::Tcp && self.config.served_tcp_ports.contains(&r.dport) {
-                stats.dropped_served_port += 1;
-                continue;
-            }
-            if !self.deployment.is_telescope_addr(r.dst) {
-                stats.dropped_foreign += 1;
-                continue;
-            }
-            stats.logged += 1;
-            out.push(*r);
-        }
-        (out, stats)
     }
 }
 
@@ -158,27 +119,40 @@ mod tests {
     }
 
     #[test]
-    fn stats_account_for_every_packet() {
+    fn every_drop_reason_is_counted_once() {
+        use std::collections::BTreeMap;
         let dep = deployment();
         let cap = FirewallCapture::new(&dep, CaptureConfig::default());
-        let dst = dep.machines()[0].client_facing;
-        let records = vec![
-            PacketRecord::tcp(0, 1, dst, 1, 22, 60),     // logged
-            PacketRecord::tcp(1, 1, dst, 1, 80, 60),     // served port
-            PacketRecord::icmpv6_echo(2, 1, dst, 96),    // icmpv6
-            PacketRecord::tcp(3, 1, 0xdead, 1, 22, 60),  // foreign
-            PacketRecord::udp(4, 1, dst, 500, 500, 120), // logged
-        ];
-        let (logged, stats) = cap.capture(&records);
-        assert_eq!(logged.len(), 2);
-        assert_eq!(stats.offered, 5);
-        assert_eq!(stats.logged, 2);
-        assert_eq!(stats.dropped_served_port, 1);
-        assert_eq!(stats.dropped_icmpv6, 1);
-        assert_eq!(stats.dropped_foreign, 1);
-        assert_eq!(
-            stats.logged + stats.dropped_foreign + stats.dropped_icmpv6 + stats.dropped_served_port,
-            stats.offered
+        // The same firewall with both service rules lifted: what it still
+        // drops, it drops for the destination alone.
+        let open = FirewallCapture::new(
+            &dep,
+            CaptureConfig {
+                served_tcp_ports: Vec::new(),
+                drop_icmpv6: false,
+            },
         );
+        let dst = dep.machines()[0].client_facing;
+        // Each packet with the one reason the firewall drops it for, if any.
+        let records = [
+            (PacketRecord::tcp(0, 1, dst, 1, 22, 60), None),
+            (PacketRecord::tcp(1, 1, dst, 1, 80, 60), Some("served port")),
+            (PacketRecord::icmpv6_echo(2, 1, dst, 96), Some("icmpv6")),
+            (PacketRecord::tcp(3, 1, 0xdead, 1, 22, 60), Some("foreign")),
+            (PacketRecord::udp(4, 1, dst, 500, 500, 120), None),
+        ];
+        let (mut logged, mut dropped) = (0, BTreeMap::new());
+        for (r, reason) in &records {
+            assert_eq!(cap.logs(r), reason.is_none(), "{r:?}");
+            assert_eq!(open.logs(r), *reason != Some("foreign"), "{r:?}");
+            match reason {
+                None => logged += 1,
+                Some(why) => *dropped.entry(*why).or_insert(0) += 1,
+            }
+        }
+        assert_eq!(logged, 2);
+        let want = BTreeMap::from([("foreign", 1), ("icmpv6", 1), ("served port", 1)]);
+        assert_eq!(dropped, want);
+        assert_eq!(logged + dropped.values().sum::<usize>(), records.len());
     }
 }

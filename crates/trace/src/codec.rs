@@ -293,20 +293,6 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
-/// Encodes a whole slice to an in-memory buffer.
-pub fn encode(records: &[PacketRecord]) -> Result<Vec<u8>, CodecError> {
-    let mut w = TraceWriter::new(Vec::new())?;
-    for r in records {
-        w.append(r)?;
-    }
-    w.finish()
-}
-
-/// Decodes a whole buffer, failing on the first malformed record.
-pub fn decode(data: &[u8]) -> Result<Vec<PacketRecord>, CodecError> {
-    StreamingTraceReader::new(data)?.collect()
-}
-
 /// Upper bound on the bytes [`decode_record_at`] consumes for one row,
 /// well-formed or not: five varints that each end or overflow within 10
 /// bytes, two 16-byte addresses and the protocol byte. (A row the writer
@@ -773,22 +759,50 @@ fn read_header<R: Read>(src: &mut R) -> Result<[u8; 5], CodecError> {
     }
 }
 
-impl<R: Read> Iterator for StreamingTraceReader<R> {
-    type Item = Result<PacketRecord, CodecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let mut record = None;
-        match self.pull(1, |r, _| record = Some(r)) {
-            Ok(_) => record.map(Ok),
-            Err(e) => Some(Err(e)),
-        }
-    }
-}
-
 /// Shared fixtures for codec-level tests in this crate.
 #[cfg(test)]
 pub(crate) mod tests_support {
     use super::*;
+
+    /// `records` written through a [`TraceWriter`] into memory.
+    pub(crate) fn encoded(records: &[PacketRecord]) -> Result<Vec<u8>, CodecError> {
+        let mut w = TraceWriter::new(Vec::new())?;
+        for r in records {
+            w.append(r)?;
+        }
+        w.finish()
+    }
+
+    /// Every record of `data` read by `fill`, failing on the first
+    /// malformed record.
+    pub(crate) fn decoded(data: &[u8]) -> Result<Vec<PacketRecord>, CodecError> {
+        let (mut r, mut batch) = (StreamingTraceReader::new(data)?, RecordBatch::new());
+        let mut out = Vec::new();
+        while r.fill(&mut batch, 4096)? > 0 {
+            out.extend(batch.iter());
+        }
+        Ok(out)
+    }
+
+    /// The next record of `r` by a one-record `fill`: `None` at the end of
+    /// the stream and after an error.
+    pub(crate) fn next_record<R: Read>(
+        r: &mut StreamingTraceReader<R>,
+    ) -> Option<Result<PacketRecord, CodecError>> {
+        let mut batch = RecordBatch::new();
+        match r.fill(&mut batch, 1) {
+            Ok(0) => None,
+            Ok(_) => Some(Ok(batch.get(0))),
+            Err(e) => Some(Err(e)),
+        }
+    }
+
+    /// Every [`next_record`] of `r`, the error that ended it included.
+    pub(crate) fn items<R: Read>(
+        r: &mut StreamingTraceReader<R>,
+    ) -> Vec<Result<PacketRecord, CodecError>> {
+        std::iter::from_fn(|| next_record(r)).collect()
+    }
 
     /// A version 1 stream ([`encode_v1`]) with one record's dport varint
     /// out of range (recoverable field overflow) among good records.
@@ -897,7 +911,7 @@ pub(crate) mod tests_support {
     /// The truncation corpus: every proper prefix of the encoding of
     /// `recs`, indexed by cut length.
     pub(crate) fn every_cut(recs: &[PacketRecord]) -> Vec<Vec<u8>> {
-        let bytes = encode(recs).unwrap();
+        let bytes = encoded(recs).unwrap();
         (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect()
     }
 
@@ -906,7 +920,7 @@ pub(crate) mod tests_support {
     /// any of them decodes to: a flip may raise a count, but every row
     /// takes at least 37 bytes and carries at most 65 535 copies.
     pub(crate) fn every_bit_flip(recs: &[PacketRecord]) -> (Vec<Vec<u8>>, usize) {
-        let clean = encode(recs).unwrap();
+        let clean = encoded(recs).unwrap();
         let bound = (clean.len() / 37 + 1) * MAX_COUNT as usize;
         let flips = (0..clean.len() * 8)
             .map(|i| {
@@ -922,23 +936,24 @@ pub(crate) mod tests_support {
 #[cfg(test)]
 mod tests {
     use super::tests_support::{
-        bytes_with_bad_dport, counted_sample, encode_runs, encode_v1, every_bit_flip, every_cut,
-        full_row_sample, push_batch, runs_of, sample, FILL_SIZES,
+        bytes_with_bad_dport, counted_sample, decoded, encode_runs, encode_v1, encoded,
+        every_bit_flip, every_cut, full_row_sample, items, next_record, push_batch, runs_of,
+        sample, FILL_SIZES,
     };
     use super::*;
 
     #[test]
     fn roundtrip() {
         let recs = sample();
-        let bytes = encode(&recs).unwrap();
-        assert_eq!(decode(&bytes).unwrap(), recs);
+        let bytes = encoded(&recs).unwrap();
+        assert_eq!(decoded(&bytes).unwrap(), recs);
     }
 
     #[test]
     fn empty_trace_roundtrips() {
-        let bytes = encode(&[]).unwrap();
+        let bytes = encoded(&[]).unwrap();
         assert_eq!(bytes.len(), 5);
-        assert!(decode(&bytes).unwrap().is_empty());
+        assert!(decoded(&bytes).unwrap().is_empty());
     }
 
     #[test]
@@ -957,16 +972,15 @@ mod tests {
             ts += delta;
             recs.push(PacketRecord::tcp(ts, 7, 8, 0, 0, 0));
         }
-        let bytes = encode(&recs).unwrap();
-        assert_eq!(decode(&bytes).unwrap(), recs);
+        let bytes = encoded(&recs).unwrap();
+        assert_eq!(decoded(&bytes).unwrap(), recs);
     }
 
     #[test]
     fn garbage_after_header_is_an_error_not_a_panic() {
         let mut bytes = b"L6TR\x01".to_vec();
         bytes.extend_from_slice(&[0xff; 7]); // endless varint + truncation
-        let reader = StreamingTraceReader::new(&bytes[..]).unwrap();
-        let items: Vec<_> = reader.collect();
+        let items = items(&mut StreamingTraceReader::new(&bytes[..]).unwrap());
         assert_eq!(items.len(), 1);
         assert!(items[0].is_err());
     }
@@ -983,7 +997,7 @@ mod tests {
     #[test]
     fn writer_folds_runs_into_counted_rows_split_at_65535() {
         let recs = full_row_sample();
-        let bytes = encode(&recs).unwrap();
+        let bytes = encoded(&recs).unwrap();
         // `append_n` takes a run in any cut to the bytes per-copy appends
         // write.
         let mut w = TraceWriter::new(Vec::new()).unwrap();
@@ -1015,7 +1029,7 @@ mod tests {
         assert!(batch.counts().is_empty(), "a v1 row is one record");
         assert_eq!((r.version(), r.rows()), (1, 7));
         assert_eq!(r.position().offset, v1.len() as u64);
-        assert!(encode(recs).unwrap().len() < v1.len());
+        assert!(encoded(recs).unwrap().len() < v1.len());
     }
 
     #[test]
@@ -1029,7 +1043,7 @@ mod tests {
         ));
         w.append(&at(4 + (1 << 63))).unwrap();
         assert_eq!(
-            decode(&w.finish().unwrap()).unwrap(),
+            decoded(&w.finish().unwrap()).unwrap(),
             [at(5), at(4 + (1 << 63))]
         );
     }
@@ -1052,7 +1066,7 @@ mod tests {
         let stream = |bad: &[u8]| [&MAGIC[..], &[VERSION], &row(2, 22), bad, &row(3, 22)].concat();
         for bad in [0, 1, 65_536, u64::MAX] {
             let bytes = stream(&row(bad, 22));
-            let strict: Vec<_> = StreamingTraceReader::new(&bytes[..]).unwrap().collect();
+            let strict = items(&mut StreamingTraceReader::new(&bytes[..]).unwrap());
             assert_eq!(strict.len(), 3, "count {bad}");
             assert!(matches!(
                 strict[2],
@@ -1061,7 +1075,7 @@ mod tests {
             let mut r = StreamingTraceReader::new(&bytes[..])
                 .unwrap()
                 .permissive(true);
-            let got: Result<Vec<_>, _> = r.by_ref().collect();
+            let got: Result<Vec<_>, _> = items(&mut r).into_iter().collect();
             assert_eq!(got.unwrap(), [rec; 5], "count {bad}");
             // A count out of range says nothing of the copies: one is lost.
             assert_eq!(r.skipped(), 1);
@@ -1071,13 +1085,13 @@ mod tests {
         let mut r = StreamingTraceReader::new(&bytes[..])
             .unwrap()
             .permissive(true);
-        assert_eq!(r.by_ref().count(), 5);
+        assert_eq!(items(&mut r).len(), 5);
         assert_eq!(r.skipped(), 7);
     }
 
     #[test]
     fn resume_refuses_positions_the_stream_cannot_hold() {
-        let bytes = encode(&full_row_sample()).unwrap();
+        let bytes = encoded(&full_row_sample()).unwrap();
         let open = |at| StreamingTraceReader::resume(io::Cursor::new(&bytes[..]), at);
         let mut batch = RecordBatch::new();
         let is_bad_position = |e: &CodecError| matches!(e, CodecError::Io(io) if io.kind() == io::ErrorKind::InvalidInput);
@@ -1086,7 +1100,7 @@ mod tests {
         let mut refused = |at| {
             let mut r = open(at).unwrap();
             assert!(is_bad_position(&r.fill(&mut batch, 100).unwrap_err()));
-            assert!(batch.is_empty() && r.next().is_none(), "fused");
+            assert!(batch.is_empty() && next_record(&mut r).is_none(), "fused");
         };
         // Ten copies into the 65 535-copy row.
         let mut r = StreamingTraceReader::new(&bytes[..]).unwrap();
@@ -1136,18 +1150,25 @@ mod tests {
         let recs: Vec<PacketRecord> = (0..10_000u64)
             .map(|i| PacketRecord::tcp(i * 3, i as u128, (i * 7) as u128, 1, 22, 60))
             .collect();
-        let bytes = encode(&recs).unwrap();
-        let streamed: Result<Vec<_>, _> = StreamingTraceReader::new(&bytes[..]).unwrap().collect();
-        assert_eq!(streamed.unwrap(), recs);
+        let bytes = encoded(&recs).unwrap();
+        let streamed = items(&mut StreamingTraceReader::new(&bytes[..]).unwrap());
+        assert_eq!(
+            streamed.into_iter().collect::<Result<Vec<_>, _>>().unwrap(),
+            recs
+        );
         // Same through a source that trickles 7 bytes at a time, forcing
         // records to span refill boundaries.
-        let dribbled: Result<Vec<_>, _> = StreamingTraceReader::new(Dribble {
-            data: &bytes,
-            cap: 7,
-        })
-        .unwrap()
-        .collect();
-        assert_eq!(dribbled.unwrap(), recs);
+        let dribbled = items(
+            &mut StreamingTraceReader::new(Dribble {
+                data: &bytes,
+                cap: 7,
+            })
+            .unwrap(),
+        );
+        assert_eq!(
+            dribbled.into_iter().collect::<Result<Vec<_>, _>>().unwrap(),
+            recs
+        );
     }
 
     #[test]
@@ -1168,18 +1189,18 @@ mod tests {
 
     #[test]
     fn streaming_truncation_surfaces_error_once() {
-        let bytes = encode(&sample()).unwrap();
+        let bytes = encoded(&sample()).unwrap();
         let cut = &bytes[..bytes.len() - 3];
         let mut reader = StreamingTraceReader::new(cut).unwrap();
         let (mut oks, mut errs) = (0, 0);
-        for item in reader.by_ref() {
+        for item in items(&mut reader) {
             match item {
                 Ok(_) => oks += 1,
                 Err(_) => errs += 1,
             }
         }
         assert_eq!((oks, errs), (3, 1));
-        assert!(reader.next().is_none(), "fused after error");
+        assert!(next_record(&mut reader).is_none(), "fused after error");
     }
 
     #[test]
@@ -1187,36 +1208,35 @@ mod tests {
         let recs: Vec<PacketRecord> = (0..5_000u64)
             .map(|i| PacketRecord::tcp(i * 11, i as u128, (i * 3) as u128, 1, 22, 60))
             .collect();
-        let bytes = encode(&recs).unwrap();
+        let bytes = encoded(&recs).unwrap();
         // Decode the first half, record the position, resume in a fresh
         // reader over a cursor, and check the concatenation is exact.
         let mut first = StreamingTraceReader::new(io::Cursor::new(bytes.clone())).unwrap();
         let mut head: Vec<PacketRecord> = Vec::new();
         for _ in 0..2_500 {
-            head.push(first.next().unwrap().unwrap());
+            head.push(next_record(&mut first).unwrap().unwrap());
         }
         let pos = first.position();
         assert_eq!(pos.prev_ts, head.last().unwrap().ts_ms);
         drop(first);
-        let tail: Result<Vec<_>, _> = StreamingTraceReader::resume(io::Cursor::new(bytes), pos)
-            .unwrap()
-            .collect();
+        let mut rest = StreamingTraceReader::resume(io::Cursor::new(bytes), pos).unwrap();
+        let tail: Result<Vec<_>, _> = items(&mut rest).into_iter().collect();
         head.extend(tail.unwrap());
         assert_eq!(head, recs);
     }
 
     #[test]
     fn position_at_eof_is_stream_length() {
-        let bytes = encode(&sample()).unwrap();
+        let bytes = encoded(&sample()).unwrap();
         let mut r = StreamingTraceReader::new(&bytes[..]).unwrap();
-        while r.next().is_some() {}
+        while next_record(&mut r).is_some() {}
         assert_eq!(r.position().offset, bytes.len() as u64);
     }
 
     #[test]
     fn strict_mode_fuses_on_field_overflow() {
         let (bytes, _) = bytes_with_bad_dport();
-        let items: Vec<_> = StreamingTraceReader::new(&bytes[..]).unwrap().collect();
+        let items = items(&mut StreamingTraceReader::new(&bytes[..]).unwrap());
         assert_eq!(items.len(), 6, "five good records then the error");
         assert!(matches!(
             items.last().unwrap(),
@@ -1230,18 +1250,18 @@ mod tests {
         let mut r = StreamingTraceReader::new(&bytes[..])
             .unwrap()
             .permissive(true);
-        let got: Result<Vec<_>, _> = r.by_ref().collect();
+        let got: Result<Vec<_>, _> = items(&mut r).into_iter().collect();
         assert_eq!(got.unwrap(), expected);
         assert_eq!(r.skipped(), 1);
     }
 
     #[test]
     fn permissive_mode_still_fuses_on_truncation() {
-        let bytes = encode(&sample()).unwrap();
+        let bytes = encoded(&sample()).unwrap();
         let cut = &bytes[..bytes.len() - 3];
         let mut r = StreamingTraceReader::new(cut).unwrap().permissive(true);
         let (mut oks, mut errs) = (0, 0);
-        for item in r.by_ref() {
+        for item in items(&mut r) {
             match item {
                 Ok(_) => oks += 1,
                 Err(e) => {
@@ -1286,7 +1306,7 @@ mod tests {
     }
 
     #[test]
-    fn fill_equals_iterator_at_every_batch_size() {
+    fn fill_equals_one_record_fills_at_every_batch_size() {
         // Runs of one to nine copies, so batches end inside rows; the same
         // records spelt out in version 1; and a version 1 stream with a bad
         // record.
@@ -1296,7 +1316,7 @@ mod tests {
                 std::iter::repeat_n(r, 1 + i as usize % 9)
             })
             .collect();
-        let (clean, v1) = (encode(&recs).unwrap(), encode_v1(&recs));
+        let (clean, v1) = (encoded(&recs).unwrap(), encode_v1(&recs));
         let (bad, _) = bytes_with_bad_dport();
         for (bytes, permissive) in [(&clean, false), (&v1, false), (&bad, false), (&bad, true)] {
             let open = || {
@@ -1310,7 +1330,7 @@ mod tests {
             let mut want = Vec::new();
             let mut want_err = None;
             let mut want_pos = vec![it.position()];
-            while let Some(item) = it.next() {
+            while let Some(item) = next_record(&mut it) {
                 match item {
                     Ok(r) => {
                         want.push(r);
@@ -1330,16 +1350,17 @@ mod tests {
                             got.extend(batch.iter());
                             // A short batch ahead of an error has already
                             // consumed the failing record; every other
-                            // boundary is a position the iterator passes.
+                            // boundary is a position the reference passes.
                             if n == max {
                                 assert_eq!(r.position(), want_pos[got.len()], "max={max}");
-                                let rest: Result<Vec<_>, _> = StreamingTraceReader::resume(
+                                let mut resumed = StreamingTraceReader::resume(
                                     io::Cursor::new(&bytes[..]),
                                     r.position(),
                                 )
                                 .unwrap()
-                                .permissive(permissive)
-                                .collect();
+                                .permissive(permissive);
+                                let rest: Result<Vec<_>, _> =
+                                    items(&mut resumed).into_iter().collect();
                                 match rest {
                                     Ok(rest) => assert_eq!(rest, want[got.len()..], "max={max}"),
                                     Err(e) => assert_eq!(Some(e.kind()), want_err, "max={max}"),
@@ -1356,9 +1377,9 @@ mod tests {
             }
             if !permissive {
                 assert_eq!(
-                    decode(bytes).map_err(|e| e.kind()),
+                    decoded(bytes).map_err(|e| e.kind()),
                     want_err.map_or(Ok(want), Err),
-                    "decode is the strict reader, collected"
+                    "a strict fill loop reads the same"
                 );
             }
         }
@@ -1366,7 +1387,7 @@ mod tests {
 
     #[test]
     fn fill_delivers_short_batch_then_error_then_fuses() {
-        let bytes = encode(&sample()).unwrap();
+        let bytes = encoded(&sample()).unwrap();
         let mut r = StreamingTraceReader::new(&bytes[..bytes.len() - 3]).unwrap();
         let mut batch = RecordBatch::new();
         assert_eq!(r.fill(&mut batch, 100).unwrap(), 3);
@@ -1377,10 +1398,13 @@ mod tests {
         ));
         assert!(batch.is_empty(), "an erroring fill leaves no stale records");
         assert_eq!(r.fill(&mut batch, 100).unwrap(), 0, "fused after error");
-        assert!(r.next().is_none(), "the iterator shares the fuse");
+        assert!(
+            next_record(&mut r).is_none(),
+            "a one-record fill shares the fuse"
+        );
 
         // An empty trace is end of stream at once, not an error.
-        let empty = encode(&[]).unwrap();
+        let empty = encoded(&[]).unwrap();
         let mut r = StreamingTraceReader::new(&empty[..]).unwrap();
         assert_eq!(r.fill(&mut batch, 10).unwrap(), 0);
     }
@@ -1390,7 +1414,7 @@ mod tests {
         let recs: Vec<PacketRecord> = (0..1_000u64)
             .map(|i| PacketRecord::udp(i, i as u128, 9, 1, 53, 80))
             .collect();
-        let bytes = encode(&recs).unwrap();
+        let bytes = encoded(&recs).unwrap();
         let mut r = StreamingTraceReader::new(&bytes[..]).unwrap();
         let mut batch = RecordBatch::with_capacity(300);
         let ts_column = batch.ts_ms().as_ptr();
@@ -1469,15 +1493,16 @@ mod tests {
         let before_trunc = reg.counter("trace.codec.errors.truncated").get();
         let before_skip = reg.counter("trace.codec.skipped.field_overflow").get();
 
-        let bytes = encode(&sample()).unwrap();
+        let bytes = encoded(&sample()).unwrap();
         let cut = &bytes[..bytes.len() - 3];
-        let _ = StreamingTraceReader::new(cut).unwrap().count();
+        let _ = items(&mut StreamingTraceReader::new(cut).unwrap());
 
         let (bad, _) = bytes_with_bad_dport();
-        let _ = StreamingTraceReader::new(&bad[..])
-            .unwrap()
-            .permissive(true)
-            .count();
+        let _ = items(
+            &mut StreamingTraceReader::new(&bad[..])
+                .unwrap()
+                .permissive(true),
+        );
 
         // Tests share the global registry, so assert monotone growth
         // rather than exact deltas.
@@ -1491,7 +1516,7 @@ mod tests {
         let recs: Vec<PacketRecord> = (0..4000u64)
             .map(|i| PacketRecord::tcp(i, i as u128, 1, 1, 22, 60))
             .collect();
-        let bytes = encode(&recs).unwrap();
-        assert_eq!(decode(&bytes).unwrap().len(), 4000);
+        let bytes = encoded(&recs).unwrap();
+        assert_eq!(decoded(&bytes).unwrap().len(), 4000);
     }
 }

@@ -6,7 +6,7 @@
 //! - [`write_pcap`] synthesizes real IPv6 packets — proper headers, valid
 //!   TCP/UDP/ICMPv6 checksums over the IPv6 pseudo-header — so generated
 //!   traces open in Wireshark/tcpdump and can drive other tools.
-//! - [`read_pcap`] ingests captures (both endiannesses, micro- and
+//! - [`PcapReader`] ingests captures (both endiannesses, micro- and
 //!   nanosecond variants, LINKTYPE_RAW and LINKTYPE_ETHERNET) and reduces
 //!   each IPv6 TCP/UDP/ICMPv6 packet to a [`PacketRecord`]; anything else
 //!   (IPv4, ARP, extension-header chains) is counted and skipped, never an
@@ -212,15 +212,6 @@ pub fn write_pcap<W: Write>(
 // ---------------------------------------------------------------------
 // Reading
 // ---------------------------------------------------------------------
-
-/// Outcome of importing a pcap.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PcapImport {
-    /// Parsed IPv6 TCP/UDP/ICMPv6 records, in capture order.
-    pub records: Vec<PacketRecord>,
-    /// Packets skipped (non-IPv6, unhandled next header, truncated data).
-    pub skipped: u64,
-}
 
 fn u16_at(b: &[u8], o: usize) -> u16 {
     u16::from_be_bytes([b[o], b[o + 1]])
@@ -507,23 +498,6 @@ impl<R: Read> Iterator for PcapReader<R> {
     }
 }
 
-/// Reads a classic pcap capture into memory.
-///
-/// Decodes incrementally through [`PcapReader`] — only the parsed records
-/// are materialized, never the raw capture bytes, so peak memory is
-/// proportional to the usable packets rather than the file size.
-pub fn read_pcap<R: Read>(src: R) -> Result<PcapImport, PcapError> {
-    let mut reader = PcapReader::new(src)?;
-    let mut records = Vec::new();
-    for item in reader.by_ref() {
-        records.push(item?);
-    }
-    Ok(PcapImport {
-        records,
-        skipped: reader.skipped(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,15 +511,27 @@ mod tests {
         ]
     }
 
+    /// Drains a [`PcapReader`] over `bytes`: the records, in capture order,
+    /// and the packets it skipped.
+    fn import(bytes: &[u8]) -> Result<(Vec<PacketRecord>, u64), PcapError> {
+        let mut reader = PcapReader::new(bytes)?;
+        let records = reader.by_ref().collect::<Result<_, _>>()?;
+        Ok((records, reader.skipped()))
+    }
+
     #[test]
     fn roundtrip_preserves_records() {
-        let recs = sample();
+        // A 40-byte TCP and a 40-byte UDP record are shorter than their
+        // headers: the smallest packet of each transport.
+        let mut recs = sample();
+        recs.push(PacketRecord::tcp(5_000, 9, 10, 2, 22, 40));
+        recs.push(PacketRecord::udp(6_000, 11, 12, 3, 53, 40));
         let mut buf = Vec::new();
-        assert_eq!(write_pcap(&recs, &mut buf).unwrap(), 4);
-        let imported = read_pcap(&buf[..]).unwrap();
-        assert_eq!(imported.skipped, 0);
-        assert_eq!(imported.records.len(), recs.len());
-        for (got, want) in imported.records.iter().zip(&recs) {
+        assert_eq!(write_pcap(&recs, &mut buf).unwrap(), 6);
+        let (records, skipped) = import(&buf).unwrap();
+        assert_eq!(skipped, 0);
+        assert_eq!(records.len(), recs.len());
+        for (got, want) in records.iter().zip(&recs) {
             assert_eq!(got.src, want.src);
             assert_eq!(got.dst, want.dst);
             assert_eq!(got.proto, want.proto);
@@ -553,9 +539,14 @@ mod tests {
             assert_eq!(got.sport, want.sport);
             // Millisecond timestamps survive the µs encoding.
             assert_eq!(got.ts_ms, want.ts_ms);
-            // Length may be padded up to the minimum wire size.
-            assert!(got.len >= want.len.min(60));
+            // Length is padded up to the IPv6 header plus the transport's.
+            let headers = match want.proto {
+                Transport::Tcp => 40 + 20,
+                _ => 40 + 8,
+            };
+            assert_eq!(got.len, want.len.max(headers), "{:?}", want.proto);
         }
+        assert_eq!((records[4].len, records[5].len), (60, 48));
     }
 
     #[test]
@@ -599,12 +590,12 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let err = read_pcap(&b"NOTPCAP_AT_ALL_________"[..]).unwrap_err();
+        let err = import(b"NOTPCAP_AT_ALL_________").unwrap_err();
         assert!(matches!(err, PcapError::Truncated | PcapError::BadMagic(_)));
         let mut bogus = [0u8; 24];
         bogus[0..4].copy_from_slice(&0xdeadbeefu32.to_le_bytes());
         assert!(matches!(
-            read_pcap(&bogus[..]).unwrap_err(),
+            import(&bogus).unwrap_err(),
             PcapError::BadMagic(_)
         ));
     }
@@ -614,9 +605,9 @@ mod tests {
         let mut buf = Vec::new();
         write_pcap(sample(), &mut buf).unwrap();
         let cut = &buf[..buf.len() - 10];
-        let imported = read_pcap(cut).unwrap();
-        assert_eq!(imported.records.len(), 3);
-        assert_eq!(imported.skipped, 1);
+        let (records, skipped) = import(cut).unwrap();
+        assert_eq!(records.len(), 3);
+        assert_eq!(skipped, 1);
     }
 
     #[test]
@@ -653,11 +644,11 @@ mod tests {
         buf.extend_from_slice(&(arp.len() as u32).to_le_bytes());
         buf.extend_from_slice(&arp);
 
-        let imported = read_pcap(&buf[..]).unwrap();
-        assert_eq!(imported.records.len(), 1);
-        assert_eq!(imported.skipped, 1);
-        assert_eq!(imported.records[0].dport, 443);
-        assert_eq!(imported.records[0].src, 0x11);
+        let (records, skipped) = import(&buf).unwrap();
+        assert_eq!(records.len(), 1);
+        assert_eq!(skipped, 1);
+        assert_eq!(records[0].dport, 443);
+        assert_eq!(records[0].src, 0x11);
     }
 
     #[test]
@@ -678,10 +669,10 @@ mod tests {
         buf.extend_from_slice(&(ip.len() as u32).to_be_bytes());
         buf.extend_from_slice(&(ip.len() as u32).to_be_bytes());
         buf.extend_from_slice(&ip);
-        let imported = read_pcap(&buf[..]).unwrap();
-        assert_eq!(imported.records.len(), 1);
-        assert_eq!(imported.records[0].ts_ms, 7_000);
-        assert_eq!(imported.records[0].dport, 53);
+        let (records, _) = import(&buf).unwrap();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].ts_ms, 7_000);
+        assert_eq!(records[0].dport, 53);
     }
 
     #[test]
@@ -691,7 +682,7 @@ mod tests {
         buf.extend_from_slice(&[0u8; 16]);
         buf.extend_from_slice(&147u32.to_le_bytes()); // USER0
         assert!(matches!(
-            read_pcap(&buf[..]).unwrap_err(),
+            import(&buf).unwrap_err(),
             PcapError::UnsupportedLinkType(147)
         ));
     }
@@ -700,9 +691,9 @@ mod tests {
     fn empty_capture_is_fine() {
         let mut buf = Vec::new();
         write_pcap(std::iter::empty::<PacketRecord>(), &mut buf).unwrap();
-        let imported = read_pcap(&buf[..]).unwrap();
-        assert!(imported.records.is_empty());
-        assert_eq!(imported.skipped, 0);
+        let (records, skipped) = import(&buf).unwrap();
+        assert!(records.is_empty());
+        assert_eq!(skipped, 0);
     }
 
     #[test]
@@ -743,10 +734,10 @@ mod tests {
         let before = lumen6_obs::MetricsRegistry::global()
             .counter("trace.pcap.frames_truncated")
             .get();
-        let imported = read_pcap(&buf[..]).unwrap();
-        assert_eq!(imported.records.len(), 1);
-        assert_eq!(imported.records[0].len, u16::MAX, "length clamped");
-        assert_eq!(imported.records[0].dport, 443);
+        let (records, _) = import(&buf).unwrap();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].len, u16::MAX, "length clamped");
+        assert_eq!(records[0].dport, 443);
         let after = lumen6_obs::MetricsRegistry::global()
             .counter("trace.pcap.frames_truncated")
             .get();
@@ -764,18 +755,20 @@ mod tests {
         buf.extend_from_slice(&(64 * 1024 * 1024u32).to_le_bytes());
         buf.extend_from_slice(&(64 * 1024 * 1024u32).to_le_bytes());
         buf.extend_from_slice(&[0u8; 100]); // only 100 of the claimed 64 MiB
-        let imported = read_pcap(&buf[..]).unwrap();
-        assert_eq!(imported.records.len(), 4);
-        assert_eq!(imported.skipped, 1);
+        let (records, skipped) = import(&buf).unwrap();
+        assert_eq!(records.len(), 4);
+        assert_eq!(skipped, 1);
     }
 
     #[test]
-    fn streaming_reader_matches_batch_import() {
+    fn streaming_reader_yields_records_one_at_a_time() {
         let mut buf = Vec::new();
         write_pcap(sample(), &mut buf).unwrap();
         let mut reader = PcapReader::new(&buf[..]).unwrap();
-        let streamed: Vec<PacketRecord> = reader.by_ref().collect::<Result<_, _>>().unwrap();
+        let first = reader.next().unwrap().unwrap();
+        assert_eq!((first.ts_ms, first.dport), (1_500, 22));
+        assert_eq!(reader.by_ref().count(), 3);
+        assert!(reader.next().is_none(), "fused at the end");
         assert_eq!(reader.skipped(), 0);
-        assert_eq!(streamed, read_pcap(&buf[..]).unwrap().records);
     }
 }

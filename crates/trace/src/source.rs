@@ -499,9 +499,8 @@ impl Source for TailSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::encode;
     use crate::codec::tests_support::{
-        counted_sample, every_bit_flip, every_cut, push_batch, push_run, FILL_SIZES,
+        counted_sample, encoded, every_bit_flip, every_cut, push_batch, push_run, FILL_SIZES,
     };
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -513,7 +512,7 @@ mod tests {
     }
 
     fn write_trace(records: &[PacketRecord]) -> tempdir::ScopedFile {
-        let bytes = encode(records).expect("encode");
+        let bytes = encoded(records).expect("encode");
         tempdir::ScopedFile::with_bytes(&bytes)
     }
 
@@ -629,7 +628,7 @@ mod tests {
     #[test]
     fn file_stream_source_surfaces_error_after_partial_batch_then_fuses() {
         let want = recs(10);
-        let bytes = encode(&want).expect("encode");
+        let bytes = encoded(&want).expect("encode");
         let cut = &bytes[..bytes.len() - 3];
         let f = tempdir::ScopedFile::with_bytes(cut);
         let mut src = FileStreamSource::open(f.path()).expect("open");
@@ -700,7 +699,7 @@ mod tests {
         // The last row is a counted one: three copies of record 19.
         let mut want = recs(20);
         want.extend([want[19]; 2]);
-        let bytes = encode(&want).expect("encode");
+        let bytes = encoded(&want).expect("encode");
         let dir = ScopedDir::new("partial");
         let path = dir.file("t.l6tr");
         // Write everything except the last 4 bytes: the final row is a
@@ -728,7 +727,7 @@ mod tests {
     #[test]
     fn tail_source_sees_appends_between_polls() {
         let want = recs(300);
-        let bytes = encode(&want).expect("encode");
+        let bytes = encoded(&want).expect("encode");
         let dir = ScopedDir::new("append");
         let path = dir.file("t.l6tr");
         // Nothing on disk yet: the tail waits for the writer.
@@ -763,7 +762,7 @@ mod tests {
             .collect();
         let dir = ScopedDir::new("trunc");
         let path = dir.file("t.l6tr");
-        std::fs::write(&path, encode(&first).unwrap()).unwrap();
+        std::fs::write(&path, encoded(&first).unwrap()).unwrap();
 
         let reg = MetricsRegistry::global();
         let trunc_before = reg.counter("trace.tail.truncations").get();
@@ -774,7 +773,7 @@ mod tests {
         assert_eq!(state, FillOutcome::Pending);
 
         // The writer truncates and starts a fresh stream in place.
-        std::fs::write(&path, encode(&second).unwrap()).unwrap();
+        std::fs::write(&path, encoded(&second).unwrap()).unwrap();
         std::fs::write(TailSource::eof_marker(&path), b"").unwrap();
         let (got, state) = poll_all(&mut src, 16);
         assert_eq!(got, second, "decode restarted from the new header");
@@ -792,7 +791,7 @@ mod tests {
             .collect();
         let dir = ScopedDir::new("rotate");
         let path = dir.file("t.l6tr");
-        std::fs::write(&path, encode(&old_recs).unwrap()).unwrap();
+        std::fs::write(&path, encoded(&old_recs).unwrap()).unwrap();
 
         let reg = MetricsRegistry::global();
         let rot_before = reg.counter("trace.tail.rotations").get();
@@ -806,7 +805,7 @@ mod tests {
         );
         let mut got: Vec<PacketRecord> = batch.iter().collect();
         std::fs::rename(&path, dir.file("t.l6tr.1")).unwrap();
-        std::fs::write(&path, encode(&new_recs).unwrap()).unwrap();
+        std::fs::write(&path, encoded(&new_recs).unwrap()).unwrap();
         std::fs::write(TailSource::eof_marker(&path), b"").unwrap();
 
         let (rest, state) = poll_all(&mut src, 15);
@@ -904,7 +903,7 @@ mod tests {
                     // Only a cut on a record boundary (or the empty file no
                     // writer has started) ends cleanly.
                     None => assert!(
-                        cut == 0 || encode(&got).unwrap() == *head,
+                        cut == 0 || encoded(&got).unwrap() == *head,
                         "cut={cut} max={max}"
                     ),
                 }
@@ -945,7 +944,7 @@ mod tests {
     #[test]
     fn tail_source_over_a_finished_file_equals_file_stream_source() {
         let (bad, _) = crate::codec::tests_support::bytes_with_bad_dport();
-        let clean = encode(&recs(3_000)).expect("encode");
+        let clean = encoded(&recs(3_000)).expect("encode");
         let dir = ScopedDir::new("equal");
         let path = dir.file("t.l6tr");
         std::fs::write(TailSource::eof_marker(&path), b"").unwrap();
@@ -974,7 +973,7 @@ mod tests {
             .collect();
         let dir = ScopedDir::new("mid-row");
         let path = dir.file("t.l6tr");
-        std::fs::write(&path, encode(&want).unwrap()).unwrap();
+        std::fs::write(&path, encoded(&want).unwrap()).unwrap();
         std::fs::write(TailSource::eof_marker(&path), b"").unwrap();
 
         // Every batch boundary of a 7-record poll, most of them inside a
@@ -1012,7 +1011,7 @@ mod tests {
         let want = recs(200);
         let dir = ScopedDir::new("resume");
         let path = dir.file("t.l6tr");
-        std::fs::write(&path, encode(&want).unwrap()).unwrap();
+        std::fs::write(&path, encoded(&want).unwrap()).unwrap();
         std::fs::write(TailSource::eof_marker(&path), b"").unwrap();
 
         let mut src = TailSource::open(&path);

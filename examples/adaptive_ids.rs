@@ -81,7 +81,9 @@ fn main() {
 
     lumen6::trace::sort_by_time(&mut window);
 
-    let alerts = AdaptiveIds::new(AdaptiveConfig::default()).analyze(&window);
+    // One window of rows, each record a row of one copy.
+    let rows = window.iter().map(|&r| (r, 1));
+    let alerts = AdaptiveIds::new(AdaptiveConfig::default()).analyze_counted(rows);
     println!("{} alerts:\n", alerts.len());
     for a in &alerts {
         println!(

@@ -7,18 +7,36 @@
 //! cargo run --release --example backscatter
 //! ```
 
-use lumen6::backscatter::{generate_backscatter, BackscatterConfig, BackscatterDetector};
+use lumen6::backscatter::{backscatter_queries, BackscatterConfig, BackscatterDetector};
 use lumen6::prelude::*;
+use lumen6::scanners::FleetSource;
+use lumen6::trace::{RecordBatch, Source};
+
+/// Every copy of every row `source` fills, a batch at a time.
+fn records(mut source: impl Source) -> impl Iterator<Item = PacketRecord> {
+    let batches = std::iter::from_fn(move || {
+        let mut batch = RecordBatch::new();
+        let filled = source
+            .fill(&mut batch, 4096)
+            .expect("generation cannot fail");
+        (filled > 0).then_some(batch)
+    });
+    batches.flat_map(|b| {
+        (0..b.rows()).flat_map(move |i| std::iter::repeat_n(b.get(i), b.count(i) as usize))
+    })
+}
 
 fn main() {
     let mut cfg = FleetConfig::small();
     cfg.end_day = 21;
     let world = World::build(cfg);
-    let trace = world.cdn_trace();
-    println!("victim-side traffic: {} packets over 3 weeks", trace.len());
 
-    // What the scanners' reverse-zone authority records.
-    let queries = generate_backscatter(&trace, &BackscatterConfig::default(), 42);
+    // What the scanners' reverse-zone authority records, drawn packet by
+    // packet as the firewall-logged stream is generated.
+    let mut packets = 0u64;
+    let traffic = records(FleetSource::new(world.clone())).inspect(|_| packets += 1);
+    let queries: Vec<_> = backscatter_queries(traffic, &BackscatterConfig::default(), 42).collect();
+    println!("victim-side traffic: {packets} packets over 3 weeks");
     println!("PTR queries at the authority: {}", queries.len());
 
     // Querier diversity separates scanners from ordinary hosts.

@@ -7,10 +7,35 @@
 //! ```
 
 use lumen6::analysis::targeting;
+use lumen6::detect::day::Prefiltered;
+use lumen6::detect::{Backend, DetectorBuilder, Session, SessionConfig, SessionOutcome};
 use lumen6::prelude::*;
+use lumen6::scanners::FleetSource;
 use lumen6::telescope::CaptureConfig;
+use lumen6::trace::{RecordBatch, Source};
 
-fn main() {
+/// The world's firewall-logged stream, generated as it is read, with the
+/// A.1 artifact filter applied a closed day at a time.
+fn clean_stream(world: &World) -> Prefiltered {
+    let stream = Box::new(FleetSource::new(world.clone()));
+    Prefiltered::new(stream, ArtifactFilter::default())
+}
+
+/// Every copy of every row `source` fills, a batch at a time.
+fn records(mut source: impl Source) -> impl Iterator<Item = PacketRecord> {
+    let batches = std::iter::from_fn(move || {
+        let mut batch = RecordBatch::new();
+        let filled = source
+            .fill(&mut batch, 4096)
+            .expect("generation cannot fail");
+        (filled > 0).then_some(batch)
+    });
+    batches.flat_map(|b| {
+        (0..b.rows()).flat_map(move |i| std::iter::repeat_n(b.get(i), b.count(i) as usize))
+    })
+}
+
+fn main() -> Result<(), lumen6::detect::SessionError> {
     let world = World::build(FleetConfig::small());
     let dep = &world.deployment;
     println!(
@@ -53,9 +78,16 @@ fn main() {
     }
 
     // Full pipeline with destination retention for targeting analysis.
-    let trace = world.cdn_trace();
-    let (clean, _) = ArtifactFilter::default().filter(&trace);
-    let scans = detect(&clean, ScanDetectorConfig::paper(AggLevel::L64).with_dsts());
+    let config = ScanDetectorConfig::paper(AggLevel::L64).with_dsts();
+    let session = Session::new(
+        DetectorBuilder::new(config),
+        Backend::Sequential,
+        SessionConfig::default(),
+    );
+    let SessionOutcome::Finished(mut run) = session.run_source(&mut clean_stream(&world))? else {
+        unreachable!("no checkpoint policy: the session runs to the end")
+    };
+    let scans = run.reports.remove(&AggLevel::L64).expect("the one level");
 
     // §3.3: how many of each source's targets exist in DNS? The paper
     // reports AS#18 separately — it holds 80% of the /64 sources and
@@ -80,14 +112,14 @@ fn main() {
     );
 
     // The nearby-prior question: were hidden targets preceded by an in-DNS
-    // probe in the same /120?
+    // probe in the same /120? A second pass over the stream answers it.
     let explorers: Vec<_> = breakdown
         .iter()
         .filter(|b| b.not_in_dns_frac() > 0.3 && b.total() > 50)
         .map(|b| b.source)
         .collect();
     let analysis = targeting::nearby_prior_analysis(
-        &clean,
+        records(clean_stream(&world)),
         &explorers,
         AggLevel::L64,
         |a| dep.is_in_dns(a),
@@ -101,4 +133,5 @@ fn main() {
             n.fraction(8) * 100.0
         );
     }
+    Ok(())
 }

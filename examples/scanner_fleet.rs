@@ -5,10 +5,12 @@
 //! cargo run --release --example scanner_fleet
 //! ```
 
+use lumen6::detect::{Backend, DetectorBuilder, Session, SessionConfig, SessionOutcome};
 use lumen6::prelude::*;
 use lumen6::scanners::{actor::Schedule, IidMode, PortSampler, SourceSampler, TargetSampler};
+use lumen6::scanners::{FleetSource, Vantage};
 
-fn main() {
+fn main() -> Result<(), lumen6::detect::SessionError> {
     // A custom actor: sources spread across a /48, structured-IID prefix
     // sweep, progressive daily port rotation.
     let actor = ScannerActor {
@@ -28,13 +30,28 @@ fn main() {
         schedule: Schedule::continuous(0, 7, 400),
         probe_len: 60,
     };
-    let packets = actor.generate(1);
-    println!("demo actor emitted {} probes over a week", packets.len());
+    // Its stream alone, as `lumen6 generate custom` draws it: no telescope
+    // capture, no other traffic.
+    let vantage = Vantage {
+        actors: vec![actor].into(),
+        seed: 1,
+        intensity: 1.0,
+        fixed: Vec::new(),
+        capture: None,
+    };
+    let mut stream = FleetSource::from_vantage(vantage, 1);
+    let levels = [AggLevel::L128, AggLevel::L64, AggLevel::L48];
+    let builder = DetectorBuilder::new(ScanDetectorConfig::default()).levels(&levels);
+    let session = Session::new(builder, Backend::Sequential, SessionConfig::default());
+    let SessionOutcome::Finished(run) = session.run_source(&mut stream)? else {
+        unreachable!("no checkpoint policy: the session runs to the end")
+    };
+    println!("demo actor emitted {} probes over a week", run.records);
 
     // It is invisible without aggregation and obvious at /48 — exactly the
     // paper's methodological point.
-    for agg in [AggLevel::L128, AggLevel::L64, AggLevel::L48] {
-        let scans = detect(&packets, ScanDetectorConfig::paper(agg));
+    for agg in levels {
+        let scans = &run.reports[&agg];
         println!(
             "  at {agg}: {} scans from {} sources",
             scans.scans(),
@@ -61,4 +78,5 @@ fn main() {
             t.prefix
         );
     }
+    Ok(())
 }

@@ -14,21 +14,32 @@
 //! ## Quickstart
 //!
 //! ```
+//! use lumen6::detect::day::Prefiltered;
+//! use lumen6::detect::{Backend, DetectorBuilder, Session, SessionConfig, SessionOutcome};
 //! use lumen6::prelude::*;
+//! use lumen6::scanners::FleetSource;
 //!
 //! // Build a small simulated world: telescope + calibrated scanner fleet.
 //! let world = World::build(FleetConfig::small());
-//! let trace = world.cdn_trace();
 //!
-//! // The paper's pipeline: artifact prefilter, then scan detection.
-//! let (clean, _report) = ArtifactFilter::default().filter(&trace);
-//! let scans = detect(&clean, ScanDetectorConfig::paper(AggLevel::L64));
+//! // The paper's pipeline over the world's firewall stream, generated as it
+//! // is read: artifact prefilter, then scan detection at /64 and /48 in one
+//! // pass.
+//! let stream = Box::new(FleetSource::new(world));
+//! let mut clean = Prefiltered::new(stream, ArtifactFilter::default());
+//! let levels = [AggLevel::L64, AggLevel::L48];
+//! let builder = DetectorBuilder::new(ScanDetectorConfig::default()).levels(&levels);
+//! let session = Session::new(builder, Backend::Sequential, SessionConfig::default());
+//! let SessionOutcome::Finished(run) = session.run_source(&mut clean)? else {
+//!     unreachable!("no checkpoint policy: the session runs to the end")
+//! };
+//! let (scans, at48) = (&run.reports[&AggLevel::L64], &run.reports[&AggLevel::L48]);
 //! assert!(scans.scans() > 0);
 //!
 //! // Aggregation matters: /48 sources can exceed /64 sources when a
 //! // scanner spreads across a routed prefix.
-//! let at48 = detect(&clean, ScanDetectorConfig::paper(AggLevel::L48));
 //! println!("/64 sources: {}  /48 sources: {}", scans.sources(), at48.sources());
+//! # Ok::<(), lumen6::detect::SessionError>(())
 //! ```
 //!
 //! ## Crate map
@@ -62,7 +73,6 @@ pub use lumen6_trace as trace;
 /// The most common imports in one place.
 pub mod prelude {
     pub use lumen6_addr::{Ipv6Prefix, PrefixTrie};
-    pub use lumen6_detect::detector::detect;
     pub use lumen6_detect::{
         AggLevel, ArtifactFilter, MawiDetector, ScanDetector, ScanDetectorConfig, ScanEvent,
         ScanReport,

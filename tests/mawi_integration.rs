@@ -46,6 +46,11 @@ fn split_days(
         .collect()
 }
 
+/// `records` as rows of one copy each.
+fn ones(records: &[PacketRecord]) -> impl Iterator<Item = (PacketRecord, u32)> + '_ {
+    records.iter().map(|&r| (r, 1))
+}
+
 fn targets_on(day: u64, pred: impl Fn(&PacketRecord) -> bool) -> Vec<u128> {
     let (_, trace) = world();
     let (s, e) = capture_window(day);
@@ -65,10 +70,10 @@ fn loose_threshold_finds_many_more_sources() {
     let mut loose_total = 0usize;
     for (_, slice) in split_days(trace, s, e) {
         strict_total += MawiDetector::new(FhConfig::paper(AggLevel::L64))
-            .detect(slice)
+            .detect_counted(ones(slice))
             .len();
         loose_total += MawiDetector::new(FhConfig::loose(AggLevel::L64))
-            .detect(slice)
+            .detect_counted(ones(slice))
             .len();
     }
     assert!(
@@ -86,7 +91,7 @@ fn as1_dominates_the_link_and_is_cross_vantage_consistent() {
     let det = MawiDetector::new(FhConfig::paper(AggLevel::L64));
     let mut by_source: std::collections::HashMap<Ipv6Prefix, u64> = Default::default();
     for (_, slice) in split_days(trace, s, e) {
-        for scan in det.detect(slice) {
+        for scan in det.detect_counted(ones(slice)) {
             *by_source.entry(scan.source).or_default() += scan.packets;
         }
     }
@@ -212,7 +217,7 @@ fn background_traffic_is_never_classified_as_scanning() {
     let det = MawiDetector::new(FhConfig::loose(AggLevel::L128));
     let background_space: Ipv6Prefix = "2400::/8".parse().unwrap();
     for (_, slice) in split_days(trace, s, e) {
-        for scan in det.detect(slice) {
+        for scan in det.detect_counted(ones(slice)) {
             assert!(
                 !background_space.contains(&scan.source),
                 "background remote classified as scanner: {:?}",

@@ -2,16 +2,37 @@
 //! must reproduce the paper's qualitative findings.
 
 use lumen6::analysis::{concentration, portbuckets, targeting, topas};
-use lumen6::detect::PortClass;
+use lumen6::detect::day::Prefiltered;
+use lumen6::detect::{
+    Backend, DetectorBuilder, FilterReport, PortClass, Session, SessionConfig, SessionOutcome,
+};
 use lumen6::prelude::*;
+use lumen6::scanners::FleetSource;
+use lumen6::trace::{MaterializedSource, RecordBatch, Source};
 use std::sync::OnceLock;
 
 struct Lab {
     world: World,
+    /// The firewall stream's records the A.1 filter kept, and its report.
     clean: Vec<PacketRecord>,
+    filtered: FilterReport,
     r128: ScanReport,
     r64: ScanReport,
     r48: ScanReport,
+}
+
+/// The report at `config`'s level of a sequential session over `records`.
+fn scans(records: &[PacketRecord], config: ScanDetectorConfig) -> ScanReport {
+    let agg = config.agg;
+    let session = Session::new(
+        DetectorBuilder::new(config),
+        Backend::Sequential,
+        SessionConfig::default(),
+    );
+    match session.run_source(&mut MaterializedSource::new(records.to_vec())) {
+        Ok(SessionOutcome::Finished(mut run)) => run.reports.remove(&agg).expect("the one level"),
+        other => panic!("a session over memory runs to the end: {other:?}"),
+    }
 }
 
 /// One shared small world for all tests in this file (12 weeks).
@@ -21,14 +42,19 @@ fn lab() -> &'static Lab {
         let mut cfg = FleetConfig::small();
         cfg.end_day = 84;
         let world = World::build(cfg);
-        let trace = world.cdn_trace();
-        let (clean, _) = ArtifactFilter::default().filter(&trace);
-        let r128 = detect(&clean, ScanDetectorConfig::paper(AggLevel::L128));
-        let r64 = detect(&clean, ScanDetectorConfig::paper(AggLevel::L64).with_dsts());
-        let r48 = detect(&clean, ScanDetectorConfig::paper(AggLevel::L48));
+        let stream = Box::new(FleetSource::new(world.clone()));
+        let mut src = Prefiltered::new(stream, ArtifactFilter::default());
+        let (mut clean, mut batch) = (Vec::new(), RecordBatch::new());
+        while src.fill(&mut batch, 4096).expect("generation cannot fail") > 0 {
+            clean.extend(batch.iter());
+        }
+        let r128 = scans(&clean, ScanDetectorConfig::paper(AggLevel::L128));
+        let r64 = scans(&clean, ScanDetectorConfig::paper(AggLevel::L64).with_dsts());
+        let r48 = scans(&clean, ScanDetectorConfig::paper(AggLevel::L48));
         Lab {
             world,
             clean,
+            filtered: src.report(),
             r128,
             r64,
             r48,
@@ -86,7 +112,7 @@ fn as18_48s_exceed_64s_and_32_captures_more() {
         .filter(|e| as18.contains(&e.source))
         .map(|e| e.packets)
         .sum();
-    let r32 = detect(&lab.clean, ScanDetectorConfig::paper(AggLevel::L32));
+    let r32 = scans(&lab.clean, ScanDetectorConfig::paper(AggLevel::L32));
     let at32: u64 = r32
         .events
         .iter()
@@ -100,7 +126,7 @@ fn as18_48s_exceed_64s_and_32_captures_more() {
 fn relaxed_threshold_blows_up_sources_via_as18() {
     // §2.2: min-dst 50 yields vastly more sources, nearly all in AS#18.
     let lab = lab();
-    let loose = detect(
+    let loose = scans(
         &lab.clean,
         ScanDetectorConfig {
             agg: AggLevel::L64,
@@ -133,7 +159,7 @@ fn timeouts_have_small_effect() {
     // §2.2: 30- and 15-minute timeouts change results only slightly.
     let lab = lab();
     for timeout_ms in [1_800_000u64, 900_000] {
-        let r = detect(
+        let r = scans(
             &lab.clean,
             ScanDetectorConfig {
                 agg: AggLevel::L64,
@@ -209,9 +235,7 @@ fn multiport_scanning_dominates_packets() {
 #[test]
 fn artifacts_are_removed_and_dominated_by_smtp_and_isakmp() {
     // Appendix A.1.
-    let lab = lab();
-    let trace = lab.world.cdn_trace();
-    let (_, report) = ArtifactFilter::default().filter(&trace);
+    let report = &lab().filtered;
     // The small fixture runs a reduced artifact mix; the full-scale world
     // removes >60% (see EXPERIMENTS.md).
     assert!(

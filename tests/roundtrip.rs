@@ -1,33 +1,87 @@
 //! Cross-crate round trips: a generated world trace survives the binary
 //! codec byte-for-byte, and detection over the decoded trace is identical.
 
-use lumen6::detect::{Backend, Detect, DetectorBuilder, Session, SessionConfig, SessionError};
+use lumen6::detect::day::Prefiltered;
+use lumen6::detect::{
+    Backend, DetectorBuilder, Session, SessionConfig, SessionError, SessionOutcome,
+};
 use lumen6::prelude::*;
-use lumen6::trace::codec::{decode, encode};
-use lumen6::trace::{CodecError, FileStreamSource, FillOutcome, RecordBatch, Source, TailSource};
+use lumen6::scanners::FleetSource;
+use lumen6::trace::{
+    CodecError, FileStreamSource, FillOutcome, MaterializedSource, RecordBatch, Source, TailSource,
+};
+use std::collections::BTreeMap;
+
+/// A world of the small fleet over `days` days.
+fn world(days: u64) -> World {
+    let mut cfg = FleetConfig::small();
+    cfg.end_day = days;
+    World::build(cfg)
+}
+
+/// Every copy of every row `src` fills, in order, a batch at a time.
+fn drain(src: &mut dyn Source) -> Vec<PacketRecord> {
+    let (mut out, mut batch) = (Vec::new(), RecordBatch::new());
+    while src.fill(&mut batch, 4096).expect("generation cannot fail") > 0 {
+        out.extend(batch.iter());
+    }
+    out
+}
+
+/// `world`'s firewall stream behind the A.1 artifact filter, drained.
+fn clean_trace(world: &World) -> Vec<PacketRecord> {
+    let stream = Box::new(FleetSource::new(world.clone()));
+    drain(&mut Prefiltered::new(stream, ArtifactFilter::default()))
+}
+
+/// `records` written through a [`TraceWriter`] into memory.
+fn encoded(records: &[PacketRecord]) -> Vec<u8> {
+    let mut w = TraceWriter::new(Vec::new()).expect("header");
+    for r in records {
+        w.append(r).expect("time-sorted");
+    }
+    w.finish().expect("in memory")
+}
+
+/// Every record of `bytes` read by `fill`, until the stream ends or fails.
+fn decoded(bytes: &[u8]) -> Result<Vec<PacketRecord>, CodecError> {
+    let (mut reader, mut batch) = (StreamingTraceReader::new(bytes)?, RecordBatch::new());
+    let mut out = Vec::new();
+    while reader.fill(&mut batch, 4096)? > 0 {
+        out.extend(batch.iter());
+    }
+    Ok(out)
+}
+
+/// The per-level reports of a sequential session over `records`.
+fn session_reports(
+    records: &[PacketRecord],
+    builder: DetectorBuilder,
+) -> BTreeMap<AggLevel, ScanReport> {
+    let session = Session::new(builder, Backend::Sequential, SessionConfig::default());
+    let mut src = MaterializedSource::new(records.to_vec());
+    match session.run_source(&mut src).expect("in memory") {
+        SessionOutcome::Finished(run) => run.reports,
+        SessionOutcome::Stopped { .. } => unreachable!("no checkpoint policy"),
+    }
+}
 
 #[test]
 fn world_trace_codec_roundtrip_and_detection_equality() {
-    let mut cfg = FleetConfig::small();
-    cfg.end_day = 10;
-    let world = World::build(cfg);
-    let trace = world.cdn_trace();
+    let trace = drain(&mut FleetSource::new(world(10)));
 
-    let bytes = encode(&trace).expect("encodes");
-    let back = decode(&bytes).expect("decodes");
+    let back = decoded(&encoded(&trace)).expect("decodes");
     assert_eq!(trace, back);
 
-    let a = detect(&trace, ScanDetectorConfig::paper(AggLevel::L64));
-    let b = detect(&back, ScanDetectorConfig::paper(AggLevel::L64));
-    assert_eq!(a.events, b.events);
+    let builder = DetectorBuilder::new(ScanDetectorConfig::paper(AggLevel::L64));
+    let a = session_reports(&trace, builder.clone());
+    let b = session_reports(&back, builder);
+    assert_eq!(a, b);
 }
 
 #[test]
 fn trace_writer_reader_file_path() {
-    let mut cfg = FleetConfig::small();
-    cfg.end_day = 3;
-    let world = World::build(cfg);
-    let trace = world.cdn_trace();
+    let trace = drain(&mut FleetSource::new(world(3)));
 
     let dir = std::env::temp_dir().join(format!("lumen6-roundtrip-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -39,18 +93,14 @@ fn trace_writer_reader_file_path() {
     }
     w.finish().unwrap();
 
-    let reader = StreamingTraceReader::new(std::fs::File::open(&path).unwrap()).unwrap();
-    let back: Result<Vec<_>, _> = reader.collect();
-    assert_eq!(back.unwrap(), trace);
-
-    // The same file in batches, straight into columns.
-    let mut src = FileStreamSource::open(&path).unwrap();
-    let mut batch = RecordBatch::new();
-    let mut batched = Vec::new();
-    while src.fill(&mut batch, 4096).unwrap() > 0 {
-        batched.extend(batch.iter());
+    // The file a record at a time, and in batches, straight into columns.
+    let mut reader = StreamingTraceReader::new(std::fs::File::open(&path).unwrap()).unwrap();
+    let (mut batch, mut back) = (RecordBatch::new(), Vec::new());
+    while reader.fill(&mut batch, 1).unwrap() > 0 {
+        back.push(batch.get(0));
     }
-    assert_eq!(batched, trace);
+    assert_eq!(back, trace);
+    assert_eq!(drain(&mut FileStreamSource::open(&path).unwrap()), trace);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -78,19 +128,23 @@ fn timestamp_overflow_is_a_typed_error_on_every_decode_route() {
     std::fs::write(&path, &bytes).unwrap();
     std::fs::write(TailSource::eof_marker(&path), b"").unwrap();
 
-    assert!(matches!(decode(&bytes), Err(CodecError::TimestampOverflow)));
+    assert!(matches!(
+        decoded(&bytes),
+        Err(CodecError::TimestampOverflow)
+    ));
     for permissive in [false, true] {
-        let mut items = StreamingTraceReader::new(&bytes[..])
+        let mut batch = RecordBatch::new();
+        let mut reader = StreamingTraceReader::new(&bytes[..])
             .unwrap()
             .permissive(permissive);
-        assert_eq!(items.next().unwrap().unwrap(), first);
-        let err = items.next().unwrap().unwrap_err();
+        assert_eq!(reader.fill(&mut batch, 1).unwrap(), 1);
+        assert_eq!(batch.get(0), first);
+        let err = reader.fill(&mut batch, 1).unwrap_err();
         assert!(matches!(err, CodecError::TimestampOverflow));
         assert_eq!(err.kind(), "timestamp_overflow");
         assert!(!err.is_recoverable());
-        assert!(items.next().is_none());
+        assert_eq!(reader.fill(&mut batch, 1).unwrap(), 0);
 
-        let mut batch = RecordBatch::new();
         let mut file = FileStreamSource::open(&path)
             .unwrap()
             .permissive(permissive);
@@ -134,40 +188,33 @@ fn timestamp_overflow_is_a_typed_error_on_every_decode_route() {
 
 #[test]
 fn corrupted_trace_fails_loudly_not_wrongly() {
-    let mut cfg = FleetConfig::small();
-    cfg.end_day = 2;
-    let world = World::build(cfg);
-    let trace = world.cdn_trace();
-    let mut bytes = encode(&trace).expect("encodes");
+    let trace = drain(&mut FleetSource::new(world(2)));
+    let mut bytes = encoded(&trace);
 
     // Flip a byte in the middle: either a decode error surfaces or the
     // decoded stream differs from the original — silent agreement would
     // mean corruption goes unnoticed.
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xff;
-    match decode(&bytes) {
+    match decoded(&bytes) {
         Err(_) => {}
         Ok(back) => assert_ne!(back, trace),
     }
 
     // Truncation: must error, never panic.
     let cut = &bytes[..bytes.len() / 3];
-    let _ = decode(cut);
+    let _ = decoded(cut);
 }
 
 #[test]
 fn multi_level_single_pass_matches_per_level_passes_on_fleet_traffic() {
-    let mut cfg = FleetConfig::small();
-    cfg.end_day = 14;
-    let world = World::build(cfg);
-    let trace = world.cdn_trace();
-    let (clean, _) = ArtifactFilter::default().filter(&trace);
+    let clean = clean_trace(&world(14));
 
-    let mut det = lumen6::detect::multi::MultiLevelDetector::paper();
-    lumen6::detect::observe_slice(&mut det, &clean, 4096);
-    let multi = Box::new(det).finish();
+    let paper = DetectorBuilder::new(ScanDetectorConfig::default());
+    let multi = session_reports(&clean, paper.levels(&AggLevel::PAPER_LEVELS));
     for lvl in AggLevel::PAPER_LEVELS {
-        let single = detect(&clean, ScanDetectorConfig::paper(lvl));
+        let one = DetectorBuilder::new(ScanDetectorConfig::paper(lvl));
+        let single = &session_reports(&clean, one)[&lvl];
         assert_eq!(multi[&lvl].scans(), single.scans(), "{lvl}");
         assert_eq!(multi[&lvl].packets(), single.packets(), "{lvl}");
         assert_eq!(multi[&lvl].source_set(), single.source_set(), "{lvl}");
@@ -176,13 +223,12 @@ fn multi_level_single_pass_matches_per_level_passes_on_fleet_traffic() {
 
 #[test]
 fn adaptive_ids_flags_as18_as_one_coarse_actor_on_fleet_traffic() {
-    let mut cfg = FleetConfig::small();
-    cfg.end_day = 28;
-    let world = World::build(cfg);
-    let trace = world.cdn_trace();
-    let (clean, _) = ArtifactFilter::default().filter(&trace);
+    let world = world(28);
+    let clean = clean_trace(&world);
 
-    let alerts = lumen6::detect::adaptive::AdaptiveIds::new(Default::default()).analyze(&clean);
+    let rows = clean.iter().map(|&r| (r, 1));
+    let alerts =
+        lumen6::detect::adaptive::AdaptiveIds::new(Default::default()).analyze_counted(rows);
     assert!(!alerts.is_empty());
 
     // The AS#18 /32 should surface as a coarse alert (its sources being one

@@ -2,8 +2,11 @@
 //! consume `--json` output, so these shapes are API.
 
 use lumen6::detect::adaptive::Alert;
-use lumen6::detect::{AggLevel, MawiScan, ScanEvent};
+use lumen6::detect::{
+    AggLevel, Backend, DetectorBuilder, MawiScan, ScanEvent, Session, SessionConfig, SessionOutcome,
+};
 use lumen6::prelude::*;
+use lumen6::scanners::FleetSource;
 use lumen6::trace::Transport;
 
 #[test]
@@ -29,8 +32,17 @@ fn detection_pipeline_events_roundtrip_via_json() {
     let mut cfg = FleetConfig::small();
     cfg.end_day = 5;
     let world = World::build(cfg);
-    let trace = world.cdn_trace();
-    let report = detect(&trace, ScanDetectorConfig::paper(AggLevel::L64).with_dsts());
+    let config = ScanDetectorConfig::paper(AggLevel::L64).with_dsts();
+    let session = Session::new(
+        DetectorBuilder::new(config),
+        Backend::Sequential,
+        SessionConfig::default(),
+    );
+    let Ok(SessionOutcome::Finished(mut run)) = session.run_source(&mut FleetSource::new(world))
+    else {
+        panic!("no checkpoint policy: the session runs to the end")
+    };
+    let report = run.reports.remove(&AggLevel::L64).expect("the one level");
     assert!(report.scans() > 0);
     let json = serde_json::to_string(&report.events).unwrap();
     let back: Vec<ScanEvent> = serde_json::from_str(&json).unwrap();
